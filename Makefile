@@ -6,9 +6,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci fmt-check vet build test test-race race fuzz-smoke bench-smoke bench-current bench-json bench-pr2 bench-pr3 bench-pr5 bench-pr6 bench-pr8 bench-pr9 bench-pr10 smoke-paradigmd smoke-paradigmd-chaos smoke-paradigmd-tenants smoke-paradigmd-cluster
+.PHONY: ci fmt-check vet build test test-race race fuzz-smoke bench-smoke bench-module bench-current bench-json bench-pr2 bench-pr3 bench-pr5 bench-pr6 bench-pr8 bench-pr9 bench-pr10 smoke-paradigmd smoke-paradigmd-chaos smoke-paradigmd-tenants smoke-paradigmd-cluster
 
-ci: fmt-check vet build test-race fuzz-smoke bench-smoke bench-pr2 bench-pr3 bench-pr5 bench-pr6 bench-pr8 bench-pr9 bench-pr10 smoke-paradigmd smoke-paradigmd-chaos smoke-paradigmd-tenants smoke-paradigmd-cluster
+ci: fmt-check vet build test-race fuzz-smoke bench-smoke bench-module bench-pr2 bench-pr3 bench-pr5 bench-pr6 bench-pr8 bench-pr9 bench-pr10 smoke-paradigmd smoke-paradigmd-chaos smoke-paradigmd-tenants smoke-paradigmd-cluster
 
 # gofmt gate: fails listing the offending files, mutating nothing.
 fmt-check:
@@ -41,11 +41,19 @@ fuzz-smoke:
 	$(GO) test ./internal/machine/ -run '^$$' -fuzz '^FuzzMachineSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/admission/ -run '^$$' -fuzz '^FuzzPolicyConfigDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault/ -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/expr/ -run '^$$' -fuzz '^FuzzEvalTape$$' -fuzztime $(FUZZTIME)
 
 # One iteration of the calibration- and allocation-path benchmarks: fast,
 # and enough to catch a benchmark that no longer compiles or errors out.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTable2TransferFit|BenchmarkAllocSolve' -benchtime=1x -benchmem .
+
+# The repo's benchmark (BENCHMARK.json, bench/) is a Go module of its
+# own, so the root build, vet and test never compile it: vet it and run
+# its short tests here, or an internal API change breaks it unnoticed
+# until the next benchmark run.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Full benchmark sweep, one iteration each, saved for the trajectory
 # harness (see BENCH_PR1.json and cmd/benchjson).

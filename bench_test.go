@@ -371,6 +371,26 @@ func BenchmarkAllocSolveCMM(b *testing.B) {
 	}
 }
 
+// BenchmarkAllocSolveStrassen128 is the paper's headline solve: the
+// 35-node Strassen MDG at n=128 on 64 processors of the trained CM-5,
+// whose annealed solve makes some forty thousand evaluations of Φ and is
+// nearly all of a Run on that program.
+func BenchmarkAllocSolveStrassen128(b *testing.B) {
+	e := env(b)
+	p, err := programs.Strassen(128, e.Cal)
+	if err != nil {
+		b.Fatal(err)
+	}
+	model := e.Cal.Model()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := alloc.Solve(p.G, model, 64, alloc.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAllocSolveMultiStart runs the same problem with four
 // deterministic start points fanned across the worker pool.
 func BenchmarkAllocSolveMultiStart(b *testing.B) {

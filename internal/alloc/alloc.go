@@ -113,8 +113,10 @@ type Result struct {
 	// Phi, Ap, Cp are the exact objective values at P under the full
 	// cost model: Phi = max(Ap, Cp).
 	Phi, Ap, Cp float64
-	// Solver carries the final-stage convex solver diagnostics (zero for
-	// a cache-replayed allocation: nothing was solved).
+	// Solver carries the winning start's convex solver diagnostics as
+	// convex.MinimizeAnnealed reports them: X, F and Status are the final
+	// temperature stage's, Iters and Evals are summed over every stage
+	// (zero for a cache-replayed allocation: nothing was solved).
 	Solver convex.Result
 	// Backend names the path that produced the allocation: BackendAnneal,
 	// BackendADMM, BackendHeuristic (fallback), or BackendCache

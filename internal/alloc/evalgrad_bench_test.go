@@ -1,0 +1,44 @@
+package alloc
+
+import (
+	"testing"
+
+	"paradigm/internal/machine"
+	"paradigm/internal/programs"
+	"paradigm/internal/trainsets"
+)
+
+// BenchmarkEvalGradStrassenPhi times the solver's unit of work on the
+// paper's headline program: one value-and-gradient evaluation of the
+// compiled Φ of Strassen-128 at p=64 on the trained CM-5, at the anneal's
+// first (warmest, so most exponential-heavy) temperature. Successive
+// calls alternate between two start points, because a repeat at the same
+// point would be answered from the evaluator's forward memo. exp/op is
+// the math.Exp calls one such evaluation makes, from the graph's shape.
+func BenchmarkEvalGradStrassenPhi(b *testing.B) {
+	cal, err := trainsets.Calibrate(machine.CM5(64))
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := programs.Strassen(128, cal)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prob, err := compile(p.G, cal.Model(), 64, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev := prob.pool.Get()
+	defer prob.pool.Put(ev)
+	xs := prob.startPoints(2)
+	temp := 0.05 * ev.Eval(prob.phi, xs[0], 0)
+	grad := make([]float64, len(xs[0]))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkPhi = ev.EvalGrad(prob.phi, xs[i&1], temp, grad)
+	}
+	b.ReportMetric(float64(prob.eg.Shape().ExpsPerEvalGrad()), "exp/op")
+}
+
+var sinkPhi float64

@@ -19,13 +19,23 @@
 // are evaluated once per sweep. Children always have smaller IDs than
 // their parents, which makes a single reverse sweep a valid reverse-mode
 // differentiation order.
+//
+// Evaluation does not walk the builder's nodes. The graph is compiled,
+// once, into a flat tape (tape.go) that every Evaluator of the graph
+// shares: monomials with the same exponent vector share one exp(a·x) per
+// sweep, a SmoothMax child's weight is exponentiated once and reused by
+// the backward sweep, and an EvalGrad at the point the previous call
+// swept runs the backward sweep only. None of it re-associates a sum or
+// merges a node, so every value and gradient is, bit for bit, what a
+// node-by-node interpretation of the graph computes — the package's
+// tests keep that interpreter and compare against it.
 package expr
 
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
+	"slices"
+	"sync/atomic"
 )
 
 // ID names a node inside a Graph.
@@ -57,6 +67,9 @@ type node struct {
 type Graph struct {
 	nodes   []node
 	numVars int
+	// tape is the compiled form of nodes that evaluators run (tape.go),
+	// built on first use and replaced when the graph has grown since.
+	tape atomic.Pointer[tape]
 }
 
 // NumNodes reports how many nodes have been created.
@@ -81,37 +94,33 @@ func (g *Graph) Const(c float64) ID {
 // Monomial creates c·exp(Σ exps[v]·x_v), the log-space form of
 // c·Π p_v^{exps[v]}. The coefficient must be positive and finite for the
 // expression to remain convex (posynomial); zero is allowed and collapses
-// to a constant.
+// to the constant 0, as does a monomial whose exponents are all zero to
+// the constant c.
 func (g *Graph) Monomial(c float64, exps map[int]float64) ID {
 	if math.IsNaN(c) || math.IsInf(c, 0) || c < 0 {
 		panic(fmt.Sprintf("expr: monomial coefficient %v must be finite and >= 0", c))
 	}
-	if c == 0 || len(exps) == 0 {
-		// Degenerate: a pure constant (including c·p^0).
-		if len(exps) == 0 {
-			return g.add(node{kind: kConst, coeff: c})
-		}
-	}
-	vars := make([]int, 0, len(exps))
+	idx := make([]int32, 0, len(exps))
 	for v, a := range exps {
 		if v < 0 {
 			panic(fmt.Sprintf("expr: negative variable index %d", v))
 		}
 		if a != 0 {
-			vars = append(vars, v)
+			idx = append(idx, int32(v))
 		}
 	}
-	sort.Ints(vars)
-	n := node{kind: kMonomial, coeff: c}
-	for _, v := range vars {
-		n.varIdx = append(n.varIdx, int32(v))
-		n.varExp = append(n.varExp, exps[v])
-		if v+1 > g.numVars {
-			g.numVars = v + 1
-		}
-	}
-	if len(n.varIdx) == 0 {
+	if c == 0 || len(idx) == 0 {
+		// 0·exp(…) is the constant 0 — kept a monomial it would be a
+		// latent 0·Inf = NaN wherever the exponential overflows.
 		return g.add(node{kind: kConst, coeff: c})
+	}
+	slices.Sort(idx)
+	n := node{kind: kMonomial, coeff: c, varIdx: idx, varExp: make([]float64, len(idx))}
+	for k, v := range idx {
+		n.varExp[k] = exps[int(v)]
+	}
+	if v := int(idx[len(idx)-1]) + 1; v > g.numVars {
+		g.numVars = v
 	}
 	return g.add(n)
 }
@@ -310,194 +319,4 @@ func (g *Graph) TempGapBound(root ID, temp float64, lower, upper []float64) floa
 		}
 	}
 	return gap[root]
-}
-
-// Evaluator holds per-evaluation scratch space for one Graph. Create one
-// per goroutine with NewEvaluator; reuse across calls to avoid allocation.
-type Evaluator struct {
-	g   *Graph
-	val []float64
-	adj []float64
-}
-
-// NewEvaluator creates an Evaluator bound to g. The evaluator remains
-// valid if more nodes are appended to g later (scratch space regrows).
-func NewEvaluator(g *Graph) *Evaluator {
-	return &Evaluator{g: g}
-}
-
-// EvaluatorPool recycles Evaluators for one Graph through a sync.Pool,
-// so concurrent solvers (multi-start allocation, parallel experiment
-// sweeps) reuse forward/adjoint scratch slices instead of allocating a
-// pair per goroutine per solve. Evaluation state is fully rewritten by
-// each forward sweep, so a recycled evaluator is indistinguishable from
-// a fresh one — expr's pool guard test proves it.
-type EvaluatorPool struct {
-	g    *Graph
-	pool sync.Pool
-}
-
-// NewEvaluatorPool creates a pool of evaluators bound to g.
-func NewEvaluatorPool(g *Graph) *EvaluatorPool {
-	p := &EvaluatorPool{g: g}
-	p.pool.New = func() any { return NewEvaluator(g) }
-	return p
-}
-
-// Get returns an evaluator for the pool's graph, recycled when one is
-// available. Callers must return it with Put when done.
-func (p *EvaluatorPool) Get() *Evaluator { return p.pool.Get().(*Evaluator) }
-
-// Put returns an evaluator to the pool. The evaluator must have been
-// created by this pool (or at least bound to the same Graph).
-func (p *EvaluatorPool) Put(e *Evaluator) {
-	if e == nil || e.g != p.g {
-		panic("expr: EvaluatorPool.Put of an evaluator bound to a different graph")
-	}
-	p.pool.Put(e)
-}
-
-func (e *Evaluator) grow() {
-	n := len(e.g.nodes)
-	if cap(e.val) < n {
-		e.val = make([]float64, n)
-		e.adj = make([]float64, n)
-	}
-	e.val = e.val[:n]
-	e.adj = e.adj[:n]
-}
-
-// forward computes values for every node (the DAG is append-ordered, so a
-// single pass suffices). Temperature temp controls SmoothMax nodes.
-func (e *Evaluator) forward(x []float64, temp float64) {
-	e.grow()
-	if len(x) < e.g.numVars {
-		panic(fmt.Sprintf("expr: got %d variables, graph references %d", len(x), e.g.numVars))
-	}
-	for i := range e.g.nodes {
-		n := &e.g.nodes[i]
-		switch n.kind {
-		case kConst:
-			e.val[i] = n.coeff
-		case kMonomial:
-			dot := 0.0
-			for k, v := range n.varIdx {
-				dot += n.varExp[k] * x[v]
-			}
-			e.val[i] = n.coeff * math.Exp(dot)
-		case kSum:
-			s := 0.0
-			for _, c := range n.children {
-				s += e.val[c]
-			}
-			e.val[i] = s
-		case kScale:
-			e.val[i] = n.coeff * e.val[n.children[0]]
-		case kMul:
-			e.val[i] = e.val[n.children[0]] * e.val[n.children[1]]
-		case kSmoothMax:
-			e.val[i] = e.smoothMaxValue(n, temp)
-		}
-	}
-}
-
-func (e *Evaluator) smoothMaxValue(n *node, temp float64) float64 {
-	m := math.Inf(-1)
-	for _, c := range n.children {
-		if e.val[c] > m {
-			m = e.val[c]
-		}
-	}
-	if temp <= 0 {
-		return m
-	}
-	s := 0.0
-	for _, c := range n.children {
-		s += math.Exp((e.val[c] - m) / temp)
-	}
-	return m + temp*math.Log(s)
-}
-
-// Eval computes the value of root at log-space point x with SmoothMax
-// temperature temp (temp <= 0 gives the exact max).
-func (e *Evaluator) Eval(root ID, x []float64, temp float64) float64 {
-	e.g.checkChildren([]ID{root})
-	e.forward(x, temp)
-	return e.val[root]
-}
-
-// EvalGrad computes the value of root and writes ∂root/∂x into grad,
-// which must have length >= Graph.NumVars(). Reverse-mode: one forward
-// sweep and one backward sweep over the DAG. At temp <= 0 the max nodes
-// propagate a subgradient through the (first) argmax child.
-func (e *Evaluator) EvalGrad(root ID, x []float64, temp float64, grad []float64) float64 {
-	e.g.checkChildren([]ID{root})
-	if len(grad) < e.g.numVars {
-		panic(fmt.Sprintf("expr: gradient buffer %d too small for %d variables", len(grad), e.g.numVars))
-	}
-	e.forward(x, temp)
-	for i := range e.adj {
-		e.adj[i] = 0
-	}
-	for i := range grad {
-		grad[i] = 0
-	}
-	e.adj[root] = 1
-	for i := len(e.g.nodes) - 1; i >= 0; i-- {
-		a := e.adj[i]
-		if a == 0 {
-			continue
-		}
-		n := &e.g.nodes[i]
-		switch n.kind {
-		case kConst:
-			// no dependence
-		case kMonomial:
-			v := e.val[i]
-			for k, vi := range n.varIdx {
-				grad[vi] += a * v * n.varExp[k]
-			}
-		case kSum:
-			for _, c := range n.children {
-				e.adj[c] += a
-			}
-		case kScale:
-			e.adj[n.children[0]] += a * n.coeff
-		case kMul:
-			l, r := n.children[0], n.children[1]
-			e.adj[l] += a * e.val[r]
-			e.adj[r] += a * e.val[l]
-		case kSmoothMax:
-			e.backpropSmoothMax(n, a, temp)
-		}
-	}
-	return e.val[root]
-}
-
-func (e *Evaluator) backpropSmoothMax(n *node, a, temp float64) {
-	if temp <= 0 {
-		// Subgradient: all weight on the first argmax child.
-		best, bi := math.Inf(-1), ID(-1)
-		for _, c := range n.children {
-			if e.val[c] > best {
-				best, bi = e.val[c], c
-			}
-		}
-		e.adj[bi] += a
-		return
-	}
-	m := math.Inf(-1)
-	for _, c := range n.children {
-		if e.val[c] > m {
-			m = e.val[c]
-		}
-	}
-	s := 0.0
-	for _, c := range n.children {
-		s += math.Exp((e.val[c] - m) / temp)
-	}
-	for _, c := range n.children {
-		w := math.Exp((e.val[c]-m)/temp) / s
-		e.adj[c] += a * w
-	}
 }

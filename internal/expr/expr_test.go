@@ -269,6 +269,8 @@ func TestHardMaxSubgradient(t *testing.T) {
 	}
 }
 
+// TestEvaluatorReuseAfterGraphGrowth grows a graph between calls on one
+// evaluator.
 func TestEvaluatorReuseAfterGraphGrowth(t *testing.T) {
 	var g Graph
 	a := g.Var(0)
@@ -279,6 +281,29 @@ func TestEvaluatorReuseAfterGraphGrowth(t *testing.T) {
 	b := g.Sum(a, g.Const(1))
 	if got := ev.Eval(b, []float64{0}, 0); got != 2 {
 		t.Fatalf("eval after growth = %v, want 2", got)
+	}
+
+	// Growth means a recompiled tape and regrown scratch, and the forward
+	// memo of the old tape must not answer for the new one — not even at
+	// the same x. Every step is checked against the reference
+	// interpreter bit for bit.
+	m1 := g.Monomial(1.5, map[int]float64{0: 1, 1: -0.5})
+	m2 := g.Monomial(0.5, map[int]float64{0: 1, 1: -0.5}) // m1's exponent vector again
+	root := g.SmoothMax(m1, g.Sum(m2, g.Const(0.25)))
+	x := []float64{0.3, 0.9, -0.2}
+	diffPoint(t, ev, &g, root, x, 0.1, []bool{false, true}, "before growth")
+
+	// New nodes over the old variables, reusing an interned vector.
+	c := g.Monomial(2, map[int]float64{0: 1, 1: -0.5})
+	root = g.SmoothMax(root, g.Mul(c, m1))
+	diffPoint(t, ev, &g, root, x, 0.1, []bool{true}, "after growth, same x")
+	diffPoint(t, ev, &g, m1, x, 0.1, []bool{true}, "after growth, an old root")
+
+	// Growth that brings a new variable with it.
+	root = g.Sum(root, g.Monomial(0.75, map[int]float64{2: 2}))
+	diffPoint(t, ev, &g, root, x, 0.1, []bool{false, true}, "after a new variable, same x")
+	if s := g.Shape(); s.Monomials != 5 || s.ExpVectors != 3 || s.SmoothMaxNodes != 2 || s.SmoothMaxChildren != 4 {
+		t.Fatalf("shape after growth = %+v", s)
 	}
 }
 
@@ -326,6 +351,14 @@ func TestZeroCoefficientMonomialIsConstantZero(t *testing.T) {
 	if v != 0 || grad[0] != 0 {
 		t.Fatalf("zero monomial: value %v grad %v, want 0, 0", v, grad[0])
 	}
+	// It is the constant 0, not 0·exp(3x): where the exponential
+	// overflows the latter would be 0·Inf = NaN.
+	if v := ev.EvalGrad(id, []float64{1000}, 0, grad); v != 0 || grad[0] != 0 {
+		t.Fatalf("zero monomial where exp overflows: value %v grad %v, want 0, 0", v, grad[0])
+	}
+	if g.NumVars() != 0 {
+		t.Fatalf("zero monomial references %d variables, want 0", g.NumVars())
+	}
 }
 
 func BenchmarkEvalGradMediumDAG(b *testing.B) {
@@ -340,13 +373,17 @@ func BenchmarkEvalGradMediumDAG(b *testing.B) {
 	ev := NewEvaluator(&g)
 	x := make([]float64, nvars)
 	grad := make([]float64, nvars)
+	y := make([]float64, nvars)
 	for i := range x {
-		x[i] = rng.Float64()
+		x[i], y[i] = rng.Float64(), rng.Float64()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		// Two points in turn: a repeat at one point would be answered
+		// from the forward memo and time the backward sweep alone.
 		ev.EvalGrad(root, x, 0.1, grad)
+		x, y = y, x
 	}
 }
 

@@ -1,0 +1,206 @@
+package expr_test
+
+import (
+	"math"
+	"testing"
+
+	"paradigm/internal/alloc"
+	"paradigm/internal/convex"
+	"paradigm/internal/costmodel"
+	"paradigm/internal/expr"
+	"paradigm/internal/machine"
+	"paradigm/internal/mdg"
+	"paradigm/internal/prog"
+	"paradigm/internal/programs"
+	"paradigm/internal/trainsets"
+)
+
+// phiProblem is the allocator's convex program for one (MDG, model,
+// procs), rebuilt here from the cost model's public expression builders
+// because the allocator's own copy is unexported and this package cannot
+// be imported by a test inside it. It mirrors alloc's compile step for
+// step; TestTapeMatchesReferenceOnSolverTrajectory proves the two are
+// the same program by reproducing alloc.Solve's evaluation count and
+// allocation exactly.
+type phiProblem struct {
+	eg           expr.Graph
+	phi          expr.ID
+	lower, upper []float64
+}
+
+func buildPhi(t testing.TB, g *mdg.Graph, model costmodel.Model, procs int) *phiProblem {
+	t.Helper()
+	order, err := g.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumNodes()
+	p := &phiProblem{lower: make([]float64, n), upper: make([]float64, n)}
+	eg := &p.eg
+	type endpoints [2]mdg.NodeID
+	send, net, recv := map[endpoints]expr.ID{}, map[endpoints]expr.ID{}, map[endpoints]expr.ID{}
+	for _, e := range g.Edges {
+		k := endpoints{e.From, e.To}
+		send[k], net[k], recv[k] = costmodel.EdgeTransferExprs(eg, model.Transfer, e, int(e.From), int(e.To))
+	}
+	weight := make([]expr.ID, n)
+	for i := range weight {
+		id := mdg.NodeID(i)
+		terms := []expr.ID{costmodel.ProcessingExpr(eg, costmodel.LoopParams{Alpha: g.Nodes[i].Alpha, Tau: g.Nodes[i].Tau}, i)}
+		for _, m := range g.Preds(id) {
+			terms = append(terms, recv[endpoints{m, id}])
+		}
+		for _, s := range g.Succs(id) {
+			terms = append(terms, send[endpoints{id, s}])
+		}
+		weight[i] = eg.Sum(terms...)
+	}
+	areas := make([]expr.ID, n)
+	for i := range areas {
+		areas[i] = eg.Mul(weight[i], eg.Var(i))
+	}
+	ap := eg.Scale(1/float64(procs), eg.Sum(areas...))
+	y := make([]expr.ID, n)
+	for _, v := range order {
+		preds := g.Preds(v)
+		if len(preds) == 0 {
+			y[v] = weight[v]
+			continue
+		}
+		arrivals := make([]expr.ID, 0, len(preds))
+		for _, m := range preds {
+			arrivals = append(arrivals, eg.Sum(y[m], net[endpoints{m, v}]))
+		}
+		y[v] = eg.Sum(eg.SmoothMax(arrivals...), weight[v])
+	}
+	var sinks []expr.ID
+	for i := range y {
+		if len(g.Succs(mdg.NodeID(i))) == 0 {
+			sinks = append(sinks, y[i])
+		}
+	}
+	p.phi = eg.SmoothMax(ap, eg.SmoothMax(sinks...))
+	for i := range p.upper {
+		p.upper[i] = math.Log(float64(procs))
+	}
+	return p
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func headlinePrograms(t testing.TB) (*trainsets.Calibration, map[string]*prog.Program) {
+	t.Helper()
+	cal, err := trainsets.Calibrate(machine.CM5(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmm, err := programs.ComplexMatMul(256, cal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strassen, err := programs.Strassen(128, cal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cal, map[string]*prog.Program{"cmm256": cmm, "strassen128": strassen}
+}
+
+// TestTapeMatchesReferenceOnSolverTrajectory runs the allocator's own
+// annealed solve of CMM-256 and Strassen-128 at p=64 on the trained CM-5
+// with an objective that evaluates Φ twice — through the tape the solver
+// uses and through the reference interpreter — and requires the value
+// and every gradient component to agree bit for bit at the start point
+// and at every point the line search visits after it (the post-backtrack
+// re-evaluations the forward memo answers among them). The solve must
+// also land exactly where alloc.Solve lands, in exactly as many
+// evaluations: the trajectory is the allocator's, and the tape did not
+// bend it.
+func TestTapeMatchesReferenceOnSolverTrajectory(t *testing.T) {
+	cal, progs := headlinePrograms(t)
+	model := cal.Model()
+	const procs = 64
+	for name, p := range progs {
+		t.Run(name, func(t *testing.T) {
+			want, err := alloc.Solve(p.G, model, procs, alloc.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pp := buildPhi(t, p.G, model, procs)
+			ev := expr.NewEvaluator(&pp.eg)
+			ref := expr.NewReferenceEvaluator(&pp.eg)
+			n := len(pp.upper)
+			refGrad := make([]float64, n)
+			points := 0
+			obj := convex.TempFunc(func(temp float64, x, grad []float64) float64 {
+				points++
+				if grad == nil {
+					got, want := ev.Eval(pp.phi, x, temp), ref.Eval(pp.phi, x, temp)
+					if !sameBits(got, want) {
+						t.Fatalf("point %d (temp %v): tape value %v, reference %v", points, temp, got, want)
+					}
+					return got
+				}
+				got, want := ev.EvalGrad(pp.phi, x, temp, grad), ref.EvalGrad(pp.phi, x, temp, refGrad)
+				if !sameBits(got, want) {
+					t.Fatalf("point %d (temp %v): tape value %v, reference %v", points, temp, got, want)
+				}
+				for i := range refGrad {
+					if !sameBits(grad[i], refGrad[i]) {
+						t.Fatalf("point %d (temp %v): tape ∂Φ/∂x[%d] = %v, reference %v", points, temp, i, grad[i], refGrad[i])
+					}
+				}
+				return got
+			})
+			// The allocator's single start and temperature schedule.
+			x0 := make([]float64, n)
+			for i := range x0 {
+				x0[i] = pp.upper[i] * 0.5
+			}
+			start := 0.05 * ev.Eval(pp.phi, x0, 0)
+			sol, err := convex.MinimizeAnnealed(obj, pp.lower, pp.upper, x0, convex.AnnealOptions{
+				StartTemp: start, EndTemp: start * 1e-5,
+				Inner: convex.Options{MaxIter: 4000},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sol.Evals != want.Solver.Evals || sol.Iters != want.Solver.Iters {
+				t.Fatalf("rebuilt Φ solved in %d evals / %d iters, alloc.Solve in %d / %d: not the same program",
+					sol.Evals, sol.Iters, want.Solver.Evals, want.Solver.Iters)
+			}
+			for i, x := range sol.X {
+				if !sameBits(math.Exp(x), want.P[i]) {
+					t.Fatalf("p[%d] = %v, alloc.Solve gave %v", i, math.Exp(x), want.P[i])
+				}
+			}
+			t.Logf("%d points bit-identical; %+v, %d exp per EvalGrad", points, pp.eg.Shape(), pp.eg.Shape().ExpsPerEvalGrad())
+		})
+	}
+}
+
+// TestEvalOfStrassenPhiDoesNotAllocate is the allocation gate on the
+// solver's hot path: steady-state Eval and EvalGrad of the Strassen-128
+// Φ allocate nothing, whether the forward memo answers or not.
+func TestEvalOfStrassenPhiDoesNotAllocate(t *testing.T) {
+	cal, progs := headlinePrograms(t)
+	pp := buildPhi(t, progs["strassen128"].G, cal.Model(), 64)
+	pool := expr.NewEvaluatorPool(&pp.eg)
+	ev := pool.Get()
+	defer pool.Put(ev)
+	n := len(pp.upper)
+	xs := [2][]float64{make([]float64, n), make([]float64, n)}
+	for i := 0; i < n; i++ {
+		xs[0][i], xs[1][i] = pp.upper[i]*0.5, pp.upper[i]*0.25
+	}
+	grad := make([]float64, n)
+	temp := 0.05 * ev.Eval(pp.phi, xs[0], 0)
+	i := 0
+	if a := testing.AllocsPerRun(50, func() {
+		i++
+		ev.Eval(pp.phi, xs[i&1], temp)             // forward sweep
+		ev.EvalGrad(pp.phi, xs[i&1], temp, grad)   // backward sweep only
+		ev.EvalGrad(pp.phi, xs[1-i&1], temp, grad) // both
+	}); a != 0 {
+		t.Fatalf("steady-state Eval/EvalGrad of the Strassen-128 Φ allocate %v times per run, want 0", a)
+	}
+}

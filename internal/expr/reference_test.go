@@ -1,0 +1,157 @@
+package expr
+
+import (
+	"fmt"
+	"math"
+)
+
+// refEvaluator is the node-by-node interpreter the compiled tape
+// replaced, kept verbatim as the reference the differential and fuzz
+// tests compare against bit for bit. It walks Graph.nodes directly:
+// every monomial calls math.Exp on its own, every SmoothMax child is
+// exponentiated once in the forward sweep and twice more in the backward
+// sweep, and nothing is remembered between calls.
+type refEvaluator struct {
+	g   *Graph
+	val []float64
+	adj []float64
+}
+
+func newRefEvaluator(g *Graph) *refEvaluator { return &refEvaluator{g: g} }
+
+func (e *refEvaluator) grow() {
+	n := len(e.g.nodes)
+	if cap(e.val) < n {
+		e.val = make([]float64, n)
+		e.adj = make([]float64, n)
+	}
+	e.val = e.val[:n]
+	e.adj = e.adj[:n]
+}
+
+func (e *refEvaluator) forward(x []float64, temp float64) {
+	e.grow()
+	if len(x) < e.g.numVars {
+		panic(fmt.Sprintf("expr: got %d variables, graph references %d", len(x), e.g.numVars))
+	}
+	for i := range e.g.nodes {
+		n := &e.g.nodes[i]
+		switch n.kind {
+		case kConst:
+			e.val[i] = n.coeff
+		case kMonomial:
+			dot := 0.0
+			for k, v := range n.varIdx {
+				dot += n.varExp[k] * x[v]
+			}
+			e.val[i] = n.coeff * math.Exp(dot)
+		case kSum:
+			s := 0.0
+			for _, c := range n.children {
+				s += e.val[c]
+			}
+			e.val[i] = s
+		case kScale:
+			e.val[i] = n.coeff * e.val[n.children[0]]
+		case kMul:
+			e.val[i] = e.val[n.children[0]] * e.val[n.children[1]]
+		case kSmoothMax:
+			e.val[i] = e.smoothMaxValue(n, temp)
+		}
+	}
+}
+
+func (e *refEvaluator) smoothMaxValue(n *node, temp float64) float64 {
+	m := math.Inf(-1)
+	for _, c := range n.children {
+		if e.val[c] > m {
+			m = e.val[c]
+		}
+	}
+	if temp <= 0 {
+		return m
+	}
+	s := 0.0
+	for _, c := range n.children {
+		s += math.Exp((e.val[c] - m) / temp)
+	}
+	return m + temp*math.Log(s)
+}
+
+func (e *refEvaluator) Eval(root ID, x []float64, temp float64) float64 {
+	e.g.checkChildren([]ID{root})
+	e.forward(x, temp)
+	return e.val[root]
+}
+
+func (e *refEvaluator) EvalGrad(root ID, x []float64, temp float64, grad []float64) float64 {
+	e.g.checkChildren([]ID{root})
+	if len(grad) < e.g.numVars {
+		panic(fmt.Sprintf("expr: gradient buffer %d too small for %d variables", len(grad), e.g.numVars))
+	}
+	e.forward(x, temp)
+	for i := range e.adj {
+		e.adj[i] = 0
+	}
+	for i := range grad {
+		grad[i] = 0
+	}
+	e.adj[root] = 1
+	for i := len(e.g.nodes) - 1; i >= 0; i-- {
+		a := e.adj[i]
+		if a == 0 {
+			continue
+		}
+		n := &e.g.nodes[i]
+		switch n.kind {
+		case kConst:
+			// no dependence
+		case kMonomial:
+			v := e.val[i]
+			for k, vi := range n.varIdx {
+				grad[vi] += a * v * n.varExp[k]
+			}
+		case kSum:
+			for _, c := range n.children {
+				e.adj[c] += a
+			}
+		case kScale:
+			e.adj[n.children[0]] += a * n.coeff
+		case kMul:
+			l, r := n.children[0], n.children[1]
+			e.adj[l] += a * e.val[r]
+			e.adj[r] += a * e.val[l]
+		case kSmoothMax:
+			e.backpropSmoothMax(n, a, temp)
+		}
+	}
+	return e.val[root]
+}
+
+func (e *refEvaluator) backpropSmoothMax(n *node, a, temp float64) {
+	if temp <= 0 {
+		// Subgradient: all weight on the first argmax child.
+		best, bi := math.Inf(-1), ID(-1)
+		for _, c := range n.children {
+			if e.val[c] > best {
+				best, bi = e.val[c], c
+			}
+		}
+		e.adj[bi] += a
+		return
+	}
+	m := math.Inf(-1)
+	for _, c := range n.children {
+		if e.val[c] > m {
+			m = e.val[c]
+		}
+	}
+	s := 0.0
+	for _, c := range n.children {
+		s += math.Exp((e.val[c] - m) / temp)
+	}
+	for _, c := range n.children {
+		w := math.Exp((e.val[c]-m)/temp) / s
+		e.adj[c] += a * w
+	}
+}
