@@ -20,9 +20,11 @@ import (
 
 	"paradigm/internal/alloc"
 	"paradigm/internal/alloccache"
+	"paradigm/internal/codegen"
 	"paradigm/internal/experiments"
 	"paradigm/internal/mdg"
 	"paradigm/internal/programs"
+	"paradigm/internal/sim"
 	"paradigm/internal/trainsets"
 )
 
@@ -585,11 +587,11 @@ func BenchmarkRunWithRecovery(b *testing.B) {
 	}
 }
 
-// BenchmarkRunNoCheckpoint is the full Complex Matrix Multiply pipeline
-// (n=256 on 64 processors — the paper's production scale) with
-// checkpointing off: the baseline the WAL overhead below is measured
-// against (the <3% budget of DESIGN.md §11).
-func BenchmarkRunNoCheckpoint(b *testing.B) {
+// BenchmarkRunCMM256P64 is the full Complex Matrix Multiply pipeline at
+// the paper's production scale (n=256 on 64 processors): the benchmark's
+// run_cmm256_p64 operation, nine tenths of it the simulator moving and
+// multiplying real float64 blocks (DESIGN.md §7, "Simulator data plane").
+func BenchmarkRunCMM256P64(b *testing.B) {
 	e := env(b)
 	p, err := programs.ComplexMatMul(256, e.Cal)
 	if err != nil {
@@ -603,6 +605,37 @@ func BenchmarkRunNoCheckpoint(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSimRunCMM256P64 is the simulator's share of the run above
+// alone: the same program's generated streams, planned once and
+// simulated every iteration.
+func BenchmarkSimRunCMM256P64(b *testing.B) {
+	e := env(b)
+	p, err := programs.ComplexMatMul(256, e.Cal)
+	if err != nil {
+		b.Fatal(err)
+	}
+	planned, err := RunContext(context.Background(), p, e.Machine, e.Cal, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	streams, err := codegen.Generate(p, planned.Sched)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Run(p, streams, e.Machine); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunNoCheckpoint is BenchmarkRunCMM256P64 under the name its
+// pair below knows it by: the baseline the WAL overhead is measured
+// against (the <3% budget of DESIGN.md §11).
+func BenchmarkRunNoCheckpoint(b *testing.B) { BenchmarkRunCMM256P64(b) }
 
 // BenchmarkRunWithCheckpoint is the same pipeline with a write-ahead
 // checkpoint log attached: five stage commits per run on a fresh WAL,

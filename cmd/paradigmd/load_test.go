@@ -3,8 +3,8 @@
 // HTTP from two tenants, measuring throughput (jobs/sec) and p99
 // submit→terminal latency. The cold wave solves every plan; the warm
 // wave replays the same specs through the schedule cache and coalescing,
-// so the pair quantifies the multi-tenant fast path. `make bench-pr9`
-// folds the two benchmarks into BENCH_PR9.json.
+// so the pair quantifies the multi-tenant fast path. BENCH_PR9.json
+// records the two benchmarks.
 package main
 
 import (

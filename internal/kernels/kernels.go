@@ -74,7 +74,9 @@ func (o Op) String() string {
 type Kernel struct {
 	Op      Op
 	M, N, K int
-	// Init generates element (i, j) for OpInit; ignored otherwise.
+	// Init generates element (i, j) for OpInit; ignored otherwise. It must
+	// be a pure function of (i, j): the simulator calls it from several
+	// goroutines at once and the reference run calls it again.
 	Init func(i, j int) float64
 	// Grid selects the blocked-2D layout cost rules (grid.go) instead of
 	// the linear ones. Set by prog.Builder from the node's axis.

@@ -3,6 +3,13 @@
 // on. Every simulated program run moves and transforms real values, so
 // scheduling and code-generation bugs surface as wrong numbers, not just
 // wrong times.
+//
+// There is one multiply, MulStrip: the sequential reference (Mul, over
+// whole operands) and a simulated processor's share of a distributed
+// product (a row strip of A against a column strip of B, read in place)
+// run the same loop and so agree bit for bit, which the recovery and
+// digest gates rely on. reference_test.go keeps the plain triple loop it
+// must match.
 package matrix
 
 import (
@@ -94,32 +101,83 @@ func Sub(dst, a, b *Matrix) error {
 	return nil
 }
 
-// Mul computes dst = a·b with the classical triple loop (ikj order for
-// cache friendliness). dst must not alias a or b.
+// Mul computes dst = a·b. dst must not alias a or b. It is MulStrip over
+// the whole of both operands: one kernel, so a full product and a
+// simulated processor's strip of it agree bit for bit.
 func Mul(dst, a, b *Matrix) error {
+	return MulStrip(dst, a, 0, a.Rows, b, 0, b.Cols)
+}
+
+// MulStrip computes dst = a[r0:r1, :] · b[:, c0:c1], reading both strips
+// in place. dst is (r1-r0)×(c1-c0) and must not alias a or b. Operand
+// shapes that do not fit each other are an error; a strip outside its
+// operand panics, as Block does.
+//
+// Every output element accumulates its products in ascending k starting
+// from zero, and a zero a[i][k] contributes nothing (so 0·Inf never
+// poisons a row): the result is the classical ikj triple loop's, bit for
+// bit. The k loop is unrolled four deep so the accumulator stays in a
+// register across four products instead of making a round trip through
+// dst for each; a group of four with a zero among its a values takes the
+// one-at-a-time path, which is what keeps the skip exact.
+func MulStrip(dst, a *Matrix, r0, r1 int, b *Matrix, c0, c1 int) error {
 	if a.Cols != b.Rows {
 		return fmt.Errorf("matrix: inner dimensions %d vs %d", a.Cols, b.Rows)
 	}
-	if dst.Rows != a.Rows || dst.Cols != b.Cols {
-		return fmt.Errorf("matrix: dst shape %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols)
+	if r0 < 0 || r1 > a.Rows || r0 > r1 || c0 < 0 || c1 > b.Cols || c0 > c1 {
+		panic(fmt.Sprintf("matrix: strips [%d:%d,:]·[:,%d:%d] outside %dx%d · %dx%d",
+			r0, r1, c0, c1, a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	if dst.Rows != r1-r0 || dst.Cols != c1-c0 {
+		return fmt.Errorf("matrix: dst shape %dx%d, want %dx%d", dst.Rows, dst.Cols, r1-r0, c1-c0)
 	}
 	for i := range dst.Data {
 		dst.Data[i] = 0
 	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for k, av := range arow {
-			if av == 0 {
+	w, inner, stride := c1-c0, a.Cols, b.Cols
+	if w == 0 {
+		return nil
+	}
+	// brow is row k of the b strip, cut to the output width so the inner
+	// loops index it without bounds checks.
+	brow := func(k int) []float64 { return b.Data[k*stride+c0:][:w] }
+	for i := r0; i < r1; i++ {
+		arow := a.Data[i*inner : (i+1)*inner]
+		drow := dst.Data[(i-r0)*w:][:w]
+		k := 0
+		for ; k+4 <= inner; k += 4 {
+			a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
+			if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+				for kk := k; kk < k+4; kk++ {
+					axpy(drow, arow[kk], brow(kk))
+				}
 				continue
 			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				drow[j] += av * bv
+			b0, b1, b2, b3 := brow(k), brow(k+1), brow(k+2), brow(k+3)
+			for j := range drow {
+				d := drow[j]
+				d += a0 * b0[j]
+				d += a1 * b1[j]
+				d += a2 * b2[j]
+				d += a3 * b3[j]
+				drow[j] = d
 			}
+		}
+		for ; k < inner; k++ {
+			axpy(drow, arow[k], brow(k))
 		}
 	}
 	return nil
+}
+
+// axpy adds av·brow to drow, skipping a zero av. len(brow) == len(drow).
+func axpy(drow []float64, av float64, brow []float64) {
+	if av == 0 {
+		return
+	}
+	for j, bv := range brow {
+		drow[j] += av * bv
+	}
 }
 
 // Scale computes dst = c·a. dst may alias a.
@@ -135,24 +193,32 @@ func Scale(dst *Matrix, c float64, a *Matrix) error {
 
 // Block returns a copy of the rectangle rows [r0,r1) × cols [c0,c1).
 func (m *Matrix) Block(r0, r1, c0, c1 int) *Matrix {
-	if r0 < 0 || r1 > m.Rows || c0 < 0 || c1 > m.Cols || r0 > r1 || c0 > c1 {
+	if r0 > r1 || c0 > c1 {
 		panic(fmt.Sprintf("matrix: block [%d:%d,%d:%d] outside %dx%d", r0, r1, c0, c1, m.Rows, m.Cols))
 	}
 	out := New(r1-r0, c1-c0)
-	for i := r0; i < r1; i++ {
-		copy(out.Data[(i-r0)*out.Cols:(i-r0+1)*out.Cols], m.Data[i*m.Cols+c0:i*m.Cols+c1])
-	}
+	out.CopyRect(0, 0, m, r0, r1, c0, c1)
 	return out
 }
 
 // SetBlock copies src into the rectangle anchored at (r0, c0).
 func (m *Matrix) SetBlock(r0, c0 int, src *Matrix) {
-	if r0 < 0 || r0+src.Rows > m.Rows || c0 < 0 || c0+src.Cols > m.Cols {
-		panic(fmt.Sprintf("matrix: block %dx%d at (%d,%d) outside %dx%d",
-			src.Rows, src.Cols, r0, c0, m.Rows, m.Cols))
+	m.CopyRect(r0, c0, src, 0, src.Rows, 0, src.Cols)
+}
+
+// CopyRect copies the rectangle rows [r0,r1) × cols [c0,c1) of src into m
+// anchored at (dr, dc): Block and SetBlock in one pass, with no
+// intermediate matrix. m and src must not overlap.
+func (m *Matrix) CopyRect(dr, dc int, src *Matrix, r0, r1, c0, c1 int) {
+	if r0 < 0 || r1 > src.Rows || c0 < 0 || c1 > src.Cols || r0 > r1 || c0 > c1 {
+		panic(fmt.Sprintf("matrix: block [%d:%d,%d:%d] outside %dx%d", r0, r1, c0, c1, src.Rows, src.Cols))
 	}
-	for i := 0; i < src.Rows; i++ {
-		copy(m.Data[(r0+i)*m.Cols+c0:(r0+i)*m.Cols+c0+src.Cols], src.Data[i*src.Cols:(i+1)*src.Cols])
+	h, w := r1-r0, c1-c0
+	if dr < 0 || dr+h > m.Rows || dc < 0 || dc+w > m.Cols {
+		panic(fmt.Sprintf("matrix: block %dx%d at (%d,%d) outside %dx%d", h, w, dr, dc, m.Rows, m.Cols))
+	}
+	for i := 0; i < h; i++ {
+		copy(m.Data[(dr+i)*m.Cols+dc:][:w], src.Data[(r0+i)*src.Cols+c0:][:w])
 	}
 }
 

@@ -226,3 +226,20 @@ func BenchmarkMul64(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMulStrip16x256x256 is one simulated processor's share of a
+// 256×256 multiply on a 16-wide group: a 16-row strip of A against the
+// whole of B, read in place.
+func BenchmarkMulStrip16x256x256(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	x := rnd(rng, 256, 256)
+	y := rnd(rng, 256, 256)
+	dst := New(16, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := MulStrip(dst, x, 32, 48, y, 0, 256); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

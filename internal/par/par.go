@@ -1,8 +1,9 @@
 // Package par is the shared bounded worker pool behind every parallel
 // layer of the reproduction: the experiment drivers fan individual
 // artifacts and (program, procs) cells through it, the training-sets
-// calibration fans its measurement sweep, and the allocator fans
-// multi-start solves.
+// calibration fans its measurement sweep, the allocator fans
+// multi-start solves, and the simulator fans the members of a group
+// barrier.
 //
 // The pool is deliberately small: indexed fan-out with ordered results,
 // context cancellation, first-error propagation, and a width taken from
@@ -50,6 +51,11 @@ func Do(ctx context.Context, n int, fn func(ctx context.Context, i int) error) e
 // the lowest-indexed observed failure is returned. Because a failing
 // task fails regardless of schedule, that is the same task the serial
 // mode would have stopped at whenever all lower-indexed tasks succeed.
+// A task that panics counts as a failure, and when it is the one reported
+// its panic value is re-raised on the calling goroutine once every worker
+// has stopped — where the serial mode raises it, inside whatever recover
+// the caller runs under, instead of killing the process from a goroutine
+// no caller can guard.
 func DoN(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -72,19 +78,34 @@ func DoN(ctx context.Context, workers, n int, fn func(ctx context.Context, i int
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
-		mu      sync.Mutex
-		failIdx = -1
-		failErr error
-		claimed atomic.Int64
-		wg      sync.WaitGroup
+		mu        sync.Mutex
+		failIdx   = -1
+		failErr   error
+		failPanic any // non-nil: task failIdx panicked with this value
+		claimed   atomic.Int64
+		wg        sync.WaitGroup
 	)
-	record := func(i int, err error) {
+	record := func(i int, err error, panicked any) {
 		mu.Lock()
 		if failIdx == -1 || i < failIdx {
-			failIdx, failErr = i, err
+			failIdx, failErr, failPanic = i, err, panicked
 		}
 		mu.Unlock()
 		cancel()
+	}
+	// run is one task; it reports whether the worker should go on.
+	run := func(i int) (ok bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				record(i, nil, r)
+				ok = false
+			}
+		}()
+		if err := fn(cctx, i); err != nil {
+			record(i, err, nil)
+			return false
+		}
+		return true
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -98,14 +119,16 @@ func DoN(ctx context.Context, workers, n int, fn func(ctx context.Context, i int
 				if err := cctx.Err(); err != nil {
 					return
 				}
-				if err := fn(cctx, i); err != nil {
-					record(i, err)
+				if !run(i) {
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	if failPanic != nil {
+		panic(failPanic)
+	}
 	if failErr != nil {
 		return failErr
 	}

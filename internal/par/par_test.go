@@ -147,3 +147,25 @@ func TestSerialModeStopsAtFirstError(t *testing.T) {
 		t.Fatalf("serial mode ran %v, want exactly tasks 0..3", ran)
 	}
 }
+
+// A task's panic must reach the caller's goroutine at every width, so a
+// recover the caller runs under contains it exactly as it contains the
+// serial mode's.
+func TestTaskPanicReachesCaller(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		func() {
+			defer func() {
+				if r := recover(); r != "task 5 broke" {
+					t.Errorf("workers=%d: recovered %v, want the task's panic value", workers, r)
+				}
+			}()
+			err := DoN(context.Background(), workers, 32, func(_ context.Context, i int) error {
+				if i == 5 {
+					panic("task 5 broke")
+				}
+				return nil
+			})
+			t.Errorf("workers=%d: DoN returned %v instead of panicking", workers, err)
+		}()
+	}
+}

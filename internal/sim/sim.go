@@ -17,6 +17,19 @@
 // either deadlocks (reported with a full blocked-processor diagnosis) or
 // produces wrong numbers — it cannot hide.
 //
+// None of that data movement belongs to the modelled machine, so it is
+// done with as few host bytes as the semantics allow (DESIGN.md §7,
+// "Simulator data plane"). A message or a local move carries a view of
+// the sender's block, copied once, into the destination, when it is
+// received; a block is sealed when first viewed and writing into a
+// sealed block is an error, which is what makes the late copy equal to a
+// snapshot taken at the send. A kernel reads its operands in place. The
+// members of one group barrier compute disjoint output blocks from
+// operands nobody writes, so above a fixed amount of work they run on
+// internal/par's workers, the blocks landing in a slot-indexed slice
+// that is installed in slot order afterwards. Every output bit, virtual
+// clock and event is the same at any pool width.
+//
 // Fault injection: Options.Faults attaches a deterministic fault.Plan.
 // A fail-stop processor executes no instruction once its clock reaches
 // its fail time; messages still in the network at its death are dropped,
@@ -41,8 +54,8 @@ import (
 	"paradigm/internal/kernels"
 	"paradigm/internal/machine"
 	"paradigm/internal/matrix"
-	"paradigm/internal/mdg"
 	"paradigm/internal/obs"
+	"paradigm/internal/par"
 	"paradigm/internal/prog"
 )
 
@@ -50,6 +63,10 @@ import (
 type block struct {
 	rect codegen.Rect
 	data *matrix.Matrix // (R1-R0)×(C1-C0); nil for empty rects
+	// sealed is set the first time a Send or Move takes a view of the
+	// block: from then on an in-flight message may still read it, so it
+	// must never change again. copyRect refuses a sealed destination.
+	sealed bool
 }
 
 func newBlock(r codegen.Rect) *block {
@@ -60,11 +77,15 @@ func newBlock(r codegen.Rect) *block {
 	return b
 }
 
-// message is an in-flight payload.
+// message is an in-flight payload: a view of the rectangle payload of
+// the sender's block src, which the receive copies straight into its
+// destination. src is sealed, so the view reads at the receive what a
+// snapshot taken at the send would have held — also after the sender
+// died, whose store stays in memory.
 type message struct {
 	readyAt float64
 	payload codegen.Rect
-	data    *matrix.Matrix
+	src     *block
 	// from and the send window feed the per-message Comm event.
 	from               int
 	sendStart, sendEnd float64
@@ -224,12 +245,16 @@ func RunCtx(ctx context.Context, p *prog.Program, streams *codegen.Streams, mp m
 			ob.Observe(obs.Fault{FaultKind: "proc-fail", Proc: pr, Node: -1, Time: at})
 		}
 	}
+	// One barrier per node; arrived holds every barrier's per-processor
+	// flags, node-major.
 	type barrier struct {
-		arrived  map[int]bool
+		count    int
 		executed bool
 		start    float64
 	}
-	barriers := map[mdg.NodeID]*barrier{}
+	barriers := make([]barrier, nNodes)
+	arrived := make([]bool, nNodes*nProcs)
+	nr := nodeRunner{res: res, p: p, mp: mp, ob: ob, plan: plan}
 
 	// step attempts to advance processor pr by one instruction. Returns
 	// whether progress was made, or an error.
@@ -244,8 +269,7 @@ func RunCtx(ctx context.Context, p *prog.Program, streams *codegen.Streams, mp m
 			if !ok {
 				return false, fmt.Errorf("sim: proc %d sends from missing instance %q", pr, in.SrcInstance)
 			}
-			data, err := extract(src, in.Payload)
-			if err != nil {
+			if err := view(src, in.Payload); err != nil {
 				return false, fmt.Errorf("sim: proc %d send %q: %w", pr, in.Tag, err)
 			}
 			bytes := float64(in.Payload.Bytes())
@@ -262,7 +286,7 @@ func RunCtx(ctx context.Context, p *prog.Program, streams *codegen.Streams, mp m
 			msg := message{
 				readyAt:   res.ProcClock[pr] + bytes*mp.NetPerByte,
 				payload:   in.Payload,
-				data:      data,
+				src:       src,
 				from:      pr,
 				sendStart: sendStart,
 				sendEnd:   res.ProcClock[pr],
@@ -323,7 +347,7 @@ func RunCtx(ctx context.Context, p *prog.Program, streams *codegen.Streams, mp m
 				dst = newBlock(in.Block)
 				res.stores[pr][in.DstInstance] = dst
 			}
-			if err := insert(dst, in.Payload, msg.data); err != nil {
+			if err := copyRect(dst, in.Payload, msg.src); err != nil {
 				return false, fmt.Errorf("sim: proc %d recv %q: %w", pr, in.Tag, err)
 			}
 			pc[pr]++
@@ -334,8 +358,7 @@ func RunCtx(ctx context.Context, p *prog.Program, streams *codegen.Streams, mp m
 			if !ok {
 				return false, fmt.Errorf("sim: proc %d moves from missing instance %q", pr, in.SrcInstance)
 			}
-			data, err := extract(src, in.Payload)
-			if err != nil {
+			if err := view(src, in.Payload); err != nil {
 				return false, fmt.Errorf("sim: proc %d move: %w", pr, err)
 			}
 			dst := res.stores[pr][in.DstInstance]
@@ -343,7 +366,7 @@ func RunCtx(ctx context.Context, p *prog.Program, streams *codegen.Streams, mp m
 				dst = newBlock(in.Block)
 				res.stores[pr][in.DstInstance] = dst
 			}
-			if err := insert(dst, in.Payload, data); err != nil {
+			if err := copyRect(dst, in.Payload, src); err != nil {
 				return false, fmt.Errorf("sim: proc %d move: %w", pr, err)
 			}
 			cost := float64(in.Payload.Bytes()) * mp.CopyPerByte
@@ -353,26 +376,23 @@ func RunCtx(ctx context.Context, p *prog.Program, streams *codegen.Streams, mp m
 			return true, nil
 
 		case codegen.Exec:
-			b := barriers[in.Node]
-			if b == nil {
-				b = &barrier{arrived: map[int]bool{}}
-				barriers[in.Node] = b
-			}
+			b := &barriers[in.Node]
 			if b.executed {
 				pc[pr]++
 				return true, nil
 			}
-			if !b.arrived[pr] {
-				b.arrived[pr] = true
+			if here := &arrived[int(in.Node)*nProcs+pr]; !*here {
+				*here = true
+				b.count++
 				if b.start < res.ProcClock[pr] {
 					b.start = res.ProcClock[pr]
 				}
 			}
-			if len(b.arrived) < len(in.Group) {
+			if b.count < len(in.Group) {
 				return false, nil // blocked on slower group members
 			}
 			// Last arrival executes the node for the whole group.
-			if err := execNode(res, p, mp, in, b.start, ob, plan); err != nil {
+			if err := nr.execNode(ctx, in, b.start); err != nil {
 				return false, err
 			}
 			b.executed = true
@@ -471,10 +491,55 @@ func RunCtx(ctx context.Context, p *prog.Program, streams *codegen.Streams, mp m
 	return res, nil
 }
 
+// fanOutWork is the least work in one group barrier — multiply-adds for
+// OpMul, elements for the element-wise and copying kernels — at which
+// the members' output blocks are computed on internal/par's workers.
+// Below it the slots run inline in slot order, on the caller's goroutine.
+// Measured on two cores with the second one idle, a CMM simulation breaks
+// even near 10⁶ multiply-adds per multiply (n ≈ 100; n = 48 is 30 %
+// slower fanned out, n = 128 is 1.1–1.25× faster, n = 256 1.55×), and
+// with the second core busy — paradigmd at -workers = cores — a fan-out
+// buys nothing at any size and ties the job to whichever goroutine the
+// scheduler reaches last. So the threshold sits where the gain is clear,
+// and a job the size of a typical service request never leaves its
+// worker's goroutine.
+const fanOutWork = 1 << 21
+
+// nodeRunner executes the group barriers of one run.
+type nodeRunner struct {
+	res  *Result
+	p    *prog.Program
+	mp   machine.Params
+	ob   obs.Observer
+	plan *fault.Plan
+	// pool is the run's free list of transient full-operand matrices,
+	// matched by shape; pool[:lent] are held by the barrier in progress.
+	// They never reach a Result and go to the collector with the run.
+	pool []*matrix.Matrix
+	lent int
+}
+
+// scratch lends a rows×cols matrix until the next barrier begins. A
+// recycled one keeps its old contents: the borrower must overwrite every
+// element.
+func (nr *nodeRunner) scratch(rows, cols int) *matrix.Matrix {
+	at := nr.lent
+	for at < len(nr.pool) && (nr.pool[at].Rows != rows || nr.pool[at].Cols != cols) {
+		at++
+	}
+	if at == len(nr.pool) {
+		nr.pool = append(nr.pool, matrix.New(rows, cols))
+	}
+	nr.pool[nr.lent], nr.pool[at] = nr.pool[at], nr.pool[nr.lent]
+	nr.lent++
+	return nr.pool[nr.lent-1]
+}
+
 // execNode runs one kernel as a group: advances every member's clock by
 // its ground-truth cost (linear or grid layout) and computes the real
-// output blocks.
-func execNode(res *Result, p *prog.Program, mp machine.Params, in codegen.Exec, start float64, ob obs.Observer, plan *fault.Plan) error {
+// output blocks; a cancelled ctx stops the block computation.
+func (nr *nodeRunner) execNode(ctx context.Context, in codegen.Exec, start float64) error {
+	res, p, mp, ob := nr.res, nr.p, nr.mp, nr.ob
 	spec := p.Specs[in.Node]
 	k := spec.Kernel
 	q := len(in.Group)
@@ -515,7 +580,7 @@ func execNode(res *Result, p *prog.Program, mp machine.Params, in codegen.Exec, 
 		if s := mp.SpeedOf(proc); s != 1 {
 			cost /= s
 		}
-		if f := plan.SlowdownFor(int(in.Node), proc); f > 1 {
+		if f := nr.plan.SlowdownFor(int(in.Node), proc); f > 1 {
 			cost *= f
 			if ob != nil {
 				ob.Observe(obs.Fault{FaultKind: "straggler", Proc: proc, Node: int(in.Node), Time: start})
@@ -530,197 +595,216 @@ func execNode(res *Result, p *prog.Program, mp machine.Params, in codegen.Exec, 
 	}
 	res.NodeStart[in.Node] = start
 	res.NodeFinish[in.Node] = finish
-	if k.Op != kernels.OpNone {
-		res.NodeDone[in.Node] = true
-	}
 	if ob != nil {
 		ob.Observe(obs.NodeRun{
 			Node: int(in.Node), Start: start, Finish: finish, Procs: q,
 		})
 	}
+	if k.Op == kernels.OpNone {
+		return nil
+	}
+	res.NodeDone[in.Node] = true
 
-	// Compute real data.
-	outInst := codegen.Instance(spec.Output, in.Node)
+	// Compute real data. The operands are resolved and, where a kernel
+	// reads across members, assembled serially; then every member's
+	// output block is computed by compute, each a disjoint block built
+	// from operands nobody writes, so the slots can run on any worker in
+	// any order and give the bits a serial loop gives.
+	nr.lent = 0 // the previous barrier's scratch is free again
 	rectOf := func(b dist.PlacedRect) codegen.Rect {
 		return codegen.Rect{R0: b.R0, R1: b.R1, C0: b.C0, C1: b.C1}
 	}
-	// inputBlock fetches a member's redistributed block of an operand,
-	// tolerating absent entries only for empty shares.
-	inputBlock := func(operand, slot int) (*block, error) {
+	// operandBlocks returns every member's redistributed block of an
+	// operand in slot order, each checked against the operand's placement
+	// over the group; an absent entry is tolerated only for an empty share.
+	operandBlocks := func(operand int) ([]*block, error) {
 		name := spec.Inputs[operand]
 		inst := codegen.Instance(name, in.Node)
-		proc := in.Group[slot]
-		b, ok := res.stores[proc][inst]
-		if ok {
-			return b, nil
-		}
 		a := p.Arrays[name]
-		pl, err := codegen.PlacementFor(a, spec.Axis, in.Group)
-		if err != nil {
-			return nil, err
-		}
-		want := pl.Blocks[slot]
-		if want.Empty() {
-			return newBlock(rectOf(want)), nil
-		}
-		return nil, fmt.Errorf("sim: node %d proc %d missing input instance %q", in.Node, proc, inst)
-	}
-	// assembleInput reassembles a full operand matrix from the group's
-	// redistributed blocks (the data image of the gathers whose cost the
-	// ProcTime rules already charged).
-	assembleInput := func(operand int) (*matrix.Matrix, error) {
-		name := spec.Inputs[operand]
-		a := p.Arrays[name]
-		pl, err := codegen.PlacementFor(a, spec.Axis, in.Group)
-		if err != nil {
-			return nil, err
-		}
-		full := matrix.New(a.Rows, a.Cols)
-		for slot := range in.Group {
-			b, err := inputBlock(operand, slot)
-			if err != nil {
+		pl := outPlace
+		if a.Rows != arr.Rows || a.Cols != arr.Cols {
+			var err error
+			if pl, err = codegen.PlacementFor(a, spec.Axis, in.Group); err != nil {
 				return nil, err
 			}
-			if b.rect != rectOf(pl.Blocks[slot]) {
+		}
+		blocks := make([]*block, q)
+		for slot, proc := range in.Group {
+			want := rectOf(pl.Blocks[slot])
+			b, ok := res.stores[proc][inst]
+			switch {
+			case ok && b.rect != want:
 				return nil, fmt.Errorf("sim: node %d slot %d operand %d block %v, want %v",
-					in.Node, slot, operand, b.rect, rectOf(pl.Blocks[slot]))
+					in.Node, slot, operand, b.rect, want)
+			case !ok && !want.Empty():
+				return nil, fmt.Errorf("sim: node %d proc %d missing input instance %q", in.Node, proc, inst)
+			case !ok:
+				b = &block{rect: want}
 			}
-			if b.data != nil {
-				full.SetBlock(b.rect.R0, b.rect.C0, b.data)
-			}
+			blocks[slot] = b
 		}
-		return full, nil
+		return blocks, nil
 	}
-
-	switch k.Op {
-	case kernels.OpNone:
-		return nil
-
-	case kernels.OpInit:
-		for slot, proc := range in.Group {
-			b := newBlock(rectOf(outPlace.Blocks[slot]))
-			if b.data != nil {
-				r0, c0 := b.rect.R0, b.rect.C0
-				b.data.Fill(func(i, j int) float64 { return k.Init(r0+i, c0+j) })
-			}
-			res.stores[proc][outInst] = b
-		}
-		return nil
-
-	case kernels.OpAdd, kernels.OpSub:
-		for slot, proc := range in.Group {
-			out := newBlock(rectOf(outPlace.Blocks[slot]))
-			if out.data != nil {
-				a, err := inputBlock(0, slot)
-				if err != nil {
-					return err
-				}
-				bb, err := inputBlock(1, slot)
-				if err != nil {
-					return err
-				}
-				if a.rect != out.rect || bb.rect != out.rect {
-					return fmt.Errorf("sim: node %d proc %d operand blocks %v/%v mismatch output %v",
-						in.Node, proc, a.rect, bb.rect, out.rect)
-				}
-				var err2 error
-				if k.Op == kernels.OpAdd {
-					err2 = matrix.Add(out.data, a.data, bb.data)
-				} else {
-					err2 = matrix.Sub(out.data, a.data, bb.data)
-				}
-				if err2 != nil {
-					return fmt.Errorf("sim: node %d: %w", in.Node, err2)
-				}
-			}
-			res.stores[proc][outInst] = out
-		}
-		return nil
-
-	case kernels.OpExtract:
-		full, err := assembleInput(0)
+	// assembleInto reassembles a full operand from the group's blocks
+	// (the data image of the gathers whose cost the ProcTime rules
+	// already charged) into dst anchored at (r0, c0). The blocks are a
+	// placement's, which partitions the operand: every element of the
+	// operand's rectangle of dst is overwritten.
+	assembleInto := func(dst *matrix.Matrix, r0, c0, operand int) error {
+		blocks, err := operandBlocks(operand)
 		if err != nil {
 			return err
 		}
-		for slot, proc := range in.Group {
-			out := newBlock(rectOf(outPlace.Blocks[slot]))
-			if out.data != nil {
-				out.data.SetBlock(0, 0, full.Block(
-					k.OffR+out.rect.R0, k.OffR+out.rect.R1,
-					k.OffC+out.rect.C0, k.OffC+out.rect.C1))
+		for _, b := range blocks {
+			if b.data != nil {
+				dst.SetBlock(r0+b.rect.R0, c0+b.rect.C0, b.data)
 			}
-			res.stores[proc][outInst] = out
 		}
 		return nil
+	}
+	assemble := func(operand int) (*matrix.Matrix, error) {
+		a := p.Arrays[spec.Inputs[operand]]
+		full := nr.scratch(a.Rows, a.Cols)
+		return full, assembleInto(full, 0, 0, operand)
+	}
+
+	// work is the group's work in the unit of fanOutWork; compute fills
+	// one member's non-empty output block.
+	work := arr.Rows * arr.Cols
+	var compute func(slot int, out *block) error
+	switch k.Op {
+	case kernels.OpInit:
+		compute = func(_ int, out *block) error {
+			r0, c0 := out.rect.R0, out.rect.C0
+			out.data.Fill(func(i, j int) float64 { return k.Init(r0+i, c0+j) })
+			return nil
+		}
+
+	case kernels.OpAdd, kernels.OpSub:
+		a, err := operandBlocks(0)
+		if err != nil {
+			return err
+		}
+		bb, err := operandBlocks(1)
+		if err != nil {
+			return err
+		}
+		op := matrix.Add
+		if k.Op == kernels.OpSub {
+			op = matrix.Sub
+		}
+		compute = func(slot int, out *block) error {
+			if a[slot].rect != out.rect || bb[slot].rect != out.rect {
+				return fmt.Errorf("sim: node %d proc %d operand blocks %v/%v mismatch output %v",
+					in.Node, in.Group[slot], a[slot].rect, bb[slot].rect, out.rect)
+			}
+			if err := op(out.data, a[slot].data, bb[slot].data); err != nil {
+				return fmt.Errorf("sim: node %d: %w", in.Node, err)
+			}
+			return nil
+		}
+
+	case kernels.OpExtract:
+		full, err := assemble(0)
+		if err != nil {
+			return err
+		}
+		compute = func(_ int, out *block) error {
+			out.data.CopyRect(0, 0, full,
+				k.OffR+out.rect.R0, k.OffR+out.rect.R1,
+				k.OffC+out.rect.C0, k.OffC+out.rect.C1)
+			return nil
+		}
 
 	case kernels.OpAssemble4:
-		composed := matrix.New(k.M, k.N)
+		composed := nr.scratch(k.M, k.N)
 		hr, hc := k.M/2, k.N/2
 		for idx, anchor := range [][2]int{{0, 0}, {0, hc}, {hr, 0}, {hr, hc}} {
-			q, err := assembleInput(idx)
-			if err != nil {
+			if err := assembleInto(composed, anchor[0], anchor[1], idx); err != nil {
 				return err
 			}
-			composed.SetBlock(anchor[0], anchor[1], q)
 		}
-		for slot, proc := range in.Group {
-			out := newBlock(rectOf(outPlace.Blocks[slot]))
-			if out.data != nil {
-				out.data.SetBlock(0, 0, composed.Block(out.rect.R0, out.rect.R1, out.rect.C0, out.rect.C1))
-			}
-			res.stores[proc][outInst] = out
+		compute = func(_ int, out *block) error {
+			out.data.CopyRect(0, 0, composed, out.rect.R0, out.rect.R1, out.rect.C0, out.rect.C1)
+			return nil
 		}
-		return nil
 
 	case kernels.OpMul:
 		// Assemble both operands from the group's blocks; each member
 		// multiplies its output rectangle's row strip of A by its column
-		// strip of B. Correct for every layout; the layout-specific
-		// gather costs were charged above.
-		fullA, err := assembleInput(0)
+		// strip of B, read in place. Correct for every layout; the
+		// layout-specific gather costs were charged above.
+		fullA, err := assemble(0)
 		if err != nil {
 			return err
 		}
-		fullB, err := assembleInput(1)
+		fullB, err := assemble(1)
 		if err != nil {
 			return err
 		}
-		for slot, proc := range in.Group {
-			out := newBlock(rectOf(outPlace.Blocks[slot]))
-			if out.data != nil {
-				aStrip := fullA.Block(out.rect.R0, out.rect.R1, 0, fullA.Cols)
-				bStrip := fullB.Block(0, fullB.Rows, out.rect.C0, out.rect.C1)
-				if err := matrix.Mul(out.data, aStrip, bStrip); err != nil {
-					return fmt.Errorf("sim: node %d: %w", in.Node, err)
-				}
+		work *= fullA.Cols
+		compute = func(_ int, out *block) error {
+			if err := matrix.MulStrip(out.data, fullA, out.rect.R0, out.rect.R1, fullB, out.rect.C0, out.rect.C1); err != nil {
+				return fmt.Errorf("sim: node %d: %w", in.Node, err)
 			}
-			res.stores[proc][outInst] = out
+			return nil
 		}
-		return nil
+
+	default:
+		return fmt.Errorf("sim: node %d: unknown op %v", in.Node, k.Op)
 	}
-	return fmt.Errorf("sim: node %d: unknown op %v", in.Node, k.Op)
+
+	workers := 1
+	if work >= fanOutWork {
+		workers = par.Workers()
+	}
+	outs := make([]*block, q)
+	err = par.DoN(ctx, workers, q, func(_ context.Context, slot int) error {
+		out := newBlock(rectOf(outPlace.Blocks[slot]))
+		outs[slot] = out
+		if out.data == nil {
+			return nil
+		}
+		return compute(slot, out)
+	})
+	if err != nil {
+		return err
+	}
+	// Install in slot order, on this goroutine: the stores are maps.
+	outInst := codegen.Instance(spec.Output, in.Node)
+	for slot, proc := range in.Group {
+		res.stores[proc][outInst] = outs[slot]
+	}
+	return nil
 }
 
-// extract copies the rectangle rect (global coordinates) out of a block.
-func extract(b *block, rect codegen.Rect) (*matrix.Matrix, error) {
-	if rect.R0 < b.rect.R0 || rect.R1 > b.rect.R1 || rect.C0 < b.rect.C0 || rect.C1 > b.rect.C1 {
-		return nil, fmt.Errorf("rect %v outside block %v", rect, b.rect)
-	}
-	if b.data == nil {
-		return nil, fmt.Errorf("extract from empty block %v", b.rect)
-	}
-	return b.data.Block(rect.R0-b.rect.R0, rect.R1-b.rect.R0, rect.C0-b.rect.C0, rect.C1-b.rect.C0), nil
-}
-
-// insert copies data into the rectangle rect (global coordinates) of a block.
-func insert(b *block, rect codegen.Rect, data *matrix.Matrix) error {
+// view checks that rect (global coordinates) lies inside b and seals b:
+// the caller is about to hold, or copy from, a view of it.
+func view(b *block, rect codegen.Rect) error {
 	if rect.R0 < b.rect.R0 || rect.R1 > b.rect.R1 || rect.C0 < b.rect.C0 || rect.C1 > b.rect.C1 {
 		return fmt.Errorf("rect %v outside block %v", rect, b.rect)
 	}
 	if b.data == nil {
-		return fmt.Errorf("insert into empty block %v", b.rect)
+		return fmt.Errorf("extract from empty block %v", b.rect)
 	}
-	b.data.SetBlock(rect.R0-b.rect.R0, rect.C0-b.rect.C0, data)
+	b.sealed = true
+	return nil
+}
+
+// copyRect copies the rectangle rect (global coordinates) of src, which
+// view has checked, into the same rectangle of dst.
+func copyRect(dst *block, rect codegen.Rect, src *block) error {
+	if rect.R0 < dst.rect.R0 || rect.R1 > dst.rect.R1 || rect.C0 < dst.rect.C0 || rect.C1 > dst.rect.C1 {
+		return fmt.Errorf("rect %v outside block %v", rect, dst.rect)
+	}
+	if dst.data == nil {
+		return fmt.Errorf("insert into empty block %v", dst.rect)
+	}
+	if dst.sealed {
+		return fmt.Errorf("insert into sealed block %v: a message or move already views it", dst.rect)
+	}
+	dst.data.CopyRect(rect.R0-dst.rect.R0, rect.C0-dst.rect.C0, src.data,
+		rect.R0-src.rect.R0, rect.R1-src.rect.R0, rect.C0-src.rect.C0, rect.C1-src.rect.C0)
 	return nil
 }
 

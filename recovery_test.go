@@ -13,6 +13,7 @@ import (
 
 	"paradigm/internal/matrix"
 	"paradigm/internal/obs"
+	"paradigm/internal/par"
 )
 
 // mustVerifyExact gathers every array and requires a zero worst-case
@@ -320,6 +321,56 @@ func TestRecoveryEventsEmitted(t *testing.T) {
 	for _, metric := range []string{"fault_injected", "recovery_attempts_total", "replan_total"} {
 		if !strings.Contains(text, metric) {
 			t.Fatalf("metrics snapshot missing %q:\n%s", metric, text)
+		}
+	}
+}
+
+// TestRecoveryWidthIndependent: the simulator computes a group's blocks
+// on the worker pool once a barrier is big enough (CMM-128 is; the
+// programs above are not), so the halted run, the salvage and the
+// recovery run must not depend on the pool's width. A processor death
+// and a dropped message each recover at widths 1 and 8 to the same
+// result digest and to the fault-free run's data digest.
+func TestRecoveryWidthIndependent(t *testing.T) {
+	cal := testCal(t)
+	p, err := ComplexMatMul(128, cal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewCM5(16)
+	clean, err := Run(p, m, cal, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleanData, err := DataDigest(p, clean.Sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, plan := range map[string]*FaultPlan{
+		"proc-fail": {ProcFails: []ProcFail{{Proc: 3, At: clean.Actual / 3}}},
+		"msg-drop":  {MsgFaults: []MsgFault{{Kind: FaultDrop, Seq: 5}, {Kind: FaultDuplicate, Seq: 2}}},
+	} {
+		var digests []string
+		for _, width := range []string{"1", "8"} {
+			t.Setenv(par.EnvWorkers, width)
+			res, err := RunContext(context.Background(), p, m, cal, 16, WithFaultPlan(plan), WithRecovery(2))
+			if err != nil {
+				t.Fatalf("%s width %s: %v", name, width, err)
+			}
+			if !res.Recovered {
+				t.Fatalf("%s width %s: the plan did not trigger recovery", name, width)
+			}
+			data, err := DataDigest(p, res.Sim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if data != cleanData {
+				t.Fatalf("%s width %s: recovered data digest %s, fault-free %s", name, width, data, cleanData)
+			}
+			digests = append(digests, res.Digest())
+		}
+		if digests[0] != digests[1] {
+			t.Fatalf("%s: result digest %s at width 1, %s at width 8", name, digests[0], digests[1])
 		}
 	}
 }
