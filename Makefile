@@ -6,9 +6,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci fmt-check vet build test test-race race fuzz-smoke bench-smoke bench-module bench-current bench-json smoke-paradigmd smoke-paradigmd-chaos smoke-paradigmd-tenants smoke-paradigmd-cluster
+.PHONY: ci fmt-check vet build test test-race race fuzz-smoke bench-smoke bench-module bench-current bench-json smoke-paradigmd smoke-paradigmd-chaos smoke-paradigmd-memory smoke-paradigmd-tenants smoke-paradigmd-cluster
 
-ci: fmt-check vet build test-race fuzz-smoke bench-smoke bench-module smoke-paradigmd smoke-paradigmd-chaos smoke-paradigmd-tenants smoke-paradigmd-cluster
+ci: fmt-check vet build test-race fuzz-smoke bench-smoke bench-module smoke-paradigmd smoke-paradigmd-chaos smoke-paradigmd-memory smoke-paradigmd-tenants smoke-paradigmd-cluster
 
 # gofmt gate: fails listing the offending files, mutating nothing.
 fmt-check:
@@ -45,14 +45,16 @@ fuzz-smoke:
 	$(GO) test ./internal/matrix/ -run '^$$' -fuzz '^FuzzMulStrips$$' -fuzztime $(FUZZTIME)
 
 # One iteration of every benchmark a design document cites — calibration,
-# the allocation paths, the Run pairs behind the observability, recovery
-# and checkpoint budgets, the simulator's data plane and its strip
-# kernel, the service's submit, load and cluster-load benchmarks: enough
-# to catch one that no longer compiles or errors out. It writes no file.
+# the allocation paths, the program build (whose allocs/op is where an
+# AddEdge gone quadratic again would show), the Run pairs behind the
+# observability, recovery and checkpoint budgets, the simulator's data
+# plane and its strip kernel, the service's submit, load and cluster-load
+# benchmarks: enough to catch one that no longer compiles or errors out.
+# It writes no file.
 # The numbers the documents quote are the committed BENCH_PR*.json;
 # measurements come from the repo's benchmark (bench/).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkTable2TransferFit|BenchmarkAllocSolve|BenchmarkRunNilObserver|BenchmarkRunWithObserver|BenchmarkRunNoFaults|BenchmarkRunWithRecovery|BenchmarkRunNoCheckpoint|BenchmarkRunWithCheckpoint|BenchmarkRunCMM256P64|BenchmarkSimRunCMM256P64' -benchtime=1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkTable2TransferFit|BenchmarkAllocSolve|BenchmarkBuildStrassen128|BenchmarkRunNilObserver|BenchmarkRunWithObserver|BenchmarkRunNoFaults|BenchmarkRunWithRecovery|BenchmarkRunNoCheckpoint|BenchmarkRunWithCheckpoint|BenchmarkRunCMM256P64|BenchmarkSimRunCMM256P64' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkMulStrip16x256x256' -benchtime=1x -benchmem ./internal/matrix/
 	$(GO) test -run '^$$' -bench 'BenchmarkSubmit|BenchmarkServiceLoad|BenchmarkClusterLoad' -benchtime=1x -benchmem ./cmd/paradigmd/
 
@@ -81,9 +83,16 @@ smoke-paradigmd:
 # The service-level chaos gate: SIGKILL a paradigmd subprocess with
 # acknowledged jobs in flight, restart it on the same checkpoint
 # directory, and require every acknowledged job to finish byte-identical
-# (by result digest) to an oracle-validated crash-free run.
+# (by result digest) to an oracle-validated crash-free run. Two forms:
+# jobs that solve, and resume from their WALs, and jobs that replay from
+# the schedule cache, which have no WAL and ride on the journal alone.
 smoke-paradigmd-chaos:
-	$(GO) test ./cmd/paradigmd/ -run '^TestChaosKillRestart$$' -count=1 -timeout 600s -v
+	$(GO) test ./cmd/paradigmd/ -run '^TestChaosKillRestart(Hot)?$$' -count=1 -timeout 600s -v
+
+# The retention gate: 3000 jobs through one server, live heap growth
+# bounded per job, first and last schedule still served.
+smoke-paradigmd-memory:
+	$(GO) test ./cmd/paradigmd/ -run '^TestServiceMemoryFlat$$' -count=1 -v
 
 # The multi-tenant service gate: tiered admission (gold tenant ahead of
 # free, over-bucket tenant 429'd while others proceed), submit

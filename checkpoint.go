@@ -20,6 +20,11 @@
 // log against a different job fails with ErrCheckpointMismatch instead
 // of resuming silently. A damaged log (truncation, bit flip) fails with
 // ErrCheckpointCorrupt at open time.
+//
+// OpenDeferredCheckpoint is the form for callers that run many jobs and
+// resume few: the file comes into being at the first stage worth
+// resuming from, with every stage completed before it, and a run whose
+// plan replayed from a cache never creates one.
 package paradigm
 
 import (
@@ -71,6 +76,24 @@ func OpenCheckpoint(path string) (*Checkpoint, error) {
 	return &Checkpoint{log: l}, nil
 }
 
+// OpenDeferredCheckpoint resumes the log at path if it exists; otherwise
+// it returns a checkpoint with no file yet, which creates one only when a
+// stage worth logging commits: a calibration that was fitted, an
+// allocation that was solved rather than replayed from a cache, or a
+// recovery salvage. Until then completed stages are remembered, not
+// encoded, and a run that finishes without one — every plan a cache
+// replay — leaves nothing on disk: killed, it would replay from scratch
+// to the same result in less time than the log took to write. A service
+// opens its per-job logs this way; its job journal, not this log, is
+// what makes an acknowledged job durable.
+func OpenDeferredCheckpoint(path string) (*Checkpoint, error) {
+	l, err := ckpt.OpenDeferred(path)
+	if err != nil {
+		return nil, err
+	}
+	return &Checkpoint{log: l}, nil
+}
+
 // LoadCheckpoint opens an existing log strictly: a missing or damaged
 // file is an error.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
@@ -84,7 +107,8 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // Path returns the log's file path.
 func (cp *Checkpoint) Path() string { return cp.log.Path() }
 
-// Stages lists the committed stage names in commit order.
+// Stages lists the committed stage names in commit order: the records
+// the file holds, so none while a deferred checkpoint has no file.
 func (cp *Checkpoint) Stages() []string { return cp.log.Stages() }
 
 // OnCommit registers a hook invoked after each commit is durable on
@@ -164,12 +188,26 @@ func (c *config) emit(e obs.Event) {
 	}
 }
 
-// ckptCommit commits a stage payload and emits the Checkpoint event.
-func (c *config) ckptCommit(stage string, payload []byte) error {
-	if err := c.ckpt.log.Commit(stage, payload); err != nil {
+// ckptCommit commits a stage whose payload encode produces, and emits a
+// Checkpoint event for every record the call made durable: the stage's
+// own on a log that has its file, none while a deferred log buffers, and
+// the whole buffer in commit order when worth — the stage computed
+// something a resume should not recompute — makes the log materialize.
+// worth must depend on the request and the caches' contents only, never
+// on a clock: the events feed the deterministic metrics registry.
+func (c *config) ckptCommit(stage string, worth bool, encode func() ([]byte, error)) error {
+	log := c.ckpt.log
+	from := log.Len()
+	err := log.CommitFunc(stage, encode)
+	if err == nil && worth {
+		err = log.Materialize()
+	}
+	if err != nil {
 		return err
 	}
-	c.emit(obs.Checkpoint{Stage: stage, Seq: c.ckpt.log.Len() - 1, Bytes: len(payload)})
+	for _, r := range log.Records()[from:] {
+		c.emit(obs.Checkpoint{Stage: r.Stage, Seq: r.Seq, Bytes: len(r.Payload)})
+	}
 	return nil
 }
 
@@ -187,13 +225,8 @@ func (c *config) ckptBindRun(p *Program, mp Machine, procs int) error {
 		}
 		return meta.Check(p.Name, procs, p.G.NumNodes(), mp)
 	}
-	payload, err := ckpt.EncodeMeta(ckpt.Meta{
-		Program: p.Name, Procs: procs, Nodes: p.G.NumNodes(), Machine: mp,
-	})
-	if err != nil {
-		return fmt.Errorf("paradigm: encode checkpoint meta: %w", err)
-	}
-	return c.ckptCommit(ckpt.StageMeta, payload)
+	meta := ckpt.Meta{Program: p.Name, Procs: procs, Nodes: p.G.NumNodes(), Machine: mp}
+	return c.ckptCommit(ckpt.StageMeta, false, func() ([]byte, error) { return ckpt.EncodeMeta(meta) })
 }
 
 // ckptDone commits the run outcome, or — when a done record already
@@ -223,11 +256,7 @@ func (c *config) ckptDone(res *Result) error {
 		c.emit(obs.Resume{Stage: ckpt.StageDone, Seq: seq})
 		return nil
 	}
-	payload, err := ckpt.EncodeDone(d)
-	if err != nil {
-		return fmt.Errorf("paradigm: encode checkpoint outcome: %w", err)
-	}
-	return c.ckptCommit(ckpt.StageDone, payload)
+	return c.ckptCommit(ckpt.StageDone, false, func() ([]byte, error) { return ckpt.EncodeDone(d) })
 }
 
 // ckptSalvage commits one recovery attempt's salvage state, or — when
@@ -246,11 +275,7 @@ func (c *config) ckptSalvage(stage string, s ckpt.SalvageState) error {
 		c.emit(obs.Resume{Stage: stage, Seq: seq})
 		return nil
 	}
-	payload, err := ckpt.EncodeSalvage(s)
-	if err != nil {
-		return fmt.Errorf("paradigm: encode salvage state: %w", err)
-	}
-	return c.ckptCommit(stage, payload)
+	return c.ckptCommit(stage, true, func() ([]byte, error) { return ckpt.EncodeSalvage(s) })
 }
 
 // salvageEqual compares two salvage states bit-for-bit.

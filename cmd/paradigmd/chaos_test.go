@@ -50,6 +50,9 @@ func startChaosChild(t *testing.T, dir string) (string, *exec.Cmd) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	// A test that fails between start and shutdown must not leave the
+	// child serving; killing one that already exited is harmless.
+	t.Cleanup(func() { _ = cmd.Process.Kill() })
 	addrCh := make(chan string, 1)
 	go func() {
 		sc := bufio.NewScanner(stderr)
@@ -98,17 +101,17 @@ var chaosJobs = []chaosJob{
 	{"strassen", 16, 16},
 }
 
-// chaosReferenceDigests runs every distinct chaos job crash-free
+// chaosReferenceDigests runs every distinct job of the list crash-free
 // through the library, validates each trace with the simulation oracle,
 // and returns the digest each service job must reproduce.
-func chaosReferenceDigests(t *testing.T) map[chaosJob]string {
+func chaosReferenceDigests(t *testing.T, jobs []chaosJob) map[chaosJob]string {
 	t.Helper()
 	cal, err := paradigm.Calibrate(paradigm.NewCM5(64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	refs := map[chaosJob]string{}
-	for _, cj := range chaosJobs {
+	for _, cj := range jobs {
 		if _, ok := refs[cj]; ok {
 			continue
 		}
@@ -177,7 +180,7 @@ func TestChaosKillRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos suite skipped in -short")
 	}
-	refs := chaosReferenceDigests(t)
+	refs := chaosReferenceDigests(t, chaosJobs)
 	dir := t.TempDir()
 
 	base, child := startChaosChild(t, dir)

@@ -2,9 +2,10 @@
 // over the PARADIGM pipeline: submit an allocation-and-scheduling job,
 // poll its status, fetch the resulting schedule, and scrape the
 // pipeline's metrics registry — with the crash-safety surface of the
-// library wired through (per-job write-ahead checkpoints, per-stage
-// budgets, a shared circuit breaker around the convex solve, and panic
-// containment at every boundary).
+// library wired through (a per-job write-ahead checkpoint for every job
+// that solved or salvaged something, per-stage budgets, a shared circuit
+// breaker around the convex solve, and panic containment at every
+// boundary).
 //
 // With a -checkpoint-dir the service itself is crash-safe: every
 // accepted submit and every status transition is committed to a durable
@@ -14,9 +15,14 @@
 // reloaded with their result digests, unfinished ones are re-enqueued
 // and resume from their committed per-job WAL stages, and a corrupt
 // shard is refused with a typed error rather than silently dropping
-// accepted work. Completed jobs' WALs are garbage-collected on
-// committed completion (-wal-retain keeps failed jobs' WALs for
-// postmortem by default).
+// accepted work. The journal is what makes an acknowledged job durable;
+// a job's WAL is a resume optimisation, and its file exists only from
+// the first stage worth resuming from — an allocation a solver produced,
+// or a recovery salvage. A job whose plan replayed from a cache writes
+// none: re-run from scratch after a crash it reaches the same digest in
+// less time than the WAL took to write. Completed jobs' WALs are
+// garbage-collected on committed completion (-wal-retain keeps failed
+// jobs' WALs for postmortem by default).
 //
 // Multi-tenancy (DESIGN.md §15): jobs carry a tenant name, admission is
 // governed by a strict JSON policy config (-policy) declaring SLO
@@ -41,6 +47,9 @@
 //	GET  /healthz            JSON health: ok (200) | degraded (200) | draining (503)
 //	                         with queue depth, journal lag, breaker state
 //
+// -pprof addr serves net/http/pprof on a listener of its own, never on
+// the job API's.
+//
 // Admission control: per-tenant token buckets shed over-rate tenants
 // with 429; the submit queue is bounded and a full queue sheds load
 // with 429; an oversized body is refused with 413; a draining server
@@ -61,9 +70,11 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -75,6 +86,7 @@ import (
 	"paradigm/internal/admission"
 	"paradigm/internal/cluster"
 	"paradigm/internal/jobstore"
+	"paradigm/internal/schedcache"
 )
 
 // Submit-path limits and WAL retention policies.
@@ -91,6 +103,16 @@ const (
 
 	// defaultTenant scopes jobs submitted without a tenant name.
 	defaultTenant = "default"
+
+	// programCacheCap bounds the built programs the server keeps to share
+	// among jobs; a program is a few kB of graph and node specs.
+	programCacheCap = 64
+	// gcPercent is the collector setting main applies unless GOGC is set.
+	// A finished job retains a few kB, so the live heap is a few MB and
+	// the default of 100 collects every few hundred hot jobs; the heap of
+	// retained simulator results that used to space collections out by
+	// accident is gone, so the spacing is asked for.
+	gcPercent = 400
 )
 
 func main() {
@@ -110,7 +132,11 @@ func main() {
 	flag.StringVar(&o.router, "router", "round-robin", "cluster mode partition router: round-robin, least-loaded, or best-fit")
 	flag.IntVar(&o.clusterFaults, "cluster-faults", 0, "cluster mode: kill one partition processor on every Nth placement; the job recovers onto survivors and the processor retires from the pool (0: none)")
 	flag.BoolVar(&o.smoke, "smoke", false, "start, run one job end to end, drain, and exit (CI smoke mode)")
+	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address, on a listener separate from -addr (empty: off)")
 	flag.Parse()
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(gcPercent)
+	}
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "paradigmd:", err)
 		os.Exit(1)
@@ -121,6 +147,7 @@ func main() {
 type runOpts struct {
 	addr, machine, ckptDir    string
 	policyPath, walRetain     string
+	pprofAddr                 string
 	workers, queueCap, shards int
 	schedCacheCap             int
 	budget                    time.Duration
@@ -210,6 +237,17 @@ func run(o runOpts) error {
 	hs := &http.Server{Handler: srv.handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
+	if o.pprofAddr != "" {
+		pln, err := net.Listen("tcp", o.pprofAddr)
+		if err != nil {
+			return fmt.Errorf("-pprof %s: %w", o.pprofAddr, err)
+		}
+		// Closing the listener ends Serve; a profile in flight is cut off
+		// with the process, which is what an operator stopping it expects.
+		defer pln.Close()
+		go func() { _ = http.Serve(pln, pprofHandler()) }()
+		log.Printf("pprof listening on %s", pln.Addr())
+	}
 	log.Printf("paradigmd listening on %s (%d workers, queue %d, %d jobs recovered)",
 		ln.Addr(), o.workers, srv.queueCap, srv.backlog.Load())
 
@@ -238,6 +276,18 @@ func run(o runOpts) error {
 	case err := <-serveErr:
 		return err
 	}
+}
+
+// pprofHandler serves the net/http/pprof endpoints from a mux of its
+// own, so importing the package never puts them on the job API.
+func pprofHandler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 func shutdownHTTP(hs *http.Server) {
@@ -302,8 +352,12 @@ type healthView struct {
 type job struct {
 	jobView
 	req jobRequest
-	res *paradigm.Result
-	p   *paradigm.Program
+	// sched and p are what GET /jobs/{id}/schedule renders: the job's
+	// schedule and the interned program it was planned for. Nothing else
+	// of the pipeline's Result outlives the digest — the simulated
+	// machine state is megabytes a job, and no endpoint serves it.
+	sched *paradigm.Schedule
+	p     *paradigm.Program
 	// recovered marks a job re-enqueued from the journal at boot; the
 	// service reports degraded until this backlog clears.
 	recovered bool
@@ -364,8 +418,13 @@ type server struct {
 	obs        paradigm.Observer
 	allocCache *paradigm.AllocCache
 	schedCache *paradigm.ScheduleCache
-	journal    *jobstore.Sharded
-	policy     admission.Config
+	// programs interns built programs by kind and size. A Program is
+	// frozen once built — nothing in the pipeline writes through one — so
+	// every job of a spec shares one, and its graph's adjacency index and
+	// canonical hash are derived once, not once per job.
+	programs *schedcache.Cache[*paradigm.Program]
+	journal  *jobstore.Sharded
+	policy   admission.Config
 	// pool is the shared wall-clock processor pool; non-nil iff the
 	// service runs in cluster mode.
 	pool *clusterPool
@@ -422,6 +481,7 @@ func newServer(mach machineModel, cfg serverConfig) (*server, error) {
 		// program/size/procs replays the allocation instantly, and a new
 		// procs for a known program warm-starts the solve.
 		allocCache: paradigm.NewAllocCache(128),
+		programs:   schedcache.NewOf[*paradigm.Program](programCacheCap, 1, nil),
 		jobs:       map[string]*job{},
 		tenants:    map[string]*tenantState{},
 		inflight:   map[string]*job{},
@@ -695,9 +755,16 @@ func (s *server) runJob(j *job) {
 	s.mu.Unlock()
 	s.journalState(jobstore.State{ID: j.ID, Status: jobstore.StatusRunning})
 
-	res, p, pl, err := s.execute(j.req, j.ID)
+	run, err := s.execute(j.req, j.ID)
+	// The digest hashes a JSON-encoded schedule: taken here, not under the
+	// lock every submit and poll queues behind. With it taken, the
+	// simulated machine state in the Result has no reader left.
+	var digest string
+	if err == nil {
+		digest = run.res.Digest()
+	}
 	s.mu.Lock()
-	j.Granted, j.Degraded = pl.granted, pl.degraded
+	j.Granted, j.Degraded = run.granted, run.degraded
 	var st jobstore.State
 	if err != nil {
 		j.Status = "failed"
@@ -706,9 +773,9 @@ func (s *server) runJob(j *job) {
 		s.reg.Counter("paradigmd_jobs_failed_total").Inc()
 	} else {
 		j.Status = "done"
-		j.res, j.p = res, p
-		j.Phi, j.Actual = res.Alloc.Phi, res.Actual
-		j.Digest = res.Digest()
+		j.sched, j.p = run.res.Sched, run.p
+		j.Phi, j.Actual = run.res.Alloc.Phi, run.res.Actual
+		j.Digest = digest
 		st = jobstore.State{ID: j.ID, Status: jobstore.StatusDone, Phi: j.Phi, Actual: j.Actual, Digest: j.Digest}
 		s.reg.Counter("paradigmd_jobs_completed_total").Inc()
 		// Remember the solved Φ for SJF ordering of future submits.
@@ -729,7 +796,7 @@ func (s *server) runJob(j *job) {
 	for _, f := range followers {
 		f.Status, f.Error = j.Status, j.Error
 		f.Phi, f.Actual, f.Digest = j.Phi, j.Actual, j.Digest
-		f.res, f.p = j.res, j.p
+		f.sched, f.p = j.sched, j.p
 		fst := st
 		fst.ID = f.ID
 		states = append(states, fst)
@@ -755,7 +822,9 @@ func (s *server) runJob(j *job) {
 	for _, fst := range states {
 		s.journalState(fst)
 	}
-	s.gcWAL(j.ID, err == nil)
+	if run.wal {
+		s.gcWAL(j.ID, err == nil)
+	}
 	if recovered {
 		s.backlog.Add(-1)
 	}
@@ -770,28 +839,56 @@ type placement struct {
 	faulted  bool
 }
 
+// jobRun is what one execution of a job leaves behind. On failure only
+// the placement and wal are meaningful.
+type jobRun struct {
+	res *paradigm.Result
+	p   *paradigm.Program
+	placement
+	// wal reports that the job's write-ahead checkpoint has a file — it
+	// solved or salvaged something, now or before a restart — so there is
+	// one to apply the retention policy to.
+	wal bool
+}
+
+// program returns the interned program for a kind and size, building it
+// on first use. Two workers missing at once both build; the programs are
+// equal and the later Put wins.
+func (s *server) program(kind string, size int) (*paradigm.Program, error) {
+	key := kind + "|" + strconv.Itoa(size)
+	if p, ok := s.programs.Get(key); ok {
+		return p, nil
+	}
+	var (
+		p   *paradigm.Program
+		err error
+	)
+	switch kind {
+	case "cmm":
+		p, err = paradigm.ComplexMatMul(size, s.mach.src)
+	case "strassen":
+		p, err = paradigm.Strassen(size, s.mach.src)
+	default:
+		err = fmt.Errorf("unknown program %q (want cmm or strassen)", kind)
+	}
+	if err != nil {
+		return nil, err
+	}
+	s.reg.Counter("paradigmd_programs_built_total").Inc()
+	s.programs.Put(key, p)
+	return p, nil
+}
+
 // execute runs one job through the full governed pipeline. Panic
 // containment lives in the library: a malformed job comes back as a
 // typed error, never as a worker crash. In cluster mode the job first
 // acquires a partition from the shared pool (blocking until capacity
 // frees, shrinking the grant when live capacity dropped below the
 // request) and runs on exactly the processors granted.
-func (s *server) execute(req jobRequest, id string) (*paradigm.Result, *paradigm.Program, placement, error) {
-	var (
-		p   *paradigm.Program
-		pl  placement
-		err error
-	)
-	switch req.Program {
-	case "cmm":
-		p, err = paradigm.ComplexMatMul(req.Size, s.mach.src)
-	case "strassen":
-		p, err = paradigm.Strassen(req.Size, s.mach.src)
-	default:
-		return nil, nil, pl, fmt.Errorf("unknown program %q (want cmm or strassen)", req.Program)
-	}
+func (s *server) execute(req jobRequest, id string) (run jobRun, err error) {
+	p, err := s.program(req.Program, req.Size)
 	if err != nil {
-		return nil, nil, pl, err
+		return run, err
 	}
 	procs := req.Procs
 	var g grant
@@ -807,10 +904,10 @@ func (s *server) execute(req jobRequest, id string) (*paradigm.Result, *paradigm
 		}
 		g, err = s.pool.acquire(cluster.Spec{ID: id, Procs: req.Procs, MinProcs: 1}, predict)
 		if err != nil {
-			return nil, nil, pl, err
+			return run, err
 		}
 		procs = len(g.procs)
-		pl = placement{granted: procs, degraded: g.degraded, faulted: g.faultLocal >= 0}
+		run.placement = placement{granted: procs, degraded: g.degraded, faulted: g.faultLocal >= 0}
 		start := time.Now()
 		defer func() { s.pool.release(g, time.Since(start).Seconds()) }()
 	}
@@ -845,10 +942,10 @@ func (s *server) execute(req jobRequest, id string) (*paradigm.Result, *paradigm
 	runReq.Procs = procs
 	recoverMax := req.Recover
 	switch {
-	case pl.faulted:
+	case run.faulted:
 		plan, perr := s.clusterFaultPlan(runReq, p, g.faultLocal)
 		if perr != nil {
-			return nil, nil, pl, perr
+			return run, perr
 		}
 		opts = append(opts, paradigm.WithFaultPlan(plan))
 		if recoverMax < 1 {
@@ -858,7 +955,7 @@ func (s *server) execute(req jobRequest, id string) (*paradigm.Result, *paradigm
 	case req.FaultSeed != 0:
 		plan, perr := s.faultPlan(runReq, p)
 		if perr != nil {
-			return nil, nil, pl, perr
+			return run, perr
 		}
 		opts = append(opts, paradigm.WithFaultPlan(plan))
 	}
@@ -866,18 +963,24 @@ func (s *server) execute(req jobRequest, id string) (*paradigm.Result, *paradigm
 		opts = append(opts, paradigm.WithRecovery(recoverMax))
 	}
 	if s.ckptDir != "" {
-		cp, err := paradigm.OpenCheckpoint(filepath.Join(s.ckptDir, "job-"+id+".wal"))
+		cp, err := paradigm.OpenDeferredCheckpoint(filepath.Join(s.ckptDir, "job-"+id+".wal"))
 		if err != nil {
-			return nil, nil, pl, err
+			return run, err
 		}
-		defer cp.Close()
+		// A checkpoint lists stages exactly when its file exists.
+		resumed := len(cp.Stages()) > 0
+		defer func() {
+			run.wal = len(cp.Stages()) > 0
+			if run.wal && !resumed {
+				s.reg.Counter("paradigmd_wal_materialized_total").Inc()
+			}
+			cp.Close()
+		}()
 		opts = append(opts, paradigm.WithCheckpoint(cp))
 	}
-	res, err := paradigm.RunContext(context.Background(), p, s.mach.profile(procs), s.mach.cal, procs, opts...)
-	if err != nil {
-		return nil, nil, pl, err
-	}
-	return res, p, pl, nil
+	run.p = p
+	run.res, err = paradigm.RunContext(context.Background(), p, s.mach.profile(procs), s.mach.cal, procs, opts...)
+	return run, err
 }
 
 // clusterFaultPlan builds the deterministic partition-death plan for a
@@ -1102,37 +1205,41 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/jobs/")
 	id, sub, _ := strings.Cut(rest, "/")
+	// One critical section per request: everything a response needs is
+	// copied out under a single hold of the lock workers finish jobs under.
+	var (
+		view  jobView
+		sched *paradigm.Schedule
+		p     *paradigm.Program
+	)
 	s.mu.Lock()
 	j, ok := s.jobs[id]
+	if ok {
+		view, sched, p = j.jobView, j.sched, j.p
+	}
 	s.mu.Unlock()
 	// An X-Tenant header scopes the lookup: another tenant's job id is
 	// indistinguishable from a nonexistent one.
-	if !ok || (r.Header.Get("X-Tenant") != "" && j.Tenant != r.Header.Get("X-Tenant")) {
+	if !ok || (r.Header.Get("X-Tenant") != "" && view.Tenant != r.Header.Get("X-Tenant")) {
 		http.Error(w, "no such job", http.StatusNotFound)
 		return
 	}
 	switch sub {
 	case "":
-		s.mu.Lock()
-		view := j.jobView
-		s.mu.Unlock()
 		writeJSON(w, http.StatusOK, view)
 	case "schedule":
-		s.mu.Lock()
-		res, p, status := j.res, j.p, j.Status
-		s.mu.Unlock()
-		if res == nil {
-			if status == "done" {
+		if sched == nil {
+			if status := view.Status; status == "done" {
 				// Reloaded from the journal: the digest survived the
 				// restart, the rendered schedule did not.
 				http.Error(w, "schedule not retained across restart; resubmit the job to regenerate it",
 					http.StatusGone)
 				return
 			}
-			http.Error(w, "job not finished: "+status, http.StatusConflict)
+			http.Error(w, "job not finished: "+view.Status, http.StatusConflict)
 			return
 		}
-		io.WriteString(w, res.Sched.Table(p.G))
+		io.WriteString(w, sched.Table(p.G))
 	default:
 		http.Error(w, "not found", http.StatusNotFound)
 	}
@@ -1220,6 +1327,10 @@ func smokeCycle(addr, machInfo string) error {
 		"alloc_cache_miss_total 1",
 		"sched_cache_miss_total 1",
 		"sched_cache_hit_total 1",
+		// Hot traffic takes the cheap path: the two jobs share one built
+		// program. (The smoke server has no checkpoint directory, hence
+		// no WAL counters to assert on.)
+		"paradigmd_programs_built_total 1",
 		"paradigmd_alloc_seconds_sched_cache",
 		"paradigmd_tenant_fairness_jain 1",
 		machInfo,

@@ -313,6 +313,7 @@ func TestServiceCoalesceStress(t *testing.T) {
 // pins; wall-clock histograms and journal byte counters stay out.
 var goldenMetricPrefixes = []string{
 	"paradigmd_tenant_", "paradigmd_jobs_", "sched_cache_", "alloc_cache_",
+	"paradigmd_wal_materialized_", "paradigmd_programs_",
 }
 
 // TestMetricsTenantGolden pins the tenant-facing /metrics output —
@@ -320,7 +321,10 @@ var goldenMetricPrefixes = []string{
 // coalesce counters — for a fixed submission sequence. Intentional
 // changes are re-blessed with -update.
 func TestMetricsTenantGolden(t *testing.T) {
-	srv, hs := testServerPolicy(t, "", 8, 0, tenantPolicy)
+	// A checkpoint directory, so that the WAL counters are live: acme's
+	// solve materializes a WAL and has it collected, hobby's job replays
+	// acme's plan and touches none, and both share one built program.
+	srv, hs := testServerPolicy(t, t.TempDir(), 8, 0, tenantPolicy)
 	const spec = `{"program":"cmm","size":16,"procs":4,"tenant":%q}`
 	acceptJob(t, hs.URL, fmt.Sprintf(spec, "acme"))
 	acceptJob(t, hs.URL, fmt.Sprintf(spec, "acme")) // coalesces

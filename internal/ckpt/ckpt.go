@@ -20,6 +20,18 @@
 // classic WAL ordering — extending the guarantee to kernel crashes and
 // power loss at roughly a millisecond per commit on ext4.
 //
+// Deferred logs. A log opened with OpenDeferred over a path that does
+// not exist yet buffers its commits as (stage, encode closure) pairs and
+// neither encodes a payload nor touches the filesystem until Materialize
+// — which the pipeline calls from the first stage worth logging: a
+// fitted calibration, a solved allocation, a salvage — encodes the
+// buffered stages in commit order and publishes the whole image by the
+// same temp + rename that creates an eager log. From then on it is an
+// ordinary log. A run whose every stage was a cache replay therefore
+// never creates a file: with no log it replays from scratch, to the same
+// result, in less time than logging it took. Create and Open are the
+// deferred log materialized at once.
+//
 // Integrity model. The file opens with an 8-byte magic, a format
 // version, and the committed-region pointer (byte length + CRC-32 of
 // the whole committed region); each record additionally carries a
@@ -43,7 +55,6 @@ package ckpt
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -119,8 +130,11 @@ type Log struct {
 	byStage map[string]int // stage -> latest record index
 	// encoded is the committed on-disk image (header + records): the
 	// append offset and commit pointer are derived from it, so Commit
-	// never re-encodes or rewrites records already on disk.
+	// never re-encodes or rewrites records already on disk. It is nil
+	// while the log is deferred: no file exists, and pending holds the
+	// commits accepted so far, payloads not yet encoded.
 	encoded []byte
+	pending []pendingCommit
 	// f is the write handle, opened lazily on first Commit and
 	// released by Close. A closed log reopens on the next Commit.
 	f *os.File
@@ -134,12 +148,19 @@ type Log struct {
 	onCommit func(stage string, seq int)
 }
 
+// pendingCommit is one commit a deferred log has accepted but not
+// written: encode runs at Materialize, or never.
+type pendingCommit struct {
+	stage  string
+	encode func() ([]byte, error)
+}
+
 // Create starts a fresh log at path, truncating any existing file. The
 // empty log (header only) is published atomically (write-to-temp +
 // rename) before Create returns.
 func Create(path string) (*Log, error) {
-	l := &Log{path: path, byStage: map[string]int{}, encoded: Encode(nil)}
-	if err := l.publish(); err != nil {
+	l := &Log{path: path, byStage: map[string]int{}}
+	if err := l.Materialize(); err != nil {
 		return nil, err
 	}
 	return l, nil
@@ -149,9 +170,22 @@ func Create(path string) (*Log, error) {
 // This is the "checkpoint this run, resuming if a previous attempt was
 // killed" entry point.
 func Open(path string) (*Log, error) {
+	l, err := OpenDeferred(path)
+	if err == nil {
+		err = l.Materialize()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// OpenDeferred resumes the log at path if it exists; otherwise it
+// returns a deferred log, whose file is created by Materialize.
+func OpenDeferred(path string) (*Log, error) {
 	l, err := Load(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return Create(path)
+		return &Log{path: path, byStage: map[string]int{}}, nil
 	}
 	return l, err
 }
@@ -183,7 +217,11 @@ func Load(path string) (*Log, error) {
 // Path returns the log's file path.
 func (l *Log) Path() string { return l.path }
 
-// Len returns the number of committed records.
+// Len returns the number of committed records. Commits a deferred log
+// has only buffered are not among them, nor visible to Stages, Records
+// or Lookup: until Materialize they are durable nowhere. (The pipeline
+// looks a stage up only before it commits it, so a run never needs to
+// read its own buffer.)
 func (l *Log) Len() int { return len(l.records) }
 
 // Stages lists the committed stage names in commit order (duplicates
@@ -245,8 +283,24 @@ func (l *Log) Close() error {
 // writes succeed, so a failed commit leaves both views at the previous
 // record.
 func (l *Log) Commit(stage string, payload []byte) error {
+	payload = append([]byte(nil), payload...)
+	return l.CommitFunc(stage, func() ([]byte, error) { return payload, nil })
+}
+
+// CommitFunc is Commit with the payload still to be encoded: a deferred
+// log keeps the closure and runs it at Materialize, if that ever comes;
+// a materialized log runs it now. The log owns the bytes it returns.
+func (l *Log) CommitFunc(stage string, encode func() ([]byte, error)) error {
 	if stage == "" || len(stage) > maxStageLen {
 		return fmt.Errorf("ckpt: invalid stage name %q", stage)
+	}
+	if l.encoded == nil {
+		l.pending = append(l.pending, pendingCommit{stage, encode})
+		return nil
+	}
+	payload, err := encode()
+	if err != nil {
+		return fmt.Errorf("ckpt: encode %s: %w", stage, err)
 	}
 	rec := encodeRecord(stage, payload)
 	// The committed-region CRC extends incrementally over the new record
@@ -259,21 +313,46 @@ func (l *Log) Commit(stage string, payload []byte) error {
 	l.encoded = append(l.encoded, rec...)
 	binary.LittleEndian.PutUint32(l.encoded[ptrOffset:], uint32(len(l.encoded)-headerLen))
 	binary.LittleEndian.PutUint32(l.encoded[ptrOffset+4:], crc)
-	l.records = append(l.records, Record{Stage: stage, Seq: len(l.records), Payload: append([]byte(nil), payload...)})
-	l.byStage[stage] = len(l.records) - 1
-	if l.onCommit != nil {
-		l.onCommit(stage, len(l.records)-1)
-	}
+	l.committed(Record{Stage: stage, Seq: len(l.records), Payload: payload})
 	return nil
 }
 
-// CommitJSON marshals v and commits it under stage.
-func (l *Log) CommitJSON(stage string, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("ckpt: encode %s: %w", stage, err)
+// committed registers a record that has just become durable.
+func (l *Log) committed(r Record) {
+	l.records = append(l.records, r)
+	l.byStage[r.Stage] = r.Seq
+	if l.onCommit != nil {
+		l.onCommit(r.Stage, r.Seq)
 	}
-	return l.Commit(stage, data)
+}
+
+// Materialize gives a deferred log its file: the buffered commits are
+// encoded in order and the whole image is published atomically, so the
+// path goes from absent to holding every stage accepted so far. On a
+// log that already has a file it does nothing. A failure leaves the log
+// deferred, its buffer intact.
+func (l *Log) Materialize() error {
+	if l.encoded != nil {
+		return nil
+	}
+	records := make([]Record, len(l.pending))
+	for i, p := range l.pending {
+		payload, err := p.encode()
+		if err != nil {
+			return fmt.Errorf("ckpt: encode %s: %w", p.stage, err)
+		}
+		records[i] = Record{Stage: p.stage, Seq: i, Payload: payload}
+	}
+	l.encoded = Encode(records)
+	if err := l.publish(); err != nil {
+		l.encoded = nil
+		return err
+	}
+	l.pending = nil
+	for _, r := range records {
+		l.committed(r)
+	}
+	return nil
 }
 
 // appendRecord writes rec after the committed region and publishes it
@@ -323,7 +402,7 @@ func (l *Log) appendRecord(rec []byte, crc uint32) error {
 
 // publish writes the full in-memory image atomically: temp file in the
 // same directory (rename must not cross filesystems), then rename.
-// Used to create the log; commits go through appendRecord.
+// Used to materialize the log; later commits go through appendRecord.
 func (l *Log) publish() error {
 	dir := filepath.Dir(l.path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(l.path)+".tmp*")

@@ -338,3 +338,140 @@ func TestFullSyncCommitAndReload(t *testing.T) {
 		t.Fatalf("Lookup(alloc) = %q, %d, %v", payload, seq, ok)
 	}
 }
+
+// A deferred log is nowhere on disk — no file, no temp file — and has
+// encoded nothing until Materialize; it then holds, byte for byte, what
+// an eager log given the same commits holds, later commits included, and
+// a Load of it resumes the same records.
+func TestDeferredLogMaterializesLikeEager(t *testing.T) {
+	dir := t.TempDir()
+	commits := []struct{ stage, payload string }{
+		{StageMeta, `{"program":"cmm"}`},
+		{StageAlloc, `{"p":[1,2,4]}`},
+		{StageSched, `{"entries":[]}`},
+		{StageDone, `{"makespan":3}`},
+	}
+	const buffered = 2 // commits accepted before Materialize
+
+	eager, err := Create(filepath.Join(dir, "eager.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazyPath := filepath.Join(dir, "lazy.wal")
+	lazy, err := OpenDeferred(lazyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hooked []string
+	lazy.OnCommit(func(stage string, seq int) { hooked = append(hooked, stage) })
+	encoded := 0
+	for i, c := range commits {
+		if i == buffered {
+			if lazy.Len() != 0 || len(lazy.Stages()) != 0 || encoded != 0 || len(hooked) != 0 {
+				t.Fatalf("deferred log reports %d records, %d encodes, hooks %v before Materialize", lazy.Len(), encoded, hooked)
+			}
+			if _, _, ok := lazy.Lookup(StageMeta); ok {
+				t.Fatal("a buffered stage is visible to Lookup")
+			}
+			if names := dirNames(t, dir); len(names) != 1 || names[0] != "eager.wal" {
+				t.Fatalf("deferred log touched the directory: %v", names)
+			}
+			if err := lazy.Materialize(); err != nil {
+				t.Fatal(err)
+			}
+			if encoded != buffered || len(hooked) != buffered || hooked[0] != StageMeta || hooked[1] != StageAlloc {
+				t.Fatalf("Materialize ran %d encodes, hooks %v", encoded, hooked)
+			}
+		}
+		if err := eager.Commit(c.stage, []byte(c.payload)); err != nil {
+			t.Fatal(err)
+		}
+		if err := lazy.CommitFunc(c.stage, func() ([]byte, error) { encoded++; return []byte(c.payload), nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lazy.Materialize(); err != nil { // a second one is a no-op
+		t.Fatal(err)
+	}
+	if err := eager.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := lazy.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if names := dirNames(t, dir); len(names) != 2 {
+		t.Fatalf("directory holds %v, want the two logs and no temp file", names)
+	}
+	want, err := os.ReadFile(eager.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(lazyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("materialized log differs from the eager one:\n%q\n%q", got, want)
+	}
+	re, err := OpenDeferred(lazyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Len() != len(commits) {
+		t.Fatalf("reopened materialized log has %d records, want %d", re.Len(), len(commits))
+	}
+	for i, c := range commits {
+		if data, seq, ok := re.Lookup(c.stage); !ok || seq != i || string(data) != c.payload {
+			t.Fatalf("resumed %s = %q seq %d ok %v", c.stage, data, seq, ok)
+		}
+	}
+}
+
+// A deferred log that never materializes leaves nothing behind, and one
+// whose encode fails stays deferred with its buffer intact.
+func TestDeferredLogWithoutMaterialize(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenDeferred(filepath.Join(dir, "job.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	fail := true
+	if err := l.CommitFunc(StageMeta, func() ([]byte, error) {
+		if fail {
+			return nil, boom
+		}
+		return []byte("m"), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Materialize(); !errors.Is(err, boom) {
+		t.Fatalf("Materialize = %v, want the encode error", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if names := dirNames(t, dir); len(names) != 0 {
+		t.Fatalf("unmaterialized log left %v", names)
+	}
+	fail = false
+	if err := l.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	if data, _, ok := l.Lookup(StageMeta); !ok || string(data) != "m" {
+		t.Fatalf("buffer lost across the failed Materialize: %q %v", data, ok)
+	}
+}
+
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
+}

@@ -155,12 +155,57 @@ func findSmallestDuplicate(sig []uint64) uint64 {
 	return best
 }
 
+// canonMemo is one memoised CanonicalHash answer and the state it was
+// computed from.
+type canonMemo struct {
+	gen, sum uint64
+	hash     string
+	perm     []NodeID
+}
+
+// contentSum is an order-sensitive checksum of every field CanonicalHash
+// reads, O(nodes + edges + transfers) with no allocation. Nodes and Edges
+// are exported and callers do write them in place (a fitted α, a
+// transfer size), which no mutation counter sees; the checksum does.
+func (g *Graph) contentSum() uint64 {
+	h := combine(uint64(len(g.Nodes)), uint64(len(g.Edges)))
+	for _, nd := range g.Nodes {
+		h = combine(combine(h, math.Float64bits(nd.Alpha)), math.Float64bits(nd.Tau))
+	}
+	for _, e := range g.Edges {
+		h = combine(combine(combine(h, uint64(e.From)), uint64(e.To)), uint64(len(e.Transfers)))
+		for _, tr := range e.Transfers {
+			h = combine(combine(h, uint64(tr.Bytes)), uint64(tr.Kind))
+		}
+	}
+	return h
+}
+
 // CanonicalHash returns a collision-resistant digest of g's canonical
 // form along with the canonicalizing permutation (perm[i] = canonical
 // index of node i). The digest covers node count, per-node α/τ bits in
 // canonical order, and the canonical edge list with sorted transfer
 // multisets — everything the cost model reads, nothing it doesn't.
+//
+// The answer is memoised on the graph and replayed while the graph is
+// unchanged — same mutation count, same content checksum — so a shared,
+// frozen program is canonicalized once, not once per job. The returned
+// perm is shared; callers must not modify it.
 func (g *Graph) CanonicalHash() (string, []NodeID, error) {
+	gen, sum := g.gen, g.contentSum()
+	if m := g.canon.Load(); m != nil && m.gen == gen && m.sum == sum {
+		return m.hash, m.perm, nil
+	}
+	hash, perm, err := g.canonicalHash()
+	if err != nil {
+		return "", nil, err
+	}
+	g.canon.Store(&canonMemo{gen: gen, sum: sum, hash: hash, perm: perm})
+	return hash, perm, nil
+}
+
+// canonicalHash computes CanonicalHash's answer from scratch.
+func (g *Graph) canonicalHash() (string, []NodeID, error) {
 	perm, err := g.CanonicalPerm()
 	if err != nil {
 		return "", nil, err

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -100,32 +101,50 @@ type Edge struct {
 }
 
 // Graph is a mutable MDG. The zero value is an empty graph ready for use.
-// Mutation (AddNode, AddEdge, EnsureStartStop, UnmarshalJSON) is not safe
-// for concurrent use, but once construction is done any number of
-// goroutines may read the graph concurrently — the lazy adjacency index
-// is rebuilt under a lock with an atomic fast path, so parallel
-// experiment drivers can share one graph across allocator, scheduler and
-// simulator tasks.
+// Mutation (AddNode, AddEdge, EnsureStartStop, UnmarshalJSON, writes to
+// the exported fields) is not safe for concurrent use, but once
+// construction is done any number of goroutines may read the graph
+// concurrently — the lazy adjacency lists and the canonical-form memo are
+// published atomically — so parallel experiment drivers and the service's
+// workers can share one graph across allocator, scheduler and simulator.
 type Graph struct {
 	Nodes []Node
 	Edges []Edge
 
-	// adjacency caches; rebuilt lazily after mutation. ready is true
-	// while the caches match Nodes/Edges; mu serializes rebuilds so
-	// concurrent readers of a freshly built graph stay race-free.
+	// edgeIdx maps (from, to) to the edge's position in Edges. AddEdge
+	// extends it in place, so building a graph is linear in its edges;
+	// idxEdges is the len(Edges) it covers, and an edge list assigned or
+	// appended to behind the graph's back makes the two disagree and the
+	// next use rebuild.
+	edgeIdx  map[[2]NodeID]int
+	idxEdges int
+	// preds/succs are derived lazily: adj holds shape() as of their last
+	// build (0: never built), so growth of either exported slice
+	// invalidates them by itself. mu serializes rebuilds; a reader whose
+	// adj matches takes no lock.
 	mu           sync.Mutex
-	ready        atomic.Bool
+	adj          atomic.Uint64
 	preds, succs [][]NodeID
-	edgeIdx      map[[2]NodeID]int
+
+	// gen counts mutations through the methods; with a content checksum
+	// it keys the canonical-form memo (canonical.go).
+	gen   uint64
+	canon atomic.Pointer[canonMemo]
 }
 
 // NumNodes returns the node count.
 func (g *Graph) NumNodes() int { return len(g.Nodes) }
 
+// shape packs the node and edge counts into the nonzero value adj is
+// compared against.
+func (g *Graph) shape() uint64 {
+	return uint64(len(g.Nodes))<<32 | uint64(len(g.Edges)) + 1
+}
+
 // AddNode appends a node and returns its id.
 func (g *Graph) AddNode(n Node) NodeID {
 	g.Nodes = append(g.Nodes, n)
-	g.ready.Store(false)
+	g.gen++
 	return NodeID(len(g.Nodes) - 1)
 }
 
@@ -133,30 +152,46 @@ func (g *Graph) AddNode(n Node) NodeID {
 // transfers. Adding an edge between the same pair twice merges the
 // transfer lists.
 func (g *Graph) AddEdge(from, to NodeID, transfers ...Transfer) {
-	g.ensureIndex()
-	if i, ok := g.edgeIdx[[2]NodeID{from, to}]; ok {
+	g.gen++
+	idx := g.edgeIndex()
+	if i, ok := idx[[2]NodeID{from, to}]; ok {
 		g.Edges[i].Transfers = append(g.Edges[i].Transfers, transfers...)
 		return
 	}
 	g.Edges = append(g.Edges, Edge{From: from, To: to, Transfers: append([]Transfer(nil), transfers...)})
-	g.ready.Store(false)
+	idx[[2]NodeID{from, to}] = len(g.Edges) - 1
+	g.idxEdges = len(g.Edges)
+}
+
+// edgeIndex returns edgeIdx covering every edge, rebuilding it only when
+// Edges changed length outside AddEdge. Mutators call it directly;
+// readers reach it through ensureIndex, under mu.
+func (g *Graph) edgeIndex() map[[2]NodeID]int {
+	if g.edgeIdx == nil || g.idxEdges != len(g.Edges) {
+		g.edgeIdx = make(map[[2]NodeID]int, len(g.Edges))
+		for i, e := range g.Edges {
+			g.edgeIdx[[2]NodeID{e.From, e.To}] = i
+		}
+		g.idxEdges = len(g.Edges)
+	}
+	return g.edgeIdx
 }
 
 func (g *Graph) ensureIndex() {
-	if g.ready.Load() {
+	shape := g.shape()
+	if g.adj.Load() == shape {
 		return
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.ready.Load() {
+	if g.adj.Load() == shape {
 		return
 	}
+	g.edgeIndex()
 	n := len(g.Nodes)
 	g.preds = make([][]NodeID, n)
 	g.succs = make([][]NodeID, n)
-	g.edgeIdx = make(map[[2]NodeID]int, len(g.Edges))
-	for i, e := range g.Edges {
-		g.edgeIdx[[2]NodeID{e.From, e.To}] = i
+	for _, e := range g.Edges {
 		g.succs[e.From] = append(g.succs[e.From], e.To)
 		g.preds[e.To] = append(g.preds[e.To], e.From)
 	}
@@ -164,12 +199,10 @@ func (g *Graph) ensureIndex() {
 		sortIDs(g.preds[i])
 		sortIDs(g.succs[i])
 	}
-	g.ready.Store(true)
+	g.adj.Store(shape)
 }
 
-func sortIDs(ids []NodeID) {
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-}
+func sortIDs(ids []NodeID) { slices.Sort(ids) }
 
 // Preds returns the predecessor ids of n in ascending order. The returned
 // slice is shared; callers must not modify it.
@@ -459,6 +492,8 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	}
 	g.Nodes = jg.Nodes
 	g.Edges = jg.Edges
-	g.ready.Store(false)
+	g.gen++
+	g.edgeIdx = nil
+	g.adj.Store(0)
 	return g.Validate()
 }

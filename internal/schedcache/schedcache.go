@@ -76,9 +76,15 @@ func (e Entry) clone() Entry {
 	return e
 }
 
-// Cache is a sharded, bounded LRU over exact keys.
-type Cache struct {
+// Cache is a sharded, bounded LRU from exact keys to values of type V.
+// The schedule cache is a Cache[Entry]; the service also keeps its built
+// programs in one (NewOf), rather than in an LRU of its own.
+type Cache[V any] struct {
 	shards []*shard
+	// clone copies a value on its way in and on its way out, so cached
+	// state and caller state never alias; nil hands out the stored value
+	// itself, for values nobody writes once they are stored.
+	clone func(V) V
 }
 
 type shard struct {
@@ -88,22 +94,31 @@ type shard struct {
 	m   map[string]*list.Element // exact key -> element
 }
 
-type cacheItem struct {
+type cacheItem[V any] struct {
 	key   string
-	entry Entry
+	value V
 }
 
-// New creates a cache holding at most capacity entries spread over the
-// given number of shards (minimums 1 and 1; each shard holds at least
-// one entry, so the effective capacity is max(capacity, shards)).
-func New(capacity, shards int) *Cache {
+// New creates a schedule cache holding at most capacity entries spread
+// over the given number of shards (minimums 1 and 1; each shard holds at
+// least one entry, so the effective capacity is max(capacity, shards)).
+func New(capacity, shards int) *Cache[Entry] {
+	return NewOf(capacity, shards, Entry.clone)
+}
+
+// NewOf is New for any value type, with the copy discipline the values
+// need (see Cache.clone).
+func NewOf[V any](capacity, shards int, clone func(V) V) *Cache[V] {
 	if shards < 1 {
 		shards = 1
 	}
 	if capacity < shards {
 		capacity = shards
 	}
-	c := &Cache{shards: make([]*shard, shards)}
+	if clone == nil {
+		clone = func(v V) V { return v }
+	}
+	c := &Cache[V]{shards: make([]*shard, shards), clone: clone}
 	per := capacity / shards
 	extra := capacity % shards
 	for i := range c.shards {
@@ -121,7 +136,7 @@ func New(capacity, shards int) *Cache {
 }
 
 // shardFor routes a key to its shard by FNV-1a.
-func (c *Cache) shardFor(key string) *shard {
+func (c *Cache[V]) shardFor(key string) *shard {
 	if len(c.shards) == 1 {
 		return c.shards[0]
 	}
@@ -131,7 +146,7 @@ func (c *Cache) shardFor(key string) *shard {
 }
 
 // Len reports the number of stored entries across all shards.
-func (c *Cache) Len() int {
+func (c *Cache[V]) Len() int {
 	n := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
@@ -142,37 +157,38 @@ func (c *Cache) Len() int {
 }
 
 // Shards reports the shard count.
-func (c *Cache) Shards() int { return len(c.shards) }
+func (c *Cache[V]) Shards() int { return len(c.shards) }
 
-// Get returns the entry stored under the exact key, marking it most
+// Get returns the value stored under the exact key, marking it most
 // recently used in its shard.
-func (c *Cache) Get(key string) (Entry, bool) {
+func (c *Cache[V]) Get(key string) (V, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, ok := s.m[key]
 	if !ok {
-		return Entry{}, false
+		var zero V
+		return zero, false
 	}
 	s.ll.MoveToFront(el)
-	return el.Value.(*cacheItem).entry.clone(), true
+	return c.clone(el.Value.(*cacheItem[V]).value), true
 }
 
-// Put stores the entry under the exact key, evicting the least recently
+// Put stores the value under the exact key, evicting the least recently
 // used entry of the key's shard past its capacity.
-func (c *Cache) Put(key string, e Entry) {
+func (c *Cache[V]) Put(key string, v V) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.m[key]; ok {
-		el.Value.(*cacheItem).entry = e.clone()
+		el.Value.(*cacheItem[V]).value = c.clone(v)
 		s.ll.MoveToFront(el)
 		return
 	}
-	s.m[key] = s.ll.PushFront(&cacheItem{key: key, entry: e.clone()})
+	s.m[key] = s.ll.PushFront(&cacheItem[V]{key: key, value: c.clone(v)})
 	for s.ll.Len() > s.cap {
 		oldest := s.ll.Back()
 		s.ll.Remove(oldest)
-		delete(s.m, oldest.Value.(*cacheItem).key)
+		delete(s.m, oldest.Value.(*cacheItem[V]).key)
 	}
 }

@@ -238,11 +238,10 @@ func CalibrateContext(ctx context.Context, m Machine, opts ...Option) (cal *Cali
 		return nil, budgetErr(ctx, "calibrate", c.budgets.Calibrate, err)
 	}
 	if c.ckptActive() {
-		payload, perr := ckpt.EncodeCalibration(cal.Snapshot())
-		if perr != nil {
-			return nil, fmt.Errorf("paradigm: encode calibration checkpoint: %w", perr)
-		}
-		if cerr := c.ckptCommit(ckpt.StageCalibrate, payload); cerr != nil {
+		// The snapshot is taken now: loop fits join the calibration
+		// lazily, and the record is the sweep's outcome, not theirs.
+		snap := cal.Snapshot()
+		if cerr := c.ckptCommit(ckpt.StageCalibrate, true, func() ([]byte, error) { return ckpt.EncodeCalibration(snap) }); cerr != nil {
 			return nil, cerr
 		}
 	}
@@ -294,11 +293,7 @@ func (c *config) codegenStage(ctx context.Context, p *Program, s *Schedule) (*co
 		return nil, budgetErr(ctx, "codegen", c.budgets.Codegen, err)
 	}
 	if c.ckptActive() {
-		payload, perr := ckpt.EncodeStreams(streams)
-		if perr != nil {
-			return nil, fmt.Errorf("paradigm: encode codegen checkpoint: %w", perr)
-		}
-		if cerr := c.ckptCommit(ckpt.StageCodegen, payload); cerr != nil {
+		if cerr := c.ckptCommit(ckpt.StageCodegen, false, func() ([]byte, error) { return ckpt.EncodeStreams(streams) }); cerr != nil {
 			return nil, cerr
 		}
 	}

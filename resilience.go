@@ -185,15 +185,14 @@ func (c *config) allocStage(ctx context.Context, g *Graph, model Model, procs in
 }
 
 // allocCommit checkpoints a successful allocation before returning it.
+// An allocation a solver produced is what a deferred checkpoint exists
+// for; one replayed from a cache is not worth a file.
 func (c *config) allocCommit(ar Allocation, err error) (Allocation, error) {
 	if err != nil || !c.ckptActive() {
 		return ar, err
 	}
-	payload, perr := ckpt.EncodeAlloc(ar)
-	if perr != nil {
-		return Allocation{}, fmt.Errorf("paradigm: encode allocation checkpoint: %w", perr)
-	}
-	if cerr := c.ckptCommit(ckpt.StageAlloc, payload); cerr != nil {
+	solved := ar.Backend != alloc.BackendCache && ar.Backend != BackendSchedCache
+	if cerr := c.ckptCommit(ckpt.StageAlloc, solved, func() ([]byte, error) { return ckpt.EncodeAlloc(ar) }); cerr != nil {
 		return Allocation{}, cerr
 	}
 	return ar, nil
@@ -230,9 +229,5 @@ func (c *config) schedCommit(s *Schedule) error {
 	if !c.ckptActive() {
 		return nil
 	}
-	payload, perr := ckpt.EncodeSchedule(s)
-	if perr != nil {
-		return fmt.Errorf("paradigm: encode schedule checkpoint: %w", perr)
-	}
-	return c.ckptCommit(ckpt.StageSched, payload)
+	return c.ckptCommit(ckpt.StageSched, false, func() ([]byte, error) { return ckpt.EncodeSchedule(s) })
 }

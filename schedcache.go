@@ -16,7 +16,8 @@
 // the journaled run, not whatever the cache holds today. On a cache hit
 // with a fresh checkpoint attached, the replayed stages are committed to
 // the log exactly as a cold solve would commit them, so a later resume
-// behaves identically.
+// behaves identically — except that a replay is not what a deferred
+// checkpoint (OpenDeferredCheckpoint) creates its file for.
 
 package paradigm
 
@@ -37,7 +38,7 @@ import (
 // ScheduleCache is the bounded, sharded LRU memoizing full
 // allocate→schedule pipeline results. Share one across calls via
 // WithScheduleCache; all methods are safe for concurrent use.
-type ScheduleCache = schedcache.Cache
+type ScheduleCache = schedcache.Cache[schedcache.Entry]
 
 // SchedCacheEvent reports one schedule-cache lookup ("hit"/"miss").
 type SchedCacheEvent = obs.SchedCache
@@ -181,7 +182,9 @@ func (c *config) planStages(ctx context.Context, g *Graph, model Model, procs in
 		// and the solve counters keep working.
 		c.emit(obs.AllocDone{Backend: string(BackendSchedCache), Phi: ar.Phi})
 		// Commit the replayed stages exactly as a cold solve would, so a
-		// crash after this point resumes from the WAL as usual.
+		// crash after this point resumes from the WAL as usual (a deferred
+		// checkpoint only remembers them: planFromEntry labels the
+		// allocation a replay).
 		if _, cerr := c.allocCommit(ar, nil); cerr != nil {
 			return Allocation{}, nil, cerr
 		}
