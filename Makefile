@@ -14,8 +14,12 @@ ci: fmt-check vet build test-race fuzz-smoke bench-smoke bench-module smoke-para
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# The second line vets the simulator's compute plane as another
+# architecture sees it: the portable file set keeps compiling there, and
+# on amd64 asmdecl holds the assembly to its Go declarations.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/matrix/ ./internal/sim/
 
 build:
 	$(GO) build ./...
@@ -48,14 +52,16 @@ fuzz-smoke:
 # the allocation paths, the program build (whose allocs/op is where an
 # AddEdge gone quadratic again would show), the Run pairs behind the
 # observability, recovery and checkpoint budgets, the simulator's data
-# plane and its strip kernel, the service's submit, load and cluster-load
-# benchmarks: enough to catch one that no longer compiles or errors out.
+# plane and its strip kernel (a wide shape and a narrow, odd one that ends
+# in every tail the vector kernel has, each reporting multiply-adds per
+# second), the service's submit, load and cluster-load benchmarks: enough
+# to catch one that no longer compiles or errors out.
 # It writes no file.
 # The numbers the documents quote are the committed BENCH_PR*.json;
 # measurements come from the repo's benchmark (bench/).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTable2TransferFit|BenchmarkAllocSolve|BenchmarkBuildStrassen128|BenchmarkRunNilObserver|BenchmarkRunWithObserver|BenchmarkRunNoFaults|BenchmarkRunWithRecovery|BenchmarkRunNoCheckpoint|BenchmarkRunWithCheckpoint|BenchmarkRunCMM256P64|BenchmarkSimRunCMM256P64' -benchtime=1x -benchmem .
-	$(GO) test -run '^$$' -bench 'BenchmarkMulStrip16x256x256' -benchtime=1x -benchmem ./internal/matrix/
+	$(GO) test -run '^$$' -bench 'BenchmarkMulStrip' -benchtime=1x -benchmem ./internal/matrix/
 	$(GO) test -run '^$$' -bench 'BenchmarkSubmit|BenchmarkServiceLoad|BenchmarkClusterLoad' -benchtime=1x -benchmem ./cmd/paradigmd/
 
 # The repo's benchmark (BENCHMARK.json, bench/) is a Go module of its

@@ -255,10 +255,13 @@ func minimize(obj Objective, lower, upper, x0 []float64, opts Options, ws *works
 		}
 
 		// Armijo backtracking on the projected step. The first trial is
-		// evaluated with a fused value+gradient pass: the spectral step
-		// is accepted without backtracking in the vast majority of
-		// iterations, and fusing saves the redundant value recomputation
-		// the old accept path paid just to obtain the gradient.
+		// evaluated with a fused value+gradient pass, which saves an
+		// accepted first trial the second evaluation it would otherwise
+		// pay just to obtain the gradient. Most iterations are such, but
+		// they are not where the evaluations go: on the Strassen-128 solve
+		// (16 967 iterations) 73 % accept the spectral step as it is, and
+		// the 27 % that backtrack take ≈ 6 evaluations each — 69 % of all
+		// evaluations, 2.35 per iteration overall.
 		accepted := false
 		gradReady := false
 		var fNew float64

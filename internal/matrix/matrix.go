@@ -108,18 +108,38 @@ func Mul(dst, a, b *Matrix) error {
 	return MulStrip(dst, a, 0, a.Rows, b, 0, b.Cols)
 }
 
+// axpy4Vec is the vector form of one group of four: for one row of dst
+// (rows = 1) or two adjacent ones (rows = 2), each w wide, it adds the
+// products of the row's four a values at a — the second row's are inner
+// further on — with the four b rows at b, stride apart; first starts the
+// sums from +0 instead of from what d holds. Element for element it
+// performs axpy4's operations in axpy4's order. It is nil unless the
+// architecture's file (matrix_amd64.go) has a kernel this CPU can run, in
+// which case its init sets it, once; tests clear it to reach the portable
+// path on the same machine.
+var axpy4Vec func(d, a, b *float64, w, inner, stride, rows int, first bool)
+
 // MulStrip computes dst = a[r0:r1, :] · b[:, c0:c1], reading both strips
 // in place. dst is (r1-r0)×(c1-c0) and must not alias a or b. Operand
 // shapes that do not fit each other are an error; a strip outside its
 // operand panics, as Block does.
 //
 // Every output element accumulates its products in ascending k starting
-// from zero, and a zero a[i][k] contributes nothing (so 0·Inf never
-// poisons a row): the result is the classical ikj triple loop's, bit for
-// bit. The k loop is unrolled four deep so the accumulator stays in a
-// register across four products instead of making a round trip through
-// dst for each; a group of four with a zero among its a values takes the
-// one-at-a-time path, which is what keeps the skip exact.
+// from zero, each product and each sum rounded on its own, and a zero
+// a[i][k] contributes nothing (so 0·Inf never poisons a row): the result
+// is the classical ikj triple loop's, bit for bit. The k loop runs in
+// groups of four so the accumulator stays in a register across four
+// products instead of making a round trip through dst for each, and a
+// group with a zero among its a values takes the one-at-a-time path,
+// which is what keeps the skip exact. dst is not cleared in a pass of its
+// own: a row is cleared as its first group begins, or, by the vector
+// kernel, not at all — its first group starts from a zero register.
+//
+// There are two inner paths, chosen once per process. The portable one is
+// axpy4. Where axpy4Vec is set, a group goes to it instead, for two rows
+// of dst at once when neither row's four a values hold a zero and for one
+// row otherwise; every element still sees the same operations in the same
+// order, so which path ran cannot be told from the result.
 func MulStrip(dst, a *Matrix, r0, r1 int, b *Matrix, c0, c1 int) error {
 	if a.Cols != b.Rows {
 		return fmt.Errorf("matrix: inner dimensions %d vs %d", a.Cols, b.Rows)
@@ -131,43 +151,81 @@ func MulStrip(dst, a *Matrix, r0, r1 int, b *Matrix, c0, c1 int) error {
 	if dst.Rows != r1-r0 || dst.Cols != c1-c0 {
 		return fmt.Errorf("matrix: dst shape %dx%d, want %dx%d", dst.Rows, dst.Cols, r1-r0, c1-c0)
 	}
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
 	w, inner, stride := c1-c0, a.Cols, b.Cols
 	if w == 0 {
 		return nil
 	}
-	// brow is row k of the b strip, cut to the output width so the inner
-	// loops index it without bounds checks.
-	brow := func(k int) []float64 { return b.Data[k*stride+c0:][:w] }
-	for i := r0; i < r1; i++ {
-		arow := a.Data[i*inner : (i+1)*inner]
-		drow := dst.Data[(i-r0)*w:][:w]
-		k := 0
-		for ; k+4 <= inner; k += 4 {
-			a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-			if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
-				for kk := k; kk < k+4; kk++ {
-					axpy(drow, arow[kk], brow(kk))
-				}
+	grouped := inner &^ 3 // the k below this come in whole groups of four
+	if grouped == 0 {
+		clear(dst.Data) // no first group will start the rows from zero
+	}
+	vec := axpy4Vec
+	for i, rows := r0, 0; i < r1; i += rows {
+		// Two rows at a time where there is a vector kernel and a second
+		// row; arows and drows are those rows of a and dst, end to end.
+		rows = 1
+		if vec != nil && i+1 < r1 {
+			rows = 2
+		}
+		arows := a.Data[i*inner:][:rows*inner]
+		drows := dst.Data[(i-r0)*w:][:rows*w]
+		for k := 0; k < grouped; k += 4 {
+			bk := b.Data[k*stride+c0:] // the group's four b rows start stride apart
+			if rows == 2 && !hasZero(arows[k:]) && !hasZero(arows[inner+k:]) {
+				vec(&drows[0], &arows[k], &bk[0], w, inner, stride, 2, k == 0)
 				continue
 			}
-			b0, b1, b2, b3 := brow(k), brow(k+1), brow(k+2), brow(k+3)
-			for j := range drow {
-				d := drow[j]
-				d += a0 * b0[j]
-				d += a1 * b1[j]
-				d += a2 * b2[j]
-				d += a3 * b3[j]
-				drow[j] = d
+			for r := 0; r < rows; r++ {
+				av, drow := arows[r*inner+k:][:4], drows[r*w:][:w]
+				zero := hasZero(av)
+				if vec != nil && !zero {
+					vec(&drow[0], &av[0], &bk[0], w, inner, stride, 1, k == 0)
+					continue
+				}
+				if k == 0 {
+					clear(drow)
+				}
+				if !zero {
+					axpy4(drow, av, bk, stride)
+					continue
+				}
+				for kk, x := range av {
+					axpy(drow, x, bk[kk*stride:][:w])
+				}
 			}
 		}
-		for ; k < inner; k++ {
-			axpy(drow, arow[k], brow(k))
+		for k := grouped; k < inner; k++ {
+			for r := 0; r < rows; r++ {
+				axpy(drows[r*w:][:w], arows[r*inner+k], b.Data[k*stride+c0:][:w])
+			}
 		}
 	}
 	return nil
+}
+
+// hasZero reports whether the four a values of the group that av starts
+// with hold a zero of either sign.
+func hasZero(av []float64) bool {
+	return av[0] == 0 || av[1] == 0 || av[2] == 0 || av[3] == 0
+}
+
+// axpy4 adds av[0]·b₀ + … + av[3]·b₃ to drow, in that order, one rounded
+// product and one rounded sum at a time, where bₖ is as long as drow and
+// starts k·stride into bk. It is the whole of the portable inner path,
+// and a function of its own so that its loop keeps every operand in a
+// register.
+func axpy4(drow, av, bk []float64, stride int) {
+	a0, a1, a2, a3 := av[0], av[1], av[2], av[3]
+	w := len(drow)
+	b0, b1, b2, b3 := bk[:w], bk[stride:][:w], bk[2*stride:][:w], bk[3*stride:][:w]
+	for j := range drow {
+		d := drow[j]
+		d += a0 * b0[j]
+		d += a1 * b1[j]
+		d += a2 * b2[j]
+		d += a3 * b3[j]
+		drow[j] = d
+	}
 }
 
 // axpy adds av·brow to drow, skipping a zero av. len(brow) == len(drow).

@@ -227,19 +227,32 @@ func BenchmarkMul64(b *testing.B) {
 	}
 }
 
-// BenchmarkMulStrip16x256x256 is one simulated processor's share of a
-// 256×256 multiply on a 16-wide group: a 16-row strip of A against the
-// whole of B, read in place.
-func BenchmarkMulStrip16x256x256(b *testing.B) {
+// benchMulStrip times MulStrip on a rows-row strip of A against a w-wide
+// strip of a B whose width is w rounded up to a multiple of 16, read in
+// place, and reports multiply-adds per second.
+func benchMulStrip(b *testing.B, rows, inner, w int) {
 	rng := rand.New(rand.NewSource(4))
-	x := rnd(rng, 256, 256)
-	y := rnd(rng, 256, 256)
-	dst := New(16, 256)
+	x := rnd(rng, rows+32, inner)
+	y := rnd(rng, inner, (w+15)&^15)
+	c0 := min(1, y.Cols-w) // an odd offset where the strip leaves room for one
+	dst := New(rows, w)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := MulStrip(dst, x, 32, 48, y, 0, 256); err != nil {
+		if err := MulStrip(dst, x, 32, 32+rows, y, c0, c0+w); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(rows*inner*w)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gmadd/s")
 }
+
+// BenchmarkMulStrip16x256x256 is one simulated processor's share of a
+// 256×256 multiply on a 16-wide group: a 16-row strip of A against the
+// whole of B.
+func BenchmarkMulStrip16x256x256(b *testing.B) { benchMulStrip(b, 16, 256, 256) }
+
+// BenchmarkMulStrip15x255x13 is a share of a grid layout on an odd size:
+// narrow, at an odd column offset, with a row left over after the pairs,
+// a column after the fours and three k after the groups — every tail the
+// kernel has.
+func BenchmarkMulStrip15x255x13(b *testing.B) { benchMulStrip(b, 15, 255, 13) }

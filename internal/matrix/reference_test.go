@@ -64,9 +64,22 @@ func specials() []float64 {
 // sameBits is the equality the bit-identity tests demand.
 func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
+// eachPath runs f on every inner path MulStrip has on this machine: with
+// the vector kernel, where init found one, and with it forced off, which
+// is the portable loop every other machine runs.
+func eachPath(f func(path string)) {
+	vec := axpy4Vec
+	defer func() { axpy4Vec = vec }()
+	if vec != nil {
+		f("vector")
+	}
+	axpy4Vec = nil
+	f("portable")
+}
+
 // checkStripBits multiplies the strip a[r0:r1,:]·b[:,c0:c1] in place with
-// MulStrip and, on copied strips, with refMul, and requires the two
-// results to agree in every bit.
+// MulStrip, on each of its paths, and, on copied strips, with refMul, and
+// requires the results to agree in every bit.
 func checkStripBits(t *testing.T, a *Matrix, r0, r1 int, b *Matrix, c0, c1 int) {
 	t.Helper()
 	checkStrip(t, sameBits, a, r0, r1, b, c0, c1)
@@ -74,24 +87,26 @@ func checkStripBits(t *testing.T, a *Matrix, r0, r1 int, b *Matrix, c0, c1 int) 
 
 func checkStrip(t *testing.T, same func(x, y float64) bool, a *Matrix, r0, r1 int, b *Matrix, c0, c1 int) {
 	t.Helper()
-	got := New(r1-r0, c1-c0)
-	for i := range got.Data {
-		got.Data[i] = 12345 // MulStrip must overwrite, not accumulate into, dst
-	}
-	if err := MulStrip(got, a, r0, r1, b, c0, c1); err != nil {
-		t.Fatal(err)
-	}
 	want := New(r1-r0, c1-c0)
 	if err := refMul(want, a.Block(r0, r1, 0, a.Cols), b.Block(0, b.Rows, c0, c1)); err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Data {
-		if !same(got.Data[i], want.Data[i]) {
-			t.Fatalf("%dx%d·%dx%d strip [%d:%d,:]·[:,%d:%d]: element %d = %v (%#x), reference %v (%#x)",
-				a.Rows, a.Cols, b.Rows, b.Cols, r0, r1, c0, c1, i,
-				got.Data[i], math.Float64bits(got.Data[i]), want.Data[i], math.Float64bits(want.Data[i]))
+	eachPath(func(path string) {
+		got := New(r1-r0, c1-c0)
+		for i := range got.Data {
+			got.Data[i] = 12345 // MulStrip must overwrite, not accumulate into, dst
 		}
-	}
+		if err := MulStrip(got, a, r0, r1, b, c0, c1); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Data {
+			if !same(got.Data[i], want.Data[i]) {
+				t.Fatalf("%s path, %dx%d·%dx%d strip [%d:%d,:]·[:,%d:%d]: element %d = %v (%#x), reference %v (%#x)",
+					path, a.Rows, a.Cols, b.Rows, b.Cols, r0, r1, c0, c1, i,
+					got.Data[i], math.Float64bits(got.Data[i]), want.Data[i], math.Float64bits(want.Data[i]))
+			}
+		}
+	})
 }
 
 func TestMulMatchesReferenceBits(t *testing.T) {
@@ -132,15 +147,87 @@ func TestMulMatchesReferenceBits(t *testing.T) {
 			}
 			// Mul is the same kernel over the whole operands.
 			whole, want := New(a.Rows, b.Cols), New(a.Rows, b.Cols)
-			if err := Mul(whole, a, b); err != nil {
-				t.Fatal(err)
-			}
 			if err := refMul(want, a, b); err != nil {
 				t.Fatal(err)
 			}
-			for i := range want.Data {
-				if !sameBits(whole.Data[i], want.Data[i]) {
-					t.Fatalf("Mul %v element %d = %v, reference %v", s, i, whole.Data[i], want.Data[i])
+			eachPath(func(path string) {
+				if err := Mul(whole, a, b); err != nil {
+					t.Fatal(err)
+				}
+				for i := range want.Data {
+					if !sameBits(whole.Data[i], want.Data[i]) {
+						t.Fatalf("%s path, Mul %v element %d = %v, reference %v", path, s, i, whole.Data[i], want.Data[i])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestMulStripKernelEdges sweeps the shapes a kernel that takes columns
+// four at a time and rows two at a time can get wrong and a random draw
+// seldom hits: every strip width from 1 to 17 (the eight-, four- and
+// one-column steps in every combination), one to five rows (the odd row
+// after the pairs), inner dimensions around the groups of four, strips
+// that start at each column offset mod 4 (so the loads are unaligned),
+// special values in the strip's last columns and just outside it,
+// products that are all −0, and a zero of either sign planted at every position of a — the first group
+// of either row of a pair, a later group, the tail.
+func TestMulStripKernelEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	sp := specials()
+	draw := func(r, c int) *Matrix {
+		m := New(r, c)
+		for i := range m.Data {
+			m.Data[i] = rng.NormFloat64() * math.Exp(4*rng.NormFloat64())
+		}
+		return m
+	}
+	for w := 1; w <= 17; w++ {
+		for rows := 1; rows <= 5; rows++ {
+			for _, inner := range []int{1, 3, 4, 5, 8, 11} {
+				for c0 := 0; c0 < 4; c0++ {
+					// One spare row above the strip and two spare columns
+					// to its right: nothing outside it may leak in.
+					a, b := draw(rows+1, inner), draw(inner, c0+w+2)
+					checkStripBits(t, a, 1, rows+1, b, c0, c0+w)
+
+					// Specials from the strip's last full step of four to
+					// the column past its end.
+					tail := b.Clone()
+					for k := 0; k < inner; k++ {
+						for j := max(c0, c0+w-5); j < c0+w+1; j++ {
+							tail.Set(k, j, sp[rng.Intn(len(sp))])
+						}
+					}
+					checkStripBits(t, a, 1, rows+1, tail, c0, c0+w)
+					// The same b under an a that overflows, underflows
+					// and carries a NaN of its own.
+					wild := a.Clone()
+					for i := range wild.Data {
+						if rng.Intn(3) == 0 {
+							wild.Data[i] = sp[2+rng.Intn(len(sp)-2)] // any special but the zeros
+						}
+					}
+					checkStripBits(t, wild, 1, rows+1, tail, c0, c0+w)
+
+					// Every product −0: the sums start from +0, not from
+					// the first product, so every element is +0.
+					negZero := New(b.Rows, b.Cols)
+					for i := range negZero.Data {
+						negZero.Data[i] = math.Copysign(0, -1)
+					}
+					checkStripBits(t, a, 1, rows+1, negZero, c0, c0+w)
+
+					if c0 != 1 {
+						continue
+					}
+					for i := inner; i < len(a.Data); i++ {
+						keep := a.Data[i]
+						a.Data[i] = math.Copysign(0, float64(i%2)-0.5)
+						checkStripBits(t, a, 1, rows+1, tail, c0, c0+w)
+						a.Data[i] = keep
+					}
 				}
 			}
 		}
@@ -200,7 +287,7 @@ func TestMulStripRejectsBadShapes(t *testing.T) {
 }
 
 // stripsFromBytes decodes a fuzz input into two operands and a strip:
-// seven shape bytes (M, K, N up to 12, then the four strip corners), then one
+// seven shape bytes (M, K, N up to 23, then the four strip corners), then one
 // byte per element — below len(specials) picks that special value,
 // anything else a small signed number — cycling over whatever is left.
 func stripsFromBytes(data []byte) (a *Matrix, r0, r1 int, b *Matrix, c0, c1 int) {
@@ -211,7 +298,7 @@ func stripsFromBytes(data []byte) (a *Matrix, r0, r1 int, b *Matrix, c0, c1 int)
 	} else {
 		data = nil
 	}
-	m, k, n := int(head[0])%13, int(head[1])%13, int(head[2])%13
+	m, k, n := int(head[0])%24, int(head[1])%24, int(head[2])%24
 	r0 = int(head[3]) % (m + 1)
 	r1 = r0 + int(head[4])%(m-r0+1)
 	c0 = int(head[5]) % (n + 1)
@@ -239,8 +326,8 @@ func stripsFromBytes(data []byte) (a *Matrix, r0, r1 int, b *Matrix, c0, c1 int)
 	return a, r0, r1, b, c0, c1
 }
 
-// FuzzMulStrips requires MulStrip to match refMul bit for bit on
-// operands and strips decoded from the input.
+// FuzzMulStrips requires MulStrip, on each of its paths, to match refMul
+// bit for bit on operands and strips decoded from the input.
 func FuzzMulStrips(f *testing.F) {
 	f.Add([]byte{}) // the rest of the seed corpus is in testdata/fuzz/FuzzMulStrips
 	f.Fuzz(func(t *testing.T, data []byte) {

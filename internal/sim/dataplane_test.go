@@ -110,42 +110,57 @@ func requireReferenceBits(t *testing.T, p *prog.Program, o outcome) {
 	}
 }
 
-// fannedOutMul is the size of a square multiply whose group barrier is
-// computed on the worker pool; the second line does not compile if
-// fanOutWork outgrows it.
+// fannedOutMul is the size of a square multiply whose group barrier — and
+// whose operands' init barriers — are computed on the worker pool; the
+// last two lines do not compile if fanOutWork outgrows either.
 const (
 	fannedOutMul = 128
 	_            = uint(fannedOutMul*fannedOutMul*fannedOutMul - fanOutWork)
+	_            = uint(fannedOutMul*fannedOutMul*initElemWork - fanOutWork)
 )
 
-// TestSimDataPlaneWidthIndependent: the group-parallel kernels must be
-// invisible. The paper's two programs at production scale and a grid
-// program run at pool widths 1 (every slot inline, in slot order) and 8
-// and must agree in everything observable. The multiplies of CMM-256 and
-// of the grid program are at or above fanOutWork, so width 8 really
-// computes them on the pool; Strassen-128's 64×64 ones are below it and
-// pin the inline path under a wide pool.
-func TestSimDataPlaneWidthIndependent(t *testing.T) {
+// calibration is the trained CM-5 the paper's programs are built with.
+func calibration(t *testing.T) *trainsets.Calibration {
+	t.Helper()
 	cal, err := trainsets.Calibrate(machine.CM5(64))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmm, err := programs.ComplexMatMul(256, cal)
+	return cal
+}
+
+// cmm builds the paper's Complex Matrix Multiply of size n.
+func cmm(t *testing.T, n int) *prog.Program {
+	t.Helper()
+	p, err := programs.ComplexMatMul(n, calibration(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	strassen, err := programs.Strassen(128, cal)
+	return p
+}
+
+// TestSimDataPlaneWidthIndependent: the group-parallel kernels must be
+// invisible. The paper's two programs at production scale and a grid
+// program run at pool widths 1 (every slot inline, in slot order) and 8
+// and must agree in everything observable. CMM-256's four init and four
+// multiply barriers and the grid program's two and one are at or above
+// fanOutWork, so width 8 really computes them on the pool; CMM-256's
+// add and subtract and the whole of Strassen-128 (64×64 blocks) are below
+// it and pin the inline path under a wide pool.
+func TestSimDataPlaneWidthIndependent(t *testing.T) {
+	strassen, err := programs.Strassen(128, calibration(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name  string
-		p     *prog.Program
-		procs int
+		name      string
+		p         *prog.Program
+		procs     int
+		fannedOut int
 	}{
-		{"cmm256-p64", cmm, 64},
-		{"strassen128-p64", strassen, 64},
-		{"gridmul128-p8", gridMulProgram(t, fannedOutMul), 8},
+		{"cmm256-p64", cmm(t, 256), 64, 8},
+		{"strassen128-p64", strassen, 64, 0},
+		{"gridmul128-p8", gridMulProgram(t, fannedOutMul), 8, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, streams := pipeline(t, tc.p, tc.procs)
@@ -157,23 +172,66 @@ func TestSimDataPlaneWidthIndependent(t *testing.T) {
 				t.Fatalf("gathered %d of %d arrays", len(one.arrays), len(tc.p.Arrays))
 			}
 			requireReferenceBits(t, tc.p, one)
+			if eight.result.fannedOut != tc.fannedOut {
+				t.Fatalf("%d barriers fanned out, want %d", eight.result.fannedOut, tc.fannedOut)
+			}
 		})
 	}
 }
 
+// TestServiceSizedRunStaysInline is the promise in fanOutWork's comment:
+// the largest job paradigmd's typical traffic holds (CMM-127, on 35
+// processors) computes every barrier on the goroutine that runs it, also
+// under a wide pool — and one size up it no longer does, so the count is
+// not vacuous.
+func TestServiceSizedRunStaysInline(t *testing.T) {
+	t.Setenv(par.EnvWorkers, "8")
+	for _, tc := range []struct {
+		n      int
+		inline bool
+	}{{127, true}, {128, false}} {
+		p := cmm(t, tc.n)
+		_, streams := pipeline(t, p, 35)
+		res, err := Run(p, streams, machine.CM5(35))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (res.fannedOut == 0) != tc.inline {
+			t.Fatalf("CMM-%d on 35 processors: %d barriers fanned out", tc.n, res.fannedOut)
+		}
+	}
+}
+
 // TestSimDataPlaneFaultPaths: zero-copy messages and parallel kernels
-// under every fault kind. A 128×128 multiply on 8 processors (at
-// fanOutWork) runs at widths 1 and 8 under a dropped, a duplicated and a
-// delayed message and under the death of each processor at several
+// under every fault kind. A 128×128 multiply on 8 processors and CMM-256
+// on 64 (init and multiply barriers at or above fanOutWork) run at widths
+// 1 and 8 under a dropped, a duplicated and a delayed message and under
+// the death of a processor — each of the 8, four of the 64 — at several
 // moments; both widths must report the same halt, the same partial state
 // and the same salvaged bits, and whatever is salvaged or gathered must
 // equal the sequential reference bit for bit.
 func TestSimDataPlaneFaultPaths(t *testing.T) {
-	p := mulProgram(t, fannedOutMul)
-	_, streams := pipeline(t, p, 8)
-	mp := machine.CM5(8)
+	for _, tc := range []struct {
+		name   string
+		p      *prog.Program
+		procs  int
+		deaths []int
+	}{
+		{"mul128-p8", mulProgram(t, fannedOutMul), 8, []int{0, 1, 2, 3, 4, 5, 6, 7}},
+		{"cmm256-p64", cmm(t, 256), 64, []int{0, 21, 42, 63}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { faultPaths(t, tc.p, tc.procs, tc.deaths) })
+	}
+}
+
+func faultPaths(t *testing.T, p *prog.Program, procs int, deaths []int) {
+	_, streams := pipeline(t, p, procs)
+	mp := machine.CM5(procs)
 	clean := observe(t, "1", p, streams, mp, nil)
 	requireReferenceBits(t, p, clean)
+	if clean.result.fannedOut == 0 {
+		t.Fatal("no barrier of the clean run reaches fanOutWork")
+	}
 
 	plans := map[string]*fault.Plan{
 		"drop": {MsgFaults: []fault.MsgFault{{Kind: fault.Drop, Seq: 3}}},
@@ -182,7 +240,7 @@ func TestSimDataPlaneFaultPaths(t *testing.T) {
 			{Kind: fault.Delay, Seq: 2, Extra: 5e-3},
 		}},
 	}
-	for pr := 0; pr < 8; pr++ {
+	for _, pr := range deaths {
 		for _, frac := range []float64{0.25, 0.5, 0.75} {
 			name := "fail-P" + itoa(pr) + "@" + itoa(int(frac*100)) + "%"
 			plans[name] = &fault.Plan{ProcFails: []fault.ProcFail{{Proc: pr, At: clean.result.Makespan * frac}}}
@@ -197,8 +255,9 @@ func TestSimDataPlaneFaultPaths(t *testing.T) {
 			sendEnds[c.From] = append(sendEnds[c.From], c.SendEnd)
 		}
 	}
-	for pr, ends := range sendEnds {
-		if sort.Float64s(ends); len(ends) >= 2 {
+	for _, pr := range deaths {
+		if ends := sendEnds[pr]; len(ends) >= 2 {
+			sort.Float64s(ends)
 			plans["fail-P"+itoa(pr)+"@second-send"] = &fault.Plan{ProcFails: []fault.ProcFail{{Proc: pr, At: ends[1]}}}
 		}
 	}

@@ -167,6 +167,9 @@ type Result struct {
 
 	stores []map[string]*block
 	p      *prog.Program
+	// fannedOut counts the barriers whose work reached fanOutWork: the
+	// ones computed on the pool when it is wider than one. Tests read it.
+	fannedOut int
 }
 
 // Run executes the streams on the machine profile. The profile's Procs
@@ -491,19 +494,54 @@ func RunCtx(ctx context.Context, p *prog.Program, streams *codegen.Streams, mp m
 	return res, nil
 }
 
-// fanOutWork is the least work in one group barrier — multiply-adds for
-// OpMul, elements for the element-wise and copying kernels — at which
-// the members' output blocks are computed on internal/par's workers.
-// Below it the slots run inline in slot order, on the caller's goroutine.
-// Measured on two cores with the second one idle, a CMM simulation breaks
-// even near 10⁶ multiply-adds per multiply (n ≈ 100; n = 48 is 30 %
-// slower fanned out, n = 128 is 1.1–1.25× faster, n = 256 1.55×), and
-// with the second core busy — paradigmd at -workers = cores — a fan-out
-// buys nothing at any size and ties the job to whichever goroutine the
-// scheduler reaches last. So the threshold sits where the gain is clear,
-// and a job the size of a typical service request never leaves its
-// worker's goroutine.
+// fanOutWork is the least work in one group barrier, in multiply-adds,
+// at which the members' output blocks are computed on internal/par's
+// workers. Below it the slots run inline in slot order, on the caller's
+// goroutine. barrierWork prices the other kernels in the same unit.
+//
+// Measured barrier by barrier in CMM simulations on 64 processors, two
+// cores, matrix.MulStrip on its vector path (0.09–0.12 ns a multiply-add,
+// block allocation included): time inline over time on two workers, for
+// an init barrier / a multiply barrier.
+//
+//	n     inline µs    second core idle    second core busy
+//	48      39 /   16      0.93 / 0.76        0.92 / 0.80
+//	96     150 /   99      0.88 / 0.84        0.94 / 0.90
+//	128    261 /  246      1.41 / 1.30        0.96 / 0.93
+//	192    704 /  734      1.65 / 1.60        0.94 / 0.96
+//	256   1195 / 1519      1.79 / 1.70        1.00 / 0.94
+//
+// A fan-out breaks even near 0.2 ms of inline work (n = 112: 1.07 / 1.00)
+// whichever kernel fills it, and with the second core busy — paradigmd at
+// -workers = cores — it buys nothing at any size and ties the job to
+// whichever goroutine the scheduler reaches last. So the threshold sits
+// where the gain is clear, n = 128 for both kernels, and a job the size
+// of a typical service request (n ≤ 127, TestServiceSizedRunStaysInline)
+// never leaves its worker's goroutine.
 const fanOutWork = 1 << 21
+
+// What one output element of a barrier costs, in multiply-adds, measured
+// where it decides something (n = 128, the table above): an OpInit
+// element is a call into the program's Init — a math.Sin for CMM, 16 ns
+// against a multiply-add's 0.12 — and an element of an element-wise or
+// copying kernel is mostly the allocation of the block it lands in
+// (2.3–2.7 ns; no gain from a fan-out was seen up to n = 256).
+const (
+	initElemWork = 128
+	elemWork     = 16
+)
+
+// barrierWork is the data work of one group barrier of kernel k over an
+// output of the given number of elements, in the unit of fanOutWork.
+func barrierWork(k kernels.Kernel, elements int) int {
+	switch k.Op {
+	case kernels.OpMul:
+		return elements * k.K
+	case kernels.OpInit:
+		return elements * initElemWork
+	}
+	return elements * elemWork
+}
 
 // nodeRunner executes the group barriers of one run.
 type nodeRunner struct {
@@ -668,9 +706,7 @@ func (nr *nodeRunner) execNode(ctx context.Context, in codegen.Exec, start float
 		return full, assembleInto(full, 0, 0, operand)
 	}
 
-	// work is the group's work in the unit of fanOutWork; compute fills
-	// one member's non-empty output block.
-	work := arr.Rows * arr.Cols
+	// compute fills one member's non-empty output block.
 	var compute func(slot int, out *block) error
 	switch k.Op {
 	case kernels.OpInit:
@@ -742,7 +778,6 @@ func (nr *nodeRunner) execNode(ctx context.Context, in codegen.Exec, start float
 		if err != nil {
 			return err
 		}
-		work *= fullA.Cols
 		compute = func(_ int, out *block) error {
 			if err := matrix.MulStrip(out.data, fullA, out.rect.R0, out.rect.R1, fullB, out.rect.C0, out.rect.C1); err != nil {
 				return fmt.Errorf("sim: node %d: %w", in.Node, err)
@@ -755,8 +790,9 @@ func (nr *nodeRunner) execNode(ctx context.Context, in codegen.Exec, start float
 	}
 
 	workers := 1
-	if work >= fanOutWork {
+	if barrierWork(k, arr.Rows*arr.Cols) >= fanOutWork {
 		workers = par.Workers()
+		res.fannedOut++
 	}
 	outs := make([]*block, q)
 	err = par.DoN(ctx, workers, q, func(_ context.Context, slot int) error {
