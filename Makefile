@@ -47,6 +47,7 @@ fuzz-smoke:
 	$(GO) test ./internal/fault/ -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/expr/ -run '^$$' -fuzz '^FuzzEvalTape$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/matrix/ -run '^$$' -fuzz '^FuzzMulStrips$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/convex/ -run '^$$' -fuzz '^FuzzMinimizeBox$$' -fuzztime $(FUZZTIME)
 
 # One iteration of every benchmark a design document cites — calibration,
 # the allocation paths, the program build (whose allocs/op is where an

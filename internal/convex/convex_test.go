@@ -249,6 +249,23 @@ func BenchmarkMinimizeQuadratic32(b *testing.B) {
 	}
 }
 
+// quartic builds f(x) = Σ w_i (x_i - c_i)⁴: its Hessian vanishes at the
+// minimum, so even a Newton-type method only closes in linearly and an
+// unreachable tolerance keeps it iterating for hundreds of iterations.
+func quartic(w, c []float64) Objective {
+	return Func(func(x, grad []float64) float64 {
+		f := 0.0
+		for i := range x {
+			d := x[i] - c[i]
+			f += w[i] * d * d * d * d
+			if grad != nil {
+				grad[i] = 4 * w[i] * d * d * d
+			}
+		}
+		return f
+	})
+}
+
 func TestStopCheckAbortsPromptly(t *testing.T) {
 	n := 8
 	w := make([]float64, n)
@@ -265,9 +282,9 @@ func TestStopCheckAbortsPromptly(t *testing.T) {
 		GradTol: 1e-300, FTol: 1e-300, MaxIter: 100000,
 		StopCheck: func() bool { calls++; return calls >= 3 },
 	}
-	res, err := Minimize(quadratic(w, c), lo, hi, make([]float64, n), opts)
+	res, err := Minimize(quartic(w, c), lo, hi, make([]float64, n), opts)
 	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("err = %v, want ErrStopped", err)
+		t.Fatalf("err = %v, want ErrStopped (stopped on its own: %+v)", err, res)
 	}
 	if res.Iters > 4*stopCheckStride {
 		t.Fatalf("ran %d iterations after stop was requested", res.Iters)
@@ -288,5 +305,28 @@ func TestNilStopCheckUnchanged(t *testing.T) {
 	}
 	if base.F != hooked.F || base.Iters != hooked.Iters || base.Evals != hooked.Evals {
 		t.Fatalf("non-firing StopCheck changed the trajectory: %+v vs %+v", base, hooked)
+	}
+}
+
+// TestIterationsDoNotAllocate: what a call allocates (the workspace and
+// its closures) does not grow with the iterations it runs — the ring of
+// correction pairs lives in the workspace.
+func TestIterationsDoNotAllocate(t *testing.T) {
+	n := 8
+	w, c, lo, hi, x0 := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range w {
+		w[i], c[i], lo[i], hi[i] = float64(i+1), 3, -10, 2.5+float64(i%2) // every other one ends on its bound
+	}
+	obj := quartic(w, c)
+	allocs := func(iters int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			res, err := Minimize(obj, lo, hi, x0, Options{MaxIter: iters, GradTol: 1e-300, FTol: 1e-300})
+			if err != nil || res.Iters != iters {
+				t.Fatalf("ran %d of %d iterations, err %v", res.Iters, iters, err)
+			}
+		})
+	}
+	if few, many := allocs(3), allocs(30); few != many {
+		t.Fatalf("%v allocations for 3 iterations, %v for 30", few, many)
 	}
 }

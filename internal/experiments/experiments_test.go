@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"paradigm/internal/bounds"
 )
 
 var (
@@ -378,8 +380,17 @@ func TestPortabilityParagon(t *testing.T) {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
 	for _, row := range r.Rows {
-		if row.DevPct < -15 || row.DevPct > 45 {
-			t.Fatalf("%s p=%d: deviation %v%%", row.Program, row.Procs, row.DevPct)
+		// T_psa against Φ is refereed by Theorem 3 at the PB the pipeline
+		// picks (Corollary 1), not by an observed margin: how far above Φ
+		// the PSA lands depends on how exactly Φ was minimized (Strassen
+		// at p=64 read 42.9 % while the solver stopped 0.4 % short of the
+		// optimum, 57.7 % at it).
+		_, factor, err := bounds.OptimalPB(row.Procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.DevPct < -15 || row.Predicted > factor*row.Phi {
+			t.Fatalf("%s p=%d: deviation %v%%, Theorem 3 factor %v", row.Program, row.Procs, row.DevPct, factor)
 		}
 		if row.RatioPredActual < 0.6 || row.RatioPredActual > 1.7 {
 			t.Fatalf("%s p=%d: pred/actual %v", row.Program, row.Procs, row.RatioPredActual)

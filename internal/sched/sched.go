@@ -6,6 +6,9 @@
 //  1. Rounding-off step: the continuous allocation from the convex
 //     program is rounded to the arithmetic-nearest power of two (changing
 //     each p_i by a factor within [2/3, 4/3] — the Theorem 2 constants).
+//     A node within roundBand of a rounding boundary may go either way
+//     under the same constants; Run schedules both and keeps the shorter
+//     schedule, so the result does not hinge on the solver's last digits.
 //  2. Bounding step: allocations are clamped to a power-of-two bound PB,
 //     chosen by Corollary 1 unless overridden.
 //  3. Node and edge weights are recomputed under the new allocation.
@@ -112,35 +115,48 @@ func RoundAndBound(cont []float64, procs, pb int, skipRounding bool, o obs.Obser
 	}
 	out := make([]int, len(cont))
 	for i, p := range cont {
-		var unbounded int
 		if skipRounding {
-			unbounded = int(math.Floor(p))
-			if unbounded < 1 {
-				unbounded = 1
-			}
-			v := unbounded
-			if v > pb {
-				v = pb
-			}
-			out[i] = v
+			out[i] = min(flooredAlloc(p), pb)
 		} else {
-			unbounded = bounds.RoundPow2(p, 0)
 			out[i] = bounds.RoundPow2(p, pb)
 		}
-		if o != nil {
-			o.Observe(obs.PSARound{
-				Node: i, Continuous: p,
-				Rounded: unbounded, Final: out[i],
-				Clipped: out[i] < unbounded,
-			})
-		}
 	}
+	observeRounding(o, cont, out, pb, skipRounding)
 	return out, nil
 }
 
+// flooredAlloc is the SkipRounding ablation's "rounding": the floor, at
+// least one processor.
+func flooredAlloc(p float64) int {
+	return max(1, int(math.Floor(p)))
+}
+
+// observeRounding reports the rounding and bounding decisions behind
+// alloc, one obs.PSARound per node: the unbounded rounding is the plain
+// one unless alloc shows the node was rounded across its boundary.
+func observeRounding(o obs.Observer, cont []float64, alloc []int, pb int, skipRounding bool) {
+	if o == nil {
+		return
+	}
+	for i, p := range cont {
+		unbounded := flooredAlloc(p)
+		if !skipRounding {
+			if unbounded = bounds.RoundPow2(p, 0); alloc[i] != min(unbounded, pb) {
+				unbounded, _ = acrossBoundary(p)
+			}
+		}
+		o.Observe(obs.PSARound{
+			Node: i, Continuous: p,
+			Rounded: unbounded, Final: alloc[i],
+			Clipped: alloc[i] < unbounded,
+		})
+	}
+}
+
 // Run executes the full PSA pipeline: round, bound, recompute weights,
-// schedule. cont is the continuous allocation from the convex program
-// (indexed by NodeID).
+// schedule — over both roundings of every node within roundBand of a
+// rounding boundary (bestRounding), keeping the least T_psa. cont is the
+// continuous allocation from the convex program (indexed by NodeID).
 func Run(g *mdg.Graph, model costmodel.Model, cont []float64, procs int, opts Options) (*Schedule, error) {
 	return RunCtx(context.Background(), g, model, cont, procs, opts)
 }
@@ -163,16 +179,136 @@ func RunCtx(ctx context.Context, g *mdg.Graph, model costmodel.Model, cont []flo
 			return nil, err
 		}
 	}
-	alloc, err := RoundAndBound(cont, procs, pb, opts.SkipRounding, opts.Observer)
+	alloc, err := RoundAndBound(cont, procs, pb, opts.SkipRounding, nil)
 	if err != nil {
 		return nil, err
 	}
-	s, err := psa(ctx, g, model, alloc, procs, opts.Policy, opts.Observer)
-	if err != nil {
-		return nil, err
+	var s *Schedule
+	if flips := ambiguousRoundings(cont, alloc, pb, opts.SkipRounding); len(flips) > 0 {
+		if s, err = bestRounding(ctx, g, model, alloc, flips, procs, opts.Policy); err != nil {
+			return nil, err
+		}
+		alloc = s.Alloc
+	}
+	observeRounding(opts.Observer, cont, alloc, pb, opts.SkipRounding)
+	if s == nil || opts.Observer != nil {
+		// The search above runs unobserved; the schedule that is kept is
+		// run (again) for the observer's PSAPick events.
+		if s, err = psa(ctx, g, model, alloc, procs, opts.Policy, opts.Observer); err != nil {
+			return nil, err
+		}
 	}
 	s.PB = pb
 	return s, nil
+}
+
+// roundBand is the relative half-width of the band around a rounding
+// boundary 1.5·2^k inside which PSA, not the boundary, decides which way a
+// node rounds. Theorem 2's (3/2)² bounds the cost of rounding either way,
+// so near a boundary both roundings are equally licensed; which side of it
+// the convex program's answer falls on is decided by the solver's last
+// digits (cmm 56 at p = 23 puts two nodes at a continuous 6.0028 or 5.989
+// depending on how exactly it is solved), and a step function evaluated
+// there turns a better optimum into a worse schedule. Set from the margin
+// histogram of the benchmark's 300 cold specs (DESIGN §12): 13 come within
+// 0.1 % of a boundary, 8 more within 0.5 %; it is not a knob.
+const roundBand = 0.005
+
+// roundExhaustive is the number of in-band nodes up to which every
+// combination of roundings is scheduled (at most 16 PSA runs of tens of
+// microseconds each). It is not optional: CMM's nodes come in bit-equal
+// pairs and quads whose members must flip together, which a one-node-at-
+// a-time search cannot see.
+const roundExhaustive = 4
+
+// flip is one in-band node and the allocation it gets when rounded across
+// its boundary (after bounding).
+type flip struct{ node, alt int }
+
+// acrossBoundary returns the power of two on the far side of the rounding
+// boundary 1.5·2^k nearest p from the one RoundPow2 picks, and whether p
+// lies within roundBand of that boundary.
+func acrossBoundary(p float64) (alt int, inBand bool) {
+	lower := 1
+	for float64(2*lower) <= p {
+		lower *= 2
+	}
+	b := 1.5 * float64(lower)
+	if !(math.Abs(p-b) <= roundBand*b) {
+		return 0, false
+	}
+	if p > b {
+		return lower, true
+	}
+	return 2 * lower, true
+}
+
+// ambiguousRoundings lists the nodes whose continuous allocation lies in
+// the band and whose other rounding still differs after bounding by pb.
+func ambiguousRoundings(cont []float64, alloc []int, pb int, skipRounding bool) []flip {
+	if skipRounding {
+		return nil
+	}
+	var flips []flip
+	for i, p := range cont {
+		if alt, ok := acrossBoundary(p); ok && min(alt, pb) != alloc[i] {
+			flips = append(flips, flip{i, min(alt, pb)})
+		}
+	}
+	return flips
+}
+
+// bestRounding schedules alternatives to alloc (the plain rounding) over
+// the in-band nodes and returns the schedule with the least T_psa, ties to
+// the plain rounding: every combination up to roundExhaustive nodes,
+// beyond that a greedy descent flipping, per round, the one node that
+// lowers T_psa most, until none does.
+func bestRounding(ctx context.Context, g *mdg.Graph, model costmodel.Model, alloc []int, flips []flip, procs int, policy Policy) (*Schedule, error) {
+	run := func(flipped func(k int) bool) (*Schedule, error) {
+		a := append([]int(nil), alloc...)
+		for k, f := range flips {
+			if flipped(k) {
+				a[f.node] = f.alt
+			}
+		}
+		return psa(ctx, g, model, a, procs, policy, nil)
+	}
+	best, err := run(func(int) bool { return false })
+	if err != nil {
+		return nil, err
+	}
+	if len(flips) <= roundExhaustive {
+		for mask := 1; mask < 1<<len(flips); mask++ {
+			s, err := run(func(k int) bool { return mask>>k&1 == 1 })
+			if err != nil {
+				return nil, err
+			}
+			if s.Makespan < best.Makespan {
+				best = s
+			}
+		}
+		return best, nil
+	}
+	on := make([]bool, len(flips))
+	for {
+		pick := -1
+		for k := range flips {
+			if on[k] {
+				continue
+			}
+			s, err := run(func(j int) bool { return on[j] || j == k })
+			if err != nil {
+				return nil, err
+			}
+			if s.Makespan < best.Makespan {
+				best, pick = s, k
+			}
+		}
+		if pick < 0 {
+			return best, nil
+		}
+		on[pick] = true
+	}
 }
 
 // readyItem is a ready-queue element.
