@@ -48,6 +48,7 @@ fuzz-smoke:
 	$(GO) test ./internal/expr/ -run '^$$' -fuzz '^FuzzEvalTape$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/matrix/ -run '^$$' -fuzz '^FuzzMulStrips$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/convex/ -run '^$$' -fuzz '^FuzzMinimizeBox$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mdg/ -run '^$$' -fuzz '^FuzzOrbits$$' -fuzztime $(FUZZTIME)
 
 # One iteration of every benchmark a design document cites — calibration,
 # the allocation paths, the program build (whose allocs/op is where an
@@ -55,7 +56,8 @@ fuzz-smoke:
 # observability, recovery and checkpoint budgets, the simulator's data
 # plane and its strip kernel (a wide shape and a narrow, odd one that ends
 # in every tail the vector kernel has, each reporting multiply-adds per
-# second), the service's submit, load and cluster-load benchmarks: enough
+# second), a cold automorphism-orbit computation on Strassen-128, the
+# service's submit, load and cluster-load benchmarks: enough
 # to catch one that no longer compiles or errors out.
 # It writes no file.
 # The numbers the documents quote are the committed BENCH_PR*.json;
@@ -63,6 +65,7 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTable2TransferFit|BenchmarkAllocSolve|BenchmarkBuildStrassen128|BenchmarkRunNilObserver|BenchmarkRunWithObserver|BenchmarkRunNoFaults|BenchmarkRunWithRecovery|BenchmarkRunNoCheckpoint|BenchmarkRunWithCheckpoint|BenchmarkRunCMM256P64|BenchmarkSimRunCMM256P64' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkMulStrip' -benchtime=1x -benchmem ./internal/matrix/
+	$(GO) test -run '^$$' -bench 'BenchmarkOrbitsStrassen128' -benchtime=1x -benchmem ./internal/mdg/
 	$(GO) test -run '^$$' -bench 'BenchmarkSubmit|BenchmarkServiceLoad|BenchmarkClusterLoad' -benchtime=1x -benchmem ./cmd/paradigmd/
 
 # The repo's benchmark (BENCHMARK.json, bench/) is a Go module of its

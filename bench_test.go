@@ -384,8 +384,9 @@ func benchSolve(b *testing.B, g *mdg.Graph, model costmodel.Model, procs int) {
 
 // BenchmarkAllocSolveStrassen128 is the paper's headline solve: the
 // 35-node Strassen MDG at n=128 on 64 processors of the trained CM-5,
-// whose annealed solve (≈ 1 200 evaluations of Φ; 39 871 under the
-// spectral-gradient minimizer) is most of a Run on that program.
+// whose annealed solve over its 20 automorphism orbits (825 evaluations
+// of Φ; 1 223 over all 35 nodes, 39 871 under the spectral-gradient
+// minimizer) is most of a Run on that program.
 func BenchmarkAllocSolveStrassen128(b *testing.B) {
 	e := env(b)
 	p, err := programs.Strassen(128, e.Cal)

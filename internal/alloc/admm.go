@@ -163,7 +163,7 @@ func (p *problem) solveADMM(ctx context.Context, seed []float64, opts Options) (
 	subs := make([]*admmSub, len(parts))
 	copies := make([]float64, n)
 	for k, nodes := range parts {
-		sp, cerr := compile(subMDG(p.g, nodes), p.model, p.procs, Options{IgnoreTransfers: opts.IgnoreTransfers})
+		sp, cerr := compile(subMDG(p.g, nodes), p.model, p.procs, Options{IgnoreTransfers: opts.IgnoreTransfers}, false)
 		if cerr != nil {
 			return Result{}, fmt.Errorf("alloc: admm subgraph %d: %w", k, cerr)
 		}

@@ -118,7 +118,7 @@ func TestADMMDeterministicAcrossWidths(t *testing.T) {
 
 func TestADMMAcceptsSeed(t *testing.T) {
 	g := forkJoin(0.9)
-	prob, err := compile(g, cm5Fit, 16, Options{})
+	prob, err := compile(g, cm5Fit, 16, Options{}, false) // ADMM solves the full program
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,10 @@ type Result struct {
 	// Solver carries the winning start's convex solver diagnostics as
 	// convex.MinimizeAnnealed reports them: X, F and Status are the final
 	// temperature stage's, Iters and Evals are summed over every stage
-	// (zero for a cache-replayed allocation: nothing was solved).
+	// (zero for a cache-replayed allocation: nothing was solved). X is in
+	// orbit coordinates — one log-allocation per mdg.Graph.Orbits orbit,
+	// numbered by smallest node ID, P[i] = e^{X[orbit[i]]} — except under
+	// BackendADMM, which solves one variable per node.
 	Solver convex.Result
 	// Backend names the path that produced the allocation: BackendAnneal,
 	// BackendADMM, BackendHeuristic (fallback), or BackendCache
@@ -141,6 +144,9 @@ type problem struct {
 	// eg is the expression graph behind phi, kept for the racing
 	// certificate's box-aware smoothing-gap bound (expr.TempGapBound).
 	eg *expr.Graph
+	// orbit[i] is node i's variable; size[c] counts orbit c's nodes. The
+	// box, start points and solver iterates live in orbit space.
+	orbit, size []int
 }
 
 // Solve runs the convex programming formulation for g on a procs-processor
@@ -198,11 +204,16 @@ func SolveCtx(ctx context.Context, g *mdg.Graph, model costmodel.Model, procs in
 			}
 		}
 	}
-	prob, err := compile(g, model, procs, opts)
+	// The ADMM backend partitions nodes, not orbits: it solves the full
+	// program (see BackendADMM).
+	prob, err := compile(g, model, procs, opts, opts.Backend != BackendADMM)
 	if err != nil {
 		// Infeasible procs or a broken graph: the problem is wrong, not
 		// the solver, so no retry or heuristic can help.
 		return Result{}, err
+	}
+	if seed != nil {
+		seed = prob.project(seed)
 	}
 	var res Result
 	if opts.Backend == BackendADMM {
@@ -385,8 +396,20 @@ func (p *problem) startPoints(k int) [][]float64 {
 	return starts
 }
 
-// compile builds the expression DAG for the Φ objective once.
-func compile(g *mdg.Graph, model costmodel.Model, procs int, opts Options) (*problem, error) {
+// compile builds the expression DAG for the Φ objective once, over the
+// automorphism orbits of g (mdg.Graph.Orbits) when reduce is set and over
+// one orbit per node otherwise.
+//
+// Φ is convex and invariant under every automorphism, so averaging any
+// point over the automorphism group never raises it: a minimum exists
+// with p_i equal across each orbit, and the program is solved on that
+// subspace, one variable per orbit. Each orbit's T and y are built once,
+// from its first member in topological order; A_p weighs each orbit's
+// T·p by its size; and every SmoothMax keeps one child per original
+// predecessor and per sink, so the smoothed objective is the full
+// program's restricted to the subspace. With one orbit per node this is
+// the full program, node for node.
+func compile(g *mdg.Graph, model costmodel.Model, procs int, opts Options, reduce bool) (*problem, error) {
 	if procs < 1 {
 		return nil, fmt.Errorf("alloc: %w: procs = %d, want >= 1", errs.ErrInfeasible, procs)
 	}
@@ -398,6 +421,27 @@ func compile(g *mdg.Graph, model costmodel.Model, procs int, opts Options) (*pro
 	if err != nil {
 		return nil, err
 	}
+	var orbit []int
+	if !reduce {
+		orbit = identity(n)
+	} else if orbit, err = g.Orbits(); err != nil {
+		return nil, fmt.Errorf("alloc: invalid MDG: %w", err)
+	}
+	k := 0
+	for _, c := range orbit {
+		k = max(k, c+1)
+	}
+	// rep[c] is orbit c's first member in topological order.
+	rep := make([]mdg.NodeID, k)
+	size := make([]int, k)
+	for _, v := range order {
+		c := orbit[v]
+		if size[c] == 0 {
+			rep[c] = v
+		}
+		size[c]++
+	}
+	isRep := func(v mdg.NodeID) bool { return rep[orbit[v]] == v }
 
 	objTP := model.Transfer
 	if opts.IgnoreTransfers {
@@ -406,62 +450,68 @@ func compile(g *mdg.Graph, model costmodel.Model, procs int, opts Options) (*pro
 
 	// --- Build the objective expression DAG ---------------------------
 	var eg expr.Graph
-	// Per-edge cost components, keyed by edge index.
+	// Per-edge cost components, keyed by edge index, for the edges a
+	// representative's T or y reads.
 	sendE := make([]expr.ID, len(g.Edges))
 	netE := make([]expr.ID, len(g.Edges))
 	recvE := make([]expr.ID, len(g.Edges))
 	edgeIdx := make(map[[2]mdg.NodeID]int, len(g.Edges))
 	for i, e := range g.Edges {
-		sendE[i], netE[i], recvE[i] = costmodel.EdgeTransferExprs(&eg, objTP, e, int(e.From), int(e.To))
+		if isRep(e.From) || isRep(e.To) {
+			sendE[i], netE[i], recvE[i] = costmodel.EdgeTransferExprs(&eg, objTP, e, orbit[e.From], orbit[e.To])
+		}
 		edgeIdx[[2]mdg.NodeID{e.From, e.To}] = i
 	}
-	// Node weights T_i.
-	weight := make([]expr.ID, n)
-	for i := 0; i < n; i++ {
-		id := mdg.NodeID(i)
+	// Orbit weights T_c.
+	weight := make([]expr.ID, k)
+	for c, v := range rep {
 		terms := []expr.ID{costmodel.ProcessingExpr(&eg, costmodel.LoopParams{
-			Alpha: g.Nodes[i].Alpha, Tau: g.Nodes[i].Tau,
-		}, i)}
-		for _, m := range g.Preds(id) {
-			terms = append(terms, recvE[edgeIdx[[2]mdg.NodeID{m, id}]])
+			Alpha: g.Nodes[v].Alpha, Tau: g.Nodes[v].Tau,
+		}, c)}
+		for _, m := range g.Preds(v) {
+			terms = append(terms, recvE[edgeIdx[[2]mdg.NodeID{m, v}]])
 		}
-		for _, s := range g.Succs(id) {
-			terms = append(terms, sendE[edgeIdx[[2]mdg.NodeID{id, s}]])
+		for _, s := range g.Succs(v) {
+			terms = append(terms, sendE[edgeIdx[[2]mdg.NodeID{v, s}]])
 		}
-		weight[i] = eg.Sum(terms...)
+		weight[c] = eg.Sum(terms...)
 	}
-	// A_p = (1/p)·Σ T_i·p_i.
-	areas := make([]expr.ID, n)
-	for i := 0; i < n; i++ {
-		areas[i] = eg.Mul(weight[i], eg.Var(i))
+	// A_p = (1/p)·Σ_c |c|·T_c·p_c.
+	areas := make([]expr.ID, k)
+	for c := range areas {
+		areas[c] = eg.Scale(float64(size[c]), eg.Mul(weight[c], eg.Var(c)))
 	}
 	ap := eg.Scale(1/float64(procs), eg.Sum(areas...))
-	// C_p via the y_i recursion in topological order.
-	y := make([]expr.ID, n)
+	// C_p via the y recursion over representatives in topological order:
+	// a predecessor's orbit has a representative no later than it.
+	y := make([]expr.ID, k)
 	for _, v := range order {
+		if !isRep(v) {
+			continue
+		}
 		preds := g.Preds(v)
 		if len(preds) == 0 {
-			y[v] = weight[v]
+			y[orbit[v]] = weight[orbit[v]]
 			continue
 		}
 		arrivals := make([]expr.ID, 0, len(preds))
 		for _, m := range preds {
 			ei := edgeIdx[[2]mdg.NodeID{m, v}]
-			arrivals = append(arrivals, eg.Sum(y[m], netE[ei]))
+			arrivals = append(arrivals, eg.Sum(y[orbit[m]], netE[ei]))
 		}
-		y[v] = eg.Sum(eg.SmoothMax(arrivals...), weight[v])
+		y[orbit[v]] = eg.Sum(eg.SmoothMax(arrivals...), weight[orbit[v]])
 	}
 	sinks := make([]expr.ID, 0, 1)
 	for i := 0; i < n; i++ {
 		if len(g.Succs(mdg.NodeID(i))) == 0 {
-			sinks = append(sinks, y[i])
+			sinks = append(sinks, y[orbit[i]])
 		}
 	}
 	cp := eg.SmoothMax(sinks...)
 	phi := eg.SmoothMax(ap, cp)
 
-	lower := make([]float64, n)
-	upper := make([]float64, n)
+	lower := make([]float64, k)
+	upper := make([]float64, k)
 	for i := range upper {
 		upper[i] = math.Log(float64(procs))
 	}
@@ -470,8 +520,46 @@ func compile(g *mdg.Graph, model costmodel.Model, procs int, opts Options) (*pro
 		phi:   phi,
 		pool:  expr.NewEvaluatorPool(&eg),
 		lower: lower, upper: upper,
-		eg: &eg,
+		eg:    &eg,
+		orbit: orbit, size: size,
 	}, nil
+}
+
+// identity is the partition with one orbit per node.
+func identity(n int) []int {
+	orbit := make([]int, n)
+	for i := range orbit {
+		orbit[i] = i
+	}
+	return orbit
+}
+
+// project maps a point of the full n-variable space onto the orbit
+// subspace by averaging each orbit's coordinates. By Jensen's inequality
+// the average never raises a convex, automorphism-invariant Φ above the
+// point's own value. With one orbit per node it returns x itself.
+func (p *problem) project(x []float64) []float64 {
+	if len(x) == len(p.size) {
+		return x
+	}
+	z := make([]float64, len(p.size))
+	for i, c := range p.orbit {
+		z[c] += x[i]
+	}
+	for c, s := range p.size {
+		z[c] /= float64(s)
+	}
+	return z
+}
+
+// lift expands an orbit-space solution to the per-node allocation
+// p_i = e^{x_orbit(i)}.
+func (p *problem) lift(x []float64) []float64 {
+	out := make([]float64, len(p.orbit))
+	for i, c := range p.orbit {
+		out[i] = math.Exp(x[c])
+	}
+	return out
 }
 
 // solveFrom runs one annealed solve from x0 and re-evaluates the exact
@@ -565,10 +653,7 @@ func (p *problem) solveFromRace(ctx context.Context, startIdx int, x0 []float64,
 		return Result{}, false, fmt.Errorf("alloc: solver failed: %w", err)
 	}
 
-	res := Result{P: make([]float64, len(x0)), Solver: sol}
-	for i := range res.P {
-		res.P[i] = math.Exp(sol.X[i])
-	}
+	res := Result{P: p.lift(sol.X), Solver: sol}
 	res.Phi, res.Ap, res.Cp, err = p.model.Phi(p.g, res.P, p.procs)
 	if err != nil {
 		return Result{}, false, err

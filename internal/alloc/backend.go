@@ -21,7 +21,11 @@ const (
 	BackendAuto Backend = ""
 	// BackendAnneal is the racing annealed multi-start (race.go).
 	BackendAnneal Backend = "anneal"
-	// BackendADMM is the consensus-ADMM decomposition (admm.go).
+	// BackendADMM is the consensus-ADMM decomposition (admm.go). The
+	// other strategies solve one variable per automorphism orbit of the
+	// MDG (compile, mdg.Graph.Orbits); ADMM partitions nodes into
+	// subgraphs, so it compiles with the identity partition — one orbit
+	// per node — for its subproblems and its final polish alike.
 	BackendADMM Backend = "admm"
 
 	// BackendHeuristic and BackendCache appear only as Result labels:

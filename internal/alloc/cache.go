@@ -5,7 +5,9 @@
 // allocation byte-identically without compiling or solving. A near hit
 // — same canonical program, different machine size — rescales the
 // stored allocation into a log-space warm start that races against the
-// cold starts with the highest tie-break rank (alloc.go, solveMulti).
+// cold starts with the highest tie-break rank (alloc.go, solveMulti),
+// after averaging it over each automorphism orbit into the solve's orbit
+// coordinates (problem.project).
 //
 // Entries live in canonical node order, so two graphs that differ only
 // by node relabeling share one entry: allocations are permuted into

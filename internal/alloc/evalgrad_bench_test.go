@@ -24,7 +24,7 @@ func BenchmarkEvalGradStrassenPhi(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prob, err := compile(p.G, cal.Model(), 64, Options{})
+	prob, err := compile(p.G, cal.Model(), 64, Options{}, true)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func TestCertifiedBoundIsGlobalLowerBound(t *testing.T) {
 		"chain":    chainGraphForRace(),
 	}
 	for name, g := range graphs {
-		prob, err := compile(g, cm5Fit, 16, Options{})
+		prob, err := compile(g, cm5Fit, 16, Options{}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func TestRacingDeterministicAcrossWidths(t *testing.T) {
 // seeded race must also be width-independent.
 func TestRacingSeedDeterministicAcrossWidths(t *testing.T) {
 	g := forkJoin(0.9)
-	prob, err := compile(g, cm5Fit, 16, Options{})
+	prob, err := compile(g, cm5Fit, 16, Options{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestRacingSeedDeterministicAcrossWidths(t *testing.T) {
 func TestRacePruneCannotChangeWinner(t *testing.T) {
 	for _, alpha := range []float64{0.5, 0.8, 0.95} {
 		g := forkJoin(alpha)
-		prob, err := compile(g, cm5Fit, 32, Options{})
+		prob, err := compile(g, cm5Fit, 32, Options{}, true)
 		if err != nil {
 			t.Fatal(err)
 		}

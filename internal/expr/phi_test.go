@@ -2,6 +2,7 @@ package expr_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"paradigm/internal/alloc"
@@ -19,13 +20,15 @@ import (
 // procs), rebuilt here from the cost model's public expression builders
 // because the allocator's own copy is unexported and this package cannot
 // be imported by a test inside it. It mirrors alloc's compile step for
-// step; TestTapeMatchesReferenceOnSolverTrajectory proves the two are
-// the same program by reproducing alloc.Solve's evaluation count and
-// allocation exactly.
+// step — the quotient program over g.Orbits(), one variable per
+// automorphism orbit — and TestTapeMatchesReferenceOnSolverTrajectory
+// proves the two are the same program by reproducing alloc.Solve's
+// evaluation count and allocation exactly.
 type phiProblem struct {
 	eg           expr.Graph
 	phi          expr.ID
 	lower, upper []float64
+	orbit        []int // node i's variable, from g.Orbits()
 }
 
 func buildPhi(t testing.TB, g *mdg.Graph, model costmodel.Model, procs int) *phiProblem {
@@ -34,49 +37,66 @@ func buildPhi(t testing.TB, g *mdg.Graph, model costmodel.Model, procs int) *phi
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := g.NumNodes()
-	p := &phiProblem{lower: make([]float64, n), upper: make([]float64, n)}
+	orbit, err := g.Orbits()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := slices.Max(orbit) + 1
+	rep := make([]mdg.NodeID, k) // each orbit's first member in topological order
+	size := make([]int, k)
+	for _, v := range order {
+		if size[orbit[v]] == 0 {
+			rep[orbit[v]] = v
+		}
+		size[orbit[v]]++
+	}
+	isRep := func(v mdg.NodeID) bool { return rep[orbit[v]] == v }
+	p := &phiProblem{orbit: orbit, lower: make([]float64, k), upper: make([]float64, k)}
 	eg := &p.eg
 	type endpoints [2]mdg.NodeID
 	send, net, recv := map[endpoints]expr.ID{}, map[endpoints]expr.ID{}, map[endpoints]expr.ID{}
 	for _, e := range g.Edges {
-		k := endpoints{e.From, e.To}
-		send[k], net[k], recv[k] = costmodel.EdgeTransferExprs(eg, model.Transfer, e, int(e.From), int(e.To))
-	}
-	weight := make([]expr.ID, n)
-	for i := range weight {
-		id := mdg.NodeID(i)
-		terms := []expr.ID{costmodel.ProcessingExpr(eg, costmodel.LoopParams{Alpha: g.Nodes[i].Alpha, Tau: g.Nodes[i].Tau}, i)}
-		for _, m := range g.Preds(id) {
-			terms = append(terms, recv[endpoints{m, id}])
+		if isRep(e.From) || isRep(e.To) {
+			k := endpoints{e.From, e.To}
+			send[k], net[k], recv[k] = costmodel.EdgeTransferExprs(eg, model.Transfer, e, orbit[e.From], orbit[e.To])
 		}
-		for _, s := range g.Succs(id) {
-			terms = append(terms, send[endpoints{id, s}])
-		}
-		weight[i] = eg.Sum(terms...)
 	}
-	areas := make([]expr.ID, n)
-	for i := range areas {
-		areas[i] = eg.Mul(weight[i], eg.Var(i))
+	weight := make([]expr.ID, k)
+	for c, v := range rep {
+		terms := []expr.ID{costmodel.ProcessingExpr(eg, costmodel.LoopParams{Alpha: g.Nodes[v].Alpha, Tau: g.Nodes[v].Tau}, c)}
+		for _, m := range g.Preds(v) {
+			terms = append(terms, recv[endpoints{m, v}])
+		}
+		for _, s := range g.Succs(v) {
+			terms = append(terms, send[endpoints{v, s}])
+		}
+		weight[c] = eg.Sum(terms...)
+	}
+	areas := make([]expr.ID, k)
+	for c := range areas {
+		areas[c] = eg.Scale(float64(size[c]), eg.Mul(weight[c], eg.Var(c)))
 	}
 	ap := eg.Scale(1/float64(procs), eg.Sum(areas...))
-	y := make([]expr.ID, n)
+	y := make([]expr.ID, k)
 	for _, v := range order {
+		if !isRep(v) {
+			continue
+		}
 		preds := g.Preds(v)
 		if len(preds) == 0 {
-			y[v] = weight[v]
+			y[orbit[v]] = weight[orbit[v]]
 			continue
 		}
 		arrivals := make([]expr.ID, 0, len(preds))
 		for _, m := range preds {
-			arrivals = append(arrivals, eg.Sum(y[m], net[endpoints{m, v}]))
+			arrivals = append(arrivals, eg.Sum(y[orbit[m]], net[endpoints{m, v}]))
 		}
-		y[v] = eg.Sum(eg.SmoothMax(arrivals...), weight[v])
+		y[orbit[v]] = eg.Sum(eg.SmoothMax(arrivals...), weight[orbit[v]])
 	}
 	var sinks []expr.ID
-	for i := range y {
+	for i := range g.Nodes {
 		if len(g.Succs(mdg.NodeID(i))) == 0 {
-			sinks = append(sinks, y[i])
+			sinks = append(sinks, y[orbit[i]])
 		}
 	}
 	p.phi = eg.SmoothMax(ap, eg.SmoothMax(sinks...))
@@ -168,9 +188,9 @@ func TestTapeMatchesReferenceOnSolverTrajectory(t *testing.T) {
 				t.Fatalf("rebuilt Φ solved in %d evals / %d iters, alloc.Solve in %d / %d: not the same program",
 					sol.Evals, sol.Iters, want.Solver.Evals, want.Solver.Iters)
 			}
-			for i, x := range sol.X {
-				if !sameBits(math.Exp(x), want.P[i]) {
-					t.Fatalf("p[%d] = %v, alloc.Solve gave %v", i, math.Exp(x), want.P[i])
+			for i, c := range pp.orbit {
+				if p := math.Exp(sol.X[c]); !sameBits(p, want.P[i]) {
+					t.Fatalf("p[%d] = %v, alloc.Solve gave %v", i, p, want.P[i])
 				}
 			}
 			t.Logf("%d points bit-identical; %+v, %d exp per EvalGrad", points, pp.eg.Shape(), pp.eg.Shape().ExpsPerEvalGrad())

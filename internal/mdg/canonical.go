@@ -10,20 +10,23 @@
 // are ignored), and CanonicalHash digests the canonicalized graph.
 //
 // The ordering is Weisfeiler-Lehman color refinement over content
-// signatures, with sequential individualization when refinement leaves
-// tied classes. Ties after refinement mean the nodes are (in every case
-// that arises from real programs, whose α/τ are distinct floats)
-// automorphic, so individualizing any member yields the same canonical
-// serialization. A WL collision between non-automorphic nodes would at
-// worst canonicalize two isomorphic graphs differently — a cache miss,
-// never a false hit, because the hash covers the full canonical structure.
+// signatures (refiner, shared with Orbits), with sequential
+// individualization when refinement leaves tied classes. Orbits checks,
+// on every program the repo builds, that the tied classes are exactly the
+// automorphism orbits, so individualizing any member yields the same
+// canonical serialization. A WL collision between non-automorphic nodes
+// would at worst canonicalize two isomorphic graphs differently — a cache
+// miss, never a false hit, because the hash covers the full canonical
+// structure.
 package mdg
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -42,7 +45,7 @@ func combine(h, v uint64) uint64 {
 // combineSorted folds a multiset of values into h order-insensitively by
 // sorting first (vs is clobbered).
 func combineSorted(h uint64, vs []uint64) uint64 {
-	sort.Slice(vs, func(a, b int) bool { return vs[a] < vs[b] })
+	slices.Sort(vs)
 	for _, v := range vs {
 		h = combine(h, v)
 	}
@@ -51,108 +54,180 @@ func combineSorted(h uint64, vs []uint64) uint64 {
 
 // transferSig hashes one edge's transfer multiset.
 func transferSig(trs []Transfer) uint64 {
-	sigs := make([]uint64, len(trs))
-	for i, tr := range trs {
-		sigs[i] = combine(combine(0x7472616e73666572, uint64(tr.Bytes)), uint64(tr.Kind))
+	var buf [4]uint64
+	sigs := buf[:0]
+	for _, tr := range trs {
+		sigs = append(sigs, combine(combine(0x7472616e73666572, uint64(tr.Bytes)), uint64(tr.Kind)))
 	}
 	return combineSorted(0xedfe, sigs)
+}
+
+// individualizeSig is folded into a signature to single its node out.
+const individualizeSig = 0x696e646976
+
+// refiner runs color refinement over one graph: its adjacency as flat
+// in/out lists with each edge's transfer signature beside the neighbour,
+// and the scratch one refinement round needs, so rounds allocate nothing.
+type refiner struct {
+	n                 int
+	inOff, outOff     []int32 // node i's lists are [off[i], off[i+1])
+	inNbr, outNbr     []int32
+	inSig, outSig     []uint64
+	next, nbr, sorted []uint64
+}
+
+func newRefiner(g *Graph) *refiner {
+	n, m := len(g.Nodes), len(g.Edges)
+	ints := make([]int32, 2*(n+1)+2*m)
+	sigs := make([]uint64, 2*m+2*n)
+	r := &refiner{
+		n:      n,
+		inOff:  ints[:n+1],
+		outOff: ints[n+1 : 2*(n+1)],
+		inNbr:  ints[2*(n+1) : 2*(n+1)+m],
+		outNbr: ints[2*(n+1)+m:],
+		inSig:  sigs[:m],
+		outSig: sigs[m : 2*m],
+		next:   sigs[2*m : 2*m+n],
+		sorted: sigs[2*m+n:],
+	}
+	for _, e := range g.Edges {
+		r.inOff[e.To+1]++
+		r.outOff[e.From+1]++
+	}
+	maxDeg := int32(0)
+	for i := 0; i < n; i++ {
+		maxDeg = max(maxDeg, r.inOff[i+1], r.outOff[i+1])
+		r.inOff[i+1] += r.inOff[i]
+		r.outOff[i+1] += r.outOff[i]
+	}
+	r.nbr = make([]uint64, maxDeg)
+	fill := make([]int32, 2*n) // per-node cursors: in-lists, then out-lists
+	for _, e := range g.Edges {
+		s := transferSig(e.Transfers)
+		k := r.inOff[e.To] + fill[e.To]
+		fill[e.To]++
+		r.inNbr[k], r.inSig[k] = int32(e.From), s
+		k = r.outOff[e.From] + fill[n+int(e.From)]
+		fill[n+int(e.From)]++
+		r.outNbr[k], r.outSig[k] = int32(e.To), s
+	}
+	return r
+}
+
+// initial writes every node's content signature (α/τ bits) into sig.
+func (r *refiner) initial(g *Graph, sig []uint64) {
+	for i, nd := range g.Nodes {
+		sig[i] = combine(combine(0x6e6f6465, math.Float64bits(nd.Alpha)), math.Float64bits(nd.Tau))
+	}
+}
+
+// distinct counts the distinct values of sig, leaving them sorted in
+// r.sorted.
+func (r *refiner) distinct(sig []uint64) int {
+	s := r.sorted
+	copy(s, sig)
+	slices.Sort(s)
+	c := 0
+	for i, v := range s {
+		if i == 0 || v != s[i-1] {
+			c++
+		}
+	}
+	return c
+}
+
+// refine runs refinement rounds on sig until the number of classes stops
+// growing (or every node is alone) and returns the class count. A round
+// replaces each signature by a hash of itself and the sorted multisets of
+// (neighbour signature, edge transfer signature) over its in- and
+// out-edges.
+func (r *refiner) refine(sig []uint64) int {
+	classes := r.distinct(sig)
+	for round := 0; round <= r.n; round++ {
+		for i := 0; i < r.n; i++ {
+			h := combine(0x726f756e64, sig[i])
+			nb := r.nbr[:0]
+			for k := r.inOff[i]; k < r.inOff[i+1]; k++ {
+				nb = append(nb, combine(sig[r.inNbr[k]], r.inSig[k]))
+			}
+			h = combine(h, combineSorted(0x696e, nb))
+			nb = r.nbr[:0]
+			for k := r.outOff[i]; k < r.outOff[i+1]; k++ {
+				nb = append(nb, combine(sig[r.outNbr[k]], r.outSig[k]))
+			}
+			r.next[i] = combine(h, combineSorted(0x6f7574, nb))
+		}
+		copy(sig, r.next)
+		c := r.distinct(sig)
+		if c == r.n || c == classes {
+			return c
+		}
+		classes = c
+	}
+	return classes
+}
+
+// smallestDuplicate returns the smallest signature shared by two or more
+// nodes, reading the sorted copy distinct left behind.
+func (r *refiner) smallestDuplicate() uint64 {
+	s := r.sorted
+	for i := 1; i < len(s); i++ {
+		if s[i] == s[i-1] {
+			return s[i]
+		}
+	}
+	return 0
+}
+
+// individualize singles out the lowest-numbered node whose signature is
+// dup.
+func individualize(sig []uint64, dup uint64) {
+	for i, v := range sig {
+		if v == dup {
+			sig[i] = combine(v, individualizeSig)
+			return
+		}
+	}
+}
+
+// discretize individualizes and re-refines until every node has its own
+// signature: each round singles out the lowest-numbered member of the
+// smallest tied class, so every round adds a class and n rounds always
+// terminate.
+func (r *refiner) discretize(sig []uint64, classes int) {
+	for round := 0; round < r.n && classes < r.n; round++ {
+		individualize(sig, r.smallestDuplicate())
+		classes = r.refine(sig)
+	}
 }
 
 // CanonicalPerm computes a relabel-invariant permutation of g: perm[i] is
 // the canonical index of node i, suitable for g.Relabel(perm). Two graphs
 // equal up to node renumbering canonicalize to byte-identical Relabel
-// outputs (modulo the cost-free Name/Meta fields) whenever refinement
-// fully separates the nodes — which the distinct fitted α/τ of real
-// programs guarantee in practice.
+// outputs (modulo the cost-free Name/Meta fields) whenever the tied
+// classes of refinement are automorphism orbits — which Orbits' tests
+// check on every program the repo builds.
 func (g *Graph) CanonicalPerm() ([]NodeID, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	n := len(g.Nodes)
+	r := newRefiner(g)
 	sig := make([]uint64, n)
-	for i, nd := range g.Nodes {
-		sig[i] = combine(combine(0x6e6f6465, math.Float64bits(nd.Alpha)), math.Float64bits(nd.Tau))
-	}
-	esig := make(map[[2]NodeID]uint64, len(g.Edges))
-	for _, e := range g.Edges {
-		esig[[2]NodeID{e.From, e.To}] = transferSig(e.Transfers)
-	}
-
-	refine := func() {
-		next := make([]uint64, n)
-		var scratch []uint64
-		for round := 0; round <= n; round++ {
-			classes := countDistinct(sig)
-			for i := 0; i < n; i++ {
-				id := NodeID(i)
-				h := combine(0x726f756e64, sig[i])
-				scratch = scratch[:0]
-				for _, m := range g.Preds(id) {
-					scratch = append(scratch, combine(sig[m], esig[[2]NodeID{m, id}]))
-				}
-				h = combine(h, combineSorted(0x696e, scratch))
-				scratch = scratch[:0]
-				for _, s := range g.Succs(id) {
-					scratch = append(scratch, combine(sig[s], esig[[2]NodeID{id, s}]))
-				}
-				next[i] = combine(h, combineSorted(0x6f7574, scratch))
-			}
-			copy(sig, next)
-			if c := countDistinct(sig); c == n || c == classes {
-				return
-			}
-		}
-	}
-
-	refine()
-	// Individualize while refinement leaves tied classes: distinguish one
-	// member of the smallest-signature tie class and re-refine. Tied nodes
-	// are automorphic in practice, so the choice of member cannot change
-	// the canonical serialization; n rounds always terminate.
-	for round := 0; round < n && countDistinct(sig) < n; round++ {
-		dup := findSmallestDuplicate(sig)
-		for i := 0; i < n; i++ {
-			if sig[i] == dup {
-				sig[i] = combine(sig[i], 0x696e646976) // individualize
-				break
-			}
-		}
-		refine()
-	}
+	r.initial(g, sig)
+	r.discretize(sig, r.refine(sig))
 
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return sig[order[a]] < sig[order[b]] })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(sig[a], sig[b]) })
 	perm := make([]NodeID, n)
 	for rank, orig := range order {
 		perm[orig] = NodeID(rank)
 	}
 	return perm, nil
-}
-
-func countDistinct(sig []uint64) int {
-	seen := make(map[uint64]struct{}, len(sig))
-	for _, s := range sig {
-		seen[s] = struct{}{}
-	}
-	return len(seen)
-}
-
-func findSmallestDuplicate(sig []uint64) uint64 {
-	counts := make(map[uint64]int, len(sig))
-	for _, s := range sig {
-		counts[s]++
-	}
-	best := uint64(0)
-	found := false
-	for s, c := range counts {
-		if c > 1 && (!found || s < best) {
-			best, found = s, true
-		}
-	}
-	return best
 }
 
 // canonMemo is one memoised CanonicalHash answer and the state it was

@@ -1,7 +1,10 @@
 package mdg
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -164,5 +167,122 @@ func TestCanonicalHashAutomorphicTies(t *testing.T) {
 	}
 	if h1 != h2 || h1 != h3 {
 		t.Fatalf("automorphic relabelings hash differently: %s / %s / %s", h1, h2, h3)
+	}
+}
+
+// refCanonicalPerm is CanonicalPerm as it stood before refinement moved
+// into the shared refiner (map-based class counts, a signature map for
+// edges, sort.Slice): the reference the refactor must reproduce exactly,
+// because the canonical hash — and every cache key built on it — is
+// derived from the permutation.
+func refCanonicalPerm(g *Graph) []NodeID {
+	n := len(g.Nodes)
+	sig := make([]uint64, n)
+	for i, nd := range g.Nodes {
+		sig[i] = combine(combine(0x6e6f6465, math.Float64bits(nd.Alpha)), math.Float64bits(nd.Tau))
+	}
+	esig := make(map[[2]NodeID]uint64, len(g.Edges))
+	for _, e := range g.Edges {
+		sigs := make([]uint64, len(e.Transfers))
+		for i, tr := range e.Transfers {
+			sigs[i] = combine(combine(0x7472616e73666572, uint64(tr.Bytes)), uint64(tr.Kind))
+		}
+		sort.Slice(sigs, func(a, b int) bool { return sigs[a] < sigs[b] })
+		h := uint64(0xedfe)
+		for _, v := range sigs {
+			h = combine(h, v)
+		}
+		esig[[2]NodeID{e.From, e.To}] = h
+	}
+	countDistinct := func(sig []uint64) int {
+		seen := make(map[uint64]struct{}, len(sig))
+		for _, s := range sig {
+			seen[s] = struct{}{}
+		}
+		return len(seen)
+	}
+	sorted := func(h uint64, vs []uint64) uint64 {
+		sort.Slice(vs, func(a, b int) bool { return vs[a] < vs[b] })
+		for _, v := range vs {
+			h = combine(h, v)
+		}
+		return h
+	}
+	refine := func() {
+		next := make([]uint64, n)
+		var scratch []uint64
+		for round := 0; round <= n; round++ {
+			classes := countDistinct(sig)
+			for i := 0; i < n; i++ {
+				id := NodeID(i)
+				h := combine(0x726f756e64, sig[i])
+				scratch = scratch[:0]
+				for _, m := range g.Preds(id) {
+					scratch = append(scratch, combine(sig[m], esig[[2]NodeID{m, id}]))
+				}
+				h = combine(h, sorted(0x696e, scratch))
+				scratch = scratch[:0]
+				for _, s := range g.Succs(id) {
+					scratch = append(scratch, combine(sig[s], esig[[2]NodeID{id, s}]))
+				}
+				next[i] = combine(h, sorted(0x6f7574, scratch))
+			}
+			copy(sig, next)
+			if c := countDistinct(sig); c == n || c == classes {
+				return
+			}
+		}
+	}
+	refine()
+	for round := 0; round < n && countDistinct(sig) < n; round++ {
+		counts := map[uint64]int{}
+		for _, s := range sig {
+			counts[s]++
+		}
+		dup, found := uint64(0), false
+		for s, c := range counts {
+			if c > 1 && (!found || s < dup) {
+				dup, found = s, true
+			}
+		}
+		for i := 0; i < n; i++ {
+			if sig[i] == dup {
+				sig[i] = combine(sig[i], 0x696e646976)
+				break
+			}
+		}
+		refine()
+	}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return sig[order[a]] < sig[order[b]] })
+	perm := make([]NodeID, n)
+	for rank, orig := range order {
+		perm[orig] = NodeID(rank)
+	}
+	return perm
+}
+
+// TestCanonicalPermMatchesReference pins the refactored refinement to the
+// reference bit for bit, on random graphs and on graphs full of ties.
+func TestCanonicalPermMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	graphs := []*Graph{crFoolingGraph()}
+	for trial := 0; trial < 200; trial++ {
+		graphs = append(graphs, randomTestGraph(rng, 1+rng.Intn(14)))
+		data := make([]byte, 24)
+		rng.Read(data)
+		graphs = append(graphs, plantedGraph(data))
+	}
+	for trial, g := range graphs {
+		got, err := g.CanonicalPerm()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := refCanonicalPerm(g); !slices.Equal(got, want) {
+			t.Fatalf("graph %d: CanonicalPerm %v, reference %v", trial, got, want)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -72,6 +73,11 @@ func checkAgainstRebuild(t *testing.T, g *Graph, step int, op string) {
 	if (err == nil) != (wantErr == nil) || hash != wantHash || !sameIDs(perm, wantPerm) {
 		t.Fatalf("step %d (%s): CanonicalHash = %q %v %v, from scratch %q %v %v",
 			step, op, hash, perm, err, wantHash, wantPerm, wantErr)
+	}
+	orbit, err := g.Orbits()
+	wantOrbit, wantErr := (&Graph{Nodes: nodes, Edges: edges}).Orbits()
+	if (err == nil) != (wantErr == nil) || !slices.Equal(orbit, wantOrbit) {
+		t.Fatalf("step %d (%s): Orbits = %v %v, from scratch %v %v", step, op, orbit, err, wantOrbit, wantErr)
 	}
 }
 
@@ -211,7 +217,7 @@ func TestIndexAndMemoMatchRebuild(t *testing.T) {
 
 // TestFrozenGraphConcurrentReaders shares one graph, built but never
 // queried, among goroutines that all take the lazy paths at once: run
-// under -race it is the check that the index and the memo are published
+// under -race it is the check that the index and the memos are published
 // safely.
 func TestFrozenGraphConcurrentReaders(t *testing.T) {
 	g := randomTestGraph(rand.New(rand.NewSource(7)), 12)
@@ -219,6 +225,7 @@ func TestFrozenGraphConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantOrbit, _ := (&Graph{Nodes: g.Nodes, Edges: g.Edges}).orbits()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -228,6 +235,10 @@ func TestFrozenGraphConcurrentReaders(t *testing.T) {
 				got, _, err := g.CanonicalHash()
 				if err != nil || got != want {
 					t.Errorf("CanonicalHash = %q, %v; want %q", got, err, want)
+					return
+				}
+				if orbit, err := g.Orbits(); err != nil || !slices.Equal(orbit, wantOrbit) {
+					t.Errorf("Orbits = %v, %v; want %v", orbit, err, wantOrbit)
 					return
 				}
 				for id := range g.Nodes {

@@ -127,9 +127,10 @@ type Graph struct {
 	preds, succs [][]NodeID
 
 	// gen counts mutations through the methods; with a content checksum
-	// it keys the canonical-form memo (canonical.go).
+	// it keys the canonical-form and orbit memos (canonical.go, orbits.go).
 	gen   uint64
 	canon atomic.Pointer[canonMemo]
+	orbs  atomic.Pointer[orbitMemo]
 }
 
 // NumNodes returns the node count.
@@ -234,7 +235,7 @@ func (g *Graph) EdgeBetween(from, to NodeID) (Edge, bool) {
 // so callers anywhere up the stack can dispatch with errors.Is.
 func (g *Graph) Validate() error {
 	n := len(g.Nodes)
-	seen := map[[2]NodeID]bool{}
+	seen := make(map[[2]NodeID]bool, len(g.Edges))
 	for _, e := range g.Edges {
 		if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
 			return fmt.Errorf("mdg: %w: edge %d->%d out of range [0,%d)", errs.ErrBadGraph, e.From, e.To, n)

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"slices"
 	"testing"
 
 	"paradigm/internal/alloc"
@@ -51,6 +52,52 @@ func TestDifferentialAllocVsBruteForce(t *testing.T) {
 		}
 	}
 	t.Logf("%d graphs, worst Solve/BruteForce Φ ratio = %.6f", diffSeeds, worst)
+}
+
+// TestDifferentialAllocVsBruteForcePlanted is the same race on graphs
+// with planted automorphisms, the ones the allocator solves over their
+// orbits: the reduced program's optimum must still be the global one,
+// never above what brute force finds over every node separately.
+func TestDifferentialAllocVsBruteForcePlanted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("differential population test")
+	}
+	const procs = 8
+	worst := 0.0
+	reduced := 0
+	for seed := uint64(1); seed <= diffSeeds; seed++ {
+		g := PlantedGraph(seed, GenOptions{})
+		orbit, err := g.Orbits()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if slices.Max(orbit)+1 < g.NumNodes() {
+			reduced++
+		}
+		r, err := alloc.Solve(g, cm5Fit, procs, alloc.Options{})
+		if err != nil {
+			t.Fatalf("seed %d: solve: %v", seed, err)
+		}
+		if err := CheckAllocation(g, cm5Fit, procs, r, Options{}); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		bf, err := BruteForceAlloc(g, cm5Fit, procs, BruteForceOptions{})
+		if err != nil {
+			t.Fatalf("seed %d: brute force: %v", seed, err)
+		}
+		if ratio := r.Phi / bf.Phi; ratio > worst {
+			worst = ratio
+		}
+	}
+	// The brute-force grid is a set of feasible points, so a global
+	// optimum comes in at or below it; 1.000000 at print precision.
+	if worst > 1+5e-7 {
+		t.Errorf("worst Solve/BruteForce Φ ratio %.9f on planted graphs, want <= 1.000000", worst)
+	}
+	if reduced != diffSeeds {
+		t.Errorf("only %d of %d planted graphs have a nontrivial orbit", reduced, diffSeeds)
+	}
+	t.Logf("%d planted graphs, worst Solve/BruteForce Φ ratio = %.6f", diffSeeds, worst)
 }
 
 func TestDifferentialPSAVsExhaustive(t *testing.T) {

@@ -108,6 +108,97 @@ func RandomGraph(seed uint64, o GenOptions) *mdg.Graph {
 	return &g
 }
 
+// PlantedGraph deterministically generates a small MDG with a planted
+// automorphism: two or three copies of a random block — equal α/τ, equal
+// internal edges and transfers — optionally fed by a shared source and
+// drained into a shared sink, under a random node numbering. Parameters
+// are drawn like RandomGraph's; blocks shrink (and the shared nodes drop)
+// until the graph fits in MaxNodes, so the brute-force references still
+// apply. The allocator solves such graphs over their orbits (internal/
+// alloc), and these are the instances that tell the reduced program from
+// the full one.
+func PlantedGraph(seed uint64, o GenOptions) *mdg.Graph {
+	o = o.withDefaults()
+	r := newRNG(seed)
+	copies, src, sink, h := 2+r.intn(2), r.intn(2), r.intn(2), 1+r.intn(3)
+	for copies*h+src+sink > max(o.MaxNodes, 2) {
+		switch {
+		case h > 1:
+			h--
+		case sink > 0:
+			sink = 0
+		case src > 0:
+			src = 0
+		default:
+			copies--
+		}
+	}
+	kinds := []mdg.TransferKind{mdg.Transfer1D, mdg.Transfer2D}
+	if o.GridKinds {
+		kinds = append(kinds, mdg.TransferG2L, mdg.TransferL2G, mdg.TransferG2G)
+	}
+	node := func() mdg.Node {
+		return mdg.Node{Alpha: 0.02 + 0.88*r.float(), Tau: 1e-3 * math.Pow(10, 3*r.float())}
+	}
+	transfers := func() []mdg.Transfer {
+		trs := make([]mdg.Transfer, 1+r.intn(2))
+		for k := range trs {
+			trs[k] = mdg.Transfer{Bytes: 256 << r.intn(13), Kind: kinds[r.intn(len(kinds))]}
+		}
+		return trs
+	}
+
+	// Before renumbering: the shared source, the copies block by block,
+	// the shared sink.
+	n := copies*h + src + sink
+	g := mdg.Graph{Nodes: make([]mdg.Node, n)}
+	first := func(c int) int { return src + c*h }
+	s, t := mdg.NodeID(0), mdg.NodeID(n-1)
+	if src == 1 {
+		g.Nodes[s] = node()
+	}
+	if sink == 1 {
+		g.Nodes[t] = node()
+	}
+	for i := 0; i < h; i++ {
+		nd := node()
+		for c := 0; c < copies; c++ {
+			g.Nodes[first(c)+i] = nd
+		}
+	}
+	for i := range g.Nodes {
+		g.Nodes[i].Name = nodeName(i)
+	}
+	edge := func(from, to func(c int) mdg.NodeID) {
+		if r.float() >= o.EdgeProb {
+			return
+		}
+		trs := transfers()
+		for c := 0; c < copies; c++ {
+			g.AddEdge(from(c), to(c), trs...)
+		}
+	}
+	block := func(i int) func(int) mdg.NodeID {
+		return func(c int) mdg.NodeID { return mdg.NodeID(first(c) + i) }
+	}
+	for i := 0; i < h; i++ {
+		for j := i + 1; j < h; j++ {
+			edge(block(i), block(j))
+		}
+		if src == 1 {
+			edge(func(int) mdg.NodeID { return s }, block(i))
+		}
+		if sink == 1 {
+			edge(block(i), func(int) mdg.NodeID { return t })
+		}
+	}
+	out, err := g.Relabel(RandomPerm(r.next(), n))
+	if err != nil {
+		panic(err) // unreachable: RandomPerm is a permutation of [0, n)
+	}
+	return out
+}
+
 // nodeName labels generated nodes n0, n1, ...
 func nodeName(i int) string {
 	return "n" + string(rune('0'+i%10))
