@@ -411,28 +411,10 @@ func BenchmarkBuildStrassen128(b *testing.B) {
 	}
 }
 
-// BenchmarkAllocSolveMultiStart runs the same problem with four
-// deterministic start points fanned across the worker pool.
-func BenchmarkAllocSolveMultiStart(b *testing.B) {
-	e := env(b)
-	p, err := programs.ComplexMatMul(64, e.Cal)
-	if err != nil {
-		b.Fatal(err)
-	}
-	model := e.Cal.Model()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := alloc.Solve(p.G, model, 32, alloc.Options{MultiStart: 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAllocSolveWarmCache measures the warm-start cache's exact-hit
-// replay: the same multi-start problem as above, primed once outside the
-// timer, then served entirely from the cache (canonical hash + lookup +
-// permute back, no compile, no solve).
+// replay: CMM-64 at p=32, primed once outside the timer, then served
+// entirely from the cache (canonical hash + lookup + permute back, no
+// compile, no solve).
 func BenchmarkAllocSolveWarmCache(b *testing.B) {
 	e := env(b)
 	p, err := programs.ComplexMatMul(64, e.Cal)
@@ -440,7 +422,7 @@ func BenchmarkAllocSolveWarmCache(b *testing.B) {
 		b.Fatal(err)
 	}
 	model := e.Cal.Model()
-	opts := alloc.Options{MultiStart: 4, Cache: alloccache.New(8)}
+	opts := alloc.Options{Cache: alloccache.New(8)}
 	if _, err := alloc.Solve(p.G, model, 32, opts); err != nil {
 		b.Fatal(err)
 	}

@@ -6,8 +6,7 @@
 // Usage:
 //
 //	mdgbench -procs 32 -layers 8 -width 13 -seed 2026
-//	mdgbench -procs 32 -multistart 4   # concurrent multi-start convex solve
-//	mdgbench -sweep                    # the standard E13 sweep
+//	mdgbench -sweep   # the standard E13 sweep
 package main
 
 import (
@@ -30,17 +29,16 @@ func main() {
 		fanIn  = flag.Int("fanin", 3, "max fan-in per node")
 		bytes  = flag.Int("bytes", 32768, "transfer size per edge")
 		seed   = flag.Int64("seed", 2026, "generator seed")
-		starts = flag.Int("multistart", 0, "extra deterministic start points for the convex solve (0 = single midpoint start)")
 		sweep  = flag.Bool("sweep", false, "run the standard E13 size sweep instead")
 	)
 	flag.Parse()
-	if err := run(*procs, *layers, *width, *fanIn, *bytes, *seed, *starts, *sweep); err != nil {
+	if err := run(*procs, *layers, *width, *fanIn, *bytes, *seed, *sweep); err != nil {
 		fmt.Fprintln(os.Stderr, "mdgbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(procs, layers, width, fanIn, bytes int, seed int64, starts int, sweep bool) error {
+func run(procs, layers, width, fanIn, bytes int, seed int64, sweep bool) error {
 	env, err := experiments.NewEnv()
 	if err != nil {
 		return err
@@ -66,16 +64,12 @@ func run(procs, layers, width, fanIn, bytes int, seed int64, starts int, sweep b
 	model := env.Cal.Model()
 
 	t0 := time.Now()
-	conv, err := alloc.Solve(g, model, procs, alloc.Options{MultiStart: starts})
+	conv, err := alloc.Solve(g, model, procs, alloc.Options{})
 	if err != nil {
 		return err
 	}
-	label := "convex allocation"
-	if starts > 1 {
-		label = fmt.Sprintf("convex (%d starts)", starts)
-	}
-	fmt.Printf("%-18s: Phi = %.6f s in %v (%d objective evals, %d iters)\n",
-		label, conv.Phi, time.Since(t0).Round(time.Millisecond), conv.Solver.Evals, conv.Solver.Iters)
+	fmt.Printf("convex allocation : Phi = %.6f s in %v (%d objective evals, %d iters)\n",
+		conv.Phi, time.Since(t0).Round(time.Millisecond), conv.Solver.Evals, conv.Solver.Iters)
 
 	t0 = time.Now()
 	heur, err := alloc.SolveHeuristic(g, model, procs)

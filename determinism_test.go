@@ -1,9 +1,9 @@
-// The PR 6 determinism gate: the allocator's raw-speed machinery —
-// racing multi-start with certified-bound pruning, the warm-start
-// cache, the consensus-ADMM backend — must never trade reproducibility
-// for speed. For the paper's two real programs and a population of
-// generated MDGs, every solve mode must return byte-identical
-// allocations at one worker, four workers, and every available core.
+// The allocator determinism gate: its solve paths — the cold
+// annealed solve and the warm-start cache's exact-hit replay — must never
+// trade reproducibility for speed. For the paper's two real programs and
+// a population of generated MDGs, a cold solve must return byte-identical
+// allocations at one worker, four workers, and every available core, and
+// an exact hit must replay the solve it memoized byte for byte.
 package paradigm
 
 import (
@@ -57,36 +57,31 @@ func TestAllocDeterminismAcrossWidthsAndModes(t *testing.T) {
 	const procs = 16
 	for name, g := range graphs {
 		// base[mode] is the width-1 result each other width must match.
-		var baseCold, baseRacing, baseWarm alloc.Result
+		var baseCold, baseWarm alloc.Result
 		for wi, width := range widths {
 			t.Setenv(par.EnvWorkers, width)
-			cold, err := alloc.Solve(g, model, procs, alloc.Options{})
+			cache := alloccache.New(4)
+			cold, err := alloc.Solve(g, model, procs, alloc.Options{Cache: cache})
 			if err != nil {
 				t.Fatalf("%s width %s: cold: %v", name, width, err)
 			}
-			cache := alloccache.New(4)
-			racing, err := alloc.Solve(g, model, procs, alloc.Options{MultiStart: 4, Cache: cache})
-			if err != nil {
-				t.Fatalf("%s width %s: racing: %v", name, width, err)
+			if cold.CacheOutcome != "miss" {
+				t.Fatalf("%s width %s: cold outcome %q", name, width, cold.CacheOutcome)
 			}
-			if racing.CacheOutcome != "miss" {
-				t.Fatalf("%s width %s: racing outcome %q", name, width, racing.CacheOutcome)
-			}
-			warm, err := alloc.Solve(g, model, procs, alloc.Options{MultiStart: 4, Cache: cache})
+			warm, err := alloc.Solve(g, model, procs, alloc.Options{Cache: cache})
 			if err != nil {
 				t.Fatalf("%s width %s: warm: %v", name, width, err)
 			}
 			if warm.CacheOutcome != "hit" {
 				t.Fatalf("%s width %s: warm outcome %q", name, width, warm.CacheOutcome)
 			}
-			// The exact hit replays the racing solve it memoized.
-			sameAlloc(t, name+" warm-vs-racing width "+width, warm, racing)
+			// The exact hit replays the cold solve it memoized.
+			sameAlloc(t, name+" warm-vs-cold width "+width, warm, cold)
 			if wi == 0 {
-				baseCold, baseRacing, baseWarm = cold, racing, warm
+				baseCold, baseWarm = cold, warm
 				continue
 			}
 			sameAlloc(t, name+" cold width "+width, cold, baseCold)
-			sameAlloc(t, name+" racing width "+width, racing, baseRacing)
 			sameAlloc(t, name+" warm width "+width, warm, baseWarm)
 		}
 	}

@@ -328,7 +328,7 @@ func (p *problem) solveADMM(ctx context.Context, seed []float64, opts Options) (
 	}
 
 	if !ao.SkipPolish {
-		res, perr := p.solveFrom(ctx, 0, bestZ, opts.Anneal, opts.Observer)
+		res, perr := p.solveFrom(ctx, bestZ, opts.Anneal, opts.Observer)
 		if perr == nil && isFinite(res.Phi) && res.Phi <= best.Phi {
 			res.Backend = BackendADMM
 			return res, nil

@@ -66,7 +66,7 @@ func TestADMMPartitionCoversAllNodes(t *testing.T) {
 func TestADMMMatchesAnnealOnSmallGraphs(t *testing.T) {
 	graphs := map[string]*mdg.Graph{
 		"forkJoin": forkJoin(0.9),
-		"chain":    chainGraphForRace(),
+		"chain":    chainGraph(),
 		"layered":  layeredGraph(4, 3, 5),
 	}
 	for name, g := range graphs {
@@ -139,4 +139,14 @@ func TestUnknownBackendRejected(t *testing.T) {
 	if _, err := Solve(forkJoin(0.9), cm5Fit, 8, Options{Backend: "simplex"}); err == nil {
 		t.Fatal("unknown backend must error")
 	}
+}
+
+func chainGraph() *mdg.Graph {
+	var g mdg.Graph
+	a := g.AddNode(mdg.Node{Name: "a", Alpha: 0.85, Tau: 3})
+	b := g.AddNode(mdg.Node{Name: "b", Alpha: 0.6, Tau: 7})
+	c := g.AddNode(mdg.Node{Name: "c", Alpha: 0.95, Tau: 2})
+	g.AddEdge(a, b, mdg.Transfer{Bytes: 4096, Kind: mdg.Transfer2D})
+	g.AddEdge(b, c, mdg.Transfer{Bytes: 1024, Kind: mdg.Transfer1D})
+	return &g
 }

@@ -34,7 +34,6 @@ import (
 	"paradigm/internal/expr"
 	"paradigm/internal/mdg"
 	"paradigm/internal/obs"
-	"paradigm/internal/par"
 )
 
 // Options tunes Solve. The zero value selects robust defaults.
@@ -48,26 +47,9 @@ type Options struct {
 	// (the Prasanna-Agarwal-style ablation A3 of DESIGN.md). The reported
 	// Φ/A_p/C_p still use the full model.
 	IgnoreTransfers bool
-	// MultiStart > 1 runs that many annealed solves from deterministic
-	// start points and keeps the lowest exact Φ up to the RaceTol
-	// quantization, breaking ties by the lowest start index. Start 0 is
-	// the classic box midpoint, so MultiStart <= 1 reproduces the
-	// single-start behaviour exactly. The starts race concurrently on
-	// the par worker pool with pooled evaluators, sharing a certified
-	// lower bound that abandons provable losers early (race.go); the
-	// selected result is identical at any pool width.
-	MultiStart int
-	// RaceTol is the relative quantization of the racing multi-start
-	// winner selection: Φ values within a factor (1+RaceTol) of each
-	// other are ties, broken by the lowest start index. It is also the
-	// pruning threshold — a start abandons once an earlier-indexed
-	// completed start is certified within one quantum of the global
-	// optimum. <= 0 selects the default 2e-4. Only consulted when more
-	// than one start runs.
-	RaceTol float64
 	// Backend selects the solve strategy: BackendAuto or BackendAnneal
-	// runs the racing annealed multi-start (the default); BackendADMM
-	// runs the consensus-ADMM decomposition (admm.go), which partitions
+	// runs one annealed solve (the default); BackendADMM runs the
+	// consensus-ADMM decomposition (admm.go), which partitions
 	// the MDG into overlapping subgraphs solved in parallel and agrees on
 	// shared nodes — faster on large graphs, approximate within the
 	// consensus tolerance. Any other value fails option validation with
@@ -81,28 +63,28 @@ type Options struct {
 	// processor count (cache.go). An exact hit replays the stored
 	// allocation byte-identically without solving (Result.Solver is
 	// zero); a hit on the same canonical graph at a different machine
-	// size seeds the race with a rescaled warm start. Lookups and
-	// inserts are safe for concurrent solves sharing one cache.
+	// size starts the solve from a rescaled warm start in place of the
+	// box midpoint. Lookups and inserts are safe for concurrent solves
+	// sharing one cache.
 	Cache *alloccache.Cache
 	// CacheExactOnly restricts the cache to exact-hit replay: near hits
-	// never seed the race, so the solved allocation is a pure function
+	// never seed the solve, so the solved allocation is a pure function
 	// of (graph, model, options, procs) regardless of what the cache
 	// happens to hold. Long-lived services that journal result digests
 	// and must reproduce them byte-identically across restarts (with a
 	// cold cache) set this; one-shot CLI runs keep the seeded speedup.
 	CacheExactOnly bool
 	// Observer, when non-nil, receives one obs.SolverStage event per
-	// annealed temperature stage (per start), one obs.AllocCache event
-	// per cache lookup, and one obs.AllocDone event per completed solve.
-	// Nil costs one pointer comparison per stage.
+	// annealed temperature stage, one obs.AllocCache event per cache
+	// lookup, and one obs.AllocDone event per completed solve. Nil costs
+	// one pointer comparison per stage.
 	Observer obs.Observer
 	// FallbackHeuristic enables graceful degradation: when the annealed
-	// convex solve fails or returns a non-finite Φ, SolveCtx retries
-	// from widened perturbed multi-starts (bounded), then falls back to
-	// the greedy critical-path heuristic (SolveHeuristic). Each
-	// degradation step emits one obs.Replan event to Observer.
-	// Cancellation and infeasible/invalid inputs never degrade — they
-	// return immediately.
+	// convex solve fails or returns a non-finite Φ, SolveCtx falls back
+	// to the greedy critical-path heuristic (SolveHeuristic) and emits
+	// one obs.Replan event to Observer. A different start cannot rescue
+	// a convex solve that failed, so there is no retry. Cancellation and
+	// infeasible/invalid inputs never degrade — they return immediately.
 	FallbackHeuristic bool
 }
 
@@ -113,7 +95,7 @@ type Result struct {
 	// Phi, Ap, Cp are the exact objective values at P under the full
 	// cost model: Phi = max(Ap, Cp).
 	Phi, Ap, Cp float64
-	// Solver carries the winning start's convex solver diagnostics as
+	// Solver carries the convex solver diagnostics as
 	// convex.MinimizeAnnealed reports them: X, F and Status are the final
 	// temperature stage's, Iters and Evals are summed over every stage
 	// (zero for a cache-replayed allocation: nothing was solved). X is in
@@ -132,8 +114,9 @@ type Result struct {
 
 // problem is the compiled convex program for one (graph, model, procs)
 // triple: the expression DAG is built once and shared by every annealed
-// solve, with per-solve evaluators drawn from a pool so concurrent
-// multi-start solves never contend on scratch space.
+// solve on it (the ADMM backend solves each subgraph's program once per
+// consensus round), with evaluators drawn from a pool so repeated solves
+// reuse their scratch space.
 type problem struct {
 	g            *mdg.Graph
 	model        costmodel.Model
@@ -141,11 +124,8 @@ type problem struct {
 	phi          expr.ID
 	pool         *expr.EvaluatorPool
 	lower, upper []float64
-	// eg is the expression graph behind phi, kept for the racing
-	// certificate's box-aware smoothing-gap bound (expr.TempGapBound).
-	eg *expr.Graph
 	// orbit[i] is node i's variable; size[c] counts orbit c's nodes. The
-	// box, start points and solver iterates live in orbit space.
+	// box, start point and solver iterates live in orbit space.
 	orbit, size []int
 }
 
@@ -154,11 +134,9 @@ type problem struct {
 // required for allocation (C_p is taken as the max finish time over all
 // nodes, which equals y_STOP when a STOP exists).
 //
-// With Options.MultiStart > 1 the annealed solve is repeated from that
-// many deterministic start points (concurrently, bounded by par.Workers)
-// and the result with the lowest exact Φ wins, ties going to the lowest
-// start index — a deterministic selection, so serial and parallel runs
-// return bit-identical allocations.
+// The program is convex with a unique minimum (paper §2), so one annealed
+// solve from the box midpoint finds it: TestSolveIsStartIndependent holds
+// three other start points to the midpoint's Φ.
 func Solve(g *mdg.Graph, model costmodel.Model, procs int, opts Options) (Result, error) {
 	return SolveCtx(context.Background(), g, model, procs, opts)
 }
@@ -234,14 +212,16 @@ func SolveCtx(ctx context.Context, g *mdg.Graph, model costmodel.Model, procs in
 	return res, nil
 }
 
-// solveWithFallback runs the racing multi-start solve on the compiled
-// problem (with an optional warm-start seed racing ahead of the cold
-// starts) and, with FallbackHeuristic, degrades through widened retries
-// to the greedy heuristic. The problem is compiled exactly once: retry
-// widths extend the deterministic start sequence past the points already
-// tried instead of recompiling and re-running them.
+// solveWithFallback runs one annealed solve on the compiled problem, from
+// the warm-start seed when a cache near hit supplied one and from the box
+// midpoint otherwise, and with FallbackHeuristic degrades to the greedy
+// heuristic when that solve fails.
 func (p *problem) solveWithFallback(ctx context.Context, seed []float64, opts Options) (Result, error) {
-	res, err := p.solveMulti(ctx, 0, max(1, opts.MultiStart), seed, opts)
+	x0 := seed
+	if x0 == nil {
+		x0 = p.midpoint()
+	}
+	res, err := p.solveFrom(ctx, x0, opts.Anneal, opts.Observer)
 	if err == nil && isFinite(res.Phi) {
 		res.Backend = BackendAnneal
 		return res, nil
@@ -254,28 +234,6 @@ func (p *problem) solveWithFallback(ctx context.Context, seed []float64, opts Op
 	}
 	if err != nil && (errors.Is(err, errs.ErrInfeasible) || errors.Is(err, errs.ErrBadGraph)) {
 		return Result{}, err
-	}
-	// Bounded retries from wider perturbed multi-starts: a bad basin or a
-	// pathological annealing trajectory often yields to a different start.
-	// Starts [0, tried) already failed deterministically, so each retry
-	// runs only the newly extended tail of the start sequence.
-	tried := max(1, opts.MultiStart)
-	for _, width := range []int{max(3, 2*opts.MultiStart), max(5, 4*opts.MultiStart)} {
-		if width <= tried {
-			continue
-		}
-		r, rerr := p.solveMulti(ctx, tried, width, nil, opts)
-		tried = width
-		if cerr := ctx.Err(); cerr != nil {
-			return Result{}, cerr
-		}
-		if rerr == nil && isFinite(r.Phi) {
-			r.Backend = BackendAnneal
-			if opts.Observer != nil {
-				opts.Observer.Observe(obs.Replan{Stage: "multistart-retry", Procs: p.procs, Phi: r.Phi})
-			}
-			return r, nil
-		}
 	}
 	hr, herr := SolveHeuristic(p.g, p.model, p.procs)
 	if herr != nil || !isFinite(hr.Phi) {
@@ -291,109 +249,18 @@ func (p *problem) solveWithFallback(ctx context.Context, seed []float64, opts Op
 	return hr, nil
 }
 
-// candidate is one racing start's outcome: ok is false when the start
-// was abandoned by the racing bound (a certified loser, not a failure).
-type candidate struct {
-	res    Result
-	q      int32
-	selIdx int
-	ok     bool
-	buf    *eventBuffer
-}
-
-// solveMulti runs starts [lo, hi) of the deterministic start sequence as
-// a race, plus an optional warm-start seed ranked before start 0 in the
-// tie-break. The winner is the lexicographic minimum of (quantized Φ,
-// start index) over completed starts — a timing-independent selection,
-// so the result is identical at any worker width. With exactly one cold
-// start and no seed it is the historical single-start solve, untouched.
-func (p *problem) solveMulti(ctx context.Context, lo, hi int, seed []float64, opts Options) (Result, error) {
-	starts := p.startPoints(hi)[lo:hi]
-	if seed == nil && len(starts) == 1 {
-		return p.solveFrom(ctx, lo, starts[0], opts.Anneal, opts.Observer)
-	}
-	type entry struct {
-		selIdx int
-		x0     []float64
-	}
-	entries := make([]entry, 0, len(starts)+1)
-	if seed != nil {
-		// The seed outranks every cold start in the tie-break: a cache
-		// near-hit that lands in the optimal basin both wins ties and
-		// lets the race prune the cold starts early.
-		entries = append(entries, entry{selIdx: -1, x0: seed})
-	}
-	for i, x0 := range starts {
-		entries = append(entries, entry{selIdx: lo + i, x0: x0})
-	}
-	rs := newRaceState(opts.RaceTol)
-	cands, err := par.Map(ctx, len(entries), func(ctx context.Context, i int) (candidate, error) {
-		var buf *eventBuffer
-		var o obs.Observer
-		if opts.Observer != nil {
-			buf = &eventBuffer{}
-			o = buf
-		}
-		res, ok, err := p.solveFromRace(ctx, entries[i].selIdx, entries[i].x0, opts.Anneal, o, rs)
-		if err != nil {
-			return candidate{}, err
-		}
-		return candidate{res: res, q: rs.quantize(res.Phi), selIdx: entries[i].selIdx, ok: ok, buf: buf}, nil
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	var best candidate
-	for _, c := range cands {
-		if !c.ok {
-			continue
-		}
-		if !best.ok || c.q < best.q || (c.q == best.q && c.selIdx < best.selIdx) {
-			best = c
-		}
-	}
-	if !best.ok {
-		// Unreachable: the lowest-ranked start can never satisfy the
-		// abandonment predicate (race.go), so at least one completes.
-		return Result{}, errors.New("alloc: every racing start was abandoned")
-	}
-	best.buf.flush(opts.Observer)
-	return best.res, nil
-}
-
 // isFinite guards the degradation path against NaN/Inf objectives a
 // broken solve can report without erroring.
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// startPoints produces k deterministic start points inside the box.
-// Start 0 is the box midpoint (the historical single-start point);
-// further starts spread over the box by a golden-ratio low-discrepancy
-// rule with a per-coordinate stagger, so no two starts or coordinates
-// coincide yet every run generates the same sequence.
-func (p *problem) startPoints(k int) [][]float64 {
-	if k < 1 {
-		k = 1
+// midpoint is the start point of a cold solve: the middle of the box
+// [0, ln p] in every orbit coordinate.
+func (p *problem) midpoint() []float64 {
+	x0 := make([]float64, len(p.upper))
+	for i := range x0 {
+		x0[i] = p.upper[i] * 0.5
 	}
-	const (
-		golden  = 0.6180339887498949 // 1/φ
-		stagger = 0.3819660112501051 // 1/φ²
-	)
-	starts := make([][]float64, k)
-	for s := range starts {
-		x0 := make([]float64, len(p.upper))
-		for i := range x0 {
-			f := 0.5
-			if s > 0 {
-				f = math.Mod(0.5+float64(s)*golden+float64(i)*stagger, 1)
-				// Keep away from the box edges where the smoothed
-				// objective is flattest.
-				f = 0.1 + 0.8*f
-			}
-			x0[i] = p.upper[i] * f
-		}
-		starts[s] = x0
-	}
-	return starts
+	return x0
 }
 
 // compile builds the expression DAG for the Φ objective once, over the
@@ -520,7 +387,6 @@ func compile(g *mdg.Graph, model costmodel.Model, procs int, opts Options, reduc
 		phi:   phi,
 		pool:  expr.NewEvaluatorPool(&eg),
 		lower: lower, upper: upper,
-		eg:    &eg,
 		orbit: orbit, size: size,
 	}, nil
 }
@@ -566,29 +432,9 @@ func (p *problem) lift(x []float64) []float64 {
 // (hard-max) Φ/A_p/C_p at the solution under the full cost model. The
 // per-stage hook checks ctx between temperature stages and, with a
 // non-nil observer, emits the solver-convergence trajectory.
-func (p *problem) solveFrom(ctx context.Context, startIdx int, x0 []float64, anneal convex.AnnealOptions, o obs.Observer) (Result, error) {
-	res, _, err := p.solveFromRace(ctx, startIdx, x0, anneal, o, nil)
-	return res, err
-}
-
-// solveFromRace is solveFrom with racing hooks. With rs == nil it is
-// exactly the historical single-start solve: no hook is installed and
-// the annealing trajectory is untouched. With a race state it (a)
-// publishes a certified global lower bound after every temperature stage
-// and a tightened sequence after the final stage, (b) polls the
-// abandonment predicate between stages and — via convex.Options.StopCheck
-// — every few inner iterations, and (c) publishes the completed result
-// as an incumbent. The returned ok is false iff the start was abandoned;
-// an abandoned start is not an error. A winning trajectory is never
-// perturbed by the hooks (StopCheck only reads), so its Result — solver
-// Iters/Evals included — is byte-identical to a run without the race.
-func (p *problem) solveFromRace(ctx context.Context, startIdx int, x0 []float64, anneal convex.AnnealOptions, o obs.Observer, rs *raceState) (Result, bool, error) {
+func (p *problem) solveFrom(ctx context.Context, x0 []float64, anneal convex.AnnealOptions, o obs.Observer) (Result, error) {
 	ev := p.pool.Get()
 	defer p.pool.Put(ev)
-	var certGrad []float64
-	if rs != nil {
-		certGrad = make([]float64, len(x0))
-	}
 	prev := anneal.OnStage
 	anneal.OnStage = func(stage int, temp float64, r convex.Result) error {
 		if err := ctx.Err(); err != nil {
@@ -596,35 +442,15 @@ func (p *problem) solveFromRace(ctx context.Context, startIdx int, x0 []float64,
 		}
 		if o != nil {
 			o.Observe(obs.SolverStage{
-				StartIdx: startIdx, Stage: stage, Temp: temp,
+				Stage: stage, Temp: temp,
 				Phi: r.F, Iters: r.Iters, Evals: r.Evals,
 				Status: r.Status.String(),
 			})
-		}
-		if rs != nil {
-			rs.publishBound(p.certifyBound(ev, r.X, temp, certGrad))
-			if rs.shouldAbandon(startIdx) {
-				return errRaceAbandoned
-			}
 		}
 		if prev != nil {
 			return prev(stage, temp, r)
 		}
 		return nil
-	}
-	raceStopped := false
-	if rs != nil {
-		prevStop := anneal.Inner.StopCheck
-		anneal.Inner.StopCheck = func() bool {
-			if prevStop != nil && prevStop() {
-				return true
-			}
-			if rs.shouldAbandon(startIdx) {
-				raceStopped = true
-				return true
-			}
-			return false
-		}
 	}
 	obj := convex.TempFunc(func(temp float64, x, grad []float64) float64 {
 		if grad == nil {
@@ -647,28 +473,15 @@ func (p *problem) solveFromRace(ctx context.Context, startIdx int, x0 []float64,
 	}
 	sol, err := convex.MinimizeAnnealed(obj, p.lower, p.upper, x0, anneal)
 	if err != nil {
-		if errors.Is(err, errRaceAbandoned) || (raceStopped && errors.Is(err, convex.ErrStopped)) {
-			return Result{}, false, nil
-		}
-		return Result{}, false, fmt.Errorf("alloc: solver failed: %w", err)
+		return Result{}, fmt.Errorf("alloc: solver failed: %w", err)
 	}
 
 	res := Result{P: p.lift(sol.X), Solver: sol}
 	res.Phi, res.Ap, res.Cp, err = p.model.Phi(p.g, res.P, p.procs)
 	if err != nil {
-		return Result{}, false, err
+		return Result{}, err
 	}
-	if rs != nil {
-		// The anneal stops at EndTemp, where the stage certificate still
-		// carries a T·slack gap; re-certifying the solution at shrinking
-		// temperatures tightens the published bound so stragglers can be
-		// abandoned (the point is fixed — only the certificate sharpens).
-		for _, t := range []float64{anneal.EndTemp, anneal.EndTemp / 8, anneal.EndTemp / 64} {
-			rs.publishBound(p.certifyBound(ev, sol.X, t, certGrad))
-		}
-		rs.publishResult(rs.quantize(res.Phi), startIdx)
-	}
-	return res, true, nil
+	return res, nil
 }
 
 // SPMD returns the pure data-parallel allocation — every node on all

@@ -265,48 +265,6 @@ func BenchmarkSolveForkJoin16(b *testing.B) {
 	}
 }
 
-func TestMultiStartMatchesOrBeatsSingleStart(t *testing.T) {
-	g := forkJoin(0.999)
-	single, err := Solve(g, cm5Fit, 32, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi, err := Solve(g, cm5Fit, 32, Options{MultiStart: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Start 0 of a multi-start run is the single-start point, so the
-	// winner can never be worse than the single-start solution.
-	if multi.Phi > single.Phi {
-		t.Fatalf("multi-start Phi %v worse than single-start %v", multi.Phi, single.Phi)
-	}
-}
-
-func TestMultiStartDeterministicAcrossWorkerWidths(t *testing.T) {
-	g := forkJoin(0.99)
-	solveAt := func(workers string) Result {
-		t.Setenv("PARADIGM_WORKERS", workers)
-		res, err := Solve(g, cm5Fit, 16, Options{MultiStart: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	serial := solveAt("1")
-	wide := solveAt("8")
-	if serial.Phi != wide.Phi || serial.Ap != wide.Ap || serial.Cp != wide.Cp {
-		t.Fatalf("multi-start Phi differs across worker widths: serial %v parallel %v", serial.Phi, wide.Phi)
-	}
-	for i := range serial.P {
-		if serial.P[i] != wide.P[i] {
-			t.Fatalf("P[%d] differs across worker widths: %v vs %v", i, serial.P[i], wide.P[i])
-		}
-	}
-	if serial.Solver.Evals != wide.Solver.Evals || serial.Solver.Iters != wide.Solver.Iters {
-		t.Fatalf("winning solver diagnostics differ across widths")
-	}
-}
-
 // --- Graceful degradation (PR 3) -------------------------------------------
 
 // failingStage returns an OnStage hook that fails every solve, the
@@ -329,16 +287,15 @@ func TestFallbackHeuristicOnSolverBreakdown(t *testing.T) {
 	if math.IsNaN(res.Phi) || math.IsInf(res.Phi, 0) || res.Phi <= 0 {
 		t.Fatalf("fallback Phi = %v", res.Phi)
 	}
-	// The heuristic must have been reached (retries use the same broken
-	// anneal hook, so they fail too).
-	sawFallback := false
+	// A failed solve goes straight to the heuristic: one Replan, no retry.
+	var stages []string
 	for _, e := range rec.Events() {
-		if r, ok := e.(obs.Replan); ok && r.Stage == "heuristic-fallback" {
-			sawFallback = true
+		if r, ok := e.(obs.Replan); ok {
+			stages = append(stages, r.Stage)
 		}
 	}
-	if !sawFallback {
-		t.Fatal("no heuristic-fallback Replan event")
+	if len(stages) != 1 || stages[0] != "heuristic-fallback" {
+		t.Fatalf("Replan stages %v, want [heuristic-fallback]", stages)
 	}
 	// Sanity: the fallback allocation is schedulable.
 	for _, p := range res.P {

@@ -16,10 +16,11 @@ import (
 type Backend string
 
 const (
-	// BackendAuto selects the default strategy (the racing annealed
-	// multi-start).
+	// BackendAuto selects the default strategy (the annealed convex
+	// solve).
 	BackendAuto Backend = ""
-	// BackendAnneal is the racing annealed multi-start (race.go).
+	// BackendAnneal is one annealed convex solve from the box midpoint,
+	// or from a cache near hit's warm start.
 	BackendAnneal Backend = "anneal"
 	// BackendADMM is the consensus-ADMM decomposition (admm.go). The
 	// other strategies solve one variable per automorphism orbit of the
@@ -55,8 +56,8 @@ func (b Backend) String() string {
 }
 
 // ParseBackend maps a CLI string to a solve strategy: "", "auto" or
-// "anneal" for the default race, "admm" for the decomposition. Anything
-// else fails with ErrUnknownBackend.
+// "anneal" for the default annealed solve, "admm" for the decomposition.
+// Anything else fails with ErrUnknownBackend.
 func ParseBackend(s string) (Backend, error) {
 	if s == "auto" {
 		return BackendAuto, nil

@@ -4,10 +4,10 @@
 // options, and the processor count. An exact hit replays the stored
 // allocation byte-identically without compiling or solving. A near hit
 // — same canonical program, different machine size — rescales the
-// stored allocation into a log-space warm start that races against the
-// cold starts with the highest tie-break rank (alloc.go, solveMulti),
-// after averaging it over each automorphism orbit into the solve's orbit
-// coordinates (problem.project).
+// stored allocation into a log-space warm start, averages it over each
+// automorphism orbit into the solve's orbit coordinates (problem.project),
+// and solves from there in place of the box midpoint (alloc.go,
+// solveWithFallback).
 //
 // Entries live in canonical node order, so two graphs that differ only
 // by node relabeling share one entry: allocations are permuted into
@@ -26,25 +26,27 @@ import (
 	"paradigm/internal/mdg"
 )
 
-// cacheKeys derives the exact and near cache keys. The near key covers
-// everything that shapes the solved allocation except the machine size:
-// the canonical graph hash (node α/τ and edge transfers, names
-// excluded), the transfer-parameter fingerprint, and the options that
-// change which start wins (MultiStart, RaceTol, the anneal schedule).
-// The exact key appends the processor count.
-func cacheKeys(hash string, model costmodel.Model, procs int, opts Options) (exact, near string) {
+// SolveShapeKey is the key of everything that shapes a solved allocation
+// except the machine size: the canonical graph hash (node α/τ and edge
+// transfers, names excluded), the transfer-parameter fingerprint, and the
+// solve options (the anneal schedule, the inner iteration cap, the
+// backend, the transfer ablation and the cache mode). It is the
+// allocation cache's near key; the exact key appends the processor count,
+// and the pipeline's schedule cache appends its schedule-shaping options
+// and then the processor count, so the two caches cannot disagree about
+// what a solve depends on.
+func SolveShapeKey(hash string, model costmodel.Model, opts Options) string {
 	var b strings.Builder
 	b.WriteString(hash)
 	b.WriteByte('|')
 	t := model.Transfer
 	for _, v := range []float64{
 		t.Tss, t.Tps, t.Tsr, t.Tpr, t.Tn,
-		opts.RaceTol,
 		opts.Anneal.StartTemp, opts.Anneal.EndTemp, opts.Anneal.Decay,
 	} {
 		fmt.Fprintf(&b, "%016x", math.Float64bits(v))
 	}
-	fmt.Fprintf(&b, "|ms%d|it%d|b%s", max(1, opts.MultiStart), opts.Anneal.Inner.MaxIter, opts.Backend)
+	fmt.Fprintf(&b, "|it%d|b%s", opts.Anneal.Inner.MaxIter, opts.Backend)
 	if opts.IgnoreTransfers {
 		b.WriteString("|nt")
 	}
@@ -54,9 +56,14 @@ func cacheKeys(hash string, model costmodel.Model, procs int, opts Options) (exa
 	if opts.CacheExactOnly {
 		b.WriteString("|xo")
 	}
-	near = b.String()
-	exact = fmt.Sprintf("%s|p%d", near, procs)
-	return exact, near
+	return b.String()
+}
+
+// cacheKeys derives the allocation cache's exact and near keys: the near
+// key is SolveShapeKey, the exact key appends the processor count.
+func cacheKeys(hash string, model costmodel.Model, procs int, opts Options) (exact, near string) {
+	near = SolveShapeKey(hash, model, opts)
+	return fmt.Sprintf("%s|p%d", near, procs), near
 }
 
 // entryFromResult permutes a solved allocation into canonical order for

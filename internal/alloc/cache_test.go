@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 func TestCacheExactHitReplaysByteIdentical(t *testing.T) {
 	g := forkJoin(0.9)
 	cache := alloccache.New(8)
-	opts := Options{MultiStart: 4, Cache: cache}
+	opts := Options{Cache: cache}
 	cold, err := Solve(g, cm5Fit, 16, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +57,7 @@ func TestCacheHitOnRelabeledGraph(t *testing.T) {
 	}
 
 	cache := alloccache.New(8)
-	opts := Options{MultiStart: 2, Cache: cache}
+	opts := Options{Cache: cache}
 	cold, err := Solve(g, cm5Fit, 16, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +82,7 @@ func TestCacheHitOnRelabeledGraph(t *testing.T) {
 func TestCacheNearHitSeedsDifferentProcs(t *testing.T) {
 	g := forkJoin(0.9)
 	cache := alloccache.New(8)
-	opts := Options{MultiStart: 3, Cache: cache}
+	opts := Options{Cache: cache}
 	if _, err := Solve(g, cm5Fit, 16, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -92,15 +93,14 @@ func TestCacheNearHitSeedsDifferentProcs(t *testing.T) {
 	if seeded.CacheOutcome != "seed" {
 		t.Fatalf("different procs: outcome %q, want seed", seeded.CacheOutcome)
 	}
-	coldOpts := Options{MultiStart: 3}
-	cold, err := Solve(g, cm5Fit, 32, coldOpts)
+	cold, err := Solve(g, cm5Fit, 32, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The seed races alongside the full cold start set and wins ties, so
-	// the seeded winner can only match or beat the cold winner's bucket.
-	if seeded.Phi > cold.Phi*(1+2*defaultRaceTol) {
-		t.Fatalf("seeded Φ %v worse than cold Φ %v beyond the race tolerance", seeded.Phi, cold.Phi)
+	// The seed replaces the midpoint as the start, and the start does not
+	// move the minimum beyond TestSolveIsStartIndependent's tolerance.
+	if math.Abs(seeded.Phi/cold.Phi-1) > 1e-5 {
+		t.Fatalf("seeded Φ %v differs from cold Φ %v beyond the start tolerance", seeded.Phi, cold.Phi)
 	}
 }
 
@@ -113,7 +113,7 @@ func TestCacheSeededSolveDeterministicAcrossWidths(t *testing.T) {
 	for wi, width := range []string{"1", "4", ""} {
 		t.Setenv(par.EnvWorkers, width)
 		cache := alloccache.New(8)
-		opts := Options{MultiStart: 3, Cache: cache}
+		opts := Options{Cache: cache}
 		if _, err := Solve(g, cm5Fit, 16, opts); err != nil {
 			t.Fatal(err)
 		}
@@ -140,18 +140,18 @@ func TestCacheSeededSolveDeterministicAcrossWidths(t *testing.T) {
 }
 
 // TestCacheExactOnlyIgnoresNearHits pins the purity contract behind
-// CacheExactOnly: a primed near entry must not seed the race, so the
-// solve returns the cold allocation bit-for-bit regardless of cache
+// CacheExactOnly: a primed near entry must not seed the solve, which
+// therefore returns the cold allocation bit-for-bit regardless of cache
 // history — the property long-lived services rely on to reproduce
 // journaled result digests across restarts with a cold cache.
 func TestCacheExactOnlyIgnoresNearHits(t *testing.T) {
 	g := forkJoin(0.9)
-	cold, err := Solve(g, cm5Fit, 32, Options{MultiStart: 3, CacheExactOnly: true})
+	cold, err := Solve(g, cm5Fit, 32, Options{CacheExactOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := alloccache.New(8)
-	opts := Options{MultiStart: 3, Cache: cache, CacheExactOnly: true}
+	opts := Options{Cache: cache, CacheExactOnly: true}
 	if _, err := Solve(g, cm5Fit, 16, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestCacheExactOnlyIgnoresNearHits(t *testing.T) {
 	}
 	// And entries never cross the mode boundary: a seeded-mode solve
 	// must not replay an exact-only entry.
-	crossed, err := Solve(g, cm5Fit, 32, Options{MultiStart: 3, Cache: cache})
+	crossed, err := Solve(g, cm5Fit, 32, Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,22 +192,24 @@ func TestCacheExactOnlyIgnoresNearHits(t *testing.T) {
 func TestCacheKeySeparatesSolveShape(t *testing.T) {
 	g := forkJoin(0.9)
 	cache := alloccache.New(8)
-	if _, err := Solve(g, cm5Fit, 16, Options{MultiStart: 2, Cache: cache}); err != nil {
+	if _, err := Solve(g, cm5Fit, 16, Options{Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
-	// A different multi-start width selects a potentially different
-	// winner, so it must not reuse the stored entry.
-	res, err := Solve(g, cm5Fit, 16, Options{MultiStart: 4, Cache: cache})
+	// A different inner iteration cap can stop the solve elsewhere, so it
+	// must not reuse the stored entry.
+	capped := Options{Cache: cache}
+	capped.Anneal.Inner.MaxIter = 3000
+	res, err := Solve(g, cm5Fit, 16, capped)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.CacheOutcome == "hit" {
-		t.Fatal("MultiStart changed but the cache replayed a stale entry")
+		t.Fatal("Anneal.Inner.MaxIter changed but the cache replayed a stale entry")
 	}
 	// A different cost model must miss entirely.
 	other := cm5Fit
 	other.Transfer.Tps *= 2
-	res, err = Solve(g, other, 16, Options{MultiStart: 2, Cache: cache})
+	res, err = Solve(g, other, 16, Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +217,7 @@ func TestCacheKeySeparatesSolveShape(t *testing.T) {
 		t.Fatalf("model changed: outcome %q, want miss", res.CacheOutcome)
 	}
 	// The ablated objective solves a different program.
-	res, err = Solve(g, cm5Fit, 16, Options{MultiStart: 2, Cache: cache, IgnoreTransfers: true})
+	res, err = Solve(g, cm5Fit, 16, Options{Cache: cache, IgnoreTransfers: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +230,7 @@ func TestCacheEmitsObsEvents(t *testing.T) {
 	g := forkJoin(0.9)
 	cache := alloccache.New(8)
 	rec := obs.NewRecorder()
-	opts := Options{MultiStart: 2, Cache: cache, Observer: rec}
+	opts := Options{Cache: cache, Observer: rec}
 	if _, err := Solve(g, cm5Fit, 16, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -255,15 +257,17 @@ func TestCacheEmitsObsEvents(t *testing.T) {
 
 func TestCacheKeysExactVersusNear(t *testing.T) {
 	hash := "deadbeef"
-	e16, n16 := cacheKeys(hash, cm5Fit, 16, Options{MultiStart: 2})
-	e32, n32 := cacheKeys(hash, cm5Fit, 32, Options{MultiStart: 2})
+	e16, n16 := cacheKeys(hash, cm5Fit, 16, Options{})
+	e32, n32 := cacheKeys(hash, cm5Fit, 32, Options{})
 	if e16 == e32 {
 		t.Fatal("exact keys must separate processor counts")
 	}
 	if n16 != n32 {
 		t.Fatal("near keys must unify processor counts")
 	}
-	_, nOther := cacheKeys(hash, cm5Fit, 16, Options{MultiStart: 3})
+	var other Options
+	other.Anneal.Inner.MaxIter = 3000
+	_, nOther := cacheKeys(hash, cm5Fit, 16, other)
 	if nOther == n16 {
 		t.Fatal("near keys must separate solve options")
 	}

@@ -30,7 +30,11 @@ func BenchmarkEvalGradStrassenPhi(b *testing.B) {
 	}
 	ev := prob.pool.Get()
 	defer prob.pool.Put(ev)
-	xs := prob.startPoints(2)
+	// The midpoint and a point off it.
+	xs := [2][]float64{prob.midpoint(), prob.midpoint()}
+	for i := range xs[1] {
+		xs[1][i] *= 0.7
+	}
 	temp := 0.05 * ev.Eval(prob.phi, xs[0], 0)
 	grad := make([]float64, len(xs[0]))
 	b.ReportAllocs()
@@ -38,7 +42,7 @@ func BenchmarkEvalGradStrassenPhi(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sinkPhi = ev.EvalGrad(prob.phi, xs[i&1], temp, grad)
 	}
-	b.ReportMetric(float64(prob.eg.Shape().ExpsPerEvalGrad()), "exp/op")
+	b.ReportMetric(float64(prob.pool.Shape().ExpsPerEvalGrad()), "exp/op")
 }
 
 var sinkPhi float64

@@ -1,6 +1,34 @@
 package alloc
 
+import (
+	"context"
+
+	"paradigm/internal/convex"
+	"paradigm/internal/costmodel"
+	"paradigm/internal/mdg"
+)
+
 // RefSolve solves over the full, unreduced program (reference_test.go),
 // for the differential gate in package alloc_test, which needs the oracle
 // and program builders that package alloc's own tests cannot import.
 var RefSolve = refSolve
+
+// SolveFromStarts compiles g's orbit-reduced program once and runs one
+// default annealed solve from each point starts builds, in place of the
+// box midpoint. starts receives the box's upper corner (ln p in every
+// orbit coordinate; the lower corner is 0).
+func SolveFromStarts(g *mdg.Graph, model costmodel.Model, procs int, starts func(upper []float64) [][]float64) ([]Result, error) {
+	prob, err := compile(g, model, procs, Options{}, true)
+	if err != nil {
+		return nil, err
+	}
+	var out []Result
+	for _, x0 := range starts(prob.upper) {
+		res, err := prob.solveFrom(context.Background(), x0, convex.AnnealOptions{}, nil)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, res)
+	}
+	return out, nil
+}

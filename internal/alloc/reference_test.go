@@ -98,7 +98,6 @@ func refCompile(g *mdg.Graph, model costmodel.Model, procs int, opts Options) (*
 		phi:   phi,
 		pool:  expr.NewEvaluatorPool(&eg),
 		lower: lower, upper: upper,
-		eg:    &eg,
 		orbit: identity(n), size: size,
 	}, nil
 }

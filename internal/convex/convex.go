@@ -50,22 +50,7 @@ type Options struct {
 	Armijo float64
 	// MaxBacktracks caps line-search halvings per iteration (default 60).
 	MaxBacktracks int
-	// StopCheck, when non-nil, is polled every few iterations; returning
-	// true aborts the minimization with ErrStopped. The hook exists for
-	// cooperative cancellation of racing solves: it must be cheap (an
-	// atomic load) and is never called with partial state exposed.
-	StopCheck func() bool
 }
-
-// ErrStopped is returned when Options.StopCheck requested an abort. The
-// caller that installed the hook knows why; everyone else treats it as a
-// failed solve.
-var ErrStopped = errors.New("convex: stopped by StopCheck")
-
-// stopCheckStride is how many outer iterations run between StopCheck
-// polls: frequent enough that an abandoned racing solve stops within
-// microseconds, rare enough to stay invisible in profiles.
-const stopCheckStride = 16
 
 func (o Options) withDefaults() Options {
 	if o.MaxIter <= 0 {
@@ -256,11 +241,6 @@ func minimize(obj Objective, lower, upper, x0 []float64, opts Options, ws *works
 	res := Result{X: x, Status: MaxIterReached}
 	for iter := 1; iter <= o.MaxIter; iter++ {
 		res.Iters = iter
-		if o.StopCheck != nil && iter%stopCheckStride == 0 && o.StopCheck() {
-			res.X, res.F, res.Evals = x, fx, evals
-			return res, ErrStopped
-		}
-
 		// Free variables are those not on a bound with the gradient pointing
 		// out of the box (there the preset gradient step is projected away);
 		// the gradient's largest component over them is the box's ‖∇f‖∞.

@@ -1,7 +1,6 @@
 package convex
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -264,48 +263,6 @@ func quartic(w, c []float64) Objective {
 		}
 		return f
 	})
-}
-
-func TestStopCheckAbortsPromptly(t *testing.T) {
-	n := 8
-	w := make([]float64, n)
-	c := make([]float64, n)
-	lo := make([]float64, n)
-	hi := make([]float64, n)
-	for i := range w {
-		w[i] = float64(i + 1)
-		c[i] = 3
-		lo[i], hi[i] = -10, 10
-	}
-	calls := 0
-	opts := Options{
-		GradTol: 1e-300, FTol: 1e-300, MaxIter: 100000,
-		StopCheck: func() bool { calls++; return calls >= 3 },
-	}
-	res, err := Minimize(quartic(w, c), lo, hi, make([]float64, n), opts)
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("err = %v, want ErrStopped (stopped on its own: %+v)", err, res)
-	}
-	if res.Iters > 4*stopCheckStride {
-		t.Fatalf("ran %d iterations after stop was requested", res.Iters)
-	}
-}
-
-func TestNilStopCheckUnchanged(t *testing.T) {
-	base, err := Minimize(quadratic([]float64{1, 2}, []float64{1, -1}),
-		[]float64{-5, -5}, []float64{5, 5}, []float64{0, 0}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hooked, err := Minimize(quadratic([]float64{1, 2}, []float64{1, -1}),
-		[]float64{-5, -5}, []float64{5, 5}, []float64{0, 0},
-		Options{StopCheck: func() bool { return false }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.F != hooked.F || base.Iters != hooked.Iters || base.Evals != hooked.Evals {
-		t.Fatalf("non-firing StopCheck changed the trajectory: %+v vs %+v", base, hooked)
-	}
 }
 
 // TestIterationsDoNotAllocate: what a call allocates (the workspace and

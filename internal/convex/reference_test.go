@@ -56,11 +56,6 @@ func refMinimize(obj Objective, lower, upper, x0 []float64, opts Options) (Resul
 	res := Result{X: x, Status: MaxIterReached}
 	for iter := 1; iter <= o.MaxIter; iter++ {
 		res.Iters = iter
-		if o.StopCheck != nil && iter%stopCheckStride == 0 && o.StopCheck() {
-			res.X, res.F, res.Evals = x, fx, evals
-			return res, ErrStopped
-		}
-
 		// Projected-gradient stationarity: the box-constrained analogue
 		// of ‖∇f‖∞ = 0.
 		pgNorm := 0.0

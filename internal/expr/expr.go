@@ -183,140 +183,3 @@ func (g *Graph) SmoothMax(ids ...ID) ID {
 	}
 	return g.add(node{kind: kSmoothMax, children: append([]ID(nil), ids...)})
 }
-
-// TempSlack returns a certified per-unit-temperature bound on the
-// smoothing gap of root: for every x and every temperature T > 0,
-//
-//	Eval(root, x, 0) <= Eval(root, x, T) <= Eval(root, x, 0) + T·TempSlack(root)
-//
-// The bound is a structural DP over the DAG: constants and monomials are
-// exact; a Sum accumulates its children's slacks; a Scale multiplies by
-// its factor; a SmoothMax over k children adds ln k on top of the worst
-// child (log-sum-exp exceeds max by at most T·ln k). A Mul whose operand
-// carries slack has a value-dependent gap, so the DP returns +Inf for it
-// — sound, just uninformative. The allocator's racing scheme uses this
-// bound to turn a trajectory's smoothed stage value into a certified
-// lower bound on the global minimum of the exact objective.
-func (g *Graph) TempSlack(root ID) float64 {
-	g.checkChildren([]ID{root})
-	slack := make([]float64, int(root)+1)
-	for i := 0; i <= int(root); i++ {
-		n := &g.nodes[i]
-		switch n.kind {
-		case kConst, kMonomial:
-			slack[i] = 0
-		case kSum:
-			s := 0.0
-			for _, c := range n.children {
-				s += slack[c]
-			}
-			slack[i] = s
-		case kScale:
-			if n.coeff == 0 {
-				slack[i] = 0 // 0·Inf would poison the DP with NaN
-			} else {
-				slack[i] = n.coeff * slack[n.children[0]]
-			}
-		case kMul:
-			if slack[n.children[0]] > 0 || slack[n.children[1]] > 0 {
-				slack[i] = math.Inf(1)
-			}
-		case kSmoothMax:
-			worst := 0.0
-			for _, c := range n.children {
-				if slack[c] > worst {
-					worst = slack[c]
-				}
-			}
-			slack[i] = worst + math.Log(float64(len(n.children)))
-		}
-	}
-	return slack[root]
-}
-
-// TempGapBound returns a certified bound on the smoothing gap of root at
-// one fixed temperature temp > 0, uniformly over the box [lower, upper]:
-//
-//	Eval(root, x, temp) <= Eval(root, x, 0) + TempGapBound(root, temp, lower, upper)
-//
-// for every x with lower <= x <= upper. It strengthens TempSlack where
-// that DP gives up: a Mul's gap is value-dependent, but over a bounded
-// box the factor values are bounded too —
-//
-//	a_T·b_T − a_0·b_0 = (a_T−a_0)·b_T + a_0·(b_T−b_0)
-//	               <= gap_a·(ub_b+gap_b) + ub_a·gap_b
-//
-// for nonnegative factors, where ub is the factor's exact-value upper
-// bound over the box (a monomial's box maximum is closed-form; sums,
-// scales and maxes propagate). The DP therefore tracks (ub, gap) per
-// node. A Mul with a possibly-negative operand (a negative constant
-// somewhere below it) falls back to +Inf — sound, and impossible for the
-// posynomial objectives the allocator builds. The allocator's racing
-// certificate uses this bound: it turns a trajectory's smoothed stage
-// value into a certified lower bound on the global minimum of the exact
-// objective (alloc/race.go).
-func (g *Graph) TempGapBound(root ID, temp float64, lower, upper []float64) float64 {
-	g.checkChildren([]ID{root})
-	if temp <= 0 {
-		return 0
-	}
-	n := int(root) + 1
-	ub := make([]float64, n)  // upper bound of the exact (temp-0) value
-	neg := make([]bool, n)    // value could be negative somewhere in the box
-	gap := make([]float64, n) // bound on val_T − val_0 over the box
-	for i := 0; i < n; i++ {
-		nd := &g.nodes[i]
-		switch nd.kind {
-		case kConst:
-			ub[i] = nd.coeff
-			neg[i] = nd.coeff < 0
-		case kMonomial:
-			// max over the box of c·exp(Σ a_j·x_j): each term maximizes
-			// independently at the bound its exponent sign picks.
-			dot := 0.0
-			for k, v := range nd.varIdx {
-				if int(v) >= len(lower) || int(v) >= len(upper) {
-					return math.Inf(1)
-				}
-				dot += math.Max(nd.varExp[k]*lower[v], nd.varExp[k]*upper[v])
-			}
-			ub[i] = nd.coeff * math.Exp(dot)
-		case kSum:
-			for _, c := range nd.children {
-				ub[i] += ub[c]
-				gap[i] += gap[c]
-				neg[i] = neg[i] || neg[c]
-			}
-		case kScale:
-			if nd.coeff == 0 {
-				ub[i], gap[i] = 0, 0 // 0·Inf would poison the DP with NaN
-			} else {
-				ub[i] = nd.coeff * ub[nd.children[0]]
-				gap[i] = nd.coeff * gap[nd.children[0]]
-			}
-			neg[i] = neg[nd.children[0]]
-		case kMul:
-			a, b := nd.children[0], nd.children[1]
-			ub[i] = ub[a] * ub[b]
-			neg[i] = neg[a] || neg[b]
-			switch {
-			case gap[a] == 0 && gap[b] == 0:
-				gap[i] = 0
-			case neg[i]:
-				gap[i] = math.Inf(1)
-			default:
-				gap[i] = gap[a]*(ub[b]+gap[b]) + ub[a]*gap[b]
-			}
-		case kSmoothMax:
-			worstUB, worstGap := math.Inf(-1), 0.0
-			for _, c := range nd.children {
-				worstUB = math.Max(worstUB, ub[c])
-				worstGap = math.Max(worstGap, gap[c])
-				neg[i] = neg[i] || neg[c]
-			}
-			ub[i] = worstUB
-			gap[i] = worstGap + temp*math.Log(float64(len(nd.children)))
-		}
-	}
-	return gap[root]
-}

@@ -386,128 +386,3 @@ func BenchmarkEvalGradMediumDAG(b *testing.B) {
 		x, y = y, x
 	}
 }
-
-func TestTempSlackCertifiesSmoothingGap(t *testing.T) {
-	// Structured DAG mirroring the allocator's shape: sums of monomials
-	// feeding nested SmoothMax nodes through additions.
-	var g Graph
-	w0 := g.Sum(g.Monomial(2, map[int]float64{0: -1}), g.Const(0.5))
-	w1 := g.Sum(g.Monomial(3, map[int]float64{1: -1}), g.Const(0.25))
-	m1 := g.SmoothMax(w0, w1)
-	y := g.Sum(m1, g.Monomial(1, map[int]float64{0: 1}))
-	root := g.SmoothMax(y, g.Scale(0.5, g.Sum(w0, w1)))
-	s := g.TempSlack(root)
-	// Structural bound: ln 2 (inner max) + ln 2 (outer max).
-	if want := 2 * math.Log(2); math.Abs(s-want) > 1e-12 {
-		t.Fatalf("TempSlack = %v, want %v", s, want)
-	}
-	ev := NewEvaluator(&g)
-	for _, temp := range []float64{1e-3, 0.1, 1, 10} {
-		for _, x := range [][]float64{{0, 0}, {1, -1}, {-2, 3}, {0.5, 0.5}} {
-			exact := ev.Eval(root, x, 0)
-			smooth := ev.Eval(root, x, temp)
-			if smooth < exact {
-				t.Fatalf("temp %v x %v: smoothed %v below exact %v", temp, x, smooth, exact)
-			}
-			if smooth > exact+temp*s*(1+1e-12) {
-				t.Fatalf("temp %v x %v: gap %v exceeds certified %v", temp, x, smooth-exact, temp*s)
-			}
-		}
-	}
-}
-
-func TestTempSlackRandomDAGs(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		var g Graph
-		const nvars = 4
-		root := buildRandomGraph(rng, &g, nvars)
-		s := g.TempSlack(root)
-		if math.IsNaN(s) || s < 0 {
-			t.Fatalf("trial %d: TempSlack = %v", trial, s)
-		}
-		if math.IsInf(s, 1) {
-			continue // a Mul over smoothed operands: certified as unbounded
-		}
-		ev := NewEvaluator(&g)
-		x := make([]float64, nvars)
-		for _, temp := range []float64{0.01, 0.5, 2} {
-			for probe := 0; probe < 8; probe++ {
-				for i := range x {
-					x[i] = rng.Float64()*2 - 1
-				}
-				exact := ev.Eval(root, x, 0)
-				smooth := ev.Eval(root, x, temp)
-				bound := exact + temp*s
-				if smooth > bound+1e-9*math.Abs(bound) {
-					t.Fatalf("trial %d temp %v: smoothed %v exceeds exact %v + %v", trial, temp, smooth, exact, temp*s)
-				}
-			}
-		}
-	}
-}
-
-// TestTempGapBoundCertifiesOverBox checks the box-aware smoothing-gap
-// bound on random DAGs: at sampled points inside the box, the smoothed
-// value never exceeds the exact value plus the certified gap.
-func TestTempGapBoundCertifiesOverBox(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 300; trial++ {
-		var g Graph
-		nvars := 1 + rng.Intn(3)
-		root := buildRandomGraph(rng, &g, nvars)
-		lower := make([]float64, nvars)
-		upper := make([]float64, nvars)
-		for v := range upper {
-			upper[v] = 0.5 + 2*rng.Float64()
-		}
-		temp := math.Pow(10, -4*rng.Float64()) // (1e-4, 1]
-		bound := g.TempGapBound(root, temp, lower, upper)
-		if math.IsNaN(bound) {
-			t.Fatalf("trial %d: NaN gap bound", trial)
-		}
-		if math.IsInf(bound, 1) {
-			continue // sound but uninformative; nothing to check
-		}
-		ev := NewEvaluator(&g)
-		x := make([]float64, nvars)
-		for sample := 0; sample < 20; sample++ {
-			for v := range x {
-				x[v] = lower[v] + rng.Float64()*(upper[v]-lower[v])
-			}
-			exact := ev.Eval(root, x, 0)
-			smoothed := ev.Eval(root, x, temp)
-			if smoothed > exact+bound*(1+1e-12)+1e-12 {
-				t.Fatalf("trial %d: smoothed %v > exact %v + bound %v", trial, smoothed, exact, bound)
-			}
-		}
-	}
-}
-
-// TestTempGapBoundFiniteOnTransferPattern pins the pattern that matters:
-// the cost model's Mul(SmoothMax(p_i, p_j), monomial) send/recv terms
-// must get a finite box-aware gap even though TempSlack gives up on them.
-func TestTempGapBoundFiniteOnTransferPattern(t *testing.T) {
-	var g Graph
-	mx := g.SmoothMax(g.Var(0), g.Var(1))
-	term := g.Mul(mx, g.Monomial(1e-4, map[int]float64{0: -1}))
-	root := g.SmoothMax(g.Sum(term, g.Const(0.5)), g.Monomial(0.3, map[int]float64{1: 1}))
-	lower := []float64{0, 0}
-	upper := []float64{math.Log(32), math.Log(32)}
-	if s := g.TempSlack(root); !math.IsInf(s, 1) {
-		t.Fatalf("TempSlack = %v, expected +Inf on the Mul pattern", s)
-	}
-	gap := g.TempGapBound(root, 1e-3, lower, upper)
-	if math.IsInf(gap, 1) || math.IsNaN(gap) || gap <= 0 {
-		t.Fatalf("TempGapBound = %v, want finite positive", gap)
-	}
-	// The bound must scale roughly linearly in temperature (the Mul terms
-	// add a quadratic correction, but it is second order).
-	gap10 := g.TempGapBound(root, 1e-2, lower, upper)
-	if gap10 < 9*gap || gap10 > 12*gap {
-		t.Fatalf("gap(1e-2)=%v not ~10x gap(1e-3)=%v", gap10, gap)
-	}
-	if g.TempGapBound(root, 0, lower, upper) != 0 {
-		t.Fatal("zero temperature must have zero gap")
-	}
-}

@@ -223,7 +223,7 @@ func NewEvaluator(g *Graph) *Evaluator {
 }
 
 // EvaluatorPool recycles Evaluators for one Graph through a sync.Pool,
-// so concurrent solvers (multi-start allocation, parallel experiment
+// so concurrent solvers (ADMM subgraph solves, parallel experiment
 // sweeps) reuse scratch space instead of allocating it per goroutine per
 // solve. A recycled evaluator's only carried state is the forward memo,
 // which is keyed on the exact bits of (x, temp) and so can only ever
@@ -255,6 +255,9 @@ func (p *EvaluatorPool) Put(e *Evaluator) {
 	}
 	p.pool.Put(e)
 }
+
+// Shape reports the evaluation shape of the pool's graph.
+func (p *EvaluatorPool) Shape() Shape { return p.g.Shape() }
 
 // bind points the evaluator at the graph's current tape; when the tape
 // changed it resizes the scratch, writes the constants' values (no sweep

@@ -16,8 +16,8 @@
 //   - Zero cost when unused: every instrumented call site guards with a
 //     nil check, so the uninstrumented pipeline pays one pointer
 //     comparison per would-be event.
-//   - Determinism: events may be emitted concurrently (multi-start
-//     allocation solves, calibration sweeps run on the par pool), so
+//   - Determinism: events may be emitted concurrently (calibration
+//     sweeps and experiment cells run on the par pool), so
 //     consumers that promise deterministic output must either fold events
 //     commutatively (the metrics registry does — see metrics.go) or sort
 //     them by their intrinsic coordinates (the trace exporter does).
@@ -28,8 +28,8 @@ package obs
 import "sync"
 
 // Observer receives structured pipeline events. Implementations must be
-// safe for concurrent use: the allocator's multi-start solves and the
-// calibration sweep emit from worker-pool goroutines.
+// safe for concurrent use: the calibration sweep and concurrent pipeline
+// runs emit from worker-pool goroutines.
 type Observer interface {
 	Observe(Event)
 }
@@ -91,8 +91,10 @@ type Event interface {
 // at the stage solution, and the cumulative iteration/line-search-eval
 // counts — the data behind a solver-convergence trajectory.
 type SolverStage struct {
-	// StartIdx is the multi-start index (0 for the classic midpoint
-	// start); Stage counts temperature stages within one start.
+	// StartIdx is always 0: the allocator solves from one start point.
+	// It keeps the trace's per-start counter track ("phi start0") and
+	// recorded event streams in their established shape. Stage counts
+	// temperature stages within the solve.
 	StartIdx, Stage int
 	// Temp is the log-sum-exp smoothing temperature of the stage.
 	Temp float64
@@ -226,8 +228,8 @@ type Recovery struct {
 func (Recovery) Kind() Kind { return KindRecovery }
 
 // Replan reports one replanning decision: a recovery-driven reschedule
-// (Stage "recovery") or an allocator degradation step (Stage
-// "multistart-retry" / "heuristic-fallback"). Phi is the objective of
+// (Stage "recovery") or the allocator's degradation to its heuristic
+// (Stage "heuristic-fallback"). Phi is the objective of
 // the replacement allocation; Procs the system size it targets.
 type Replan struct {
 	Attempt int

@@ -4,7 +4,7 @@
 // decisions as instants on the predicted timeline, and every simulated
 // message as a slice on a communication track.
 //
-// Events may arrive in worker-pool emission order (multi-start solves
+// Events may arrive in worker-pool emission order (calibration sweeps
 // run concurrently), so every track sorts by the events' intrinsic
 // coordinates before encoding: the export is byte-deterministic for a
 // deterministic pipeline run.
@@ -178,9 +178,10 @@ func WriteUnifiedMeta(w io.Writer, g *mdg.Graph, s *sched.Schedule, r *sim.Resul
 		})
 	}
 
-	// Solver convergence: one counter track per multi-start, sampled at
-	// the stage index (the anneal has no wall-clock of its own — stage
-	// order is its time axis).
+	// Solver convergence: one counter track per start index (the
+	// allocator solves from one, StartIdx 0), sampled at the stage index
+	// (the anneal has no wall-clock of its own — stage order is its time
+	// axis).
 	sort.Slice(stages, func(a, b int) bool {
 		if stages[a].StartIdx != stages[b].StartIdx {
 			return stages[a].StartIdx < stages[b].StartIdx

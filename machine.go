@@ -67,10 +67,10 @@ const (
 type AllocBackend = alloc.Backend
 
 const (
-	// AllocAuto selects the default strategy (the racing annealed
-	// multi-start).
+	// AllocAuto selects the default strategy (the annealed convex
+	// solve).
 	AllocAuto = alloc.BackendAuto
-	// AllocAnneal is the racing annealed multi-start.
+	// AllocAnneal is the annealed convex solve from the box midpoint.
 	AllocAnneal = alloc.BackendAnneal
 	// AllocADMM is the consensus-ADMM decomposition.
 	AllocADMM = alloc.BackendADMM

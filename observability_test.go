@@ -190,19 +190,20 @@ func TestObserverWiring(t *testing.T) {
 // TestMetricsDeterminismAcrossWorkers runs the instrumented pipeline at
 // worker-pool widths 1 and 8 and requires byte-identical metrics text:
 // the registry's integer counters and fixed-point histogram sums make the
-// folds order-independent.
+// folds order-independent. CMM-128's group barriers are big enough that
+// the simulator computes their blocks on the worker pool, so the two
+// widths really run different fan-outs (TestRecoveryWidthIndependent).
 func TestMetricsDeterminismAcrossWorkers(t *testing.T) {
 	cal := testCal(t)
-	p, err := ComplexMatMul(32, cal)
+	p, err := ComplexMatMul(128, cal)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snapshot := func(width string) string {
 		t.Setenv(par.EnvWorkers, width)
 		reg := NewMetrics()
-		_, err := RunContext(context.Background(), p, NewCM5(64), cal, 16,
-			WithObserver(NewMetricsObserver(reg)),
-			WithAllocOptions(AllocOptions{MultiStart: 4}))
+		_, err := RunContext(context.Background(), p, NewCM5(16), cal, 16,
+			WithObserver(NewMetricsObserver(reg)))
 		if err != nil {
 			t.Fatal(err)
 		}

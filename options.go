@@ -50,8 +50,7 @@ type (
 	// exporter and tests).
 	EventRecorder = obs.Recorder
 	// AllocOptions tunes the convex allocation (annealing schedule,
-	// multi-start, backend selection, warm-start cache, ablations,
-	// observer).
+	// backend selection, warm-start cache, ablations, observer).
 	AllocOptions = alloc.Options
 	// ADMMOptions tunes the consensus-ADMM allocation backend
 	// (AllocOptions.Backend = "admm").
@@ -159,7 +158,7 @@ func WithScheduleOptions(so ScheduleOptions) Option {
 }
 
 // WithAllocOptions sets the convex-allocation tuning (annealing
-// schedule, multi-start width, transfer ablation).
+// schedule, backend, transfer ablation).
 func WithAllocOptions(ao AllocOptions) Option {
 	return func(c *config) { c.alloc = ao }
 }

@@ -24,7 +24,6 @@ package paradigm
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 
 	"paradigm/internal/alloc"
@@ -62,33 +61,18 @@ func WithScheduleCache(sc *ScheduleCache) Option {
 	return func(c *config) { c.schedCache = sc }
 }
 
-// scheduleCacheKey derives the exact cache key. It mirrors the
-// allocation cache's key fields — canonical graph hash, transfer
-// fingerprint, every solve-shaping option — and appends the
+// scheduleCacheKey derives the exact cache key: the allocation cache's
+// solve-shape key (alloc.SolveShapeKey — canonical graph hash, transfer
+// fingerprint, every solve-shaping option) followed by the
 // schedule-shaping options and the processor count, so any knob that
-// could change the stored schedule keys a distinct entry. The "|xo"
-// discriminator keeps exact-only and seedable solves apart for the same
-// reason the allocation cache does: a seeded solve's basin must never
-// replay to an exact-only caller.
+// could change the stored schedule keys a distinct entry. Sharing the
+// function keeps the two caches from drifting apart; its "|xo"
+// discriminator keeps exact-only and seedable solves apart here for the
+// same reason it does there: a seeded solve's basin must never replay to
+// an exact-only caller.
 func scheduleCacheKey(hash string, model Model, procs int, ao AllocOptions, so ScheduleOptions) string {
 	var b strings.Builder
-	b.WriteString(hash)
-	b.WriteByte('|')
-	t := model.Transfer
-	for _, v := range []float64{
-		t.Tss, t.Tps, t.Tsr, t.Tpr, t.Tn,
-		ao.RaceTol,
-		ao.Anneal.StartTemp, ao.Anneal.EndTemp, ao.Anneal.Decay,
-	} {
-		fmt.Fprintf(&b, "%016x", math.Float64bits(v))
-	}
-	fmt.Fprintf(&b, "|ms%d|it%d|b%s", max(1, ao.MultiStart), ao.Anneal.Inner.MaxIter, ao.Backend)
-	if ao.IgnoreTransfers {
-		b.WriteString("|nt")
-	}
-	if ao.CacheExactOnly {
-		b.WriteString("|xo")
-	}
+	b.WriteString(alloc.SolveShapeKey(hash, model, ao))
 	fmt.Fprintf(&b, "|pb%d|pol%d", so.PB, so.Policy)
 	if so.SkipRounding {
 		b.WriteString("|sr")
