@@ -48,6 +48,7 @@ fuzz-smoke:
 	$(GO) test ./internal/expr/ -run '^$$' -fuzz '^FuzzEvalTape$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/matrix/ -run '^$$' -fuzz '^FuzzMulStrips$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/convex/ -run '^$$' -fuzz '^FuzzMinimizeBox$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/convex/ -run '^$$' -fuzz '^FuzzEpigraph$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mdg/ -run '^$$' -fuzz '^FuzzOrbits$$' -fuzztime $(FUZZTIME)
 
 # One iteration of every benchmark a design document cites — calibration,

@@ -356,9 +356,9 @@ func BenchmarkStrassenRecursion(b *testing.B) {
 }
 
 // BenchmarkAllocSolveCMM is the direct allocation fast path: one convex
-// solve (expression-DAG compile + annealed projected quasi-Newton) for
-// the Complex Matrix Multiply MDG on 32 processors. evals/op is the
-// solver's evaluation count, a property of the method, not of the box.
+// solve (expression-DAG compile, epigraph form, interior-point method) for
+// the Complex Matrix Multiply MDG on 32 processors. iters/op is the
+// solver's iteration count, a property of the method, not of the box.
 func BenchmarkAllocSolveCMM(b *testing.B) {
 	e := env(b)
 	p, err := programs.ComplexMatMul(64, e.Cal)
@@ -369,7 +369,7 @@ func BenchmarkAllocSolveCMM(b *testing.B) {
 }
 
 func benchSolve(b *testing.B, g *mdg.Graph, model costmodel.Model, procs int) {
-	evals := 0
+	iters := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -377,16 +377,16 @@ func benchSolve(b *testing.B, g *mdg.Graph, model costmodel.Model, procs int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		evals = r.Solver.Evals
+		iters = r.Solver.Iters
 	}
-	b.ReportMetric(float64(evals), "evals/op")
+	b.ReportMetric(float64(iters), "iters/op")
 }
 
 // BenchmarkAllocSolveStrassen128 is the paper's headline solve: the
 // 35-node Strassen MDG at n=128 on 64 processors of the trained CM-5,
-// whose annealed solve over its 20 automorphism orbits (825 evaluations
-// of Φ; 1 223 over all 35 nodes, 39 871 under the spectral-gradient
-// minimizer) is most of a Run on that program.
+// solved exactly over its 20 automorphism orbits — 73 variables and 108
+// constraints in epigraph form, 16 interior-point iterations, where the
+// annealed ladder before it took 825 evaluations of Φ.
 func BenchmarkAllocSolveStrassen128(b *testing.B) {
 	e := env(b)
 	p, err := programs.Strassen(128, e.Cal)
@@ -466,6 +466,14 @@ func benchLayeredMDG() *mdg.Graph {
 		}
 	}
 	return &g
+}
+
+// BenchmarkAllocSolveLayered1000 is the default backend's exact solve on
+// the same 1000-node layered MDG at p = 64: the size at which the
+// interior-point method's sparse factorisation, not its iteration count,
+// sets the cost. iters/op is the solver's iteration count.
+func BenchmarkAllocSolveLayered1000(b *testing.B) {
+	benchSolve(b, benchLayeredMDG(), env(b).Cal.Model(), 64)
 }
 
 // BenchmarkAllocSolveADMM1000 scales the consensus-ADMM backend over the

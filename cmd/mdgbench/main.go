@@ -68,8 +68,8 @@ func run(procs, layers, width, fanIn, bytes int, seed int64, sweep bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("convex allocation : Phi = %.6f s in %v (%d objective evals, %d iters)\n",
-		conv.Phi, time.Since(t0).Round(time.Millisecond), conv.Solver.Evals, conv.Solver.Iters)
+	fmt.Printf("convex allocation : Phi = %.6f s in %v (%d interior-point iterations, duality gap %.1e)\n",
+		conv.Phi, time.Since(t0).Round(time.Millisecond), conv.Solver.Iters, conv.Solver.Gap)
 
 	t0 = time.Now()
 	heur, err := alloc.SolveHeuristic(g, model, procs)

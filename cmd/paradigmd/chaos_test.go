@@ -87,18 +87,21 @@ type chaosJob struct {
 // chaosJobs mixes programs and system sizes (p ∈ {4, 16}), with
 // duplicates to exercise the exact-replay cache across the restart and
 // enough depth that the SIGKILL always lands with at least four
-// acknowledged jobs in flight.
+// acknowledged jobs in flight. The sizes are what sets that depth: the
+// one worker must run a job more slowly than the client submits one, on a
+// loaded machine too, and at n = 16 a job is now done in about a
+// millisecond.
 var chaosJobs = []chaosJob{
-	{"cmm", 16, 4},
-	{"strassen", 16, 4},
-	{"cmm", 16, 16},
-	{"strassen", 16, 16},
-	{"cmm", 32, 4},
-	{"cmm", 16, 4},
-	{"strassen", 16, 4},
-	{"cmm", 32, 4},
-	{"cmm", 16, 16},
-	{"strassen", 16, 16},
+	{"cmm", 64, 4},
+	{"strassen", 64, 4},
+	{"cmm", 64, 16},
+	{"strassen", 64, 16},
+	{"cmm", 128, 4},
+	{"cmm", 64, 4},
+	{"strassen", 64, 4},
+	{"cmm", 128, 4},
+	{"cmm", 64, 16},
+	{"strassen", 64, 16},
 }
 
 // chaosReferenceDigests runs every distinct job of the list crash-free

@@ -1,5 +1,5 @@
-// The allocator determinism gate: its solve paths — the cold
-// annealed solve and the warm-start cache's exact-hit replay — must never
+// The allocator determinism gate: its solve paths — the cold exact
+// solve and the warm-start cache's exact-hit replay — must never
 // trade reproducibility for speed. For the paper's two real programs and
 // a population of generated MDGs, a cold solve must return byte-identical
 // allocations at one worker, four workers, and every available core, and

@@ -2,7 +2,7 @@
 // metrics registry attached, print a digest of what each stage reported,
 // and export the unified Chrome/Perfetto trace (predicted and actual
 // node tracks, per-message comm flows, PSA decisions, and the solver's
-// Φ-convergence counter track) to strassen_trace.json.
+// Φ and duality-gap counter track) to strassen_trace.json.
 package main
 
 import (
@@ -40,12 +40,12 @@ func main() {
 
 	// A digest of the recorded event stream, stage by stage.
 	var stages, rounds, picks, comms, nodes int
-	var lastPhi float64
+	var lastPhi, lastGap float64
 	for _, e := range rec.Events() {
 		switch ev := e.(type) {
 		case obs.SolverStage:
 			stages++
-			lastPhi = ev.Phi
+			lastPhi, lastGap = ev.Phi, ev.Gap
 		case obs.PSARound:
 			rounds++
 		case obs.PSAPick:
@@ -56,7 +56,7 @@ func main() {
 			nodes++
 		}
 	}
-	fmt.Printf("solver   : %d anneal stages, final Phi %.6f s\n", stages, lastPhi)
+	fmt.Printf("solver   : %d interior-point iterations, final Phi %.6f s, duality gap %.1e\n", stages, lastPhi, lastGap)
 	fmt.Printf("PSA      : %d rounding decisions, %d placements\n", rounds, picks)
 	fmt.Printf("simulator: %d node runs, %d messages\n", nodes, comms)
 	fmt.Printf("makespan : predicted %.6f s, actual %.6f s\n\n", res.Predicted, res.Actual)

@@ -1,5 +1,5 @@
 // Consensus-ADMM decomposition backend (DESIGN.md §12): instead of one
-// annealed solve over all n log-processor variables, the MDG is split
+// solve over all n log-processor variables, the MDG is split
 // into overlapping subgraphs — contiguous blocks of the topological
 // order plus their one-hop boundary — and each subgraph's own convex
 // program is solved in parallel with a proximal term pulling its copy
@@ -14,7 +14,8 @@
 // global max structure, so the consensus point is an approximation; the
 // loop therefore tracks the exact full-graph Φ of every consensus
 // iterate and keeps the best ("incumbent"), and by default a final
-// polish runs one full-problem annealed solve seeded at the incumbent.
+// polish runs one exact full-problem solve (the default backend's
+// interior-point method) started at the incumbent.
 // Smoothing anneals across outer iterations — each round's local solves
 // run at a geometrically shrinking temperature, warm-started at the
 // previous round's local solutions.
@@ -34,6 +35,7 @@ import (
 	"sort"
 
 	"paradigm/internal/convex"
+	"paradigm/internal/expr"
 	"paradigm/internal/mdg"
 	"paradigm/internal/par"
 )
@@ -55,11 +57,11 @@ type ADMMOptions struct {
 	// AbsTol and RelTol are the primal/dual residual stopping
 	// tolerances (<= 0: 1e-4 and 1e-3).
 	AbsTol, RelTol float64
-	// SkipPolish disables the final full-problem annealed solve seeded
-	// at the best consensus iterate. Polishing costs one single-start
-	// solve but recovers the exact-solver solution quality; skip it only
-	// when raw decomposition throughput matters more than the last few
-	// percent of Φ.
+	// SkipPolish disables the final exact full-problem solve started at
+	// the best consensus iterate. Polishing costs one default-backend
+	// solve but recovers the exact solution; skip it only when raw
+	// decomposition throughput matters more than the last few percent of
+	// Φ.
 	SkipPolish bool
 }
 
@@ -86,11 +88,13 @@ func (a ADMMOptions) withDefaults(n int) ADMMOptions {
 	return a
 }
 
-// admmSub is one subgraph's local state: its compiled convex program,
-// the ascending global node ids it covers (local index = position), and
-// its local primal/dual copies.
+// admmSub is one subgraph's local state: its compiled convex program and
+// the pool of evaluators its smoothed local solves draw from, the
+// ascending global node ids it covers (local index = position), and its
+// local primal/dual copies.
 type admmSub struct {
 	prob  *problem
+	pool  *expr.EvaluatorPool
 	nodes []int
 	x, u  []float64
 }
@@ -169,6 +173,7 @@ func (p *problem) solveADMM(ctx context.Context, seed []float64, opts Options) (
 		}
 		subs[k] = &admmSub{
 			prob:  sp,
+			pool:  expr.NewEvaluatorPool(sp.eg),
 			nodes: nodes,
 			x:     make([]float64, len(nodes)),
 			u:     make([]float64, len(nodes)),
@@ -240,8 +245,8 @@ func (p *problem) solveADMM(ctx context.Context, seed []float64, opts Options) (
 		if _, err := par.Map(ctx, len(subs), func(ctx context.Context, k int) (struct{}, error) {
 			s := subs[k]
 			sp := s.prob
-			ev := sp.pool.Get()
-			defer sp.pool.Put(ev)
+			ev := s.pool.Get()
+			defer s.pool.Put(ev)
 			v := make([]float64, len(s.nodes))
 			for i, g := range s.nodes {
 				v[i] = z[g] - s.u[i]
@@ -328,7 +333,7 @@ func (p *problem) solveADMM(ctx context.Context, seed []float64, opts Options) (
 	}
 
 	if !ao.SkipPolish {
-		res, perr := p.solveFrom(ctx, bestZ, opts.Anneal, opts.Observer)
+		res, perr := p.solveFrom(ctx, bestZ, opts)
 		if perr == nil && isFinite(res.Phi) && res.Phi <= best.Phi {
 			res.Backend = BackendADMM
 			return res, nil

@@ -14,8 +14,10 @@
 // Because every cost term is posynomial (Lemmas 1-2), the substitution
 // x_i = ln p_i makes the problem convex, so the minimum found is global —
 // the property that distinguishes this paper from its heuristic
-// predecessors. The max terms are smoothed by log-sum-exp and annealed to
-// the exact max (internal/convex.MinimizeAnnealed); the reported Φ, A_p
+// predecessors. The program is solved exactly: compiled to epigraph form,
+// one log-domain variable per max (expr.Graph.Epigraph), and handed to a
+// primal-dual interior-point method (convex.MinimizeEpigraph) that stops
+// on a certified duality gap of 1e-9 in log units; the reported Φ, A_p
 // and C_p are re-evaluated with exact (hard-max) arithmetic at the
 // solution point.
 package alloc
@@ -38,18 +40,13 @@ import (
 
 // Options tunes Solve. The zero value selects robust defaults.
 type Options struct {
-	// Anneal configures the temperature schedule and inner minimizer.
-	// The start temperature is additionally scaled by the magnitude of
-	// the objective at the start point so that problems measured in
-	// milliseconds and in hours anneal alike.
-	Anneal convex.AnnealOptions
 	// IgnoreTransfers zeroes the data-transfer costs in the objective
 	// (the Prasanna-Agarwal-style ablation A3 of DESIGN.md). The reported
 	// Φ/A_p/C_p still use the full model.
 	IgnoreTransfers bool
 	// Backend selects the solve strategy: BackendAuto or BackendAnneal
-	// runs one annealed solve (the default); BackendADMM runs the
-	// consensus-ADMM decomposition (admm.go), which partitions
+	// runs one exact interior-point solve (the default); BackendADMM runs
+	// the consensus-ADMM decomposition (admm.go), which partitions
 	// the MDG into overlapping subgraphs solved in parallel and agrees on
 	// shared nodes — faster on large graphs, approximate within the
 	// consensus tolerance. Any other value fails option validation with
@@ -75,17 +72,22 @@ type Options struct {
 	// cold cache) set this; one-shot CLI runs keep the seeded speedup.
 	CacheExactOnly bool
 	// Observer, when non-nil, receives one obs.SolverStage event per
-	// annealed temperature stage, one obs.AllocCache event per cache
+	// interior-point iteration, one obs.AllocCache event per cache
 	// lookup, and one obs.AllocDone event per completed solve. Nil costs
-	// one pointer comparison per stage.
+	// one pointer comparison per iteration.
 	Observer obs.Observer
-	// FallbackHeuristic enables graceful degradation: when the annealed
-	// convex solve fails or returns a non-finite Φ, SolveCtx falls back
+	// FallbackHeuristic enables graceful degradation: when the convex
+	// solve fails or returns a non-finite Φ, SolveCtx falls back
 	// to the greedy critical-path heuristic (SolveHeuristic) and emits
 	// one obs.Replan event to Observer. A different start cannot rescue
 	// a convex solve that failed, so there is no retry. Cancellation and
 	// infeasible/invalid inputs never degrade — they return immediately.
 	FallbackHeuristic bool
+
+	// onIter, when non-nil, runs after every interior-point iteration
+	// and aborts the solve with its error: the package's own tests inject
+	// solver breakdowns through it.
+	onIter func(convex.Result) error
 }
 
 // Result reports one allocation.
@@ -96,10 +98,10 @@ type Result struct {
 	// cost model: Phi = max(Ap, Cp).
 	Phi, Ap, Cp float64
 	// Solver carries the convex solver diagnostics as
-	// convex.MinimizeAnnealed reports them: X, F and Status are the final
-	// temperature stage's, Iters and Evals are summed over every stage
-	// (zero for a cache-replayed allocation: nothing was solved). X is in
-	// orbit coordinates — one log-allocation per mdg.Graph.Orbits orbit,
+	// convex.MinimizeEpigraph reports them: X, F (the log of the objective
+	// at X), Gap (the duality-gap certificate), Iters, Evals and Status (zero
+	// for a cache-replayed allocation: nothing was solved). X is in orbit
+	// coordinates — one log-allocation per mdg.Graph.Orbits orbit,
 	// numbered by smallest node ID, P[i] = e^{X[orbit[i]]} — except under
 	// BackendADMM, which solves one variable per node.
 	Solver convex.Result
@@ -113,16 +115,13 @@ type Result struct {
 }
 
 // problem is the compiled convex program for one (graph, model, procs)
-// triple: the expression DAG is built once and shared by every annealed
-// solve on it (the ADMM backend solves each subgraph's program once per
-// consensus round), with evaluators drawn from a pool so repeated solves
-// reuse their scratch space.
+// triple: the expression DAG of Φ, built once, and its box.
 type problem struct {
 	g            *mdg.Graph
 	model        costmodel.Model
 	procs        int
+	eg           *expr.Graph
 	phi          expr.ID
-	pool         *expr.EvaluatorPool
 	lower, upper []float64
 	// orbit[i] is node i's variable; size[c] counts orbit c's nodes. The
 	// box, start point and solver iterates live in orbit space.
@@ -134,7 +133,7 @@ type problem struct {
 // required for allocation (C_p is taken as the max finish time over all
 // nodes, which equals y_STOP when a STOP exists).
 //
-// The program is convex with a unique minimum (paper §2), so one annealed
+// The program is convex with a unique minimum (paper §2), so one exact
 // solve from the box midpoint finds it: TestSolveIsStartIndependent holds
 // three other start points to the midpoint's Φ.
 func Solve(g *mdg.Graph, model costmodel.Model, procs int, opts Options) (Result, error) {
@@ -142,7 +141,7 @@ func Solve(g *mdg.Graph, model costmodel.Model, procs int, opts Options) (Result
 }
 
 // SolveCtx is Solve with cancellation: ctx is checked before the solve
-// starts and between annealed temperature stages, so a cancelled context
+// starts and after every interior-point iteration, so a cancelled context
 // aborts the optimization promptly with ctx.Err().
 func SolveCtx(ctx context.Context, g *mdg.Graph, model costmodel.Model, procs int, opts Options) (Result, error) {
 	if err := ctx.Err(); err != nil {
@@ -212,7 +211,7 @@ func SolveCtx(ctx context.Context, g *mdg.Graph, model costmodel.Model, procs in
 	return res, nil
 }
 
-// solveWithFallback runs one annealed solve on the compiled problem, from
+// solveWithFallback runs one exact solve on the compiled problem, from
 // the warm-start seed when a cache near hit supplied one and from the box
 // midpoint otherwise, and with FallbackHeuristic degrades to the greedy
 // heuristic when that solve fails.
@@ -221,7 +220,7 @@ func (p *problem) solveWithFallback(ctx context.Context, seed []float64, opts Op
 	if x0 == nil {
 		x0 = p.midpoint()
 	}
-	res, err := p.solveFrom(ctx, x0, opts.Anneal, opts.Observer)
+	res, err := p.solveFrom(ctx, x0, opts)
 	if err == nil && isFinite(res.Phi) {
 		res.Backend = BackendAnneal
 		return res, nil
@@ -272,10 +271,10 @@ func (p *problem) midpoint() []float64 {
 // with p_i equal across each orbit, and the program is solved on that
 // subspace, one variable per orbit. Each orbit's T and y are built once,
 // from its first member in topological order; A_p weighs each orbit's
-// T·p by its size; and every SmoothMax keeps one child per original
-// predecessor and per sink, so the smoothed objective is the full
-// program's restricted to the subspace. With one orbit per node this is
-// the full program, node for node.
+// T·p by its size; and every max keeps one child per original
+// predecessor and per sink, so the objective is the full program's
+// restricted to the subspace. With one orbit per node this is the full
+// program, node for node.
 func compile(g *mdg.Graph, model costmodel.Model, procs int, opts Options, reduce bool) (*problem, error) {
 	if procs < 1 {
 		return nil, fmt.Errorf("alloc: %w: procs = %d, want >= 1", errs.ErrInfeasible, procs)
@@ -384,8 +383,7 @@ func compile(g *mdg.Graph, model costmodel.Model, procs int, opts Options, reduc
 	}
 	return &problem{
 		g: g, model: model, procs: procs,
-		phi:   phi,
-		pool:  expr.NewEvaluatorPool(&eg),
+		eg: &eg, phi: phi,
 		lower: lower, upper: upper,
 		orbit: orbit, size: size,
 	}, nil
@@ -428,55 +426,51 @@ func (p *problem) lift(x []float64) []float64 {
 	return out
 }
 
-// solveFrom runs one annealed solve from x0 and re-evaluates the exact
-// (hard-max) Φ/A_p/C_p at the solution under the full cost model. The
-// per-stage hook checks ctx between temperature stages and, with a
-// non-nil observer, emits the solver-convergence trajectory.
-func (p *problem) solveFrom(ctx context.Context, x0 []float64, anneal convex.AnnealOptions, o obs.Observer) (Result, error) {
-	ev := p.pool.Get()
-	defer p.pool.Put(ev)
-	prev := anneal.OnStage
-	anneal.OnStage = func(stage int, temp float64, r convex.Result) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if o != nil {
+// solveFrom compiles the program to epigraph form, solves it exactly from
+// x0 by the interior-point method and re-evaluates the exact Φ/A_p/C_p at
+// the solution under the full cost model. After every iteration the hook
+// emits one obs.SolverStage to the observer and polls ctx.
+func (p *problem) solveFrom(ctx context.Context, x0 []float64, opts Options) (Result, error) {
+	ep, err := p.eg.Epigraph(p.phi)
+	if errors.Is(err, expr.ErrZeroRoot) {
+		// Every cost is zero: any allocation is optimal, Φ = 0.
+		return p.scored(convex.Result{X: x0, Status: convex.GapConverged})
+	}
+	if err != nil {
+		return Result{}, fmt.Errorf("alloc: %w", err)
+	}
+	evals := 0
+	hook := func(r convex.Result) error {
+		if o := opts.Observer; o != nil {
 			o.Observe(obs.SolverStage{
-				Stage: stage, Temp: temp,
-				Phi: r.F, Iters: r.Iters, Evals: r.Evals,
+				Stage: r.Iters - 1, Gap: r.Gap,
+				Phi: math.Exp(r.F), Iters: 1, Evals: r.Evals - evals,
 				Status: r.Status.String(),
 			})
 		}
-		if prev != nil {
-			return prev(stage, temp, r)
+		evals = r.Evals
+		if opts.onIter != nil {
+			if err := opts.onIter(r); err != nil {
+				return err
+			}
 		}
-		return nil
+		return ctx.Err()
 	}
-	obj := convex.TempFunc(func(temp float64, x, grad []float64) float64 {
-		if grad == nil {
-			return ev.Eval(p.phi, x, temp)
-		}
-		return ev.EvalGrad(p.phi, x, temp, grad)
-	})
-	if anneal.StartTemp <= 0 {
-		// Scale with the problem: ~5% of the objective at the start point.
-		anneal.StartTemp = 0.05 * ev.Eval(p.phi, x0, 0)
-		if anneal.StartTemp <= 0 {
-			anneal.StartTemp = 1
-		}
-	}
-	if anneal.EndTemp <= 0 {
-		anneal.EndTemp = anneal.StartTemp * 1e-5
-	}
-	if anneal.Inner.MaxIter == 0 {
-		anneal.Inner.MaxIter = 4000
-	}
-	sol, err := convex.MinimizeAnnealed(obj, p.lower, p.upper, x0, anneal)
+	sol, err := convex.MinimizeEpigraph(ep, p.lower, p.upper, x0, hook)
 	if err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return Result{}, ctxErr
+		}
 		return Result{}, fmt.Errorf("alloc: solver failed: %w", err)
 	}
+	return p.scored(sol)
+}
 
+// scored lifts a solution to per-node allocations and scores them with
+// the exact Φ/A_p/C_p of the full cost model.
+func (p *problem) scored(sol convex.Result) (Result, error) {
 	res := Result{P: p.lift(sol.X), Solver: sol}
+	var err error
 	res.Phi, res.Ap, res.Cp, err = p.model.Phi(p.g, res.P, p.procs)
 	if err != nil {
 		return Result{}, err

@@ -267,17 +267,16 @@ func BenchmarkSolveForkJoin16(b *testing.B) {
 
 // --- Graceful degradation (PR 3) -------------------------------------------
 
-// failingStage returns an OnStage hook that fails every solve, the
-// injection point for solver-breakdown tests.
-func failingStage(stage int, temp float64, r convex.Result) error {
+// failingIter is an iteration hook that fails every solve, the injection
+// point for solver-breakdown tests.
+func failingIter(convex.Result) error {
 	return fmt.Errorf("injected solver breakdown")
 }
 
 func TestFallbackHeuristicOnSolverBreakdown(t *testing.T) {
 	g := forkJoin(0.1)
 	model := cm5Fit
-	opts := Options{FallbackHeuristic: true}
-	opts.Anneal.OnStage = failingStage
+	opts := Options{FallbackHeuristic: true, onIter: failingIter}
 	rec := obs.NewRecorder()
 	opts.Observer = rec
 	res, err := SolveCtx(context.Background(), g, model, 8, opts)
@@ -307,8 +306,7 @@ func TestFallbackHeuristicOnSolverBreakdown(t *testing.T) {
 
 func TestNoFallbackPreservesError(t *testing.T) {
 	g := forkJoin(0.1)
-	opts := Options{}
-	opts.Anneal.OnStage = failingStage
+	opts := Options{onIter: failingIter}
 	if _, err := SolveCtx(context.Background(), g, cm5Fit, 8, opts); err == nil {
 		t.Fatal("want solver error without FallbackHeuristic")
 	}

@@ -16,11 +16,12 @@ import (
 type Backend string
 
 const (
-	// BackendAuto selects the default strategy (the annealed convex
-	// solve).
+	// BackendAuto selects the default strategy (the exact convex solve).
 	BackendAuto Backend = ""
-	// BackendAnneal is one annealed convex solve from the box midpoint,
-	// or from a cache near hit's warm start.
+	// BackendAnneal is the default strategy: one exact convex solve from
+	// the box midpoint, or from a cache near hit's warm start. The name is
+	// the one metrics and CLI flags have always used; the solve annealed a
+	// smoothed Φ before it was made exact.
 	BackendAnneal Backend = "anneal"
 	// BackendADMM is the consensus-ADMM decomposition (admm.go). The
 	// other strategies solve one variable per automorphism orbit of the
@@ -56,7 +57,7 @@ func (b Backend) String() string {
 }
 
 // ParseBackend maps a CLI string to a solve strategy: "", "auto" or
-// "anneal" for the default annealed solve, "admm" for the decomposition.
+// "anneal" for the default exact solve, "admm" for the decomposition.
 // Anything else fails with ErrUnknownBackend.
 func ParseBackend(s string) (Backend, error) {
 	if s == "auto" {

@@ -29,24 +29,28 @@ import (
 // SolveShapeKey is the key of everything that shapes a solved allocation
 // except the machine size: the canonical graph hash (node α/τ and edge
 // transfers, names excluded), the transfer-parameter fingerprint, and the
-// solve options (the anneal schedule, the inner iteration cap, the
-// backend, the transfer ablation and the cache mode). It is the
-// allocation cache's near key; the exact key appends the processor count,
-// and the pipeline's schedule cache appends its schedule-shaping options
-// and then the processor count, so the two caches cannot disagree about
-// what a solve depends on.
+// solve options (the backend and, for the ADMM backend, every ADMMOptions
+// field, the transfer ablation and the cache mode). The default backend's
+// exact solve has no tunables to key on. It is the allocation cache's near
+// key; the exact key appends the processor count, and the pipeline's
+// schedule cache appends its schedule-shaping options and then the
+// processor count, so the two caches cannot disagree about what a solve
+// depends on.
 func SolveShapeKey(hash string, model costmodel.Model, opts Options) string {
 	var b strings.Builder
 	b.WriteString(hash)
 	b.WriteByte('|')
 	t := model.Transfer
-	for _, v := range []float64{
-		t.Tss, t.Tps, t.Tsr, t.Tpr, t.Tn,
-		opts.Anneal.StartTemp, opts.Anneal.EndTemp, opts.Anneal.Decay,
-	} {
+	for _, v := range []float64{t.Tss, t.Tps, t.Tsr, t.Tpr, t.Tn} {
 		fmt.Fprintf(&b, "%016x", math.Float64bits(v))
 	}
-	fmt.Fprintf(&b, "|it%d|b%s", opts.Anneal.Inner.MaxIter, opts.Backend)
+	fmt.Fprintf(&b, "|b%s", opts.Backend)
+	if opts.Backend == BackendADMM {
+		a := opts.ADMM
+		fmt.Fprintf(&b, "|s%d|i%d|%016x|%016x|%016x|%016x|sp%t",
+			a.Subgraphs, a.MaxIters, math.Float64bits(a.Rho), math.Float64bits(a.Alpha),
+			math.Float64bits(a.AbsTol), math.Float64bits(a.RelTol), a.SkipPolish)
+	}
 	if opts.IgnoreTransfers {
 		b.WriteString("|nt")
 	}

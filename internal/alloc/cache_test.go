@@ -195,16 +195,14 @@ func TestCacheKeySeparatesSolveShape(t *testing.T) {
 	if _, err := Solve(g, cm5Fit, 16, Options{Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
-	// A different inner iteration cap can stop the solve elsewhere, so it
-	// must not reuse the stored entry.
-	capped := Options{Cache: cache}
-	capped.Anneal.Inner.MaxIter = 3000
-	res, err := Solve(g, cm5Fit, 16, capped)
+	// Another backend solves differently, so it must not reuse the
+	// stored entry.
+	res, err := Solve(g, cm5Fit, 16, Options{Cache: cache, Backend: BackendADMM})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.CacheOutcome == "hit" {
-		t.Fatal("Anneal.Inner.MaxIter changed but the cache replayed a stale entry")
+		t.Fatal("Backend changed but the cache replayed a stale entry")
 	}
 	// A different cost model must miss entirely.
 	other := cm5Fit
@@ -265,10 +263,39 @@ func TestCacheKeysExactVersusNear(t *testing.T) {
 	if n16 != n32 {
 		t.Fatal("near keys must unify processor counts")
 	}
-	var other Options
-	other.Anneal.Inner.MaxIter = 3000
-	_, nOther := cacheKeys(hash, cm5Fit, 16, other)
+	_, nOther := cacheKeys(hash, cm5Fit, 16, Options{IgnoreTransfers: true})
 	if nOther == n16 {
 		t.Fatal("near keys must separate solve options")
+	}
+}
+
+// TestCacheKeySeparatesADMMOptions: the ADMM backend's result depends on
+// its options, so two ADMM solves that differ only in ADMMOptions must not
+// share a cache entry — each must be its own cold solve, not the other's
+// replay.
+func TestCacheKeySeparatesADMMOptions(t *testing.T) {
+	g := layeredGraph(20, 6, 1)
+	cache := alloccache.New(8)
+	for _, o := range []Options{
+		{Backend: BackendADMM, ADMM: ADMMOptions{Subgraphs: 4, MaxIters: 2, SkipPolish: true}},
+		{Backend: BackendADMM},
+	} {
+		cold, err := Solve(g, cm5Fit, 16, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Cache = cache
+		got, err := Solve(g, cm5Fit, 16, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.CacheOutcome != "miss" || got.Phi != cold.Phi {
+			t.Fatalf("ADMM %+v: outcome %q, Φ %v; cold solve Φ %v", o.ADMM, got.CacheOutcome, got.Phi, cold.Phi)
+		}
+		for i := range cold.P {
+			if got.P[i] != cold.P[i] {
+				t.Fatalf("ADMM %+v: P[%d] = %v, cold solve %v", o.ADMM, i, got.P[i], cold.P[i])
+			}
+		}
 	}
 }

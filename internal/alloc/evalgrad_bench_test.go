@@ -3,15 +3,16 @@ package alloc
 import (
 	"testing"
 
+	"paradigm/internal/expr"
 	"paradigm/internal/machine"
 	"paradigm/internal/programs"
 	"paradigm/internal/trainsets"
 )
 
-// BenchmarkEvalGradStrassenPhi times the solver's unit of work on the
-// paper's headline program: one value-and-gradient evaluation of the
-// compiled Φ of Strassen-128 at p=64 on the trained CM-5, at the anneal's
-// first (warmest, so most exponential-heavy) temperature. Successive
+// BenchmarkEvalGradStrassenPhi times the smoothed solver's unit of work
+// (ADMM's local solves anneal) on the paper's headline program: one
+// value-and-gradient evaluation of the compiled Φ of Strassen-128 at p=64
+// on the trained CM-5, at a warm (so exponential-heavy) temperature. Successive
 // calls alternate between two start points, because a repeat at the same
 // point would be answered from the evaluator's forward memo. exp/op is
 // the math.Exp calls one such evaluation makes, from the graph's shape.
@@ -28,8 +29,9 @@ func BenchmarkEvalGradStrassenPhi(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ev := prob.pool.Get()
-	defer prob.pool.Put(ev)
+	pool := expr.NewEvaluatorPool(prob.eg)
+	ev := pool.Get()
+	defer pool.Put(ev)
 	// The midpoint and a point off it.
 	xs := [2][]float64{prob.midpoint(), prob.midpoint()}
 	for i := range xs[1] {
@@ -42,7 +44,7 @@ func BenchmarkEvalGradStrassenPhi(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sinkPhi = ev.EvalGrad(prob.phi, xs[i&1], temp, grad)
 	}
-	b.ReportMetric(float64(prob.pool.Shape().ExpsPerEvalGrad()), "exp/op")
+	b.ReportMetric(float64(pool.Shape().ExpsPerEvalGrad()), "exp/op")
 }
 
 var sinkPhi float64

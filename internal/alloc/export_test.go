@@ -3,7 +3,6 @@ package alloc
 import (
 	"context"
 
-	"paradigm/internal/convex"
 	"paradigm/internal/costmodel"
 	"paradigm/internal/mdg"
 )
@@ -13,10 +12,22 @@ import (
 // and program builders that package alloc's own tests cannot import.
 var RefSolve = refSolve
 
+// SolveAnnealed is the solve the interior-point method replaced — the
+// orbit-reduced program minimised by the temperature ladder from the box
+// midpoint (reference_test.go) — for the differential gates that hold the
+// exact solve to it.
+func SolveAnnealed(g *mdg.Graph, model costmodel.Model, procs int) (Result, error) {
+	prob, err := compile(g, model, procs, Options{}, true)
+	if err != nil {
+		return Result{}, err
+	}
+	return prob.annealFrom(prob.midpoint())
+}
+
 // SolveFromStarts compiles g's orbit-reduced program once and runs one
-// default annealed solve from each point starts builds, in place of the
-// box midpoint. starts receives the box's upper corner (ln p in every
-// orbit coordinate; the lower corner is 0).
+// default solve from each point starts builds, in place of the box
+// midpoint. starts receives the box's upper corner (ln p in every orbit
+// coordinate; the lower corner is 0).
 func SolveFromStarts(g *mdg.Graph, model costmodel.Model, procs int, starts func(upper []float64) [][]float64) ([]Result, error) {
 	prob, err := compile(g, model, procs, Options{}, true)
 	if err != nil {
@@ -24,7 +35,7 @@ func SolveFromStarts(g *mdg.Graph, model costmodel.Model, procs int, starts func
 	}
 	var out []Result
 	for _, x0 := range starts(prob.upper) {
-		res, err := prob.solveFrom(context.Background(), x0, convex.AnnealOptions{}, nil)
+		res, err := prob.solveFrom(context.Background(), x0, Options{})
 		if err != nil {
 			return nil, err
 		}

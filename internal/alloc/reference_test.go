@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"paradigm/internal/convex"
 	"paradigm/internal/costmodel"
 	"paradigm/internal/errs"
 	"paradigm/internal/expr"
@@ -95,8 +96,7 @@ func refCompile(g *mdg.Graph, model costmodel.Model, procs int, opts Options) (*
 	}
 	return &problem{
 		g: g, model: model, procs: procs,
-		phi:   phi,
-		pool:  expr.NewEvaluatorPool(&eg),
+		eg: &eg, phi: phi,
 		lower: lower, upper: upper,
 		orbit: identity(n), size: size,
 	}, nil
@@ -109,4 +109,31 @@ func refSolve(g *mdg.Graph, model costmodel.Model, procs int, opts Options) (Res
 		return Result{}, err
 	}
 	return prob.solveWithFallback(context.Background(), nil, opts)
+}
+
+// annealFrom is the default solve as it stood before the interior-point
+// method: the smoothed Φ minimised by projected L-BFGS down a temperature
+// ladder from 5 % of Φ at x0 to 1e-5 of that by factors of 0.2 (nine
+// stages), each warm-started from the last, then scored like solveFrom.
+// It is the reference the exact solve is held to: never higher in Φ.
+func (p *problem) annealFrom(x0 []float64) (Result, error) {
+	ev := expr.NewEvaluator(p.eg)
+	obj := convex.TempFunc(func(temp float64, x, grad []float64) float64 {
+		if grad == nil {
+			return ev.Eval(p.phi, x, temp)
+		}
+		return ev.EvalGrad(p.phi, x, temp, grad)
+	})
+	start := 0.05 * ev.Eval(p.phi, x0, 0)
+	if start <= 0 {
+		start = 1
+	}
+	sol, err := convex.MinimizeAnnealed(obj, p.lower, p.upper, x0, convex.AnnealOptions{
+		StartTemp: start, EndTemp: start * 1e-5,
+		Inner: convex.Options{MaxIter: 4000},
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	return p.scored(sol)
 }

@@ -8,15 +8,12 @@ import (
 	"testing"
 
 	"paradigm/internal/alloc"
-	"paradigm/internal/convex"
 	"paradigm/internal/obs"
-	"paradigm/internal/oracle"
 )
 
 // goldenStarts builds the off-midpoint start points: the golden-ratio
 // low-discrepancy rule, with a per-coordinate stagger so no two starts or
-// coordinates coincide, kept 10 % away from the box faces where the
-// smoothed objective is flattest.
+// coordinates coincide, kept 10 % away from the box faces.
 func goldenStarts(upper []float64) [][]float64 {
 	const (
 		golden  = 0.6180339887498949 // 1/φ
@@ -35,43 +32,18 @@ func goldenStarts(upper []float64) [][]float64 {
 }
 
 // startTol bounds the relative exact-Φ gap between solves of one program
-// from different start points.
-const startTol = 1e-5
+// from different start points: each is certified within a duality gap of
+// 1e-9 in log units of the optimum.
+const startTol = 1e-9
 
 // TestSolveIsStartIndependent is why the allocator solves from one start:
 // after x = ln p the program is convex with a unique minimum (paper §2),
 // so three golden-ratio interior starts, each solved to completion, land
-// within startTol relative exact Φ of alloc.Solve's midpoint start. The
-// populations are the oracle's 200 generated MDGs, 200 planted-symmetry
-// MDGs, determinism_test's 50, the Strassen sweep and the benchmark's 300
-// cold CMM specs: 780 instances. Run with -v for the worst gap of each.
+// within startTol relative exact Φ of alloc.Solve's midpoint start, on the
+// 780 instances of solverPopulations. Run with -v for the worst gap of
+// each.
 func TestSolveIsStartIndependent(t *testing.T) {
-	cal := trainedModel(t)
-	model := cal.Model()
-	var randomGen, planted, determinism, sweep, cold []instance
-	for seed := uint64(1); seed <= 200; seed++ {
-		randomGen = append(randomGen, instance{fmt.Sprintf("oracle-%d", seed), oracle.RandomGraph(seed, oracle.GenOptions{}), cm5Fit, 16})
-		planted = append(planted, instance{fmt.Sprintf("planted-%d", seed), oracle.PlantedGraph(seed, oracle.GenOptions{}), cm5Fit, 8})
-	}
-	for seed := uint64(1); seed <= 50; seed++ {
-		determinism = append(determinism, instance{fmt.Sprintf("determinism-%d", seed), oracle.RandomGraph(seed, oracle.GenOptions{}), model, 16})
-	}
-	for _, n := range []int{16, 32, 64, 128, 256} {
-		for _, procs := range []int{4, 8, 16, 32, 64, 128} {
-			sweep = append(sweep, programInstance(t, cal, "strassen", n, procs))
-		}
-	}
-	// bench/gen.go's svc_cold specs, as in the orbit-reduction gate.
-	const gridSizes, gridProcs, stride = 96, 32, 1021
-	for i := 0; i < 300; i++ {
-		cell := i * stride % (gridSizes * gridProcs)
-		cold = append(cold, programInstance(t, cal, "cmm", 32+cell/gridProcs, 4+cell%gridProcs))
-	}
-	populations := []struct {
-		name string
-		set  []instance
-	}{{"oracle200", randomGen}, {"planted200", planted}, {"determinism50", determinism}, {"strassen-sweep", sweep}, {"svc-cold300", cold}}
-	for _, pop := range populations {
+	for _, pop := range solverPopulations(t) {
 		t.Run(pop.name, func(t *testing.T) {
 			worst, worstAt := 0.0, ""
 			for _, in := range pop.set {
@@ -98,40 +70,42 @@ func TestSolveIsStartIndependent(t *testing.T) {
 	}
 }
 
-// stageLog records the stage index of every SolverStage event.
-type stageLog []int
+// stageLog records the stage index of every SolverStage event and calls
+// cancel when it sees stage cancelAt.
+type stageLog struct {
+	stages   []int
+	cancelAt int
+	cancel   context.CancelFunc
+}
 
 func (l *stageLog) Observe(ev obs.Event) {
 	if s, ok := ev.(obs.SolverStage); ok {
-		*l = append(*l, s.Stage)
+		l.stages = append(l.stages, s.Stage)
+		if s.Stage == l.cancelAt {
+			l.cancel()
+		}
 	}
 }
 
 // TestSolveCancelsAtTheNextStage cancels the Strassen-128 / p = 64 solve
-// while it runs, from an OnStage hook: SolveCtx must return
-// context.Canceled, with or without the heuristic fallback, and the
-// solve must stop at the next stage boundary — no SolverStage event after
-// the stage that cancelled.
+// while it runs, from the observer of its third interior-point iteration:
+// SolveCtx must return context.Canceled, with or without the heuristic
+// fallback, and the solve must stop before the next iteration — no
+// SolverStage event after the one that cancelled.
 func TestSolveCancelsAtTheNextStage(t *testing.T) {
 	in := programInstance(t, trainedModel(t), "strassen", 128, 64)
 	const cancelAt = 2
 	for _, fallback := range []bool{false, true} {
 		ctx, cancel := context.WithCancel(context.Background())
-		var log stageLog
-		opts := alloc.Options{Observer: &log, FallbackHeuristic: fallback}
-		opts.Anneal.OnStage = func(stage int, temp float64, r convex.Result) error {
-			if stage == cancelAt {
-				cancel()
-			}
-			return nil
-		}
+		log := &stageLog{cancelAt: cancelAt, cancel: cancel}
+		opts := alloc.Options{Observer: log, FallbackHeuristic: fallback}
 		_, err := alloc.SolveCtx(ctx, in.g, in.model, in.procs, opts)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("fallback %v: err = %v, want context.Canceled", fallback, err)
 		}
-		if len(log) != cancelAt+1 || log[cancelAt] != cancelAt {
-			t.Fatalf("fallback %v: stages %v, want 0…%d", fallback, log, cancelAt)
+		if len(log.stages) != cancelAt+1 || log.stages[cancelAt] != cancelAt {
+			t.Fatalf("fallback %v: stages %v, want 0…%d", fallback, log.stages, cancelAt)
 		}
 	}
 }

@@ -1,15 +1,21 @@
-// Package convex implements a box-constrained quasi-Newton convex minimizer.
+// Package convex implements the allocator's convex minimizers.
 //
 // The paper's allocation step (Section 2) requires the exact minimum of a
 // convex program: Φ = max(A_p, C_p) over log-processor variables inside the
 // box [0, ln p]^n. Go has no convex-programming library, so this package
-// provides one sized for the problem class: smooth convex objectives with
-// exact gradients on a box. The method is projected L-BFGS — an active set
-// of bound-pinned variables, the two-loop recursion over the free ones,
-// projected Armijo backtracking — which for smooth convex f converges to
-// the global minimum; the allocator anneals the smoothing temperature of
-// its max terms and warm-starts each stage, point and curvature model, so
-// the overall pipeline converges to the true (non-smooth) optimum Φ.
+// provides two solvers sized for the problem class:
+//
+//   - MinimizeEpigraph (ipm.go, sparse.go) solves the program exactly: in
+//     epigraph form (expr.Graph.Epigraph) it is a geometric program, and a
+//     primal-dual interior-point method with a sparse Cholesky factor stops
+//     on a certified duality gap of 1e-9 in log units. It is the
+//     allocator's default.
+//   - Minimize is a projected L-BFGS minimizer for smooth convex objectives
+//     on a box — an active set of bound-pinned variables, the two-loop
+//     recursion over the free ones, projected Armijo backtracking — and
+//     MinimizeAnnealed runs it down a ladder of smoothing temperatures,
+//     warm-starting each stage, toward a non-smooth max. The ADMM
+//     backend's local solves use it.
 package convex
 
 import (
@@ -90,6 +96,12 @@ const (
 	// LineSearchStalled: no decreasing step found (objective flat to
 	// machine precision along the projected direction).
 	LineSearchStalled
+	// GapConverged: the interior-point method's duality gap is certified
+	// below its tolerance (MinimizeEpigraph).
+	GapConverged
+	// Stepped marks an interior-point iterate reported mid-solve, before
+	// any stop rule fired.
+	Stepped
 )
 
 // String renders the status for diagnostics.
@@ -103,6 +115,10 @@ func (s Status) String() string {
 		return "max-iterations"
 	case LineSearchStalled:
 		return "line-search-stalled"
+	case GapConverged:
+		return "gap-converged"
+	case Stepped:
+		return "stepped"
 	default:
 		return fmt.Sprintf("status(%d)", int(s))
 	}
@@ -116,15 +132,21 @@ type Result struct {
 	// Evals counts objective evaluations — every call into the
 	// objective, line search included, counts exactly once whether or
 	// not a gradient was requested. A unit step that is accepted costs
-	// one (value and gradient fused), a shorter accepted step two.
+	// one (value and gradient fused), a shorter accepted step two. For
+	// MinimizeEpigraph it counts evaluations of every constraint at one
+	// point, values and gradients together.
 	Evals  int
 	Status Status
+	// Gap is MinimizeEpigraph's certificate, in the units of its
+	// objective (a log): F, the log of the root's exact value at X, is
+	// within Gap of the optimum. Zero for the other minimizers.
+	Gap float64
 }
 
 // Converged reports whether the stop was a convergence criterion rather
 // than an iteration cap.
 func (r Result) Converged() bool {
-	return r.Status == GradientConverged || r.Status == ObjectiveConverged || r.Status == LineSearchStalled
+	return r.Status == GradientConverged || r.Status == ObjectiveConverged || r.Status == LineSearchStalled || r.Status == GapConverged
 }
 
 func clamp(v, lo, hi float64) float64 {

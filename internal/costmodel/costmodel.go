@@ -189,8 +189,8 @@ func ProcessingTimesPExpr(eg *expr.Graph, lp LoopParams, v int) expr.ID {
 
 // TransferExprs builds the (send, net, recv) components of one transfer as
 // expressions over the log-variables vi (sender) and vj (receiver).
-// max(p_i, p_j) becomes a SmoothMax of the two variables, annealed to the
-// exact max by the solver.
+// max(p_i, p_j) becomes a SmoothMax of the two variables, which the
+// solver treats as the exact max.
 func TransferExprs(eg *expr.Graph, tp TransferParams, kind mdg.TransferKind, bytes int, vi, vj int) (send, net, recv expr.ID) {
 	switch kind {
 	case mdg.TransferG2L, mdg.TransferL2G, mdg.TransferG2G:

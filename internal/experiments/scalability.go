@@ -20,7 +20,7 @@ type ScalabilityRow struct {
 	PhiConvex     float64
 	PhiHeuristic  float64
 	Tpsa          float64
-	SolverEvals   int
+	SolverIters   int
 }
 
 // ScalabilityResult carries experiment E13: how the compiler-side
@@ -76,7 +76,7 @@ func Scalability(env *Env) (*ScalabilityResult, error) {
 			Depth: metrics.Depth, Width: metrics.Width,
 			AllocTime: allocTime, SchedTime: schedTime, HeuristicTime: heurTime,
 			PhiConvex: conv.Phi, PhiHeuristic: heur.Phi, Tpsa: s.Makespan,
-			SolverEvals: conv.Solver.Evals,
+			SolverIters: conv.Solver.Iters,
 		})
 	}
 	return out, nil
@@ -86,12 +86,12 @@ func Scalability(env *Env) (*ScalabilityResult, error) {
 func (r *ScalabilityResult) String() string {
 	t := tables.New(
 		fmt.Sprintf("E13 allocator scalability on layered synthetic MDGs, p = %d", r.Procs),
-		"nodes", "edges", "depth", "width", "alloc time", "evals", "sched time",
+		"nodes", "edges", "depth", "width", "alloc time", "iters", "sched time",
 		"Phi convex (s)", "Phi heuristic (s)", "T_psa (s)")
 	for _, row := range r.Rows {
 		t.Row(row.Nodes, row.Edges, row.Depth, row.Width,
 			fmtDuration(row.AllocTime, time.Millisecond),
-			row.SolverEvals,
+			row.SolverIters,
 			fmtDuration(row.SchedTime, time.Microsecond),
 			fmt.Sprintf("%.4f", row.PhiConvex),
 			fmt.Sprintf("%.4f", row.PhiHeuristic),

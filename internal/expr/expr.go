@@ -11,8 +11,10 @@
 //   - Monomial: c·exp(Σ a_j·x_j), the log-space image of c·Π p_j^{a_j}
 //   - Sum and Scale (with nonnegative factors)
 //   - Mul of two expressions (used for processor-time products T_i·p_i)
-//   - SmoothMax: a temperature-µ log-sum-exp softening of max, annealed
-//     toward the exact max by the convex solver
+//   - SmoothMax: the max of its children — exact at temperature 0, a
+//     temperature-µ log-sum-exp softening of it at µ > 0 (the smoothed
+//     solves of ADMM), and one epigraph variable in the exact solver's
+//     compile (epigraph.go)
 //
 // Nodes are created through a Graph builder and refer to children by ID,
 // so shared subexpressions (a node weight appearing in both A_p and C_p)
@@ -29,6 +31,10 @@
 // merges a node, so every value and gradient is, bit for bit, what a
 // node-by-node interpretation of the graph computes — the package's
 // tests keep that interpreter and compare against it.
+//
+// The allocator's exact solve does not evaluate the graph: Graph.Epigraph
+// compiles it into a geometric program in epigraph form (epigraph.go),
+// which package convex solves by an interior-point method.
 package expr
 
 import (
@@ -171,8 +177,8 @@ func (g *Graph) Mul(a, b ID) ID {
 
 // SmoothMax creates the temperature-smoothed maximum of its children:
 // µ·log Σ exp(v_k/µ) at temperature µ > 0, and the exact max at µ <= 0.
-// The temperature is supplied at evaluation time so the solver can anneal
-// without rebuilding the graph.
+// The temperature is supplied at evaluation time so a smoothed solve can
+// anneal without rebuilding the graph.
 func (g *Graph) SmoothMax(ids ...ID) ID {
 	if len(ids) == 0 {
 		panic("expr: SmoothMax requires at least one child")

@@ -35,7 +35,7 @@ func (m *metricsObserver) Observe(e Event) {
 		r.Counter("alloc_solver_iters_total").Add(ev.Iters)
 		r.Counter("alloc_solver_evals_total").Add(ev.Evals)
 		r.Histogram("alloc_solver_stage_phi", nil).Observe(ev.Phi)
-		r.Histogram("alloc_solver_stage_temp", nil).Observe(ev.Temp)
+		r.Histogram("alloc_solver_stage_gap", nil).Observe(ev.Gap)
 	case PSARound:
 		r.Counter("sched_round_nodes_total").Inc()
 		if ev.Clipped {

@@ -38,7 +38,7 @@ type Observer interface {
 type Kind uint8
 
 const (
-	// KindSolverStage: one annealed temperature stage of a convex solve.
+	// KindSolverStage: one interior-point iteration of a convex solve.
 	KindSolverStage Kind = iota
 	// KindPSARound: the rounding/bounding decision for one node.
 	KindPSARound
@@ -86,24 +86,28 @@ type Event interface {
 	Kind() Kind
 }
 
-// SolverStage reports one annealed temperature stage of the convex
-// allocation solve: the smoothing temperature, the smoothed objective Φ
-// at the stage solution, and the cumulative iteration/line-search-eval
-// counts — the data behind a solver-convergence trajectory.
+// SolverStage reports one interior-point iteration of the convex
+// allocation solve: the duality gap and the bound on Φ at the iterate —
+// the data behind a solver-convergence trajectory.
 type SolverStage struct {
 	// StartIdx is always 0: the allocator solves from one start point.
 	// It keeps the trace's per-start counter track ("phi start0") and
 	// recorded event streams in their established shape. Stage counts
-	// temperature stages within the solve.
+	// iterations within the solve, from 0.
 	StartIdx, Stage int
-	// Temp is the log-sum-exp smoothing temperature of the stage.
-	Temp float64
-	// Phi is the smoothed objective at the stage solution.
+	// Gap is the iterate's duality gap, in log units. On the last
+	// iteration it is the solve's certificate: Φ at the returned
+	// allocation is within a factor e^Gap of the optimum, and the solve
+	// stops once that is at most e^{1e-9}.
+	Gap float64
+	// Phi is e to the iterate's epigraph objective; on the last
+	// iteration, Φ at the returned allocation.
 	Phi float64
-	// Iters and Evals count this stage's inner iterations and
-	// line-search objective evaluations.
+	// Iters is 1 and Evals counts the iteration's constraint
+	// evaluations, line search included.
 	Iters, Evals int
-	// Status is the inner minimizer's stop reason.
+	// Status is "stepped" until the last iteration, which carries the
+	// solve's stop reason ("gap-converged").
 	Status string
 }
 

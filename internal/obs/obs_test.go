@@ -118,8 +118,8 @@ func TestRegistryConcurrentDeterminism(t *testing.T) {
 func TestMetricsObserverFold(t *testing.T) {
 	r := NewRegistry()
 	o := MetricsObserver(r)
-	o.Observe(SolverStage{Stage: 0, Temp: 0.1, Phi: 2.5, Iters: 10, Evals: 12})
-	o.Observe(SolverStage{Stage: 1, Temp: 0.02, Phi: 2.4, Iters: 7, Evals: 8})
+	o.Observe(SolverStage{Stage: 0, Gap: 0.1, Phi: 2.5, Iters: 10, Evals: 12})
+	o.Observe(SolverStage{Stage: 1, Gap: 0.02, Phi: 2.4, Iters: 7, Evals: 8})
 	o.Observe(PSARound{Node: 1, Continuous: 3.1, Rounded: 4, Final: 2, Clipped: true})
 	o.Observe(PSAPick{Node: 1, EST: 1.0, PST: 1.5, Start: 1.5, Finish: 2.0, Procs: 2})
 	o.Observe(Comm{Tag: "t", Bytes: 1024, SendStart: 0, RecvStart: 0.5, RecvEnd: 0.6})

@@ -8,9 +8,8 @@ import (
 
 // TestDifferentialADMMVsBruteForce pits the consensus-ADMM decomposition
 // backend against the exact brute-force grid on the same generated
-// population the annealed solver is checked with: the decomposition plus
-// its polish pass must stay within the same 1% envelope of the
-// discretized optimum.
+// population the default solver is checked with: the decomposition plus
+// its polish pass must stay within 1% of the discretized optimum.
 func TestDifferentialADMMVsBruteForce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential population test")

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"paradigm/internal/alloc"
-	"paradigm/internal/convex"
 	"paradigm/internal/errs"
 	"paradigm/internal/mdg"
 	"paradigm/internal/sched"
@@ -20,14 +19,6 @@ import (
 // live in testdata/fuzz/<FuzzName>/ and run as ordinary subtests under
 // plain `go test`; `make fuzz-smoke` runs each target for a few seconds
 // of coverage-guided exploration.
-
-// fuzzAnneal is a deliberately small solver budget: fuzzing probes
-// feasibility and consistency, not solution quality, so a short anneal
-// keeps executions-per-second high.
-var fuzzAnneal = alloc.Options{Anneal: convex.AnnealOptions{
-	StartTemp: 0.1, EndTemp: 1e-2, Decay: 0.2,
-	Inner: convex.Options{MaxIter: 150},
-}}
 
 // knownSentinel reports whether err wraps one of the repo's typed error
 // sentinels — the only errors the solvers may return on fuzzed input.
@@ -53,7 +44,7 @@ func FuzzSolve(f *testing.F) {
 		if !ok {
 			t.Skip()
 		}
-		r, err := alloc.Solve(g, cm5Fit, procs, fuzzAnneal)
+		r, err := alloc.Solve(g, cm5Fit, procs, alloc.Options{})
 		if err != nil {
 			if !knownSentinel(err) {
 				t.Fatalf("Solve returned a non-sentinel error on a decoded-valid graph: %v", err)

@@ -99,7 +99,7 @@ func TestMetamorphicRelabelExhaustiveBracket(t *testing.T) {
 
 // TestMetamorphicSolverTauScaling: scaling every τ_i and every transfer
 // coefficient by k makes the objective exactly k-homogeneous, so the
-// solver's optimal Φ must scale by k too. The anneal trajectory is not
+// solver's optimal Φ must scale by k too. The solve's trajectory is not
 // bit-identical across scales, so a 1% band absorbs solver noise.
 func TestMetamorphicSolverTauScaling(t *testing.T) {
 	const k = 64.0

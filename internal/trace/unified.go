@@ -68,7 +68,7 @@ func WriteUnifiedMeta(w io.Writer, g *mdg.Graph, s *sched.Schedule, r *sim.Resul
 		pidPredicted: "predicted (PSA schedule)",
 		pidActual:    "actual (simulated)",
 		pidComm:      "comm (messages)",
-		pidSolver:    "solver (convex anneal)",
+		pidSolver:    "solver (interior point)",
 	} {
 		f.TraceEvents = append(f.TraceEvents, event{
 			Name: "process_name", Ph: "M", Pid: pid,
@@ -179,8 +179,9 @@ func WriteUnifiedMeta(w io.Writer, g *mdg.Graph, s *sched.Schedule, r *sim.Resul
 	}
 
 	// Solver convergence: one counter track per start index (the
-	// allocator solves from one, StartIdx 0), sampled at the stage index
-	// (the anneal has no wall-clock of its own — stage order is its time
+	// allocator solves from one, StartIdx 0) carrying the bound on Φ and
+	// the duality gap, sampled at the interior-point iteration index (the
+	// solve has no wall-clock of its own — iteration order is its time
 	// axis).
 	sort.Slice(stages, func(a, b int) bool {
 		if stages[a].StartIdx != stages[b].StartIdx {
@@ -194,6 +195,7 @@ func WriteUnifiedMeta(w io.Writer, g *mdg.Graph, s *sched.Schedule, r *sim.Resul
 			Ts: float64(st.Stage), Pid: pidSolver, Tid: st.StartIdx,
 			Args: map[string]any{
 				"phi": st.Phi,
+				"gap": st.Gap,
 			},
 		})
 	}

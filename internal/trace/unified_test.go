@@ -13,8 +13,8 @@ func TestWriteUnifiedMergesEventTracks(t *testing.T) {
 	events := []obs.Event{
 		// Out of order on purpose: the exporter must sort by intrinsic
 		// coordinates, not arrival order.
-		obs.SolverStage{StartIdx: 0, Stage: 1, Temp: 0.1, Phi: 0.8, Iters: 10, Evals: 20, Status: "converged"},
-		obs.SolverStage{StartIdx: 0, Stage: 0, Temp: 1.0, Phi: 0.9, Iters: 12, Evals: 24, Status: "converged"},
+		obs.SolverStage{StartIdx: 0, Stage: 1, Gap: 0.1, Phi: 0.8, Iters: 10, Evals: 20, Status: "converged"},
+		obs.SolverStage{StartIdx: 0, Stage: 0, Gap: 1.0, Phi: 0.9, Iters: 12, Evals: 24, Status: "converged"},
 		obs.PSARound{Node: 1, Continuous: 2.7, Rounded: 4, Final: 2, Clipped: true},
 		obs.PSAPick{Node: 1, EST: 0.1, PST: 0.2, Start: 0.2, Finish: 0.5, Procs: 2},
 		obs.Comm{Tag: "X", From: 0, To: 1, Bytes: 128, SendStart: 0.1, SendEnd: 0.12, NetReady: 0.13, RecvStart: 0.14, RecvEnd: 0.15},

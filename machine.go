@@ -67,10 +67,10 @@ const (
 type AllocBackend = alloc.Backend
 
 const (
-	// AllocAuto selects the default strategy (the annealed convex
-	// solve).
+	// AllocAuto selects the default strategy (the exact convex solve).
 	AllocAuto = alloc.BackendAuto
-	// AllocAnneal is the annealed convex solve from the box midpoint.
+	// AllocAnneal is the exact convex solve from the box midpoint (the
+	// name predates it; see alloc.BackendAnneal).
 	AllocAnneal = alloc.BackendAnneal
 	// AllocADMM is the consensus-ADMM decomposition.
 	AllocADMM = alloc.BackendADMM

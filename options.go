@@ -49,8 +49,8 @@ type (
 	// EventRecorder collects every event in memory (for the trace
 	// exporter and tests).
 	EventRecorder = obs.Recorder
-	// AllocOptions tunes the convex allocation (annealing schedule,
-	// backend selection, warm-start cache, ablations, observer).
+	// AllocOptions tunes the convex allocation (backend selection,
+	// warm-start cache, ablations, observer).
 	AllocOptions = alloc.Options
 	// ADMMOptions tunes the consensus-ADMM allocation backend
 	// (AllocOptions.Backend = "admm").
@@ -157,8 +157,8 @@ func WithScheduleOptions(so ScheduleOptions) Option {
 	return func(c *config) { c.sched = so }
 }
 
-// WithAllocOptions sets the convex-allocation tuning (annealing
-// schedule, backend, transfer ablation).
+// WithAllocOptions sets the convex-allocation tuning (backend, cache,
+// transfer ablation).
 func WithAllocOptions(ao AllocOptions) Option {
 	return func(c *config) { c.alloc = ao }
 }
@@ -248,7 +248,7 @@ func CalibrateContext(ctx context.Context, m Machine, opts ...Option) (cal *Cali
 }
 
 // AllocateContext solves the convex program of Section 2 with
-// cancellation (checked between annealed temperature stages) and
+// cancellation (checked after every interior-point iteration) and
 // solver-convergence events. The stage honours the full governance
 // surface: Allocate budget, bounded retry with jittered backoff, the
 // shared circuit breaker (open: the solve degrades to the heuristic

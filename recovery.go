@@ -143,7 +143,7 @@ func recoverRun(ctx context.Context, p *Program, m Machine, model Model, src Loo
 		restored := map[string]*Matrix{}
 		for _, name := range names {
 			// Salvage can touch every block of every array: honour
-			// cancellation per array, like the anneal loop does per stage.
+			// cancellation per array, like the solver does per iteration.
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
