@@ -24,6 +24,7 @@ import (
 	"paradigm/internal/costmodel"
 	"paradigm/internal/experiments"
 	"paradigm/internal/mdg"
+	"paradigm/internal/prog"
 	"paradigm/internal/programs"
 	"paradigm/internal/sim"
 	"paradigm/internal/trainsets"
@@ -614,30 +615,59 @@ func BenchmarkRunCMM256P64(b *testing.B) {
 	}
 }
 
-// BenchmarkSimRunCMM256P64 is the simulator's share of the run above
-// alone: the same program's generated streams, planned once and
-// simulated every iteration.
-func BenchmarkSimRunCMM256P64(b *testing.B) {
+// benchSim plans each program on its processor count once, then
+// simulates the generated streams of all of them every iteration.
+func benchSim(b *testing.B, build func(n int) (*prog.Program, error), shapes ...[2]int) {
 	e := env(b)
-	p, err := programs.ComplexMatMul(256, e.Cal)
-	if err != nil {
-		b.Fatal(err)
+	type job struct {
+		p       *prog.Program
+		streams *codegen.Streams
 	}
-	planned, err := RunContext(context.Background(), p, e.Machine, e.Cal, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	streams, err := codegen.Generate(p, planned.Sched)
-	if err != nil {
-		b.Fatal(err)
+	jobs := make([]job, len(shapes))
+	for i, s := range shapes {
+		p, err := build(s[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		planned, err := RunContext(context.Background(), p, e.Machine, e.Cal, s[1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		streams, err := codegen.Generate(p, planned.Sched)
+		if err != nil {
+			b.Fatal(err)
+		}
+		jobs[i] = job{p, streams}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(p, streams, e.Machine); err != nil {
-			b.Fatal(err)
+		for _, j := range jobs {
+			if _, err := sim.Run(j.p, j.streams, e.Machine); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+}
+
+// BenchmarkSimRunCMM256P64 is the simulator's share of the run above
+// alone: the same program's generated streams, planned once and
+// simulated every iteration.
+func BenchmarkSimRunCMM256P64(b *testing.B) {
+	benchSim(b, func(n int) (*prog.Program, error) { return programs.ComplexMatMul(n, env(b).Cal) }, [2]int{256, 64})
+}
+
+// BenchmarkSimRunStrassen128P64 is the simulator's share of the paper's
+// headline program, Strassen-128 on 64 processors.
+func BenchmarkSimRunStrassen128P64(b *testing.B) {
+	benchSim(b, func(n int) (*prog.Program, error) { return programs.Strassen(n, env(b).Cal) }, [2]int{128, 64})
+}
+
+// BenchmarkSimRunServiceMix simulates six CMM shapes (n on p processors)
+// of the size a cold paradigmd job has; one iteration runs all six.
+func BenchmarkSimRunServiceMix(b *testing.B) {
+	benchSim(b, func(n int) (*prog.Program, error) { return programs.ComplexMatMul(n, env(b).Cal) },
+		[2]int{40, 8}, [2]int{56, 23}, [2]int{64, 16}, [2]int{80, 20}, [2]int{100, 30}, [2]int{127, 35})
 }
 
 // BenchmarkRunNoCheckpoint is BenchmarkRunCMM256P64 under the name its

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"paradigm/internal/fault"
 	"paradigm/internal/machine"
 	"paradigm/internal/matrix"
+	"paradigm/internal/mdg"
 	"paradigm/internal/obs"
 	"paradigm/internal/par"
 	"paradigm/internal/prog"
@@ -306,15 +308,25 @@ func faultPaths(t *testing.T, p *prog.Program, procs int, deaths []int) {
 // message carry a view instead of a copy.
 func TestInsertIntoSealedBlockFails(t *testing.T) {
 	rect := codegen.Rect{R0: 2, R1: 4, C0: 0, C1: 3}
-	src, dst := newBlock(rect), newBlock(rect)
-	if err := copyRect(dst, rect, src); err != nil {
-		t.Fatalf("insert into an unviewed block: %v", err)
-	}
-	if err := view(dst, rect); err != nil {
+	src, owner := newBlock(rect), newBlock(rect)
+	if err := view(src, rect); err != nil {
 		t.Fatal(err)
 	}
-	if err := copyRect(dst, rect, src); err == nil || !strings.Contains(err.Error(), "sealed") {
-		t.Fatalf("insert into a viewed block: err = %v, want sealed-block error", err)
+	store := map[string]*block{"owner": owner}
+	if err := receive(store, "consumer", rect, rect, src); err != nil {
+		t.Fatalf("receive into a consumer block: %v", err)
+	}
+	if err := receive(store, "owner", rect, rect, src); !errors.Is(err, errIntoOwner) || strings.Contains(err.Error(), "sealed") {
+		t.Fatalf("receive into an unviewed producer block: err = %v, want %v", err, errIntoOwner)
+	}
+	if err := view(owner, rect); err != nil {
+		t.Fatal(err)
+	}
+	if err := receive(store, "owner", rect, rect, src); !errors.Is(err, errIntoOwner) || !strings.Contains(err.Error(), "sealed") {
+		t.Fatalf("receive into a viewed block: err = %v, want sealed-block error", err)
+	}
+	if err := view(store["consumer"], rect); !errors.Is(err, errFromViews) {
+		t.Fatalf("view of a consumer block: err = %v, want %v", err, errFromViews)
 	}
 
 	// Through the interpreter: a Move back into the instance the
@@ -341,7 +353,253 @@ func TestInsertIntoSealedBlockFails(t *testing.T) {
 	if !patched {
 		t.Fatal("no send to patch")
 	}
-	if _, err := Run(p, streams, machine.CM5(8)); err == nil || !strings.Contains(err.Error(), "sealed") {
+	if _, err := Run(p, streams, machine.CM5(8)); !errors.Is(err, errIntoOwner) || !strings.Contains(err.Error(), "sealed") {
 		t.Fatalf("err = %v, want sealed-block error", err)
+	}
+}
+
+// insert puts in ahead of the first instruction of proc pr's stream that
+// before accepts, or at the end when before is nil.
+func insert(t *testing.T, streams *codegen.Streams, pr int, before func(codegen.Instr) bool, in codegen.Instr) {
+	t.Helper()
+	stream := streams.PerProc[pr]
+	at := len(stream)
+	if before != nil {
+		for at = 0; at < len(stream) && !before(stream[at]); at++ {
+		}
+		if at == len(stream) {
+			t.Fatalf("proc %d: nothing to insert before", pr)
+		}
+	}
+	streams.PerProc[pr] = append(stream[:at:at], append([]codegen.Instr{in}, stream[at:]...)...)
+}
+
+// execOf accepts node's Exec.
+func execOf(node mdg.NodeID) func(codegen.Instr) bool {
+	return func(in codegen.Instr) bool {
+		e, ok := in.(codegen.Exec)
+		return ok && e.Node == node
+	}
+}
+
+// mulInstances is mulProgram on 8 processors and the store names of A's
+// producer instance, B's instance at the multiply (a consumer, filled
+// from column strips into row strips) and C's producer instance.
+func mulInstances(t *testing.T) (p *prog.Program, streams *codegen.Streams, a, b, c string) {
+	t.Helper()
+	p = mulProgram(t, 16)
+	_, streams = pipeline(t, p, 8)
+	initA, _ := p.Producer("A")
+	mul, _ := p.Producer("C")
+	return p, streams, codegen.Instance("A", initA), codegen.Instance("B", mul), codegen.Instance("C", mul)
+}
+
+// requireProduct runs mulProgram's streams and requires C to be a·b bit
+// for bit.
+func requireProduct(t *testing.T, p *prog.Program, streams *codegen.Streams, a, b *matrix.Matrix) {
+	t.Helper()
+	res, err := Run(p, streams, machine.CM5(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := res.Gather("C")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := matrix.New(a.Rows, b.Cols)
+	if err := matrix.Mul(want, a, b); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+			t.Fatalf("C element %d = %#x, want %#x", i, math.Float64bits(got.Data[i]), math.Float64bits(v))
+		}
+	}
+}
+
+// TestReceiveHoleReadsPositiveZero: an element of a consumer block that
+// no receive wrote reads +0, as it did when receives filled a zeroed
+// block — also when the scratch the operand is assembled in last held
+// that element's real value, and when overlapping views cover as many
+// elements as the block has and still leave a hole.
+func TestReceiveHoleReadsPositiveZero(t *testing.T) {
+	rect, row := codegen.Rect{R0: 0, R1: 2, C0: 0, C1: 2}, codegen.Rect{R0: 0, R1: 1, C0: 0, C1: 2}
+	src := newBlock(rect)
+	src.data.Fill(func(i, j int) float64 { return float64(1 + 2*i + j) })
+	dst := &block{rect: rect, views: []recvView{{row, src}, {row, src}}}
+	m := matrix.New(2, 2)
+	m.Fill(func(int, int) float64 { return math.Copysign(0, -1) })
+	dst.readInto(m, 0, 0)
+	for i, want := range []float64{1, 2, 0, 0} {
+		if math.Float64bits(m.Data[i]) != math.Float64bits(want) {
+			t.Fatalf("element %d = %#x, want %#x", i, math.Float64bits(m.Data[i]), math.Float64bits(want))
+		}
+	}
+
+	p, streams, _, bInst, _ := mulInstances(t)
+	ref, err := p.ReferenceRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(p, streams, machine.CM5(8)); err != nil {
+		t.Fatal(err)
+	}
+	var hole codegen.Rect
+	for _, stream := range streams.PerProc {
+		for i, in := range stream {
+			if r, ok := in.(codegen.Recv); ok && r.DstInstance == bInst && r.Payload.C1-r.Payload.C0 >= 2 && hole.Empty() {
+				hole = r.Payload
+				hole.C0 = (r.Payload.C0 + r.Payload.C1) / 2
+				r.Payload.C1 = hole.C0
+				stream[i] = r
+			}
+		}
+	}
+	if hole.Empty() {
+		t.Fatal("no receive into B to cut short")
+	}
+	b := ref["B"].Clone()
+	for i := hole.R0; i < hole.R1; i++ {
+		for j := hole.C0; j < hole.C1; j++ {
+			b.Set(i, j, 0)
+		}
+	}
+	requireProduct(t, p, streams, ref["A"], b)
+}
+
+// TestOverlappingReceiveLaterWins: a receive that overlaps earlier ones
+// overwrites them where they overlap. A Move of A's bits into B's
+// consumer block, after all of B's receives, must leave A's values there.
+func TestOverlappingReceiveLaterWins(t *testing.T) {
+	p, streams, aInst, bInst, _ := mulInstances(t)
+	ref, err := p.ReferenceRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := Run(p, streams, machine.CM5(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mul, _ := p.Producer("C")
+	for pr, store := range clean.stores {
+		a, b := store[aInst], store[bInst]
+		if a == nil || b == nil || intersect(a.rect, b.rect).Empty() {
+			continue
+		}
+		over := intersect(a.rect, b.rect)
+		insert(t, streams, pr, execOf(mul), codegen.Move{Payload: over, SrcInstance: aInst, DstInstance: bInst, Block: b.rect})
+		want := ref["B"].Clone()
+		want.CopyRect(over.R0, over.C0, ref["A"], over.R0, over.R1, over.C0, over.C1)
+		requireProduct(t, p, streams, ref["A"], want)
+		return
+	}
+	t.Fatal("no processor holds both a block of A and one of B's consumer instance")
+}
+
+// TestRedistributionDirectionIsEnforced: a receive into a producer
+// instance that nothing has viewed yet, and a send or a move from a
+// consumer instance, are refused by name. (A receive into a sealed
+// producer instance is TestInsertIntoSealedBlockFails.)
+func TestRedistributionDirectionIsEnforced(t *testing.T) {
+	p, _, aInst, bInst, cInst := mulInstances(t)
+	mul, _ := p.Producer("C")
+	// Each case builds, for a processor and its store at the end of a
+	// clean run, the instruction to insert before the multiply's Exec (or
+	// after it, when afterMul).
+	for _, tc := range []struct {
+		name     string
+		in       func(pr int, st map[string]*block) codegen.Instr
+		afterMul bool
+		want     error
+	}{
+		{"move into an unviewed producer", func(_ int, st map[string]*block) codegen.Instr {
+			c := st[cInst].rect
+			return codegen.Move{Payload: intersect(st[aInst].rect, c), SrcInstance: aInst, DstInstance: cInst, Block: c}
+		}, true, errIntoOwner},
+		{"move from a consumer", func(_ int, st map[string]*block) codegen.Instr {
+			b := st[bInst].rect
+			return codegen.Move{Payload: b, SrcInstance: bInst, DstInstance: "X@99", Block: b}
+		}, false, errFromViews},
+		{"send from a consumer", func(pr int, st map[string]*block) codegen.Instr {
+			return codegen.Send{Tag: "extra", To: (pr + 1) % 8, Payload: st[bInst].rect, SrcInstance: bInst}
+		}, false, errFromViews},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, streams, _, _, _ := mulInstances(t)
+			clean, err := Run(p, streams, machine.CM5(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pr, st := range clean.stores {
+				a, b, c := st[aInst], st[bInst], st[cInst]
+				if a == nil || b == nil || c == nil || intersect(a.rect, c.rect).Empty() {
+					continue
+				}
+				before := execOf(mul)
+				if tc.afterMul {
+					before = nil
+				}
+				insert(t, streams, pr, before, tc.in(pr, st))
+				if _, err := Run(p, streams, machine.CM5(8)); !errors.Is(err, tc.want) || strings.Contains(err.Error(), "sealed") {
+					t.Fatalf("err = %v, want %v", err, tc.want)
+				}
+				return
+			}
+			t.Fatal("no processor holds blocks of A, B and C")
+		})
+	}
+}
+
+// TestSimAllocatesOnlyWhatTheResultKeeps: a run allocates the producer
+// blocks its Result keeps and at most 1 MB besides. A receive records a
+// view instead of filling a block, and scratch is recycled across runs.
+// The least of five runs after a warm-up decides, so that a collection
+// which empties the scratch pool between two runs does not.
+func TestSimAllocatesOnlyWhatTheResultKeeps(t *testing.T) {
+	strassen, err := programs.Strassen(128, calibration(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		p     *prog.Program
+		procs int
+	}{
+		{"cmm256-p64", cmm(t, 256), 64},
+		{"strassen128-p64", strassen, 64},
+		{"cmm80-p20", cmm(t, 80), 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, streams := pipeline(t, tc.p, tc.procs)
+			mp := machine.CM5(tc.procs)
+			res, err := Run(tc.p, streams, mp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept := uint64(0)
+			for name := range tc.p.Arrays {
+				producer, _ := tc.p.Producer(name)
+				for _, store := range res.stores {
+					if b := store[codegen.Instance(name, producer)]; b != nil && b.data != nil {
+						kept += uint64(8 * len(b.data.Data))
+					}
+				}
+			}
+			least := uint64(math.MaxUint64)
+			var ms runtime.MemStats
+			for i := 0; i < 5; i++ {
+				runtime.ReadMemStats(&ms)
+				before := ms.TotalAlloc
+				if _, err := Run(tc.p, streams, mp); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&ms)
+				least = min(least, ms.TotalAlloc-before)
+			}
+			t.Logf("%.2f MB allocated a run, %.2f MB of producer blocks", float64(least)/1e6, float64(kept)/1e6)
+			if least > kept+1<<20 {
+				t.Fatalf("a run allocates %d bytes, producer blocks are %d: over 1 MB besides", least, kept)
+			}
+		})
 	}
 }

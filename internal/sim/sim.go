@@ -20,15 +20,15 @@
 // None of that data movement belongs to the modelled machine, so it is
 // done with as few host bytes as the semantics allow (DESIGN.md §7,
 // "Simulator data plane"). A message or a local move carries a view of
-// the sender's block, copied once, into the destination, when it is
-// received; a block is sealed when first viewed and writing into a
-// sealed block is an error, which is what makes the late copy equal to a
-// snapshot taken at the send. A kernel reads its operands in place. The
-// members of one group barrier compute disjoint output blocks from
-// operands nobody writes, so above a fixed amount of work they run on
-// internal/par's workers, the blocks landing in a slot-indexed slice
-// that is installed in slot order afterwards. Every output bit, virtual
-// clock and event is the same at any pool width.
+// the sender's block, which the receive only records; the consumer's
+// barrier copies each view once, into the operand its kernel reads. A
+// block is sealed when first viewed and only a block that owns no data
+// is received into, which makes the late copy equal to a snapshot taken
+// at the send. The members of one group barrier compute disjoint output
+// blocks from operands nobody writes, so above a fixed amount of work
+// they run on internal/par's workers, the blocks landing in a
+// slot-indexed slice that is installed in slot order afterwards. Every
+// output bit, virtual clock and event is the same at any pool width.
 //
 // Fault injection: Options.Faults attaches a deterministic fault.Plan.
 // A fail-stop processor executes no instruction once its clock reaches
@@ -42,10 +42,12 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"paradigm/internal/codegen"
 	"paradigm/internal/dist"
@@ -59,15 +61,29 @@ import (
 	"paradigm/internal/prog"
 )
 
-// block is one processor-local piece of an array instance.
+// block is one processor-local piece of an array instance: a producer's
+// owns its data, a consumer's holds the views its receives delivered.
 type block struct {
-	rect codegen.Rect
-	data *matrix.Matrix // (R1-R0)×(C1-C0); nil for empty rects
+	rect  codegen.Rect
+	data  *matrix.Matrix // producer: (R1-R0)×(C1-C0); nil for empty rects
+	views []recvView     // consumer: in arrival order
 	// sealed is set the first time a Send or Move takes a view of the
-	// block: from then on an in-flight message may still read it, so it
-	// must never change again. copyRect refuses a sealed destination.
+	// block: from then on a view may still read it, so it must never
+	// change again.
 	sealed bool
 }
+
+// recvView is a received payload rectangle (global coordinates) of a sealed block.
+type recvView struct {
+	rect codegen.Rect
+	src  *block
+}
+
+// A stream may not receive into a producer instance or send from a consumer one.
+var (
+	errIntoOwner = errors.New("receive into a block that owns data")
+	errFromViews = errors.New("send or move from a consumer block, which holds views, not data")
+)
 
 func newBlock(r codegen.Rect) *block {
 	b := &block{rect: r}
@@ -78,10 +94,10 @@ func newBlock(r codegen.Rect) *block {
 }
 
 // message is an in-flight payload: a view of the rectangle payload of
-// the sender's block src, which the receive copies straight into its
-// destination. src is sealed, so the view reads at the receive what a
-// snapshot taken at the send would have held — also after the sender
-// died, whose store stays in memory.
+// the sender's block src, which the receive hands on to its destination.
+// src is sealed, so whenever the view is read it holds what a snapshot
+// taken at the send would have — also after the sender died, whose store
+// stays in memory.
 type message struct {
 	readyAt float64
 	payload codegen.Rect
@@ -257,7 +273,8 @@ func RunCtx(ctx context.Context, p *prog.Program, streams *codegen.Streams, mp m
 	}
 	barriers := make([]barrier, nNodes)
 	arrived := make([]bool, nNodes*nProcs)
-	nr := nodeRunner{res: res, p: p, mp: mp, ob: ob, plan: plan}
+	nr := nodeRunner{res: res, p: p, mp: mp, ob: ob, plan: plan, sc: scratchPool.Get().(*scratch)}
+	defer scratchPool.Put(nr.sc)
 
 	// step attempts to advance processor pr by one instruction. Returns
 	// whether progress was made, or an error.
@@ -345,12 +362,7 @@ func RunCtx(ctx context.Context, p *prog.Program, streams *codegen.Streams, mp m
 					NetReady: msg.readyAt, RecvStart: t, RecvEnd: res.ProcClock[pr],
 				})
 			}
-			dst := res.stores[pr][in.DstInstance]
-			if dst == nil {
-				dst = newBlock(in.Block)
-				res.stores[pr][in.DstInstance] = dst
-			}
-			if err := copyRect(dst, in.Payload, msg.src); err != nil {
+			if err := receive(res.stores[pr], in.DstInstance, in.Block, in.Payload, msg.src); err != nil {
 				return false, fmt.Errorf("sim: proc %d recv %q: %w", pr, in.Tag, err)
 			}
 			pc[pr]++
@@ -364,12 +376,7 @@ func RunCtx(ctx context.Context, p *prog.Program, streams *codegen.Streams, mp m
 			if err := view(src, in.Payload); err != nil {
 				return false, fmt.Errorf("sim: proc %d move: %w", pr, err)
 			}
-			dst := res.stores[pr][in.DstInstance]
-			if dst == nil {
-				dst = newBlock(in.Block)
-				res.stores[pr][in.DstInstance] = dst
-			}
-			if err := copyRect(dst, in.Payload, src); err != nil {
+			if err := receive(res.stores[pr], in.DstInstance, in.Block, in.Payload, src); err != nil {
 				return false, fmt.Errorf("sim: proc %d move: %w", pr, err)
 			}
 			cost := float64(in.Payload.Bytes()) * mp.CopyPerByte
@@ -550,27 +557,37 @@ type nodeRunner struct {
 	mp   machine.Params
 	ob   obs.Observer
 	plan *fault.Plan
-	// pool is the run's free list of transient full-operand matrices,
-	// matched by shape; pool[:lent] are held by the barrier in progress.
-	// They never reach a Result and go to the collector with the run.
-	pool []*matrix.Matrix
+	sc   *scratch
+}
+
+// scratch is a free list of transient operand matrices, matched by
+// capacity; free[:lent] are held by the barrier in progress. None reaches
+// a Result, so a run returns its list to scratchPool on every exit.
+type scratch struct {
+	free []*matrix.Matrix
 	lent int
 }
 
-// scratch lends a rows×cols matrix until the next barrier begins. A
-// recycled one keeps its old contents: the borrower must overwrite every
-// element.
-func (nr *nodeRunner) scratch(rows, cols int) *matrix.Matrix {
-	at := nr.lent
-	for at < len(nr.pool) && (nr.pool[at].Rows != rows || nr.pool[at].Cols != cols) {
-		at++
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// get lends a rows×cols matrix until the next barrier begins: the free
+// one of least capacity that holds it, or a new one. A recycled one keeps
+// its old contents: the borrower must overwrite every element.
+func (s *scratch) get(rows, cols int) *matrix.Matrix {
+	n, at := rows*cols, len(s.free)
+	for i := s.lent; i < len(s.free); i++ {
+		if c := cap(s.free[i].Data); c >= n && (at == len(s.free) || c < cap(s.free[at].Data)) {
+			at = i
+		}
 	}
-	if at == len(nr.pool) {
-		nr.pool = append(nr.pool, matrix.New(rows, cols))
+	if at == len(s.free) {
+		s.free = append(s.free, matrix.New(rows, cols))
 	}
-	nr.pool[nr.lent], nr.pool[at] = nr.pool[at], nr.pool[nr.lent]
-	nr.lent++
-	return nr.pool[nr.lent-1]
+	m := s.free[at]
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
+	s.free[s.lent], s.free[at] = m, s.free[s.lent]
+	s.lent++
+	return m
 }
 
 // execNode runs one kernel as a group: advances every member's clock by
@@ -648,7 +665,7 @@ func (nr *nodeRunner) execNode(ctx context.Context, in codegen.Exec, start float
 	// output block is computed by compute, each a disjoint block built
 	// from operands nobody writes, so the slots can run on any worker in
 	// any order and give the bits a serial loop gives.
-	nr.lent = 0 // the previous barrier's scratch is free again
+	nr.sc.lent = 0 // the previous barrier's scratch is free again
 	rectOf := func(b dist.PlacedRect) codegen.Rect {
 		return codegen.Rect{R0: b.R0, R1: b.R1, C0: b.C0, C1: b.C1}
 	}
@@ -686,24 +703,37 @@ func (nr *nodeRunner) execNode(ctx context.Context, in codegen.Exec, start float
 	// assembleInto reassembles a full operand from the group's blocks
 	// (the data image of the gathers whose cost the ProcTime rules
 	// already charged) into dst anchored at (r0, c0). The blocks are a
-	// placement's, which partitions the operand: every element of the
-	// operand's rectangle of dst is overwritten.
+	// placement's, which partitions the operand, and readInto writes all
+	// of a block: every element of the operand's rectangle of dst is
+	// overwritten.
 	assembleInto := func(dst *matrix.Matrix, r0, c0, operand int) error {
 		blocks, err := operandBlocks(operand)
 		if err != nil {
 			return err
 		}
 		for _, b := range blocks {
-			if b.data != nil {
-				dst.SetBlock(r0+b.rect.R0, c0+b.rect.C0, b.data)
-			}
+			b.readInto(dst, r0+b.rect.R0, c0+b.rect.C0)
 		}
 		return nil
 	}
 	assemble := func(operand int) (*matrix.Matrix, error) {
 		a := p.Arrays[spec.Inputs[operand]]
-		full := nr.scratch(a.Rows, a.Cols)
+		full := nr.sc.get(a.Rows, a.Cols)
 		return full, assembleInto(full, 0, 0, operand)
+	}
+	// materialize reads every member's block of an operand into scratch.
+	materialize := func(operand int) (blocks []*block, data []*matrix.Matrix, err error) {
+		if blocks, err = operandBlocks(operand); err != nil {
+			return nil, nil, err
+		}
+		data = make([]*matrix.Matrix, q)
+		for slot, b := range blocks {
+			if !b.rect.Empty() {
+				data[slot] = nr.sc.get(b.rect.R1-b.rect.R0, b.rect.C1-b.rect.C0)
+				b.readInto(data[slot], 0, 0)
+			}
+		}
+		return blocks, data, nil
 	}
 
 	// compute fills one member's non-empty output block.
@@ -717,11 +747,11 @@ func (nr *nodeRunner) execNode(ctx context.Context, in codegen.Exec, start float
 		}
 
 	case kernels.OpAdd, kernels.OpSub:
-		a, err := operandBlocks(0)
+		a, aData, err := materialize(0)
 		if err != nil {
 			return err
 		}
-		bb, err := operandBlocks(1)
+		bb, bData, err := materialize(1)
 		if err != nil {
 			return err
 		}
@@ -734,7 +764,7 @@ func (nr *nodeRunner) execNode(ctx context.Context, in codegen.Exec, start float
 				return fmt.Errorf("sim: node %d proc %d operand blocks %v/%v mismatch output %v",
 					in.Node, in.Group[slot], a[slot].rect, bb[slot].rect, out.rect)
 			}
-			if err := op(out.data, a[slot].data, bb[slot].data); err != nil {
+			if err := op(out.data, aData[slot], bData[slot]); err != nil {
 				return fmt.Errorf("sim: node %d: %w", in.Node, err)
 			}
 			return nil
@@ -753,7 +783,7 @@ func (nr *nodeRunner) execNode(ctx context.Context, in codegen.Exec, start float
 		}
 
 	case kernels.OpAssemble4:
-		composed := nr.scratch(k.M, k.N)
+		composed := nr.sc.get(k.M, k.N)
 		hr, hc := k.M/2, k.N/2
 		for idx, anchor := range [][2]int{{0, 0}, {0, hc}, {hr, 0}, {hr, hc}} {
 			if err := assembleInto(composed, anchor[0], anchor[1], idx); err != nil {
@@ -814,34 +844,83 @@ func (nr *nodeRunner) execNode(ctx context.Context, in codegen.Exec, start float
 	return nil
 }
 
-// view checks that rect (global coordinates) lies inside b and seals b:
-// the caller is about to hold, or copy from, a view of it.
+// holds reports whether r (global coordinates) lies inside b.
+func (b *block) holds(r codegen.Rect) bool {
+	return r.R0 >= b.rect.R0 && r.R1 <= b.rect.R1 && r.C0 >= b.rect.C0 && r.C1 <= b.rect.C1
+}
+
+// view checks that rect lies inside b, a block that owns data, and seals
+// b: the caller is about to hold a view of it.
 func view(b *block, rect codegen.Rect) error {
-	if rect.R0 < b.rect.R0 || rect.R1 > b.rect.R1 || rect.C0 < b.rect.C0 || rect.C1 > b.rect.C1 {
+	switch {
+	case !b.holds(rect):
 		return fmt.Errorf("rect %v outside block %v", rect, b.rect)
-	}
-	if b.data == nil {
+	case b.views != nil:
+		return fmt.Errorf("%w: block %v", errFromViews, b.rect)
+	case b.data == nil:
 		return fmt.Errorf("extract from empty block %v", b.rect)
 	}
 	b.sealed = true
 	return nil
 }
 
-// copyRect copies the rectangle rect (global coordinates) of src, which
-// view has checked, into the same rectangle of dst.
-func copyRect(dst *block, rect codegen.Rect, src *block) error {
-	if rect.R0 < dst.rect.R0 || rect.R1 > dst.rect.R1 || rect.C0 < dst.rect.C0 || rect.C1 > dst.rect.C1 {
+// receive records, in the block of instance inst in store (created over
+// blockRect if absent), that its rectangle rect now reads from src, which
+// view has checked and sealed. Nothing is copied until readInto.
+func receive(store map[string]*block, inst string, blockRect, rect codegen.Rect, src *block) error {
+	dst := store[inst]
+	if dst == nil {
+		dst = &block{rect: blockRect}
+		store[inst] = dst
+	}
+	switch {
+	case !dst.holds(rect):
 		return fmt.Errorf("rect %v outside block %v", rect, dst.rect)
+	case dst.rect.Empty():
+		return fmt.Errorf("receive into empty block %v", dst.rect)
+	case dst.sealed:
+		return fmt.Errorf("%w: block %v is sealed, a message or move already views it", errIntoOwner, dst.rect)
+	case dst.data != nil:
+		return fmt.Errorf("%w: block %v", errIntoOwner, dst.rect)
 	}
-	if dst.data == nil {
-		return fmt.Errorf("insert into empty block %v", dst.rect)
-	}
-	if dst.sealed {
-		return fmt.Errorf("insert into sealed block %v: a message or move already views it", dst.rect)
-	}
-	dst.data.CopyRect(rect.R0-dst.rect.R0, rect.C0-dst.rect.C0, src.data,
-		rect.R0-src.rect.R0, rect.R1-src.rect.R0, rect.C0-src.rect.C0, rect.C1-src.rect.C0)
+	dst.views = append(dst.views, recvView{rect, src})
 	return nil
+}
+
+// readInto writes the consumer block b into dst with b's corner at
+// (r0, c0), each view copied straight from its source in arrival order.
+// If the views do not exactly partition b — a hole, or an overlap — the
+// rectangle is cleared first: an element no receive wrote reads +0, and
+// where receives overlap the later one wins.
+func (b *block) readInto(dst *matrix.Matrix, r0, c0 int) {
+	if !b.partitioned() {
+		for i := r0; i < r0+b.rect.R1-b.rect.R0; i++ {
+			clear(dst.Data[i*dst.Cols+c0:][:b.rect.C1-b.rect.C0])
+		}
+	}
+	for _, v := range b.views {
+		s := v.src.rect
+		dst.CopyRect(r0+v.rect.R0-b.rect.R0, c0+v.rect.C0-b.rect.C0, v.src.data,
+			v.rect.R0-s.R0, v.rect.R1-s.R0, v.rect.C0-s.C0, v.rect.C1-s.C0)
+	}
+}
+
+// partitioned reports whether b's views are disjoint and cover it, in O(v²).
+func (b *block) partitioned() bool {
+	area := 0
+	for i, v := range b.views {
+		area += v.rect.Bytes()
+		for _, w := range b.views[:i] {
+			if !intersect(v.rect, w.rect).Empty() {
+				return false
+			}
+		}
+	}
+	return area == b.rect.Bytes()
+}
+
+func intersect(a, b codegen.Rect) codegen.Rect {
+	return codegen.Rect{R0: max(a.R0, b.R0), R1: min(a.R1, b.R1), C0: max(a.C0, b.C0), C1: min(a.C1, b.C1)}
 }
 
 // halt classifies a stopped run and builds its HaltError: processor loss
