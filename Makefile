@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci fmt-check vet build test test-race race fuzz-smoke bench-smoke bench-module bench-current bench-json smoke-paradigmd smoke-paradigmd-chaos smoke-paradigmd-memory smoke-paradigmd-tenants smoke-paradigmd-cluster
+.PHONY: ci fmt-check vet build test test-race race fuzz-smoke bench-smoke bench-module smoke-paradigmd smoke-paradigmd-chaos smoke-paradigmd-memory smoke-paradigmd-tenants smoke-paradigmd-cluster
 
 ci: fmt-check vet build test-race fuzz-smoke bench-smoke bench-module smoke-paradigmd smoke-paradigmd-chaos smoke-paradigmd-memory smoke-paradigmd-tenants smoke-paradigmd-cluster
 
@@ -16,10 +16,13 @@ fmt-check:
 
 # The second line vets the simulator's compute plane as another
 # architecture sees it: the portable file set keeps compiling there, and
-# on amd64 asmdecl holds the assembly to its Go declarations.
+# on amd64 asmdecl holds the assembly to its Go declarations. The third
+# runs the schedule cache's tests with a 32-bit int, where its shard
+# routing once indexed with a negative hash.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/matrix/ ./internal/sim/
+	GOARCH=386 $(GO) test ./internal/schedcache/
 
 build:
 	$(GO) build ./...
@@ -60,9 +63,7 @@ fuzz-smoke:
 # second), a cold automorphism-orbit computation on Strassen-128, the
 # service's submit, load and cluster-load benchmarks: enough
 # to catch one that no longer compiles or errors out.
-# It writes no file.
-# The numbers the documents quote are the committed BENCH_PR*.json;
-# measurements come from the repo's benchmark (bench/).
+# It writes no file. Measurements come from the repo's benchmark (bench/).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTable2TransferFit|BenchmarkAllocSolve|BenchmarkBuildStrassen128|BenchmarkRunNilObserver|BenchmarkRunWithObserver|BenchmarkRunNoFaults|BenchmarkRunWithRecovery|BenchmarkRunNoCheckpoint|BenchmarkRunWithCheckpoint|BenchmarkRunCMM256P64|BenchmarkSimRun' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkMulStrip' -benchtime=1x -benchmem ./internal/matrix/
@@ -75,15 +76,6 @@ bench-smoke:
 # until the next benchmark run.
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
-
-# Full benchmark sweep, one iteration each, saved for the trajectory
-# harness (see BENCH_PR1.json and cmd/benchjson).
-bench-current:
-	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem . | tee bench_current.txt
-
-# Regenerate the trajectory JSON from saved baseline/current runs.
-bench-json:
-	$(GO) run ./cmd/benchjson -baseline bench_baseline.txt -current bench_current.txt -o BENCH.json
 
 # Boot the scheduling service on an ephemeral port, submit a job, poll
 # it to completion, fetch its schedule and the metrics page, then drain:

@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"paradigm/internal/alloc"
-	"paradigm/internal/alloccache"
 	"paradigm/internal/codegen"
 	"paradigm/internal/costmodel"
 	"paradigm/internal/experiments"
@@ -412,7 +411,7 @@ func BenchmarkBuildStrassen128(b *testing.B) {
 	}
 }
 
-// BenchmarkAllocSolveWarmCache measures the warm-start cache's exact-hit
+// BenchmarkAllocSolveWarmCache measures the allocation cache's exact-hit
 // replay: CMM-64 at p=32, primed once outside the timer, then served
 // entirely from the cache (canonical hash + lookup + permute back, no
 // compile, no solve).
@@ -423,7 +422,7 @@ func BenchmarkAllocSolveWarmCache(b *testing.B) {
 		b.Fatal(err)
 	}
 	model := e.Cal.Model()
-	opts := alloc.Options{Cache: alloccache.New(8)}
+	opts := alloc.Options{Cache: alloc.NewCache(8)}
 	if _, err := alloc.Solve(p.G, model, 32, opts); err != nil {
 		b.Fatal(err)
 	}
@@ -486,8 +485,8 @@ func BenchmarkAllocSolveADMM1000(b *testing.B) {
 	model := e.Cal.Model()
 	g := benchLayeredMDG()
 	for _, subs := range []int{2, 4, 8, 16} {
-		// "subs=N", not "subs-N": benchparse strips a trailing -<int>
-		// as the GOMAXPROCS suffix.
+		// "subs=N", not "subs-N": go test appends -GOMAXPROCS to the
+		// name, and a trailing -<int> of its own would read as that.
 		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
 			opts := alloc.Options{Backend: "admm", ADMM: alloc.ADMMOptions{
 				Subgraphs: subs, MaxIters: 6, SkipPolish: true,

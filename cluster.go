@@ -57,9 +57,8 @@ const (
 
 // PipelineRunner executes cluster jobs through the full paper pipeline
 // on a machine profile resized to each partition. Safe for reuse across
-// runs; the embedded caches (warm-start allocation, exact-replay only)
-// make repeated placements of one program cheap without perturbing
-// determinism.
+// runs; the embedded allocation cache (exact replay only) makes repeated
+// placements of one program cheap without perturbing determinism.
 type PipelineRunner struct {
 	m          Machine
 	cal        *Calibration
@@ -93,7 +92,7 @@ func (r *PipelineRunner) Run(spec ClusterSpec, procs int, plan *fault.Plan) (clu
 	if err != nil {
 		return cluster.RunOutcome{}, err
 	}
-	opts := []Option{WithAllocOptions(AllocOptions{Cache: r.cache, CacheExactOnly: true})}
+	opts := []Option{WithAllocOptions(AllocOptions{Cache: r.cache})}
 	if plan != nil && !plan.Empty() {
 		opts = append(opts, WithFaultPlan(plan), WithRecovery(r.recoverMax))
 	}
@@ -135,7 +134,7 @@ func (r *PipelineRunner) Predict(spec ClusterSpec, procs int) float64 {
 		return math.NaN()
 	}
 	ar, err := AllocateContext(context.Background(), p.G, r.cal.Model(), procs,
-		WithAllocOptions(AllocOptions{Cache: r.cache, CacheExactOnly: true}))
+		WithAllocOptions(AllocOptions{Cache: r.cache}))
 	if err != nil {
 		return math.NaN()
 	}

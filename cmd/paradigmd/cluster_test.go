@@ -5,8 +5,8 @@
 // reaches a terminal state with zero losses while processors die and
 // retire mid-stream, the pool's health and decisions are visible on
 // /metrics, and a request larger than the surviving pool is shrunk to
-// the live capacity (degraded) rather than refused. BENCH_PR10.json
-// records the cold/warm × faults/no-faults matrix of the benchmarks.
+// the live capacity (degraded) rather than refused. The benchmarks cover
+// the cold/warm × faults/no-faults matrix.
 package main
 
 import (

@@ -3,8 +3,7 @@
 // HTTP from two tenants, measuring throughput (jobs/sec) and p99
 // submit→terminal latency. The cold wave solves every plan; the warm
 // wave replays the same specs through the schedule cache and coalescing,
-// so the pair quantifies the multi-tenant fast path. BENCH_PR9.json
-// records the two benchmarks.
+// so the pair quantifies the multi-tenant fast path.
 package main
 
 import (

@@ -477,9 +477,8 @@ func newServer(mach machineModel, cfg serverConfig) (*server, error) {
 		breaker: paradigm.NewBreaker(paradigm.BreakerOptions{}),
 		reg:     reg,
 		policy:  cfg.policy,
-		// One shared warm-start cache across jobs: resubmitting the same
-		// program/size/procs replays the allocation instantly, and a new
-		// procs for a known program warm-starts the solve.
+		// One shared allocation cache across jobs: resubmitting the same
+		// program/size/procs replays the allocation instantly.
 		allocCache: paradigm.NewAllocCache(128),
 		programs:   schedcache.NewOf[*paradigm.Program](programCacheCap, 1, nil),
 		jobs:       map[string]*job{},
@@ -920,9 +919,7 @@ func (s *server) execute(req jobRequest, id string) (run jobRun, err error) {
 	attempts = min(attempts, maxRetryBudget)
 	opts := []paradigm.Option{
 		paradigm.WithObserver(s.obs),
-		// Exact-only: a journaled digest must be reproducible from the
-		// job spec alone, so the cache may replay but never seed.
-		paradigm.WithAllocOptions(paradigm.AllocOptions{Cache: s.allocCache, CacheExactOnly: true}),
+		paradigm.WithAllocOptions(paradigm.AllocOptions{Cache: s.allocCache}),
 		paradigm.WithStageBudgets(s.budgets),
 		paradigm.WithBreaker(s.breaker),
 		paradigm.WithRetry(paradigm.RetryPolicy{MaxAttempts: attempts}),
@@ -986,10 +983,10 @@ func (s *server) execute(req jobRequest, id string) (run jobRun, err error) {
 // clusterFaultPlan builds the deterministic partition-death plan for a
 // cluster-injected fault: the partition-local processor dies halfway
 // through the job's fault-free makespan (a pre-run supplies the hint,
-// warm-starting the shared allocation cache so the faulted run replays
-// the identical allocation).
+// priming the shared allocation cache so the faulted run replays the
+// identical allocation).
 func (s *server) clusterFaultPlan(req jobRequest, p *paradigm.Program, local int) (*paradigm.FaultPlan, error) {
-	pre := []paradigm.Option{paradigm.WithAllocOptions(paradigm.AllocOptions{Cache: s.allocCache, CacheExactOnly: true})}
+	pre := []paradigm.Option{paradigm.WithAllocOptions(paradigm.AllocOptions{Cache: s.allocCache})}
 	if s.mach.backend != nil {
 		pre = append(pre, paradigm.WithMachine(s.mach.backend))
 	}
@@ -1001,13 +998,12 @@ func (s *server) clusterFaultPlan(req jobRequest, p *paradigm.Program, local int
 }
 
 // faultPlan derives a job's deterministic fault schedule from its seed:
-// a fault-free pre-run (warm-starting the shared allocation cache, so
-// the faulted run replays the identical allocation) supplies the
-// makespan hint that scales fail times. Jobs that asked for recovery
-// lose one processor mid-run; every seeded job sees one delayed
-// message.
+// a fault-free pre-run (priming the shared allocation cache, so the
+// faulted run replays the identical allocation) supplies the makespan
+// hint that scales fail times. Jobs that asked for recovery lose one
+// processor mid-run; every seeded job sees one delayed message.
 func (s *server) faultPlan(req jobRequest, p *paradigm.Program) (*paradigm.FaultPlan, error) {
-	pre := []paradigm.Option{paradigm.WithAllocOptions(paradigm.AllocOptions{Cache: s.allocCache, CacheExactOnly: true})}
+	pre := []paradigm.Option{paradigm.WithAllocOptions(paradigm.AllocOptions{Cache: s.allocCache})}
 	if s.mach.backend != nil {
 		pre = append(pre, paradigm.WithMachine(s.mach.backend))
 	}

@@ -85,7 +85,7 @@ func TestDeferredCheckpointSolvedRunMatchesEager(t *testing.T) {
 	p := buildProgram(t, cal, "cmm32")
 	cold := func() []Option {
 		return []Option{WithScheduleCache(NewScheduleCache(8, 1)),
-			WithAllocOptions(AllocOptions{Cache: NewAllocCache(8), CacheExactOnly: true})}
+			WithAllocOptions(AllocOptions{Cache: NewAllocCache(8)})}
 	}
 	eagerPath, lazyPath, lazy, eagerEv, lazyEv := runBothWays(t, p, NewCM5(8), cal, 8, cold)
 	requireSameWAL(t, eagerPath, lazyPath)
@@ -105,7 +105,7 @@ func TestDeferredCheckpointReplayedRunLeavesNothing(t *testing.T) {
 	m := NewCM5(8)
 	sc, ac := NewScheduleCache(8, 1), NewAllocCache(8)
 	warm := func() []Option {
-		return []Option{WithScheduleCache(sc), WithAllocOptions(AllocOptions{Cache: ac, CacheExactOnly: true})}
+		return []Option{WithScheduleCache(sc), WithAllocOptions(AllocOptions{Cache: ac})}
 	}
 	if _, err := RunContext(context.Background(), p, m, cal, 8, warm()...); err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestDeferredCheckpointSalvageMaterializes(t *testing.T) {
 		}
 		ac := NewAllocCache(8)
 		warm := func() []Option {
-			return []Option{WithAllocOptions(AllocOptions{Cache: ac, CacheExactOnly: true}),
+			return []Option{WithAllocOptions(AllocOptions{Cache: ac}),
 				WithFaultPlan(plan), WithRecovery(2)}
 		}
 		ref, err := RunContext(context.Background(), p, m, cal, 8, warm()...)
@@ -241,7 +241,7 @@ func TestInternedProgramConcurrentRuns(t *testing.T) {
 		// program itself — its lazy graph index and canonical-form memo,
 		// code generation, the simulator — not eight copies of one solve.
 		sc, ac := NewScheduleCache(8, 2), NewAllocCache(8)
-		opts := []Option{WithScheduleCache(sc), WithAllocOptions(AllocOptions{Cache: ac, CacheExactOnly: true})}
+		opts := []Option{WithScheduleCache(sc), WithAllocOptions(AllocOptions{Cache: ac})}
 		fresh, err := RunContext(context.Background(), buildProgram(t, cal, name), m, cal, 8, opts...)
 		if err != nil {
 			t.Fatal(err)

@@ -1,5 +1,5 @@
 // The allocator determinism gate: its solve paths — the cold exact
-// solve and the warm-start cache's exact-hit replay — must never
+// solve and the allocation cache's exact-hit replay — must never
 // trade reproducibility for speed. For the paper's two real programs and
 // a population of generated MDGs, a cold solve must return byte-identical
 // allocations at one worker, four workers, and every available core, and
@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"paradigm/internal/alloc"
-	"paradigm/internal/alloccache"
 	"paradigm/internal/mdg"
 	"paradigm/internal/oracle"
 	"paradigm/internal/par"
@@ -60,7 +59,7 @@ func TestAllocDeterminismAcrossWidthsAndModes(t *testing.T) {
 		var baseCold, baseWarm alloc.Result
 		for wi, width := range widths {
 			t.Setenv(par.EnvWorkers, width)
-			cache := alloccache.New(4)
+			cache := alloc.NewCache(4)
 			cold, err := alloc.Solve(g, model, procs, alloc.Options{Cache: cache})
 			if err != nil {
 				t.Fatalf("%s width %s: cold: %v", name, width, err)

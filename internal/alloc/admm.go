@@ -153,9 +153,8 @@ func subMDG(g *mdg.Graph, nodes []int) *mdg.Graph {
 }
 
 // solveADMM runs the consensus-ADMM decomposition on the compiled
-// problem. seed, when non-nil, initializes the consensus point (the
-// warm-start cache's near-hit path works for this backend too).
-func (p *problem) solveADMM(ctx context.Context, seed []float64, opts Options) (Result, error) {
+// problem.
+func (p *problem) solveADMM(ctx context.Context, opts Options) (Result, error) {
 	n := p.g.NumNodes()
 	ao := opts.ADMM.withDefaults(n)
 	order, err := p.g.TopoOrder()
@@ -183,19 +182,9 @@ func (p *problem) solveADMM(ctx context.Context, seed []float64, opts Options) (
 		}
 	}
 
-	// Consensus point: the seed, else the box midpoint (start 0 of the
-	// anneal backend, so both backends begin from the same guess).
-	z := make([]float64, n)
-	if seed != nil {
-		copy(z, seed)
-		for i := range z {
-			z[i] = min(max(z[i], p.lower[i]), p.upper[i])
-		}
-	} else {
-		for i := range z {
-			z[i] = 0.5 * p.upper[i]
-		}
-	}
+	// Consensus point: the box midpoint, the default backend's start, so
+	// both backends begin from the same guess.
+	z := p.midpoint()
 	for _, s := range subs {
 		for i, v := range s.nodes {
 			s.x[i] = z[v]

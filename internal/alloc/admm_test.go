@@ -116,25 +116,6 @@ func TestADMMDeterministicAcrossWidths(t *testing.T) {
 	}
 }
 
-func TestADMMAcceptsSeed(t *testing.T) {
-	g := forkJoin(0.9)
-	prob, err := compile(g, cm5Fit, 16, Options{}, false) // ADMM solves the full program
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed := make([]float64, len(prob.upper))
-	for i := range seed {
-		seed[i] = 0.6 * prob.upper[i]
-	}
-	res, err := prob.solveADMM(t.Context(), seed, Options{Backend: "admm"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !isFinite(res.Phi) || res.Phi <= 0 {
-		t.Fatalf("seeded ADMM Φ = %v", res.Phi)
-	}
-}
-
 func TestUnknownBackendRejected(t *testing.T) {
 	if _, err := Solve(forkJoin(0.9), cm5Fit, 8, Options{Backend: "simplex"}); err == nil {
 		t.Fatal("unknown backend must error")

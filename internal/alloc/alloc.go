@@ -29,7 +29,6 @@ import (
 	"math"
 	"time"
 
-	"paradigm/internal/alloccache"
 	"paradigm/internal/convex"
 	"paradigm/internal/costmodel"
 	"paradigm/internal/errs"
@@ -57,19 +56,15 @@ type Options struct {
 	ADMM ADMMOptions
 	// Cache, when non-nil, memoizes solved allocations keyed by the
 	// relabel-invariant canonical MDG hash, cost model, solve options and
-	// processor count (cache.go). An exact hit replays the stored
-	// allocation byte-identically without solving (Result.Solver is
-	// zero); a hit on the same canonical graph at a different machine
-	// size starts the solve from a rescaled warm start in place of the
-	// box midpoint. Lookups and inserts are safe for concurrent solves
-	// sharing one cache.
-	Cache *alloccache.Cache
-	// CacheExactOnly restricts the cache to exact-hit replay: near hits
-	// never seed the solve, so the solved allocation is a pure function
-	// of (graph, model, options, procs) regardless of what the cache
-	// happens to hold. Long-lived services that journal result digests
-	// and must reproduce them byte-identically across restarts (with a
-	// cold cache) set this; one-shot CLI runs keep the seeded speedup.
+	// processor count (cache.go). A hit replays the stored allocation
+	// byte-identically without solving (Result.Solver is zero); anything
+	// else is a cold solve, so the result never depends on what the cache
+	// holds. Lookups and inserts are safe for concurrent solves sharing
+	// one cache.
+	Cache *Cache
+	// CacheExactOnly is ignored.
+	//
+	// Deprecated: every lookup is exact; this field has no effect.
 	CacheExactOnly bool
 	// Observer, when non-nil, receives one obs.SolverStage event per
 	// interior-point iteration, one obs.AllocCache event per cache
@@ -109,8 +104,8 @@ type Result struct {
 	// BackendADMM, BackendHeuristic (fallback), or BackendCache
 	// (exact-hit replay).
 	Backend Backend
-	// CacheOutcome reports the warm-start cache lookup when a cache was
-	// configured: "hit", "seed", "miss", or "" (no cache).
+	// CacheOutcome reports the allocation-cache lookup when a cache was
+	// configured: "hit", "miss", or "" (no cache).
 	CacheOutcome string
 }
 
@@ -151,17 +146,15 @@ func SolveCtx(ctx context.Context, g *mdg.Graph, model costmodel.Model, procs in
 		return Result{}, err
 	}
 	started := time.Now()
-	var seed []float64
-	var exactKey, nearKey string
+	var key string
 	var perm []mdg.NodeID
-	outcome := ""
 	if opts.Cache != nil {
 		// A graph CanonicalHash rejects is one compile rejects below, so
 		// hash errors just skip the cache and let compile report them.
 		if hash, p, err := g.CanonicalHash(); err == nil {
 			perm = p
-			exactKey, nearKey = cacheKeys(hash, model, procs, opts)
-			if e, ok := opts.Cache.Get(exactKey); ok && e.Procs == procs && len(e.PCanon) == g.NumNodes() {
+			key = fmt.Sprintf("%s|p%d", SolveShapeKey(hash, model, opts), procs)
+			if e, ok := opts.Cache.Get(key); ok && len(e.PCanon) == g.NumNodes() {
 				res := resultFromEntry(e, perm)
 				res.Backend, res.CacheOutcome = BackendCache, "hit"
 				if opts.Observer != nil {
@@ -170,14 +163,8 @@ func SolveCtx(ctx context.Context, g *mdg.Graph, model costmodel.Model, procs in
 				}
 				return res, nil
 			}
-			if e, ok := opts.Cache.GetNear(nearKey); ok && !opts.CacheExactOnly && e.Procs >= 1 && len(e.PCanon) == g.NumNodes() {
-				seed = seedFromEntry(e, perm, procs)
-				outcome = "seed"
-			} else {
-				outcome = "miss"
-			}
 			if opts.Observer != nil {
-				opts.Observer.Observe(obs.AllocCache{Outcome: outcome})
+				opts.Observer.Observe(obs.AllocCache{Outcome: "miss"})
 			}
 		}
 	}
@@ -189,21 +176,20 @@ func SolveCtx(ctx context.Context, g *mdg.Graph, model costmodel.Model, procs in
 		// the solver, so no retry or heuristic can help.
 		return Result{}, err
 	}
-	if seed != nil {
-		seed = prob.project(seed)
-	}
 	var res Result
 	if opts.Backend == BackendADMM {
-		res, err = prob.solveADMM(ctx, seed, opts)
+		res, err = prob.solveADMM(ctx, opts)
 	} else {
-		res, err = prob.solveWithFallback(ctx, seed, opts)
+		res, err = prob.solveWithFallback(ctx, opts)
 	}
 	if err != nil {
 		return res, err
 	}
-	res.CacheOutcome = outcome
-	if opts.Cache != nil && exactKey != "" && isFinite(res.Phi) {
-		opts.Cache.Put(exactKey, nearKey, entryFromResult(res, perm, procs))
+	if key != "" {
+		res.CacheOutcome = "miss"
+		if isFinite(res.Phi) {
+			opts.Cache.Put(key, entryFromResult(res, perm))
+		}
 	}
 	if opts.Observer != nil {
 		opts.Observer.Observe(obs.AllocDone{Backend: string(res.Backend), Phi: res.Phi, Seconds: time.Since(started).Seconds()})
@@ -211,16 +197,11 @@ func SolveCtx(ctx context.Context, g *mdg.Graph, model costmodel.Model, procs in
 	return res, nil
 }
 
-// solveWithFallback runs one exact solve on the compiled problem, from
-// the warm-start seed when a cache near hit supplied one and from the box
-// midpoint otherwise, and with FallbackHeuristic degrades to the greedy
+// solveWithFallback runs one exact solve on the compiled problem from the
+// box midpoint, and with FallbackHeuristic degrades to the greedy
 // heuristic when that solve fails.
-func (p *problem) solveWithFallback(ctx context.Context, seed []float64, opts Options) (Result, error) {
-	x0 := seed
-	if x0 == nil {
-		x0 = p.midpoint()
-	}
-	res, err := p.solveFrom(ctx, x0, opts)
+func (p *problem) solveWithFallback(ctx context.Context, opts Options) (Result, error) {
+	res, err := p.solveFrom(ctx, p.midpoint(), opts)
 	if err == nil && isFinite(res.Phi) {
 		res.Backend = BackendAnneal
 		return res, nil
@@ -396,24 +377,6 @@ func identity(n int) []int {
 		orbit[i] = i
 	}
 	return orbit
-}
-
-// project maps a point of the full n-variable space onto the orbit
-// subspace by averaging each orbit's coordinates. By Jensen's inequality
-// the average never raises a convex, automorphism-invariant Φ above the
-// point's own value. With one orbit per node it returns x itself.
-func (p *problem) project(x []float64) []float64 {
-	if len(x) == len(p.size) {
-		return x
-	}
-	z := make([]float64, len(p.size))
-	for i, c := range p.orbit {
-		z[c] += x[i]
-	}
-	for c, s := range p.size {
-		z[c] /= float64(s)
-	}
-	return z
 }
 
 // lift expands an orbit-space solution to the per-node allocation

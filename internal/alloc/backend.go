@@ -19,7 +19,7 @@ const (
 	// BackendAuto selects the default strategy (the exact convex solve).
 	BackendAuto Backend = ""
 	// BackendAnneal is the default strategy: one exact convex solve from
-	// the box midpoint, or from a cache near hit's warm start. The name is
+	// the box midpoint. The name is
 	// the one metrics and CLI flags have always used; the solve annealed a
 	// smoothed Φ before it was made exact.
 	BackendAnneal Backend = "anneal"
@@ -31,8 +31,8 @@ const (
 	BackendADMM Backend = "admm"
 
 	// BackendHeuristic and BackendCache appear only as Result labels:
-	// the greedy fallback path and the warm-start cache's exact-hit
-	// replay. They are not selectable strategies.
+	// the greedy fallback path and the allocation cache's replay. They are
+	// not selectable strategies.
 	BackendHeuristic Backend = "heuristic"
 	BackendCache     Backend = "cache"
 )

@@ -1,13 +1,10 @@
-// Warm-start allocation cache (DESIGN.md §12): SolveCtx memoizes solved
-// allocations in an alloccache.Cache keyed by the relabel-invariant
-// canonical MDG hash, the cost-model fingerprint, the solve-shaping
-// options, and the processor count. An exact hit replays the stored
-// allocation byte-identically without compiling or solving. A near hit
-// — same canonical program, different machine size — rescales the
-// stored allocation into a log-space warm start, averages it over each
-// automorphism orbit into the solve's orbit coordinates (problem.project),
-// and solves from there in place of the box midpoint (alloc.go,
-// solveWithFallback).
+// Allocation cache (DESIGN.md §12): SolveCtx memoizes solved allocations
+// in a Cache keyed by the relabel-invariant canonical MDG hash, the
+// cost-model fingerprint, the solve-shaping options, and the processor
+// count. A hit replays the stored allocation byte-identically without
+// compiling or solving; anything else is a cold solve. Exact replay or
+// nothing: the solved allocation is a pure function of (graph, model,
+// options, procs) whatever the cache holds.
 //
 // Entries live in canonical node order, so two graphs that differ only
 // by node relabeling share one entry: allocations are permuted into
@@ -21,21 +18,43 @@ import (
 	"math"
 	"strings"
 
-	"paradigm/internal/alloccache"
 	"paradigm/internal/costmodel"
 	"paradigm/internal/mdg"
+	"paradigm/internal/schedcache"
 )
+
+// CacheEntry is one solved allocation in canonical node order.
+type CacheEntry struct {
+	// PCanon holds the continuous per-node allocation permuted into
+	// canonical order: PCanon[perm[i]] = P[i] for the canonicalizing
+	// perm of the solved graph.
+	PCanon []float64
+	// Phi, Ap, Cp are the exact objective values of the stored solve.
+	Phi, Ap, Cp float64
+}
+
+// Cache is the allocation cache: a bounded LRU from exact keys to solved
+// allocations, safe for concurrent solves sharing it.
+type Cache = schedcache.Cache[CacheEntry]
+
+// NewCache returns an empty allocation cache holding at most capacity
+// entries (minimum 1).
+func NewCache(capacity int) *Cache {
+	return schedcache.NewOf(capacity, 1, func(e CacheEntry) CacheEntry {
+		e.PCanon = append([]float64(nil), e.PCanon...)
+		return e
+	})
+}
 
 // SolveShapeKey is the key of everything that shapes a solved allocation
 // except the machine size: the canonical graph hash (node α/τ and edge
 // transfers, names excluded), the transfer-parameter fingerprint, and the
 // solve options (the backend and, for the ADMM backend, every ADMMOptions
-// field, the transfer ablation and the cache mode). The default backend's
-// exact solve has no tunables to key on. It is the allocation cache's near
-// key; the exact key appends the processor count, and the pipeline's
-// schedule cache appends its schedule-shaping options and then the
-// processor count, so the two caches cannot disagree about what a solve
-// depends on.
+// field, and the transfer ablation). The default backend's exact solve has
+// no tunables to key on. The allocation cache's key appends the processor
+// count, and the pipeline's schedule cache appends its schedule-shaping
+// options and then the processor count, so the two caches cannot disagree
+// about what a solve depends on.
 func SolveShapeKey(hash string, model costmodel.Model, opts Options) string {
 	var b strings.Builder
 	b.WriteString(hash)
@@ -54,52 +73,25 @@ func SolveShapeKey(hash string, model costmodel.Model, opts Options) string {
 	if opts.IgnoreTransfers {
 		b.WriteString("|nt")
 	}
-	// Exact-only and seeded solves never share entries: a seeded solve's
-	// stored allocation can embed the seed's basin, which an exact-only
-	// caller must not replay.
-	if opts.CacheExactOnly {
-		b.WriteString("|xo")
-	}
 	return b.String()
-}
-
-// cacheKeys derives the allocation cache's exact and near keys: the near
-// key is SolveShapeKey, the exact key appends the processor count.
-func cacheKeys(hash string, model costmodel.Model, procs int, opts Options) (exact, near string) {
-	near = SolveShapeKey(hash, model, opts)
-	return fmt.Sprintf("%s|p%d", near, procs), near
 }
 
 // entryFromResult permutes a solved allocation into canonical order for
 // storage: perm[i] is the canonical rank of original node i.
-func entryFromResult(res Result, perm []mdg.NodeID, procs int) alloccache.Entry {
+func entryFromResult(res Result, perm []mdg.NodeID) CacheEntry {
 	pc := make([]float64, len(res.P))
 	for i, rank := range perm {
 		pc[rank] = res.P[i]
 	}
-	return alloccache.Entry{PCanon: pc, Phi: res.Phi, Ap: res.Ap, Cp: res.Cp, Procs: procs}
+	return CacheEntry{PCanon: pc, Phi: res.Phi, Ap: res.Ap, Cp: res.Cp}
 }
 
 // resultFromEntry replays a cached allocation into the querying graph's
 // node order. Solver diagnostics are zero — nothing was solved.
-func resultFromEntry(e alloccache.Entry, perm []mdg.NodeID) Result {
+func resultFromEntry(e CacheEntry, perm []mdg.NodeID) Result {
 	res := Result{P: make([]float64, len(e.PCanon)), Phi: e.Phi, Ap: e.Ap, Cp: e.Cp}
 	for i, rank := range perm {
 		res.P[i] = e.PCanon[rank]
 	}
 	return res
-}
-
-// seedFromEntry rescales a near-hit allocation, solved for e.Procs
-// processors, into a log-space warm start for a procs-processor solve:
-// each p_i is scaled by the machine-size ratio and clamped into the new
-// box [1, procs].
-func seedFromEntry(e alloccache.Entry, perm []mdg.NodeID, procs int) []float64 {
-	scale := float64(procs) / float64(e.Procs)
-	seed := make([]float64, len(e.PCanon))
-	for i, rank := range perm {
-		p := min(max(e.PCanon[rank]*scale, 1), float64(procs))
-		seed[i] = math.Log(p)
-	}
-	return seed
 }

@@ -1,11 +1,10 @@
 package alloc
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
-	"paradigm/internal/alloccache"
+	"paradigm/internal/costmodel"
 	"paradigm/internal/mdg"
 	"paradigm/internal/obs"
 	"paradigm/internal/par"
@@ -13,7 +12,7 @@ import (
 
 func TestCacheExactHitReplaysByteIdentical(t *testing.T) {
 	g := forkJoin(0.9)
-	cache := alloccache.New(8)
+	cache := NewCache(8)
 	opts := Options{Cache: cache}
 	cold, err := Solve(g, cm5Fit, 16, opts)
 	if err != nil {
@@ -56,7 +55,7 @@ func TestCacheHitOnRelabeledGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cache := alloccache.New(8)
+	cache := NewCache(8)
 	opts := Options{Cache: cache}
 	cold, err := Solve(g, cm5Fit, 16, opts)
 	if err != nil {
@@ -79,40 +78,80 @@ func TestCacheHitOnRelabeledGraph(t *testing.T) {
 	}
 }
 
+// TestCacheKeySeparatesSolveShape: a primed entry answers one question
+// only. The same graph at another machine size, under another backend,
+// cost model or objective must be its own cold solve, not a replay.
+func TestCacheKeySeparatesSolveShape(t *testing.T) {
+	g := forkJoin(0.9)
+	cache := NewCache(8)
+	if _, err := Solve(g, cm5Fit, 16, Options{Cache: cache}); err != nil {
+		t.Fatal(err)
+	}
+	other := cm5Fit
+	other.Transfer.Tps *= 2
+	for _, c := range []struct {
+		name  string
+		model costmodel.Model
+		procs int
+		opts  Options
+	}{
+		{"procs", cm5Fit, 32, Options{}},
+		{"backend", cm5Fit, 16, Options{Backend: BackendADMM}},
+		{"model", other, 16, Options{}},
+		{"ignore-transfers", cm5Fit, 16, Options{IgnoreTransfers: true}},
+	} {
+		c.opts.Cache = cache
+		res, err := Solve(g, c.model, c.procs, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CacheOutcome != "miss" {
+			t.Fatalf("%s changed: outcome %q, want miss", c.name, res.CacheOutcome)
+		}
+	}
+}
+
+// TestCacheNearHitSeedsDifferentProcs: an entry solved for the same graph
+// at another machine size once seeded the solve as its start point. It
+// seeds nothing now: the solve at the new size is a miss whose allocation
+// is the cold solve's, bit for bit.
 func TestCacheNearHitSeedsDifferentProcs(t *testing.T) {
 	g := forkJoin(0.9)
-	cache := alloccache.New(8)
+	cache := NewCache(8)
 	opts := Options{Cache: cache}
 	if _, err := Solve(g, cm5Fit, 16, opts); err != nil {
 		t.Fatal(err)
 	}
-	seeded, err := Solve(g, cm5Fit, 32, opts)
+	res, err := Solve(g, cm5Fit, 32, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seeded.CacheOutcome != "seed" {
-		t.Fatalf("different procs: outcome %q, want seed", seeded.CacheOutcome)
+	if res.CacheOutcome != "miss" || res.Backend != "anneal" {
+		t.Fatalf("different procs: outcome %q backend %q, want miss/anneal", res.CacheOutcome, res.Backend)
 	}
 	cold, err := Solve(g, cm5Fit, 32, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The seed replaces the midpoint as the start, and the start does not
-	// move the minimum beyond TestSolveIsStartIndependent's tolerance.
-	if math.Abs(seeded.Phi/cold.Phi-1) > 1e-5 {
-		t.Fatalf("seeded Φ %v differs from cold Φ %v beyond the start tolerance", seeded.Phi, cold.Phi)
+	if res.Phi != cold.Phi || res.Ap != cold.Ap || res.Cp != cold.Cp {
+		t.Fatalf("primed-cache objectives %+v differ from cold %+v", res, cold)
+	}
+	for i := range cold.P {
+		if res.P[i] != cold.P[i] {
+			t.Fatalf("P[%d] = %v, want cold %v", i, res.P[i], cold.P[i])
+		}
 	}
 }
 
 // TestCacheSeededSolveDeterministicAcrossWidths primes a fresh cache
-// identically per width and checks the near-hit seeded solve returns
-// byte-identical allocations at any worker width.
+// identically per width at one machine size and checks the solve at
+// another size returns byte-identical allocations at any worker width.
 func TestCacheSeededSolveDeterministicAcrossWidths(t *testing.T) {
 	g := forkJoin(0.9)
 	var base Result
 	for wi, width := range []string{"1", "4", ""} {
 		t.Setenv(par.EnvWorkers, width)
-		cache := alloccache.New(8)
+		cache := NewCache(8)
 		opts := Options{Cache: cache}
 		if _, err := Solve(g, cm5Fit, 16, opts); err != nil {
 			t.Fatal(err)
@@ -121,112 +160,96 @@ func TestCacheSeededSolveDeterministicAcrossWidths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.CacheOutcome != "seed" {
-			t.Fatalf("width %q: outcome %q", width, res.CacheOutcome)
+		if res.CacheOutcome != "miss" {
+			t.Fatalf("width %q: outcome %q, want miss", width, res.CacheOutcome)
 		}
 		if wi == 0 {
 			base = res
 			continue
 		}
 		if res.Phi != base.Phi {
-			t.Fatalf("width %q: seeded Φ %v vs %v", width, res.Phi, base.Phi)
+			t.Fatalf("width %q: Φ %v vs %v", width, res.Phi, base.Phi)
 		}
 		for i := range res.P {
 			if res.P[i] != base.P[i] {
-				t.Fatalf("width %q: seeded P[%d] differs", width, i)
+				t.Fatalf("width %q: P[%d] differs", width, i)
 			}
 		}
 	}
 }
 
-// TestCacheExactOnlyIgnoresNearHits pins the purity contract behind
-// CacheExactOnly: a primed near entry must not seed the solve, which
-// therefore returns the cold allocation bit-for-bit regardless of cache
-// history — the property long-lived services rely on to reproduce
-// journaled result digests across restarts with a cold cache.
+// TestCacheExactOnlyIgnoresNearHits: the deprecated CacheExactOnly field
+// has no effect. With or without it, a primed entry at another machine
+// size leaves the solve cold, and an entry stored under one setting is
+// replayed under the other, because the key does not carry the field.
 func TestCacheExactOnlyIgnoresNearHits(t *testing.T) {
 	g := forkJoin(0.9)
-	cold, err := Solve(g, cm5Fit, 32, Options{CacheExactOnly: true})
+	cold, err := Solve(g, cm5Fit, 32, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := alloccache.New(8)
-	opts := Options{Cache: cache, CacheExactOnly: true}
-	if _, err := Solve(g, cm5Fit, 16, opts); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Solve(g, cm5Fit, 32, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheOutcome != "miss" {
-		t.Fatalf("exact-only near lookup: outcome %q, want miss", res.CacheOutcome)
-	}
-	if res.Phi != cold.Phi {
-		t.Fatalf("exact-only solve diverged from cold: Φ %v vs %v", res.Phi, cold.Phi)
-	}
-	for i := range cold.P {
-		if res.P[i] != cold.P[i] {
-			t.Fatalf("exact-only P[%d] = %v, want cold %v", i, res.P[i], cold.P[i])
+	for _, exactOnly := range []bool{true, false} {
+		cache := NewCache(8)
+		opts := Options{Cache: cache, CacheExactOnly: exactOnly}
+		if _, err := Solve(g, cm5Fit, 16, opts); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Exact replay still works within the mode.
-	hit, err := Solve(g, cm5Fit, 32, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit.CacheOutcome != "hit" || hit.Backend != BackendCache {
-		t.Fatalf("exact-only repeat: outcome %q backend %q, want hit/cache", hit.CacheOutcome, hit.Backend)
-	}
-	// And entries never cross the mode boundary: a seeded-mode solve
-	// must not replay an exact-only entry.
-	crossed, err := Solve(g, cm5Fit, 32, Options{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if crossed.CacheOutcome == "hit" {
-		t.Fatal("seeded-mode solve replayed an exact-only entry")
+		res, err := Solve(g, cm5Fit, 32, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CacheOutcome != "miss" {
+			t.Fatalf("CacheExactOnly=%v: outcome %q, want miss", exactOnly, res.CacheOutcome)
+		}
+		if res.Phi != cold.Phi {
+			t.Fatalf("CacheExactOnly=%v: Φ %v, want cold %v", exactOnly, res.Phi, cold.Phi)
+		}
+		for i := range cold.P {
+			if res.P[i] != cold.P[i] {
+				t.Fatalf("CacheExactOnly=%v: P[%d] = %v, want cold %v", exactOnly, i, res.P[i], cold.P[i])
+			}
+		}
+		crossed, err := Solve(g, cm5Fit, 32, Options{Cache: cache, CacheExactOnly: !exactOnly})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if crossed.CacheOutcome != "hit" || crossed.Backend != BackendCache {
+			t.Fatalf("CacheExactOnly=%v: outcome %q backend %q, want hit/cache", !exactOnly, crossed.CacheOutcome, crossed.Backend)
+		}
 	}
 }
 
-func TestCacheKeySeparatesSolveShape(t *testing.T) {
+// TestCacheKeysExactVersusNear: the shape key (everything but the machine
+// size) unifies processor counts and separates solve options, and the
+// cache's exact key adds the processor count, so another size misses.
+func TestCacheKeysExactVersusNear(t *testing.T) {
+	hash := "deadbeef"
+	s16 := SolveShapeKey(hash, cm5Fit, Options{})
+	if s16 != SolveShapeKey(hash, cm5Fit, Options{CacheExactOnly: true}) {
+		t.Fatal("shape keys must not depend on the deprecated CacheExactOnly")
+	}
+	if s16 == SolveShapeKey(hash, cm5Fit, Options{IgnoreTransfers: true}) {
+		t.Fatal("shape keys must separate solve options")
+	}
 	g := forkJoin(0.9)
-	cache := alloccache.New(8)
-	if _, err := Solve(g, cm5Fit, 16, Options{Cache: cache}); err != nil {
-		t.Fatal(err)
-	}
-	// Another backend solves differently, so it must not reuse the
-	// stored entry.
-	res, err := Solve(g, cm5Fit, 16, Options{Cache: cache, Backend: BackendADMM})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheOutcome == "hit" {
-		t.Fatal("Backend changed but the cache replayed a stale entry")
-	}
-	// A different cost model must miss entirely.
-	other := cm5Fit
-	other.Transfer.Tps *= 2
-	res, err = Solve(g, other, 16, Options{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheOutcome != "miss" {
-		t.Fatalf("model changed: outcome %q, want miss", res.CacheOutcome)
-	}
-	// The ablated objective solves a different program.
-	res, err = Solve(g, cm5Fit, 16, Options{Cache: cache, IgnoreTransfers: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheOutcome == "hit" {
-		t.Fatal("IgnoreTransfers changed but the cache replayed a stale entry")
+	cache := NewCache(8)
+	for _, c := range []struct {
+		procs int
+		want  string
+	}{{16, "miss"}, {32, "miss"}, {16, "hit"}, {32, "hit"}} {
+		res, err := Solve(g, cm5Fit, c.procs, Options{Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CacheOutcome != c.want {
+			t.Fatalf("procs %d: outcome %q, want %q", c.procs, res.CacheOutcome, c.want)
+		}
 	}
 }
 
 func TestCacheEmitsObsEvents(t *testing.T) {
 	g := forkJoin(0.9)
-	cache := alloccache.New(8)
+	cache := NewCache(8)
 	rec := obs.NewRecorder()
 	opts := Options{Cache: cache, Observer: rec}
 	if _, err := Solve(g, cm5Fit, 16, opts); err != nil {
@@ -253,29 +276,13 @@ func TestCacheEmitsObsEvents(t *testing.T) {
 	}
 }
 
-func TestCacheKeysExactVersusNear(t *testing.T) {
-	hash := "deadbeef"
-	e16, n16 := cacheKeys(hash, cm5Fit, 16, Options{})
-	e32, n32 := cacheKeys(hash, cm5Fit, 32, Options{})
-	if e16 == e32 {
-		t.Fatal("exact keys must separate processor counts")
-	}
-	if n16 != n32 {
-		t.Fatal("near keys must unify processor counts")
-	}
-	_, nOther := cacheKeys(hash, cm5Fit, 16, Options{IgnoreTransfers: true})
-	if nOther == n16 {
-		t.Fatal("near keys must separate solve options")
-	}
-}
-
 // TestCacheKeySeparatesADMMOptions: the ADMM backend's result depends on
 // its options, so two ADMM solves that differ only in ADMMOptions must not
 // share a cache entry — each must be its own cold solve, not the other's
 // replay.
 func TestCacheKeySeparatesADMMOptions(t *testing.T) {
 	g := layeredGraph(20, 6, 1)
-	cache := alloccache.New(8)
+	cache := NewCache(8)
 	for _, o := range []Options{
 		{Backend: BackendADMM, ADMM: ADMMOptions{Subgraphs: 4, MaxIters: 2, SkipPolish: true}},
 		{Backend: BackendADMM},

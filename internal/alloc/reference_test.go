@@ -108,7 +108,7 @@ func refSolve(g *mdg.Graph, model costmodel.Model, procs int, opts Options) (Res
 	if err != nil {
 		return Result{}, err
 	}
-	return prob.solveWithFallback(context.Background(), nil, opts)
+	return prob.solveWithFallback(context.Background(), opts)
 }
 
 // annealFrom is the default solve as it stood before the interior-point

@@ -1,19 +1,27 @@
-package alloccache
+// Package alloccache_test pins the LRU behaviour of the allocation cache,
+// alloc.NewCache: a single-shard schedcache.Cache of alloc.CacheEntry
+// values. The directory holds tests only; the cache itself lives in
+// internal/alloc.
+package alloccache_test
 
-import "testing"
+import (
+	"testing"
 
-func entry(procs int, vals ...float64) Entry {
-	return Entry{PCanon: vals, Phi: vals[0], Procs: procs}
+	"paradigm/internal/alloc"
+)
+
+func entry(vals ...float64) alloc.CacheEntry {
+	return alloc.CacheEntry{PCanon: vals, Phi: vals[0]}
 }
 
 func TestGetPutRoundTrip(t *testing.T) {
-	c := New(4)
-	if _, ok := c.Get("a"); ok {
+	c := alloc.NewCache(4)
+	if _, ok := c.Get("a|p8"); ok {
 		t.Fatal("empty cache hit")
 	}
-	c.Put("a", "na", entry(8, 1, 2, 3))
-	e, ok := c.Get("a")
-	if !ok || e.Procs != 8 || len(e.PCanon) != 3 || e.PCanon[1] != 2 {
+	c.Put("a|p8", entry(1, 2, 3))
+	e, ok := c.Get("a|p8")
+	if !ok || e.Phi != 1 || len(e.PCanon) != 3 || e.PCanon[1] != 2 {
 		t.Fatalf("round trip: %+v ok=%v", e, ok)
 	}
 	if c.Len() != 1 {
@@ -22,9 +30,9 @@ func TestGetPutRoundTrip(t *testing.T) {
 }
 
 func TestCloneIsolation(t *testing.T) {
-	c := New(4)
-	src := entry(8, 1, 2, 3)
-	c.Put("a", "", src)
+	c := alloc.NewCache(4)
+	src := entry(1, 2, 3)
+	c.Put("a", src)
 	src.PCanon[0] = 99
 	e, _ := c.Get("a")
 	if e.PCanon[0] != 1 {
@@ -38,14 +46,14 @@ func TestCloneIsolation(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New(2)
-	c.Put("a", "na", entry(1, 1))
-	c.Put("b", "nb", entry(2, 2))
+	c := alloc.NewCache(2)
+	c.Put("a", entry(1))
+	c.Put("b", entry(2))
 	// Touch a so b becomes the LRU victim.
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("a missing")
 	}
-	c.Put("c", "nc", entry(3, 3))
+	c.Put("c", entry(3))
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("b should have been evicted")
 	}
@@ -55,32 +63,12 @@ func TestLRUEviction(t *testing.T) {
 	if _, ok := c.Get("c"); !ok {
 		t.Fatal("c missing")
 	}
-	// The evicted entry's near index must not dangle.
-	if _, ok := c.GetNear("nb"); ok {
-		t.Fatal("near index served an evicted entry")
-	}
-}
-
-func TestNearIndexTracksFreshest(t *testing.T) {
-	c := New(8)
-	c.Put("a|p8", "a", entry(8, 1))
-	c.Put("a|p16", "a", entry(16, 2))
-	e, ok := c.GetNear("a")
-	if !ok || e.Procs != 16 {
-		t.Fatalf("near lookup: %+v ok=%v, want the freshest (procs 16)", e, ok)
-	}
-	// Updating an existing exact key re-points the near index.
-	c.Put("a|p8", "a", entry(8, 3))
-	e, ok = c.GetNear("a")
-	if !ok || e.Procs != 8 {
-		t.Fatalf("near lookup after update: %+v ok=%v", e, ok)
-	}
 }
 
 func TestPutUpdateExisting(t *testing.T) {
-	c := New(2)
-	c.Put("a", "na", entry(8, 1))
-	c.Put("a", "na", entry(8, 42))
+	c := alloc.NewCache(2)
+	c.Put("a", entry(1))
+	c.Put("a", entry(42))
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d after update", c.Len())
 	}
@@ -91,9 +79,9 @@ func TestPutUpdateExisting(t *testing.T) {
 }
 
 func TestCapacityFloor(t *testing.T) {
-	c := New(0)
-	c.Put("a", "", entry(1, 1))
-	c.Put("b", "", entry(2, 2))
+	c := alloc.NewCache(0)
+	c.Put("a", entry(1))
+	c.Put("b", entry(2))
 	if c.Len() != 1 {
 		t.Fatalf("capacity floor: Len = %d, want 1", c.Len())
 	}

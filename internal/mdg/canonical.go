@@ -1,6 +1,6 @@
 // Canonical form: a relabel-invariant ordering and hash of an MDG.
 //
-// The allocator's warm-start cache (internal/alloccache) must recognize
+// The allocation and schedule caches must recognize
 // that two MDGs which differ only in node numbering describe the same
 // convex program — Relabel preserves every cost (the metamorphic relation
 // PR 4 proves), so a solved allocation for one is a solved allocation for

@@ -66,7 +66,7 @@ const (
 	KindRetry
 	// KindBreaker: one circuit-breaker decision at a stage boundary.
 	KindBreaker
-	// KindAllocCache: one warm-start cache lookup by the allocator.
+	// KindAllocCache: one allocation-cache lookup by the allocator.
 	KindAllocCache
 	// KindAllocDone: one completed allocation solve, any backend.
 	KindAllocDone
@@ -291,10 +291,9 @@ type Breaker struct {
 // Kind implements Event.
 func (Breaker) Kind() Kind { return KindBreaker }
 
-// AllocCache reports one warm-start cache lookup: Outcome is "hit" (an
-// exact entry replayed without solving), "seed" (a same-graph entry for
-// a different machine size rescaled into a warm start), or "miss". The
-// outcome sequence is deterministic for a given request sequence, so
+// AllocCache reports one allocation-cache lookup: Outcome is "hit" (an
+// exact entry replayed without solving) or "miss" (a cold solve follows).
+// The outcome sequence is deterministic for a given request sequence, so
 // folding it preserves registry determinism.
 type AllocCache struct {
 	Outcome string

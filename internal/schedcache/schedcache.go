@@ -5,18 +5,17 @@
 // package stores plain data so it depends on nothing above the standard
 // library).
 //
-// Where internal/alloccache memoizes only the convex allocation, an
-// entry here carries the whole planning half of the pipeline: the
-// continuous allocation with its objective decomposition AND the rounded
-// PSA schedule (per-node start/finish windows and concrete processor
-// sets). An exact hit replays both byte-identically without compiling,
-// solving, or list-scheduling — the downstream codegen and simulation
-// stages are deterministic functions of (program, schedule), so a
-// service front end amortizes the entire solver cost across repeated
-// graphs. Unlike the allocation cache there is no near-hit seeding:
-// exact replay or nothing, which is what keeps cached results pure
-// functions of the request (the CacheExactOnly argument of DESIGN.md
-// §14 extends to whole schedules — §15).
+// Where the allocation cache (internal/alloc, a Cache[alloc.CacheEntry])
+// memoizes only the convex allocation, an entry here carries the whole
+// planning half of the pipeline: the continuous allocation with its
+// objective decomposition AND the rounded PSA schedule (per-node
+// start/finish windows and concrete processor sets). An exact hit
+// replays both byte-identically without compiling, solving, or
+// list-scheduling — the downstream codegen and simulation stages are
+// deterministic functions of (program, schedule), so a service front end
+// amortizes the entire solver cost across repeated graphs. Like the
+// allocation cache it is exact replay or nothing, which is what keeps
+// cached results pure functions of the request (DESIGN.md §14–15).
 //
 // Entries live in canonical node order, so graphs that differ only by
 // node relabeling share one entry: allocations and schedules are
@@ -142,7 +141,8 @@ func (c *Cache[V]) shardFor(key string) *shard {
 	}
 	h := fnv.New32a()
 	h.Write([]byte(key))
-	return c.shards[int(h.Sum32())%len(c.shards)]
+	// Reduced in uint32: int(Sum32()) is negative on a 32-bit int.
+	return c.shards[h.Sum32()%uint32(len(c.shards))]
 }
 
 // Len reports the number of stored entries across all shards.

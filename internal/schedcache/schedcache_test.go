@@ -46,6 +46,11 @@ func TestGetPutRoundTrip(t *testing.T) {
 			t.Fatalf("node mismatch at %d", i)
 		}
 	}
+	// A re-Put of the key updates the entry in place.
+	c.Put("k", entry(3, 2.5))
+	if got, _ := c.Get("k"); got.Phi != 2.5 || c.Len() != 1 {
+		t.Fatalf("re-Put: Phi %v, Len %d; want 2.5, 1", got.Phi, c.Len())
+	}
 }
 
 // Mutating what Get returned, or what was handed to Put, must not change
@@ -106,6 +111,13 @@ func TestShardedCapacityAndRouting(t *testing.T) {
 	}
 	if n := small.Len(); n > 4 {
 		t.Fatalf("per-shard minimum violated: Len = %d", n)
+	}
+	// Capacity 0 clamps to 1.
+	zero := New(0, 1)
+	zero.Put("a", entry(1, 1))
+	zero.Put("b", entry(1, 2))
+	if n := zero.Len(); n != 1 {
+		t.Fatalf("capacity 0: Len = %d, want 1", n)
 	}
 }
 

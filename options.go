@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"paradigm/internal/alloc"
-	"paradigm/internal/alloccache"
 	"paradigm/internal/ckpt"
 	"paradigm/internal/codegen"
 	"paradigm/internal/costmodel"
@@ -50,28 +49,26 @@ type (
 	// exporter and tests).
 	EventRecorder = obs.Recorder
 	// AllocOptions tunes the convex allocation (backend selection,
-	// warm-start cache, ablations, observer).
+	// allocation cache, ablations, observer).
 	AllocOptions = alloc.Options
 	// ADMMOptions tunes the consensus-ADMM allocation backend
 	// (AllocOptions.Backend = "admm").
 	ADMMOptions = alloc.ADMMOptions
-	// AllocCache is the warm-start allocation cache: a bounded LRU keyed
-	// by the relabel-invariant canonical MDG hash, cost model, solve
-	// options and processor count. Share one across calls via
-	// AllocOptions.Cache to replay repeated allocations instantly and
-	// warm-start near misses.
-	AllocCache = alloccache.Cache
-	// AllocCacheEvent reports one warm-start cache lookup
-	// ("hit"/"seed"/"miss").
+	// AllocCache is the allocation cache: a bounded LRU keyed by the
+	// relabel-invariant canonical MDG hash, cost model, solve options and
+	// processor count. Share one across calls via AllocOptions.Cache to
+	// replay repeated allocations instantly; a miss is a cold solve.
+	AllocCache = alloc.Cache
+	// AllocCacheEvent reports one allocation-cache lookup ("hit"/"miss").
 	AllocCacheEvent = obs.AllocCache
 	// AllocDoneEvent reports one completed allocation solve with its
 	// backend and wall-clock seconds.
 	AllocDoneEvent = obs.AllocDone
 )
 
-// NewAllocCache returns an empty warm-start allocation cache holding at
-// most capacity entries.
-func NewAllocCache(capacity int) *AllocCache { return alloccache.New(capacity) }
+// NewAllocCache returns an empty allocation cache holding at most
+// capacity entries.
+func NewAllocCache(capacity int) *AllocCache { return alloc.NewCache(capacity) }
 
 // NewMetrics returns an empty metrics registry.
 func NewMetrics() *Metrics { return obs.NewRegistry() }

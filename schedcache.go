@@ -6,10 +6,8 @@
 // hit replays both byte-identically (the downstream codegen and
 // simulation stages are deterministic functions of the schedule, so the
 // whole Result digest matches a cold solve) without touching the solver
-// or the PSA. There is deliberately no near-hit seeding — exact replay
-// or nothing — so cached results remain pure functions of the request,
-// the same purity contract AllocOptions.CacheExactOnly gives the
-// allocation cache.
+// or the PSA. Like the allocation cache it is exact replay or nothing, so
+// cached results remain pure functions of the request.
 //
 // Precedence against the crash-safety surface: a checkpoint that already
 // holds a planning-stage record wins over the cache — resume must replay
@@ -66,10 +64,7 @@ func WithScheduleCache(sc *ScheduleCache) Option {
 // fingerprint, every solve-shaping option) followed by the
 // schedule-shaping options and the processor count, so any knob that
 // could change the stored schedule keys a distinct entry. Sharing the
-// function keeps the two caches from drifting apart; its "|xo"
-// discriminator keeps exact-only and seedable solves apart here for the
-// same reason it does there: a seeded solve's basin must never replay to
-// an exact-only caller.
+// function keeps the two caches from drifting apart.
 func scheduleCacheKey(hash string, model Model, procs int, ao AllocOptions, so ScheduleOptions) string {
 	var b strings.Builder
 	b.WriteString(alloc.SolveShapeKey(hash, model, ao))
