@@ -18,11 +18,14 @@ fmt-check:
 # architecture sees it: the portable file set keeps compiling there, and
 # on amd64 asmdecl holds the assembly to its Go declarations. The third
 # runs the schedule cache's tests with a 32-bit int, where its shard
-# routing once indexed with a negative hash.
+# routing once indexed with a negative hash. The fourth runs the matrix
+# package where it has no vector kernels: the scalar paths of MulStrip,
+# Sin and Cos against their references.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/matrix/ ./internal/sim/
 	GOARCH=386 $(GO) test ./internal/schedcache/
+	GOARCH=386 $(GO) test ./internal/matrix/
 
 build:
 	$(GO) build ./...
@@ -50,6 +53,7 @@ fuzz-smoke:
 	$(GO) test ./internal/fault/ -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/expr/ -run '^$$' -fuzz '^FuzzEvalTape$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/matrix/ -run '^$$' -fuzz '^FuzzMulStrips$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/matrix/ -run '^$$' -fuzz '^FuzzSinCos$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/convex/ -run '^$$' -fuzz '^FuzzMinimizeBox$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/convex/ -run '^$$' -fuzz '^FuzzEpigraph$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mdg/ -run '^$$' -fuzz '^FuzzOrbits$$' -fuzztime $(FUZZTIME)
@@ -60,13 +64,14 @@ fuzz-smoke:
 # observability, recovery and checkpoint budgets, the simulator's data
 # plane and its strip kernel (a wide shape and a narrow, odd one that ends
 # in every tail the vector kernel has, each reporting multiply-adds per
-# second), a cold automorphism-orbit computation on Strassen-128, the
-# service's submit, load and cluster-load benchmarks: enough
-# to catch one that no longer compiles or errors out.
+# second) and its vector sine over one row, a cold automorphism-orbit
+# computation on Strassen-128, the service's submit, load and
+# cluster-load benchmarks: enough to catch one that no longer compiles or
+# errors out.
 # It writes no file. Measurements come from the repo's benchmark (bench/).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTable2TransferFit|BenchmarkAllocSolve|BenchmarkBuildStrassen128|BenchmarkRunNilObserver|BenchmarkRunWithObserver|BenchmarkRunNoFaults|BenchmarkRunWithRecovery|BenchmarkRunNoCheckpoint|BenchmarkRunWithCheckpoint|BenchmarkRunCMM256P64|BenchmarkSimRun' -benchtime=1x -benchmem .
-	$(GO) test -run '^$$' -bench 'BenchmarkMulStrip' -benchtime=1x -benchmem ./internal/matrix/
+	$(GO) test -run '^$$' -bench 'BenchmarkMulStrip|BenchmarkSin256' -benchtime=1x -benchmem ./internal/matrix/
 	$(GO) test -run '^$$' -bench 'BenchmarkOrbitsStrassen128' -benchtime=1x -benchmem ./internal/mdg/
 	$(GO) test -run '^$$' -bench 'BenchmarkSubmit|BenchmarkServiceLoad|BenchmarkClusterLoad' -benchtime=1x -benchmem ./cmd/paradigmd/
 

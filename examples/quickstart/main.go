@@ -26,7 +26,7 @@ func main() {
 	// real ROW2COL (2D) redistribution.
 	b := paradigm.NewProgramBuilder("quickstart")
 	initK := kernels.Kernel{Op: kernels.OpInit, M: 64, N: 64,
-		Init: func(i, j int) float64 { return float64(i + j) }}
+		Init: kernels.Elementwise(func(i, j int) float64 { return float64(i + j) })}
 	addK := kernels.Kernel{Op: kernels.OpAdd, M: 64, N: 64}
 	lpInit, err := cal.Loop("init", initK)
 	if err != nil {

@@ -13,10 +13,10 @@ import (
 func gridProgram(t *testing.T) *prog.Program {
 	t.Helper()
 	b := prog.NewBuilder("grid")
-	initK := kernels.Kernel{Op: kernels.OpInit, M: 8, N: 8, Init: func(i, j int) float64 { return 1 }}
+	initK := kernels.Kernel{Op: kernels.OpInit, M: 8, N: 8, Init: kernels.Elementwise(func(i, j int) float64 { return 1 })}
 	b.AddNode("initA", prog.NodeSpec{Kernel: initK, Output: "A", Axis: dist.ByRow}, lp(0.05, 0.001))
 	b.AddNode("initB", prog.NodeSpec{Kernel: kernels.Kernel{Op: kernels.OpInit, M: 8, N: 8,
-		Init: func(i, j int) float64 { return 2 }}, Output: "B", Axis: dist.ByRow}, lp(0.05, 0.001))
+		Init: kernels.Elementwise(func(i, j int) float64 { return 2 })}, Output: "B", Axis: dist.ByRow}, lp(0.05, 0.001))
 	b.AddNode("mul", prog.NodeSpec{
 		Kernel: kernels.Kernel{Op: kernels.OpMul, M: 8, N: 8, K: 8},
 		Inputs: []string{"A", "B"}, Output: "C", Axis: dist.ByGrid,

@@ -21,7 +21,7 @@ func addProgram(t *testing.T) *prog.Program {
 	t.Helper()
 	b := prog.NewBuilder("add")
 	k := func(gen func(i, j int) float64) kernels.Kernel {
-		return kernels.Kernel{Op: kernels.OpInit, M: 8, N: 8, Init: gen}
+		return kernels.Kernel{Op: kernels.OpInit, M: 8, N: 8, Init: kernels.Elementwise(gen)}
 	}
 	b.AddNode("initA", prog.NodeSpec{Kernel: k(func(i, j int) float64 { return 1 }), Output: "A", Axis: dist.ByRow}, lp(0.05, 0.001))
 	b.AddNode("initB", prog.NodeSpec{Kernel: k(func(i, j int) float64 { return 2 }), Output: "B", Axis: dist.ByCol}, lp(0.05, 0.001))

@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -421,5 +422,40 @@ func TestExpressionErrors(t *testing.T) {
 				t.Fatalf("compiled but should not:\n%s", src)
 			}
 		})
+	}
+}
+
+// TestGeneratorRowSplitInvariant holds each built-in generator to the
+// kernels.Kernel.Init contract: a row filled whole and a row filled in
+// segments of every width equal the element formula bit for bit (wave's
+// through math.Sin).
+func TestGeneratorRowSplitInvariant(t *testing.T) {
+	const rows, cols, phase = 9, 37, 2
+	elems := map[genKind]func(i, j int) float64{
+		genRamp: func(i, j int) float64 { return float64(i+2*j+phase) / 64 },
+		genWave: func(i, j int) float64 { return math.Sin(float64(3*i-j) / 11.0 * float64(phase+1)) },
+		genOnes: func(i, j int) float64 { return 1 },
+		genIdent: func(i, j int) float64 {
+			if i == j {
+				return 1
+			}
+			return 0
+		},
+	}
+	for g, elem := range elems {
+		gen := g.generator(phase)
+		for w := 1; w <= cols; w++ {
+			for i := 0; i < rows; i++ {
+				row := make([]float64, cols)
+				for j0 := 0; j0 < cols; j0 += w {
+					gen(i, j0, row[j0:min(j0+w, cols)])
+				}
+				for j, v := range row {
+					if math.Float64bits(v) != math.Float64bits(elem(i, j)) {
+						t.Fatalf("generator %d in segments of %d: (%d,%d) = %v, want %v", g, w, i, j, v, elem(i, j))
+					}
+				}
+			}
+		}
 	}
 }

@@ -2,8 +2,10 @@ package frontend
 
 import (
 	"fmt"
-	"math"
 	"strconv"
+
+	"paradigm/internal/kernels"
+	"paradigm/internal/matrix"
 )
 
 // genKind enumerates the built-in matrix generators.
@@ -16,24 +18,29 @@ const (
 	genIdent
 )
 
-// generator returns the element function of a generator. phase
-// disambiguates multiple generators of the same kind so distinct
-// matrices hold distinct values.
-func (g genKind) generator(phase int) func(i, j int) float64 {
+// generator returns the row generator of a generator kind (see
+// kernels.Kernel.Init). phase disambiguates multiple generators of the
+// same kind so distinct matrices hold distinct values.
+func (g genKind) generator(phase int) func(i, j0 int, row []float64) {
 	switch g {
 	case genRamp:
-		return func(i, j int) float64 { return float64(i+2*j+phase) / 64 }
+		return kernels.Elementwise(func(i, j int) float64 { return float64(i+2*j+phase) / 64 })
 	case genWave:
-		return func(i, j int) float64 { return math.Sin(float64(3*i-j) / 11.0 * float64(phase+1)) }
+		return func(i, j0 int, row []float64) {
+			for k := range row {
+				row[k] = float64(3*i-(j0+k)) / 11.0 * float64(phase+1)
+			}
+			matrix.Sin(row, row)
+		}
 	case genOnes:
-		return func(i, j int) float64 { return 1 }
+		return kernels.Elementwise(func(i, j int) float64 { return 1 })
 	case genIdent:
-		return func(i, j int) float64 {
+		return kernels.Elementwise(func(i, j int) float64 {
 			if i == j {
 				return 1
 			}
 			return 0
-		}
+		})
 	default:
 		panic(fmt.Sprintf("frontend: unknown generator %d", g))
 	}

@@ -8,6 +8,12 @@
 //   - a sequential reference (Execute), used both by the simulator to
 //     produce real values and by the test suite as the verification
 //     oracle;
+//   - for Matrix Initialization, a row generator (Kernel.Init): the
+//     reference and every simulated processor fill their output a row
+//     segment at a time through it, so a generator pays for a call per
+//     row, not per element, and can run its arithmetic over the whole
+//     segment at once (matrix.Sin and matrix.Cos for the trigonometric
+//     generators of the test programs);
 //   - a per-processor parallel cost rule (ProcTime), used by the
 //     simulator as the machine's ground truth. The rule is intentionally
 //     NOT of the clean Amdahl form: it has ceiling-based block imbalance,
@@ -74,10 +80,15 @@ func (o Op) String() string {
 type Kernel struct {
 	Op      Op
 	M, N, K int
-	// Init generates element (i, j) for OpInit; ignored otherwise. It must
-	// be a pure function of (i, j): the simulator calls it from several
-	// goroutines at once and the reference run calls it again.
-	Init func(i, j int) float64
+	// Init generates the output of OpInit a row segment at a time; it is
+	// ignored otherwise. Init(i, j0, row) sets row[k] to element
+	// (i, j0+k) for every k. It must write every element of row, and each
+	// element must be a pure function of (i, j) alone, with the same bits
+	// however the row is split into segments: the reference run fills
+	// whole rows, the simulator fills each processor's block, with
+	// j0 ≠ 0 and short rows under column and grid layouts, from several
+	// goroutines at once. Elementwise adapts a function of (i, j).
+	Init func(i, j0 int, row []float64)
 	// Grid selects the blocked-2D layout cost rules (grid.go) instead of
 	// the linear ones. Set by prog.Builder from the node's axis.
 	Grid bool
@@ -85,6 +96,17 @@ type Kernel struct {
 	// rectangle (reshape.go).
 	SrcRows, SrcCols int
 	OffR, OffC       int
+}
+
+// Elementwise returns the row generator that sets each element (i, j)
+// to f(i, j), one call per element: the form of a generator with no
+// arithmetic worth running over a row at once.
+func Elementwise(f func(i, j int) float64) func(i, j0 int, row []float64) {
+	return func(i, j0 int, row []float64) {
+		for k := range row {
+			row[k] = f(i, j0+k)
+		}
+	}
 }
 
 // Validate checks shape invariants.
@@ -142,7 +164,9 @@ func (k Kernel) Execute(dst *matrix.Matrix, inputs ...*matrix.Matrix) error {
 		if dst.Rows != k.M || dst.Cols != k.N {
 			return fmt.Errorf("kernels: init dst %dx%d, want %dx%d", dst.Rows, dst.Cols, k.M, k.N)
 		}
-		dst.Fill(k.Init)
+		for i := 0; i < k.M; i++ {
+			k.Init(i, 0, dst.Data[i*k.N:][:k.N])
+		}
 		return nil
 	case OpAdd:
 		if len(inputs) != 2 {

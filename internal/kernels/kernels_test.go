@@ -15,7 +15,7 @@ var cm5 = machine.CM5(64)
 func TestValidate(t *testing.T) {
 	good := []Kernel{
 		{Op: OpNone},
-		{Op: OpInit, M: 4, N: 4, Init: func(i, j int) float64 { return 1 }},
+		{Op: OpInit, M: 4, N: 4, Init: Elementwise(func(i, j int) float64 { return 1 })},
 		{Op: OpAdd, M: 4, N: 4},
 		{Op: OpSub, M: 2, N: 8},
 		{Op: OpMul, M: 4, N: 4, K: 4},
@@ -27,7 +27,7 @@ func TestValidate(t *testing.T) {
 	}
 	bad := []Kernel{
 		{Op: OpInit, M: 4, N: 4}, // missing generator
-		{Op: OpInit, M: 0, N: 4, Init: func(i, j int) float64 { return 0 }},
+		{Op: OpInit, M: 0, N: 4, Init: Elementwise(func(i, j int) float64 { return 0 })},
 		{Op: OpAdd, M: -1, N: 4},
 		{Op: OpMul, M: 4, N: 4, K: 0},
 		{Op: Op(42)},
@@ -40,7 +40,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestExecuteInit(t *testing.T) {
-	k := Kernel{Op: OpInit, M: 3, N: 2, Init: func(i, j int) float64 { return float64(10*i + j) }}
+	k := Kernel{Op: OpInit, M: 3, N: 2, Init: Elementwise(func(i, j int) float64 { return float64(10*i + j) })}
 	dst := matrix.New(3, 2)
 	if err := k.Execute(dst); err != nil {
 		t.Fatal(err)

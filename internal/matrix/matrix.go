@@ -10,6 +10,10 @@
 // run the same loop and so agree bit for bit, which the recovery and
 // digest gates rely on. reference_test.go keeps the plain triple loop it
 // must match.
+//
+// Sin and Cos evaluate math.Sin and math.Cos over a slice with the same
+// result bits (trig.go); the programs' init generators fill their rows
+// through them.
 package matrix
 
 import (

@@ -255,3 +255,263 @@ TEXT ·avxUsable(SB), NOSPLIT, $0-1
 	MOVB    $1, ret+0(FP)
 no:
 	RET
+
+// The vector kernels behind Sin and Cos (see sinVec in trig.go): math.sin
+// and math.cos of package math's Go source, one lane per argument. For
+// 0 < |x| < 2²⁹ that source computes
+//
+//	j = trunc(|x|·(4/π)),  plus one if odd
+//	z = ((|x| − j·PI4A) − j·PI4B) − j·PI4C,  zz = z·z
+//	S = z + (z·zz)·(((((s0·zz + s1)·zz + s2)·zz + s3)·zz + s4)·zz + s5)
+//	C = (1 − 0.5·zz) + (zz·zz)·(((((c0·zz + c1)·zz + c2)·zz + c3)·zz + c4)·zz + c5)
+//
+// and returns, with the octant o = j mod 8 ∈ {0, 2, 4, 6}, for the sine C
+// where o ∈ {2, 6} and S otherwise, negated when o ≥ 4 differs from
+// x < 0; for the cosine S where o ∈ {2, 6} and C otherwise, negated when
+// o ∈ {2, 4}. Here j stays a float: h = ceil(trunc(|x|·(4/π))/2) and
+// j = h + h, so o ∈ {2, 6} is h odd and o ≥ 4 is frac(h/4) ≥ 1/2, all of
+// it exact (j < 2³⁰) and done with VROUNDPD and scalings by powers of
+// two, so that only AVX is needed. Every VMULPD, VADDPD and VSUBPD lane
+// rounds as the scalar MULSD, ADDSD and SUBSD of the compiled math.sin
+// do, on the same operands in the same order, and none is fused.
+//
+// The main loop takes two groups of four, their steps interleaved so the
+// two dependency chains overlap; the second loop takes one. A group with
+// an argument out of range ends the call, and the caller takes it to
+// math.Sin or math.Cos.
+//
+// Register use, both kernels:
+//	SI, DI          src, dst
+//	AX              byte offset of the current group
+//	CX              arguments left
+//	R8              trigK
+//	Y0..Y5          first group:  A |x|, then z;  B h, then o ≥ 4;
+//	                Z zz;  S;  C;  T scratch
+//	Y6..Y11         second group, likewise
+//	Y12             zero;  Y13, Y14  range masks
+//
+// VCMPPD predicates: 1 LT, 4 NEQ, 13 GE. VROUNDPD modes: 1 floor, 2 ceil,
+// 3 truncate.
+
+// Offsets of the constants in trigK (matrix_amd64.go), 32 bytes each.
+#define kAbs 0
+#define kSign 32
+#define kLimit 64
+#define kFourOverPi 96
+#define kHalf 128
+#define kQuarter 160
+#define kOne 192
+#define kPI4A 224
+#define kPI4B 256
+#define kPI4C 288
+#define kS0 320
+#define kS1 352
+#define kS2 384
+#define kS3 416
+#define kS4 448
+#define kS5 480
+#define kC0 512
+#define kC1 544
+#define kC2 576
+#define kC3 608
+#define kC4 640
+#define kC5 672
+
+// |x| of the group at off into A.
+#define LOADABS(off, A) \
+	VMOVUPD off(SI)(AX*1), A; \
+	VANDPD  kAbs(R8), A, A
+
+// From |x| in A: z in A and h in B.
+#define REDUCE(A, B, S, C, T) \
+	VMULPD   kFourOverPi(R8), A, B; \
+	VROUNDPD $3, B, B; \
+	VMULPD   kHalf(R8), B, B; \
+	VROUNDPD $2, B, B; \
+	VADDPD   B, B, T; \
+	VMULPD   kPI4A(R8), T, S; \
+	VMULPD   kPI4B(R8), T, C; \
+	VMULPD   kPI4C(R8), T, T; \
+	VSUBPD   S, A, A; \
+	VSUBPD   C, A, A; \
+	VSUBPD   T, A, A
+
+// From z in A: zz in Z and S.
+#define SINPOLY(A, Z, S, T) \
+	VMULPD A, A, Z; \
+	VMULPD kS0(R8), Z, S; \
+	VADDPD kS1(R8), S, S; \
+	VMULPD Z, S, S; \
+	VADDPD kS2(R8), S, S; \
+	VMULPD Z, S, S; \
+	VADDPD kS3(R8), S, S; \
+	VMULPD Z, S, S; \
+	VADDPD kS4(R8), S, S; \
+	VMULPD Z, S, S; \
+	VADDPD kS5(R8), S, S; \
+	VMULPD Z, A, T; \
+	VMULPD S, T, S; \
+	VADDPD S, A, S
+
+// From zz in Z: C. Overwrites A.
+#define COSPOLY(A, Z, C, T) \
+	VMULPD  kC0(R8), Z, C; \
+	VADDPD  kC1(R8), C, C; \
+	VMULPD  Z, C, C; \
+	VADDPD  kC2(R8), C, C; \
+	VMULPD  Z, C, C; \
+	VADDPD  kC3(R8), C, C; \
+	VMULPD  Z, C, C; \
+	VADDPD  kC4(R8), C, C; \
+	VMULPD  Z, C, C; \
+	VADDPD  kC5(R8), C, C; \
+	VMULPD  Z, Z, T; \
+	VMULPD  C, T, C; \
+	VMULPD  kHalf(R8), Z, T; \
+	VMOVUPD kOne(R8), A; \
+	VSUBPD  T, A, A; \
+	VADDPD  C, A, C
+
+// From h in B: the mask o ∈ {2, 6} in A and the mask o ≥ 4 in B.
+#define OCTANT(A, B, T) \
+	VMULPD   kHalf(R8), B, T; \
+	VROUNDPD $1, T, A; \
+	VCMPPD   $4, A, T, A; \
+	VMULPD   kQuarter(R8), B, T; \
+	VROUNDPD $1, T, B; \
+	VSUBPD   B, T, T; \
+	VCMPPD   $13, kHalf(R8), T, B
+
+// The sine of the group at off from the octant masks and the
+// polynomials.
+#define SINOUT(off, A, B, S, C, T) \
+	VBLENDVPD A, C, S, S; \
+	VMOVUPD   off(SI)(AX*1), T; \
+	VANDPD    kSign(R8), T, T; \
+	VANDPD    kSign(R8), B, B; \
+	VXORPD    B, T, T; \
+	VXORPD    T, S, S; \
+	VMOVUPD   S, off(DI)(AX*1)
+
+// The cosine of the group at off, likewise.
+#define COSOUT(off, A, B, S, C) \
+	VBLENDVPD A, S, C, C; \
+	VXORPD    A, B, B; \
+	VANDPD    kSign(R8), B, B; \
+	VXORPD    B, C, C; \
+	VMOVUPD   C, off(DI)(AX*1)
+
+// 0 < |x| < 2²⁹ for every lane of A, into M; NaN fails both tests.
+#define SINRANGE(A, M, T) \
+	VCMPPD $1, kLimit(R8), A, M; \
+	VCMPPD $4, Y12, A, T; \
+	VANDPD T, M, M
+
+// func sinAVX(dst, src *float64, n int) int
+TEXT ·sinAVX(SB), NOSPLIT, $0-32
+	MOVQ    dst+0(FP), DI
+	MOVQ    src+8(FP), SI
+	MOVQ    n+16(FP), CX
+	LEAQ    ·trigK(SB), R8
+	XORQ    AX, AX
+	VXORPD  Y12, Y12, Y12
+sin8:
+	CMPQ    CX, $8
+	JLT     sin4
+	LOADABS(0, Y0)
+	LOADABS(32, Y6)
+	SINRANGE(Y0, Y13, Y14)
+	VMOVMSKPD Y13, BX
+	SINRANGE(Y6, Y13, Y14)
+	VMOVMSKPD Y13, DX
+	SHLQ    $4, DX
+	ORQ     DX, BX
+	CMPQ    BX, $0xff
+	JNE     sin4
+	REDUCE(Y0, Y1, Y3, Y4, Y5)
+	REDUCE(Y6, Y7, Y9, Y10, Y11)
+	SINPOLY(Y0, Y2, Y3, Y5)
+	SINPOLY(Y6, Y8, Y9, Y11)
+	COSPOLY(Y0, Y2, Y4, Y5)
+	COSPOLY(Y6, Y8, Y10, Y11)
+	OCTANT(Y0, Y1, Y5)
+	OCTANT(Y6, Y7, Y11)
+	SINOUT(0, Y0, Y1, Y3, Y4, Y5)
+	SINOUT(32, Y6, Y7, Y9, Y10, Y11)
+	ADDQ    $64, AX
+	SUBQ    $8, CX
+	JMP     sin8
+sin4:
+	CMPQ    CX, $4
+	JLT     sindone
+	LOADABS(0, Y0)
+	SINRANGE(Y0, Y13, Y14)
+	VMOVMSKPD Y13, BX
+	CMPQ    BX, $15
+	JNE     sindone
+	REDUCE(Y0, Y1, Y3, Y4, Y5)
+	SINPOLY(Y0, Y2, Y3, Y5)
+	COSPOLY(Y0, Y2, Y4, Y5)
+	OCTANT(Y0, Y1, Y5)
+	SINOUT(0, Y0, Y1, Y3, Y4, Y5)
+	ADDQ    $32, AX
+	SUBQ    $4, CX
+	JMP     sin8
+sindone:
+	SHRQ    $3, AX
+	MOVQ    AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func cosAVX(dst, src *float64, n int) int
+TEXT ·cosAVX(SB), NOSPLIT, $0-32
+	MOVQ    dst+0(FP), DI
+	MOVQ    src+8(FP), SI
+	MOVQ    n+16(FP), CX
+	LEAQ    ·trigK(SB), R8
+	XORQ    AX, AX
+cos8:
+	CMPQ    CX, $8
+	JLT     cos4
+	LOADABS(0, Y0)
+	LOADABS(32, Y6)
+	VCMPPD  $1, kLimit(R8), Y0, Y13
+	VCMPPD  $1, kLimit(R8), Y6, Y14
+	VANDPD  Y14, Y13, Y13
+	VMOVMSKPD Y13, BX
+	CMPQ    BX, $15
+	JNE     cos4
+	REDUCE(Y0, Y1, Y3, Y4, Y5)
+	REDUCE(Y6, Y7, Y9, Y10, Y11)
+	SINPOLY(Y0, Y2, Y3, Y5)
+	SINPOLY(Y6, Y8, Y9, Y11)
+	COSPOLY(Y0, Y2, Y4, Y5)
+	COSPOLY(Y6, Y8, Y10, Y11)
+	OCTANT(Y0, Y1, Y5)
+	OCTANT(Y6, Y7, Y11)
+	COSOUT(0, Y0, Y1, Y3, Y4)
+	COSOUT(32, Y6, Y7, Y9, Y10)
+	ADDQ    $64, AX
+	SUBQ    $8, CX
+	JMP     cos8
+cos4:
+	CMPQ    CX, $4
+	JLT     cosdone
+	LOADABS(0, Y0)
+	VCMPPD  $1, kLimit(R8), Y0, Y13
+	VMOVMSKPD Y13, BX
+	CMPQ    BX, $15
+	JNE     cosdone
+	REDUCE(Y0, Y1, Y3, Y4, Y5)
+	SINPOLY(Y0, Y2, Y3, Y5)
+	COSPOLY(Y0, Y2, Y4, Y5)
+	OCTANT(Y0, Y1, Y5)
+	COSOUT(0, Y0, Y1, Y3, Y4)
+	ADDQ    $32, AX
+	SUBQ    $4, CX
+	JMP     cos8
+cosdone:
+	SHRQ    $3, AX
+	MOVQ    AX, ret+24(FP)
+	VZEROUPPER
+	RET

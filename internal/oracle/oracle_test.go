@@ -216,12 +216,12 @@ func mulProgram(t testing.TB, n int) *prog.Program {
 	b := prog.NewBuilder("mul")
 	b.AddNode("initA", prog.NodeSpec{
 		Kernel: kernels.Kernel{Op: kernels.OpInit, M: n, N: n,
-			Init: func(i, j int) float64 { return float64(i*3+j) / 7 }},
+			Init: kernels.Elementwise(func(i, j int) float64 { return float64(i*3+j) / 7 })},
 		Output: "A", Axis: dist.ByRow,
 	}, costmodel.LoopParams{Alpha: 0.05, Tau: 0.002})
 	b.AddNode("initB", prog.NodeSpec{
 		Kernel: kernels.Kernel{Op: kernels.OpInit, M: n, N: n,
-			Init: func(i, j int) float64 { return float64(i-2*j) / 5 }},
+			Init: kernels.Elementwise(func(i, j int) float64 { return float64(i-2*j) / 5 })},
 		Output: "B", Axis: dist.ByCol,
 	}, costmodel.LoopParams{Alpha: 0.05, Tau: 0.002})
 	b.AddNode("mul", prog.NodeSpec{

@@ -19,9 +19,9 @@ func buildMulProgram(t *testing.T) *Program {
 	t.Helper()
 	b := NewBuilder("mul")
 	initA := kernels.Kernel{Op: kernels.OpInit, M: 8, N: 8,
-		Init: func(i, j int) float64 { return float64(i + j) }}
+		Init: kernels.Elementwise(func(i, j int) float64 { return float64(i + j) })}
 	initB := kernels.Kernel{Op: kernels.OpInit, M: 8, N: 8,
-		Init: func(i, j int) float64 { return float64(i - j) }}
+		Init: kernels.Elementwise(func(i, j int) float64 { return float64(i - j) })}
 	b.AddNode("initA", NodeSpec{Kernel: initA, Output: "A", Axis: dist.ByRow}, lp(0.05, 0.001))
 	b.AddNode("initB", NodeSpec{Kernel: initB, Output: "B", Axis: dist.ByCol}, lp(0.05, 0.001))
 	b.AddNode("mul", NodeSpec{
@@ -107,7 +107,7 @@ func TestBuilderErrors(t *testing.T) {
 	})
 	t.Run("duplicate output", func(t *testing.T) {
 		b := NewBuilder("x")
-		k := kernels.Kernel{Op: kernels.OpInit, M: 2, N: 2, Init: func(i, j int) float64 { return 0 }}
+		k := kernels.Kernel{Op: kernels.OpInit, M: 2, N: 2, Init: kernels.Elementwise(func(i, j int) float64 { return 0 })}
 		b.AddNode("a", NodeSpec{Kernel: k, Output: "A"}, lp(0, 1))
 		b.AddNode("b", NodeSpec{Kernel: k, Output: "A"}, lp(0, 1))
 		if _, err := b.Finish(); err == nil {
@@ -116,7 +116,7 @@ func TestBuilderErrors(t *testing.T) {
 	})
 	t.Run("shape mismatch", func(t *testing.T) {
 		b := NewBuilder("x")
-		k := kernels.Kernel{Op: kernels.OpInit, M: 2, N: 2, Init: func(i, j int) float64 { return 0 }}
+		k := kernels.Kernel{Op: kernels.OpInit, M: 2, N: 2, Init: kernels.Elementwise(func(i, j int) float64 { return 0 })}
 		b.AddNode("a", NodeSpec{Kernel: k, Output: "A"}, lp(0, 1))
 		b.AddNode("b", NodeSpec{Kernel: k, Output: "B"}, lp(0, 1))
 		b.AddNode("add", NodeSpec{
@@ -129,7 +129,7 @@ func TestBuilderErrors(t *testing.T) {
 	})
 	t.Run("wrong arity", func(t *testing.T) {
 		b := NewBuilder("x")
-		k := kernels.Kernel{Op: kernels.OpInit, M: 2, N: 2, Init: func(i, j int) float64 { return 0 }}
+		k := kernels.Kernel{Op: kernels.OpInit, M: 2, N: 2, Init: kernels.Elementwise(func(i, j int) float64 { return 0 })}
 		b.AddNode("a", NodeSpec{Kernel: k, Output: "A"}, lp(0, 1))
 		b.AddNode("add", NodeSpec{
 			Kernel: kernels.Kernel{Op: kernels.OpAdd, M: 2, N: 2},
@@ -141,7 +141,7 @@ func TestBuilderErrors(t *testing.T) {
 	})
 	t.Run("missing output", func(t *testing.T) {
 		b := NewBuilder("x")
-		k := kernels.Kernel{Op: kernels.OpInit, M: 2, N: 2, Init: func(i, j int) float64 { return 0 }}
+		k := kernels.Kernel{Op: kernels.OpInit, M: 2, N: 2, Init: kernels.Elementwise(func(i, j int) float64 { return 0 })}
 		b.AddNode("a", NodeSpec{Kernel: k}, lp(0, 1))
 		if _, err := b.Finish(); err == nil {
 			t.Fatal("want error")
@@ -156,7 +156,7 @@ func TestBuilderErrors(t *testing.T) {
 	})
 	t.Run("bad amdahl", func(t *testing.T) {
 		b := NewBuilder("x")
-		k := kernels.Kernel{Op: kernels.OpInit, M: 2, N: 2, Init: func(i, j int) float64 { return 0 }}
+		k := kernels.Kernel{Op: kernels.OpInit, M: 2, N: 2, Init: kernels.Elementwise(func(i, j int) float64 { return 0 })}
 		b.AddNode("a", NodeSpec{Kernel: k, Output: "A"}, lp(2, 1))
 		if _, err := b.Finish(); err == nil {
 			t.Fatal("want error")
@@ -181,7 +181,7 @@ func TestSharedProducerMergesEdges(t *testing.T) {
 	// Node consuming the same producer's array twice (A + A): one edge
 	// with ONE transfer — the data is moved once, matching codegen.
 	b := NewBuilder("x")
-	k := kernels.Kernel{Op: kernels.OpInit, M: 2, N: 2, Init: func(i, j int) float64 { return 1 }}
+	k := kernels.Kernel{Op: kernels.OpInit, M: 2, N: 2, Init: kernels.Elementwise(func(i, j int) float64 { return 1 })}
 	b.AddNode("a", NodeSpec{Kernel: k, Output: "A", Axis: dist.ByRow}, lp(0, 1))
 	b.AddNode("dbl", NodeSpec{
 		Kernel: kernels.Kernel{Op: kernels.OpAdd, M: 2, N: 2},

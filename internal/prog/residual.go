@@ -52,7 +52,7 @@ func (p *Program) Residual(restored map[string]*matrix.Matrix, lp func(name stri
 			arr := p.Arrays[spec.Output]
 			k := kernels.Kernel{
 				Op: kernels.OpInit, M: arr.Rows, N: arr.Cols,
-				Init: func(i, j int) float64 { return m.At(i, j) },
+				Init: func(i, j0 int, row []float64) { copy(row, m.Data[i*m.Cols+j0:]) },
 				// Match AddNode's layout normalization so the calibration
 				// cache keys the same kernel shape the simulator charges.
 				Grid: spec.Axis == dist.ByGrid,

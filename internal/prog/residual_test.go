@@ -15,7 +15,7 @@ func chain(t *testing.T) *Program {
 	b := NewBuilder("chain")
 	b.AddNode("initA", NodeSpec{
 		Kernel: kernels.Kernel{Op: kernels.OpInit, M: 8, N: 8,
-			Init: func(i, j int) float64 { return float64(i*8 + j) }},
+			Init: kernels.Elementwise(func(i, j int) float64 { return float64(i*8 + j) })},
 		Output: "A", Axis: dist.ByRow,
 	}, costmodel.LoopParams{Alpha: 0.1, Tau: 0.01})
 	b.AddNode("double", NodeSpec{

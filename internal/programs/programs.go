@@ -17,6 +17,7 @@ import (
 	"paradigm/internal/dist"
 	"paradigm/internal/kernels"
 	"paradigm/internal/machine"
+	"paradigm/internal/matrix"
 	"paradigm/internal/mdg"
 	"paradigm/internal/prog"
 )
@@ -74,9 +75,7 @@ func ComplexMatMulLayout(n int, src machine.LoopSource, gridMuls bool) (*prog.Pr
 	b := prog.NewBuilder(name)
 	initK := func(phase float64) kernels.Kernel {
 		return kernels.Kernel{Op: kernels.OpInit, M: n, N: n,
-			Init: func(i, j int) float64 {
-				return math.Sin(phase + float64(i*n+j)/float64(n*n)*2*math.Pi)
-			}}
+			Init: func(i, j0 int, row []float64) { cmmRow(n, phase, i, j0, row) }}
 	}
 	mulK := kernels.Kernel{Op: kernels.OpMul, M: n, N: n, K: n}
 	addK := kernels.Kernel{Op: kernels.OpAdd, M: n, N: n}
@@ -135,15 +134,15 @@ func Strassen(n int, src machine.LoopSource) (*prog.Program, error) {
 	h := n / 2
 	b := prog.NewBuilder(fmt.Sprintf("strassen-%dx%d", n, n))
 
-	initK := func(src func(i, j int) float64, r0, c0 int) kernels.Kernel {
+	initK := func(src func(i, j0 int, row []float64), r0, c0 int) kernels.Kernel {
 		return kernels.Kernel{Op: kernels.OpInit, M: h, N: h,
-			Init: func(i, j int) float64 { return src(r0+i, c0+j) }}
+			Init: func(i, j0 int, row []float64) { src(r0+i, c0+j0, row) }}
 	}
 	mulK := kernels.Kernel{Op: kernels.OpMul, M: h, N: h, K: h}
 	addK := kernels.Kernel{Op: kernels.OpAdd, M: h, N: h}
 	subK := kernels.Kernel{Op: kernels.OpSub, M: h, N: h}
 
-	lpInit, err := loop(src, fmt.Sprintf("Matrix Init (%dx%d)", h, h), initK(AElem, 0, 0))
+	lpInit, err := loop(src, fmt.Sprintf("Matrix Init (%dx%d)", h, h), initK(aRow, 0, 0))
 	if err != nil {
 		return nil, err
 	}
@@ -164,11 +163,11 @@ func Strassen(n int, src machine.LoopSource) (*prog.Program, error) {
 	// Quadrant initializations.
 	for _, q := range []struct {
 		name   string
-		src    func(i, j int) float64
+		src    func(i, j0 int, row []float64)
 		r0, c0 int
 	}{
-		{"A11", AElem, 0, 0}, {"A12", AElem, 0, h}, {"A21", AElem, h, 0}, {"A22", AElem, h, h},
-		{"B11", BElem, 0, 0}, {"B12", BElem, 0, h}, {"B21", BElem, h, 0}, {"B22", BElem, h, h},
+		{"A11", aRow, 0, 0}, {"A12", aRow, 0, h}, {"A21", aRow, h, 0}, {"A22", aRow, h, h},
+		{"B11", bRow, 0, 0}, {"B12", bRow, 0, h}, {"B21", bRow, h, 0}, {"B22", bRow, h, h},
 	} {
 		add("init_"+q.name, prog.NodeSpec{Kernel: initK(q.src, q.r0, q.c0), Output: q.name}, lpInit)
 	}
@@ -234,13 +233,48 @@ func Strassen(n int, src machine.LoopSource) (*prog.Program, error) {
 	return b.Finish()
 }
 
+// cmmRow is the generator of CMM's four inputs, which differ in phase:
+// element (i, j) of the n×n matrix is sin(phase + 2π·(i·n + j)/n²). The
+// index i·n + j is counted up in a float, which is exact below 2⁵³.
+func cmmRow(n int, phase float64, i, j0 int, row []float64) {
+	idx, cells := float64(i*n+j0), float64(n*n)
+	for k := range row {
+		row[k] = phase + idx/cells*2*math.Pi
+		idx++
+	}
+	matrix.Sin(row, row)
+}
+
 // AElem and BElem generate the conceptual Strassen operands: smooth,
 // deterministic, non-symmetric functions so quadrant mix-ups change the
-// result.
+// result. The programs generate them with aRow and bRow, which perform
+// the same operations a row at a time.
 func AElem(i, j int) float64 { return math.Sin(float64(3*i+2*j)/17.0) + 0.01*float64(i-j) }
 
 // BElem generates the right operand.
 func BElem(i, j int) float64 { return math.Cos(float64(2*i-j)/13.0) - 0.02*float64(i+j) }
+
+// aRow fills row with AElem(i, j0+k).
+func aRow(i, j0 int, row []float64) {
+	for k := range row {
+		row[k] = float64(3*i+2*(j0+k)) / 17.0
+	}
+	matrix.Sin(row, row)
+	for k := range row {
+		row[k] += 0.01 * float64(i-(j0+k))
+	}
+}
+
+// bRow fills row with BElem(i, j0+k).
+func bRow(i, j0 int, row []float64) {
+	for k := range row {
+		row[k] = float64(2*i-(j0+k)) / 13.0
+	}
+	matrix.Cos(row, row)
+	for k := range row {
+		row[k] -= 0.02 * float64(i+(j0+k))
+	}
+}
 
 // SyntheticPipeline builds a width×depth grid of matrix-multiply stages
 // over an initialized matrix — the signal-processing-style workload class
@@ -255,7 +289,7 @@ func SyntheticPipeline(n, width, depth int, src machine.LoopSource) (*prog.Progr
 	}
 	b := prog.NewBuilder(fmt.Sprintf("pipeline-w%d-d%d-%dx%d", width, depth, n, n))
 	initK := kernels.Kernel{Op: kernels.OpInit, M: n, N: n,
-		Init: func(i, j int) float64 { return float64(i+j+1) / float64(2*n*n) }}
+		Init: kernels.Elementwise(func(i, j int) float64 { return float64(i+j+1) / float64(2*n*n) })}
 	mulK := kernels.Kernel{Op: kernels.OpMul, M: n, N: n, K: n}
 	addK := kernels.Kernel{Op: kernels.OpAdd, M: n, N: n}
 	lpInit, err := loop(src, fmt.Sprintf("Matrix Init (%dx%d)", n, n), initK)

@@ -36,8 +36,8 @@ func StrassenRecursive(n, depth int, src machine.LoopSource) (*prog.Program, err
 	b := prog.NewBuilder(fmt.Sprintf("strassen-rec-%dx%d-d%d", n, n, depth))
 	sb := &strassenBuilder{b: b, src: src}
 
-	initA := kernels.Kernel{Op: kernels.OpInit, M: n, N: n, Init: AElem}
-	initB := kernels.Kernel{Op: kernels.OpInit, M: n, N: n, Init: BElem}
+	initA := kernels.Kernel{Op: kernels.OpInit, M: n, N: n, Init: aRow}
+	initB := kernels.Kernel{Op: kernels.OpInit, M: n, N: n, Init: bRow}
 	lpInit, err := src.Loop(fmt.Sprintf("Matrix Init (%dx%d)", n, n), initA)
 	if err != nil {
 		return nil, err

@@ -529,10 +529,26 @@ const fanOutWork = 1 << 21
 
 // What one output element of a barrier costs, in multiply-adds, measured
 // where it decides something (n = 128, the table above): an OpInit
-// element is a call into the program's Init — a math.Sin for CMM, 16 ns
-// against a multiply-add's 0.12 — and an element of an element-wise or
-// copying kernel is mostly the allocation of the block it lands in
-// (2.3–2.7 ns; no gain from a fan-out was seen up to n = 256).
+// element was a call into the program's Init, a math.Sin for CMM, 16 ns
+// against a multiply-add's 0.12. Init now fills a row at a time through
+// matrix.Sin, and an init barrier re-measured the same way (init column
+// only) reads
+//
+//	n     inline µs    second core idle    second core busy
+//	48       21–25          0.76                0.83
+//	96       73–80          1.15                0.80
+//	128    145–187       1.22–1.37              1.02
+//	192    350–504       1.30–1.41              1.05
+//	256    613–659       1.56–1.74              0.99
+//
+// so an element is 9–10 ns, allocation and argument included, ≈ 80
+// multiply-adds, and a fan-out from n = 128 still gains with the second
+// core idle and ties with it busy. The price stays where it was: between
+// 32 and 128 it moves no barrier of CMM-256 or of a service-sized job
+// (n ≤ 127) across fanOutWork, only those of CMM-128 to CMM-255. An
+// element of an element-wise or copying kernel is mostly the allocation
+// of the block it lands in (2.3–2.7 ns; no gain from a fan-out was seen
+// up to n = 256).
 const (
 	initElemWork = 128
 	elemWork     = 16
@@ -741,8 +757,10 @@ func (nr *nodeRunner) execNode(ctx context.Context, in codegen.Exec, start float
 	switch k.Op {
 	case kernels.OpInit:
 		compute = func(_ int, out *block) error {
-			r0, c0 := out.rect.R0, out.rect.C0
-			out.data.Fill(func(i, j int) float64 { return k.Init(r0+i, c0+j) })
+			r0, c0, w := out.rect.R0, out.rect.C0, out.data.Cols
+			for i := range out.data.Rows {
+				k.Init(r0+i, c0, out.data.Data[i*w:][:w])
+			}
 			return nil
 		}
 

@@ -30,12 +30,12 @@ func mulProgram(t testing.TB, n int) *prog.Program {
 	b := prog.NewBuilder("mul")
 	b.AddNode("initA", prog.NodeSpec{
 		Kernel: kernels.Kernel{Op: kernels.OpInit, M: n, N: n,
-			Init: func(i, j int) float64 { return float64(i*3+j) / 7 }},
+			Init: kernels.Elementwise(func(i, j int) float64 { return float64(i*3+j) / 7 })},
 		Output: "A", Axis: dist.ByRow,
 	}, lp(0.05, 0.002))
 	b.AddNode("initB", prog.NodeSpec{
 		Kernel: kernels.Kernel{Op: kernels.OpInit, M: n, N: n,
-			Init: func(i, j int) float64 { return float64(i-2*j) / 5 }},
+			Init: kernels.Elementwise(func(i, j int) float64 { return float64(i-2*j) / 5 })},
 		Output: "B", Axis: dist.ByCol,
 	}, lp(0.05, 0.002))
 	b.AddNode("mul", prog.NodeSpec{
@@ -164,12 +164,12 @@ func TestByColMultiply(t *testing.T) {
 	n := 12
 	b.AddNode("initA", prog.NodeSpec{
 		Kernel: kernels.Kernel{Op: kernels.OpInit, M: n, N: n,
-			Init: func(i, j int) float64 { return float64(i + 2*j) }},
+			Init: kernels.Elementwise(func(i, j int) float64 { return float64(i + 2*j) })},
 		Output: "A", Axis: dist.ByRow,
 	}, lp(0.05, 0.001))
 	b.AddNode("initB", prog.NodeSpec{
 		Kernel: kernels.Kernel{Op: kernels.OpInit, M: n, N: n,
-			Init: func(i, j int) float64 { return float64(3*i - j) }},
+			Init: kernels.Elementwise(func(i, j int) float64 { return float64(3*i - j) })},
 		Output: "B", Axis: dist.ByRow,
 	}, lp(0.05, 0.001))
 	b.AddNode("mul", prog.NodeSpec{
@@ -322,7 +322,7 @@ func randomAddChainProgram(rng *rand.Rand, n, depth int) (*prog.Program, error) 
 	}
 	b.AddNode("init0", prog.NodeSpec{
 		Kernel: kernels.Kernel{Op: kernels.OpInit, M: n, N: n,
-			Init: func(i, j int) float64 { return float64(i*n+j) / 11 }},
+			Init: kernels.Elementwise(func(i, j int) float64 { return float64(i*n+j) / 11 })},
 		Output: "m0", Axis: axis(),
 	}, lp(0.05, 0.001))
 	names := []string{"m0"}
@@ -411,12 +411,12 @@ func gridMulProgram(t testing.TB, n int) *prog.Program {
 	b := prog.NewBuilder("gridmul")
 	b.AddNode("initA", prog.NodeSpec{
 		Kernel: kernels.Kernel{Op: kernels.OpInit, M: n, N: n,
-			Init: func(i, j int) float64 { return float64(2*i-j) / 9 }},
+			Init: kernels.Elementwise(func(i, j int) float64 { return float64(2*i-j) / 9 })},
 		Output: "A", Axis: dist.ByRow,
 	}, lp(0.05, 0.002))
 	b.AddNode("initB", prog.NodeSpec{
 		Kernel: kernels.Kernel{Op: kernels.OpInit, M: n, N: n,
-			Init: func(i, j int) float64 { return float64(i+3*j) / 7 }},
+			Init: kernels.Elementwise(func(i, j int) float64 { return float64(i+3*j) / 7 })},
 		Output: "B", Axis: dist.ByCol,
 	}, lp(0.05, 0.002))
 	b.AddNode("mul", prog.NodeSpec{

@@ -25,7 +25,7 @@ func tinyProgram(t *testing.T) (*prog.Program, *sched.Schedule, *sim.Result) {
 	}
 	b := prog.NewBuilder("tiny")
 	initK := kernels.Kernel{Op: kernels.OpInit, M: 16, N: 16,
-		Init: func(i, j int) float64 { return float64(i + j) }}
+		Init: kernels.Elementwise(func(i, j int) float64 { return float64(i + j) })}
 	addK := kernels.Kernel{Op: kernels.OpAdd, M: 16, N: 16}
 	lpI, _ := cal.Loop("i", initK)
 	lpA, _ := cal.Loop("a", addK)

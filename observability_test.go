@@ -21,7 +21,7 @@ func tinyProgram(t testing.TB, cal *Calibration) *Program {
 	t.Helper()
 	b := NewProgramBuilder("tiny")
 	initK := kernels.Kernel{Op: kernels.OpInit, M: 8, N: 8,
-		Init: func(i, j int) float64 { return float64(i + j) }}
+		Init: kernels.Elementwise(func(i, j int) float64 { return float64(i + j) })}
 	lpInit, err := cal.Loop("init8", initK)
 	if err != nil {
 		t.Fatal(err)
