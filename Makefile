@@ -51,10 +51,8 @@ fuzz-smoke:
 	$(GO) test ./internal/machine/ -run '^$$' -fuzz '^FuzzMachineSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/admission/ -run '^$$' -fuzz '^FuzzPolicyConfigDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault/ -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/expr/ -run '^$$' -fuzz '^FuzzEvalTape$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/matrix/ -run '^$$' -fuzz '^FuzzMulStrips$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/matrix/ -run '^$$' -fuzz '^FuzzSinCos$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/convex/ -run '^$$' -fuzz '^FuzzMinimizeBox$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/convex/ -run '^$$' -fuzz '^FuzzEpigraph$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mdg/ -run '^$$' -fuzz '^FuzzOrbits$$' -fuzztime $(FUZZTIME)
 

@@ -12,7 +12,6 @@ package paradigm
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -439,8 +438,8 @@ func BenchmarkAllocSolveWarmCache(b *testing.B) {
 	}
 }
 
-// benchLayeredMDG builds the 1000-node layered DAG the decomposition
-// backend is scaled on: 100 layers × 10 nodes, 1-2 successors each.
+// benchLayeredMDG builds a 1000-node layered DAG: 100 layers × 10 nodes,
+// 1-2 successors each.
 func benchLayeredMDG() *mdg.Graph {
 	rng := rand.New(rand.NewSource(42))
 	var g mdg.Graph
@@ -468,42 +467,12 @@ func benchLayeredMDG() *mdg.Graph {
 	return &g
 }
 
-// BenchmarkAllocSolveLayered1000 is the default backend's exact solve on
-// the same 1000-node layered MDG at p = 64: the size at which the
+// BenchmarkAllocSolveLayered1000 is the exact solve on that 1000-node
+// layered MDG at p = 64: the size at which the
 // interior-point method's sparse factorisation, not its iteration count,
 // sets the cost. iters/op is the solver's iteration count.
 func BenchmarkAllocSolveLayered1000(b *testing.B) {
 	benchSolve(b, benchLayeredMDG(), env(b).Cal.Model(), 64)
-}
-
-// BenchmarkAllocSolveADMM1000 scales the consensus-ADMM backend over the
-// subgraph count on a 1000-node MDG, raw decomposition only (no polish,
-// fixed outer-iteration budget): the wall-clock should drop near
-// linearly as the per-subgraph convex programs shrink and parallelize.
-func BenchmarkAllocSolveADMM1000(b *testing.B) {
-	e := env(b)
-	model := e.Cal.Model()
-	g := benchLayeredMDG()
-	for _, subs := range []int{2, 4, 8, 16} {
-		// "subs=N", not "subs-N": go test appends -GOMAXPROCS to the
-		// name, and a trailing -<int> of its own would read as that.
-		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
-			opts := alloc.Options{Backend: "admm", ADMM: alloc.ADMMOptions{
-				Subgraphs: subs, MaxIters: 6, SkipPolish: true,
-			}}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := alloc.Solve(g, model, 64, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Phi <= 0 {
-					b.Fatal("empty solve")
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkRunNilObserver is the full pipeline (allocate, schedule,

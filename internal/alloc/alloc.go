@@ -43,16 +43,16 @@ type Options struct {
 	// (the Prasanna-Agarwal-style ablation A3 of DESIGN.md). The reported
 	// Φ/A_p/C_p still use the full model.
 	IgnoreTransfers bool
-	// Backend selects the solve strategy: BackendAuto or BackendAnneal
-	// runs one exact interior-point solve (the default); BackendADMM runs
-	// the consensus-ADMM decomposition (admm.go), which partitions
-	// the MDG into overlapping subgraphs solved in parallel and agrees on
-	// shared nodes — faster on large graphs, approximate within the
-	// consensus tolerance. Any other value fails option validation with
-	// errs.ErrUnknownBackend. Untyped string literals still compile
-	// (Backend is a string type); ParseBackend covers CLI flags.
+	// Backend selects the solve strategy. Every selectable value —
+	// BackendAuto, BackendAnneal and the retired BackendADMM — runs the
+	// one exact interior-point solve. Any other value fails option
+	// validation with errs.ErrUnknownBackend. Untyped string literals
+	// still compile (Backend is a string type); ParseBackend covers CLI
+	// flags.
 	Backend Backend
-	// ADMM tunes the "admm" backend; ignored otherwise.
+	// ADMM is ignored.
+	//
+	// Deprecated: the consensus-ADMM backend is retired; see ADMMOptions.
 	ADMM ADMMOptions
 	// Cache, when non-nil, memoizes solved allocations keyed by the
 	// relabel-invariant canonical MDG hash, cost model, solve options and
@@ -97,12 +97,11 @@ type Result struct {
 	// at X), Gap (the duality-gap certificate), Iters, Evals and Status (zero
 	// for a cache-replayed allocation: nothing was solved). X is in orbit
 	// coordinates — one log-allocation per mdg.Graph.Orbits orbit,
-	// numbered by smallest node ID, P[i] = e^{X[orbit[i]]} — except under
-	// BackendADMM, which solves one variable per node.
+	// numbered by smallest node ID, P[i] = e^{X[orbit[i]]}.
 	Solver convex.Result
-	// Backend names the path that produced the allocation: BackendAnneal,
-	// BackendADMM, BackendHeuristic (fallback), or BackendCache
-	// (exact-hit replay).
+	// Backend names the path that produced the allocation: BackendAnneal
+	// (the exact solve, whichever strategy was selected), BackendHeuristic
+	// (fallback), or BackendCache (exact-hit replay).
 	Backend Backend
 	// CacheOutcome reports the allocation-cache lookup when a cache was
 	// configured: "hit", "miss", or "" (no cache).
@@ -168,20 +167,13 @@ func SolveCtx(ctx context.Context, g *mdg.Graph, model costmodel.Model, procs in
 			}
 		}
 	}
-	// The ADMM backend partitions nodes, not orbits: it solves the full
-	// program (see BackendADMM).
-	prob, err := compile(g, model, procs, opts, opts.Backend != BackendADMM)
+	prob, err := compile(g, model, procs, opts)
 	if err != nil {
 		// Infeasible procs or a broken graph: the problem is wrong, not
 		// the solver, so no retry or heuristic can help.
 		return Result{}, err
 	}
-	var res Result
-	if opts.Backend == BackendADMM {
-		res, err = prob.solveADMM(ctx, opts)
-	} else {
-		res, err = prob.solveWithFallback(ctx, opts)
-	}
+	res, err := prob.solveWithFallback(ctx, opts)
 	if err != nil {
 		return res, err
 	}
@@ -244,8 +236,7 @@ func (p *problem) midpoint() []float64 {
 }
 
 // compile builds the expression DAG for the Φ objective once, over the
-// automorphism orbits of g (mdg.Graph.Orbits) when reduce is set and over
-// one orbit per node otherwise.
+// automorphism orbits of g (mdg.Graph.Orbits).
 //
 // Φ is convex and invariant under every automorphism, so averaging any
 // point over the automorphism group never raises it: a minimum exists
@@ -254,9 +245,9 @@ func (p *problem) midpoint() []float64 {
 // from its first member in topological order; A_p weighs each orbit's
 // T·p by its size; and every max keeps one child per original
 // predecessor and per sink, so the objective is the full program's
-// restricted to the subspace. With one orbit per node this is the full
-// program, node for node.
-func compile(g *mdg.Graph, model costmodel.Model, procs int, opts Options, reduce bool) (*problem, error) {
+// restricted to the subspace. Where g has no automorphism this is the
+// full program, node for node.
+func compile(g *mdg.Graph, model costmodel.Model, procs int, opts Options) (*problem, error) {
 	if procs < 1 {
 		return nil, fmt.Errorf("alloc: %w: procs = %d, want >= 1", errs.ErrInfeasible, procs)
 	}
@@ -268,10 +259,8 @@ func compile(g *mdg.Graph, model costmodel.Model, procs int, opts Options, reduc
 	if err != nil {
 		return nil, err
 	}
-	var orbit []int
-	if !reduce {
-		orbit = identity(n)
-	} else if orbit, err = g.Orbits(); err != nil {
+	orbit, err := g.Orbits()
+	if err != nil {
 		return nil, fmt.Errorf("alloc: invalid MDG: %w", err)
 	}
 	k := 0
@@ -368,15 +357,6 @@ func compile(g *mdg.Graph, model costmodel.Model, procs int, opts Options, reduc
 		lower: lower, upper: upper,
 		orbit: orbit, size: size,
 	}, nil
-}
-
-// identity is the partition with one orbit per node.
-func identity(n int) []int {
-	orbit := make([]int, n)
-	for i := range orbit {
-		orbit[i] = i
-	}
-	return orbit
 }
 
 // lift expands an orbit-space solution to the per-node allocation

@@ -350,3 +350,9 @@ func TestFallbackOffPathUnchanged(t *testing.T) {
 		}
 	}
 }
+
+func TestUnknownBackendRejected(t *testing.T) {
+	if _, err := Solve(forkJoin(0.9), cm5Fit, 8, Options{Backend: "simplex"}); err == nil {
+		t.Fatal("unknown backend must error")
+	}
+}

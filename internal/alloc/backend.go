@@ -23,11 +23,9 @@ const (
 	// the one metrics and CLI flags have always used; the solve annealed a
 	// smoothed Φ before it was made exact.
 	BackendAnneal Backend = "anneal"
-	// BackendADMM is the consensus-ADMM decomposition (admm.go). The
-	// other strategies solve one variable per automorphism orbit of the
-	// MDG (compile, mdg.Graph.Orbits); ADMM partitions nodes into
-	// subgraphs, so it compiles with the identity partition — one orbit
-	// per node — for its subproblems and its final polish alike.
+	// BackendADMM named the consensus-ADMM decomposition, which is
+	// retired. The name is still accepted and runs the exact solve, so a
+	// result selected by it reports BackendAnneal.
 	BackendADMM Backend = "admm"
 
 	// BackendHeuristic and BackendCache appear only as Result labels:
@@ -56,8 +54,8 @@ func (b Backend) String() string {
 	return string(b)
 }
 
-// ParseBackend maps a CLI string to a solve strategy: "", "auto" or
-// "anneal" for the default exact solve, "admm" for the decomposition.
+// ParseBackend maps a CLI string to a solve strategy: "", "auto",
+// "anneal" or the retired "admm", all of which run the exact solve.
 // Anything else fails with ErrUnknownBackend.
 func ParseBackend(s string) (Backend, error) {
 	if s == "auto" {
@@ -68,4 +66,13 @@ func ParseBackend(s string) (Backend, error) {
 		return BackendAuto, err
 	}
 	return b, nil
+}
+
+// ADMMOptions tuned the retired consensus-ADMM backend.
+//
+// Deprecated: ignored. The fields remain only so that callers which still
+// set them compile; every backend name runs the exact solve.
+type ADMMOptions struct {
+	Subgraphs, MaxIters int
+	SkipPolish          bool
 }

@@ -49,9 +49,9 @@ func NewCache(capacity int) *Cache {
 // SolveShapeKey is the key of everything that shapes a solved allocation
 // except the machine size: the canonical graph hash (node α/τ and edge
 // transfers, names excluded), the transfer-parameter fingerprint, and the
-// solve options (the backend and, for the ADMM backend, every ADMMOptions
-// field, and the transfer ablation). The default backend's exact solve has
-// no tunables to key on. The allocation cache's key appends the processor
+// transfer ablation. Every backend name runs the same exact solve, which
+// has no tunables, so the backend is not part of the key. The allocation
+// cache's key appends the processor
 // count, and the pipeline's schedule cache appends its schedule-shaping
 // options and then the processor count, so the two caches cannot disagree
 // about what a solve depends on.
@@ -62,13 +62,6 @@ func SolveShapeKey(hash string, model costmodel.Model, opts Options) string {
 	t := model.Transfer
 	for _, v := range []float64{t.Tss, t.Tps, t.Tsr, t.Tpr, t.Tn} {
 		fmt.Fprintf(&b, "%016x", math.Float64bits(v))
-	}
-	fmt.Fprintf(&b, "|b%s", opts.Backend)
-	if opts.Backend == BackendADMM {
-		a := opts.ADMM
-		fmt.Fprintf(&b, "|s%d|i%d|%016x|%016x|%016x|%016x|sp%t",
-			a.Subgraphs, a.MaxIters, math.Float64bits(a.Rho), math.Float64bits(a.Alpha),
-			math.Float64bits(a.AbsTol), math.Float64bits(a.RelTol), a.SkipPolish)
 	}
 	if opts.IgnoreTransfers {
 		b.WriteString("|nt")

@@ -1,7 +1,9 @@
 package alloc
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"paradigm/internal/costmodel"
@@ -79,8 +81,8 @@ func TestCacheHitOnRelabeledGraph(t *testing.T) {
 }
 
 // TestCacheKeySeparatesSolveShape: a primed entry answers one question
-// only. The same graph at another machine size, under another backend,
-// cost model or objective must be its own cold solve, not a replay.
+// only. The same graph at another machine size, cost model or objective
+// must be its own cold solve, not a replay.
 func TestCacheKeySeparatesSolveShape(t *testing.T) {
 	g := forkJoin(0.9)
 	cache := NewCache(8)
@@ -96,7 +98,6 @@ func TestCacheKeySeparatesSolveShape(t *testing.T) {
 		opts  Options
 	}{
 		{"procs", cm5Fit, 32, Options{}},
-		{"backend", cm5Fit, 16, Options{Backend: BackendADMM}},
 		{"model", other, 16, Options{}},
 		{"ignore-transfers", cm5Fit, 16, Options{IgnoreTransfers: true}},
 	} {
@@ -276,33 +277,114 @@ func TestCacheEmitsObsEvents(t *testing.T) {
 	}
 }
 
-// TestCacheKeySeparatesADMMOptions: the ADMM backend's result depends on
-// its options, so two ADMM solves that differ only in ADMMOptions must not
-// share a cache entry — each must be its own cold solve, not the other's
-// replay.
-func TestCacheKeySeparatesADMMOptions(t *testing.T) {
-	g := layeredGraph(20, 6, 1)
+// TestCacheKeyIgnoresBackendName: every backend name runs the same exact
+// solve, so an "anneal" or "admm" solve is answered by the entry an auto
+// solve stored — a hit replaying its P, Φ, A_p and C_p bit for bit — and
+// the shape key is one per program.
+func TestCacheKeyIgnoresBackendName(t *testing.T) {
+	g := forkJoin(0.9)
 	cache := NewCache(8)
-	for _, o := range []Options{
-		{Backend: BackendADMM, ADMM: ADMMOptions{Subgraphs: 4, MaxIters: 2, SkipPolish: true}},
-		{Backend: BackendADMM},
-	} {
-		cold, err := Solve(g, cm5Fit, 16, o)
+	cold, err := Solve(g, cm5Fit, 16, Options{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []Backend{BackendAnneal, BackendADMM} {
+		if SolveShapeKey("h", cm5Fit, Options{Backend: b}) != SolveShapeKey("h", cm5Fit, Options{}) {
+			t.Fatalf("backend %q keys its own entry", b)
+		}
+		res, err := Solve(g, cm5Fit, 16, Options{Backend: b, Cache: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
-		o.Cache = cache
-		got, err := Solve(g, cm5Fit, 16, o)
-		if err != nil {
-			t.Fatal(err)
+		if res.CacheOutcome != "hit" || res.Backend != BackendCache {
+			t.Fatalf("backend %q: outcome %q, backend %q; want a hit", b, res.CacheOutcome, res.Backend)
 		}
-		if got.CacheOutcome != "miss" || got.Phi != cold.Phi {
-			t.Fatalf("ADMM %+v: outcome %q, Φ %v; cold solve Φ %v", o.ADMM, got.CacheOutcome, got.Phi, cold.Phi)
+		if math.Float64bits(res.Phi) != math.Float64bits(cold.Phi) || math.Float64bits(res.Ap) != math.Float64bits(cold.Ap) ||
+			math.Float64bits(res.Cp) != math.Float64bits(cold.Cp) || !slices.Equal(res.P, cold.P) {
+			t.Fatalf("backend %q: replay Φ %v P %v, stored Φ %v P %v", b, res.Phi, res.P, cold.Phi, cold.P)
 		}
-		for i := range cold.P {
-			if got.P[i] != cold.P[i] {
-				t.Fatalf("ADMM %+v: P[%d] = %v, cold solve %v", o.ADMM, i, got.P[i], cold.P[i])
-			}
-		}
+	}
+	if cache.Len() != 1 {
+		t.Fatalf("%d entries, want 1", cache.Len())
+	}
+}
+
+// The LRU behaviour of the allocation cache: a single-shard
+// schedcache.Cache of CacheEntry values.
+
+func entry(vals ...float64) CacheEntry {
+	return CacheEntry{PCanon: vals, Phi: vals[0]}
+}
+
+func TestGetPutRoundTrip(t *testing.T) {
+	c := NewCache(4)
+	if _, ok := c.Get("a|p8"); ok {
+		t.Fatal("empty cache hit")
+	}
+	c.Put("a|p8", entry(1, 2, 3))
+	e, ok := c.Get("a|p8")
+	if !ok || e.Phi != 1 || len(e.PCanon) != 3 || e.PCanon[1] != 2 {
+		t.Fatalf("round trip: %+v ok=%v", e, ok)
+	}
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d", c.Len())
+	}
+}
+
+func TestCloneIsolation(t *testing.T) {
+	c := NewCache(4)
+	src := entry(1, 2, 3)
+	c.Put("a", src)
+	src.PCanon[0] = 99
+	e, _ := c.Get("a")
+	if e.PCanon[0] != 1 {
+		t.Fatal("Put did not copy the slice")
+	}
+	e.PCanon[1] = 99
+	e2, _ := c.Get("a")
+	if e2.PCanon[1] != 2 {
+		t.Fatal("Get did not copy the slice")
+	}
+}
+
+func TestLRUEviction(t *testing.T) {
+	c := NewCache(2)
+	c.Put("a", entry(1))
+	c.Put("b", entry(2))
+	// Touch a so b becomes the LRU victim.
+	if _, ok := c.Get("a"); !ok {
+		t.Fatal("a missing")
+	}
+	c.Put("c", entry(3))
+	if _, ok := c.Get("b"); ok {
+		t.Fatal("b should have been evicted")
+	}
+	if _, ok := c.Get("a"); !ok {
+		t.Fatal("a evicted despite recent use")
+	}
+	if _, ok := c.Get("c"); !ok {
+		t.Fatal("c missing")
+	}
+}
+
+func TestPutUpdateExisting(t *testing.T) {
+	c := NewCache(2)
+	c.Put("a", entry(1))
+	c.Put("a", entry(42))
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d after update", c.Len())
+	}
+	e, _ := c.Get("a")
+	if e.PCanon[0] != 42 {
+		t.Fatal("update did not replace the entry")
+	}
+}
+
+func TestCapacityFloor(t *testing.T) {
+	c := NewCache(0)
+	c.Put("a", entry(1))
+	c.Put("b", entry(2))
+	if c.Len() != 1 {
+		t.Fatalf("capacity floor: Len = %d, want 1", c.Len())
 	}
 }

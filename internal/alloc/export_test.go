@@ -12,24 +12,12 @@ import (
 // and program builders that package alloc's own tests cannot import.
 var RefSolve = refSolve
 
-// SolveAnnealed is the solve the interior-point method replaced — the
-// orbit-reduced program minimised by the temperature ladder from the box
-// midpoint (reference_test.go) — for the differential gates that hold the
-// exact solve to it.
-func SolveAnnealed(g *mdg.Graph, model costmodel.Model, procs int) (Result, error) {
-	prob, err := compile(g, model, procs, Options{}, true)
-	if err != nil {
-		return Result{}, err
-	}
-	return prob.annealFrom(prob.midpoint())
-}
-
 // SolveFromStarts compiles g's orbit-reduced program once and runs one
 // default solve from each point starts builds, in place of the box
 // midpoint. starts receives the box's upper corner (ln p in every orbit
 // coordinate; the lower corner is 0).
 func SolveFromStarts(g *mdg.Graph, model costmodel.Model, procs int, starts func(upper []float64) [][]float64) ([]Result, error) {
-	prob, err := compile(g, model, procs, Options{}, true)
+	prob, err := compile(g, model, procs, Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"paradigm/internal/convex"
 	"paradigm/internal/costmodel"
 	"paradigm/internal/errs"
 	"paradigm/internal/expr"
@@ -90,15 +89,15 @@ func refCompile(g *mdg.Graph, model costmodel.Model, procs int, opts Options) (*
 	for i := range upper {
 		upper[i] = math.Log(float64(procs))
 	}
-	size := make([]int, n)
-	for i := range size {
-		size[i] = 1
+	orbit, size := make([]int, n), make([]int, n)
+	for i := range orbit {
+		orbit[i], size[i] = i, 1
 	}
 	return &problem{
 		g: g, model: model, procs: procs,
 		eg: &eg, phi: phi,
 		lower: lower, upper: upper,
-		orbit: identity(n), size: size,
+		orbit: orbit, size: size,
 	}, nil
 }
 
@@ -109,31 +108,4 @@ func refSolve(g *mdg.Graph, model costmodel.Model, procs int, opts Options) (Res
 		return Result{}, err
 	}
 	return prob.solveWithFallback(context.Background(), opts)
-}
-
-// annealFrom is the default solve as it stood before the interior-point
-// method: the smoothed Φ minimised by projected L-BFGS down a temperature
-// ladder from 5 % of Φ at x0 to 1e-5 of that by factors of 0.2 (nine
-// stages), each warm-started from the last, then scored like solveFrom.
-// It is the reference the exact solve is held to: never higher in Φ.
-func (p *problem) annealFrom(x0 []float64) (Result, error) {
-	ev := expr.NewEvaluator(p.eg)
-	obj := convex.TempFunc(func(temp float64, x, grad []float64) float64 {
-		if grad == nil {
-			return ev.Eval(p.phi, x, temp)
-		}
-		return ev.EvalGrad(p.phi, x, temp, grad)
-	})
-	start := 0.05 * ev.Eval(p.phi, x0, 0)
-	if start <= 0 {
-		start = 1
-	}
-	sol, err := convex.MinimizeAnnealed(obj, p.lower, p.upper, x0, convex.AnnealOptions{
-		StartTemp: start, EndTemp: start * 1e-5,
-		Inner: convex.Options{MaxIter: 4000},
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	return p.scored(sol)
 }

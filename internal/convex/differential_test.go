@@ -109,24 +109,20 @@ func buildPhi(t testing.TB, g *mdg.Graph, model costmodel.Model, procs int) *phi
 	return p
 }
 
-// annealed is the signature MinimizeAnnealed and its reference share.
-type annealed func(convex.TempObjective, []float64, []float64, []float64, convex.AnnealOptions) (convex.Result, error)
-
 // solution is one solve of the program, scored the way alloc.Solve scores
 // it: the exact (hard-max) Φ at the final point.
 type solution struct {
-	p       []float64
-	phi     float64
-	solver  convex.Result
-	capped  int     // temperature stages that ended at the iteration cap
-	endTemp float64 // the ladder's last temperature
+	p      []float64
+	phi    float64
+	solver convex.Result
+	capped int // temperature stages that ended at the iteration cap
 }
 
-// solve runs the single-start ladder the allocator annealed down before
+// annealed runs the single-start ladder the allocator annealed down before
 // its exact solve (box midpoint, start temperature 5 % of Φ there, five
 // decades, 4 000 iterations a stage, GradTol and FTol scaled by tighten)
-// with the given minimizer.
-func (pp *phiProblem) solve(t testing.TB, minimize annealed, tighten float64) solution {
+// with the reference minimizer, convex.RefMinimizeAnnealed.
+func (pp *phiProblem) annealed(t testing.TB, tighten float64) solution {
 	t.Helper()
 	ev := expr.NewEvaluator(&pp.eg)
 	obj := convex.TempFunc(func(temp float64, x, grad []float64) float64 {
@@ -143,13 +139,13 @@ func (pp *phiProblem) solve(t testing.TB, minimize annealed, tighten float64) so
 	if start <= 0 {
 		start = 1
 	}
-	out := solution{endTemp: start * 1e-5}
+	var out solution
 	inner := convex.Options{MaxIter: 4000}
 	if tighten != 1 {
 		inner.GradTol, inner.FTol = 1e-8*tighten, 1e-12*tighten
 	}
-	sol, err := minimize(obj, pp.lower, pp.upper, x0, convex.AnnealOptions{
-		StartTemp: start, EndTemp: out.endTemp, Inner: inner,
+	sol, err := convex.RefMinimizeAnnealed(obj, pp.lower, pp.upper, x0, convex.AnnealOptions{
+		StartTemp: start, EndTemp: start * 1e-5, Inner: inner,
 		OnStage: func(_ int, _ float64, r convex.Result) error {
 			if r.Status == convex.MaxIterReached {
 				out.capped++
@@ -206,15 +202,6 @@ func programInstance(t testing.TB, cal *trainsets.Calibration, kind string, size
 	return instance{fmt.Sprintf("%s%d-p%d", kind, size, procs), p.G, cal.Model(), procs}
 }
 
-// oracleSuite is the oracle's 200 generated MDGs at p = 8.
-func oracleSuite() []instance {
-	var out []instance
-	for seed := uint64(1); seed <= 200; seed++ {
-		out = append(out, instance{fmt.Sprintf("oracle-%d", seed), oracle.RandomGraph(seed, oracle.GenOptions{}), cm5Fit, 8})
-	}
-	return out
-}
-
 // goldenSet is the six programs behind testdata/golden.
 func goldenSet(t testing.TB, cal *trainsets.Calibration) []instance {
 	var out []instance
@@ -248,6 +235,31 @@ func coldSpecs(t testing.TB, cal *trainsets.Calibration) []instance {
 	return out
 }
 
+// population is one named set of allocation problems.
+type population struct {
+	name string
+	set  []instance
+}
+
+// solverPopulations are the differential gates' 780 instances, the same
+// as internal/alloc's: the oracle's 200 generated MDGs at p = 16, 200
+// planted-symmetry MDGs at p = 8 (both on the CM-5 fit),
+// determinism_test's 50 on the trained model, the 30-configuration
+// Strassen sweep and the benchmark's 300 cold CMM specs.
+func solverPopulations(t testing.TB) []population {
+	cal := trainedCM5(t)
+	var randomGen, planted, determinism []instance
+	for seed := uint64(1); seed <= 200; seed++ {
+		randomGen = append(randomGen, instance{fmt.Sprintf("oracle-%d", seed), oracle.RandomGraph(seed, oracle.GenOptions{}), cm5Fit, 16})
+		planted = append(planted, instance{fmt.Sprintf("planted-%d", seed), oracle.PlantedGraph(seed, oracle.GenOptions{}), cm5Fit, 8})
+	}
+	for seed := uint64(1); seed <= 50; seed++ {
+		determinism = append(determinism, instance{fmt.Sprintf("determinism-%d", seed), oracle.RandomGraph(seed, oracle.GenOptions{}), cal.Model(), 16})
+	}
+	return []population{{"oracle200", randomGen}, {"planted200", planted}, {"determinism50", determinism},
+		{"strassen-sweep", strassenSweep(t, cal)}, {"svc-cold300", coldSpecs(t, cal)}}
+}
+
 // exact is the allocator's default solve of the rebuilt program: its
 // epigraph form by the interior-point method from the box midpoint,
 // scored by the exact Φ.
@@ -279,7 +291,8 @@ func (pp *phiProblem) exact(t testing.TB) solution {
 // alloc.Solve minimizes — same evaluations, same iterations, same point.
 func TestRebuiltPhiIsTheAllocators(t *testing.T) {
 	cal := trainedCM5(t)
-	for _, in := range []instance{programInstance(t, cal, "cmm", 56, 23), programInstance(t, cal, "strassen", 16, 16), oracleSuite()[6]} {
+	for _, in := range []instance{programInstance(t, cal, "cmm", 56, 23), programInstance(t, cal, "strassen", 16, 16),
+		{"oracle-7", oracle.RandomGraph(7, oracle.GenOptions{}), cm5Fit, 8}} {
 		want, err := alloc.Solve(in.g, in.model, in.procs, alloc.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -292,97 +305,79 @@ func TestRebuiltPhiIsTheAllocators(t *testing.T) {
 	}
 }
 
-// TestMinimizeNoWorseThanReference is the minimizer's differential gate.
-// The referee is Φ, the quantity the convex program minimizes — never
-// T_psa, which the true optimum of a communication-bound problem can
-// raise (EXPERIMENTS.md, "Strassen sweep"). On every instance the
-// quasi-Newton minimizer must land no higher than the spectral-gradient
-// reference to 1e-9 relative, and over each population strictly lower in
-// the mean, because the reference stops short wherever the problem is
-// communication-bound. One allowance: where the new point is also the
-// better minimizer of what both were actually handed — the smoothed
-// objective at EndTemp — the reference merely stopped short of it, and
-// the exact Φ of two such points differs on the scale of the temperature
-// (Φ <= f_T <= Φ + T·log k), not of the stop rule; there the bound is a
-// tenth of EndTemp. It is used by 2 of the 536 instances (oracle seeds 116
-// and 118, two-variable problems where the reference ends 6e-10 above the
-// smoothed minimum and reads 1.3e-8 lower in Φ for it).
-//
-// On the program populations the schedules are compared as well: with the
-// rounding band on, both minimizers must produce the same sched.Alloc on
-// every one of the benchmark's 300 cold specs, which is the property that
-// unpins later solver changes from the rounding cliff. Run with -v for the
-// per-configuration table EXPERIMENTS.md quotes.
-func TestMinimizeNoWorseThanReference(t *testing.T) {
-	cal := trainedCM5(t)
-	type population struct {
-		name      string
-		set       []instance
-		schedules bool // compare T_psa (the instances have START/STOP)
-		sameAlloc bool // ... and require the same rounded allocation
-	}
-	populations := []population{
-		{name: "oracle200", set: oracleSuite()},
-		{name: "goldens", set: goldenSet(t, cal), schedules: true},
-		{name: "strassen-sweep", set: strassenSweep(t, cal), schedules: true},
-	}
-	if !testing.Short() {
-		populations = append(populations, population{name: "svc-cold300", set: coldSpecs(t, cal), schedules: true, sameAlloc: true})
-	}
-	for _, pop := range populations {
+// The differential gate of the exact solve (DESIGN.md §12, "Interior point
+// on the epigraph form"): alloc.Solve against the temperature ladder it
+// replaced, run by the reference minimizer on the rebuilt program.
+
+// TestExactSolveNoWorseThanAnnealed: on the 780 instances of
+// solverPopulations every solve certifies a gap of at most 1e-9 and lands
+// no higher in exact Φ than the annealed solve, to that certificate. Run
+// with -v for each population's mean relative fall.
+func TestExactSolveNoWorseThanAnnealed(t *testing.T) {
+	for _, pop := range solverPopulations(t) {
 		t.Run(pop.name, func(t *testing.T) {
-			var sumNew, sumRef float64
-			var evalsNew, evalsRef, higher, allowed, cappedNew, cappedRef, moved int
+			fall, worst := 0.0, -1.0
 			for _, in := range pop.set {
-				pp := buildPhi(t, in.g, in.model, in.procs)
-				got := pp.solve(t, convex.MinimizeAnnealed, 1)
-				ref := pp.solve(t, convex.RefMinimizeAnnealed, 1)
-				bound := ref.phi * (1 + 1e-9)
-				if got.phi > bound && got.solver.F <= ref.solver.F {
-					allowed++
-					bound += got.endTemp / 10
-				}
-				if got.phi > bound {
-					t.Errorf("%s: Φ = %.12g, reference %.12g (ratio − 1 = %.3g; smoothed objective %.15g vs %.15g)",
-						in.name, got.phi, ref.phi, got.phi/ref.phi-1, got.solver.F, ref.solver.F)
-				}
-				if got.phi > ref.phi {
-					higher++
-				}
-				sumNew += got.phi
-				sumRef += ref.phi
-				evalsNew += got.solver.Evals
-				evalsRef += ref.solver.Evals
-				cappedNew += got.capped
-				cappedRef += ref.capped
-				if !pop.schedules {
-					continue
-				}
-				sNew, err := sched.Run(in.g, in.model, got.p, in.procs, sched.Options{})
+				got, err := alloc.Solve(in.g, in.model, in.procs, alloc.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				sRef, err := sched.Run(in.g, in.model, ref.p, in.procs, sched.Options{})
-				if err != nil {
-					t.Fatal(err)
+				if got.Solver.Status != convex.GapConverged || !(got.Solver.Gap <= 1e-9) {
+					t.Errorf("%s: stopped %v, certificate %v", in.name, got.Solver.Status, got.Solver.Gap)
 				}
-				if !slices.Equal(sNew.Alloc, sRef.Alloc) {
-					moved++
-					if pop.sameAlloc {
-						t.Errorf("%s: allocation %v, from the reference's solution %v", in.name, sNew.Alloc, sRef.Alloc)
-					}
+				ref := buildPhi(t, in.g, in.model, in.procs).annealed(t, 1)
+				ratio := got.Phi/ref.phi - 1
+				if ratio > 1e-9 {
+					t.Errorf("%s: Φ %.12g, annealed %.12g (%+.3g)", in.name, got.Phi, ref.phi, ratio)
 				}
-				t.Logf("%-16s Φ %.9g → %.9g (%+.2f %%)  T_psa %.9g → %.9g (%+.2f %%)  evals %d → %d, capped stages %d → %d",
-					in.name, ref.phi, got.phi, 100*(got.phi/ref.phi-1), sRef.Makespan, sNew.Makespan, 100*(sNew.Makespan/sRef.Makespan-1),
-					ref.solver.Evals, got.solver.Evals, ref.capped, got.capped)
+				fall -= ratio
+				worst = max(worst, ratio)
 			}
-			n := float64(len(pop.set))
-			if sumNew >= sumRef {
-				t.Errorf("mean Φ %.12g is not below the reference's %.12g", sumNew/n, sumRef/n)
-			}
-			t.Logf("%d instances: mean Φ %.12g (reference %.12g), %d read higher, %d of them by more than 1e-9 (allowance); evaluations %d (reference %d); stages at the iteration cap %d (reference %d); %d rounded allocations differ",
-				len(pop.set), sumNew/n, sumRef/n, higher, allowed, evalsNew, evalsRef, cappedNew, cappedRef, moved)
+			t.Logf("%d instances: Φ falls %.3g relative in the mean, worst %+.3g", len(pop.set), fall/float64(len(pop.set)), worst)
 		})
+	}
+}
+
+// TestExactSolveSchedulesLikeAnnealed: the more exact Φ moves no rounded
+// allocation — sched.Run gives the same Alloc and T_psa from either solve
+// on the benchmark's 300 cold specs and two hot specs, CMM-256 and
+// Strassen-128 at p = 64 and the six golden configurations.
+//
+// Two goldens are the exception, and the test pins that they are the
+// only ones: Strassen-16 at p = 16 and p = 64, where the reference ladder
+// ends stages at its iteration cap and stops 0.7 % and 1.1 % above the
+// optimum in Φ, and where the optimum schedules 6.4 % and 42.8 % longer
+// under PSA than that point does (EXPERIMENTS.md, "Strassen sweep"). Their
+// schedules are the exact solve's, pinned by the golden tests.
+func TestExactSolveSchedulesLikeAnnealed(t *testing.T) {
+	cal := trainedCM5(t)
+	set := append(coldSpecs(t, cal), programInstance(t, cal, "cmm", 16, 4), programInstance(t, cal, "cmm", 16, 8),
+		programInstance(t, cal, "cmm", 256, 64), programInstance(t, cal, "strassen", 128, 64))
+	set = append(set, goldenSet(t, cal)...)
+	stopsShort := map[string]bool{"strassen16-p16": true, "strassen16-p64": true}
+	for _, in := range set {
+		got, err := alloc.Solve(in.g, in.model, in.procs, alloc.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := buildPhi(t, in.g, in.model, in.procs).annealed(t, 1)
+		sGot, err := sched.Run(in.g, in.model, got.P, in.procs, sched.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sRef, err := sched.Run(in.g, in.model, ref.p, in.procs, sched.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.Equal(sGot.Alloc, sRef.Alloc) && sGot.Makespan == sRef.Makespan {
+			continue
+		}
+		if stopsShort[in.name] && ref.capped > 0 && got.Phi < ref.phi*(1-1e-3) {
+			t.Logf("%s: the reference stops short (%d stages at the cap, Φ %+.2f %%): T_psa %v, from the reference %v",
+				in.name, ref.capped, 100*(ref.phi/got.Phi-1), sGot.Makespan, sRef.Makespan)
+			continue
+		}
+		t.Errorf("%s: allocation %v (T_psa %v), annealed %v (%v)", in.name, sGot.Alloc, sGot.Makespan, sRef.Alloc, sRef.Makespan)
 	}
 }
 
@@ -392,8 +387,8 @@ func TestMinimizeNoWorseThanReference(t *testing.T) {
 // reference's solution leaves them above it (6.0028) and any more exact
 // solve below (5.989), so plain RoundAndBound rounds them to 8 or to 4 by
 // the solver's last digits. With the band, the schedule is the same from
-// the reference, from the new minimizer at the allocator's tolerances and
-// from it at tolerances 100 times tighter.
+// the reference, from it at tolerances 100 times tighter and from the
+// allocator's exact solve.
 func TestRoundingIsStableAcrossSolves(t *testing.T) {
 	in := programInstance(t, trainedCM5(t), "cmm", 56, 23)
 	pp := buildPhi(t, in.g, in.model, in.procs)
@@ -401,9 +396,9 @@ func TestRoundingIsStableAcrossSolves(t *testing.T) {
 		name string
 		sol  solution
 	}{
-		{"reference", pp.solve(t, convex.RefMinimizeAnnealed, 1)},
-		{"quasi-Newton", pp.solve(t, convex.MinimizeAnnealed, 1)},
-		{"quasi-Newton, 100× tighter", pp.solve(t, convex.MinimizeAnnealed, 1e-2)},
+		{"reference", pp.annealed(t, 1)},
+		{"reference, 100× tighter", pp.annealed(t, 1e-2)},
+		{"exact", pp.exact(t)},
 	}
 	var first *sched.Schedule
 	plainDiffers := false

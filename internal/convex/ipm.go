@@ -122,10 +122,10 @@ type direction struct {
 }
 
 // MinimizeEpigraph solves ep's program exactly by a primal-dual interior-
-// point method from x0 (pulled a tenth of the way toward the box midpoint
-// so that it is strictly inside; variables with lower == upper are fixed
-// there), the epigraph variables starting startMargin above their
-// children. It stops with Status GapConverged once the certificate is at
+// point method from x0 (projected onto the box, then pulled a tenth of
+// the way toward its midpoint so that it is strictly inside; variables
+// with lower == upper are fixed there), the epigraph variables starting
+// startMargin above their children. It stops with Status GapConverged once the certificate is at
 // most gapTol (see certify), and reports X as the x part of the final
 // point, F as the log of the root's exact value at X, and Gap as the
 // certificate: F is within Gap of the optimum. Evals counts evaluations of
@@ -151,7 +151,7 @@ func MinimizeEpigraph(ep *expr.Epigraph, lower, upper, x0 []float64, onIter func
 		mid := 0.5 * (lower[i] + upper[i])
 		x[i] = mid
 		if s.free[i] {
-			x[i] = clamp(0.9*x0[i]+0.1*mid, lower[i], upper[i])
+			x[i] = 0.9*clamp(x0[i], lower[i], upper[i]) + 0.1*mid
 		}
 	}
 	copy(s.cur.u, ep.Start(x, startMargin))

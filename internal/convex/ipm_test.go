@@ -182,6 +182,9 @@ func TestMinimizeEpigraphErrors(t *testing.T) {
 	if _, err := MinimizeEpigraph(ep, []float64{1}, []float64{0}, []float64{0}, nil); err == nil {
 		t.Fatal("want an error for lower > upper")
 	}
+	if _, err := MinimizeEpigraph(ep, []float64{math.NaN()}, []float64{1}, []float64{0}, nil); err == nil {
+		t.Fatal("want an error for a NaN bound")
+	}
 	stop := errors.New("stop")
 	calls := 0
 	_, err = MinimizeEpigraph(ep, []float64{-1}, []float64{1}, []float64{0}, func(r Result) error {

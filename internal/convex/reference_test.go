@@ -6,14 +6,80 @@ import (
 	"math"
 )
 
-// refMinimize is the minimizer this package shipped before the projected
-// quasi-Newton method: spectral (Barzilai-Borwein) projected gradient with
-// Armijo halving, kept verbatim as the reference the differential tests
-// compare against (the refEvaluator / refMul pattern). It converges to
-// the same minimum, only slowly — on Strassen-128 at p=64 it spends
-// 39 871 evaluations and ends three of nine temperature stages at the
-// iteration cap — so wherever it did converge the new method must land on
-// the same Φ, and wherever it did not the new method must land lower.
+// Objective is a differentiable function. Eval returns f(x) and, when grad
+// is non-nil, writes ∂f/∂x into it. Implementations must treat x as
+// read-only.
+type Objective interface {
+	Eval(x []float64, grad []float64) float64
+}
+
+// Func adapts a closure to the Objective interface.
+type Func func(x []float64, grad []float64) float64
+
+// Eval implements Objective.
+func (f Func) Eval(x []float64, grad []float64) float64 { return f(x, grad) }
+
+// Options tunes refMinimize. The zero value selects sensible defaults.
+type Options struct {
+	// MaxIter caps outer iterations (default 2000).
+	MaxIter int
+	// GradTol stops when the projected-gradient infinity norm falls below
+	// it (default 1e-8).
+	GradTol float64
+	// FTol stops when the relative objective decrease over an iteration
+	// falls below it (default 1e-12).
+	FTol float64
+	// InitStep is the first gradient-step length (default 1.0).
+	InitStep float64
+	// Backtrack is the step shrink factor in (0,1) (default 0.5).
+	Backtrack float64
+	// Armijo is the sufficient-decrease constant in (0,1) (default 1e-4).
+	Armijo float64
+	// MaxBacktracks caps line-search halvings per iteration (default 60).
+	MaxBacktracks int
+}
+
+func (o Options) withDefaults() Options {
+	if o.MaxIter <= 0 {
+		o.MaxIter = 2000
+	}
+	if o.GradTol <= 0 {
+		o.GradTol = 1e-8
+	}
+	if o.FTol <= 0 {
+		o.FTol = 1e-12
+	}
+	if o.InitStep <= 0 {
+		o.InitStep = 1.0
+	}
+	if o.Backtrack <= 0 || o.Backtrack >= 1 {
+		o.Backtrack = 0.5
+	}
+	if o.Armijo <= 0 || o.Armijo >= 1 {
+		o.Armijo = 1e-4
+	}
+	if o.MaxBacktracks <= 0 {
+		o.MaxBacktracks = 60
+	}
+	return o
+}
+
+// The reference's own stop reasons, which MinimizeEpigraph never reports.
+const (
+	// GradientConverged: projected gradient norm below GradTol.
+	GradientConverged Status = Stepped + 1 + iota
+	// ObjectiveConverged: relative objective decrease below FTol.
+	ObjectiveConverged
+)
+
+// refMinimize is the smoothed minimizer the allocator shipped before its
+// exact solve: spectral (Barzilai-Borwein) projected gradient with Armijo
+// halving, kept verbatim as the reference the differential tests hold the
+// interior-point method to (the refMul pattern). It converges to the
+// minimum of the smoothed objective, only slowly — on Strassen-128 at
+// p=64 it spends 39 871 evaluations and ends three of nine temperature
+// stages at the iteration cap — so the exact solve must land no higher in
+// Φ.
 func refMinimize(obj Objective, lower, upper, x0 []float64, opts Options) (Result, error) {
 	n := len(x0)
 	if n == 0 {
@@ -168,8 +234,58 @@ func refMinimize(obj Objective, lower, upper, x0 []float64, opts Options) (Resul
 	return res, nil
 }
 
-// refMinimizeAnnealed is MinimizeAnnealed as it was, over refMinimize:
-// the same ladder, warm starts, hooks and aggregation.
+// TempObjective is an objective parameterized by a smoothing temperature,
+// a log-sum-exp softening of max terms that approaches the exact function
+// as the temperature goes to zero.
+type TempObjective interface {
+	EvalAtTemp(temp float64, x []float64, grad []float64) float64
+}
+
+// TempFunc adapts a closure to TempObjective.
+type TempFunc func(temp float64, x, grad []float64) float64
+
+// EvalAtTemp implements TempObjective.
+func (f TempFunc) EvalAtTemp(temp float64, x, grad []float64) float64 { return f(temp, x, grad) }
+
+// AnnealOptions tunes refMinimizeAnnealed.
+type AnnealOptions struct {
+	// StartTemp is the first smoothing temperature (default: 1).
+	StartTemp float64
+	// EndTemp is the final (smallest) temperature (default: 1e-4).
+	EndTemp float64
+	// Decay is the per-stage temperature multiplier in (0,1)
+	// (default: 0.2).
+	Decay float64
+	// Inner configures the per-stage minimizer.
+	Inner Options
+	// OnStage, when non-nil, is called after every temperature stage
+	// with the 0-based stage index, the stage temperature, and that
+	// stage's Result (per-stage Iters/Evals, not cumulative). Returning
+	// a non-nil error aborts the anneal.
+	OnStage func(stage int, temp float64, r Result) error
+}
+
+func (a AnnealOptions) withDefaults() AnnealOptions {
+	if a.StartTemp <= 0 {
+		a.StartTemp = 1
+	}
+	if a.EndTemp <= 0 {
+		a.EndTemp = 1e-4
+	}
+	if a.EndTemp > a.StartTemp {
+		a.EndTemp = a.StartTemp
+	}
+	if a.Decay <= 0 || a.Decay >= 1 {
+		a.Decay = 0.2
+	}
+	return a
+}
+
+// refMinimizeAnnealed is the temperature ladder the allocator annealed
+// down before its exact solve, over refMinimize: it solves a sequence of
+// decreasing-temperature stages, warm-starting each from the previous
+// one's solution. The returned Result reflects the final stage at
+// EndTemp; Iters and Evals aggregate across all stages.
 func refMinimizeAnnealed(obj TempObjective, lower, upper, x0 []float64, opts AnnealOptions) (Result, error) {
 	a := opts.withDefaults()
 	x := x0

@@ -1,5 +1,5 @@
 // Package expr implements a small expression DAG over log-space variables
-// with memoized forward evaluation and exact reverse-mode gradients.
+// with forward evaluation and exact reverse-mode gradients.
 //
 // The allocation formulation of the paper (Section 2) minimizes
 // Φ = max(A_p, C_p) where every term is a posynomial in the processor
@@ -12,9 +12,9 @@
 //   - Sum and Scale (with nonnegative factors)
 //   - Mul of two expressions (used for processor-time products T_i·p_i)
 //   - SmoothMax: the max of its children — exact at temperature 0, a
-//     temperature-µ log-sum-exp softening of it at µ > 0 (the smoothed
-//     solves of ADMM), and one epigraph variable in the exact solver's
-//     compile (epigraph.go)
+//     temperature-µ log-sum-exp softening of it at µ > 0 (the annealed
+//     reference the tests hold the exact solve to), and one epigraph
+//     variable in the exact solver's compile (epigraph.go)
 //
 // Nodes are created through a Graph builder and refer to children by ID,
 // so shared subexpressions (a node weight appearing in both A_p and C_p)
@@ -22,26 +22,17 @@
 // their parents, which makes a single reverse sweep a valid reverse-mode
 // differentiation order.
 //
-// Evaluation does not walk the builder's nodes. The graph is compiled,
-// once, into a flat tape (tape.go) that every Evaluator of the graph
-// shares: monomials with the same exponent vector share one exp(a·x) per
-// sweep, a SmoothMax child's weight is exponentiated once and reused by
-// the backward sweep, and an EvalGrad at the point the previous call
-// swept runs the backward sweep only. None of it re-associates a sum or
-// merges a node, so every value and gradient is, bit for bit, what a
-// node-by-node interpretation of the graph computes — the package's
-// tests keep that interpreter and compare against it.
-//
 // The allocator's exact solve does not evaluate the graph: Graph.Epigraph
 // compiles it into a geometric program in epigraph form (epigraph.go),
-// which package convex solves by an interior-point method.
+// which package convex solves by an interior-point method. The
+// node-by-node Evaluator (eval.go) is the reference the tests evaluate Φ
+// through.
 package expr
 
 import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 )
 
 // ID names a node inside a Graph.
@@ -73,9 +64,6 @@ type node struct {
 type Graph struct {
 	nodes   []node
 	numVars int
-	// tape is the compiled form of nodes that evaluators run (tape.go),
-	// built on first use and replaced when the graph has grown since.
-	tape atomic.Pointer[tape]
 }
 
 // NumNodes reports how many nodes have been created.

@@ -283,27 +283,63 @@ func TestEvaluatorReuseAfterGraphGrowth(t *testing.T) {
 		t.Fatalf("eval after growth = %v, want 2", got)
 	}
 
-	// Growth means a recompiled tape and regrown scratch, and the forward
-	// memo of the old tape must not answer for the new one — not even at
-	// the same x. Every step is checked against the reference
-	// interpreter bit for bit.
+	// Growth regrows the scratch: every value and gradient after it is,
+	// bit for bit, a fresh evaluator's.
+	same := func(root ID, x []float64, what string) {
+		t.Helper()
+		fresh := NewEvaluator(&g)
+		got, want := make([]float64, len(x)), make([]float64, len(x))
+		if v, w := ev.EvalGrad(root, x, 0.1, got), fresh.EvalGrad(root, x, 0.1, want); math.Float64bits(v) != math.Float64bits(w) {
+			t.Fatalf("%s: value %v, fresh evaluator %v", what, v, w)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: ∂/∂x[%d] = %v, fresh evaluator %v", what, i, got[i], want[i])
+			}
+		}
+	}
 	m1 := g.Monomial(1.5, map[int]float64{0: 1, 1: -0.5})
-	m2 := g.Monomial(0.5, map[int]float64{0: 1, 1: -0.5}) // m1's exponent vector again
+	m2 := g.Monomial(0.5, map[int]float64{0: 1, 1: -0.5})
 	root := g.SmoothMax(m1, g.Sum(m2, g.Const(0.25)))
 	x := []float64{0.3, 0.9, -0.2}
-	diffPoint(t, ev, &g, root, x, 0.1, []bool{false, true}, "before growth")
+	same(root, x, "before growth")
 
-	// New nodes over the old variables, reusing an interned vector.
 	c := g.Monomial(2, map[int]float64{0: 1, 1: -0.5})
 	root = g.SmoothMax(root, g.Mul(c, m1))
-	diffPoint(t, ev, &g, root, x, 0.1, []bool{true}, "after growth, same x")
-	diffPoint(t, ev, &g, m1, x, 0.1, []bool{true}, "after growth, an old root")
+	same(root, x, "after growth")
+	same(m1, x, "after growth, an old root")
 
 	// Growth that brings a new variable with it.
 	root = g.Sum(root, g.Monomial(0.75, map[int]float64{2: 2}))
-	diffPoint(t, ev, &g, root, x, 0.1, []bool{false, true}, "after a new variable, same x")
-	if s := g.Shape(); s.Monomials != 5 || s.ExpVectors != 3 || s.SmoothMaxNodes != 2 || s.SmoothMaxChildren != 4 {
-		t.Fatalf("shape after growth = %+v", s)
+	same(root, x, "after a new variable")
+}
+
+// TestEvalDoesNotAllocate is the steady-state allocation gate: once an
+// evaluator has its scratch, neither call allocates.
+func TestEvalDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var g Graph
+	const nvars = 6
+	roots := make([]ID, 0, 16)
+	for i := 0; i < 16; i++ {
+		roots = append(roots, buildRandomGraph(rng, &g, nvars))
+	}
+	root := g.SmoothMax(roots...)
+	ev := NewEvaluator(&g)
+	xs := [2][]float64{make([]float64, nvars), make([]float64, nvars)}
+	for i := 0; i < nvars; i++ {
+		xs[0][i], xs[1][i] = rng.Float64(), rng.Float64()
+	}
+	grad := make([]float64, nvars)
+	ev.EvalGrad(root, xs[0], 0.1, grad)
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		i++
+		ev.Eval(root, xs[i&1], 0.1)
+		ev.EvalGrad(root, xs[i&1], 0.1, grad)
+		ev.EvalGrad(root, xs[(i+1)&1], 0.1, grad)
+	}); n != 0 {
+		t.Fatalf("steady-state Eval/EvalGrad allocate %v times per run, want 0", n)
 	}
 }
 

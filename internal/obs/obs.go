@@ -303,8 +303,9 @@ type AllocCache struct {
 func (AllocCache) Kind() Kind { return KindAllocCache }
 
 // AllocDone reports one completed allocation solve. Backend names the
-// path that produced the allocation ("anneal", "admm", "heuristic", or
-// "cache" for a replayed exact hit); Phi is its exact objective.
+// path that produced the allocation ("anneal" for the exact solve,
+// "heuristic", or "cache" for a replayed exact hit); Phi is its exact
+// objective.
 // Seconds is wall-clock solve time — consumers that promise
 // deterministic output must ignore it (the canonical fold does).
 type AllocDone struct {

@@ -1,9 +1,8 @@
 // Package par is the shared bounded worker pool behind every parallel
 // layer of the reproduction: the experiment drivers fan individual
 // artifacts and (program, procs) cells through it, the training-sets
-// calibration fans its measurement sweep, the ADMM allocation backend
-// fans its subgraph solves, and the simulator fans the members of a group
-// barrier.
+// calibration fans its measurement sweep, and the simulator fans the
+// members of a group barrier.
 //
 // The pool is deliberately small: indexed fan-out with ordered results,
 // context cancellation, first-error propagation, and a width taken from

@@ -162,8 +162,7 @@ func Run(g *mdg.Graph, model costmodel.Model, cont []float64, procs int, opts Op
 }
 
 // RunCtx is Run with cancellation: ctx is checked on every
-// list-scheduling pick, mirroring the allocator's per-temperature-stage
-// checks.
+// list-scheduling pick, mirroring the allocator's per-iteration checks.
 func RunCtx(ctx context.Context, g *mdg.Graph, model costmodel.Model, cont []float64, procs int, opts Options) (*Schedule, error) {
 	if procs < 1 {
 		return nil, fmt.Errorf("sched: %w: procs = %d, want >= 1", errs.ErrInfeasible, procs)

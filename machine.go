@@ -72,8 +72,6 @@ const (
 	// AllocAnneal is the exact convex solve from the box midpoint (the
 	// name predates it; see alloc.BackendAnneal).
 	AllocAnneal = alloc.BackendAnneal
-	// AllocADMM is the consensus-ADMM decomposition.
-	AllocADMM = alloc.BackendADMM
 )
 
 // Machine and backend sentinel errors.
@@ -86,8 +84,9 @@ var (
 	ErrBadMachineSpec = errs.ErrBadMachineSpec
 )
 
-// ParseAllocBackend maps a CLI string ("auto", "anneal", "admm") to a
-// typed allocation backend, failing with ErrUnknownBackend.
+// ParseAllocBackend maps a CLI string ("auto", "anneal", or the retired
+// "admm", which runs the same exact solve) to a typed allocation backend,
+// failing with ErrUnknownBackend.
 func ParseAllocBackend(s string) (AllocBackend, error) { return alloc.ParseBackend(s) }
 
 // MachineNames lists the built-in machine database, sorted.

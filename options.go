@@ -51,8 +51,9 @@ type (
 	// AllocOptions tunes the convex allocation (backend selection,
 	// allocation cache, ablations, observer).
 	AllocOptions = alloc.Options
-	// ADMMOptions tunes the consensus-ADMM allocation backend
-	// (AllocOptions.Backend = "admm").
+	// ADMMOptions tuned the retired consensus-ADMM allocation backend.
+	//
+	// Deprecated: ignored; see alloc.ADMMOptions.
 	ADMMOptions = alloc.ADMMOptions
 	// AllocCache is the allocation cache: a bounded LRU keyed by the
 	// relabel-invariant canonical MDG hash, cost model, solve options and
