@@ -6,9 +6,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci fmt-check vet build test test-race race fuzz-smoke bench-smoke bench-module smoke-paradigmd smoke-paradigmd-chaos smoke-paradigmd-memory smoke-paradigmd-tenants smoke-paradigmd-cluster
+.PHONY: ci fmt-check vet build test test-race race fuzz-smoke bench-smoke bench-module smoke-paradigmd smoke-paradigmd-chaos smoke-paradigmd-memory smoke-paradigmd-tenants smoke-paradigmd-cluster smoke-examples
 
-ci: fmt-check vet build test-race fuzz-smoke bench-smoke bench-module smoke-paradigmd smoke-paradigmd-chaos smoke-paradigmd-memory smoke-paradigmd-tenants smoke-paradigmd-cluster
+ci: fmt-check vet build test-race fuzz-smoke bench-smoke bench-module smoke-paradigmd smoke-paradigmd-chaos smoke-paradigmd-memory smoke-paradigmd-tenants smoke-paradigmd-cluster smoke-examples
 
 # gofmt gate: fails listing the offending files, mutating nothing.
 fmt-check:
@@ -118,3 +118,14 @@ smoke-paradigmd-tenants:
 smoke-paradigmd-cluster:
 	$(GO) test . -race -run '^TestCluster' -count=1 -timeout 600s
 	$(GO) test ./cmd/paradigmd/ -run '^TestServiceCluster' -count=1 -v
+
+# Build every example and run it in a temporary directory (some write
+# trace files into their working directory): an example that no longer
+# compiles, exits non-zero or fails one of its own checks fails the gate.
+smoke-examples:
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/" ./examples/... || exit 1; \
+	cd "$$dir" && for ex in *; do \
+		echo "example $$ex"; \
+		./$$ex > "$$ex.out" 2>&1 || { cat "$$ex.out"; exit 1; }; \
+	done

@@ -2,14 +2,16 @@
 //
 // WithCheckpoint attaches a write-ahead checkpoint log to a pipeline
 // call. Each completed stage (calibration fit, allocation vector, PSA
-// schedule, codegen program, recovery salvage) commits one CRC-checked
+// schedule, recovery salvage, run outcome) commits one CRC-checked
 // record: the log file is created with an atomic rename and each commit
 // appends the record, then publishes it by rewriting the header's
 // commit pointer in place (crash-atomic under process death). A killed
 // run re-invoked with the same log resumes from the last committed
 // stage and — because every stage is deterministic — produces a
 // bit-identical result, which the chaos tests verify with
-// oracle.CheckRun on the resumed trace.
+// oracle.CheckRun on the resumed trace. The MPMD code is not logged:
+// a resumed run regenerates it from the restored schedule, as a run
+// without a checkpoint generates it.
 //
 //	cp, err := paradigm.OpenCheckpoint("run.wal") // resumes if it exists
 //	res, err := paradigm.RunContext(ctx, p, m, cal, 64,

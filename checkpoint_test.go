@@ -118,7 +118,7 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s p=%d reference: %v", name, procs, err)
 			}
-			// Commit order: meta, alloc, sched, codegen, done.
+			// Commit order: meta, alloc, sched, done.
 			for kill := 1; kill <= 3; kill++ {
 				t.Run(fmt.Sprintf("%s-p%d-kill%d", name, procs, kill), func(t *testing.T) {
 					path := filepath.Join(t.TempDir(), "run.wal")
@@ -171,6 +171,58 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// A log written when the pipeline still journaled its MPMD code holds a
+// "codegen" record after sched. A resume must neither decode nor trust
+// it: the run regenerates the code from the restored schedule, matches
+// an uninterrupted run bit for bit, and restores alloc and sched only.
+func TestResumeIgnoresCodegenRecord(t *testing.T) {
+	cal := testCal(t)
+	m := NewCM5(64)
+	p := buildProgram(t, cal, "cmm32")
+	ref, err := RunContext(context.Background(), p, m, cal, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.wal")
+	cp, err := OpenCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cp.OnCommit(func(stage string, _ int) {
+		if stage == "sched" {
+			cancel()
+		}
+	})
+	if _, err := RunContext(ctx, p, m, cal, 8, WithCheckpoint(cp)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("aborted run = %v, want context.Canceled", err)
+	}
+
+	re, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := re.log.Commit("codegen", []byte{0xde, 0xad}); err != nil {
+		t.Fatal(err)
+	}
+	rec := NewEventRecorder()
+	got, err := RunContext(context.Background(), p, m, cal, 8, WithCheckpoint(re), WithObserver(rec))
+	if err != nil {
+		t.Fatalf("resume over a stale codegen record: %v", err)
+	}
+	requireIdenticalRuns(t, "cmm32", 8, p, ref, got)
+	var resumed []string
+	for _, e := range rec.Events() {
+		if r, ok := e.(obs.Resume); ok {
+			resumed = append(resumed, r.Stage)
+		}
+	}
+	if fmt.Sprint(resumed) != "[alloc sched]" {
+		t.Fatalf("resumed stages %v, want [alloc sched]", resumed)
 	}
 }
 
@@ -447,7 +499,7 @@ func TestCheckpointedRecoverySalvage(t *testing.T) {
 		}
 		mustVerifyExact(t, p, got)
 		requireIdenticalRuns(t, "cmm32", 8, p, ref, got)
-		wantResumes := map[string]bool{"alloc": false, "sched": false, "codegen": false, "salvage-1": false, "done": false}
+		wantResumes := map[string]bool{"alloc": false, "sched": false, "salvage-1": false, "done": false}
 		for _, e := range rec.Events() {
 			if r, ok := e.(obs.Resume); ok {
 				if _, tracked := wantResumes[r.Stage]; tracked {

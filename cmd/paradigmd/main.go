@@ -980,38 +980,42 @@ func (s *server) execute(req jobRequest, id string) (run jobRun, err error) {
 	return run, err
 }
 
-// clusterFaultPlan builds the deterministic partition-death plan for a
-// cluster-injected fault: the partition-local processor dies halfway
-// through the job's fault-free makespan (a pre-run supplies the hint,
-// priming the shared allocation cache so the faulted run replays the
-// identical allocation).
-func (s *server) clusterFaultPlan(req jobRequest, p *paradigm.Program, local int) (*paradigm.FaultPlan, error) {
+// cleanMakespan runs the job fault-free and returns its makespan, the
+// hint a fault plan scales its times by. The pre-run primes the shared
+// allocation cache, so the faulted run replays the identical allocation.
+func (s *server) cleanMakespan(req jobRequest, p *paradigm.Program) (float64, error) {
 	pre := []paradigm.Option{paradigm.WithAllocOptions(paradigm.AllocOptions{Cache: s.allocCache})}
 	if s.mach.backend != nil {
 		pre = append(pre, paradigm.WithMachine(s.mach.backend))
 	}
 	clean, err := paradigm.RunContext(context.Background(), p, s.mach.profile(req.Procs), s.mach.cal, req.Procs, pre...)
 	if err != nil {
-		return nil, fmt.Errorf("cluster fault-plan pre-run: %w", err)
+		return 0, fmt.Errorf("fault-plan pre-run: %w", err)
 	}
-	return &paradigm.FaultPlan{ProcFails: []paradigm.ProcFail{{Proc: local, At: clean.Actual / 2}}}, nil
+	return clean.Actual, nil
 }
 
-// faultPlan derives a job's deterministic fault schedule from its seed:
-// a fault-free pre-run (priming the shared allocation cache, so the
-// faulted run replays the identical allocation) supplies the makespan
-// hint that scales fail times. Jobs that asked for recovery lose one
-// processor mid-run; every seeded job sees one delayed message.
-func (s *server) faultPlan(req jobRequest, p *paradigm.Program) (*paradigm.FaultPlan, error) {
-	pre := []paradigm.Option{paradigm.WithAllocOptions(paradigm.AllocOptions{Cache: s.allocCache})}
-	if s.mach.backend != nil {
-		pre = append(pre, paradigm.WithMachine(s.mach.backend))
-	}
-	clean, err := paradigm.RunContext(context.Background(), p, s.mach.profile(req.Procs), s.mach.cal, req.Procs, pre...)
+// clusterFaultPlan builds the deterministic partition-death plan for a
+// cluster-injected fault: the partition-local processor dies halfway
+// through the job's fault-free makespan.
+func (s *server) clusterFaultPlan(req jobRequest, p *paradigm.Program, local int) (*paradigm.FaultPlan, error) {
+	hint, err := s.cleanMakespan(req, p)
 	if err != nil {
-		return nil, fmt.Errorf("fault-plan pre-run: %w", err)
+		return nil, err
 	}
-	o := paradigm.FaultRandOptions{Procs: req.Procs, MakespanHint: clean.Actual, MsgDelays: 1}
+	return &paradigm.FaultPlan{ProcFails: []paradigm.ProcFail{{Proc: local, At: hint / 2}}}, nil
+}
+
+// faultPlan derives a job's deterministic fault schedule from its seed,
+// with fail times scaled by the fault-free makespan. Jobs that asked for
+// recovery lose one processor mid-run; every seeded job sees one delayed
+// message.
+func (s *server) faultPlan(req jobRequest, p *paradigm.Program) (*paradigm.FaultPlan, error) {
+	hint, err := s.cleanMakespan(req, p)
+	if err != nil {
+		return nil, err
+	}
+	o := paradigm.FaultRandOptions{Procs: req.Procs, MakespanHint: hint, MsgDelays: 1}
 	if req.Recover > 0 {
 		o.ProcFails = 1
 	}

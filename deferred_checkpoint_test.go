@@ -89,10 +89,10 @@ func TestDeferredCheckpointSolvedRunMatchesEager(t *testing.T) {
 	}
 	eagerPath, lazyPath, lazy, eagerEv, lazyEv := runBothWays(t, p, NewCM5(8), cal, 8, cold)
 	requireSameWAL(t, eagerPath, lazyPath)
-	if !reflect.DeepEqual(lazyEv, eagerEv) || len(lazyEv) != 5 {
+	if !reflect.DeepEqual(lazyEv, eagerEv) || len(lazyEv) != 4 {
 		t.Fatalf("Checkpoint events differ:\n deferred %+v\n eager    %+v", lazyEv, eagerEv)
 	}
-	if got := lazy.Stages(); len(got) != 5 {
+	if got := lazy.Stages(); len(got) != 4 {
 		t.Fatalf("materialized checkpoint lists %v", got)
 	}
 }
@@ -111,8 +111,8 @@ func TestDeferredCheckpointReplayedRunLeavesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	eagerPath, lazyPath, lazy, eagerEv, lazyEv := runBothWays(t, p, m, cal, 8, warm)
-	if len(eagerEv) != 5 {
-		t.Fatalf("eager log committed %d stages, want 5", len(eagerEv))
+	if len(eagerEv) != 4 {
+		t.Fatalf("eager log committed %d stages, want 4", len(eagerEv))
 	}
 	if _, err := os.Stat(eagerPath); err != nil {
 		t.Fatal(err)

@@ -52,6 +52,9 @@ func main() {
 		}
 	})
 	_, err = paradigm.RunContext(ctx, p, m, cal, 8, paradigm.WithCheckpoint(cp))
+	if !errors.Is(err, context.Canceled) {
+		log.Fatalf("killed run returned %v, want context.Canceled", err)
+	}
 	fmt.Printf("killed run: %v\n\n", err)
 
 	resumed, err := paradigm.LoadCheckpoint(wal)

@@ -1,8 +1,7 @@
 // Package ckpt is the crash-safety layer of the pipeline: a versioned,
 // CRC-checked write-ahead checkpoint log that snapshots stage boundaries
-// (calibration fit, allocation vector, PSA schedule, codegen program,
-// salvage state) so a killed run can resume from the last committed
-// stage bit-identically.
+// (calibration fit, allocation vector, PSA schedule, salvage state) so a
+// killed run can resume from the last committed stage bit-identically.
 //
 // Durability model. The log is a single file created atomically
 // (write-to-temp + rename, so the path never holds a torn header). Each
@@ -69,7 +68,6 @@ const (
 	StageCalibrate = "calibrate"
 	StageAlloc     = "alloc"
 	StageSched     = "sched"
-	StageCodegen   = "codegen"
 	StageSalvage   = "salvage"
 	StageDone      = "done"
 )

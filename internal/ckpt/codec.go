@@ -1,10 +1,11 @@
-// Stage payload codecs: the snapshots the pipeline commits at each
-// stage boundary (JSON, except the large MPMD program which is binary),
-// with strict decoders that validate structure before the snapshot is
-// trusted. Every decode failure wraps ErrCorrupt (the
+// Stage payload codecs: the JSON snapshots the pipeline commits at each
+// stage boundary, with strict decoders that validate structure before
+// the snapshot is trusted. Every decode failure wraps ErrCorrupt (the
 // bytes are damaged) and every job-shape disagreement wraps ErrMismatch
 // (the bytes are fine but belong to a different job) — callers never
-// have to guess which happened.
+// have to guess which happened. The MPMD program has no record: code
+// generation is a pure function of the program and the schedule, so a
+// resumed run regenerates it from the restored schedule.
 //
 // Bit-identical resume rests on two facts: Go's encoding/json marshals
 // float64 in shortest-round-trip form (decode(encode(x)) == x exactly),
@@ -14,16 +15,13 @@
 package ckpt
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 
 	"paradigm/internal/alloc"
-	"paradigm/internal/codegen"
 	"paradigm/internal/machine"
 	"paradigm/internal/matrix"
-	"paradigm/internal/mdg"
 	"paradigm/internal/sched"
 	"paradigm/internal/trainsets"
 )
@@ -128,232 +126,6 @@ func DecodeSchedule(data []byte, nodes, procs int) (*sched.Schedule, error) {
 		}
 	}
 	return &s, nil
-}
-
-// The MPMD program is by far the largest stage payload (hundreds of KB
-// at production scale), so unlike the other stages it uses a compact
-// varint binary encoding instead of JSON: an order of magnitude smaller
-// and cheaper to commit, with the same exact round-trip (instructions
-// carry only ints and strings). Layout:
-//
-//	format[u8] procs[uvarint] streams[uvarint]
-//	per stream: count[uvarint], then per instruction an opcode byte
-//	followed by its fields; ints are zig-zag varints, strings and
-//	groups are length-prefixed.
-const streamsFormat = 1
-
-// Instruction opcodes in the binary streams encoding.
-const (
-	opSend = 1
-	opRecv = 2
-	opMove = 3
-	opExec = 4
-)
-
-func appendStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendInt(b []byte, v int) []byte { return binary.AppendVarint(b, int64(v)) }
-
-func appendRect(b []byte, r codegen.Rect) []byte {
-	b = appendInt(b, r.R0)
-	b = appendInt(b, r.R1)
-	b = appendInt(b, r.C0)
-	return appendInt(b, r.C1)
-}
-
-// streamsReader is a cursor over the binary streams payload. The first
-// decode error sticks; every later read returns zero values, so decode
-// loops stay linear and check err once.
-type streamsReader struct {
-	data []byte
-	err  error
-}
-
-func (r *streamsReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: codegen: %s", ErrCorrupt, fmt.Sprintf(format, args...))
-	}
-}
-
-func (r *streamsReader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.data) == 0 {
-		r.fail("truncated payload")
-		return 0
-	}
-	b := r.data[0]
-	r.data = r.data[1:]
-	return b
-}
-
-func (r *streamsReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data)
-	if n <= 0 {
-		r.fail("bad uvarint")
-		return 0
-	}
-	r.data = r.data[n:]
-	return v
-}
-
-func (r *streamsReader) int() int {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.data)
-	if n <= 0 {
-		r.fail("bad varint")
-		return 0
-	}
-	r.data = r.data[n:]
-	return int(v)
-}
-
-func (r *streamsReader) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.data)) {
-		r.fail("string length %d exceeds remaining %d bytes", n, len(r.data))
-		return ""
-	}
-	s := string(r.data[:n])
-	r.data = r.data[n:]
-	return s
-}
-
-func (r *streamsReader) rect() codegen.Rect {
-	return codegen.Rect{R0: r.int(), R1: r.int(), C0: r.int(), C1: r.int()}
-}
-
-// EncodeStreams snapshots a generated MPMD program.
-func EncodeStreams(st *codegen.Streams) ([]byte, error) {
-	out := make([]byte, 0, 64<<10)
-	out = append(out, streamsFormat)
-	out = binary.AppendUvarint(out, uint64(st.Procs))
-	out = binary.AppendUvarint(out, uint64(len(st.PerProc)))
-	for _, stream := range st.PerProc {
-		out = binary.AppendUvarint(out, uint64(len(stream)))
-		for _, in := range stream {
-			switch v := in.(type) {
-			case codegen.Send:
-				out = append(out, opSend)
-				out = appendStr(out, v.Tag)
-				out = appendInt(out, v.To)
-				out = appendRect(out, v.Payload)
-				out = appendStr(out, v.SrcInstance)
-			case codegen.Recv:
-				out = append(out, opRecv)
-				out = appendStr(out, v.Tag)
-				out = appendInt(out, v.From)
-				out = appendRect(out, v.Payload)
-				out = appendStr(out, v.DstInstance)
-				out = appendRect(out, v.Block)
-			case codegen.Move:
-				out = append(out, opMove)
-				out = appendRect(out, v.Payload)
-				out = appendStr(out, v.SrcInstance)
-				out = appendStr(out, v.DstInstance)
-				out = appendRect(out, v.Block)
-			case codegen.Exec:
-				out = append(out, opExec)
-				out = appendInt(out, int(v.Node))
-				out = binary.AppendUvarint(out, uint64(len(v.Group)))
-				for _, g := range v.Group {
-					out = appendInt(out, g)
-				}
-				out = appendInt(out, v.MySlot)
-			default:
-				return nil, fmt.Errorf("ckpt: unknown instruction type %T", in)
-			}
-		}
-	}
-	return out, nil
-}
-
-// DecodeStreams restores an MPMD program for procs processors.
-func DecodeStreams(data []byte, procs int) (*codegen.Streams, error) {
-	r := &streamsReader{data: data}
-	if f := r.byte(); r.err == nil && f != streamsFormat {
-		return nil, fmt.Errorf("%w: codegen: unknown streams format %d", ErrCorrupt, f)
-	}
-	gotProcs := int(r.uvarint())
-	streams := int(r.uvarint())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if gotProcs != procs {
-		return nil, fmt.Errorf("%w: streams are for %d processors, resuming %d",
-			ErrMismatch, gotProcs, procs)
-	}
-	if streams != gotProcs {
-		return nil, fmt.Errorf("%w: %d streams for %d processors", ErrCorrupt, streams, gotProcs)
-	}
-	st := &codegen.Streams{Procs: gotProcs, PerProc: make([][]codegen.Instr, gotProcs)}
-	for pi := 0; pi < streams; pi++ {
-		count := r.uvarint()
-		if r.err != nil {
-			return nil, r.err
-		}
-		if count > uint64(len(r.data)) {
-			return nil, fmt.Errorf("%w: codegen: stream %d declares %d instructions with %d bytes left",
-				ErrCorrupt, pi, count, len(r.data))
-		}
-		out := make([]codegen.Instr, 0, count)
-		for i := uint64(0); i < count; i++ {
-			switch op := r.byte(); op {
-			case opSend:
-				out = append(out, codegen.Send{Tag: r.str(), To: r.int(),
-					Payload: r.rect(), SrcInstance: r.str()})
-			case opRecv:
-				out = append(out, codegen.Recv{Tag: r.str(), From: r.int(),
-					Payload: r.rect(), DstInstance: r.str(), Block: r.rect()})
-			case opMove:
-				out = append(out, codegen.Move{Payload: r.rect(),
-					SrcInstance: r.str(), DstInstance: r.str(), Block: r.rect()})
-			case opExec:
-				e := codegen.Exec{Node: mdg.NodeID(r.int())}
-				n := r.uvarint()
-				if r.err != nil {
-					return nil, r.err
-				}
-				if n > uint64(len(r.data))+1 {
-					return nil, fmt.Errorf("%w: codegen: group of %d members with %d bytes left",
-						ErrCorrupt, n, len(r.data))
-				}
-				if n > 0 {
-					e.Group = make([]int, n)
-					for gi := range e.Group {
-						e.Group[gi] = r.int()
-					}
-				}
-				e.MySlot = r.int()
-				out = append(out, e)
-			default:
-				if r.err != nil {
-					return nil, r.err
-				}
-				return nil, fmt.Errorf("%w: codegen: unknown instruction opcode %d", ErrCorrupt, op)
-			}
-			if r.err != nil {
-				return nil, r.err
-			}
-		}
-		st.PerProc[pi] = out
-	}
-	if len(r.data) != 0 {
-		return nil, fmt.Errorf("%w: codegen: %d trailing bytes", ErrCorrupt, len(r.data))
-	}
-	return st, nil
 }
 
 // EncodeCalibration snapshots a calibration fit.

@@ -11,6 +11,7 @@ import (
 	"paradigm/internal/par"
 	"paradigm/internal/programs"
 	"paradigm/internal/sched"
+	"paradigm/internal/sim"
 	"paradigm/internal/tables"
 )
 
@@ -108,7 +109,7 @@ func Fig8(env *Env) (*Fig8Result, error) {
 			return Fig8Row{}, fmt.Errorf("%s MPMD p=%d: %w", c.Name, c.Procs, err)
 		}
 		// Every run must stay numerically correct.
-		if worst, err := VerifyNumerics(c.Prog, mpmd.Sim); err != nil || worst > 1e-6 {
+		if worst, err := sim.Verify(c.Prog, mpmd.Sim); err != nil || worst > 1e-6 {
 			return Fig8Row{}, fmt.Errorf("%s MPMD p=%d numerics: worst %v err %v", c.Name, c.Procs, worst, err)
 		}
 		row := Fig8Row{

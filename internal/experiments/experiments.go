@@ -14,7 +14,6 @@ import (
 	"paradigm/internal/costmodel"
 	"paradigm/internal/kernels"
 	"paradigm/internal/machine"
-	"paradigm/internal/matrix"
 	"paradigm/internal/prog"
 	"paradigm/internal/programs"
 	"paradigm/internal/sched"
@@ -287,30 +286,6 @@ func RunPipeline(env *Env, p *prog.Program, procs int, kind RunKind) (*PipelineR
 	out.Actual = res.Makespan
 	out.Sim = res
 	return out, nil
-}
-
-// VerifyNumerics compares every simulated array against the sequential
-// reference, returning the worst deviation.
-func VerifyNumerics(p *prog.Program, res *sim.Result) (float64, error) {
-	ref, err := p.ReferenceRun()
-	if err != nil {
-		return 0, err
-	}
-	worst := 0.0
-	for name := range p.Arrays {
-		got, err := res.Gather(name)
-		if err != nil {
-			return 0, err
-		}
-		d, err := matrix.MaxAbsDiff(got, ref[name])
-		if err != nil {
-			return 0, err
-		}
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst, nil
 }
 
 // testPrograms builds the paper's two evaluation programs at their paper

@@ -7,6 +7,7 @@ import (
 	"paradigm/internal/kernels"
 	"paradigm/internal/par"
 	"paradigm/internal/programs"
+	"paradigm/internal/sim"
 	"paradigm/internal/tables"
 )
 
@@ -72,7 +73,7 @@ func GridDistribution(env *Env) (*GridDistResult, error) {
 		if err != nil {
 			return rowDiff{}, fmt.Errorf("grid p=%d: %w", procs, err)
 		}
-		worst, err := VerifyNumerics(pGrid, rg.Sim)
+		worst, err := sim.Verify(pGrid, rg.Sim)
 		if err != nil {
 			return rowDiff{}, err
 		}

@@ -6,6 +6,7 @@ import (
 
 	"paradigm/internal/par"
 	"paradigm/internal/programs"
+	"paradigm/internal/sim"
 	"paradigm/internal/tables"
 )
 
@@ -52,7 +53,7 @@ func AblationJitter(env *Env) (*JitterResult, error) {
 		if err != nil {
 			return rowPred{}, fmt.Errorf("jitter %.0f%%: %w", frac*100, err)
 		}
-		numDiff, err := VerifyNumerics(p, run.Sim)
+		numDiff, err := sim.Verify(p, run.Sim)
 		if err != nil {
 			return rowPred{}, err
 		}

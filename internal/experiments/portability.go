@@ -9,6 +9,7 @@ import (
 	"paradigm/internal/par"
 	"paradigm/internal/prog"
 	"paradigm/internal/programs"
+	"paradigm/internal/sim"
 	"paradigm/internal/tables"
 	"paradigm/internal/trainsets"
 )
@@ -98,7 +99,7 @@ func Portability(env *Env) (*PortabilityResult, error) {
 		if err != nil {
 			return rowDiff{}, fmt.Errorf("paragon %s p=%d: %w", item.name, item.procs, err)
 		}
-		worst, err := VerifyNumerics(item.prog, run.Sim)
+		worst, err := sim.Verify(item.prog, run.Sim)
 		if err != nil {
 			return rowDiff{}, err
 		}

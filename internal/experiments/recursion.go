@@ -6,6 +6,7 @@ import (
 
 	"paradigm/internal/par"
 	"paradigm/internal/programs"
+	"paradigm/internal/sim"
 	"paradigm/internal/tables"
 )
 
@@ -57,7 +58,7 @@ func StrassenRecursion(env *Env) (*RecursionResult, error) {
 		if err != nil {
 			return rowDiff{}, fmt.Errorf("depth %d: %w", depth, err)
 		}
-		worst, err := VerifyNumerics(p, run.Sim)
+		worst, err := sim.Verify(p, run.Sim)
 		if err != nil {
 			return rowDiff{}, err
 		}

@@ -1023,6 +1023,30 @@ func (r *Result) Gather(array string) (*matrix.Matrix, error) {
 	return out, nil
 }
 
+// Verify checks every simulated array of p against its sequential
+// reference run, returning the worst absolute deviation.
+func Verify(p *prog.Program, res *Result) (float64, error) {
+	ref, err := p.ReferenceRun()
+	if err != nil {
+		return 0, err
+	}
+	worst := 0.0
+	for name := range p.Arrays {
+		got, err := res.Gather(name)
+		if err != nil {
+			return 0, err
+		}
+		d, err := matrix.MaxAbsDiff(got, ref[name])
+		if err != nil {
+			return 0, err
+		}
+		if d > worst {
+			worst = d
+		}
+	}
+	return worst, nil
+}
+
 // SalvageArray reassembles the named array from surviving processors'
 // blocks. It succeeds only when the producing node's barrier executed
 // and every element is covered by a non-failed processor's store — the

@@ -271,28 +271,15 @@ func BuildScheduleContext(ctx context.Context, g *Graph, model Model, allocation
 }
 
 // codegenStage is the governed lowering stage shared by ExecuteContext
-// and RunContext.
+// and RunContext. It has no checkpoint record: lowering is a pure
+// function of the program and the schedule, so a resumed run regenerates
+// the streams from its restored schedule.
 func (c *config) codegenStage(ctx context.Context, p *Program, s *Schedule) (*codegen.Streams, error) {
-	if c.ckptActive() {
-		if data, seq, ok := c.ckpt.log.Lookup(ckpt.StageCodegen); ok {
-			streams, err := ckpt.DecodeStreams(data, s.ProcsTotal)
-			if err != nil {
-				return nil, err
-			}
-			c.emit(obs.Resume{Stage: ckpt.StageCodegen, Seq: seq})
-			return streams, nil
-		}
-	}
 	sctx, cancel := stageContext(ctx, c.budgets.Codegen)
 	defer cancel()
 	streams, err := codegen.GenerateCtx(sctx, p, s)
 	if err != nil {
 		return nil, budgetErr(ctx, "codegen", c.budgets.Codegen, err)
-	}
-	if c.ckptActive() {
-		if cerr := c.ckptCommit(ckpt.StageCodegen, false, func() ([]byte, error) { return ckpt.EncodeStreams(streams) }); cerr != nil {
-			return nil, cerr
-		}
 	}
 	return streams, nil
 }
@@ -301,7 +288,8 @@ func (c *config) codegenStage(ctx context.Context, p *Program, s *Schedule) (*co
 // instruction streams and simulates them, with cancellation (checked
 // per node in the emission loop and on every simulator scheduler sweep)
 // and per-message/per-processor events. The Codegen and Execute budgets
-// apply; internal panics surface as typed errors.
+// apply; internal panics surface as typed errors. An attached checkpoint
+// is ignored: neither stage reads or writes the log.
 func ExecuteContext(ctx context.Context, p *Program, s *Schedule, m Machine, opts ...Option) (res *SimResult, err error) {
 	defer guardStage("execute", &err)
 	c := newConfig(opts)
@@ -321,10 +309,10 @@ func ExecuteContext(ctx context.Context, p *Program, s *Schedule, m Machine, opt
 // generate MPMD code, simulate — with cancellation, observability, and
 // the crash-safety surface: per-stage budgets, retry/breaker governance
 // of the allocation solve, and write-ahead checkpointing. With a
-// checkpoint attached, every completed stage commits one durable
-// record; re-invoking with the same log resumes from the last committed
-// stage and (all stages being deterministic) produces a bit-identical
-// Result.
+// checkpoint attached, every completed planning stage commits one
+// durable record; re-invoking with the same log resumes from the last
+// committed stage, regenerates the MPMD code from the restored schedule,
+// and (all stages being deterministic) produces a bit-identical Result.
 func RunContext(ctx context.Context, p *Program, m Machine, cal *Calibration, procs int, opts ...Option) (res *Result, err error) {
 	defer guardStage("run", &err)
 	c := newConfig(opts)

@@ -222,27 +222,7 @@ func RunSPMD(p *Program, m Machine, cal *Calibration, procs int) (*Result, error
 
 // Verify checks every simulated array against the program's sequential
 // reference, returning the worst absolute deviation.
-func Verify(p *Program, res *SimResult) (float64, error) {
-	ref, err := p.ReferenceRun()
-	if err != nil {
-		return 0, err
-	}
-	worst := 0.0
-	for name := range p.Arrays {
-		got, err := res.Gather(name)
-		if err != nil {
-			return 0, err
-		}
-		d, err := matrix.MaxAbsDiff(got, ref[name])
-		if err != nil {
-			return 0, err
-		}
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst, nil
-}
+func Verify(p *Program, res *SimResult) (float64, error) { return sim.Verify(p, res) }
 
 // --- Built-in test programs -------------------------------------------------
 
