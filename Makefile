@@ -114,9 +114,12 @@ smoke-paradigmd-tenants:
 # its fault-free run, deterministic SLO-class shedding, byte-exact
 # counterfactual replay) and the service-level cluster mode (partition
 # deaths every 3rd placement, zero acknowledged jobs lost, oversized
-# request degraded onto the shrunken pool instead of refused).
+# request degraded onto the shrunken pool instead of refused), plus the
+# pool core both faces run on (internal/cluster: router fallback, health,
+# pinned loop transcripts) under -race.
 smoke-paradigmd-cluster:
 	$(GO) test . -race -run '^TestCluster' -count=1 -timeout 600s
+	$(GO) test -race ./internal/cluster/ -count=1
 	$(GO) test ./cmd/paradigmd/ -run '^TestServiceCluster' -count=1 -v
 
 # Build every example and run it in a temporary directory (some write

@@ -1,9 +1,9 @@
 // Cluster mode: paradigmd runs its accepted jobs on one shared
 // wall-clock processor pool instead of conjuring a dedicated machine per
-// job. A job waits for a partition (placed by the same pluggable routers
-// as the virtual-time simulator in internal/cluster), runs the pipeline
-// on exactly the processors it was granted, and releases them on
-// completion. The robustness surface carries over from the simulator:
+// job. A job waits for a partition, placed by the same cluster.Pool core
+// the virtual-time simulator in internal/cluster runs on, runs the
+// pipeline on exactly the processors it was granted, and releases them
+// on completion. The robustness surface carries over from the simulator:
 //
 //   - Shrink before reject: when live capacity drops below a job's
 //     request, the job is granted min(request, alive) processors and
@@ -24,7 +24,6 @@ package main
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"paradigm"
@@ -53,19 +52,16 @@ type grant struct {
 	faultLocal int // partition-local index to kill, -1 for none
 }
 
-// clusterPool is the wall-clock shared pool. All state is guarded by mu;
-// acquire blocks on cond until a partition is available.
+// clusterPool is the wall-clock shared pool: a cluster.Pool guarded by
+// mu, plus the grant policy, the fault injection and the gauges. acquire
+// blocks on cond until a partition is available.
 type clusterPool struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	router     cluster.Router
+	pool       *cluster.Pool
 	total      int
 	faultEvery int
-
-	free map[int]bool
-	dead map[int]bool
-	busy map[int]float64 // cumulative committed wall-seconds per proc
 
 	placements uint64
 	reg        *paradigm.Metrics
@@ -78,67 +74,40 @@ func newClusterPool(cfg clusterConfig, reg *paradigm.Metrics) (*clusterPool, err
 	if cfg.faultEvery < 0 {
 		return nil, fmt.Errorf("-cluster-faults %d: want a non-negative placement period", cfg.faultEvery)
 	}
-	name := cfg.router
-	if name == "" {
-		name = cluster.RouterRoundRobin
-	}
-	r, err := cluster.NewNamedRouter(name)
+	pool, err := cluster.NewPool(cfg.procs, cfg.router)
 	if err != nil {
 		return nil, err
 	}
-	p := &clusterPool{
-		router: r, total: cfg.procs, faultEvery: cfg.faultEvery,
-		free: make(map[int]bool, cfg.procs),
-		dead: map[int]bool{},
-		busy: map[int]float64{},
-		reg:  reg,
-	}
+	p := &clusterPool{pool: pool, total: cfg.procs, faultEvery: cfg.faultEvery, reg: reg}
 	p.cond = sync.NewCond(&p.mu)
-	for i := 0; i < cfg.procs; i++ {
-		p.free[i] = true
-	}
 	p.publishLocked()
 	return p, nil
 }
 
 // publishLocked refreshes the pool health gauges; callers hold mu.
 func (p *clusterPool) publishLocked() {
-	alive := p.total - len(p.dead)
+	alive := p.pool.Assignable()
 	p.reg.Gauge("paradigmd_cluster_pool_alive").Set(float64(alive))
-	p.reg.Gauge("paradigmd_cluster_pool_free").Set(float64(len(p.free)))
-	p.reg.Gauge("paradigmd_cluster_pool_dead").Set(float64(len(p.dead)))
+	p.reg.Gauge("paradigmd_cluster_pool_free").Set(float64(len(p.pool.Free())))
+	p.reg.Gauge("paradigmd_cluster_pool_dead").Set(float64(p.total - alive))
 }
 
-// freeListLocked returns the free processors ascending; callers hold mu.
-func (p *clusterPool) freeListLocked() []int {
-	list := make([]int, 0, len(p.free))
-	for q := range p.free {
-		list = append(list, q)
-	}
-	sort.Ints(list)
-	return list
-}
-
-// acquire blocks until the pool can host the job, then places it via the
-// router. Shrink-before-reject: when live capacity is below the request
-// the job is granted every live processor instead of being refused; only
-// a fully dead pool errors. predict estimates the job's Φ at a partition
-// size for the best-fit policy (NaN = unknown).
-func (p *clusterPool) acquire(spec cluster.Spec, predict func(procs int) float64) (grant, error) {
+// acquire blocks until the pool can host the job, then places it.
+// Shrink-before-reject: when live capacity is below the request the job
+// is granted every live processor instead of being refused; only a fully
+// dead pool errors. The size is fixed before routing (Min = Grant), so
+// the router picks which processors, never how many.
+func (p *clusterPool) acquire(spec cluster.Spec) (grant, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
-		alive := p.total - len(p.dead)
+		alive := p.pool.Assignable()
 		if alive < 1 {
 			return grant{}, fmt.Errorf("cluster pool exhausted: all %d processors dead", p.total)
 		}
-		want := spec.Procs
-		if want > alive {
-			want = alive
-		}
-		freeList := p.freeListLocked()
-		if len(freeList) >= want {
-			procs := p.placeLocked(spec, freeList, want, predict)
+		want := min(spec.Procs, alive)
+		if len(p.pool.Free()) >= want {
+			procs := p.pool.Place(spec, want, want, nil)
 			g := grant{procs: procs, degraded: want < spec.Procs, faultLocal: -1}
 			p.placements++
 			p.reg.Counter("paradigmd_cluster_placements_total").Inc()
@@ -161,63 +130,18 @@ func (p *clusterPool) acquire(spec cluster.Spec, predict func(procs int) float64
 	}
 }
 
-// placeLocked routes the job onto want free processors, validating the
-// router's answer the same way the virtual-time loop does: an invalid
-// partition (wrong size, non-free or duplicate processors) falls back to
-// the first-free prefix. Callers hold mu.
-func (p *clusterPool) placeLocked(spec cluster.Spec, freeList []int, want int, predict func(int) float64) []int {
-	rc := cluster.RouteContext{
-		Free:    freeList,
-		Grant:   want,
-		Min:     want,
-		Busy:    func(q int) float64 { return p.busy[q] },
-		Predict: predict,
-	}
-	picked := p.router.Route(spec, rc)
-	if !validPartition(picked, p.free, want) {
-		picked = freeList[:want]
-	}
-	procs := append([]int(nil), picked...)
-	sort.Ints(procs)
-	for _, q := range procs {
-		delete(p.free, q)
-	}
-	return procs
-}
-
-// validPartition reports whether a routed partition is exactly want
-// distinct free processors. The wall-clock pool fixes the partition size
-// before routing (capacity is committed on grant), so unlike the
-// simulator's [Min, Grant] window the size here is exact.
-func validPartition(picked []int, free map[int]bool, want int) bool {
-	if len(picked) != want {
-		return false
-	}
-	seen := make(map[int]bool, len(picked))
-	for _, q := range picked {
-		if !free[q] || seen[q] {
-			return false
-		}
-		seen[q] = true
-	}
-	return true
-}
-
 // release returns a grant's processors to the pool, charging each with
 // the job's wall-clock seconds. The processor fated to die (faultLocal)
-// retires to the dead set instead of the free list — the pool shrinks
-// exactly when the simulated partition did.
+// retires instead of coming free — the pool shrinks exactly when the
+// simulated partition did.
 func (p *clusterPool) release(g grant, seconds float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i, q := range g.procs {
-		p.busy[q] += seconds
-		if i == g.faultLocal {
-			p.dead[q] = true
-			p.reg.Counter("paradigmd_cluster_retired_total").Inc()
-			continue
-		}
-		p.free[q] = true
+	p.pool.Charge(g.procs, seconds)
+	p.pool.Release(g.procs)
+	if g.faultLocal >= 0 {
+		p.pool.Retire(g.procs[g.faultLocal])
+		p.reg.Counter("paradigmd_cluster_retired_total").Inc()
 	}
 	p.publishLocked()
 	p.cond.Broadcast()

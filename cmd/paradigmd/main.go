@@ -129,7 +129,7 @@ func main() {
 	flag.IntVar(&o.shards, "journal-shards", 4, "tenant-sharded job journal count (existing shards are always adopted)")
 	flag.IntVar(&o.schedCacheCap, "sched-cache", 256, "pipeline-level schedule cache capacity in entries (0: disabled)")
 	flag.IntVar(&o.clusterProcs, "cluster-procs", 0, "cluster mode: run jobs on partitions of one shared processor pool of this size (0: off)")
-	flag.StringVar(&o.router, "router", "round-robin", "cluster mode partition router: round-robin, least-loaded, or best-fit")
+	flag.StringVar(&o.router, "router", "round-robin", "cluster mode partition router: round-robin, least-loaded, or best-fit (the partition size is fixed before routing, so best-fit places the lowest free processors)")
 	flag.IntVar(&o.clusterFaults, "cluster-faults", 0, "cluster mode: kill one partition processor on every Nth placement; the job recovers onto survivors and the processor retires from the pool (0: none)")
 	flag.BoolVar(&o.smoke, "smoke", false, "start, run one job end to end, drain, and exit (CI smoke mode)")
 	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address, on a listener separate from -addr (empty: off)")
@@ -892,16 +892,7 @@ func (s *server) execute(req jobRequest, id string) (run jobRun, err error) {
 	procs := req.Procs
 	var g grant
 	if s.pool != nil {
-		// predictPhi reads state under s.mu; the pool calls it from under
-		// its own lock (pool.mu → s.mu only, never the reverse).
-		predict := func(k int) float64 {
-			kreq := req
-			kreq.Procs = k
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return s.predictPhi(kreq)
-		}
-		g, err = s.pool.acquire(cluster.Spec{ID: id, Procs: req.Procs, MinProcs: 1}, predict)
+		g, err = s.pool.acquire(cluster.Spec{ID: id, Procs: req.Procs})
 		if err != nil {
 			return run, err
 		}

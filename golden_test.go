@@ -1,6 +1,7 @@
 package paradigm
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -66,11 +67,11 @@ func TestGoldenSchedules(t *testing.T) {
 		}
 		for _, procs := range []int{4, 16, 64} {
 			t.Run(fmt.Sprintf("%s-p%d", pg.name, procs), func(t *testing.T) {
-				ar, err := Allocate(p.G, model, procs)
+				ar, err := AllocateContext(context.Background(), p.G, model, procs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				s, err := BuildSchedule(p.G, model, ar.P, procs, ScheduleOptions{})
+				s, err := BuildScheduleContext(context.Background(), p.G, model, ar.P, procs)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -98,11 +98,8 @@ type Options struct {
 	// Procs is the pool size (required, >= 1).
 	Procs int
 	// Router names the routing policy: "round-robin" (default),
-	// "least-loaded", or "best-fit". NewRouter, when set, overrides the
-	// name with a custom constructor (called once per run, so stateful
-	// routers replay deterministically).
-	Router    string
-	NewRouter func() Router
+	// "least-loaded", or "best-fit".
+	Router string
 	// Faults is the pool-scoped fault plan. Only ProcFails are legal:
 	// message faults and stragglers are job-scoped coordinates that have
 	// no meaning at pool scope.
@@ -234,13 +231,6 @@ func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
 func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
-// Processor health states.
-const (
-	procAlive = iota
-	procSuspect
-	procDead
-)
-
 type pendingJob struct {
 	spec Spec
 	seq  int // arrival order, the FIFO tie-break within a priority
@@ -257,12 +247,8 @@ type placedJob struct {
 }
 
 type state struct {
-	o      Options
-	router Router
-
-	health []int
-	owner  []string // "" = unowned
-	busy   []float64
+	o    Options
+	pool *Pool
 
 	pending []pendingJob
 	placed  map[string]*placedJob
@@ -292,33 +278,9 @@ func (st *state) decide(t float64, decision, job string, proc, req, granted int)
 	})
 	st.decSeq++
 	st.emit(obs.ClusterDecision{
-		Decision: decision, Job: job, Router: st.router.Name(),
+		Decision: decision, Job: job, Router: st.pool.router.Name(),
 		Requested: req, Granted: granted, Time: t,
 	})
-}
-
-// assignable counts processors not yet declared dead — the capacity the
-// cluster believes it has (suspect processors included: that is the
-// point of detection latency).
-func (st *state) assignable() int {
-	n := 0
-	for _, h := range st.health {
-		if h != procDead {
-			n++
-		}
-	}
-	return n
-}
-
-// free returns the unowned, not-dead processors in ascending order.
-func (st *state) free() []int {
-	var out []int
-	for q := range st.health {
-		if st.health[q] != procDead && st.owner[q] == "" {
-			out = append(out, q)
-		}
-	}
-	return out
 }
 
 // Run executes the cluster simulation over specs and returns its full
@@ -341,7 +303,7 @@ func Run(specs []Spec, o Options) (*Outcome, error) {
 			return nil, fmt.Errorf("cluster: pool fault plan: %w", err)
 		}
 	}
-	router, err := newRouter(o)
+	pool, err := NewPool(o.Procs, o.Router)
 	if err != nil {
 		return nil, err
 	}
@@ -367,13 +329,10 @@ func Run(specs []Spec, o Options) (*Outcome, error) {
 
 	st := &state{
 		o:      o,
-		router: router,
-		health: make([]int, o.Procs),
-		owner:  make([]string, o.Procs),
-		busy:   make([]float64, o.Procs),
+		pool:   pool,
 		placed: map[string]*placedJob{},
 		outcome: &Outcome{
-			Procs: o.Procs, Router: router.Name(),
+			Procs: o.Procs, Router: pool.router.Name(),
 		},
 	}
 	heap.Init(&st.events)
@@ -400,23 +359,18 @@ func Run(specs []Spec, o Options) (*Outcome, error) {
 			// The processor failed in fact. Nothing is rerouted yet: the
 			// cluster has not noticed. A job already holding it carries
 			// the matching partition-relative fault from placement time.
-			st.health[e.proc] = procSuspect
+			st.pool.Suspect(e.proc)
 			st.emit(obs.PoolHealth{Proc: e.proc, State: "suspect", Time: e.time})
 		case evDetect:
-			if st.health[e.proc] == procDead {
+			if !st.pool.Retire(e.proc) {
 				break
 			}
-			st.health[e.proc] = procDead
 			st.emit(obs.PoolHealth{Proc: e.proc, State: "dead", Time: e.time})
-			st.decide(e.time, "replace", st.owner[e.proc], e.proc, -1, -1)
+			st.decide(e.time, "replace", st.pool.owner[e.proc], e.proc, -1, -1)
 			st.place(e.time, "")
 		case evFinish:
 			pj := st.placed[e.job]
-			for _, q := range pj.procs {
-				if st.owner[q] == e.job {
-					st.owner[q] = ""
-				}
-			}
+			st.pool.Release(pj.procs)
 			jr := JobResult{
 				ID: pj.spec.ID, Class: pj.spec.Class,
 				Arrive: pj.spec.Arrive, Start: pj.start, Finish: e.time,
@@ -445,7 +399,7 @@ func Run(specs []Spec, o Options) (*Outcome, error) {
 	}
 	if st.outcome.FinalTime > 0 {
 		total := 0.0
-		for _, b := range st.busy {
+		for _, b := range st.pool.busy {
 			total += b
 		}
 		st.outcome.Utilization = total / (float64(o.Procs) * st.outcome.FinalTime)
@@ -499,23 +453,23 @@ func (st *state) place(t float64, arrived string) {
 		if minP > req {
 			minP = req
 		}
-		assignable := st.assignable()
+		assignable := st.pool.Assignable()
 		if assignable < minP {
 			taken[idx] = true
 			st.outcome.Evicted = append(st.outcome.Evicted, s.ID)
 			st.decide(t, "evict", s.ID, -1, req, 0)
 			continue
 		}
-		free := st.free()
+		nfree := len(st.pool.Free())
 		grant := 0
 		degraded := false
 		switch {
-		case len(free) >= req:
+		case nfree >= req:
 			grant = req
-		case assignable < req && len(free) >= minP:
+		case assignable < req && nfree >= minP:
 			// The pool can never satisfy the full request again: shrink
 			// rather than wait forever.
-			grant = len(free)
+			grant = nfree
 			if grant > req {
 				grant = req
 			}
@@ -526,7 +480,9 @@ func (st *state) place(t float64, arrived string) {
 			}
 			continue
 		}
-		procs := st.route(s, free, grant, minP)
+		procs := st.pool.Place(s, grant, minP, func(k int) float64 {
+			return st.o.Runner.Predict(s, k)
+		})
 		st.launch(t, s, procs, req, degraded)
 		taken[idx] = true
 	}
@@ -541,51 +497,9 @@ func (st *state) place(t float64, arrived string) {
 	}
 }
 
-// route asks the router for a partition and sanity-checks the answer; a
-// router returning garbage falls back to the first-free prefix so a
-// pluggable policy bug degrades placement quality, not correctness.
-func (st *state) route(s Spec, free []int, grant, minP int) []int {
-	rc := RouteContext{
-		Free:  append([]int(nil), free...),
-		Grant: grant,
-		Min:   minP,
-		Busy:  func(q int) float64 { return st.busy[q] },
-		Predict: func(k int) float64 {
-			return st.o.Runner.Predict(s, k)
-		},
-	}
-	procs := st.router.Route(s, rc)
-	if !validPartition(procs, free, grant, minP) {
-		procs = append([]int(nil), free[:grant]...)
-	}
-	sort.Ints(procs)
-	return procs
-}
-
-func validPartition(procs, free []int, grant, minP int) bool {
-	if len(procs) < minP || len(procs) > grant {
-		return false
-	}
-	ok := make(map[int]bool, len(free))
-	for _, q := range free {
-		ok[q] = true
-	}
-	seen := make(map[int]bool, len(procs))
-	for _, q := range procs {
-		if !ok[q] || seen[q] {
-			return false
-		}
-		seen[q] = true
-	}
-	return true
-}
-
 // launch translates the pool fault plan into the job's
 // partition-relative plan, runs the job once, and schedules its finish.
 func (st *state) launch(t float64, s Spec, procs []int, req int, degraded bool) {
-	for _, q := range procs {
-		st.owner[q] = s.ID
-	}
 	var plan *fault.Plan
 	if st.o.Faults != nil {
 		local := make(map[int]int, len(procs))
@@ -621,9 +535,7 @@ func (st *state) launch(t float64, s Spec, procs []int, req int, degraded bool) 
 		out: out, err: err,
 	}
 	st.placed[s.ID] = pj
-	for _, q := range procs {
-		st.busy[q] += dur
-	}
+	st.pool.Charge(procs, dur)
 	kind := "place"
 	if degraded {
 		kind = "degrade"

@@ -28,7 +28,8 @@ type RouteContext struct {
 	// Busy reports a processor's cumulative committed work.
 	Busy func(proc int) float64
 	// Predict estimates the job's objective Φ at a partition size
-	// (NaN/Inf = unknown) — the best-fit cost surface.
+	// (NaN/Inf = unknown; nil = unknown everywhere) — the best-fit cost
+	// surface.
 	Predict func(procs int) float64
 }
 
@@ -40,23 +41,9 @@ type Router interface {
 	Route(spec Spec, rc RouteContext) []int
 }
 
-// NewNamedRouter resolves a router name to a fresh instance — the same
-// resolution Options.Router uses, exported for hosts that drive routing
-// outside the virtual-time loop (cmd/paradigmd's wall-clock pool).
-func NewNamedRouter(name string) (Router, error) {
-	return newRouter(Options{Router: name})
-}
-
-// newRouter resolves the Options routing policy to a fresh instance.
-func newRouter(o Options) (Router, error) {
-	if o.NewRouter != nil {
-		r := o.NewRouter()
-		if r == nil {
-			return nil, fmt.Errorf("cluster: NewRouter returned nil")
-		}
-		return r, nil
-	}
-	switch o.Router {
+// newRouter resolves a routing policy name to a fresh instance.
+func newRouter(name string) (Router, error) {
+	switch name {
 	case "", RouterRoundRobin:
 		return &roundRobin{}, nil
 	case RouterLeastLoaded:
@@ -65,7 +52,7 @@ func newRouter(o Options) (Router, error) {
 		return bestFit{}, nil
 	default:
 		return nil, fmt.Errorf("cluster: unknown router %q (want %s, %s or %s)",
-			o.Router, RouterRoundRobin, RouterLeastLoaded, RouterBestFit)
+			name, RouterRoundRobin, RouterLeastLoaded, RouterBestFit)
 	}
 }
 
@@ -108,7 +95,9 @@ func (leastLoaded) Route(_ Spec, rc RouteContext) []int {
 // (the full grant and every power of two in [Min, Grant]) it minimizes
 // Φ(k)·k — predicted processor-seconds, the capacity the job takes from
 // the pool — breaking ties toward the larger partition (finish sooner
-// at equal cost). Unknown predictions fall back to the full grant.
+// at equal cost). Unknown predictions fall back to the full grant. Where
+// Min = Grant (paradigmd fixes the size before routing) the grant is the
+// only candidate: best-fit places the lowest free processors.
 type bestFit struct{}
 
 func (bestFit) Name() string { return RouterBestFit }
@@ -122,7 +111,10 @@ func (bestFit) Route(_ Spec, rc RouteContext) []int {
 	}
 	best, bestScore := rc.Grant, math.Inf(1)
 	for _, k := range sizes {
-		phi := rc.Predict(k)
+		phi := math.NaN()
+		if rc.Predict != nil {
+			phi = rc.Predict(k)
+		}
 		if math.IsNaN(phi) || math.IsInf(phi, 0) || phi < 0 {
 			continue
 		}

@@ -62,7 +62,7 @@ func TestSentinelErrors(t *testing.T) {
 		want []error
 	}{
 		{"allocate zero procs", func() error {
-			_, err := Allocate(g, model, 0)
+			_, err := AllocateContext(context.Background(), g, model, 0)
 			return err
 		}, []error{ErrInfeasible}},
 		{"spmd zero procs", func() error {
@@ -70,19 +70,19 @@ func TestSentinelErrors(t *testing.T) {
 			return err
 		}, []error{ErrInfeasible}},
 		{"schedule non-power-of-two PB", func() error {
-			ar, err := Allocate(g, model, 16)
+			ar, err := AllocateContext(context.Background(), g, model, 16)
 			if err != nil {
 				return err
 			}
-			_, err = BuildSchedule(g, model, ar.P, 16, ScheduleOptions{PB: 3})
+			_, err = BuildScheduleContext(context.Background(), g, model, ar.P, 16, WithScheduleOptions(ScheduleOptions{PB: 3}))
 			return err
 		}, []error{ErrInfeasible}},
 		{"allocate cyclic graph", func() error {
-			_, err := Allocate(cyclic, model, 4)
+			_, err := AllocateContext(context.Background(), cyclic, model, 4)
 			return err
 		}, []error{ErrBadGraph}},
 		{"unknown transfer kind", func() error {
-			_, err := Allocate(badKind, model, 4)
+			_, err := AllocateContext(context.Background(), badKind, model, 4)
 			return err
 		}, []error{ErrBadGraph, ErrUnsupportedTransfer}},
 		{"frontend shape mismatch", func() error {
@@ -135,14 +135,14 @@ func TestContextCancellation(t *testing.T) {
 	if _, err := AllocateContext(ctx, p.G, model, 8); !errors.Is(err, context.Canceled) {
 		t.Fatalf("AllocateContext: want context.Canceled, got %v", err)
 	}
-	ar, err := Allocate(p.G, model, 8)
+	ar, err := AllocateContext(context.Background(), p.G, model, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := BuildScheduleContext(ctx, p.G, model, ar.P, 8); !errors.Is(err, context.Canceled) {
 		t.Fatalf("BuildScheduleContext: want context.Canceled, got %v", err)
 	}
-	s, err := BuildSchedule(p.G, model, ar.P, 8, ScheduleOptions{})
+	s, err := BuildScheduleContext(context.Background(), p.G, model, ar.P, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

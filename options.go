@@ -9,8 +9,8 @@
 //	    paradigm.WithObserver(paradigm.MultiObserver(rec, paradigm.NewMetricsObserver(reg))),
 //	    paradigm.WithScheduleOptions(paradigm.ScheduleOptions{PB: 8}))
 //
-// The historical positional signatures (Run, Allocate, Calibrate,
-// BuildSchedule) remain as thin wrappers over these entry points. With
+// The positional signatures Calibrate, Run and RunSPMD remain as thin
+// wrappers over these entry points. With
 // no observer attached the instrumented pipeline pays one nil check per
 // would-be event — see the Run benchmark pair in bench_test.go.
 package paradigm

@@ -10,15 +10,16 @@
 //     precedence constraints carrying 1D/2D data transfers.
 //  2. Calibrate the cost models on the target machine by the
 //     training-sets method (Calibrate → Calibration, Tables 1-2).
-//  3. Allocate processors by convex programming (Allocate): minimize
-//     Φ = max(A_p, C_p) over continuous allocations — globally optimal
-//     thanks to the posynomial structure of the cost models.
-//  4. Schedule with the Prioritized Scheduling Algorithm (BuildSchedule):
-//     power-of-two rounding, the Corollary-1 processor bound PB, and
-//     lowest-EST list scheduling, with the Theorem 1-3 quality bounds.
+//  3. Allocate processors by convex programming (AllocateContext):
+//     minimize Φ = max(A_p, C_p) over continuous allocations — globally
+//     optimal thanks to the posynomial structure of the cost models.
+//  4. Schedule with the Prioritized Scheduling Algorithm
+//     (BuildScheduleContext): power-of-two rounding, the Corollary-1
+//     processor bound PB, and lowest-EST list scheduling, with the
+//     Theorem 1-3 quality bounds.
 //  5. Generate true MPMD per-processor programs and execute them
-//     (Execute) — here on a deterministic simulated CM-5 that moves real
-//     data, so results are verifiable end to end.
+//     (ExecuteContext) — here on a deterministic simulated CM-5 that
+//     moves real data, so results are verifiable end to end.
 //
 // Run performs steps 3-5 in one call; RunSPMD produces the pure
 // data-parallel baseline the paper's Figure 8 compares against.
@@ -128,43 +129,15 @@ func Calibrate(m Machine) (*Calibration, error) {
 	return CalibrateContext(context.Background(), m)
 }
 
-// Allocate solves the convex program of Section 2 for graph g on a
-// procs-processor system, returning continuous allocations and Φ. It is
-// the positional form of AllocateContext.
-func Allocate(g *Graph, model Model, procs int) (Allocation, error) {
-	return AllocateContext(context.Background(), g, model, procs)
-}
-
 // AllocateSPMD returns the pure data-parallel allocation (every node on
 // all processors) with its exact Φ.
 func AllocateSPMD(g *Graph, model Model, procs int) (Allocation, error) {
 	return alloc.SPMD(g, model, procs)
 }
 
-// BuildSchedule runs the PSA of Section 3 on a continuous allocation:
-// rounding, bounding (Corollary 1 unless opts.PB overrides), weight
-// recomputation and lowest-EST list scheduling.
-//
-// Deprecated: BuildSchedule is the positional pre-observability surface.
-// Use BuildScheduleContext with WithScheduleOptions, which adds
-// cancellation and PSA decision events:
-//
-//	s, err := paradigm.BuildScheduleContext(ctx, g, model, p, procs,
-//	    paradigm.WithScheduleOptions(opts))
-func BuildSchedule(g *Graph, model Model, allocation []float64, procs int, opts ScheduleOptions) (*Schedule, error) {
-	return BuildScheduleContext(context.Background(), g, model, allocation, procs, WithScheduleOptions(opts))
-}
-
 // ScheduleSPMD builds the naive all-processors baseline schedule.
 func ScheduleSPMD(g *Graph, model Model, procs int) (*Schedule, error) {
 	return sched.SPMD(g, model, procs)
-}
-
-// Execute lowers the program under the schedule into per-processor MPMD
-// instruction streams and runs them on the simulated machine, moving real
-// data. It is the positional form of ExecuteContext.
-func Execute(p *Program, s *Schedule, m Machine) (*SimResult, error) {
-	return ExecuteContext(context.Background(), p, s, m)
 }
 
 // OptimalPB returns Corollary 1's processor bound for a system size,

@@ -1,6 +1,7 @@
 package paradigm
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -99,11 +100,11 @@ func TestFacadeBounds(t *testing.T) {
 
 func TestFacadeFigureOne(t *testing.T) {
 	g := FigureOneMDG()
-	ar, err := Allocate(g, Model{}, 4)
+	ar, err := AllocateContext(context.Background(), g, Model{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := BuildSchedule(g, Model{}, ar.P, 4, ScheduleOptions{PB: 4})
+	s, err := BuildScheduleContext(context.Background(), g, Model{}, ar.P, 4, WithScheduleOptions(ScheduleOptions{PB: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}

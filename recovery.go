@@ -70,10 +70,11 @@ func RandomFaultPlan(seed uint64, o FaultRandOptions) (*FaultPlan, error) {
 	return fault.Rand(seed, o)
 }
 
-// WithFaultPlan attaches a fault schedule to Execute/Run calls. The
-// simulator interprets it; a run it halts returns a *HaltError wrapping
-// ErrProcessorLost, ErrMessageLost or ErrDeadlock. A nil or empty plan
-// is a no-op, leaving the fault-free pipeline byte-identical.
+// WithFaultPlan attaches a fault schedule to ExecuteContext/RunContext
+// calls. The simulator interprets it; a run it halts returns a
+// *HaltError wrapping ErrProcessorLost, ErrMessageLost or ErrDeadlock. A
+// nil or empty plan is a no-op, leaving the fault-free pipeline
+// byte-identical.
 func WithFaultPlan(p *FaultPlan) Option {
 	return func(c *config) { c.faults = p }
 }

@@ -59,11 +59,11 @@ func TestPanicContainedOnCorruptProgram(t *testing.T) {
 	}
 	m := NewCM5(8)
 	model := cal.Model()
-	ar, err := Allocate(p.G, model, 8)
+	ar, err := AllocateContext(context.Background(), p.G, model, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := BuildSchedule(p.G, model, ar.P, 8, ScheduleOptions{})
+	s, err := BuildScheduleContext(context.Background(), p.G, model, ar.P, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +112,11 @@ func TestPreCancelledContextFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := cal.Model()
-	ar, err := Allocate(p.G, model, 8)
+	ar, err := AllocateContext(context.Background(), p.G, model, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := BuildSchedule(p.G, model, ar.P, 8, ScheduleOptions{})
+	s, err := BuildScheduleContext(context.Background(), p.G, model, ar.P, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
