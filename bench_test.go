@@ -618,6 +618,38 @@ func benchSim(b *testing.B, build func(n int) (*prog.Program, error), shapes ...
 	}
 }
 
+// benchGenerate plans the program on 64 processors once, then lowers the
+// schedule to MPMD code every iteration: codegen alone.
+func benchGenerate(b *testing.B, build func(cal *trainsets.Calibration) (*prog.Program, error)) {
+	e := env(b)
+	p, err := build(e.Cal)
+	if err != nil {
+		b.Fatal(err)
+	}
+	planned, err := RunContext(context.Background(), p, e.Machine, e.Cal, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := codegen.Generate(p, planned.Sched); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGenerateStrassen128P64 is the codegen stage of the benchmark's
+// run_strassen128_p64 operation (DESIGN.md §7, "MPMD code by index").
+func BenchmarkGenerateStrassen128P64(b *testing.B) {
+	benchGenerate(b, func(cal *trainsets.Calibration) (*prog.Program, error) { return programs.Strassen(128, cal) })
+}
+
+// BenchmarkGenerateCMM256P64 is the codegen stage of run_cmm256_p64.
+func BenchmarkGenerateCMM256P64(b *testing.B) {
+	benchGenerate(b, func(cal *trainsets.Calibration) (*prog.Program, error) { return programs.ComplexMatMul(256, cal) })
+}
+
 // BenchmarkSimRunCMM256P64 is the simulator's share of the run above
 // alone: the same program's generated streams, planned once and
 // simulated every iteration.

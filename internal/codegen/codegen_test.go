@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"slices"
 	"testing"
 
 	"paradigm/internal/costmodel"
@@ -62,33 +63,80 @@ func TestGenerateOrderingInvariants(t *testing.T) {
 	for pr, stream := range streams.PerProc {
 		execAt := map[mdg.NodeID]int{}
 		for i, in := range stream {
-			if e, ok := in.(Exec); ok {
-				execAt[e.Node] = i
+			if in.Op == Exec {
+				execAt[in.Node] = i
 			}
 		}
 		for i, in := range stream {
-			switch v := in.(type) {
+			switch in.Op {
 			case Recv:
 				for node, pos := range execAt {
-					for _, input := range p.Specs[node].Inputs {
-						if Instance(input, node) == v.DstInstance && pos < i {
+					for _, operand := range streams.Operands[node] {
+						if operand == in.Dst && pos < i {
 							t.Fatalf("proc %d: recv into %q at %d after consumer exec at %d",
-								pr, v.DstInstance, i, pos)
+								pr, streams.InstanceName(in.Dst), i, pos)
 						}
 					}
 				}
 			case Send:
 				found := false
 				for j := 0; j < i; j++ {
-					if e, ok := stream[j].(Exec); ok {
-						if Instance(p.Specs[e.Node].Output, e.Node) == v.SrcInstance {
-							found = true
-						}
+					// A node's output instance has the node's id.
+					if stream[j].Op == Exec && int32(stream[j].Node) == in.Src {
+						found = true
 					}
 				}
 				if !found {
-					t.Fatalf("proc %d: send at %d from %q before producing exec", pr, i, v.SrcInstance)
+					t.Fatalf("proc %d: send at %d from %q before producing exec", pr, i, streams.InstanceName(in.Src))
 				}
+			}
+		}
+	}
+}
+
+// TestStreamsTables: the ids of the generated program mean what the
+// tables say. Output instance id = node; a node's operands are its
+// inputs at that node; every message is sent once, by a member of its
+// source's group, and received once, by a member of its consumer's
+// group, with the same payload.
+func TestStreamsTables(t *testing.T) {
+	for _, p := range []*prog.Program{addProgram(t), gridProgram(t)} {
+		_, streams := genStreams(t, p, 4)
+		for node, spec := range p.Specs {
+			if in := streams.Instances[node]; in.Array != spec.Output || in.Node != mdg.NodeID(node) {
+				t.Fatalf("instance %d = %+v, want %s of node %d", node, in, spec.Output, node)
+			}
+			for k, id := range streams.Operands[node] {
+				if in := streams.Instances[id]; in.Array != spec.Inputs[k] || in.Node != mdg.NodeID(node) {
+					t.Fatalf("node %d operand %d = %+v, want %s at the node", node, k, in, spec.Inputs[k])
+				}
+			}
+		}
+		type end struct {
+			proc, peer int
+			payload    Rect
+		}
+		sends, recvs := map[int32][]end{}, map[int32][]end{}
+		for pr, stream := range streams.PerProc {
+			for _, in := range stream {
+				switch in.Op {
+				case Send:
+					sends[in.Msg] = append(sends[in.Msg], end{pr, int(in.Peer), in.Payload})
+				case Recv:
+					recvs[in.Msg] = append(recvs[in.Msg], end{int(in.Peer), pr, in.Payload})
+				}
+			}
+		}
+		if len(sends) != len(streams.Messages) || len(recvs) != len(streams.Messages) {
+			t.Fatalf("%d messages sent, %d received, %d in the table", len(sends), len(recvs), len(streams.Messages))
+		}
+		for id, m := range streams.Messages {
+			s, r := sends[int32(id)], recvs[int32(id)]
+			if len(s) != 1 || len(r) != 1 || s[0] != r[0] {
+				t.Fatalf("message %s: sends %v, receives %v", streams.Tag(int32(id)), s, r)
+			}
+			if !slices.Contains(streams.Groups[m.Src], s[0].proc) || !slices.Contains(streams.Groups[m.Consumer], s[0].peer) {
+				t.Fatalf("message %s from P%d to P%d", streams.Tag(int32(id)), s[0].proc, s[0].peer)
 			}
 		}
 	}
@@ -128,10 +176,8 @@ func TestGenerateDummyNodesSilent(t *testing.T) {
 	// Dummy START/STOP produce no instructions: count execs per node.
 	for _, stream := range streams.PerProc {
 		for _, in := range stream {
-			if e, ok := in.(Exec); ok {
-				if p.Specs[e.Node].Kernel.Op == kernels.OpNone {
-					t.Fatalf("dummy node %d got an Exec", e.Node)
-				}
+			if in.Op == Exec && p.Specs[in.Node].Kernel.Op == kernels.OpNone {
+				t.Fatalf("dummy node %d got an Exec", in.Node)
 			}
 		}
 	}
@@ -146,20 +192,24 @@ func TestRectHelpers(t *testing.T) {
 	if !e.Empty() || e.Bytes() != 0 {
 		t.Fatal("empty rect misreported")
 	}
-	if Instance("A", 3) != "A@3" {
-		t.Fatalf("Instance = %q", Instance("A", 3))
+	s := Streams{
+		Instances: []Instance{{Array: "A", Node: 3}},
+		Messages:  []Message{{Src: 0, Consumer: 5, Index: 2}},
+	}
+	if s.InstanceName(0) != "A@3" || s.Tag(0) != "A@3->5#2" {
+		t.Fatalf("InstanceName = %q, Tag = %q", s.InstanceName(0), s.Tag(0))
 	}
 }
 
 func TestGroupDist(t *testing.T) {
-	d, err := GroupDist(prog.Array{Name: "A", Rows: 8, Cols: 4}, dist.ByCol, []int{5, 6})
+	d, err := dist.New(8, 4, dist.ByCol, []int{5, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.Axis != dist.ByCol || len(d.Procs) != 2 {
 		t.Fatalf("dist = %+v", d)
 	}
-	if _, err := GroupDist(prog.Array{Rows: 8, Cols: 4}, dist.ByRow, nil); err == nil {
+	if _, err := dist.New(8, 4, dist.ByRow, nil); err == nil {
 		t.Fatal("want error for empty group")
 	}
 }

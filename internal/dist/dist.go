@@ -20,6 +20,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 
 	"paradigm/internal/mdg"
 )
@@ -83,17 +84,47 @@ func (d Dist) Validate() error {
 	if d.Axis != ByRow && d.Axis != ByCol {
 		return fmt.Errorf("dist: unknown axis %d", d.Axis)
 	}
-	seen := map[int]bool{}
-	for _, p := range d.Procs {
+	return validateGroup(d.Procs)
+}
+
+// validateGroup rejects a processor group with a negative or repeated
+// id, naming the first such entry.
+func validateGroup(procs []int) error {
+	var seen procSet
+	for _, p := range procs {
 		if p < 0 {
 			return fmt.Errorf("dist: negative processor id %d", p)
 		}
-		if seen[p] {
+		if !seen.add(p) {
 			return fmt.Errorf("dist: duplicate processor id %d", p)
 		}
-		seen[p] = true
 	}
 	return nil
+}
+
+// procSet is a set of processor ids that needs no map: ids in [0, 1024)
+// live in a bitset on the caller's stack, any other id in a slice that is
+// searched linearly.
+type procSet struct {
+	small [16]uint64
+	other []int
+}
+
+// add inserts p and reports whether it was absent.
+func (s *procSet) add(p int) bool {
+	if p >= 0 && p < 64*len(s.small) {
+		w, bit := p/64, uint64(1)<<(p%64)
+		if s.small[w]&bit != 0 {
+			return false
+		}
+		s.small[w] |= bit
+		return true
+	}
+	if slices.Contains(s.other, p) {
+		return false
+	}
+	s.other = append(s.other, p)
+	return true
 }
 
 // extent returns the length of the distributed dimension.

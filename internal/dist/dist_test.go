@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -273,5 +274,100 @@ func TestMessageCount1DLinearIn2DQuadratic(t *testing.T) {
 	m2, _ := Messages(mk(ByRow, seq(4, 0)...), mk(ByCol, seq(8, 100)...))
 	if len(m2) != 32 {
 		t.Fatalf("2D message count = %d, want 32", len(m2))
+	}
+}
+
+// TestGroupChecksMatchAMap: the map-free duplicate check of Dist, Grid
+// and Placement rejects exactly the groups a map-based check rejected,
+// with the same text. Ids are drawn around both ends of procSet's bitset
+// (negative, near 0, across 1024) so every path meets repeats, and runs
+// of consecutive ids fill whole words of it.
+func TestGroupChecksMatchAMap(t *testing.T) {
+	// groupErr is the check Dist and Grid made with a map.
+	groupErr := func(procs []int) string {
+		seen := map[int]bool{}
+		for _, p := range procs {
+			if p < 0 {
+				return fmt.Sprintf("dist: negative processor id %d", p)
+			}
+			if seen[p] {
+				return fmt.Sprintf("dist: duplicate processor id %d", p)
+			}
+			seen[p] = true
+		}
+		return ""
+	}
+	// placementErr is Placement's, which allows negative ids.
+	placementErr := func(procs []int) string {
+		seen := map[int]bool{}
+		for _, p := range procs {
+			if seen[p] {
+				return fmt.Sprintf("dist: processor %d owns two blocks", p)
+			}
+			seen[p] = true
+		}
+		return ""
+	}
+	text := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	rng := rand.New(rand.NewSource(1))
+	rejected := 0
+	for trial := 0; trial < 5000; trial++ {
+		var procs []int
+		if trial%3 == 0 {
+			// A run of consecutive ids, shuffled, repeating one of
+			// them every other time.
+			base := []int{0, 960, 1 << 20}[rng.Intn(3)]
+			procs = rng.Perm(1 + rng.Intn(130))
+			for i := range procs {
+				procs[i] += base
+			}
+			if trial%2 == 0 {
+				procs = append(procs, procs[rng.Intn(len(procs))])
+			}
+		} else {
+			procs = make([]int, 1+rng.Intn(40))
+			for i := range procs {
+				switch rng.Intn(4) {
+				case 0:
+					procs[i] = rng.Intn(48)
+				case 1:
+					procs[i] = 1000 + rng.Intn(48)
+				case 2:
+					procs[i] = 1 << 20
+				default:
+					procs[i] = -1 - rng.Intn(2)
+					if trial%2 == 0 {
+						procs[i] = rng.Intn(2000)
+					}
+				}
+			}
+		}
+		want := groupErr(procs)
+		if want != "" {
+			rejected++
+		}
+		d := Dist{Rows: 4, Cols: 4, Axis: ByRow, Procs: procs}
+		g := Grid{Rows: 4, Cols: 4, PR: 1, PC: len(procs), Procs: procs}
+		pl := Placement{Rows: len(procs), Cols: 1}
+		for i, p := range procs {
+			pl.Blocks = append(pl.Blocks, PlacedRect{Proc: p, R0: i, R1: i + 1, C0: 0, C1: 1})
+		}
+		if got := text(d.Validate()); got != want {
+			t.Fatalf("Dist over %v: %q, want %q", procs, got, want)
+		}
+		if got := text(g.Validate()); got != want {
+			t.Fatalf("Grid over %v: %q, want %q", procs, got, want)
+		}
+		if got, want := text(pl.Validate()), placementErr(procs); got != want {
+			t.Fatalf("Placement over %v: %q, want %q", procs, got, want)
+		}
+	}
+	if rejected == 0 || rejected == 5000 {
+		t.Fatalf("%d of 5000 groups rejected: the draw misses a case", rejected)
 	}
 }

@@ -312,20 +312,21 @@ func TestInsertIntoSealedBlockFails(t *testing.T) {
 	if err := view(src, rect); err != nil {
 		t.Fatal(err)
 	}
-	store := map[string]*block{"owner": owner}
-	if err := receive(store, "consumer", rect, rect, src); err != nil {
+	const ownerInst, consumerInst = 0, 1
+	store := []*block{ownerInst: owner, consumerInst: nil}
+	if err := receive(store, consumerInst, rect, rect, src); err != nil {
 		t.Fatalf("receive into a consumer block: %v", err)
 	}
-	if err := receive(store, "owner", rect, rect, src); !errors.Is(err, errIntoOwner) || strings.Contains(err.Error(), "sealed") {
+	if err := receive(store, ownerInst, rect, rect, src); !errors.Is(err, errIntoOwner) || strings.Contains(err.Error(), "sealed") {
 		t.Fatalf("receive into an unviewed producer block: err = %v, want %v", err, errIntoOwner)
 	}
 	if err := view(owner, rect); err != nil {
 		t.Fatal(err)
 	}
-	if err := receive(store, "owner", rect, rect, src); !errors.Is(err, errIntoOwner) || !strings.Contains(err.Error(), "sealed") {
+	if err := receive(store, ownerInst, rect, rect, src); !errors.Is(err, errIntoOwner) || !strings.Contains(err.Error(), "sealed") {
 		t.Fatalf("receive into a viewed block: err = %v, want sealed-block error", err)
 	}
-	if err := view(store["consumer"], rect); !errors.Is(err, errFromViews) {
+	if err := view(store[consumerInst], rect); !errors.Is(err, errFromViews) {
 		t.Fatalf("view of a consumer block: err = %v, want %v", err, errFromViews)
 	}
 
@@ -336,11 +337,10 @@ func TestInsertIntoSealedBlockFails(t *testing.T) {
 	patched := false
 	for pr, stream := range streams.PerProc {
 		for i, in := range stream {
-			s, ok := in.(codegen.Send)
-			if !ok {
+			if in.Op != codegen.Send {
 				continue
 			}
-			move := codegen.Move{Payload: s.Payload, SrcInstance: s.SrcInstance, DstInstance: s.SrcInstance, Block: s.Payload}
+			move := codegen.Instr{Op: codegen.Move, Payload: in.Payload, Src: in.Src, Dst: in.Src, Block: in.Payload}
 			stream = append(stream[:i+1:i+1], append([]codegen.Instr{move}, stream[i+1:]...)...)
 			streams.PerProc[pr] = stream
 			patched = true
@@ -376,22 +376,19 @@ func insert(t *testing.T, streams *codegen.Streams, pr int, before func(codegen.
 
 // execOf accepts node's Exec.
 func execOf(node mdg.NodeID) func(codegen.Instr) bool {
-	return func(in codegen.Instr) bool {
-		e, ok := in.(codegen.Exec)
-		return ok && e.Node == node
-	}
+	return func(in codegen.Instr) bool { return in.Op == codegen.Exec && in.Node == node }
 }
 
-// mulInstances is mulProgram on 8 processors and the store names of A's
+// mulInstances is mulProgram on 8 processors and the instance ids of A's
 // producer instance, B's instance at the multiply (a consumer, filled
 // from column strips into row strips) and C's producer instance.
-func mulInstances(t *testing.T) (p *prog.Program, streams *codegen.Streams, a, b, c string) {
+func mulInstances(t *testing.T) (p *prog.Program, streams *codegen.Streams, a, b, c int32) {
 	t.Helper()
 	p = mulProgram(t, 16)
 	_, streams = pipeline(t, p, 8)
 	initA, _ := p.Producer("A")
 	mul, _ := p.Producer("C")
-	return p, streams, codegen.Instance("A", initA), codegen.Instance("B", mul), codegen.Instance("C", mul)
+	return p, streams, int32(initA), streams.Operands[mul][1], int32(mul)
 }
 
 // requireProduct runs mulProgram's streams and requires C to be a·b bit
@@ -447,11 +444,10 @@ func TestReceiveHoleReadsPositiveZero(t *testing.T) {
 	var hole codegen.Rect
 	for _, stream := range streams.PerProc {
 		for i, in := range stream {
-			if r, ok := in.(codegen.Recv); ok && r.DstInstance == bInst && r.Payload.C1-r.Payload.C0 >= 2 && hole.Empty() {
-				hole = r.Payload
-				hole.C0 = (r.Payload.C0 + r.Payload.C1) / 2
-				r.Payload.C1 = hole.C0
-				stream[i] = r
+			if in.Op == codegen.Recv && in.Dst == bInst && in.Payload.C1-in.Payload.C0 >= 2 && hole.Empty() {
+				hole = in.Payload
+				hole.C0 = (in.Payload.C0 + in.Payload.C1) / 2
+				stream[i].Payload.C1 = hole.C0
 			}
 		}
 	}
@@ -487,7 +483,7 @@ func TestOverlappingReceiveLaterWins(t *testing.T) {
 			continue
 		}
 		over := intersect(a.rect, b.rect)
-		insert(t, streams, pr, execOf(mul), codegen.Move{Payload: over, SrcInstance: aInst, DstInstance: bInst, Block: b.rect})
+		insert(t, streams, pr, execOf(mul), codegen.Instr{Op: codegen.Move, Payload: over, Src: aInst, Dst: bInst, Block: b.rect})
 		want := ref["B"].Clone()
 		want.CopyRect(over.R0, over.C0, ref["A"], over.R0, over.R1, over.C0, over.C1)
 		requireProduct(t, p, streams, ref["A"], want)
@@ -505,23 +501,26 @@ func TestRedistributionDirectionIsEnforced(t *testing.T) {
 	mul, _ := p.Producer("C")
 	// Each case builds, for a processor and its store at the end of a
 	// clean run, the instruction to insert before the multiply's Exec (or
-	// after it, when afterMul).
+	// after it, when afterMul), adding any instance or message it names
+	// to the streams' tables.
 	for _, tc := range []struct {
 		name     string
-		in       func(pr int, st map[string]*block) codegen.Instr
+		in       func(s *codegen.Streams, pr int, st []*block) codegen.Instr
 		afterMul bool
 		want     error
 	}{
-		{"move into an unviewed producer", func(_ int, st map[string]*block) codegen.Instr {
+		{"move into an unviewed producer", func(_ *codegen.Streams, _ int, st []*block) codegen.Instr {
 			c := st[cInst].rect
-			return codegen.Move{Payload: intersect(st[aInst].rect, c), SrcInstance: aInst, DstInstance: cInst, Block: c}
+			return codegen.Instr{Op: codegen.Move, Payload: intersect(st[aInst].rect, c), Src: aInst, Dst: cInst, Block: c}
 		}, true, errIntoOwner},
-		{"move from a consumer", func(_ int, st map[string]*block) codegen.Instr {
+		{"move from a consumer", func(s *codegen.Streams, _ int, st []*block) codegen.Instr {
 			b := st[bInst].rect
-			return codegen.Move{Payload: b, SrcInstance: bInst, DstInstance: "X@99", Block: b}
+			s.Instances = append(s.Instances, codegen.Instance{Array: "X", Node: 99})
+			return codegen.Instr{Op: codegen.Move, Payload: b, Src: bInst, Dst: int32(len(s.Instances) - 1), Block: b}
 		}, false, errFromViews},
-		{"send from a consumer", func(pr int, st map[string]*block) codegen.Instr {
-			return codegen.Send{Tag: "extra", To: (pr + 1) % 8, Payload: st[bInst].rect, SrcInstance: bInst}
+		{"send from a consumer", func(s *codegen.Streams, pr int, st []*block) codegen.Instr {
+			s.Messages = append(s.Messages, codegen.Message{Src: bInst, Consumer: 99})
+			return codegen.Instr{Op: codegen.Send, Peer: int32((pr + 1) % 8), Msg: int32(len(s.Messages) - 1), Payload: st[bInst].rect, Src: bInst}
 		}, false, errFromViews},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -539,7 +538,7 @@ func TestRedistributionDirectionIsEnforced(t *testing.T) {
 				if tc.afterMul {
 					before = nil
 				}
-				insert(t, streams, pr, before, tc.in(pr, st))
+				insert(t, streams, pr, before, tc.in(streams, pr, st))
 				if _, err := Run(p, streams, machine.CM5(8)); !errors.Is(err, tc.want) || strings.Contains(err.Error(), "sealed") {
 					t.Fatalf("err = %v, want %v", err, tc.want)
 				}
@@ -580,7 +579,7 @@ func TestSimAllocatesOnlyWhatTheResultKeeps(t *testing.T) {
 			for name := range tc.p.Arrays {
 				producer, _ := tc.p.Producer(name)
 				for _, store := range res.stores {
-					if b := store[codegen.Instance(name, producer)]; b != nil && b.data != nil {
+					if b := store[producer]; b != nil && b.data != nil {
 						kept += uint64(8 * len(b.data.Data))
 					}
 				}
