@@ -117,7 +117,7 @@ func TestMessagesBetweenExactCoverage(t *testing.T) {
 			}
 		}
 		src, dst := mk(), mk()
-		msgs, err := MessagesBetween(src, dst)
+		msgs, err := AppendMessagesBetween(nil, src, dst)
 		if err != nil {
 			return false
 		}
@@ -176,13 +176,13 @@ func TestGridMessageCountsVsLinear(t *testing.T) {
 	}
 	gA, _ := NewGrid(64, 64, procsA)
 	gB, _ := NewGrid(64, 64, procsB)
-	g2g, err := MessagesBetween(gA.Placement(), gB.Placement())
+	g2g, err := AppendMessagesBetween(nil, gA.Placement(), gB.Placement())
 	if err != nil {
 		t.Fatal(err)
 	}
 	dA, _ := New(64, 64, ByRow, procsA)
 	dB, _ := New(64, 64, ByCol, procsB)
-	allToAll, err := MessagesBetween(dA.Placement(), dB.Placement())
+	allToAll, err := AppendMessagesBetween(nil, dA.Placement(), dB.Placement())
 	if err != nil {
 		t.Fatal(err)
 	}
