@@ -6,9 +6,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci fmt-check vet build test test-race race fuzz-smoke bench-smoke bench-module smoke-paradigmd smoke-paradigmd-chaos smoke-paradigmd-memory smoke-paradigmd-tenants smoke-paradigmd-cluster smoke-examples
+.PHONY: ci fmt-check vet build test test-race race fuzz-smoke bench-smoke bench-module smoke-paradigmd smoke-paradigmd-chaos smoke-paradigmd-memory smoke-paradigmd-tenants smoke-paradigmd-cluster smoke-examples smoke-cli
 
-ci: fmt-check vet build test-race fuzz-smoke bench-smoke bench-module smoke-paradigmd smoke-paradigmd-chaos smoke-paradigmd-memory smoke-paradigmd-tenants smoke-paradigmd-cluster smoke-examples
+ci: fmt-check vet build test-race fuzz-smoke bench-smoke bench-module smoke-paradigmd smoke-paradigmd-chaos smoke-paradigmd-memory smoke-paradigmd-tenants smoke-paradigmd-cluster smoke-examples smoke-cli
 
 # gofmt gate: fails listing the offending files, mutating nothing.
 fmt-check:
@@ -132,3 +132,20 @@ smoke-examples:
 		echo "example $$ex"; \
 		./$$ex > "$$ex.out" 2>&1 || { cat "$$ex.out"; exit 1; }; \
 	done
+
+# Run the pipeline CLI once per built-in machine (the trained path for
+# cm5 and paragon, the analytical backend for the rest) and once on a
+# faulted Strassen run that recovers onto survivors and renders the
+# residual schedule: a non-zero exit, or a -metrics dump without its
+# machine_info gauge, fails the gate.
+smoke-cli:
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/" ./cmd/paradigm ./cmd/machinespec || exit 1; \
+	names="$$("$$dir/machinespec" -list | awk '{print $$1}')" && [ -n "$$names" ] || exit 1; \
+	for m in $$names; do \
+		echo "paradigm -machine $$m"; \
+		"$$dir/paradigm" -program cmm -size 32 -procs 8 -metrics -machine "$$m" > "$$dir/out" 2>&1 || { cat "$$dir/out"; exit 1; }; \
+		grep -q 'machine_info{' "$$dir/out" || { cat "$$dir/out"; echo "no machine_info gauge"; exit 1; }; \
+	done; \
+	echo "paradigm -program strassen -faults rand:42 -recover 2"; \
+	"$$dir/paradigm" -program strassen -size 32 -procs 8 -faults rand:42 -recover 2 > "$$dir/out" 2>&1 || { cat "$$dir/out"; exit 1; }

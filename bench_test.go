@@ -240,7 +240,7 @@ func BenchmarkEndToEndStrassen64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(p, m, cal, 64)
+		res, err := RunContext(context.Background(), p, m, cal, 64)
 		if err != nil {
 			b.Fatal(err)
 		}

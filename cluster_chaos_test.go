@@ -9,6 +9,7 @@
 package paradigm
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -51,7 +52,7 @@ func newChaosFixture(t *testing.T) *chaosFixture {
 	for name, p := range map[string]*Program{"cmm": cmm, "str": str} {
 		var at8 string
 		for _, procs := range []int{4, 8} {
-			res, err := Run(p, NewCM5(procs), cal, procs)
+			res, err := RunContext(context.Background(), p, NewCM5(procs), cal, procs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -81,7 +81,7 @@ func run(progName, mdgPath, srcPath, traceOut, pprofOut, machName, policy, fault
 	}
 	// Machine resolution: the two classic profiles keep the historical
 	// trained (training-sets) path; any other builtin name or spec file
-	// loads through the machine database as a file backend, no
+	// loads through the machine database as the analytical backend, no
 	// calibration run needed.
 	var mb paradigm.MachineBackend
 	profile := paradigm.NewCM5
@@ -168,7 +168,7 @@ func run(progName, mdgPath, srcPath, traceOut, pprofOut, machName, policy, fault
 		m = mb.SimParams()
 		src = mb
 		model = paradigm.Model{Transfer: mb.Transfer()}
-		fmt.Printf("machine: %s (%s backend, native p=%d)\n\n", mb.Name(), mb.Kind(), mb.Procs())
+		fmt.Printf("machine: %s (%s backend, native p=%d)\n\n", mb.Name(), mb.Kind(), m.Procs)
 	} else {
 		m = profile(procs)
 		if cal, err = paradigm.CalibrateContext(ctx, profile(64), calOpts...); err != nil {
@@ -308,9 +308,10 @@ func run(progName, mdgPath, srcPath, traceOut, pprofOut, machName, policy, fault
 	}
 	fmt.Printf("allocation: Phi = %.6f s (A_p = %.6f, C_p = %.6f)\n", res.Alloc.Phi, res.Alloc.Ap, res.Alloc.Cp)
 	fmt.Printf("continuous p_i: %s\n\n", formatAlloc(res.Alloc.P))
-	fmt.Print(res.Sched.Table(p.G))
+	// After recovery the schedule indexes the residual program's graph.
+	fmt.Print(res.Sched.Table(res.Program.G))
 	fmt.Println()
-	fmt.Print(res.Sched.Gantt(p.G, 80))
+	fmt.Print(res.Sched.Gantt(res.Program.G, 80))
 	if !spmd {
 		t1, t2, t3, err := paradigm.TheoremBounds(procs, res.Sched.PB)
 		if err != nil {
@@ -336,7 +337,7 @@ func run(progName, mdgPath, srcPath, traceOut, pprofOut, machName, policy, fault
 		if mb != nil {
 			meta = trace.Meta{Machine: mb.Name(), MachineKind: string(mb.Kind())}
 		}
-		if err := trace.WriteUnifiedMeta(f, p.G, res.Sched, res.Sim, rec.Events(), meta); err != nil {
+		if err := trace.WriteUnifiedMeta(f, res.Program.G, res.Sched, res.Sim, rec.Events(), meta); err != nil {
 			return err
 		}
 		fmt.Printf("trace written to %s (%d events; open in chrome://tracing or Perfetto)\n",

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -505,7 +506,7 @@ func referenceDigest(t *testing.T, i int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := paradigm.Run(p, paradigm.NewCM5(procs), cal, procs)
+	res, err := paradigm.RunContext(context.Background(), p, paradigm.NewCM5(procs), cal, procs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -209,7 +210,7 @@ func TestServiceCoalesceStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refRes, err := paradigm.Run(p, paradigm.NewCM5(4), cal, 4)
+	refRes, err := paradigm.RunContext(context.Background(), p, paradigm.NewCM5(4), cal, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package paradigm
 
 import (
+	"context"
 	"testing"
 
 	"paradigm/internal/codegen"
@@ -26,7 +27,7 @@ func TestGenerateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(p, NewCM5(64), cal, 64)
+			res, err := RunContext(context.Background(), p, NewCM5(64), cal, 64)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package paradigm
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -100,7 +101,7 @@ func TestProgramDataGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(p, NewCM5(c.procs), cal, c.procs)
+			res, err := RunContext(context.Background(), p, NewCM5(c.procs), cal, c.procs)
 			if err != nil {
 				t.Fatal(err)
 			}

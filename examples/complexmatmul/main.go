@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cal, err := paradigm.Calibrate(paradigm.NewCM5(64))
 	if err != nil {
 		log.Fatal(err)
@@ -22,18 +24,18 @@ func main() {
 	}
 	m := paradigm.NewCM5(64)
 
-	serial, err := paradigm.RunSPMD(p, m, cal, 1)
+	serial, err := paradigm.RunSPMDContext(ctx, p, m, cal, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s — serial time %.4f s\n\n", p.Name, serial.Actual)
 	fmt.Printf("%6s  %12s  %12s  %14s  %14s\n", "procs", "SPMD (s)", "MPMD (s)", "SPMD speedup", "MPMD speedup")
 	for _, procs := range []int{4, 16, 32, 64} {
-		spmd, err := paradigm.RunSPMD(p, m, cal, procs)
+		spmd, err := paradigm.RunSPMDContext(ctx, p, m, cal, procs)
 		if err != nil {
 			log.Fatal(err)
 		}
-		mpmd, err := paradigm.Run(p, m, cal, procs)
+		mpmd, err := paradigm.RunContext(ctx, p, m, cal, procs)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -51,7 +53,7 @@ func main() {
 	fmt.Println("paper's Figure 8 point, 'especially for larger systems')")
 
 	// Show the mixed-parallelism schedule at p=16.
-	mpmd, err := paradigm.Run(p, m, cal, 16)
+	mpmd, err := paradigm.RunContext(ctx, p, m, cal, 16)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -28,6 +29,7 @@ matrix residual = pathA + pathB - input
 `
 
 func main() {
+	ctx := context.Background()
 	cal, err := paradigm.Calibrate(paradigm.NewCM5(16))
 	if err != nil {
 		log.Fatal(err)
@@ -39,7 +41,7 @@ func main() {
 	fmt.Printf("compiled %s: %d MDG nodes, %d edges\n\n", p.Name, p.G.NumNodes(), len(p.G.Edges))
 
 	m := paradigm.NewCM5(16)
-	res, err := paradigm.Run(p, m, cal, 16)
+	res, err := paradigm.RunContext(ctx, p, m, cal, 16)
 	if err != nil {
 		log.Fatal(err)
 	}

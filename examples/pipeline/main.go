@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cal, err := paradigm.Calibrate(paradigm.NewCM5(64))
 	if err != nil {
 		log.Fatal(err)
@@ -27,11 +29,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		spmd, err := paradigm.RunSPMD(p, m, cal, procs)
+		spmd, err := paradigm.RunSPMDContext(ctx, p, m, cal, procs)
 		if err != nil {
 			log.Fatal(err)
 		}
-		mpmd, err := paradigm.Run(p, m, cal, procs)
+		mpmd, err := paradigm.RunContext(ctx, p, m, cal, procs)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	for _, mk := range []struct {
 		name    string
 		profile func(int) paradigm.Machine
@@ -36,7 +38,7 @@ func main() {
 			log.Fatal(err)
 		}
 		for _, procs := range []int{16, 64} {
-			res, err := paradigm.Run(p, m, cal, procs)
+			res, err := paradigm.RunContext(ctx, p, m, cal, procs)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -43,9 +43,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 3. Allocate, schedule, generate MPMD code, simulate — through the
-	// context entry point, with a metrics registry observing the run.
-	// (paradigm.Run(p, m, cal, 8) is the shorthand without either.)
+	// 3. Allocate, schedule, generate MPMD code, simulate, with a
+	// metrics registry observing the run.
 	reg := paradigm.NewMetrics()
 	res, err := paradigm.RunContext(context.Background(), p, m, cal, 8,
 		paradigm.WithObserver(paradigm.NewMetricsObserver(reg)))

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cal, err := paradigm.Calibrate(paradigm.NewCM5(64))
 	if err != nil {
 		log.Fatal(err)
@@ -30,7 +32,7 @@ func main() {
 	fmt.Printf("%6s  %10s  %10s  %10s  %8s\n", "procs", "Phi (s)", "T_psa (s)", "actual (s)", "dev (%)")
 	var last *paradigm.Result
 	for _, procs := range []int{16, 32, 64} {
-		res, err := paradigm.Run(p, m, cal, procs)
+		res, err := paradigm.RunContext(ctx, p, m, cal, procs)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -47,8 +47,7 @@ type Options struct {
 	// BackendAuto, BackendAnneal and the retired BackendADMM — runs the
 	// one exact interior-point solve. Any other value fails option
 	// validation with errs.ErrUnknownBackend. Untyped string literals
-	// still compile (Backend is a string type); ParseBackend covers CLI
-	// flags.
+	// still compile (Backend is a string type).
 	Backend Backend
 	// ADMM is ignored.
 	//

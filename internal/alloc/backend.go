@@ -1,8 +1,7 @@
 // Typed allocation-backend selectors. Options.Backend used to be a bare
 // string validated deep inside SolveCtx; the typed constants move the
 // contract to the API surface, with errs.ErrUnknownBackend so callers
-// can dispatch on the failure, while ParseBackend keeps CLI flags as
-// plain strings.
+// can dispatch on the failure.
 package alloc
 
 import (
@@ -52,20 +51,6 @@ func (b Backend) String() string {
 		return "auto"
 	}
 	return string(b)
-}
-
-// ParseBackend maps a CLI string to a solve strategy: "", "auto",
-// "anneal" or the retired "admm", all of which run the exact solve.
-// Anything else fails with ErrUnknownBackend.
-func ParseBackend(s string) (Backend, error) {
-	if s == "auto" {
-		return BackendAuto, nil
-	}
-	b := Backend(s)
-	if err := b.Validate(); err != nil {
-		return BackendAuto, err
-	}
-	return b, nil
 }
 
 // ADMMOptions tuned the retired consensus-ADMM backend.

@@ -14,9 +14,11 @@ import (
 )
 
 // Analytical prices loops and transfers in closed form from a Params
-// profile.
+// profile. Built from a Spec (FromSpec), it serves the spec's pinned
+// transfer surface instead of the derived one when the spec has one.
 type Analytical struct {
-	p Params
+	p      Params
+	pinned *costmodel.TransferParams
 }
 
 var _ Backend = (*Analytical)(nil)
@@ -35,28 +37,20 @@ func (a *Analytical) Name() string { return a.p.Name }
 // Kind implements Backend.
 func (a *Analytical) Kind() Kind { return KindAnalytical }
 
-// Procs implements Backend.
-func (a *Analytical) Procs() int { return a.p.Procs }
-
 // SimParams implements Backend.
 func (a *Analytical) SimParams() Params { return a.p }
 
-// Speed implements Backend.
-func (a *Analytical) Speed(proc int) float64 { return a.p.SpeedOf(proc) }
-
-// Capacity implements Backend.
-func (a *Analytical) Capacity(proc int) int64 { return a.p.CapacityOf(proc) }
-
-// Topology implements Backend.
-func (a *Analytical) Topology() Topology { return DefaultTopology(a.p.Name, a.p.Procs) }
-
-// Transfer derives the redistribution surface from the per-message
-// constants: startups map to the fixed terms, per-byte rates to the
-// linear terms, and tag matching — paid per message at the receiver —
-// folds into the receive startup. The trained backend fits the same
-// five parameters from measured sweeps; on these profiles the two agree
-// to within the regression's residuals.
+// Transfer returns the pinned surface when the spec has one, and
+// otherwise derives it from the per-message constants: startups map to
+// the fixed terms, per-byte rates to the linear terms, and tag matching
+// — paid per message at the receiver — folds into the receive startup.
+// The trained backend fits the same five parameters from measured
+// sweeps; on these profiles the two agree to within the regression's
+// residuals.
 func (a *Analytical) Transfer() costmodel.TransferParams {
+	if a.pinned != nil {
+		return *a.pinned
+	}
 	return costmodel.TransferParams{
 		Tss: a.p.SendStartup,
 		Tps: a.p.SendPerByte,
@@ -75,12 +69,7 @@ func (a *Analytical) Loop(name string, spec LoopSpec) (costmodel.LoopParams, err
 	if err := spec.Validate(); err != nil {
 		return costmodel.LoopParams{}, err
 	}
-	return analyticalLoop(a.p, spec.Shape())
-}
-
-// analyticalLoop is the shared closed-form estimate (also used by the
-// file-loaded backend).
-func analyticalLoop(p Params, sh LoopShape) (costmodel.LoopParams, error) {
+	sh, p := spec.Shape(), a.p
 	if sh.Op == "none" {
 		return costmodel.LoopParams{}, nil
 	}

@@ -1,5 +1,5 @@
 // The machine-model backend interface: one contract covering everything
-// the pipeline asks of a target machine, with three interchangeable
+// the pipeline asks of a target machine, with two interchangeable
 // implementations behind it (DESIGN.md §13).
 //
 // The pipeline consumes a machine model at three points:
@@ -14,7 +14,8 @@
 // The trained backend (internal/trainsets) fills the first two by the
 // paper's training-sets regression; the analytical backend (this
 // package) derives them in closed form from the ground-truth constants
-// with no calibration run; the file-loaded backend reads a JSON Spec.
+// with no calibration run, built from a Params profile or from a JSON
+// Spec, which may pin the transfer surface instead.
 package machine
 
 import (
@@ -31,17 +32,14 @@ const (
 	// parameters fitted to measured sweeps on the simulated machine.
 	KindTrained Kind = "trained"
 	// KindAnalytical is the closed-form roofline estimator: model
-	// parameters derived directly from the machine constants, no
-	// calibration run needed.
+	// parameters derived directly from the machine constants (or a
+	// spec's pinned transfer surface), no calibration run needed.
 	KindAnalytical Kind = "analytical"
-	// KindFile is a JSON machine spec loaded from the database or a
-	// user file, estimated analytically unless the spec pins an explicit
-	// transfer surface.
-	KindFile Kind = "file"
 )
 
-// Topology describes the interconnect family of a machine, carried for
-// topology-aware extensions. Dims, when present, multiply out to the
+// Topology describes the interconnect family of a machine: the spec
+// format's optional "topology" field, carried for topology-aware
+// extensions and priced by nothing yet. Dims, when present, multiply out to the
 // processor count (e.g. a mesh's side lengths).
 type Topology struct {
 	// Kind is the interconnect family: "fat-tree", "mesh", "grid",
@@ -106,22 +104,13 @@ type Backend interface {
 	Name() string
 	// Kind names the implementation family.
 	Kind() Kind
-	// Procs is the native system size of the profile; pipelines may run
-	// any subset via SimParams().WithProcs.
-	Procs() int
-	// SimParams returns the ground-truth simulator constants.
+	// SimParams returns the ground-truth simulator constants at the
+	// profile's native system size; pipelines may run any subset via
+	// SimParams().WithProcs.
 	SimParams() Params
 	// Transfer returns the fitted or derived redistribution cost surface
 	// covering the 1D, 2D and grid regimes.
 	Transfer() costmodel.TransferParams
-	// Speed returns processor proc's relative speed multiplier (1 when
-	// homogeneous or out of range).
-	Speed(proc int) float64
-	// Capacity returns processor proc's memory capacity in bytes (0:
-	// unbounded).
-	Capacity(proc int) int64
-	// Topology describes the interconnect.
-	Topology() Topology
 }
 
 // DefaultTopology maps the built-in profile names to their interconnect

@@ -49,17 +49,11 @@ func TestAnalyticalBackendConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Name() != "CM5" || a.Kind() != KindAnalytical || a.Procs() != 64 {
-		t.Fatalf("identity: %s/%s/%d", a.Name(), a.Kind(), a.Procs())
+	if a.Name() != "CM5" || a.Kind() != KindAnalytical {
+		t.Fatalf("identity: %s/%s", a.Name(), a.Kind())
 	}
 	if !a.SimParams().Equal(CM5(64)) {
 		t.Error("SimParams does not round-trip the profile")
-	}
-	if a.Speed(3) != 1 || a.Capacity(3) != 0 {
-		t.Errorf("homogeneous profile: Speed=%v Capacity=%v", a.Speed(3), a.Capacity(3))
-	}
-	if top := a.Topology(); top.Kind != "fat-tree" {
-		t.Errorf("CM5 topology %q, want fat-tree", top.Kind)
 	}
 
 	tp := a.Transfer()
@@ -70,13 +64,23 @@ func TestAnalyticalBackendConformance(t *testing.T) {
 	}
 }
 
+// analyticalShapes are the loop shapes TestAnalyticalLoopEstimates
+// prices: a multiply, an add, the zero-cost "none" op and an op the
+// estimator cannot price.
+var analyticalShapes = []LoopShape{
+	{Op: "mul", M: 64, N: 64, K: 64},
+	{Op: "add", M: 64, N: 64},
+	{Op: "none"},
+	{Op: "transmogrify"},
+}
+
 func TestAnalyticalLoopEstimates(t *testing.T) {
 	a, err := NewAnalytical(CM5(64))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	lp, err := a.Loop("Matrix Multiply (64x64)", testLoop{shape: LoopShape{Op: "mul", M: 64, N: 64, K: 64}})
+	lp, err := a.Loop("Matrix Multiply (64x64)", testLoop{shape: analyticalShapes[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +94,7 @@ func TestAnalyticalLoopEstimates(t *testing.T) {
 		t.Errorf("multiply τ=%v, want within [%v, %v]", lp.Tau, work, 2*work)
 	}
 
-	add, err := a.Loop("Matrix add (64x64)", testLoop{shape: LoopShape{Op: "add", M: 64, N: 64}})
+	add, err := a.Loop("Matrix add (64x64)", testLoop{shape: analyticalShapes[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +102,48 @@ func TestAnalyticalLoopEstimates(t *testing.T) {
 		t.Errorf("add τ=%v not cheaper than multiply τ=%v", add.Tau, lp.Tau)
 	}
 
-	if zero, err := a.Loop("start", testLoop{shape: LoopShape{Op: "none"}}); err != nil || zero.Tau != 0 {
+	if zero, err := a.Loop("start", testLoop{shape: analyticalShapes[2]}); err != nil || zero.Tau != 0 {
 		t.Errorf("none op: %+v, %v", zero, err)
 	}
-	if _, err := a.Loop("bad", testLoop{shape: LoopShape{Op: "transmogrify"}}); err == nil {
+	if _, err := a.Loop("bad", testLoop{shape: analyticalShapes[3]}); err == nil {
 		t.Error("unknown op accepted")
 	}
 	if _, err := a.Loop("bad", testLoop{bad: true}); err == nil {
 		t.Error("invalid loop spec accepted")
+	}
+}
+
+// TestSpecAndProfileAreOneBackend: the builtin cm5 spec and the CM-5
+// profile it was written from are the same closed-form backend — same
+// identity, constants, transfer surface and loop prices.
+func TestSpecAndProfileAreOneBackend(t *testing.T) {
+	s, err := Resolve("cm5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := FromSpec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAnalytical(CM5(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Kind() != a.Kind() || f.Name() != a.Name() {
+		t.Errorf("identity: spec %s/%s, profile %s/%s", f.Name(), f.Kind(), a.Name(), a.Kind())
+	}
+	if !f.SimParams().Equal(a.SimParams()) {
+		t.Error("spec and profile lower to different constants")
+	}
+	if f.Transfer() != a.Transfer() {
+		t.Errorf("transfer: spec %+v, profile %+v", f.Transfer(), a.Transfer())
+	}
+	for _, sh := range analyticalShapes {
+		lf, errF := f.Loop(sh.Key(), testLoop{shape: sh})
+		la, errA := a.Loop(sh.Key(), testLoop{shape: sh})
+		if lf != la || (errF == nil) != (errA == nil) {
+			t.Errorf("%s: spec %+v (%v), profile %+v (%v)", sh.Key(), lf, errF, la, errA)
+		}
 	}
 }
 
@@ -234,7 +272,7 @@ func TestFileBackendPinnedTransfer(t *testing.T) {
 		t.Errorf("pinned surface not honoured: %+v", tp)
 	}
 
-	// Without a pin the file backend agrees with the analytical one.
+	// Without a pin the spec's backend derives the surface from its constants.
 	plain, _ := Builtin("cm5")
 	fp, err := FromSpec(plain)
 	if err != nil {
@@ -242,7 +280,7 @@ func TestFileBackendPinnedTransfer(t *testing.T) {
 	}
 	a, _ := NewAnalytical(plain.Params())
 	if fp.Transfer() != a.Transfer() {
-		t.Errorf("unpinned file transfer %+v != analytical %+v", fp.Transfer(), a.Transfer())
+		t.Errorf("unpinned spec transfer %+v != derived %+v", fp.Transfer(), a.Transfer())
 	}
 }
 
@@ -258,9 +296,6 @@ func TestHeterogeneousParams(t *testing.T) {
 	}
 	if p.SpeedOf(0) != 2 || p.SpeedOf(3) != 0.5 || p.SpeedOf(9) != 1 || p.SpeedOf(-1) != 1 {
 		t.Error("SpeedOf")
-	}
-	if p.CapacityOf(2) != 32 || p.CapacityOf(9) != 0 {
-		t.Error("CapacityOf")
 	}
 
 	// Resize truncates and pads.

@@ -83,7 +83,7 @@ type Params struct {
 	// MemCapacity holds per-processor memory capacities in bytes. Empty
 	// means unbounded; a zero entry also means unbounded for that
 	// processor. Carried as a first-class machine property for
-	// capacity-aware allocation (ROADMAP item 3); the current pipeline
+	// capacity-aware allocation (ROADMAP item 7); the current pipeline
 	// records and validates it but does not yet enforce it.
 	MemCapacity []int64 `json:",omitempty"`
 }
@@ -95,15 +95,6 @@ func (p Params) SpeedOf(proc int) float64 {
 		return 1
 	}
 	return p.Speeds[proc]
-}
-
-// CapacityOf returns processor proc's memory capacity in bytes, 0
-// meaning unbounded.
-func (p Params) CapacityOf(proc int) int64 {
-	if proc < 0 || proc >= len(p.MemCapacity) {
-		return 0
-	}
-	return p.MemCapacity[proc]
 }
 
 // Heterogeneous reports whether any per-processor speed differs from 1.

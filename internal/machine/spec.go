@@ -1,9 +1,9 @@
-// JSON machine specifications: the file-loaded backend. A Spec is the
-// durable, user-editable form of a machine profile — explicit snake_case
-// fields, strict decoding (unknown fields are errors, so a typo cannot
-// silently zero a constant), validation with typed errors, and a
-// canonical encoding that the committed database round-trips through
-// byte-identically.
+// JSON machine specifications. A Spec is the durable, user-editable
+// form of a machine profile — explicit snake_case fields, strict
+// decoding (unknown fields are errors, so a typo cannot silently zero a
+// constant), validation with typed errors, and a canonical encoding that
+// the committed database round-trips through byte-identically. FromSpec
+// serves one through the analytical backend.
 package machine
 
 import (
@@ -249,63 +249,15 @@ func SpecFromParams(p Params) *Spec {
 	return s
 }
 
-// File is the file-loaded backend: a validated Spec served through the
-// Backend interface, priced analytically unless the spec pins an
-// explicit transfer surface.
-type File struct {
-	spec Spec
-	p    Params
-}
-
-var _ Backend = (*File)(nil)
-
-// FromSpec returns the backend for a spec, validating it first.
-func FromSpec(s *Spec) (*File, error) {
+// FromSpec returns the analytical backend for a spec, validating it
+// first. A pinned transfer surface in the spec replaces the derived one.
+func FromSpec(s *Spec) (*Analytical, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return &File{spec: *s, p: s.Params()}, nil
-}
-
-// Name implements Backend.
-func (f *File) Name() string { return f.spec.Name }
-
-// Kind implements Backend.
-func (f *File) Kind() Kind { return KindFile }
-
-// Procs implements Backend.
-func (f *File) Procs() int { return f.spec.Procs }
-
-// SimParams implements Backend.
-func (f *File) SimParams() Params { return f.p }
-
-// Speed implements Backend.
-func (f *File) Speed(proc int) float64 { return f.p.SpeedOf(proc) }
-
-// Capacity implements Backend.
-func (f *File) Capacity(proc int) int64 { return f.p.CapacityOf(proc) }
-
-// Topology implements Backend.
-func (f *File) Topology() Topology {
-	if f.spec.Interconnect != nil {
-		return *f.spec.Interconnect
+	a := &Analytical{p: s.Params()}
+	if t := s.Transfer; t != nil {
+		a.pinned = &costmodel.TransferParams{Tss: t.Tss, Tps: t.Tps, Tsr: t.Tsr, Tpr: t.Tpr, Tn: t.Tn}
 	}
-	return DefaultTopology(f.spec.Name, f.spec.Procs)
-}
-
-// Transfer implements Backend: the spec's pinned surface when present,
-// the analytical derivation otherwise.
-func (f *File) Transfer() costmodel.TransferParams {
-	if t := f.spec.Transfer; t != nil {
-		return costmodel.TransferParams{Tss: t.Tss, Tps: t.Tps, Tsr: t.Tsr, Tpr: t.Tpr, Tn: t.Tn}
-	}
-	return (&Analytical{p: f.p}).Transfer()
-}
-
-// Loop implements Backend via the closed-form estimator.
-func (f *File) Loop(name string, spec LoopSpec) (costmodel.LoopParams, error) {
-	if err := spec.Validate(); err != nil {
-		return costmodel.LoopParams{}, err
-	}
-	return analyticalLoop(f.p, spec.Shape())
+	return a, nil
 }

@@ -37,8 +37,8 @@ type Meta struct {
 	// Machine names the machine model the run targeted (e.g. "CM5",
 	// "Paragon-memcap8"); empty omits the annotation.
 	Machine string
-	// MachineKind is the backend family ("trained", "analytical",
-	// "file"); empty omits the annotation.
+	// MachineKind is the backend family ("trained" or "analytical");
+	// empty omits the annotation.
 	MachineKind string
 }
 

@@ -21,17 +21,11 @@ type Trained struct {
 // Backend returns the calibration's machine.Backend view.
 func (c *Calibration) Backend() *Trained { return &Trained{cal: c} }
 
-// Calibration returns the underlying fitted calibration.
-func (t *Trained) Calibration() *Calibration { return t.cal }
-
 // Name implements machine.Backend.
 func (t *Trained) Name() string { return t.cal.Machine.Name }
 
 // Kind implements machine.Backend.
 func (t *Trained) Kind() machine.Kind { return machine.KindTrained }
-
-// Procs implements machine.Backend.
-func (t *Trained) Procs() int { return t.cal.Machine.Procs }
 
 // SimParams implements machine.Backend.
 func (t *Trained) SimParams() machine.Params { return t.cal.Machine }
@@ -44,17 +38,6 @@ func (t *Trained) Loop(name string, spec machine.LoopSpec) (costmodel.LoopParams
 	return t.cal.Loop(name, spec)
 }
 
-// Speed implements machine.Backend.
-func (t *Trained) Speed(proc int) float64 { return t.cal.Machine.SpeedOf(proc) }
-
-// Capacity implements machine.Backend.
-func (t *Trained) Capacity(proc int) int64 { return t.cal.Machine.CapacityOf(proc) }
-
-// Topology implements machine.Backend.
-func (t *Trained) Topology() machine.Topology {
-	return machine.DefaultTopology(t.cal.Machine.Name, t.cal.Machine.Procs)
-}
-
-// Interface conformance checks for the three backend families.
+// Interface conformance checks.
 var _ machine.Backend = (*Trained)(nil)
 var _ machine.LoopSource = (*Calibration)(nil)

@@ -4,23 +4,22 @@
 // A MachineBackend answers all three machine questions the pipeline
 // asks — Amdahl loop parameters at program-build time, the transfer
 // cost surface at allocate/schedule time, and ground-truth simulator
-// constants at execute time. Three implementations ship:
+// constants at execute time. Two implementations ship:
 //
 //   - trained (NewTrainedMachine): the paper's training-sets
 //     regression, wrapping a Calibration. Byte-identical to the
-//     historical positional pipeline.
-//   - analytical (NewAnalyticalMachine): a closed-form roofline
-//     estimator derived directly from the machine constants — no
-//     calibration run.
-//   - file-loaded (ResolveMachine / MachineFromSpec): a JSON machine
-//     spec, from the built-in database or a user file, estimated
-//     analytically unless the spec pins an explicit transfer surface.
+//     Machine + Calibration form of RunContext.
+//   - analytical (NewAnalyticalMachine, ResolveMachine,
+//     MachineFromSpec): a closed-form roofline estimator derived
+//     directly from the machine constants — no calibration run. Built
+//     from a JSON machine spec (the built-in database or a user file),
+//     it serves the spec's pinned transfer surface when it has one.
 //
 // WithMachine threads a backend through any pipeline entry point;
-// RunOn is the one-call form:
+// RunOnContext runs the whole pipeline on one:
 //
 //	b, err := paradigm.ResolveMachine("testdata/machines/cm5-hetero8.json")
-//	res, err := paradigm.RunOn(prog, b, 8)
+//	res, err := paradigm.RunOnContext(ctx, prog, b, 8)
 package paradigm
 
 import (
@@ -36,14 +35,12 @@ type (
 	// MachineBackend is one machine model: everything the
 	// allocate → schedule → simulate pipeline asks of a target machine.
 	MachineBackend = machine.Backend
-	// MachineKind names a backend implementation family ("trained",
-	// "analytical", "file").
+	// MachineKind names a backend implementation family ("trained" or
+	// "analytical").
 	MachineKind = machine.Kind
-	// MachineSpec is the JSON machine description the file-loaded
-	// backend consumes (see testdata/machines/*.json).
+	// MachineSpec is the JSON machine description MachineFromSpec
+	// consumes (see testdata/machines/*.json).
 	MachineSpec = machine.Spec
-	// MachineTopology describes a machine's interconnect family.
-	MachineTopology = machine.Topology
 	// LoopSource is the narrow processing-cost surface the program
 	// builders consume: both *Calibration and every MachineBackend
 	// satisfy it.
@@ -58,8 +55,6 @@ const (
 	MachineTrained = machine.KindTrained
 	// MachineAnalytical is the closed-form roofline estimator.
 	MachineAnalytical = machine.KindAnalytical
-	// MachineFile is a JSON spec from the database or a user file.
-	MachineFile = machine.KindFile
 )
 
 // Allocation-backend re-exports: the typed selector for
@@ -84,15 +79,10 @@ var (
 	ErrBadMachineSpec = errs.ErrBadMachineSpec
 )
 
-// ParseAllocBackend maps a CLI string ("auto", "anneal", or the retired
-// "admm", which runs the same exact solve) to a typed allocation backend,
-// failing with ErrUnknownBackend.
-func ParseAllocBackend(s string) (AllocBackend, error) { return alloc.ParseBackend(s) }
-
 // MachineNames lists the built-in machine database, sorted.
 func MachineNames() []string { return machine.BuiltinNames() }
 
-// ResolveMachine turns a machine reference into a file-loaded backend:
+// ResolveMachine turns a machine reference into an analytical backend:
 // a built-in database name first ("cm5", "paragon", "cm5-hetero8",
 // "paragon-memcap8", case-insensitive), then a path to a JSON spec.
 // Unknown names fail with ErrUnknownBackend; bad specs with
@@ -108,12 +98,8 @@ func ResolveMachine(ref string) (MachineBackend, error) {
 // LoadMachineSpec reads and validates one JSON machine spec file.
 func LoadMachineSpec(path string) (*MachineSpec, error) { return machine.LoadSpec(path) }
 
-// MachineFromSpec builds the file-loaded backend for a validated spec.
+// MachineFromSpec builds the analytical backend for a validated spec.
 func MachineFromSpec(s *MachineSpec) (MachineBackend, error) { return machine.FromSpec(s) }
-
-// MachineSpecOf exports a machine profile as a spec — the starting
-// point for writing a custom machine file.
-func MachineSpecOf(m Machine) *MachineSpec { return machine.SpecFromParams(m) }
 
 // NewAnalyticalMachine wraps a machine profile in the closed-form
 // roofline estimator: loop and transfer parameters derived directly
@@ -122,19 +108,8 @@ func NewAnalyticalMachine(m Machine) (MachineBackend, error) { return machine.Ne
 
 // NewTrainedMachine wraps a calibration in the Backend interface. The
 // resulting backend prices loops and transfers exactly as the
-// calibration does — the historical positional pipeline, behind the
-// pluggable surface.
+// calibration does.
 func NewTrainedMachine(cal *Calibration) MachineBackend { return cal.Backend() }
-
-// TrainMachine calibrates a machine profile and returns the trained
-// backend in one step: Calibrate followed by NewTrainedMachine.
-func TrainMachine(m Machine) (MachineBackend, error) {
-	cal, err := Calibrate(m)
-	if err != nil {
-		return nil, err
-	}
-	return cal.Backend(), nil
-}
 
 // WithMachine supplies the machine model for a pipeline call from a
 // backend, overriding the positional Machine/Calibration arguments:
@@ -144,16 +119,10 @@ func WithMachine(b MachineBackend) Option {
 	return func(c *config) { c.mach = b }
 }
 
-// RunOn executes the full pipeline — allocate, schedule, generate MPMD
-// code, simulate — for a program on a machine backend at the given
-// system size. It is the positional form of RunOnContext.
-func RunOn(p *Program, b MachineBackend, procs int) (*Result, error) {
-	return RunOnContext(context.Background(), p, b, procs)
-}
-
-// RunOnContext executes the full pipeline on a machine backend with
-// cancellation and options; it is RunContext with the machine model
-// drawn entirely from b.
+// RunOnContext executes the full pipeline — allocate, schedule,
+// generate MPMD code, simulate — for a program on a machine backend at
+// the given system size; it is RunContext with the machine model drawn
+// entirely from b.
 func RunOnContext(ctx context.Context, p *Program, b MachineBackend, procs int, opts ...Option) (*Result, error) {
 	return RunContext(ctx, p, b.SimParams(), nil, procs, append(opts, WithMachine(b))...)
 }

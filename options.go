@@ -9,10 +9,10 @@
 //	    paradigm.WithObserver(paradigm.MultiObserver(rec, paradigm.NewMetricsObserver(reg))),
 //	    paradigm.WithScheduleOptions(paradigm.ScheduleOptions{PB: 8}))
 //
-// The positional signatures Calibrate, Run and RunSPMD remain as thin
-// wrappers over these entry points. With
-// no observer attached the instrumented pipeline pays one nil check per
-// would-be event — see the Run benchmark pair in bench_test.go.
+// The positional Calibrate remains as a thin wrapper over
+// CalibrateContext. With no observer attached the instrumented pipeline
+// pays one nil check per would-be event — see the Run benchmark pair in
+// bench_test.go.
 package paradigm
 
 import (
@@ -351,7 +351,7 @@ func RunContext(ctx context.Context, p *Program, m Machine, cal *Calibration, pr
 		}
 		return nil, budgetErr(ctx, "execute", c.budgets.Execute, err)
 	}
-	result := &Result{Alloc: ar, Sched: s, Sim: simRes, Predicted: s.Makespan, Actual: simRes.Makespan}
+	result := &Result{Alloc: ar, Sched: s, Sim: simRes, Program: p, Predicted: s.Makespan, Actual: simRes.Makespan}
 	if cerr := c.ckptDone(result); cerr != nil {
 		return nil, cerr
 	}
@@ -391,5 +391,5 @@ func RunSPMDContext(ctx context.Context, p *Program, m Machine, cal *Calibration
 	if err != nil {
 		return nil, budgetErr(ctx, "execute", c.budgets.Execute, err)
 	}
-	return &Result{Alloc: ar, Sched: s, Sim: simRes, Predicted: s.Makespan, Actual: simRes.Makespan}, nil
+	return &Result{Alloc: ar, Sched: s, Sim: simRes, Program: p, Predicted: s.Makespan, Actual: simRes.Makespan}, nil
 }

@@ -21,8 +21,8 @@
 //     (ExecuteContext) — here on a deterministic simulated CM-5 that
 //     moves real data, so results are verifiable end to end.
 //
-// Run performs steps 3-5 in one call; RunSPMD produces the pure
-// data-parallel baseline the paper's Figure 8 compares against.
+// RunContext performs steps 3-5 in one call; RunSPMDContext produces the
+// pure data-parallel baseline the paper's Figure 8 compares against.
 package paradigm
 
 import (
@@ -168,6 +168,11 @@ type Result struct {
 	Sched *Schedule
 	// Sim is the simulated execution; Sim.Makespan is the actual time.
 	Sim *SimResult
+	// Program is the program Sched and Sim describe: the submitted one,
+	// or after recovery the residual program the survivors ran, whose
+	// graph is renumbered and carries restore nodes. Render Sched
+	// against Program.G.
+	Program *Program
 	// Predicted and Actual are the two makespans.
 	Predicted, Actual float64
 	// Recovered reports that the run survived a fault through
@@ -177,20 +182,6 @@ type Result struct {
 	Recovered        bool
 	RecoveryAttempts int
 	FailedProcs      []int
-}
-
-// Run executes the full paper pipeline — allocate, schedule, generate
-// MPMD code, simulate — for a program on a machine at the given system
-// size. The calibration provides the fitted cost model. It is the
-// positional form of RunContext.
-func Run(p *Program, m Machine, cal *Calibration, procs int) (*Result, error) {
-	return RunContext(context.Background(), p, m, cal, procs)
-}
-
-// RunSPMD executes the pure data-parallel baseline end to end. It is the
-// positional form of RunSPMDContext.
-func RunSPMD(p *Program, m Machine, cal *Calibration, procs int) (*Result, error) {
-	return RunSPMDContext(context.Background(), p, m, cal, procs)
 }
 
 // Verify checks every simulated array against the program's sequential

@@ -25,11 +25,11 @@ func TestFacadeFullPipelineCMM(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewCM5(64)
-	mixed, err := Run(p, m, cal, 16)
+	mixed, err := RunContext(context.Background(), p, m, cal, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spmd, err := RunSPMD(p, m, cal, 16)
+	spmd, err := RunSPMDContext(context.Background(), p, m, cal, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestFacadeBuilderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(p, NewCM5(8), cal, 8)
+	res, err := RunContext(context.Background(), p, NewCM5(8), cal, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestFacadeNewExports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(pg, NewCM5(16), cal, 16)
+	res, err := RunContext(context.Background(), pg, NewCM5(16), cal, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

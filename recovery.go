@@ -242,7 +242,7 @@ func recoverRun(ctx context.Context, p *Program, m Machine, model Model, src Loo
 			return nil, err
 		}
 		return &Result{
-			Alloc: ar, Sched: s, Sim: simRes,
+			Alloc: ar, Sched: s, Sim: simRes, Program: resProg,
 			Predicted: s.Makespan, Actual: simRes.Makespan,
 			Recovered: true, RecoveryAttempts: attempt,
 			FailedProcs: append([]int(nil), halt.Failed...),

@@ -8,6 +8,7 @@ package paradigm
 import (
 	"context"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -32,7 +33,7 @@ func mustVerifyExact(t *testing.T, p *Program, res *Result) {
 // cleanMakespan runs the fault-free pipeline once for a fail-time hint.
 func cleanMakespan(t *testing.T, p *Program, m Machine, cal *Calibration, procs int) float64 {
 	t.Helper()
-	res, err := Run(p, m, cal, procs)
+	res, err := RunContext(context.Background(), p, m, cal, procs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestFaultFreeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewCM5(8)
-	plain, err := Run(p, m, cal, 8)
+	plain, err := RunContext(context.Background(), p, m, cal, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +339,7 @@ func TestRecoveryWidthIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewCM5(16)
-	clean, err := Run(p, m, cal, 16)
+	clean, err := RunContext(context.Background(), p, m, cal, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,5 +373,67 @@ func TestRecoveryWidthIndependent(t *testing.T) {
 		if digests[0] != digests[1] {
 			t.Fatalf("%s: result digest %s at width 1, %s at width 8", name, digests[0], digests[1])
 		}
+	}
+}
+
+// TestRecoveredResultRendersAgainstItsProgram: after recovery the
+// schedule indexes the residual program's graph — renumbered in
+// topological order, with restore nodes — not the submitted one. The
+// plan is the one `paradigm -program strassen -size 32 -procs 8
+// -faults rand:42 -recover 2` runs; rendering its table against the
+// submitted graph indexed past the end. Result.Program is the graph to
+// render against, and every table row names its node in that graph.
+func TestRecoveredResultRendersAgainstItsProgram(t *testing.T) {
+	cal := testCal(t)
+	p, err := StrassenRecursive(64, 1, cal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewCM5(8)
+	ctx := context.Background()
+	clean, err := RunContext(ctx, p, m, cal, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean.Program != p {
+		t.Fatal("a fault-free run's Program is not the submitted program")
+	}
+	plan, err := RandomFaultPlan(42, FaultRandOptions{
+		Procs: 8, MakespanHint: clean.Actual, ProcFails: 1, MsgDelays: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunContext(ctx, p, m, cal, 8, WithFaultPlan(plan), WithRecovery(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Recovered {
+		t.Fatal("the plan no longer halts the run; pick a seed that does")
+	}
+	mustVerifyExact(t, p, res)
+	g := res.Program.G
+	if res.Program == p || len(g.Nodes) == len(p.G.Nodes) {
+		t.Fatalf("recovered run's Program is the submitted one (%d nodes)", len(g.Nodes))
+	}
+	table := res.Sched.Table(g)
+	_ = res.Sched.Gantt(g, 80)
+	rows, restores := 0, 0
+	for _, line := range strings.Split(strings.TrimSpace(table), "\n")[1:] {
+		f := strings.Fields(line)
+		id, err := strconv.Atoi(f[0])
+		if err != nil {
+			t.Fatalf("table row %q: %v", line, err)
+		}
+		if f[1] != g.Nodes[id].Name {
+			t.Errorf("row %d names %q, residual graph has %q", id, f[1], g.Nodes[id].Name)
+		}
+		if strings.HasPrefix(f[1], "restore_") {
+			restores++
+		}
+		rows++
+	}
+	if rows != len(g.Nodes) || restores == 0 {
+		t.Errorf("table has %d rows (%d restores) for a %d-node residual graph", rows, restores, len(g.Nodes))
 	}
 }

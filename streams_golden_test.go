@@ -67,7 +67,7 @@ func TestStreamsListingGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(p, NewCM5(c.procs), cal, c.procs)
+			res, err := RunContext(context.Background(), p, NewCM5(c.procs), cal, c.procs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +89,7 @@ func TestStreamsListingGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := NewCM5(8)
-		res, err := Run(p, m, cal, 8)
+		res, err := RunContext(context.Background(), p, m, cal, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
