@@ -92,8 +92,12 @@ smoke-paradigmd:
 # (by result digest) to an oracle-validated crash-free run. Two forms:
 # jobs that solve, and resume from their WALs, and jobs that replay from
 # the schedule cache, which have no WAL and ride on the journal alone.
+# Then the job machine's model test under the race detector: seeded
+# interleavings of submits, polls, drains, restarts and pool deaths
+# against a reference model.
 smoke-paradigmd-chaos:
 	$(GO) test ./cmd/paradigmd/ -run '^TestChaosKillRestart(Hot)?$$' -count=1 -timeout 600s -v
+	$(GO) test -race ./cmd/paradigmd/ -run '^TestServiceModel$$' -count=1 -v
 
 # The retention gate: 3000 jobs through one server, live heap growth
 # bounded per job, first and last schedule still served.

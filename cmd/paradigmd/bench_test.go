@@ -20,10 +20,7 @@ func benchSubmit(b *testing.B, dir string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mach := machineModel{
-		src: cal, cal: cal, profile: paradigm.NewCM5,
-		name: "CM5", kind: paradigm.MachineTrained,
-	}
+	mach := paradigm.NewTrainedMachine(cal)
 	srv, err := newServer(mach, serverConfig{
 		ckptDir: dir, queueCap: b.N + 1, walRetain: retainFailed, retries: 2,
 	})

@@ -35,10 +35,7 @@ func clusterLoadServer(tb testing.TB, poolProcs, faultEvery int) (*server, *http
 	if err != nil {
 		tb.Fatal(err)
 	}
-	mach := machineModel{
-		src: cal, cal: cal, profile: paradigm.NewCM5,
-		name: "CM5", kind: paradigm.MachineTrained,
-	}
+	mach := paradigm.NewTrainedMachine(cal)
 	srv, err := newServer(mach, serverConfig{
 		queueCap: 512, retries: 2, walRetain: retainFailed, policy: policy,
 		cluster: clusterConfig{procs: poolProcs, router: "least-loaded", faultEvery: faultEvery},

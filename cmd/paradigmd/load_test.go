@@ -130,10 +130,7 @@ func loadServer(tb testing.TB) (*server, *httptest.Server) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	mach := machineModel{
-		src: cal, cal: cal, profile: paradigm.NewCM5,
-		name: "CM5", kind: paradigm.MachineTrained,
-	}
+	mach := paradigm.NewTrainedMachine(cal)
 	srv, err := newServer(mach, serverConfig{queueCap: 512, retries: 2, walRetain: retainFailed, policy: policy})
 	if err != nil {
 		tb.Fatal(err)

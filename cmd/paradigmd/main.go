@@ -31,15 +31,20 @@
 // refused with 429 while other tenants proceed. Identical concurrent
 // submissions from one tenant coalesce onto a single in-flight solve —
 // every acknowledged job is journaled and reaches the same
-// digest-verified result — and a pipeline-level schedule cache replays
-// repeated allocate→schedule plans byte-identically without solving.
-// /metrics reports per-tenant admission/queue/completion series and the
-// Jain fairness index over completed jobs.
+// digest-verified result — and a pipeline-level schedule cache (256
+// plans) replays repeated allocate→schedule plans byte-identically
+// without solving. /metrics reports per-tenant admission/queue/completion
+// series and the Jain fairness index over completed jobs.
+//
+// Every job is priced and simulated on one machine backend (-machine):
+// the training-sets fits of a calibration for cm5 and paragon, the
+// analytical model for any other builtin name or machine-spec file.
 //
 // Endpoints:
 //
 //	POST /jobs               {"program":"cmm","size":32,"procs":8}  -> 202 {"id":...}
-//	                         optional: "tenant", "recover", "retries", "fault_seed"
+//	                         optional: "tenant", "recover", "retries", "fault_seed";
+//	                         size and procs at most 1024 (400 beyond)
 //	GET  /jobs               job summaries, submission order (X-Tenant scopes)
 //	GET  /jobs/{id}          one job's status, result summary, digest
 //	GET  /jobs/{id}/schedule the finished schedule (text table)
@@ -96,6 +101,11 @@ const (
 	maxSubmitBytes = 1 << 16
 	// maxRetryBudget caps a job's requested allocation retry budget.
 	maxRetryBudget = 8
+	// maxSize and maxProcs bound a submitted job at the HTTP edge, so a
+	// request cannot park a worker on a 10¹²-element matrix. Every
+	// journaled job replays regardless.
+	maxSize  = 1024
+	maxProcs = 1024
 
 	retainAll    = "all"
 	retainFailed = "failed"
@@ -127,7 +137,6 @@ func main() {
 	flag.IntVar(&o.retries, "retries", 2, "default per-job allocation retry budget (a job's retries field overrides, capped at 8)")
 	flag.StringVar(&o.policyPath, "policy", "", "admission policy config JSON (tenants, SLO classes, queue discipline; empty: unlimited FCFS)")
 	flag.IntVar(&o.shards, "journal-shards", 4, "tenant-sharded job journal count (existing shards are always adopted)")
-	flag.IntVar(&o.schedCacheCap, "sched-cache", 256, "pipeline-level schedule cache capacity in entries (0: disabled)")
 	flag.IntVar(&o.clusterProcs, "cluster-procs", 0, "cluster mode: run jobs on partitions of one shared processor pool of this size (0: off)")
 	flag.StringVar(&o.router, "router", "round-robin", "cluster mode partition router: round-robin, least-loaded, or best-fit (the partition size is fixed before routing, so best-fit places the lowest free processors)")
 	flag.IntVar(&o.clusterFaults, "cluster-faults", 0, "cluster mode: kill one partition processor on every Nth placement; the job recovers onto survivors and the processor retires from the pool (0: none)")
@@ -149,7 +158,6 @@ type runOpts struct {
 	policyPath, walRetain     string
 	pprofAddr                 string
 	workers, queueCap, shards int
-	schedCacheCap             int
 	budget                    time.Duration
 	retries                   int
 	clusterProcs              int
@@ -177,48 +185,13 @@ func run(o runOpts) error {
 			return fmt.Errorf("-policy %s: %w", o.policyPath, err)
 		}
 	}
-	machine := o.machine
-	// Machine resolution: the two classic profiles keep the historical
-	// trained (training-sets) path; any other builtin name or spec file
-	// loads through the machine database as a file backend.
-	var (
-		mach    machineModel
-		profile = paradigm.NewCM5
-	)
-	switch machine {
-	case "cm5", "paragon":
-		if machine == "paragon" {
-			profile = paradigm.NewParagon
-		}
-		cal, err := paradigm.Calibrate(profile(64))
-		if err != nil {
-			return err
-		}
-		mach = machineModel{
-			src: cal, cal: cal, profile: profile,
-			name: profile(64).Name, kind: paradigm.MachineTrained,
-		}
-	default:
-		mb, err := paradigm.ResolveMachine(machine)
-		if err != nil {
-			return err
-		}
-		mach = machineModel{
-			src: mb, backend: mb,
-			profile: func(p int) paradigm.Machine { return mb.SimParams().WithProcs(p) },
-			name:    mb.Name(), kind: mb.Kind(),
-		}
-	}
-	// The flag exposes "0: disabled"; internally 0 means "default" and a
-	// negative capacity disables.
-	schedCap := o.schedCacheCap
-	if schedCap <= 0 {
-		schedCap = -1
+	mach, err := machineBackend(o.machine)
+	if err != nil {
+		return err
 	}
 	srv, err := newServer(mach, serverConfig{
 		ckptDir: o.ckptDir, queueCap: o.queueCap, shards: o.shards,
-		budget: o.budget, walRetain: o.walRetain, retries: o.retries,
-		policy: policy, schedCacheCap: schedCap,
+		budget: o.budget, walRetain: o.walRetain, retries: o.retries, policy: policy,
 		cluster: clusterConfig{procs: o.clusterProcs, router: o.router, faultEvery: o.clusterFaults},
 	})
 	if err != nil {
@@ -252,7 +225,7 @@ func run(o runOpts) error {
 		ln.Addr(), o.workers, srv.queueCap, srv.backlog.Load())
 
 	if o.smoke {
-		machInfo := fmt.Sprintf("paradigmd_machine_info{name=%q,kind=%q} 1", mach.name, mach.kind)
+		machInfo := fmt.Sprintf("paradigmd_machine_info{name=%q,kind=%q} 1", mach.Name(), mach.Kind())
 		if err := smokeCycle(ln.Addr().String(), machInfo); err != nil {
 			return fmt.Errorf("smoke: %w", err)
 		}
@@ -278,6 +251,26 @@ func run(o runOpts) error {
 	}
 }
 
+// machineBackend resolves -machine. The two classic profiles take the
+// training-sets backend of a calibration on their 64-processor profile;
+// any other builtin name or spec file resolves to the analytical one.
+func machineBackend(name string) (paradigm.MachineBackend, error) {
+	var profile func(int) paradigm.Machine
+	switch name {
+	case "cm5":
+		profile = paradigm.NewCM5
+	case "paragon":
+		profile = paradigm.NewParagon
+	default:
+		return paradigm.ResolveMachine(name)
+	}
+	cal, err := paradigm.Calibrate(profile(64))
+	if err != nil {
+		return nil, err
+	}
+	return paradigm.NewTrainedMachine(cal), nil
+}
+
 // pprofHandler serves the net/http/pprof endpoints from a mux of its
 // own, so importing the package never puts them on the job API.
 func pprofHandler() http.Handler {
@@ -296,22 +289,11 @@ func shutdownHTTP(hs *http.Server) {
 	_ = hs.Shutdown(ctx)
 }
 
-// jobRequest is the submit payload.
-type jobRequest struct {
-	Program   string `json:"program"`              // cmm | strassen
-	Size      int    `json:"size"`                 // matrix size
-	Procs     int    `json:"procs"`                // system size p
-	Tenant    string `json:"tenant,omitempty"`     // tenant scope (empty: "default")
-	Recover   int    `json:"recover,omitempty"`    // max recovery attempts
-	Retries   int    `json:"retries,omitempty"`    // per-job alloc retry budget (0: server default)
-	FaultSeed uint64 `json:"fault_seed,omitempty"` // deterministic fault schedule seed (0: none)
-}
-
 // specKey canonicalizes everything that determines the job's result,
 // excluding the tenant: two jobs with equal spec keys produce
 // byte-identical digests (the pipeline is deterministic).
-func (r jobRequest) specKey() string {
-	return fmt.Sprintf("%s|%d|%d|%d|%d|%d", r.Program, r.Size, r.Procs, r.Recover, r.Retries, r.FaultSeed)
+func specKey(sub jobstore.Submit) string {
+	return fmt.Sprintf("%s|%d|%d|%d|%d|%d", sub.Program, sub.Size, sub.Procs, sub.Recover, sub.Retries, sub.FaultSeed)
 }
 
 // jobView is the status representation returned by the API.
@@ -351,11 +333,14 @@ type healthView struct {
 
 type job struct {
 	jobView
-	req jobRequest
+	// sub is the accepted request as journaled, with its id, tenant and
+	// class filled in by the server.
+	sub jobstore.Submit
 	// sched and p are what GET /jobs/{id}/schedule renders: the job's
-	// schedule and the interned program it was planned for. Nothing else
-	// of the pipeline's Result outlives the digest — the simulated
-	// machine state is megabytes a job, and no endpoint serves it.
+	// schedule and the program it indexes — the interned submitted program,
+	// or after a recovery the residual one. Nothing else of the pipeline's
+	// Result outlives the digest — the simulated machine state is
+	// megabytes a job, and no endpoint serves it.
 	sched *paradigm.Schedule
 	p     *paradigm.Program
 	// recovered marks a job re-enqueued from the journal at boot; the
@@ -381,34 +366,20 @@ type tenantState struct {
 	rejected  uint64
 }
 
-// machineModel bundles the service's resolved machine: a loop-pricing
-// source for the program builders, either a calibration (trained path)
-// or a backend (everything else) for the pipeline, and the label the
-// /metrics endpoint reports.
-type machineModel struct {
-	src     paradigm.LoopSource
-	cal     *paradigm.Calibration   // trained path only
-	backend paradigm.MachineBackend // file/analytical path only
-	profile func(int) paradigm.Machine
-	name    string
-	kind    paradigm.MachineKind
-}
-
 // serverConfig bundles the server's construction knobs.
 type serverConfig struct {
-	ckptDir       string
-	queueCap      int
-	shards        int // journal shards (0: 4)
-	budget        time.Duration
-	walRetain     string
-	retries       int
-	policy        admission.Config
-	schedCacheCap int           // schedule-cache entries (0: 256; < 0: disabled)
-	cluster       clusterConfig // cluster mode (procs 0: off)
+	ckptDir   string
+	queueCap  int
+	shards    int // journal shards (0: 4)
+	budget    time.Duration
+	walRetain string
+	retries   int
+	policy    admission.Config
+	cluster   clusterConfig // cluster mode (procs 0: off)
 }
 
 type server struct {
-	mach       machineModel
+	mach       paradigm.MachineBackend
 	ckptDir    string
 	walRetain  string
 	retries    int
@@ -449,10 +420,10 @@ type server struct {
 	backlog atomic.Int64
 }
 
-func newServer(mach machineModel, cfg serverConfig) (*server, error) {
+func newServer(mach paradigm.MachineBackend, cfg serverConfig) (*server, error) {
 	reg := paradigm.NewMetrics()
 	// An info-style gauge surfaces the resolved machine on /metrics.
-	reg.Gauge(fmt.Sprintf("paradigmd_machine_info{name=%q,kind=%q}", mach.name, mach.kind)).Set(1)
+	reg.Gauge(fmt.Sprintf("paradigmd_machine_info{name=%q,kind=%q}", mach.Name(), mach.Kind())).Set(1)
 	if err := cfg.policy.Validate(); err != nil {
 		return nil, err
 	}
@@ -462,9 +433,6 @@ func newServer(mach machineModel, cfg serverConfig) (*server, error) {
 	}
 	if cfg.shards <= 0 {
 		cfg.shards = 4
-	}
-	if cfg.schedCacheCap == 0 {
-		cfg.schedCacheCap = 256
 	}
 	s := &server{
 		mach:      mach,
@@ -480,17 +448,16 @@ func newServer(mach machineModel, cfg serverConfig) (*server, error) {
 		// One shared allocation cache across jobs: resubmitting the same
 		// program/size/procs replays the allocation instantly.
 		allocCache: paradigm.NewAllocCache(128),
+		// The pipeline-level schedule cache memoizes whole
+		// allocate→schedule plans across jobs, 256 across 8 shards;
+		// exact-only replay keeps journaled digests pure functions of the
+		// spec.
+		schedCache: paradigm.NewScheduleCache(256, 8),
 		programs:   schedcache.NewOf[*paradigm.Program](programCacheCap, 1, nil),
 		jobs:       map[string]*job{},
 		tenants:    map[string]*tenantState{},
 		inflight:   map[string]*job{},
 		phiBySpec:  map[string]float64{},
-	}
-	if cfg.schedCacheCap > 0 {
-		// The pipeline-level schedule cache memoizes whole
-		// allocate→schedule plans across jobs; exact-only replay keeps
-		// journaled digests pure functions of the spec.
-		s.schedCache = paradigm.NewScheduleCache(cfg.schedCacheCap, 8)
 	}
 	if cfg.cluster.enabled() {
 		pool, err := newClusterPool(cfg.cluster, reg)
@@ -545,7 +512,7 @@ func newServer(mach machineModel, cfg serverConfig) (*server, error) {
 // queueItem wraps a job for the admission queue with its class priority
 // and predicted Φ (SJF ordering).
 func (s *server) queueItem(j *job) admission.Item {
-	return admission.Item{Payload: j, Priority: s.tenantFor(j.Tenant).priority, Phi: s.predictPhi(j.req)}
+	return admission.Item{Payload: j, Priority: s.tenantFor(j.Tenant).priority, Phi: s.predictPhi(j.sub)}
 }
 
 // tenantFor lazily materializes a tenant's admission state from the
@@ -574,16 +541,16 @@ func (s *server) tenantFor(name string) *tenantState {
 // the identical spec when known, else a work-scaling proxy (n³ flops
 // spread over p processors; Strassen's seven-multiply recursion is
 // cheaper than the classic eight).
-func (s *server) predictPhi(req jobRequest) float64 {
-	if phi, ok := s.phiBySpec[req.specKey()]; ok {
+func (s *server) predictPhi(sub jobstore.Submit) float64 {
+	if phi, ok := s.phiBySpec[specKey(sub)]; ok {
 		return phi
 	}
-	n := float64(req.Size)
+	n := float64(sub.Size)
 	mult := 1.0
-	if req.Program == "strassen" {
+	if sub.Program == "strassen" {
 		mult = 7.0 / 8
 	}
-	return mult * n * n * n / float64(req.Procs)
+	return mult * n * n * n / float64(sub.Procs)
 }
 
 // reloadJournal registers every journaled job: terminal jobs are
@@ -594,27 +561,18 @@ func (s *server) reloadJournal(states []jobstore.JobState) []*job {
 	var pending []*job
 	maxID := 0
 	for _, st := range states {
-		j := &job{
-			req: jobRequest{
-				Program: st.Program, Size: st.Size, Procs: st.Procs, Tenant: st.Tenant,
-				Recover: st.Recover, Retries: st.Retries, FaultSeed: st.FaultSeed,
-			},
-			jobView: jobView{
-				ID: st.ID, Program: st.Program, Size: st.Size, Procs: st.Procs,
-				Tenant: st.Tenant, Class: st.Class,
-			},
-		}
-		if j.Tenant == "" {
+		if st.Tenant == "" {
 			// Pre-tenancy journal records scope to the default tenant.
-			j.Tenant = defaultTenant
+			st.Tenant = defaultTenant
 		}
+		j := newJob(st.Submit)
 		ts := s.tenantFor(j.Tenant)
 		if id, err := strconv.Atoi(st.ID); err == nil && id > maxID {
 			maxID = id
 		}
 		switch st.Status {
 		case jobstore.StatusDone:
-			j.Status = "done"
+			j.Status = jobstore.StatusDone
 			j.Phi, j.Actual, j.Digest = st.Phi, st.Actual, st.Digest
 			ts.completed++
 			s.reg.Counter("paradigmd_jobs_reloaded_total").Inc()
@@ -622,12 +580,11 @@ func (s *server) reloadJournal(states []jobstore.JobState) []*job {
 			// leaves an orphan WAL; collect it now.
 			s.gcWAL(st.ID, true)
 		case jobstore.StatusFailed:
-			j.Status = "failed"
+			j.Status = jobstore.StatusFailed
 			j.Error = st.Error
 			s.reg.Counter("paradigmd_jobs_reloaded_total").Inc()
 			s.gcWAL(st.ID, false)
 		default:
-			j.Status = "queued"
 			j.recovered = true
 			ts.queued++
 			pending = append(pending, j)
@@ -638,6 +595,15 @@ func (s *server) reloadJournal(states []jobstore.JobState) []*job {
 	}
 	s.next = maxID
 	return pending
+}
+
+// newJob is the queued job of an accepted submit, its view drawn from
+// the request.
+func newJob(sub jobstore.Submit) *job {
+	return &job{sub: sub, jobView: jobView{
+		ID: sub.ID, Program: sub.Program, Size: sub.Size, Procs: sub.Procs,
+		Tenant: sub.Tenant, Class: sub.Class, Status: jobstore.StatusQueued,
+	}}
 }
 
 // allocLatencyObserver records wall-clock allocation solve latency per
@@ -744,17 +710,17 @@ func (s *server) gcWAL(id string, success bool) {
 // inflightKey scopes coalescing: only same-tenant, identical-spec
 // submits may share a solve, so one tenant's result is never handed to
 // another tenant's job.
-func inflightKey(tenant string, req jobRequest) string {
-	return tenant + "|" + req.specKey()
+func inflightKey(sub jobstore.Submit) string {
+	return sub.Tenant + "|" + specKey(sub)
 }
 
 func (s *server) runJob(j *job) {
 	s.mu.Lock()
-	j.Status = "running"
+	j.Status = jobstore.StatusRunning
 	s.mu.Unlock()
 	s.journalState(jobstore.State{ID: j.ID, Status: jobstore.StatusRunning})
 
-	run, err := s.execute(j.req, j.ID)
+	run, err := s.execute(j.sub)
 	// The digest hashes a JSON-encoded schedule: taken here, not under the
 	// lock every submit and poll queues behind. With it taken, the
 	// simulated machine state in the Result has no reader left.
@@ -766,19 +732,21 @@ func (s *server) runJob(j *job) {
 	j.Granted, j.Degraded = run.granted, run.degraded
 	var st jobstore.State
 	if err != nil {
-		j.Status = "failed"
+		j.Status = jobstore.StatusFailed
 		j.Error = err.Error()
 		st = jobstore.State{ID: j.ID, Status: jobstore.StatusFailed, Error: j.Error}
 		s.reg.Counter("paradigmd_jobs_failed_total").Inc()
 	} else {
-		j.Status = "done"
-		j.sched, j.p = run.res.Sched, run.p
+		j.Status = jobstore.StatusDone
+		// After a recovery the schedule indexes the residual program's
+		// graph, not the submitted one: keep the program it describes.
+		j.sched, j.p = run.res.Sched, run.res.Program
 		j.Phi, j.Actual = run.res.Alloc.Phi, run.res.Actual
 		j.Digest = digest
 		st = jobstore.State{ID: j.ID, Status: jobstore.StatusDone, Phi: j.Phi, Actual: j.Actual, Digest: j.Digest}
 		s.reg.Counter("paradigmd_jobs_completed_total").Inc()
 		// Remember the solved Φ for SJF ordering of future submits.
-		s.phiBySpec[j.req.specKey()] = j.Phi
+		s.phiBySpec[specKey(j.sub)] = j.Phi
 	}
 	// Resolve the coalesced followers under the same lock that set the
 	// leader terminal: each acknowledged follower receives the leader's
@@ -786,7 +754,7 @@ func (s *server) runJob(j *job) {
 	// start a fresh solve.
 	followers := j.followers
 	j.followers = nil
-	key := inflightKey(j.Tenant, j.req)
+	key := inflightKey(j.sub)
 	if s.inflight[key] == j {
 		delete(s.inflight, key)
 	}
@@ -830,20 +798,14 @@ func (s *server) runJob(j *job) {
 	s.done.Add(uint64(len(terminal)))
 }
 
-// placement is the cluster-mode outcome of one job's grant: zero-valued
-// when the service runs without a pool.
-type placement struct {
-	granted  int
-	degraded bool
-	faulted  bool
-}
-
 // jobRun is what one execution of a job leaves behind. On failure only
-// the placement and wal are meaningful.
+// the grant and wal are meaningful.
 type jobRun struct {
 	res *paradigm.Result
-	p   *paradigm.Program
-	placement
+	// granted and degraded are the cluster pool's grant: its size, and
+	// whether it was shrunk below the request. Zero without a pool.
+	granted  int
+	degraded bool
 	// wal reports that the job's write-ahead checkpoint has a file — it
 	// solved or salvaged something, now or before a restart — so there is
 	// one to apply the retention policy to.
@@ -864,9 +826,9 @@ func (s *server) program(kind string, size int) (*paradigm.Program, error) {
 	)
 	switch kind {
 	case "cmm":
-		p, err = paradigm.ComplexMatMul(size, s.mach.src)
+		p, err = paradigm.ComplexMatMul(size, s.mach)
 	case "strassen":
-		p, err = paradigm.Strassen(size, s.mach.src)
+		p, err = paradigm.Strassen(size, s.mach)
 	default:
 		err = fmt.Errorf("unknown program %q (want cmm or strassen)", kind)
 	}
@@ -884,74 +846,52 @@ func (s *server) program(kind string, size int) (*paradigm.Program, error) {
 // acquires a partition from the shared pool (blocking until capacity
 // frees, shrinking the grant when live capacity dropped below the
 // request) and runs on exactly the processors granted.
-func (s *server) execute(req jobRequest, id string) (run jobRun, err error) {
-	p, err := s.program(req.Program, req.Size)
+func (s *server) execute(sub jobstore.Submit) (run jobRun, err error) {
+	p, err := s.program(sub.Program, sub.Size)
 	if err != nil {
 		return run, err
 	}
-	procs := req.Procs
-	var g grant
+	procs, faultLocal := sub.Procs, -1
 	if s.pool != nil {
-		g, err = s.pool.acquire(cluster.Spec{ID: id, Procs: req.Procs})
+		g, err := s.pool.acquire(cluster.Spec{ID: sub.ID, Procs: sub.Procs})
 		if err != nil {
 			return run, err
 		}
-		procs = len(g.procs)
-		run.placement = placement{granted: procs, degraded: g.degraded, faulted: g.faultLocal >= 0}
+		procs, faultLocal = len(g.procs), g.faultLocal
+		run.granted, run.degraded = procs, g.degraded
 		start := time.Now()
 		defer func() { s.pool.release(g, time.Since(start).Seconds()) }()
 	}
 	// Per-job retry budget: the request field overrides the server
 	// default, capped so a hostile submit cannot park a worker.
 	attempts := s.retries
-	if req.Retries > 0 {
-		attempts = req.Retries
+	if sub.Retries > 0 {
+		attempts = sub.Retries
 	}
 	attempts = min(attempts, maxRetryBudget)
+	plan, err := s.faultPlan(sub, p, procs, faultLocal)
+	if err != nil {
+		return run, err
+	}
+	recoverMax := sub.Recover
+	if faultLocal >= 0 && recoverMax < 1 {
+		// The death is certain; recovery is not optional.
+		recoverMax = 2
+	}
 	opts := []paradigm.Option{
 		paradigm.WithObserver(s.obs),
 		paradigm.WithAllocOptions(paradigm.AllocOptions{Cache: s.allocCache}),
+		// Pipeline-level memoization: a repeated spec replays the whole
+		// allocate→schedule plan without touching the solver.
+		paradigm.WithScheduleCache(s.schedCache),
 		paradigm.WithStageBudgets(s.budgets),
 		paradigm.WithBreaker(s.breaker),
 		paradigm.WithRetry(paradigm.RetryPolicy{MaxAttempts: attempts}),
-	}
-	if s.schedCache != nil {
-		// Pipeline-level memoization: a repeated spec replays the whole
-		// allocate→schedule plan without touching the solver.
-		opts = append(opts, paradigm.WithScheduleCache(s.schedCache))
-	}
-	if s.mach.backend != nil {
-		opts = append(opts, paradigm.WithMachine(s.mach.backend))
-	}
-	// Fault schedule: a cluster-injected partition death takes precedence
-	// over the request's own seeded plan for this run (the two cannot be
-	// merged without risking duplicate ProcFail entries on one processor).
-	runReq := req
-	runReq.Procs = procs
-	recoverMax := req.Recover
-	switch {
-	case run.faulted:
-		plan, perr := s.clusterFaultPlan(runReq, p, g.faultLocal)
-		if perr != nil {
-			return run, perr
-		}
-		opts = append(opts, paradigm.WithFaultPlan(plan))
-		if recoverMax < 1 {
-			// The death is certain; recovery is not optional.
-			recoverMax = 2
-		}
-	case req.FaultSeed != 0:
-		plan, perr := s.faultPlan(runReq, p)
-		if perr != nil {
-			return run, perr
-		}
-		opts = append(opts, paradigm.WithFaultPlan(plan))
-	}
-	if recoverMax > 0 {
-		opts = append(opts, paradigm.WithRecovery(recoverMax))
+		paradigm.WithFaultPlan(plan),
+		paradigm.WithRecovery(recoverMax),
 	}
 	if s.ckptDir != "" {
-		cp, err := paradigm.OpenDeferredCheckpoint(filepath.Join(s.ckptDir, "job-"+id+".wal"))
+		cp, err := paradigm.OpenDeferredCheckpoint(filepath.Join(s.ckptDir, "job-"+sub.ID+".wal"))
 		if err != nil {
 			return run, err
 		}
@@ -966,51 +906,36 @@ func (s *server) execute(req jobRequest, id string) (run jobRun, err error) {
 		}()
 		opts = append(opts, paradigm.WithCheckpoint(cp))
 	}
-	run.p = p
-	run.res, err = paradigm.RunContext(context.Background(), p, s.mach.profile(procs), s.mach.cal, procs, opts...)
+	run.res, err = paradigm.RunOnContext(context.Background(), p, s.mach, procs, opts...)
 	return run, err
 }
 
-// cleanMakespan runs the job fault-free and returns its makespan, the
-// hint a fault plan scales its times by. The pre-run primes the shared
+// faultPlan derives a job's deterministic fault schedule, its times
+// scaled by the job's fault-free makespan on the procs it runs on; nil
+// when the job is not faulted. A cluster-injected death (faultLocal >= 0)
+// takes precedence over the request's seeded plan — the two cannot be
+// merged without risking duplicate ProcFail entries on one processor —
+// and kills that partition-local processor halfway through. A seeded
+// plan delays one message, and kills one processor mid-run when the job
+// asked for recovery. The fault-free pre-run primes the shared
 // allocation cache, so the faulted run replays the identical allocation.
-func (s *server) cleanMakespan(req jobRequest, p *paradigm.Program) (float64, error) {
-	pre := []paradigm.Option{paradigm.WithAllocOptions(paradigm.AllocOptions{Cache: s.allocCache})}
-	if s.mach.backend != nil {
-		pre = append(pre, paradigm.WithMachine(s.mach.backend))
+func (s *server) faultPlan(sub jobstore.Submit, p *paradigm.Program, procs, faultLocal int) (*paradigm.FaultPlan, error) {
+	if faultLocal < 0 && sub.FaultSeed == 0 {
+		return nil, nil
 	}
-	clean, err := paradigm.RunContext(context.Background(), p, s.mach.profile(req.Procs), s.mach.cal, req.Procs, pre...)
+	clean, err := paradigm.RunOnContext(context.Background(), p, s.mach, procs,
+		paradigm.WithAllocOptions(paradigm.AllocOptions{Cache: s.allocCache}))
 	if err != nil {
-		return 0, fmt.Errorf("fault-plan pre-run: %w", err)
+		return nil, fmt.Errorf("fault-plan pre-run: %w", err)
 	}
-	return clean.Actual, nil
-}
-
-// clusterFaultPlan builds the deterministic partition-death plan for a
-// cluster-injected fault: the partition-local processor dies halfway
-// through the job's fault-free makespan.
-func (s *server) clusterFaultPlan(req jobRequest, p *paradigm.Program, local int) (*paradigm.FaultPlan, error) {
-	hint, err := s.cleanMakespan(req, p)
-	if err != nil {
-		return nil, err
+	if faultLocal >= 0 {
+		return &paradigm.FaultPlan{ProcFails: []paradigm.ProcFail{{Proc: faultLocal, At: clean.Actual / 2}}}, nil
 	}
-	return &paradigm.FaultPlan{ProcFails: []paradigm.ProcFail{{Proc: local, At: hint / 2}}}, nil
-}
-
-// faultPlan derives a job's deterministic fault schedule from its seed,
-// with fail times scaled by the fault-free makespan. Jobs that asked for
-// recovery lose one processor mid-run; every seeded job sees one delayed
-// message.
-func (s *server) faultPlan(req jobRequest, p *paradigm.Program) (*paradigm.FaultPlan, error) {
-	hint, err := s.cleanMakespan(req, p)
-	if err != nil {
-		return nil, err
-	}
-	o := paradigm.FaultRandOptions{Procs: req.Procs, MakespanHint: hint, MsgDelays: 1}
-	if req.Recover > 0 {
+	o := paradigm.FaultRandOptions{Procs: procs, MakespanHint: clean.Actual, MsgDelays: 1}
+	if sub.Recover > 0 {
 		o.ProcFails = 1
 	}
-	return paradigm.RandomFaultPlan(req.FaultSeed, o)
+	return paradigm.RandomFaultPlan(sub.FaultSeed, o)
 }
 
 func (s *server) handler() http.Handler {
@@ -1078,8 +1003,8 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	// MaxBytesReader turns an oversized body into a typed error (and a
 	// clear 413) instead of a truncated payload's JSON decode error.
 	r.Body = http.MaxBytesReader(w, r.Body, maxSubmitBytes)
-	var req jobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	var sub jobstore.Submit
+	if err := json.NewDecoder(r.Body).Decode(&sub); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.reg.Counter("paradigmd_jobs_rejected_total").Inc()
@@ -1090,20 +1015,17 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if req.Program == "" {
-		http.Error(w, "program is required", http.StatusBadRequest)
+	if err := jobstore.ValidateSubmit(sub); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if req.Size <= 0 || req.Procs <= 0 {
-		http.Error(w, "size and procs must be positive", http.StatusBadRequest)
+	if sub.Size > maxSize || sub.Procs > maxProcs {
+		http.Error(w, fmt.Sprintf("size must be at most %d and procs at most %d, got size=%d procs=%d",
+			maxSize, maxProcs, sub.Size, sub.Procs), http.StatusBadRequest)
 		return
 	}
-	if req.Recover < 0 || req.Retries < 0 {
-		http.Error(w, "recover and retries must be non-negative", http.StatusBadRequest)
-		return
-	}
-	if req.Tenant == "" {
-		req.Tenant = defaultTenant
+	if sub.Tenant == "" {
+		sub.Tenant = defaultTenant
 	}
 	s.mu.Lock()
 	// Re-check under the lock: drain() flips the flag while holding it,
@@ -1118,12 +1040,12 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	// Tiered admission: the tenant's token bucket sheds its own
 	// over-rate traffic with 429 before the job consumes queue space —
 	// other tenants' admission is unaffected.
-	ts := s.tenantFor(req.Tenant)
+	ts := s.tenantFor(sub.Tenant)
 	if !ts.bucket.Allow() {
 		ts.rejected++
 		s.mu.Unlock()
 		s.reg.Counter("paradigmd_jobs_rejected_total").Inc()
-		http.Error(w, fmt.Sprintf("tenant %q over admission rate", req.Tenant), http.StatusTooManyRequests)
+		http.Error(w, fmt.Sprintf("tenant %q over admission rate", sub.Tenant), http.StatusTooManyRequests)
 		return
 	}
 	// Submit coalescing: an identical same-tenant spec already queued or
@@ -1132,7 +1054,7 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	// Cluster mode disables coalescing: a job's outcome there depends on
 	// the pool's state at placement time (granted partition size, fault
 	// injection), so identical specs are no longer interchangeable.
-	key := inflightKey(req.Tenant, req)
+	key := inflightKey(sub)
 	var leader *job
 	if s.pool == nil {
 		leader = s.inflight[key]
@@ -1147,17 +1069,14 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "queue full", http.StatusTooManyRequests)
 		return
 	}
-	id := strconv.Itoa(s.next + 1)
+	// The server names the job and its class, whatever the body said.
+	sub.ID, sub.Class = strconv.Itoa(s.next+1), ts.class
 	// Durability before acknowledgement: the accepted submit is
 	// committed to the journal before the job exists anywhere else.
 	// Followers are journaled like any job — after a restart they replay
 	// independently and re-derive the identical digest.
 	if s.journal != nil {
-		if err := s.journal.AppendSubmit(jobstore.Submit{
-			ID: id, Program: req.Program, Size: req.Size, Procs: req.Procs,
-			Recover: req.Recover, Retries: req.Retries, FaultSeed: req.FaultSeed,
-			Tenant: req.Tenant, Class: ts.class,
-		}); err != nil {
+		if err := s.journal.AppendSubmit(sub); err != nil {
 			s.mu.Unlock()
 			s.reg.Counter("paradigmd_journal_errors_total").Inc()
 			http.Error(w, "journal append failed: "+err.Error(), http.StatusInternalServerError)
@@ -1165,13 +1084,9 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.next++
-	j := &job{req: req, jobView: jobView{
-		ID: id, Program: req.Program,
-		Size: req.Size, Procs: req.Procs, Status: "queued",
-		Tenant: req.Tenant, Class: ts.class,
-	}}
-	s.jobs[id] = j
-	s.order = append(s.order, id)
+	j := newJob(sub)
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j.ID)
 	ts.queued++
 	if leader != nil {
 		j.Coalesced = true
@@ -1190,7 +1105,7 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	s.updateLag()
 	s.reg.Counter("paradigmd_jobs_submitted_total").Inc()
-	writeJSON(w, http.StatusAccepted, map[string]string{"id": id})
+	writeJSON(w, http.StatusAccepted, map[string]string{"id": j.ID})
 }
 
 func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -1220,7 +1135,7 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, view)
 	case "schedule":
 		if sched == nil {
-			if status := view.Status; status == "done" {
+			if view.Status == jobstore.StatusDone {
 				// Reloaded from the journal: the digest survived the
 				// restart, the rendered schedule did not.
 				http.Error(w, "schedule not retained across restart; resubmit the job to regenerate it",
@@ -1366,10 +1281,10 @@ func smokeSubmitAndWait(base string) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		if view.Status == "failed" {
+		if view.Status == jobstore.StatusFailed {
 			return "", fmt.Errorf("job failed: %s", view.Error)
 		}
-		if view.Status == "done" {
+		if view.Status == jobstore.StatusDone {
 			if view.Actual <= 0 {
 				return "", fmt.Errorf("done job reports non-positive makespan %v", view.Actual)
 			}

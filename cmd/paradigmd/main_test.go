@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,21 +17,16 @@ import (
 	"time"
 
 	"paradigm"
+	"paradigm/internal/jobstore"
 )
 
-func testMachine(t *testing.T) machineModel {
+func testMachine(t *testing.T) paradigm.MachineBackend {
 	t.Helper()
 	cal, err := paradigm.Calibrate(paradigm.NewCM5(64))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return machineModel{
-		src:     cal,
-		cal:     cal,
-		profile: paradigm.NewCM5,
-		name:    "CM5",
-		kind:    paradigm.MachineTrained,
-	}
+	return paradigm.NewTrainedMachine(cal)
 }
 
 // testServerDir builds a server over an explicit checkpoint directory
@@ -662,5 +658,106 @@ func TestPprofOnItsOwnHandler(t *testing.T) {
 		if resp.StatusCode != want {
 			t.Errorf("GET %s = %s, want %d", url, resp.Status, want)
 		}
+	}
+}
+
+// Submit bounds size and procs at the HTTP edge: past 1024 either one is
+// refused with 400 before a worker could build it, and a job at the
+// bounds is accepted. No worker runs, so an accepted job stays queued.
+func TestServiceSubmitBounds(t *testing.T) {
+	srv, hs := testServer(t, 8, 0)
+	for _, c := range []struct {
+		body string
+		want int
+	}{
+		{`{"program":"cmm","size":1000000,"procs":4}`, http.StatusBadRequest},
+		{`{"program":"cmm","size":1025,"procs":4}`, http.StatusBadRequest},
+		{`{"program":"cmm","size":16,"procs":1025}`, http.StatusBadRequest},
+		{`{"program":"cmm","size":1024,"procs":1024}`, http.StatusAccepted},
+	} {
+		resp := submitJob(t, hs.URL, c.body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("submit %s = %s, want %d", c.body, resp.Status, c.want)
+		}
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if len(srv.jobs) != 1 {
+		t.Fatalf("registered %d jobs, want the one within bounds", len(srv.jobs))
+	}
+}
+
+// A recovered job's schedule indexes the residual program's graph —
+// renumbered, with restore_ nodes — not the submitted one, and
+// /jobs/{id}/schedule renders it against that graph.
+func TestServiceRecoveredScheduleNamesResidualGraph(t *testing.T) {
+	srv, hs := testServer(t, 4, 1)
+	for _, program := range []string{"strassen", "cmm"} {
+		sub := jobstore.Submit{ID: "probe-" + program, Program: program, Size: 32, Procs: 8, Recover: 2, FaultSeed: 1}
+		body := fmt.Sprintf(`{"program":%q,"size":32,"procs":8,"recover":2,"fault_seed":1}`, program)
+		view := waitForStatus(t, hs.URL, acceptJob(t, hs.URL, body))
+		if view.Status != "done" {
+			t.Fatalf("%s job = %+v, want done", program, view)
+		}
+		resp, err := http.Get(hs.URL + "/jobs/" + view.ID + "/schedule")
+		if err != nil {
+			t.Fatal(err)
+		}
+		served, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The same job run again: the pipeline is deterministic, so this
+		// is the served job's result.
+		run, err := srv.execute(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !run.res.Recovered || run.res.Digest() != view.Digest {
+			t.Fatalf("%s: recovered=%v digest %s, want a recovered run with the job's digest %s",
+				program, run.res.Recovered, run.res.Digest(), view.Digest)
+		}
+		if want := run.res.Sched.Table(run.res.Program.G); string(served) != want {
+			t.Fatalf("%s: served schedule is not rendered against the residual graph:\n%s\nwant:\n%s", program, served, want)
+		}
+	}
+}
+
+// The service on an analytical machine: a cm5-hetero8 job carries the
+// digest of the library run on the same backend.
+func TestServiceAnalyticalMachine(t *testing.T) {
+	mach, err := machineBackend("cm5-hetero8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := newServer(mach, serverConfig{queueCap: 4, walRetain: retainFailed, retries: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.start(1)
+	hs := httptest.NewServer(srv.handler())
+	t.Cleanup(hs.Close)
+	view := waitForStatus(t, hs.URL, acceptJob(t, hs.URL, `{"program":"cmm","size":16,"procs":8}`))
+
+	b, err := paradigm.ResolveMachine("cm5-hetero8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := paradigm.ComplexMatMul(16, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := paradigm.RunOnContext(context.Background(), p, b, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if view.Status != "done" || view.Digest != res.Digest() {
+		t.Fatalf("cm5-hetero8 job = %+v, want done with the library digest %s", view, res.Digest())
+	}
+	info := fmt.Sprintf("paradigmd_machine_info{name=%q,kind=%q} 1", b.Name(), paradigm.MachineAnalytical)
+	if text := srv.reg.Snapshot().Text(); !strings.Contains(text, info) {
+		t.Fatalf("metrics missing %s:\n%s", info, text)
 	}
 }

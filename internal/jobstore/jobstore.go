@@ -109,16 +109,28 @@ func corrupt(format string, args ...any) error {
 	return fmt.Errorf("jobstore: %w: %s", errs.ErrJobJournalCorrupt, fmt.Sprintf(format, args...))
 }
 
-func validateSubmit(s Submit) error {
+// ValidateSubmit checks a request's fields: a program, a positive size
+// and system size, and non-negative recovery and retry budgets. The
+// service's submit handler and the journal, on append and on replay,
+// both check a submit with it; the job id is the journal's own check.
+func ValidateSubmit(s Submit) error {
 	switch {
-	case s.ID == "":
-		return fmt.Errorf("submit with empty job id")
 	case s.Program == "":
-		return fmt.Errorf("submit %s with empty program", s.ID)
+		return errors.New("program is required")
 	case s.Size <= 0 || s.Procs <= 0:
-		return fmt.Errorf("submit %s with size=%d procs=%d", s.ID, s.Size, s.Procs)
+		return fmt.Errorf("size and procs must be positive, got size=%d procs=%d", s.Size, s.Procs)
 	case s.Recover < 0 || s.Retries < 0:
-		return fmt.Errorf("submit %s with recover=%d retries=%d", s.ID, s.Recover, s.Retries)
+		return fmt.Errorf("recover and retries must be non-negative, got recover=%d retries=%d", s.Recover, s.Retries)
+	}
+	return nil
+}
+
+func validateSubmit(s Submit) error {
+	if s.ID == "" {
+		return errors.New("submit with empty job id")
+	}
+	if err := ValidateSubmit(s); err != nil {
+		return fmt.Errorf("submit %s: %w", s.ID, err)
 	}
 	return nil
 }
