@@ -71,7 +71,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTable2TransferFit|BenchmarkAllocSolve|BenchmarkBuildStrassen128|BenchmarkRunNilObserver|BenchmarkRunWithObserver|BenchmarkRunNoFaults|BenchmarkRunWithRecovery|BenchmarkRunNoCheckpoint|BenchmarkRunWithCheckpoint|BenchmarkRunCMM256P64|BenchmarkSimRun|BenchmarkGenerate' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkMulStrip|BenchmarkSin256' -benchtime=1x -benchmem ./internal/matrix/
 	$(GO) test -run '^$$' -bench 'BenchmarkOrbitsStrassen128' -benchtime=1x -benchmem ./internal/mdg/
-	$(GO) test -run '^$$' -bench 'BenchmarkSubmit|BenchmarkServiceLoad|BenchmarkClusterLoad' -benchtime=1x -benchmem ./cmd/paradigmd/
+	$(GO) test -run '^$$' -bench 'BenchmarkSubmit|BenchmarkServiceLoad|BenchmarkClusterLoad' -benchtime=1x -benchmem ./internal/service/
 
 # The repo's benchmark (BENCHMARK.json, bench/) is a Go module of its
 # own, so the root build, vet and test never compile it: vet it and run
@@ -97,12 +97,12 @@ smoke-paradigmd:
 # against a reference model.
 smoke-paradigmd-chaos:
 	$(GO) test ./cmd/paradigmd/ -run '^TestChaosKillRestart(Hot)?$$' -count=1 -timeout 600s -v
-	$(GO) test -race ./cmd/paradigmd/ -run '^TestServiceModel$$' -count=1 -v
+	$(GO) test -race ./internal/service/ -run '^TestServiceModel$$' -count=1 -v
 
 # The retention gate: 3000 jobs through one server, live heap growth
 # bounded per job, first and last schedule still served.
 smoke-paradigmd-memory:
-	$(GO) test ./cmd/paradigmd/ -run '^TestServiceMemoryFlat$$' -count=1 -v
+	$(GO) test ./internal/service/ -run '^TestServiceMemoryFlat$$' -count=1 -v
 
 # The multi-tenant service gate: tiered admission (gold tenant ahead of
 # free, over-bucket tenant 429'd while others proceed), submit
@@ -110,7 +110,7 @@ smoke-paradigmd-memory:
 # isolation of job listings, and the fairness/cache counters on
 # /metrics.
 smoke-paradigmd-tenants:
-	$(GO) test ./cmd/paradigmd/ -run '^TestServiceTenantAdmission$$' -count=1 -v
+	$(GO) test ./internal/service/ -run '^TestServiceTenantAdmission$$' -count=1 -v
 
 # The cluster chaos gate, both faces: the library-level shared-clock
 # simulation under -race (seeded pool deaths mid-stream across 12
@@ -124,7 +124,7 @@ smoke-paradigmd-tenants:
 smoke-paradigmd-cluster:
 	$(GO) test . -race -run '^TestCluster' -count=1 -timeout 600s
 	$(GO) test -race ./internal/cluster/ -count=1
-	$(GO) test ./cmd/paradigmd/ -run '^TestServiceCluster' -count=1 -v
+	$(GO) test ./internal/service/ -run '^TestServiceCluster' -count=1 -v
 
 # Build every example and run it in a temporary directory (some write
 # trace files into their working directory): an example that no longer

@@ -1,4 +1,4 @@
-package main
+package service
 
 import (
 	"io"
@@ -21,13 +21,13 @@ func benchSubmit(b *testing.B, dir string) {
 		b.Fatal(err)
 	}
 	mach := paradigm.NewTrainedMachine(cal)
-	srv, err := newServer(mach, serverConfig{
-		ckptDir: dir, queueCap: b.N + 1, walRetain: retainFailed, retries: 2,
+	srv, err := New(mach, Config{
+		CheckpointDir: dir, QueueCap: b.N + 1, WALRetain: retainFailed,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.handler())
+	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 	const body = `{"program":"cmm","size":16,"procs":4}`
 	b.ReportAllocs()

@@ -1,26 +1,4 @@
-// Cluster mode: paradigmd runs its accepted jobs on one shared
-// wall-clock processor pool instead of conjuring a dedicated machine per
-// job. A job waits for a partition, placed by the same cluster.Pool core
-// the virtual-time simulator in internal/cluster runs on, runs the
-// pipeline on exactly the processors it was granted, and releases them
-// on completion. The robustness surface carries over from the simulator:
-//
-//   - Shrink before reject: when live capacity drops below a job's
-//     request, the job is granted min(request, alive) processors and
-//     marked degraded rather than refused — an acknowledged job is never
-//     lost to pool shrinkage.
-//   - Deterministic fault injection (-cluster-faults N): every Nth
-//     placement loses one partition processor mid-run. The pipeline's
-//     PR 3 recovery driver salvages and re-places onto the partition's
-//     survivors, and the dead processor retires from the pool, so the
-//     service degrades the way a real cluster does. Injection stops once
-//     the pool is nearly exhausted (alive <= minAlivePool) — degrade,
-//     don't collapse.
-//
-// The pool publishes its health as gauges (alive/free/dead) and its
-// decisions as counters (placements, degraded grants, injected faults,
-// retirements) on /metrics.
-package main
+package service
 
 import (
 	"fmt"
@@ -34,15 +12,6 @@ import (
 // than retire the pool below this many live processors.
 const minAlivePool = 2
 
-// clusterConfig is the resolved cluster-mode command line.
-type clusterConfig struct {
-	procs      int    // pool size (0: cluster mode off)
-	router     string // partition router name
-	faultEvery int    // kill one partition proc every Nth placement (0: none)
-}
-
-func (c clusterConfig) enabled() bool { return c.procs > 0 }
-
 // grant is one placement: the pool processors a job holds, whether the
 // grant was shrunk below the request, and which partition-local
 // processor (if any) is fated to die mid-run and retire.
@@ -52,9 +21,25 @@ type grant struct {
 	faultLocal int // partition-local index to kill, -1 for none
 }
 
-// clusterPool is the wall-clock shared pool: a cluster.Pool guarded by
-// mu, plus the grant policy, the fault injection and the gauges. acquire
-// blocks on cond until a partition is available.
+// clusterPool is cluster mode's shared wall-clock processor pool: a
+// cluster.Pool — the core the virtual-time simulator in internal/cluster
+// runs on — guarded by mu, plus the grant policy, the fault injection and
+// the gauges. A job waits on cond for a partition, runs the pipeline on
+// exactly the processors it was granted, and releases them on completion.
+//
+//   - Shrink before reject: when live capacity drops below a job's
+//     request, the job is granted min(request, alive) processors and
+//     marked degraded rather than refused — an acknowledged job is never
+//     lost to pool shrinkage.
+//   - Deterministic fault injection (Config.ClusterFaults = N): every Nth
+//     placement loses one partition processor mid-run. The pipeline's
+//     recovery driver salvages onto the partition's survivors, and the
+//     dead processor retires from the pool, so the service degrades the
+//     way a real cluster does — until alive <= minAlivePool: degrade,
+//     don't collapse.
+//
+// The pool's health (alive/free/dead gauges) and decisions (placement,
+// degraded-grant, injected-fault and retirement counters) are on /metrics.
 type clusterPool struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -67,18 +52,12 @@ type clusterPool struct {
 	reg        *paradigm.Metrics
 }
 
-func newClusterPool(cfg clusterConfig, reg *paradigm.Metrics) (*clusterPool, error) {
-	if cfg.procs < 1 {
-		return nil, fmt.Errorf("cluster mode needs a positive -cluster-procs, got %d", cfg.procs)
-	}
-	if cfg.faultEvery < 0 {
-		return nil, fmt.Errorf("-cluster-faults %d: want a non-negative placement period", cfg.faultEvery)
-	}
-	pool, err := cluster.NewPool(cfg.procs, cfg.router)
+func newClusterPool(cfg Config, reg *paradigm.Metrics) (*clusterPool, error) {
+	pool, err := cluster.NewPool(cfg.ClusterProcs, cfg.Router)
 	if err != nil {
 		return nil, err
 	}
-	p := &clusterPool{pool: pool, total: cfg.procs, faultEvery: cfg.faultEvery, reg: reg}
+	p := &clusterPool{pool: pool, total: cfg.ClusterProcs, faultEvery: cfg.ClusterFaults, reg: reg}
 	p.cond = sync.NewCond(&p.mu)
 	p.publishLocked()
 	return p, nil

@@ -7,7 +7,7 @@
 // /metrics, and a request larger than the surviving pool is shrunk to
 // the live capacity (degraded) rather than refused. The benchmarks cover
 // the cold/warm × faults/no-faults matrix.
-package main
+package service
 
 import (
 	"encoding/json"
@@ -25,7 +25,7 @@ import (
 // clusterLoadServer builds an in-process cluster-mode server: a
 // 12-processor pool behind the least-loaded router, killing one
 // partition processor on every faultEvery-th placement (0: fault-free).
-func clusterLoadServer(tb testing.TB, poolProcs, faultEvery int) (*server, *httptest.Server) {
+func clusterLoadServer(tb testing.TB, poolProcs, faultEvery int) (*Server, *httptest.Server) {
 	tb.Helper()
 	policy, err := admission.Decode([]byte(loadPolicy))
 	if err != nil {
@@ -36,15 +36,15 @@ func clusterLoadServer(tb testing.TB, poolProcs, faultEvery int) (*server, *http
 		tb.Fatal(err)
 	}
 	mach := paradigm.NewTrainedMachine(cal)
-	srv, err := newServer(mach, serverConfig{
-		queueCap: 512, retries: 2, walRetain: retainFailed, policy: policy,
-		cluster: clusterConfig{procs: poolProcs, router: "least-loaded", faultEvery: faultEvery},
+	srv, err := New(mach, Config{
+		QueueCap: 512, WALRetain: retainFailed, Policy: policy,
+		ClusterProcs: poolProcs, Router: "least-loaded", ClusterFaults: faultEvery,
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv.start(3)
-	hs := httptest.NewServer(srv.handler())
+	srv.Start(3)
+	hs := httptest.NewServer(srv.Handler())
 	tb.Cleanup(hs.Close)
 	return srv, hs
 }
@@ -61,7 +61,7 @@ func TestServiceClusterFaults(t *testing.T) {
 		t.Skip("cluster load harness skipped in -short")
 	}
 	srv, hs := clusterLoadServer(t, 12, 3)
-	defer srv.drain()
+	defer srv.Drain()
 
 	// The wave: driveLoad fails the test if any acknowledged job is lost
 	// or finishes failed, which is the zero-jobs-lost bar.
@@ -116,7 +116,7 @@ func TestServiceClusterCoalescingDisabled(t *testing.T) {
 		t.Skip("cluster load harness skipped in -short")
 	}
 	srv, hs := clusterLoadServer(t, 12, 0)
-	defer srv.drain()
+	defer srv.Drain()
 	for i := 0; i < 3; i++ {
 		resp, err := http.Post(hs.URL+"/jobs", "application/json",
 			strings.NewReader(`{"program":"cmm","size":16,"procs":4,"tenant":"a"}`))
@@ -168,7 +168,7 @@ func scrapeMetrics(t *testing.T, base string) string {
 	return string(body)
 }
 
-func pollDone(t *testing.T, base, id string) jobView {
+func pollDone(t *testing.T, base, id string) JobView {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for {
@@ -176,7 +176,7 @@ func pollDone(t *testing.T, base, id string) jobView {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var view jobView
+		var view JobView
 		err = json.NewDecoder(resp.Body).Decode(&view)
 		resp.Body.Close()
 		if err != nil {
@@ -210,7 +210,7 @@ func benchClusterLoad(b *testing.B, faultEvery int, warm bool) {
 			b.ReportMetric(float64(res.p99.Milliseconds()), "p99_ms")
 		}
 		b.StopTimer()
-		srv.drain()
+		srv.Drain()
 		return
 	}
 	for i := 0; i < b.N; i++ {
@@ -221,7 +221,7 @@ func benchClusterLoad(b *testing.B, faultEvery int, warm bool) {
 		b.ReportMetric(res.jobsPerSec, "jobs/s")
 		b.ReportMetric(float64(res.p99.Milliseconds()), "p99_ms")
 		b.StopTimer()
-		srv.drain()
+		srv.Drain()
 		b.StartTimer()
 	}
 }

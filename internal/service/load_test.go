@@ -4,7 +4,7 @@
 // submit→terminal latency. The cold wave solves every plan; the warm
 // wave replays the same specs through the schedule cache and coalescing,
 // so the pair quantifies the multi-tenant fast path.
-package main
+package service
 
 import (
 	"encoding/json"
@@ -39,7 +39,7 @@ type loadResult struct {
 // waits for every acknowledged job to reach a terminal state. Latency is
 // measured per job from its submit acknowledgement to the first poll
 // that observes it terminal.
-func driveLoad(tb testing.TB, srv *server, base string, n int, seed uint64, rate float64) loadResult {
+func driveLoad(tb testing.TB, srv *Server, base string, n int, seed uint64, rate float64) loadResult {
 	tb.Helper()
 	arrivals := loadgen.Poisson(seed, n, rate, 2, 1)
 	start := time.Now()
@@ -121,7 +121,7 @@ const loadPolicy = `{
   "tenants": {"a": {"class": "std"}, "b": {"class": "std"}}
 }`
 
-func loadServer(tb testing.TB) (*server, *httptest.Server) {
+func loadServer(tb testing.TB) (*Server, *httptest.Server) {
 	policy, err := admission.Decode([]byte(loadPolicy))
 	if err != nil {
 		tb.Fatal(err)
@@ -131,12 +131,12 @@ func loadServer(tb testing.TB) (*server, *httptest.Server) {
 		tb.Fatal(err)
 	}
 	mach := paradigm.NewTrainedMachine(cal)
-	srv, err := newServer(mach, serverConfig{queueCap: 512, retries: 2, walRetain: retainFailed, policy: policy})
+	srv, err := New(mach, Config{QueueCap: 512, WALRetain: retainFailed, Policy: policy})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv.start(2)
-	hs := httptest.NewServer(srv.handler())
+	srv.Start(2)
+	hs := httptest.NewServer(srv.Handler())
 	tb.Cleanup(hs.Close)
 	return srv, hs
 }
@@ -157,7 +157,7 @@ func BenchmarkServiceLoadCold(b *testing.B) {
 		b.ReportMetric(res.jobsPerSec, "jobs/s")
 		b.ReportMetric(float64(res.p99.Milliseconds()), "p99_ms")
 		b.StopTimer()
-		srv.drain()
+		srv.Drain()
 		b.StartTimer()
 	}
 }
@@ -174,7 +174,7 @@ func BenchmarkServiceLoadWarm(b *testing.B) {
 		b.ReportMetric(float64(res.p99.Milliseconds()), "p99_ms")
 	}
 	b.StopTimer()
-	srv.drain()
+	srv.Drain()
 }
 
 // TestServiceLoadSLO is the correctness face of the harness: the same
@@ -200,5 +200,5 @@ func TestServiceLoadSLO(t *testing.T) {
 	if warm.p99 > 3*cold.p99+500*time.Millisecond {
 		t.Fatalf("warm p99 %v blew past cold %v", warm.p99, cold.p99)
 	}
-	srv.drain()
+	srv.Drain()
 }

@@ -5,7 +5,7 @@
 // runs it exactly as a worker would, polling it meanwhile, so which job
 // runs when is a function of the seed alone and a failure names the
 // seed that reproduces it.
-package main
+package service
 
 import (
 	"context"
@@ -72,8 +72,8 @@ type modelHarness struct {
 	seed    int64
 	op      int
 	dir     string
-	cluster clusterConfig
-	srv     *server
+	cluster Config
+	srv     *Server
 	h       http.Handler
 	m       jobModel
 	refs    map[modelSpec]string // crash-free library digests, unfaulted specs
@@ -81,19 +81,19 @@ type modelHarness struct {
 
 func (h *modelHarness) fatalf(format string, args ...any) {
 	h.t.Helper()
-	h.t.Fatalf("seed %d, op %d: %s (rerun: go test ./cmd/paradigmd -run '^%s$')",
+	h.t.Fatalf("seed %d, op %d: %s (rerun: go test ./internal/service -run '^%s$')",
 		h.seed, h.op, fmt.Sprintf(format, args...), h.t.Name())
 }
 
 func (h *modelHarness) boot() {
 	h.t.Helper()
-	srv, err := newServer(testMachine(h.t), serverConfig{
-		ckptDir: h.dir, queueCap: 256, walRetain: retainFailed, retries: 2, cluster: h.cluster,
-	})
+	cfg := h.cluster
+	cfg.CheckpointDir, cfg.QueueCap, cfg.WALRetain = h.dir, 256, retainFailed
+	srv, err := New(testMachine(h.t), cfg)
 	if err != nil {
 		h.fatalf("boot: %v", err)
 	}
-	h.srv, h.h = srv, srv.handler()
+	h.srv, h.h = srv, srv.Handler()
 	// Recovered jobs are re-enqueued one by one: nothing is in flight to
 	// coalesce onto after a boot, and no job runs as another's follower.
 	h.m.inflight = map[string]string{}
@@ -102,11 +102,11 @@ func (h *modelHarness) boot() {
 	}
 }
 
-func (h *modelHarness) view(id string) jobView {
+func (h *modelHarness) view(id string) JobView {
 	h.t.Helper()
 	rec := httptest.NewRecorder()
 	h.h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/jobs/"+id, nil))
-	var v jobView
+	var v JobView
 	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &v) != nil {
 		h.fatalf("GET /jobs/%s = %d %s", id, rec.Code, rec.Body)
 	}
@@ -126,13 +126,13 @@ func (h *modelHarness) submit(tenant string, sp modelSpec) {
 	}
 	mj := &modelJob{tenant: tenant, spec: sp}
 	slot := inflightSlot(tenant, sp)
-	if !h.cluster.enabled() {
+	if h.cluster.ClusterProcs == 0 {
 		mj.leader = h.m.inflight[slot]
 	}
 	if v := h.view(acc.ID); v.Coalesced != (mj.leader != "") || v.Tenant != tenant {
 		h.fatalf("job %s: coalesced=%v tenant=%q, model leader %q tenant %q", acc.ID, v.Coalesced, v.Tenant, mj.leader, tenant)
 	}
-	if mj.leader == "" && !h.cluster.enabled() {
+	if mj.leader == "" && h.cluster.ClusterProcs == 0 {
 		h.m.inflight[slot] = acc.ID
 	}
 	h.m.jobs[acc.ID] = mj
@@ -160,7 +160,7 @@ func (h *modelHarness) observe(id string, wantTerminal bool) {
 		h.fatalf("job %s = %+v, want done with a digest", id, v)
 	}
 	mj.status, mj.digest = v.Status, v.Digest
-	if h.cluster.enabled() {
+	if h.cluster.ClusterProcs > 0 {
 		// A cluster job's result depends on its placement (the granted
 		// partition, an injected death), not on its spec alone.
 		if v.Coalesced || v.Granted < 1 || v.Granted > mj.spec.procs {
@@ -236,7 +236,7 @@ func (h *modelHarness) run(ops int) {
 		case r < 88: // worker step
 			h.step()
 		case r < 94: // drain, then reopen on the same directory
-			h.srv.drain()
+			h.srv.Drain()
 			h.observeAll(true)
 			h.boot()
 			h.observeAll(true)
@@ -245,7 +245,7 @@ func (h *modelHarness) run(ops int) {
 			h.observeAll(false)
 		}
 	}
-	h.srv.drain()
+	h.srv.Drain()
 	h.observeAll(true)
 	h.boot()
 	h.observeAll(true)
@@ -292,11 +292,11 @@ func TestServiceModel(t *testing.T) {
 	refs := modelReferenceDigests(t)
 	for _, c := range []struct {
 		name    string
-		cluster clusterConfig
+		cluster Config
 		seeds   []int64
 	}{
-		{"plain", clusterConfig{}, []int64{1, 2, 3, 4}},
-		{"cluster", clusterConfig{procs: 8, router: "least-loaded", faultEvery: 2}, []int64{5, 6, 7}},
+		{"plain", Config{}, []int64{1, 2, 3, 4}},
+		{"cluster", Config{ClusterProcs: 8, Router: "least-loaded", ClusterFaults: 2}, []int64{5, 6, 7}},
 	} {
 		for _, seed := range c.seeds {
 			t.Run(fmt.Sprintf("%s/seed=%d", c.name, seed), func(t *testing.T) {

@@ -2,7 +2,7 @@
 // token buckets, SLO-class priorities), submit coalescing, the
 // pipeline-level schedule cache, X-Tenant scoping, and the tenant
 // fairness metrics — plus the golden pin of the /metrics tenant output.
-package main
+package service
 
 import (
 	"context"
@@ -37,20 +37,20 @@ const tenantPolicy = `{
 }`
 
 // testServerPolicy builds a server under an admission policy.
-func testServerPolicy(t *testing.T, dir string, queue, workers int, policyJSON string) (*server, *httptest.Server) {
+func testServerPolicy(t *testing.T, dir string, queue, workers int, policyJSON string) (*Server, *httptest.Server) {
 	t.Helper()
 	policy, err := admission.Decode([]byte(policyJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServer(testMachine(t), serverConfig{
-		ckptDir: dir, queueCap: queue, walRetain: retainFailed, retries: 2, policy: policy,
+	srv, err := New(testMachine(t), Config{
+		CheckpointDir: dir, QueueCap: queue, WALRetain: retainFailed, Policy: policy,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.start(workers)
-	hs := httptest.NewServer(srv.handler())
+	srv.Start(workers)
+	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 	return srv, hs
 }
@@ -69,7 +69,7 @@ func acceptJob(t *testing.T, base, body string) string {
 	return acc.ID
 }
 
-func getView(t *testing.T, base, id, tenant string) (jobView, int) {
+func getView(t *testing.T, base, id, tenant string) (JobView, int) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, base+"/jobs/"+id, nil)
 	if err != nil {
@@ -83,7 +83,7 @@ func getView(t *testing.T, base, id, tenant string) (jobView, int) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var view jobView
+	var view JobView
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
 			t.Fatal(err)
@@ -124,7 +124,7 @@ func TestServiceTenantAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var views []jobView
+	var views []JobView
 	if err := json.NewDecoder(resp.Body).Decode(&views); err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +142,11 @@ func TestServiceTenantAdmission(t *testing.T) {
 	// Run everything: the coalesced pair solves exactly once, the hobby
 	// job replays the plan from the schedule cache, and all three digests
 	// are byte-identical.
-	srv.start(1)
+	srv.Start(1)
 	d1 := waitForStatus(t, hs.URL, id1)
 	d2 := waitForStatus(t, hs.URL, id2)
 	d3 := waitForStatus(t, hs.URL, id3)
-	for _, v := range []jobView{d1, d2, d3} {
+	for _, v := range []JobView{d1, d2, d3} {
 		if v.Status != "done" || v.Digest == "" {
 			t.Fatalf("job = %+v, want done with digest", v)
 		}
@@ -185,7 +185,7 @@ func TestServiceTenantAdmission(t *testing.T) {
 	if strings.Contains(text, "alloc_cache_hit_total") {
 		t.Fatalf("hit the allocation cache — the schedule cache should have bypassed it:\n%s", text)
 	}
-	srv.drain()
+	srv.Drain()
 }
 
 // TestServiceCoalesceStress races concurrent identical submissions from
@@ -254,10 +254,10 @@ func TestServiceCoalesceStress(t *testing.T) {
 	// coalesce. Phase 2 races more submits against the running workers
 	// and the drain.
 	burst(3)
-	srv.start(2)
+	srv.Start(2)
 	burst(3)
 	time.Sleep(time.Millisecond)
-	srv.drain()
+	srv.Drain()
 
 	srv.mu.Lock()
 	coalesced := 0
@@ -291,8 +291,8 @@ func TestServiceCoalesceStress(t *testing.T) {
 
 	// Restart over the same sharded journal: every acknowledged job
 	// reloads terminal with its digest.
-	srv2, err := newServer(testMachine(t), serverConfig{
-		ckptDir: dir, queueCap: 4, walRetain: retainFailed, retries: 2,
+	srv2, err := New(testMachine(t), Config{
+		CheckpointDir: dir, QueueCap: 4, WALRetain: retainFailed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +337,7 @@ func TestMetricsTenantGolden(t *testing.T) {
 	}
 	// Drain's sweep runs the backlog in priority order on this goroutine:
 	// the whole sequence is deterministic.
-	srv.drain()
+	srv.Drain()
 	srv.renderTenantMetrics()
 
 	var b strings.Builder
