@@ -2,7 +2,10 @@ package alloc
 
 import (
 	"context"
+	"errors"
+	"math"
 
+	"paradigm/internal/convex"
 	"paradigm/internal/costmodel"
 	"paradigm/internal/mdg"
 )
@@ -30,4 +33,25 @@ func SolveFromStarts(g *mdg.Graph, model costmodel.Model, procs int, starts func
 		out = append(out, res)
 	}
 	return out, nil
+}
+
+// SolveSetup runs what a solve of g does before its first iteration:
+// compile, the epigraph form and the interior-point method's setup. The
+// NaN start stops convex.MinimizeEpigraph at its interior check, after
+// its setup and before the first evaluation of the constraints.
+func SolveSetup(g *mdg.Graph, model costmodel.Model, procs int) error {
+	prob, err := compile(g, model, procs, Options{})
+	if err != nil {
+		return err
+	}
+	ep, err := prob.eg.Epigraph(prob.phi)
+	if err != nil {
+		return err
+	}
+	x0 := prob.midpoint()
+	x0[0] = math.NaN()
+	if _, err := convex.MinimizeEpigraph(ep, prob.lower, prob.upper, x0, nil); err == nil {
+		return errors.New("alloc: a NaN start passed the interior check")
+	}
+	return nil
 }

@@ -25,12 +25,12 @@ func TestRandomPosynomialVsGrid(t *testing.T) {
 		nTerms := 2 + rng.Intn(3)
 		ids := make([]expr.ID, 0, nTerms)
 		for k := 0; k < nTerms; k++ {
-			ids = append(ids, g.Monomial(0.2+2*rng.Float64(), map[int]float64{
-				0: float64(rng.Intn(5)-2) / 2,
-				1: float64(rng.Intn(5)-2) / 2,
+			ids = append(ids, g.Monomial(0.2+2*rng.Float64(), []int{0, 1}, []float64{
+				float64(rng.Intn(5)-2) / 2,
+				float64(rng.Intn(5)-2) / 2,
 			}))
 		}
-		root := g.SmoothMax(g.Sum(ids...), g.Monomial(0.1+rng.Float64(), map[int]float64{0: 1, 1: 1}))
+		root := g.SmoothMax(g.Sum(ids...), g.Monomial(0.1+rng.Float64(), []int{0, 1}, []float64{1, 1}))
 		ep, err := g.Epigraph(root)
 		if err != nil {
 			return false
@@ -88,7 +88,7 @@ func solveFrom(t *testing.T, g *expr.Graph, root expr.ID, lo, hi, x0 []float64) 
 // p ∈ [1, e²], so the minimum sits on the box's upper bound.
 func TestActiveBoxConstraint(t *testing.T) {
 	var g expr.Graph
-	root := g.SmoothMax(g.Monomial(3, map[int]float64{0: -1}), g.Monomial(1, map[int]float64{0: -2}))
+	root := g.SmoothMax(g.Monomial(3, []int{0}, []float64{-1}), g.Monomial(1, []int{0}, []float64{-2}))
 	res := solveFrom(t, &g, root, []float64{0}, []float64{2}, []float64{1})
 	if !approx(res.X[0], 2, 1e-8) || !approx(res.F, math.Log(3)-2, 1e-9) {
 		t.Fatalf("x = %v, F = %v; want 2, ln 3 − 2", res.X[0], res.F)
@@ -100,7 +100,7 @@ func TestActiveBoxConstraint(t *testing.T) {
 // max(2/p, p/2), p = 2.
 func TestStartOutsideBoxIsProjected(t *testing.T) {
 	var g expr.Graph
-	root := g.SmoothMax(g.Monomial(2, map[int]float64{0: -1}), g.Monomial(0.5, map[int]float64{0: 1}))
+	root := g.SmoothMax(g.Monomial(2, []int{0}, []float64{-1}), g.Monomial(0.5, []int{0}, []float64{1}))
 	for _, x0 := range []float64{100, -100} {
 		res := solveFrom(t, &g, root, []float64{0}, []float64{math.Log(64)}, []float64{x0})
 		if !approx(res.X[0], math.Ln2, 1e-6) {

@@ -92,12 +92,12 @@ func decodeEpigraphProgram(data []byte) *epigraphProgram {
 			}
 			ids = append(ids, g.Const(c))
 		case 1:
-			exps := map[int]float64{}
+			vars, exps := make([]int, nv), make([]float64, nv)
 			for v := range nv {
-				exps[v] = float64(int(s.next())%5-2) / 2
+				vars[v], exps[v] = v, float64(int(s.next())%5-2)/2
 				deg += math.Abs(exps[v])
 			}
-			ids = append(ids, g.Monomial(0.1+float64(s.next())/64, exps))
+			ids = append(ids, g.Monomial(0.1+float64(s.next())/64, vars, exps))
 		case 2, 4:
 			a := pick()
 			da := degree[k]
@@ -124,7 +124,7 @@ func decodeEpigraphProgram(data []byte) *epigraphProgram {
 			ids = append(ids, g.SmoothMax(kids...))
 		case 6:
 			v, w := int(s.next())%nv, int(s.next())%nv
-			ids = append(ids, g.SmoothMax(g.Const(1), g.Monomial(1, map[int]float64{v: -0.5, w: 1})))
+			ids = append(ids, g.SmoothMax(g.Const(1), g.Monomial(1, []int{v, w}, []float64{-0.5, 1})))
 			deg = 1.5
 		}
 		degree = append(degree, deg)

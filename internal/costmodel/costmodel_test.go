@@ -166,35 +166,44 @@ func TestPhiIsMaxOfApCp(t *testing.T) {
 }
 
 // TestExprMatchesFloat: the expression-DAG forms evaluate to the same
-// values as the float forms at hard max (temperature 0).
+// values as the float forms at hard max (temperature 0), for every
+// transfer kind, and with sender and receiver on one variable (vi == vj,
+// pi == pj) as well — where a monomial names the variable twice and must
+// multiply its powers. The network term is checked on a machine with
+// t_n > 0: exact for 2D, and for the kinds whose expression charges the
+// sender's denominator an upper bound, exact at pi == pj.
 func TestExprMatchesFloat(t *testing.T) {
-	f := func(piRaw, pjRaw uint8, kindRaw bool, lRaw uint16) bool {
+	tp := paperTransfer
+	tp.Tn = 1.2e-7
+	kinds := []mdg.TransferKind{mdg.Transfer1D, mdg.Transfer2D, mdg.TransferG2L, mdg.TransferL2G, mdg.TransferG2G}
+	f := func(piRaw, pjRaw, kindRaw uint8, same bool, lRaw uint16) bool {
 		pi := 1 + float64(piRaw)/4
 		pj := 1 + float64(pjRaw)/4
-		bytes := int(lRaw) + 1
-		kind := mdg.Transfer1D
-		if kindRaw {
-			kind = mdg.Transfer2D
+		vj := 1
+		if same {
+			pj, vj = pi, 0
 		}
+		bytes := int(lRaw) + 1
+		kind := kinds[int(kindRaw)%len(kinds)]
 		var eg expr.Graph
-		s, n, r := TransferExprs(&eg, paperTransfer, kind, bytes, 0, 1)
+		s, n, r := TransferExprs(&eg, tp, kind, bytes, 0, vj)
 		ev := expr.NewEvaluator(&eg)
 		x := []float64{math.Log(pi), math.Log(pj)}
-		c := paperTransfer.Transfer(kind, bytes, pi, pj)
-		if !approx(ev.Eval(s, x, 0), c.Send, 1e-9) {
-			return false
+		c := tp.Transfer(kind, bytes, pi, pj)
+		net := ev.Eval(n, x, 0)
+		ok := approx(ev.Eval(s, x, 0), c.Send, 1e-9) && approx(ev.Eval(r, x, 0), c.Recv, 1e-9)
+		if kind == mdg.Transfer2D || same {
+			ok = ok && approx(net, c.Net, 1e-9)
+		} else {
+			ok = ok && net >= c.Net*(1-1e-12)
 		}
-		if !approx(ev.Eval(r, x, 0), c.Recv, 1e-9) {
-			return false
+		if !ok {
+			t.Logf("%v, %d B, pi %v pj %v (same variable %v): send %v/%v net %v/%v recv %v/%v", kind, bytes, pi, pj, same,
+				ev.Eval(s, x, 0), c.Send, net, c.Net, ev.Eval(r, x, 0), c.Recv)
 		}
-		// Net: 1D expr charges the sender denominator (upper bound); with
-		// Tn = 0 both are zero. 2D matches exactly.
-		if kind == mdg.Transfer2D && !approx(ev.Eval(n, x, 0), c.Net, 1e-9) {
-			return false
-		}
-		return true
+		return ok
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
 	}
 }

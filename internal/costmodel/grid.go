@@ -66,9 +66,9 @@ func (tp TransferParams) gridTransfer(kind mdg.TransferKind, bytes int, pi, pj f
 func gridTransferExprs(eg *expr.Graph, tp TransferParams, kind mdg.TransferKind, bytes int, vi, vj int) (send, net, recv expr.ID) {
 	l := float64(bytes)
 	mono := func(c float64, expI, expJ float64) expr.ID {
-		return eg.Monomial(c, map[int]float64{vi: expI, vj: expJ})
+		return eg.Monomial(c, []int{vi, vj}, []float64{expI, expJ})
 	}
-	net = eg.Monomial(l*tp.Tn, map[int]float64{vi: -1})
+	net = eg.Monomial(l*tp.Tn, []int{vi}, []float64{-1})
 	switch kind {
 	case mdg.TransferG2L:
 		send = eg.Sum(

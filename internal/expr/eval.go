@@ -42,34 +42,36 @@ func (e *Evaluator) forward(x []float64, temp float64) {
 	}
 	for i := range e.g.nodes {
 		n := &e.g.nodes[i]
+		kids := e.g.children(n)
 		switch n.kind {
 		case kConst:
 			e.val[i] = n.coeff
 		case kMonomial:
 			dot := 0.0
-			for k, v := range n.varIdx {
-				dot += n.varExp[k] * x[v]
+			vs, as := e.g.monomial(n)
+			for k, v := range vs {
+				dot += as[k] * x[v]
 			}
 			e.val[i] = n.coeff * math.Exp(dot)
 		case kSum:
 			s := 0.0
-			for _, c := range n.children {
+			for _, c := range kids {
 				s += e.val[c]
 			}
 			e.val[i] = s
 		case kScale:
-			e.val[i] = n.coeff * e.val[n.children[0]]
+			e.val[i] = n.coeff * e.val[kids[0]]
 		case kMul:
-			e.val[i] = e.val[n.children[0]] * e.val[n.children[1]]
+			e.val[i] = e.val[kids[0]] * e.val[kids[1]]
 		case kSmoothMax:
-			e.val[i] = e.smoothMaxValue(n, temp)
+			e.val[i] = e.smoothMaxValue(kids, temp)
 		}
 	}
 }
 
-func (e *Evaluator) smoothMaxValue(n *node, temp float64) float64 {
+func (e *Evaluator) smoothMaxValue(kids []ID, temp float64) float64 {
 	m := math.Inf(-1)
-	for _, c := range n.children {
+	for _, c := range kids {
 		if e.val[c] > m {
 			m = e.val[c]
 		}
@@ -78,7 +80,7 @@ func (e *Evaluator) smoothMaxValue(n *node, temp float64) float64 {
 		return m
 	}
 	s := 0.0
-	for _, c := range n.children {
+	for _, c := range kids {
 		s += math.Exp((e.val[c] - m) / temp)
 	}
 	return m + temp*math.Log(s)
@@ -87,7 +89,7 @@ func (e *Evaluator) smoothMaxValue(n *node, temp float64) float64 {
 // Eval computes the value of root at log-space point x with SmoothMax
 // temperature temp (temp <= 0 gives the exact max).
 func (e *Evaluator) Eval(root ID, x []float64, temp float64) float64 {
-	e.g.checkChildren([]ID{root})
+	e.g.checkChildren(root)
 	e.forward(x, temp)
 	return e.val[root]
 }
@@ -97,7 +99,7 @@ func (e *Evaluator) Eval(root ID, x []float64, temp float64) float64 {
 // sweep and one backward sweep. At temp <= 0 the max nodes propagate a
 // subgradient through the (first) argmax child.
 func (e *Evaluator) EvalGrad(root ID, x []float64, temp float64, grad []float64) float64 {
-	e.g.checkChildren([]ID{root})
+	e.g.checkChildren(root)
 	if len(grad) < e.g.numVars {
 		panic(fmt.Sprintf("expr: gradient buffer %d too small for %d variables", len(grad), e.g.numVars))
 	}
@@ -111,36 +113,38 @@ func (e *Evaluator) EvalGrad(root ID, x []float64, temp float64, grad []float64)
 			continue
 		}
 		n := &e.g.nodes[i]
+		kids := e.g.children(n)
 		switch n.kind {
 		case kConst:
 			// no dependence
 		case kMonomial:
 			v := e.val[i]
-			for k, vi := range n.varIdx {
-				grad[vi] += a * v * n.varExp[k]
+			vs, as := e.g.monomial(n)
+			for k, vi := range vs {
+				grad[vi] += a * v * as[k]
 			}
 		case kSum:
-			for _, c := range n.children {
+			for _, c := range kids {
 				e.adj[c] += a
 			}
 		case kScale:
-			e.adj[n.children[0]] += a * n.coeff
+			e.adj[kids[0]] += a * n.coeff
 		case kMul:
-			l, r := n.children[0], n.children[1]
+			l, r := kids[0], kids[1]
 			e.adj[l] += a * e.val[r]
 			e.adj[r] += a * e.val[l]
 		case kSmoothMax:
-			e.backpropSmoothMax(n, a, temp)
+			e.backpropSmoothMax(kids, a, temp)
 		}
 	}
 	return e.val[root]
 }
 
-func (e *Evaluator) backpropSmoothMax(n *node, a, temp float64) {
+func (e *Evaluator) backpropSmoothMax(kids []ID, a, temp float64) {
 	if temp <= 0 {
 		// Subgradient: all weight on the first argmax child.
 		best, bi := math.Inf(-1), ID(-1)
-		for _, c := range n.children {
+		for _, c := range kids {
 			if e.val[c] > best {
 				best, bi = e.val[c], c
 			}
@@ -149,16 +153,16 @@ func (e *Evaluator) backpropSmoothMax(n *node, a, temp float64) {
 		return
 	}
 	m := math.Inf(-1)
-	for _, c := range n.children {
+	for _, c := range kids {
 		if e.val[c] > m {
 			m = e.val[c]
 		}
 	}
 	s := 0.0
-	for _, c := range n.children {
+	for _, c := range kids {
 		s += math.Exp((e.val[c] - m) / temp)
 	}
-	for _, c := range n.children {
+	for _, c := range kids {
 		w := math.Exp((e.val[c]-m)/temp) / s
 		e.adj[c] += a * w
 	}

@@ -28,7 +28,7 @@ func TestConstEval(t *testing.T) {
 func TestMonomialEval(t *testing.T) {
 	var g Graph
 	// 2 · p0^2 · p1^-1 at p0=3, p1=2 -> 2·9/2 = 9
-	id := g.Monomial(2, map[int]float64{0: 2, 1: -1})
+	id := g.Monomial(2, []int{0, 1}, []float64{2, -1})
 	ev := NewEvaluator(&g)
 	x := []float64{math.Log(3), math.Log(2)}
 	if got := ev.Eval(id, x, 0); !almostEqual(got, 9, 1e-12) {
@@ -132,13 +132,14 @@ func buildRandomGraph(rng *rand.Rand, g *Graph, nvars int) ID {
 	for step := 0; step < 12; step++ {
 		switch rng.Intn(5) {
 		case 0:
-			exps := map[int]float64{}
+			var vars []int
+			var exps []float64
 			for v := 0; v < nvars; v++ {
 				if rng.Intn(2) == 0 {
-					exps[v] = float64(rng.Intn(5)) - 2
+					vars, exps = append(vars, v), append(exps, float64(rng.Intn(5))-2)
 				}
 			}
-			ids = append(ids, g.Monomial(0.1+rng.Float64(), exps))
+			ids = append(ids, g.Monomial(0.1+rng.Float64(), vars, exps))
 		case 1:
 			a := ids[rng.Intn(len(ids))]
 			b := ids[rng.Intn(len(ids))]
@@ -204,8 +205,8 @@ func TestMonomialConvexityInLogSpace(t *testing.T) {
 		e0 := float64(p.E0) / 16
 		e1 := float64(p.E1) / 16
 		id := g.Sum(
-			g.Monomial(1.5, map[int]float64{0: e0, 1: e1}),
-			g.Monomial(0.5, map[int]float64{0: -e1, 1: e0}),
+			g.Monomial(1.5, []int{0, 1}, []float64{e0, e1}),
+			g.Monomial(0.5, []int{0, 1}, []float64{-e1, e0}),
 		)
 		ev := NewEvaluator(&g)
 		x := []float64{float64(p.X0)/64 - 2, float64(p.X1)/64 - 2}
@@ -231,9 +232,9 @@ func TestSmoothMaxConvexity(t *testing.T) {
 	f := func(p probe) bool {
 		var g Graph
 		m := g.SmoothMax(
-			g.Monomial(1, map[int]float64{0: 1}),
-			g.Monomial(2, map[int]float64{0: -1, 1: 1}),
-			g.Monomial(0.5, map[int]float64{1: -1}),
+			g.Monomial(1, []int{0}, []float64{1}),
+			g.Monomial(2, []int{0, 1}, []float64{-1, 1}),
+			g.Monomial(0.5, []int{1}, []float64{-1}),
 		)
 		ev := NewEvaluator(&g)
 		temp := 0.01 + float64(p.T)/64
@@ -298,19 +299,19 @@ func TestEvaluatorReuseAfterGraphGrowth(t *testing.T) {
 			}
 		}
 	}
-	m1 := g.Monomial(1.5, map[int]float64{0: 1, 1: -0.5})
-	m2 := g.Monomial(0.5, map[int]float64{0: 1, 1: -0.5})
+	m1 := g.Monomial(1.5, []int{0, 1}, []float64{1, -0.5})
+	m2 := g.Monomial(0.5, []int{0, 1}, []float64{1, -0.5})
 	root := g.SmoothMax(m1, g.Sum(m2, g.Const(0.25)))
 	x := []float64{0.3, 0.9, -0.2}
 	same(root, x, "before growth")
 
-	c := g.Monomial(2, map[int]float64{0: 1, 1: -0.5})
+	c := g.Monomial(2, []int{0, 1}, []float64{1, -0.5})
 	root = g.SmoothMax(root, g.Mul(c, m1))
 	same(root, x, "after growth")
 	same(m1, x, "after growth, an old root")
 
 	// Growth that brings a new variable with it.
-	root = g.Sum(root, g.Monomial(0.75, map[int]float64{2: 2}))
+	root = g.Sum(root, g.Monomial(0.75, []int{2}, []float64{2}))
 	same(root, x, "after a new variable")
 }
 
@@ -349,12 +350,13 @@ func TestPanicsOnBadInput(t *testing.T) {
 		fn   func()
 	}{
 		{"nan const", func() { var g Graph; g.Const(math.NaN()) }},
-		{"negative monomial coeff", func() { var g Graph; g.Monomial(-1, nil) }},
+		{"negative monomial coeff", func() { var g Graph; g.Monomial(-1, nil, nil) }},
 		{"negative scale", func() { var g Graph; s := g.Const(1); g.Scale(-2, s) }},
 		{"empty sum", func() { var g Graph; g.Sum() }},
 		{"empty smoothmax", func() { var g Graph; g.SmoothMax() }},
 		{"bad child id", func() { var g Graph; g.Scale(2, ID(7)) }},
-		{"negative var index", func() { var g Graph; g.Monomial(1, map[int]float64{-1: 2}) }},
+		{"negative var index", func() { var g Graph; g.Monomial(1, []int{-1}, []float64{2}) }},
+		{"monomial length mismatch", func() { var g Graph; g.Monomial(1, []int{0, 1}, []float64{2}) }},
 		{"short x", func() {
 			var g Graph
 			id := g.Var(3)
@@ -378,9 +380,32 @@ func TestPanicsOnBadInput(t *testing.T) {
 	}
 }
 
+// TestMonomialRepeatedVariable: a variable listed twice multiplies its
+// powers, p^a·p^b = p^{a+b}, and powers that cancel leave the constant.
+func TestMonomialRepeatedVariable(t *testing.T) {
+	var g Graph
+	m := g.Monomial(3, []int{1, 0, 1}, []float64{-1, 0.5, -1})
+	same := g.Monomial(3, []int{0, 1}, []float64{0.5, -2})
+	c := g.Monomial(2, []int{0, 0}, []float64{1, -1})
+	ev := NewEvaluator(&g)
+	x := []float64{0.7, 1.3}
+	if got, want := ev.Eval(m, x, 0), ev.Eval(same, x, 0); got != want {
+		t.Fatalf("3·p0^0.5·p1^-1·p1^-1 = %v, want 3·p0^0.5·p1^-2 = %v", got, want)
+	}
+	if want := 3 * math.Exp(0.5*0.7-2*1.3); math.Abs(ev.Eval(m, x, 0)-want) > 1e-15*want {
+		t.Fatalf("repeated variable: %v, want %v", ev.Eval(m, x, 0), want)
+	}
+	if got := ev.Eval(c, x, 0); got != 2 {
+		t.Fatalf("2·p0·p0^-1 = %v, want the constant 2", got)
+	}
+	if g.nodes[c].kind != kConst {
+		t.Fatalf("cancelled monomial is kind %v, want a constant", g.nodes[c].kind)
+	}
+}
+
 func TestZeroCoefficientMonomialIsConstantZero(t *testing.T) {
 	var g Graph
-	id := g.Monomial(0, map[int]float64{0: 3})
+	id := g.Monomial(0, []int{0}, []float64{3})
 	ev := NewEvaluator(&g)
 	grad := make([]float64, 1)
 	v := ev.EvalGrad(id, []float64{1}, 0, grad)

@@ -221,11 +221,18 @@ func (g *Graph) Succs(n NodeID) []NodeID {
 
 // EdgeBetween returns the edge from -> to, if present.
 func (g *Graph) EdgeBetween(from, to NodeID) (Edge, bool) {
-	g.ensureIndex()
-	if i, ok := g.edgeIdx[[2]NodeID{from, to}]; ok {
+	if i, ok := g.EdgeIndex(from, to); ok {
 		return g.Edges[i], true
 	}
 	return Edge{}, false
+}
+
+// EdgeIndex returns the position in Edges of the edge from -> to, if
+// present, from the graph's own edge index.
+func (g *Graph) EdgeIndex(from, to NodeID) (int, bool) {
+	g.ensureIndex()
+	i, ok := g.edgeIdx[[2]NodeID{from, to}]
+	return i, ok
 }
 
 // Validate checks structural invariants: edge endpoints in range, no
@@ -286,23 +293,20 @@ func (g *Graph) TopoOrder() ([]NodeID, error) {
 	for _, e := range g.Edges {
 		indeg[e.To]++
 	}
-	// Min-heap behaviour via sorted frontier; graphs here are small.
-	frontier := []NodeID{}
+	// Min-heap behaviour via a sorted frontier, order[head:]: each node
+	// enters it once, so it never outgrows n; graphs here are small.
+	order := make([]NodeID, 0, n)
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
-			frontier = append(frontier, NodeID(i))
+			order = append(order, NodeID(i))
 		}
 	}
-	order := make([]NodeID, 0, n)
-	for len(frontier) > 0 {
-		sortIDs(frontier)
-		v := frontier[0]
-		frontier = frontier[1:]
-		order = append(order, v)
-		for _, s := range g.succs[v] {
+	for head := 0; head < len(order); head++ {
+		sortIDs(order[head:])
+		for _, s := range g.succs[order[head]] {
 			indeg[s]--
 			if indeg[s] == 0 {
-				frontier = append(frontier, s)
+				order = append(order, s)
 			}
 		}
 	}
