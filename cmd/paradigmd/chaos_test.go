@@ -88,21 +88,25 @@ type chaosJob struct {
 // chaosJobs mixes programs and system sizes (p ∈ {4, 16}), with
 // duplicates to exercise the exact-replay cache across the restart and
 // enough depth that the SIGKILL always lands with at least four
-// acknowledged jobs in flight. The sizes are what sets that depth: the
-// one worker must run a job more slowly than the client submits one, on a
-// loaded machine too, and at n = 16 a job is now done in about a
-// millisecond.
+// acknowledged jobs in flight. A duplicate is a schedule-cache hit that
+// finishes right behind its leader, so the depth is the leaders': the
+// one worker must still be inside them when the client, having
+// submitted all ten, first sees a job done. Measured pipeline times on a
+// 2-core box are ≈ 13 ms for CMM-256, ≈ 7 ms for Strassen-256 and
+// ≈ 2 ms for CMM-128, against 2–10 ms to submit the ten: the worker
+// needs ≈ 45 ms to finish the five leaders and two duplicates that
+// would leave fewer than four in flight.
 var chaosJobs = []chaosJob{
-	{"cmm", 64, 4},
-	{"strassen", 64, 4},
-	{"cmm", 64, 16},
-	{"strassen", 64, 16},
+	{"cmm", 256, 4},
+	{"strassen", 256, 16},
+	{"cmm", 256, 16},
+	{"strassen", 256, 4},
 	{"cmm", 128, 4},
-	{"cmm", 64, 4},
-	{"strassen", 64, 4},
+	{"cmm", 256, 4},
+	{"strassen", 256, 16},
 	{"cmm", 128, 4},
-	{"cmm", 64, 16},
-	{"strassen", 64, 16},
+	{"cmm", 256, 16},
+	{"strassen", 256, 4},
 }
 
 // chaosReferenceDigests runs every distinct job of the list crash-free
