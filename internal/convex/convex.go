@@ -11,7 +11,10 @@
 // smoothed minimizer kept as their reference (reference_test.go).
 package convex
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Status describes why MinimizeEpigraph stopped.
 type Status int
@@ -67,4 +70,21 @@ func clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
+}
+
+// expOf and logOf are math.Exp and math.Log answering exp(0) = 1 and
+// log(1) = 0, the values those return exactly, without the call: a
+// constraint's largest term and a constraint of one term are common.
+func expOf(x float64) float64 {
+	if x == 0 {
+		return 1
+	}
+	return math.Exp(x)
+}
+
+func logOf(x float64) float64 {
+	if x == 1 {
+		return 0
+	}
+	return math.Log(x)
 }
