@@ -115,17 +115,13 @@ smoke-paradigmd-memory:
 smoke-paradigmd-tenants:
 	$(GO) test ./internal/service/ -run '^TestServiceTenantAdmission$$' -count=1 -v
 
-# The cluster chaos gate, both faces: the library-level shared-clock
-# simulation under -race (seeded pool deaths mid-stream across 12
-# concurrent jobs, every completed job's data digest byte-identical to
-# its fault-free run, deterministic SLO-class shedding, byte-exact
-# counterfactual replay) and the service-level cluster mode (partition
-# deaths every 3rd placement, zero acknowledged jobs lost, oversized
-# request degraded onto the shrunken pool instead of refused), plus the
-# pool core both faces run on (internal/cluster: router fallback, health,
-# pinned loop transcripts) under -race.
+# The cluster gate: the pool core paradigmd's cluster mode runs on
+# (internal/cluster: router fallback, each router's placements, retired
+# processors never coming free) under -race, then the service-level
+# cluster mode (partition deaths every 3rd placement, zero acknowledged
+# jobs lost, oversized request degraded onto the shrunken pool instead
+# of refused, coalescing off).
 smoke-paradigmd-cluster:
-	$(GO) test . -race -run '^TestCluster' -count=1 -timeout 600s
 	$(GO) test -race ./internal/cluster/ -count=1
 	$(GO) test ./internal/service/ -run '^TestServiceCluster' -count=1 -v
 

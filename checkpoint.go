@@ -35,6 +35,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"sort"
 
 	"paradigm/internal/ckpt"
 	"paradigm/internal/obs"
@@ -178,6 +179,37 @@ func (r *Result) Digest() string {
 		wi(p)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// DataDigest hashes every output array of a simulated run: float64
+// bits, row-major, arrays in sorted name order. Where Digest identifies
+// a whole run, allocation and recovery trail included, DataDigest covers
+// the data only. Recovery is bit-exact and the simulated numerics are
+// procs-invariant, so the digest is a pure function of the program: the
+// same across partition sizes, fault plans and recovery paths, which
+// makes a fault-free run's digest the oracle for a recovered one.
+func DataDigest(p *Program, res *SimResult) (string, error) {
+	names := make([]string, 0, len(p.Arrays))
+	for name := range p.Arrays {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	var buf [8]byte
+	for _, name := range names {
+		mat, err := res.Gather(name)
+		if err != nil {
+			return "", err
+		}
+		h.Write([]byte(name))
+		binary.LittleEndian.PutUint64(buf[:], uint64(len(mat.Data)))
+		h.Write(buf[:])
+		for _, v := range mat.Data {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // ckptActive reports whether a usable checkpoint is attached.

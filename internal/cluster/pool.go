@@ -1,33 +1,25 @@
-// The processor pool core both clocks share: per-processor health, owner
-// and cumulative busy time, and the route → validate → fallback → claim
-// step that places a job. The virtual-time loop (Run) and cmd/paradigmd's
-// wall-clock pool each own one Pool and keep only their own policy
+// Package cluster is the processor pool behind paradigmd's cluster
+// mode: per-processor liveness, owner and cumulative busy time, and the
+// route → validate → fallback → claim step that places a job on a
+// partition of a size its caller fixed. The caller keeps the policy
 // around it: when a job is granted, how large its grant is, and what a
-// fault does. A Pool does no locking: the loop is single-threaded and
-// paradigmd guards its Pool with its own mutex.
+// fault does. A Pool does no locking: paradigmd guards its Pool with its
+// own mutex.
 package cluster
 
 import "sort"
 
-// Processor health states.
-const (
-	procAlive = iota
-	procSuspect
-	procDead
-)
-
 // Pool is the bookkeeping of one shared processor pool.
 type Pool struct {
 	router Router
-	health []int
+	dead   []bool
 	owner  []string // "" = unowned
 	busy   []float64
 }
 
 // NewPool returns a pool of procs alive, unowned, idle processors placed
-// by the named router (Options.Router's names; "" = round-robin). The
-// router is constructed fresh, so a stateful policy replays
-// deterministically.
+// by the named router ("" = round-robin). The router is constructed
+// fresh, so a stateful policy starts from the same state in every pool.
 func NewPool(procs int, router string) (*Pool, error) {
 	r, err := newRouter(router)
 	if err != nil {
@@ -35,64 +27,59 @@ func NewPool(procs int, router string) (*Pool, error) {
 	}
 	return &Pool{
 		router: r,
-		health: make([]int, procs),
+		dead:   make([]bool, procs),
 		owner:  make([]string, procs),
 		busy:   make([]float64, procs),
 	}, nil
 }
 
-// Assignable counts processors not yet declared dead — the capacity the
-// pool believes it has (suspect processors included: that is the point
-// of detection latency).
-func (p *Pool) Assignable() int {
+// Alive counts the processors not retired: the capacity the pool has.
+func (p *Pool) Alive() int {
 	n := 0
-	for _, h := range p.health {
-		if h != procDead {
+	for _, d := range p.dead {
+		if !d {
 			n++
 		}
 	}
 	return n
 }
 
-// Free returns the unowned, not-dead processors in ascending order.
+// Free returns the unowned, alive processors in ascending order.
 func (p *Pool) Free() []int {
 	var out []int
-	for q, h := range p.health {
-		if h != procDead && p.owner[q] == "" {
+	for q, d := range p.dead {
+		if !d && p.owner[q] == "" {
 			out = append(out, q)
 		}
 	}
 	return out
 }
 
-// Place asks the router for a partition of between minP and grant free
-// processors, claims it for spec.ID (non-empty) and returns it
-// ascending. An answer that is not such a partition (wrong size, a
-// processor that is not free, a duplicate) falls back to the first-free
-// prefix, so a policy bug degrades placement quality, not correctness.
-// predict is best-fit's cost surface (nil: unknown). The caller
-// guarantees at least grant free processors.
-func (p *Pool) Place(spec Spec, grant, minP int, predict func(procs int) float64) []int {
+// Place asks the router for grant free processors, claims them for id
+// (non-empty) and returns them ascending. An answer that is not such a
+// partition (wrong size, a processor that is not free, a duplicate)
+// falls back to the first-free prefix, so a policy bug degrades
+// placement quality, not correctness. The caller guarantees at least
+// grant free processors.
+func (p *Pool) Place(id string, grant int) []int {
 	free := p.Free()
-	procs := p.router.Route(spec, RouteContext{
-		Free:    append([]int(nil), free...),
-		Grant:   grant,
-		Min:     minP,
-		Busy:    func(q int) float64 { return p.busy[q] },
-		Predict: predict,
+	procs := p.router.Route(RouteContext{
+		Free:  append([]int(nil), free...),
+		Grant: grant,
+		Busy:  func(q int) float64 { return p.busy[q] },
 	})
-	if !validPartition(procs, free, grant, minP) {
+	if !validPartition(procs, free, grant) {
 		procs = append([]int(nil), free[:grant]...)
 	}
 	sort.Ints(procs)
 	for _, q := range procs {
-		p.owner[q] = spec.ID
+		p.owner[q] = id
 	}
 	return procs
 }
 
-func validPartition(procs, free []int, grant, minP int) bool {
-	if len(procs) < minP || len(procs) > grant {
+func validPartition(procs, free []int, grant int) bool {
+	if len(procs) != grant {
 		return false
 	}
 	ok := make(map[int]bool, len(free))
@@ -117,27 +104,19 @@ func (p *Pool) Charge(procs []int, d float64) {
 	}
 }
 
-// Release returns procs to the pool; a dead one stays out of Free.
+// Release returns procs to the pool; a retired one stays out of Free.
 func (p *Pool) Release(procs []int) {
 	for _, q := range procs {
 		p.owner[q] = ""
 	}
 }
 
-// Suspect marks a live processor as failed in fact but not yet
-// detected: it stays assignable until Retire.
-func (p *Pool) Suspect(q int) {
-	if p.health[q] == procAlive {
-		p.health[q] = procSuspect
-	}
-}
-
 // Retire declares processor q dead for good: never assignable again. It
-// reports whether q was not dead already.
+// reports whether q was alive.
 func (p *Pool) Retire(q int) bool {
-	if p.health[q] == procDead {
+	if p.dead[q] {
 		return false
 	}
-	p.health[q] = procDead
+	p.dead[q] = true
 	return true
 }

@@ -1,17 +1,15 @@
-// Pluggable partition routers: given a job and the free processors, a
-// router picks which processors (and, within [Min, Grant], how many)
-// form the job's partition. Routers may keep state across decisions —
-// the loop constructs one fresh instance per run, so a stateful policy
-// still replays deterministically.
+// Pluggable partition routers: given the free processors and the grant
+// size, a router picks which processors form the job's partition.
+// Routers may keep state across decisions; each Pool constructs its own
+// instance, so a stateful policy starts fresh with every pool.
 package cluster
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
-// Router names understood by Options.Router.
+// Router names understood by NewPool.
 const (
 	RouterRoundRobin  = "round-robin"
 	RouterLeastLoaded = "least-loaded"
@@ -20,25 +18,19 @@ const (
 
 // RouteContext is the information a router decides from.
 type RouteContext struct {
-	// Free is the assignable processor set, ascending. Grant is the
-	// partition size on offer; Min the smallest size the job accepts.
+	// Free is the assignable processor set, ascending; Grant the
+	// partition size, which the caller fixed before routing.
 	Free  []int
 	Grant int
-	Min   int
 	// Busy reports a processor's cumulative committed work.
 	Busy func(proc int) float64
-	// Predict estimates the job's objective Φ at a partition size
-	// (NaN/Inf = unknown; nil = unknown everywhere) — the best-fit cost
-	// surface.
-	Predict func(procs int) float64
 }
 
-// Router picks a partition: a subset of rc.Free with len in
-// [rc.Min, rc.Grant]. An invalid answer (wrong size, non-free or
-// duplicated processors) falls back to the first-free prefix.
+// Router picks a partition: rc.Grant distinct processors of rc.Free. An
+// invalid answer (wrong size, non-free or duplicated processors) falls
+// back to the first-free prefix.
 type Router interface {
-	Name() string
-	Route(spec Spec, rc RouteContext) []int
+	Route(rc RouteContext) []int
 }
 
 // newRouter resolves a routing policy name to a fresh instance.
@@ -60,9 +52,7 @@ func newRouter(name string) (Router, error) {
 // placement, spreading partitions across the pool.
 type roundRobin struct{ turn int }
 
-func (r *roundRobin) Name() string { return RouterRoundRobin }
-
-func (r *roundRobin) Route(_ Spec, rc RouteContext) []int {
+func (r *roundRobin) Route(rc RouteContext) []int {
 	n := len(rc.Free)
 	out := make([]int, 0, rc.Grant)
 	start := r.turn % n
@@ -77,9 +67,7 @@ func (r *roundRobin) Route(_ Spec, rc RouteContext) []int {
 // work (ties broken by index), balancing wear across the pool.
 type leastLoaded struct{}
 
-func (leastLoaded) Name() string { return RouterLeastLoaded }
-
-func (leastLoaded) Route(_ Spec, rc RouteContext) []int {
+func (leastLoaded) Route(rc RouteContext) []int {
 	cand := append([]int(nil), rc.Free...)
 	sort.SliceStable(cand, func(a, b int) bool {
 		ba, bb := rc.Busy(cand[a]), rc.Busy(cand[b])
@@ -91,37 +79,10 @@ func (leastLoaded) Route(_ Spec, rc RouteContext) []int {
 	return cand[:rc.Grant]
 }
 
-// bestFit sizes the partition by predicted cost: among candidate sizes
-// (the full grant and every power of two in [Min, Grant]) it minimizes
-// Φ(k)·k — predicted processor-seconds, the capacity the job takes from
-// the pool — breaking ties toward the larger partition (finish sooner
-// at equal cost). Unknown predictions fall back to the full grant. Where
-// Min = Grant (paradigmd fixes the size before routing) the grant is the
-// only candidate: best-fit places the lowest free processors.
+// bestFit places the lowest free processors: the partition size is
+// fixed before routing, so the grant is the only fit.
 type bestFit struct{}
 
-func (bestFit) Name() string { return RouterBestFit }
-
-func (bestFit) Route(_ Spec, rc RouteContext) []int {
-	sizes := []int{rc.Grant}
-	for k := 1; k < rc.Grant; k *= 2 {
-		if k >= rc.Min {
-			sizes = append(sizes, k)
-		}
-	}
-	best, bestScore := rc.Grant, math.Inf(1)
-	for _, k := range sizes {
-		phi := math.NaN()
-		if rc.Predict != nil {
-			phi = rc.Predict(k)
-		}
-		if math.IsNaN(phi) || math.IsInf(phi, 0) || phi < 0 {
-			continue
-		}
-		score := phi * float64(k)
-		if score < bestScore || (score == bestScore && k > best) {
-			best, bestScore = k, score
-		}
-	}
-	return append([]int(nil), rc.Free[:best]...)
+func (bestFit) Route(rc RouteContext) []int {
+	return append([]int(nil), rc.Free[:rc.Grant]...)
 }

@@ -108,19 +108,6 @@ func (m *metricsObserver) Observe(e Event) {
 		r.Counter("job_journal_appends_total").Inc()
 		r.Counter("job_journal_append_" + sanitizeMetricFragment(ev.Record) + "_total").Inc()
 		r.Histogram("job_journal_record_bytes", byteBuckets).Observe(float64(ev.Bytes))
-	case ClusterDecision:
-		r.Counter("cluster_decisions_total").Inc()
-		r.Counter("cluster_" + sanitizeMetricFragment(ev.Decision) + "_total").Inc()
-		if ev.Granted > 0 {
-			r.Histogram("cluster_granted_procs", nil).Observe(float64(ev.Granted))
-		}
-		if ev.Decision == "degrade" && ev.Requested > 0 && ev.Granted > 0 {
-			r.Histogram("cluster_degrade_ratio", ratioBuckets).
-				Observe(float64(ev.Granted) / float64(ev.Requested))
-		}
-	case PoolHealth:
-		r.Counter("cluster_pool_transitions_total").Inc()
-		r.Counter("cluster_pool_" + sanitizeMetricFragment(ev.State) + "_total").Inc()
 	case AllocDone:
 		// Seconds is wall-clock and deliberately not folded: the registry
 		// snapshot stays byte-identical across worker widths and machines.

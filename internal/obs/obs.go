@@ -74,11 +74,6 @@ const (
 	KindJournal
 	// KindSchedCache: one pipeline-level schedule-cache lookup.
 	KindSchedCache
-	// KindClusterDecision: one routing/placement decision by the cluster
-	// event loop.
-	KindClusterDecision
-	// KindPoolHealth: one processor health transition in the cluster pool.
-	KindPoolHealth
 )
 
 // Event is one structured pipeline event.
@@ -342,38 +337,6 @@ type SchedCache struct {
 
 // Kind implements Event.
 func (SchedCache) Kind() Kind { return KindSchedCache }
-
-// ClusterDecision reports one decision by the cluster event loop:
-// Decision is "place", "degrade", "requeue", "shed", "evict", "replace"
-// or "finish"; Job names the affected job (empty for pool-scoped
-// decisions), Router the routing policy in force. Requested/Granted are
-// partition sizes (Granted < Requested marks a degraded placement; both
-// are -1 when sizing does not apply). Time is the cluster's virtual
-// clock at the decision.
-type ClusterDecision struct {
-	Decision  string
-	Job       string
-	Router    string
-	Requested int
-	Granted   int
-	Time      float64
-}
-
-// Kind implements Event.
-func (ClusterDecision) Kind() Kind { return KindClusterDecision }
-
-// PoolHealth reports one processor health transition in the cluster
-// pool: State is "suspect" (the processor failed in fact but detection
-// has not fired) or "dead" (the failure detector declared it at Time;
-// the processor leaves the assignable pool permanently).
-type PoolHealth struct {
-	Proc  int
-	State string
-	Time  float64
-}
-
-// Kind implements Event.
-func (PoolHealth) Kind() Kind { return KindPoolHealth }
 
 // Multi fans every event out to each non-nil observer. A result of nil
 // (no observers) preserves the nil fast path at the emit sites.

@@ -22,9 +22,8 @@ type grant struct {
 }
 
 // clusterPool is cluster mode's shared wall-clock processor pool: a
-// cluster.Pool — the core the virtual-time simulator in internal/cluster
-// runs on — guarded by mu, plus the grant policy, the fault injection and
-// the gauges. A job waits on cond for a partition, runs the pipeline on
+// cluster.Pool guarded by mu, plus the grant policy, the fault injection
+// and the gauges. A job waits on cond for a partition, runs the pipeline on
 // exactly the processors it was granted, and releases them on completion.
 //
 //   - Shrink before reject: when live capacity drops below a job's
@@ -65,7 +64,7 @@ func newClusterPool(cfg Config, reg *paradigm.Metrics) (*clusterPool, error) {
 
 // publishLocked refreshes the pool health gauges; callers hold mu.
 func (p *clusterPool) publishLocked() {
-	alive := p.pool.Assignable()
+	alive := p.pool.Alive()
 	p.reg.Gauge("paradigmd_cluster_pool_alive").Set(float64(alive))
 	p.reg.Gauge("paradigmd_cluster_pool_free").Set(float64(len(p.pool.Free())))
 	p.reg.Gauge("paradigmd_cluster_pool_dead").Set(float64(p.total - alive))
@@ -74,20 +73,20 @@ func (p *clusterPool) publishLocked() {
 // acquire blocks until the pool can host the job, then places it.
 // Shrink-before-reject: when live capacity is below the request the job
 // is granted every live processor instead of being refused; only a fully
-// dead pool errors. The size is fixed before routing (Min = Grant), so
-// the router picks which processors, never how many.
-func (p *clusterPool) acquire(spec cluster.Spec) (grant, error) {
+// dead pool errors. The size is fixed before routing, so the router
+// picks which processors, never how many.
+func (p *clusterPool) acquire(id string, request int) (grant, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
-		alive := p.pool.Assignable()
+		alive := p.pool.Alive()
 		if alive < 1 {
 			return grant{}, fmt.Errorf("cluster pool exhausted: all %d processors dead", p.total)
 		}
-		want := min(spec.Procs, alive)
+		want := min(request, alive)
 		if len(p.pool.Free()) >= want {
-			procs := p.pool.Place(spec, want, want, nil)
-			g := grant{procs: procs, degraded: want < spec.Procs, faultLocal: -1}
+			procs := p.pool.Place(id, want)
+			g := grant{procs: procs, degraded: want < request, faultLocal: -1}
 			p.placements++
 			p.reg.Counter("paradigmd_cluster_placements_total").Inc()
 			if g.degraded {

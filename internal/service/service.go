@@ -67,7 +67,6 @@ import (
 
 	"paradigm"
 	"paradigm/internal/admission"
-	"paradigm/internal/cluster"
 	"paradigm/internal/jobstore"
 	"paradigm/internal/schedcache"
 )
@@ -119,8 +118,11 @@ type Config struct {
 	// unlimited FCFS).
 	Policy admission.Config
 	// ClusterProcs > 0 runs jobs on partitions of one shared pool of that
-	// many processors, placed by Router; every ClusterFaults-th placement
-	// loses a partition processor (0: none).
+	// many processors. Router names the policy that picks which free
+	// processors a job gets, its grant size fixed first: round-robin
+	// ("" too), least-loaded or best-fit; in cluster mode New refuses any
+	// other name. Every ClusterFaults-th placement loses a partition
+	// processor (0: none).
 	ClusterProcs  int
 	Router        string
 	ClusterFaults int
@@ -495,7 +497,7 @@ func (s *Server) execute(sub jobstore.Submit) (run jobRun, err error) {
 	}
 	procs, faultLocal := sub.Procs, -1
 	if s.pool != nil {
-		g, err := s.pool.acquire(cluster.Spec{ID: sub.ID, Procs: sub.Procs})
+		g, err := s.pool.acquire(sub.ID, sub.Procs)
 		if err != nil {
 			return run, err
 		}

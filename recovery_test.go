@@ -376,6 +376,41 @@ func TestRecoveryWidthIndependent(t *testing.T) {
 	}
 }
 
+// TestDataDigestPartitionInvariant: the data digest is the oracle for a
+// recovered run only if it does not depend on the partition, since a
+// recovery re-runs on fewer processors than the fault-free reference.
+// CMM-16 and Strassen-16 at 4 and 8 processors schedule differently and
+// must gather the same arrays bit for bit.
+func TestDataDigestPartitionInvariant(t *testing.T) {
+	cal := testCal(t)
+	cmm, err := ComplexMatMul(16, cal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	str, err := Strassen(16, cal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string]*Program{"cmm": cmm, "strassen": str} {
+		var digests []string
+		for _, procs := range []int{4, 8} {
+			res, err := RunContext(context.Background(), p, NewCM5(procs), cal, procs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustVerifyExact(t, p, res)
+			d, err := DataDigest(p, res.Sim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			digests = append(digests, d)
+		}
+		if digests[0] != digests[1] {
+			t.Fatalf("%s: data digest %s at 4 processors, %s at 8", name, digests[0], digests[1])
+		}
+	}
+}
+
 // TestRecoveredResultRendersAgainstItsProgram: after recovery the
 // schedule indexes the residual program's graph — renumbered in
 // topological order, with restore nodes — not the submitted one. The
