@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"paradigm/internal/dist"
 	"paradigm/internal/kernels"
@@ -129,8 +130,15 @@ type Streams struct {
 
 // InstanceName formats instance id as "A@3": array A at node 3.
 func (s *Streams) InstanceName(id int32) string {
+	return string(s.appendInstanceName(make([]byte, 0, 24), id))
+}
+
+// appendInstanceName appends InstanceName(id) to buf.
+func (s *Streams) appendInstanceName(buf []byte, id int32) []byte {
 	in := s.Instances[id]
-	return fmt.Sprintf("%s@%d", in.Array, in.Node)
+	buf = append(buf, in.Array...)
+	buf = append(buf, '@')
+	return strconv.AppendInt(buf, int64(in.Node), 10)
 }
 
 // Tag formats message id as "A@3->5#2": piece 2 of the redistribution of
@@ -138,7 +146,11 @@ func (s *Streams) InstanceName(id int32) string {
 // and diagnostics.
 func (s *Streams) Tag(id int32) string {
 	m := s.Messages[id]
-	return fmt.Sprintf("%s->%d#%d", s.InstanceName(m.Src), m.Consumer, m.Index)
+	buf := s.appendInstanceName(make([]byte, 0, 40), m.Src)
+	buf = append(buf, "->"...)
+	buf = strconv.AppendInt(buf, int64(m.Consumer), 10)
+	buf = append(buf, '#')
+	return string(strconv.AppendInt(buf, int64(m.Index), 10))
 }
 
 // Stats summarizes the communication volume of the program.

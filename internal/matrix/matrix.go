@@ -119,8 +119,8 @@ func Mul(dst, a, b *Matrix) error {
 // sums from +0 instead of from what d holds. Element for element it
 // performs axpy4's operations in axpy4's order. It is nil unless the
 // architecture's file (matrix_amd64.go) has a kernel this CPU can run, in
-// which case its init sets it, once; tests clear it to reach the portable
-// path on the same machine.
+// which case its init sets it, once, to the widest; tests set it to reach
+// every other path on the same machine.
 var axpy4Vec func(d, a, b *float64, w, inner, stride, rows int, first bool)
 
 // MulStrip computes dst = a[r0:r1, :] · b[:, c0:c1], reading both strips

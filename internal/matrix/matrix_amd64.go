@@ -9,6 +9,14 @@ import "math"
 //go:noescape
 func axpy4AVX(d, a, b *float64, w, inner, stride, rows int, first bool)
 
+// axpy4AVX512 is axpy4AVX at 512 bits (matrix_amd64.s): sixteen columns
+// to a pass, then eight, then axpy4AVX's own four- and one-column steps,
+// with the same operations in the same order, so that which of the two
+// ran cannot be told from the result.
+//
+//go:noescape
+func axpy4AVX512(d, a, b *float64, w, inner, stride, rows int, first bool)
+
 // sinAVX and cosAVX are sinVec and cosVec in 256-bit AVX
 // (matrix_amd64.s), four arguments to an instruction.
 //
@@ -23,6 +31,13 @@ func cosAVX(dst, src *float64, n int) int
 // OSXSAVE (bit 27) and AVX (bit 28) set, and XCR0, read with XGETBV, has
 // the SSE and AVX state bits (1 and 2) set.
 func avxUsable() bool
+
+// avx512Usable reports whether this CPU has AVX512F and the operating
+// system saves the whole ZMM state: the highest CPUID leaf is at least 7,
+// CPUID.1:ECX has OSXSAVE (bit 27, without which XGETBV faults),
+// CPUID.(7,0):EBX has AVX512F (bit 16), and XCR0 has the SSE, AVX,
+// opmask, ZMM_Hi256 and Hi16_ZMM state bits (1, 2, 5, 6 and 7) set.
+func avx512Usable() bool
 
 // trigK holds the constants of sinAVX and cosAVX, each in the four lanes
 // of a 256-bit word, in the order of the k* offsets in matrix_amd64.s.
@@ -60,9 +75,15 @@ var trigK = func() (k [22][4]uint64) {
 	return k
 }()
 
+// init picks the widest multiply kernel this CPU and operating system
+// can run: axpy4AVX512, else axpy4AVX, else none (the portable loop). The
+// 512-bit kernel's tails are AVX instructions, so it needs both tests.
 func init() {
 	if avxUsable() {
 		axpy4Vec = axpy4AVX
 		sinVec, cosVec = sinAVX, cosAVX
+		if avx512Usable() {
+			axpy4Vec = axpy4AVX512
+		}
 	}
 }

@@ -1,7 +1,8 @@
 #include "textflag.h"
 
-// The vector kernel behind MulStrip (see axpy4Vec in matrix.go). One call
-// is one group of four k for one or two rows of dst:
+// The vector kernels behind MulStrip (see axpy4Vec in matrix.go): axpy4AVX
+// here, and axpy4AVX512 after it. One call is one group of four k for one
+// or two rows of dst:
 //
 //	d[r][j] = (((d[r][j] + a[r][0]·b[0][j]) + a[r][1]·b[1][j]) + a[r][2]·b[2][j]) + a[r][3]·b[3][j]
 //
@@ -9,11 +10,12 @@
 // first is set. Each lane does what the scalar loop does for its column:
 // a VMULPD lane is MULSD, a VADDPD lane is ADDSD, both round to nearest
 // even under the same MXCSR, and the four products are added in the same
-// order. No instruction here fuses a multiply with an add. Columns are
-// taken eight at a time, then four, then one (VMULSD/VADDSD), so no load
-// or store touches memory outside the w columns.
+// order. No instruction here fuses a multiply with an add. axpy4AVX
+// takes columns eight at a time, then four, then one (VMULSD/VADDSD);
+// axpy4AVX512 takes sixteen, then eight, then axpy4AVX's four and one. So
+// no load or store touches memory outside the w columns.
 //
-// Register use, all bodies:
+// Register use, axpy4AVX and axpy4AVX512's four- and one-column steps:
 //	DI, R8          d row 0, d row 1
 //	BX, R9, R10, R11  b rows 0..3
 //	AX              byte offset of the current column
@@ -238,6 +240,277 @@ row8first:
 	VXORPD  Y9, Y9, Y9
 	JMP     row8sum
 
+// axpy4AVX512 is axpy4AVX at 512 bits: the same group, the same
+// operations on the same operands in the same order, sixteen columns to a
+// pass in two ZMM registers a row, then eight in one. The last seven
+// columns or fewer are axpy4AVX's own four- and one-column steps, with the
+// a values broadcast again into Y0..Y7, so no load or store reaches
+// outside the w columns here either. Every ZMM instruction is AVX512F:
+// zeroing is VPXORQ (VXORPD on a ZMM register is AVX512DQ), and a YMM or
+// XMM register above 15 is never named, which would take AVX512VL.
+//
+// Register use, beyond what its tails share with axpy4AVX:
+//	R13             a row 1
+//	Z16..Z19        a[0][0..3] broadcast;  Z20..Z23  a[1][0..3] broadcast
+//	Z24, Z25        row 0 sums;  Z26, Z27  row 1 sums
+//	Z28, Z29        b values;  Z30, Z31  products
+
+// One k of a group: sixteen or eight columns of one b row into the sums
+// of two rows (ZPAIR) or of one (ZROW).
+#define ZPAIR16(brow, a0, a1) \
+	VMOVUPD (brow)(AX*1), Z28; \
+	VMOVUPD 64(brow)(AX*1), Z29; \
+	VMULPD  Z28, a0, Z30; \
+	VADDPD  Z30, Z24, Z24; \
+	VMULPD  Z29, a0, Z31; \
+	VADDPD  Z31, Z25, Z25; \
+	VMULPD  Z28, a1, Z30; \
+	VADDPD  Z30, Z26, Z26; \
+	VMULPD  Z29, a1, Z31; \
+	VADDPD  Z31, Z27, Z27
+
+#define ZPAIR8(brow, a0, a1) \
+	VMOVUPD (brow)(AX*1), Z28; \
+	VMULPD  Z28, a0, Z30; \
+	VADDPD  Z30, Z24, Z24; \
+	VMULPD  Z28, a1, Z31; \
+	VADDPD  Z31, Z26, Z26
+
+#define ZROW16(brow, a0) \
+	VMOVUPD (brow)(AX*1), Z28; \
+	VMOVUPD 64(brow)(AX*1), Z29; \
+	VMULPD  Z28, a0, Z30; \
+	VADDPD  Z30, Z24, Z24; \
+	VMULPD  Z29, a0, Z31; \
+	VADDPD  Z31, Z25, Z25
+
+#define ZROW8(brow, a0) \
+	VMOVUPD (brow)(AX*1), Z28; \
+	VMULPD  Z28, a0, Z30; \
+	VADDPD  Z30, Z24, Z24
+
+// func axpy4AVX512(d, a, b *float64, w, inner, stride, rows int, first bool)
+TEXT ·axpy4AVX512(SB), NOSPLIT, $0-57
+	MOVQ    d+0(FP), DI
+	MOVQ    a+8(FP), SI
+	MOVQ    b+16(FP), BX
+	MOVQ    w+24(FP), CX
+	MOVQ    stride+40(FP), R12
+	MOVBQZX first+56(FP), DX
+	SHLQ    $3, R12
+	LEAQ    (BX)(R12*1), R9
+	LEAQ    (R9)(R12*1), R10
+	LEAQ    (R10)(R12*1), R11
+	XORQ    AX, AX
+	VBROADCASTSD (SI), Z16
+	VBROADCASTSD 8(SI), Z17
+	VBROADCASTSD 16(SI), Z18
+	VBROADCASTSD 24(SI), Z19
+	CMPQ    rows+48(FP), $2
+	JNE     zrow16
+
+	MOVQ    inner+32(FP), R12
+	LEAQ    (SI)(R12*8), R13
+	LEAQ    (DI)(CX*8), R8
+	VBROADCASTSD (R13), Z20
+	VBROADCASTSD 8(R13), Z21
+	VBROADCASTSD 16(R13), Z22
+	VBROADCASTSD 24(R13), Z23
+
+	CMPQ    CX, $16
+	JLT     zpair8
+zpair16:
+	TESTQ   DX, DX
+	JNE     zpair16first
+	VMOVUPD (DI)(AX*1), Z24
+	VMOVUPD 64(DI)(AX*1), Z25
+	VMOVUPD (R8)(AX*1), Z26
+	VMOVUPD 64(R8)(AX*1), Z27
+zpair16sum:
+	ZPAIR16(BX, Z16, Z20)
+	ZPAIR16(R9, Z17, Z21)
+	ZPAIR16(R10, Z18, Z22)
+	ZPAIR16(R11, Z19, Z23)
+	VMOVUPD Z24, (DI)(AX*1)
+	VMOVUPD Z25, 64(DI)(AX*1)
+	VMOVUPD Z26, (R8)(AX*1)
+	VMOVUPD Z27, 64(R8)(AX*1)
+	ADDQ    $128, AX
+	SUBQ    $16, CX
+	CMPQ    CX, $16
+	JGE     zpair16
+
+zpair8:
+	CMPQ    CX, $8
+	JLT     zpairtail
+	TESTQ   DX, DX
+	JNE     zpair8first
+	VMOVUPD (DI)(AX*1), Z24
+	VMOVUPD (R8)(AX*1), Z26
+	JMP     zpair8sum
+zpair8first:
+	VPXORQ  Z24, Z24, Z24
+	VPXORQ  Z26, Z26, Z26
+zpair8sum:
+	ZPAIR8(BX, Z16, Z20)
+	ZPAIR8(R9, Z17, Z21)
+	ZPAIR8(R10, Z18, Z22)
+	ZPAIR8(R11, Z19, Z23)
+	VMOVUPD Z24, (DI)(AX*1)
+	VMOVUPD Z26, (R8)(AX*1)
+	ADDQ    $64, AX
+	SUBQ    $8, CX
+
+zpairtail:
+	TESTQ   CX, CX
+	JEQ     zdone
+	VBROADCASTSD (SI), Y0
+	VBROADCASTSD 8(SI), Y1
+	VBROADCASTSD 16(SI), Y2
+	VBROADCASTSD 24(SI), Y3
+	VBROADCASTSD (R13), Y4
+	VBROADCASTSD 8(R13), Y5
+	VBROADCASTSD 16(R13), Y6
+	VBROADCASTSD 24(R13), Y7
+	CMPQ    CX, $4
+	JLT     zpair1
+	TESTQ   DX, DX
+	JNE     zpair4first
+	VMOVUPD (DI)(AX*1), Y8
+	VMOVUPD (R8)(AX*1), Y10
+	JMP     zpair4sum
+zpair4first:
+	VXORPD  Y8, Y8, Y8
+	VXORPD  Y10, Y10, Y10
+zpair4sum:
+	PAIR4(BX, Y0, Y4)
+	PAIR4(R9, Y1, Y5)
+	PAIR4(R10, Y2, Y6)
+	PAIR4(R11, Y3, Y7)
+	VMOVUPD Y8, (DI)(AX*1)
+	VMOVUPD Y10, (R8)(AX*1)
+	ADDQ    $32, AX
+	SUBQ    $4, CX
+
+zpair1:
+	TESTQ   CX, CX
+	JEQ     zdone
+	TESTQ   DX, DX
+	JNE     zpair1first
+	VMOVSD  (DI)(AX*1), X8
+	VMOVSD  (R8)(AX*1), X10
+	JMP     zpair1sum
+zpair1first:
+	VXORPD  X8, X8, X8
+	VXORPD  X10, X10, X10
+zpair1sum:
+	PAIR1(BX, X0, X4)
+	PAIR1(R9, X1, X5)
+	PAIR1(R10, X2, X6)
+	PAIR1(R11, X3, X7)
+	VMOVSD  X8, (DI)(AX*1)
+	VMOVSD  X10, (R8)(AX*1)
+	ADDQ    $8, AX
+	DECQ    CX
+	JMP     zpair1
+
+zrow16:
+	CMPQ    CX, $16
+	JLT     zrow8
+zrow16loop:
+	TESTQ   DX, DX
+	JNE     zrow16first
+	VMOVUPD (DI)(AX*1), Z24
+	VMOVUPD 64(DI)(AX*1), Z25
+zrow16sum:
+	ZROW16(BX, Z16)
+	ZROW16(R9, Z17)
+	ZROW16(R10, Z18)
+	ZROW16(R11, Z19)
+	VMOVUPD Z24, (DI)(AX*1)
+	VMOVUPD Z25, 64(DI)(AX*1)
+	ADDQ    $128, AX
+	SUBQ    $16, CX
+	CMPQ    CX, $16
+	JGE     zrow16loop
+
+zrow8:
+	CMPQ    CX, $8
+	JLT     zrowtail
+	TESTQ   DX, DX
+	JNE     zrow8first
+	VMOVUPD (DI)(AX*1), Z24
+	JMP     zrow8sum
+zrow8first:
+	VPXORQ  Z24, Z24, Z24
+zrow8sum:
+	ZROW8(BX, Z16)
+	ZROW8(R9, Z17)
+	ZROW8(R10, Z18)
+	ZROW8(R11, Z19)
+	VMOVUPD Z24, (DI)(AX*1)
+	ADDQ    $64, AX
+	SUBQ    $8, CX
+
+zrowtail:
+	TESTQ   CX, CX
+	JEQ     zdone
+	VBROADCASTSD (SI), Y0
+	VBROADCASTSD 8(SI), Y1
+	VBROADCASTSD 16(SI), Y2
+	VBROADCASTSD 24(SI), Y3
+	CMPQ    CX, $4
+	JLT     zrow1
+	TESTQ   DX, DX
+	JNE     zrow4first
+	VMOVUPD (DI)(AX*1), Y8
+	JMP     zrow4sum
+zrow4first:
+	VXORPD  Y8, Y8, Y8
+zrow4sum:
+	ROW4(BX, Y0)
+	ROW4(R9, Y1)
+	ROW4(R10, Y2)
+	ROW4(R11, Y3)
+	VMOVUPD Y8, (DI)(AX*1)
+	ADDQ    $32, AX
+	SUBQ    $4, CX
+
+zrow1:
+	TESTQ   CX, CX
+	JEQ     zdone
+	TESTQ   DX, DX
+	JNE     zrow1first
+	VMOVSD  (DI)(AX*1), X8
+	JMP     zrow1sum
+zrow1first:
+	VXORPD  X8, X8, X8
+zrow1sum:
+	ROW1(BX, X0)
+	ROW1(R9, X1)
+	ROW1(R10, X2)
+	ROW1(R11, X3)
+	VMOVSD  X8, (DI)(AX*1)
+	ADDQ    $8, AX
+	DECQ    CX
+	JMP     zrow1
+
+zdone:
+	VZEROUPPER
+	RET
+
+	// The wide loops' starts from +0, out of line as in axpy4AVX.
+zpair16first:
+	VPXORQ  Z24, Z24, Z24
+	VPXORQ  Z25, Z25, Z25
+	VPXORQ  Z26, Z26, Z26
+	VPXORQ  Z27, Z27, Z27
+	JMP     zpair16sum
+zrow16first:
+	VPXORQ  Z24, Z24, Z24
+	VPXORQ  Z25, Z25, Z25
+	JMP     zrow16sum
+
 // func avxUsable() bool
 TEXT ·avxUsable(SB), NOSPLIT, $0-1
 	MOVB    $0, ret+0(FP)
@@ -254,6 +527,33 @@ TEXT ·avxUsable(SB), NOSPLIT, $0-1
 	JNE     no
 	MOVB    $1, ret+0(FP)
 no:
+	RET
+
+// func avx512Usable() bool
+TEXT ·avx512Usable(SB), NOSPLIT, $0-1
+	MOVB    $0, ret+0(FP)
+	XORL    AX, AX
+	XORL    CX, CX
+	CPUID                   // the highest standard leaf into AX
+	CMPL    AX, $7
+	JCS     no512
+	MOVL    $1, AX
+	XORL    CX, CX
+	CPUID
+	ANDL    $0x08000000, CX // OSXSAVE (bit 27): XGETBV may be executed
+	JEQ     no512
+	MOVL    $7, AX
+	XORL    CX, CX
+	CPUID                   // leaf 7, subleaf 0
+	ANDL    $0x00010000, BX // AVX512F (bit 16)
+	JEQ     no512
+	XORL    CX, CX
+	XGETBV                  // XCR0 into DX:AX
+	ANDL    $0xe6, AX       // SSE, AVX, opmask, ZMM_Hi256, Hi16_ZMM (bits 1, 2, 5, 6, 7)
+	CMPL    AX, $0xe6
+	JNE     no512
+	MOVB    $1, ret+0(FP)
+no512:
 	RET
 
 // The vector kernels behind Sin and Cos (see sinVec in trig.go): math.sin

@@ -256,3 +256,13 @@ func BenchmarkMulStrip16x256x256(b *testing.B) { benchMulStrip(b, 16, 256, 256) 
 // a column after the fours and three k after the groups — every tail the
 // kernel has.
 func BenchmarkMulStrip15x255x13(b *testing.B) { benchMulStrip(b, 15, 255, 13) }
+
+// BenchmarkMulStrip8x64x64 is the strip Strassen-128 on 64 processors
+// multiplies most, 56 times a run: an 8-row share of a 64×64 product.
+func BenchmarkMulStrip8x64x64(b *testing.B) { benchMulStrip(b, 8, 64, 64) }
+
+// BenchmarkMulStrip15x127x127 is a share of a service-sized job, CMM-127
+// on 35 processors, whose multiplies are 15- and 16-row strips: seven
+// sixteen-column passes and every narrower step after them, at an odd
+// offset, with three k after the groups.
+func BenchmarkMulStrip15x127x127(b *testing.B) { benchMulStrip(b, 15, 127, 127) }

@@ -538,22 +538,28 @@ func RunCtx(ctx context.Context, p *prog.Program, streams *codegen.Streams, mp m
 // goroutine. barrierWork prices the other kernels in the same unit.
 //
 // Measured barrier by barrier in CMM simulations on 64 processors, two
-// cores, matrix.MulStrip on its vector path (0.09–0.12 ns a multiply-add,
-// block allocation included): time inline over time on two workers, for
-// an init barrier / a multiply barrier.
+// cores: time inline over time on two workers, for an init barrier / a
+// multiply barrier. The init half is the first sweep's (initElemWork's
+// comment has its re-measure); the multiply half is matrix.MulStrip on
+// its AVX-512 kernel (0.075–0.10 ns a multiply-add inline, block
+// allocation included), the range of two rounds.
 //
-//	n     inline µs    second core idle    second core busy
-//	48      39 /   16      0.93 / 0.76        0.92 / 0.80
-//	96     150 /   99      0.88 / 0.84        0.94 / 0.90
-//	128    261 /  246      1.41 / 1.30        0.96 / 0.93
-//	192    704 /  734      1.65 / 1.60        0.94 / 0.96
-//	256   1195 / 1519      1.79 / 1.70        1.00 / 0.94
+//	n     inline µs          second core idle      second core busy
+//	48      39 /   21–24      0.93 / 0.70–0.80      0.92 / 0.69–0.78
+//	96     150 /   93–99      0.88 / 1.19–1.45      0.94 / 0.92–0.94
+//	112          142–151           1.35–1.53             1.03–1.21
+//	128    261 /  194–214     1.41 / 1.50–1.57      0.96 / 0.94–0.95
+//	192    704 /  567–615     1.65 / 1.76–1.83      0.94 / 0.96–0.99
+//	256   1195 / 1253–1463    1.79 / 1.79–1.82      1.00 / 1.00–1.02
 //
-// A fan-out breaks even near 0.2 ms of inline work (n = 112: 1.07 / 1.00)
-// whichever kernel fills it, and with the second core busy — paradigmd at
-// -workers = cores — it buys nothing at any size and ties the job to
+// The AVX kernel, measured in the same rounds, read 0.69–0.84, 1.06–1.57
+// and 1.50–1.68 idle at n = 48, 96 and 128, and 0.90–1.04 busy
+// throughout: the wider kernel moved no break-even. A multiply fan-out
+// gains from n ≈ 96 with the second core idle, as does an init fan-out
+// (the re-measure below), and with the second core busy — paradigmd at -workers = cores
+// — neither buys anything at any size, and a fan-out ties the job to
 // whichever goroutine the scheduler reaches last. So the threshold sits
-// where the gain is clear, n = 128 for both kernels, and a job the size
+// where the gain is clear for both kernels, n = 128, and a job the size
 // of a typical service request (n ≤ 127, TestServiceSizedRunStaysInline)
 // never leaves its worker's goroutine.
 const fanOutWork = 1 << 21
@@ -573,7 +579,7 @@ const fanOutWork = 1 << 21
 //	256    613–659       1.56–1.74              0.99
 //
 // so an element is 9–10 ns, allocation and argument included, ≈ 80
-// multiply-adds, and a fan-out from n = 128 still gains with the second
+// multiply-adds (≈ 100 at the AVX-512 kernel's 0.09–0.10 ns), and a fan-out from n = 128 still gains with the second
 // core idle and ties with it busy. The price stays where it was: between
 // 32 and 128 it moves no barrier of CMM-256 or of a service-sized job
 // (n ≤ 127) across fanOutWork, only those of CMM-128 to CMM-255. An
