@@ -15,10 +15,10 @@ func approx(a, b, tol float64) bool {
 	return diff <= tol*scale
 }
 
-// TestRandomPosynomialVsGrid compares the exact solve against brute-force
+// TestRandomMaxOfMonomialsVsGrid compares the exact solve against brute-force
 // grid search on random 2-variable posynomial objectives (the max of a sum
 // of monomials and one more monomial) over the box [1, 64]².
-func TestRandomPosynomialVsGrid(t *testing.T) {
+func TestRandomMaxOfMonomialsVsGrid(t *testing.T) {
 	f := func(seed uint16) bool {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		var g expr.Graph

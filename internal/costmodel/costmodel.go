@@ -18,14 +18,14 @@
 //	t^D = L/(p_i·p_j)·t_n
 //	t^R = p_i·t_sr + L/p_j·t_pr
 //
-// Every component is exposed three ways: plain float64 evaluation (used by
-// the scheduler, the bound calculators and the experiment harness), as
-// log-space expression-DAG builders (used by the convex allocator, with
-// max smoothed), and as posynomial values (used by tests to verify Lemmas
-// 1 and 2 mechanically). The 2D components and the processing cost are
-// posynomials outright; the 1D components are generalized posynomials — a
-// max of two posynomial branches — which preserves log-space convexity,
-// the property the convex programming formulation needs.
+// and, extending the paper, for the grid kinds. Each component is declared
+// once, as rows of monomials in p_i and p_j (rows.go), read by plain
+// float64 evaluation (the scheduler, bound calculators and experiments)
+// and by log-space expression builders (the convex allocator). Every
+// component is a generalized posynomial — a sum of maxes of monomials,
+// convex in log space, as the convex formulation needs — except the
+// network cost L/max(p_i,p_j)·t_n, which the allocator charges by its
+// upper bound L/p_i·t_n (a relaxed row).
 package costmodel
 
 import (
@@ -34,7 +34,6 @@ import (
 
 	"paradigm/internal/expr"
 	"paradigm/internal/mdg"
-	"paradigm/internal/posy"
 )
 
 // LoopParams are the fitted Amdahl parameters of one loop (one Table 1 row).
@@ -67,8 +66,8 @@ type TransferCost struct {
 	Recv float64 // t^R: accounted into the receiving node's weight
 }
 
-// Transfer evaluates Equations 2 or 3 for one array of the given byte
-// length moving from p_i sending to p_j receiving processors.
+// Transfer evaluates one array's cost (Equation 2, 3 or a grid kind's
+// rows): bytes moving from p_i sending to p_j receiving processors.
 func (tp TransferParams) Transfer(kind mdg.TransferKind, bytes int, pi, pj float64) TransferCost {
 	if pi < 1 || pj < 1 {
 		panic(fmt.Sprintf("costmodel: processor counts (%v,%v) must be >= 1", pi, pj))
@@ -76,28 +75,8 @@ func (tp TransferParams) Transfer(kind mdg.TransferKind, bytes int, pi, pj float
 	if bytes < 0 {
 		panic(fmt.Sprintf("costmodel: negative transfer size %d", bytes))
 	}
-	switch kind {
-	case mdg.TransferG2L, mdg.TransferL2G, mdg.TransferG2G:
-		return tp.gridTransfer(kind, bytes, pi, pj)
-	}
-	l := float64(bytes)
-	switch kind {
-	case mdg.Transfer1D:
-		mx := math.Max(pi, pj)
-		return TransferCost{
-			Send: mx/pi*tp.Tss + l/pi*tp.Tps,
-			Net:  l / mx * tp.Tn,
-			Recv: mx/pj*tp.Tsr + l/pj*tp.Tpr,
-		}
-	case mdg.Transfer2D:
-		return TransferCost{
-			Send: pj*tp.Tss + l/pi*tp.Tps,
-			Net:  l / (pi * pj) * tp.Tn,
-			Recv: pi*tp.Tsr + l/pj*tp.Tpr,
-		}
-	default:
-		panic(fmt.Sprintf("costmodel: unknown transfer kind %v", kind))
-	}
+	coefs := tp.coefs()
+	return costOf(kind).eval(coefs[:], float64(bytes), pi, pj)
 }
 
 // EdgeTransfer sums the transfer costs of every array on an edge.
@@ -168,68 +147,25 @@ func (m Model) Phi(g *mdg.Graph, p []float64, procs int) (phi, ap, cp float64, e
 	return math.Max(ap, cp), ap, cp, nil
 }
 
-// --- Expression-DAG builders (allocator path) ------------------------------
-
 // ProcessingExpr builds t^C as an expression over log-variable v.
 func ProcessingExpr(eg *expr.Graph, lp LoopParams, v int) expr.ID {
-	return eg.Sum(
-		eg.Const(lp.Alpha*lp.Tau),
-		eg.Monomial((1-lp.Alpha)*lp.Tau, []int{v}, []float64{-1}),
-	)
-}
-
-// ProcessingTimesPExpr builds t^C·p (the A_p contribution of the
-// processing cost): τα·p + τ(1-α).
-func ProcessingTimesPExpr(eg *expr.Graph, lp LoopParams, v int) expr.ID {
-	return eg.Sum(
-		eg.Monomial(lp.Alpha*lp.Tau, []int{v}, []float64{1}),
-		eg.Const((1-lp.Alpha)*lp.Tau),
-	)
+	coefs := lp.coefs()
+	var t [len(processingRows)]expr.ID
+	for k, r := range processingRows {
+		t[k] = r.monomial(eg, coefs[r.coef], v, v)
+	}
+	return eg.Sum(t[:]...)
 }
 
 // TransferExprs builds the (send, net, recv) components of one transfer as
 // expressions over the log-variables vi (sender) and vj (receiver).
-// max(p_i, p_j) becomes a SmoothMax of the two variables, which the
-// solver treats as the exact max.
+// Each max group becomes a SmoothMax of its members, which the solver
+// treats as the exact max; the relaxed network row charges its upper
+// bound.
 func TransferExprs(eg *expr.Graph, tp TransferParams, kind mdg.TransferKind, bytes int, vi, vj int) (send, net, recv expr.ID) {
-	switch kind {
-	case mdg.TransferG2L, mdg.TransferL2G, mdg.TransferG2G:
-		return gridTransferExprs(eg, tp, kind, bytes, vi, vj)
-	}
-	l := float64(bytes)
-	switch kind {
-	case mdg.Transfer1D:
-		mx := eg.SmoothMax(eg.Var(vi), eg.Var(vj))
-		send = eg.Sum(
-			eg.Mul(mx, eg.Monomial(tp.Tss, []int{vi}, []float64{-1})),
-			eg.Monomial(l*tp.Tps, []int{vi}, []float64{-1}),
-		)
-		// l·t_n/max(pi,pj): max in the denominator is handled with the
-		// min-form equivalent 1/max(a,b) = min(1/a, 1/b); since t_n >= 0
-		// and the term must stay convex, we use the posynomial upper
-		// bound l·t_n·min(...) <= l·t_n/pi. On the CM-5 t_n = 0 so the
-		// term vanishes; for general machines we conservatively charge
-		// the sender-side denominator, which upper-bounds the true delay
-		// and keeps the formulation convex.
-		net = eg.Monomial(l*tp.Tn, []int{vi}, []float64{-1})
-		recv = eg.Sum(
-			eg.Mul(mx, eg.Monomial(tp.Tsr, []int{vj}, []float64{-1})),
-			eg.Monomial(l*tp.Tpr, []int{vj}, []float64{-1}),
-		)
-	case mdg.Transfer2D:
-		send = eg.Sum(
-			eg.Monomial(tp.Tss, []int{vj}, []float64{1}),
-			eg.Monomial(l*tp.Tps, []int{vi}, []float64{-1}),
-		)
-		net = eg.Monomial(l*tp.Tn, []int{vi, vj}, []float64{-1, -1})
-		recv = eg.Sum(
-			eg.Monomial(tp.Tsr, []int{vi}, []float64{1}),
-			eg.Monomial(l*tp.Tpr, []int{vj}, []float64{-1}),
-		)
-	default:
-		panic(fmt.Sprintf("costmodel: unknown transfer kind %v", kind))
-	}
-	return send, net, recv
+	coefs := tp.coefs()
+	c := costOf(kind).exprs(eg, coefs[:], float64(bytes), vi, vj)
+	return c[tS], c[tD], c[tR]
 }
 
 // EdgeTransferExprs sums TransferExprs over every array on the edge,
@@ -249,51 +185,4 @@ func EdgeTransferExprs(eg *expr.Graph, tp TransferParams, e mdg.Edge, vi, vj int
 		ids[k], ids[n+k], ids[2*n+k] = TransferExprs(eg, tp, tr.Kind, tr.Bytes, vi, vj)
 	}
 	return eg.Sum(ids[:n]...), eg.Sum(ids[n : 2*n]...), eg.Sum(ids[2*n:]...)
-}
-
-// --- Posynomial forms (Lemma 1 and Lemma 2 verification) -------------------
-
-// ProcessingPosy returns t^C as a posynomial in variable "p" (Lemma 1).
-func ProcessingPosy(lp LoopParams) posy.Posynomial {
-	return posy.Const(lp.Alpha * lp.Tau).
-		Add(posy.Mono((1-lp.Alpha)*lp.Tau, map[string]float64{"p": -1}))
-}
-
-// ProcessingTimesPPosy returns t^C·p as a posynomial in "p" (the second
-// condition of Section 2).
-func ProcessingTimesPPosy(lp LoopParams) posy.Posynomial {
-	return ProcessingPosy(lp).MulMono(1, map[string]float64{"p": 1})
-}
-
-// Transfer2DPosy returns the 2D (send, net, recv) components as
-// posynomials in "pi" and "pj" (Lemma 2, Equation 3).
-func Transfer2DPosy(tp TransferParams, bytes int) (send, net, recv posy.Posynomial) {
-	l := float64(bytes)
-	send = posy.Mono(tp.Tss, map[string]float64{"pj": 1}).
-		Add(posy.Mono(l*tp.Tps, map[string]float64{"pi": -1}))
-	net = posy.Mono(l*tp.Tn, map[string]float64{"pi": -1, "pj": -1})
-	recv = posy.Mono(tp.Tsr, map[string]float64{"pi": 1}).
-		Add(posy.Mono(l*tp.Tpr, map[string]float64{"pj": -1}))
-	return
-}
-
-// Transfer1DPosyBranches returns, for each 1D component, the pair of
-// posynomial branches whose pointwise max is the component: branch A
-// assumes max(p_i,p_j) = p_i, branch B assumes max(p_i,p_j) = p_j. A max
-// of posynomials is a generalized posynomial — still convex in log space —
-// which is the precise sense in which Lemma 2 holds for the 1D case.
-func Transfer1DPosyBranches(tp TransferParams, bytes int) (sendA, sendB, netA, netB, recvA, recvB posy.Posynomial) {
-	l := float64(bytes)
-	// Send: max(pi,pj)/pi·tss + l/pi·tps.
-	sendA = posy.Const(tp.Tss).Add(posy.Mono(l*tp.Tps, map[string]float64{"pi": -1}))
-	sendB = posy.Mono(tp.Tss, map[string]float64{"pi": -1, "pj": 1}).
-		Add(posy.Mono(l*tp.Tps, map[string]float64{"pi": -1}))
-	// Net: l·tn/max(pi,pj); branches use the respective denominators.
-	netA = posy.Mono(l*tp.Tn, map[string]float64{"pi": -1})
-	netB = posy.Mono(l*tp.Tn, map[string]float64{"pj": -1})
-	// Recv: max(pi,pj)/pj·tsr + l/pj·tpr.
-	recvA = posy.Mono(tp.Tsr, map[string]float64{"pi": 1, "pj": -1}).
-		Add(posy.Mono(l*tp.Tpr, map[string]float64{"pj": -1}))
-	recvB = posy.Const(tp.Tsr).Add(posy.Mono(l*tp.Tpr, map[string]float64{"pj": -1}))
-	return
 }

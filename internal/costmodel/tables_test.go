@@ -80,6 +80,47 @@ func TestTransferRegimeTables(t *testing.T) {
 			// R = 8·0.02 + 256·0.0002 = 0.16 + 0.0512
 			want: TransferCost{Send: 0.0264, Net: 0.032, Recv: 0.2112},
 		},
+		// --- Grid kinds (rows.go) --------------------------------------
+		// G2L: t^S = max(1, pj/√pi)·tss + L/pi·tps; t^R = max(√pi, pi/pj)·tsr + L/pj·tpr.
+		{
+			name: "G2L grow 4->8", tp: handTransfer, kind: mdg.TransferG2L,
+			bytes: 1000, pi: 4, pj: 8,
+			// S = max(1, 8/2)·0.01 + 250·0.0001 = 0.04 + 0.025
+			// D = 1000/8·0.001
+			// R = max(2, 0.5)·0.02 + 125·0.0002 = 0.04 + 0.025
+			want: TransferCost{Send: 0.065, Net: 0.125, Recv: 0.065},
+		},
+		{
+			name: "G2L shrink 16->2", tp: handTransfer, kind: mdg.TransferG2L,
+			bytes: 512, pi: 16, pj: 2,
+			// S = max(1, 2/4)·0.01 + 32·0.0001 = 0.01 + 0.0032
+			// D = 512/16·0.001
+			// R = max(4, 8)·0.02 + 256·0.0002 = 0.16 + 0.0512
+			want: TransferCost{Send: 0.0132, Net: 0.032, Recv: 0.2112},
+		},
+		// L2G: t^S = max(√pj, pj/pi)·tss + L/pi·tps; t^R = max(1, pi/√pj)·tsr + L/pj·tpr.
+		{
+			name: "L2G grow 2->16", tp: handTransfer, kind: mdg.TransferL2G,
+			bytes: 1000, pi: 2, pj: 16,
+			// S = max(4, 8)·0.01 + 500·0.0001 = 0.08 + 0.05
+			// D = 1000/16·0.001
+			// R = max(1, 2/4)·0.02 + 62.5·0.0002 = 0.02 + 0.0125
+			want: TransferCost{Send: 0.13, Net: 0.0625, Recv: 0.0325},
+		},
+		{
+			name: "L2G shrink 16->4", tp: handTransfer, kind: mdg.TransferL2G,
+			bytes: 512, pi: 16, pj: 4,
+			// S = max(2, 4/16)·0.01 + 32·0.0001 = 0.02 + 0.0032
+			// D = 512/16·0.001
+			// R = max(1, 16/2)·0.02 + 128·0.0002 = 0.16 + 0.0256
+			want: TransferCost{Send: 0.0232, Net: 0.032, Recv: 0.1856},
+		},
+		// G2G is the 1D form.
+		{
+			name: "G2G grow 4->8", tp: handTransfer, kind: mdg.TransferG2G,
+			bytes: 1000, pi: 4, pj: 8,
+			want: TransferCost{Send: 0.045, Net: 0.125, Recv: 0.045},
+		},
 		// --- Paper fit (Table 2, CM-5) -----------------------------------
 		{
 			name: "1D CM-5 4->4", tp: cm5Transfer, kind: mdg.Transfer1D,

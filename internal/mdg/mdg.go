@@ -31,7 +31,9 @@ import (
 // NodeID indexes a node within its Graph.
 type NodeID int
 
-// TransferKind distinguishes the two redistribution regimes of Figure 4.
+// TransferKind names how an array is redistributed along an edge: the
+// two regimes of Figure 4 (1D, 2D) and the three grid kinds that extend
+// them. Each has one cost declaration in internal/costmodel.
 type TransferKind uint8
 
 const (
@@ -77,7 +79,7 @@ func (k TransferKind) String() string {
 type Transfer struct {
 	// Bytes is the total array length L in bytes.
 	Bytes int `json:"bytes"`
-	// Kind selects the 1D or 2D cost regime.
+	// Kind selects the cost declaration: one of the five TransferKinds.
 	Kind TransferKind `json:"kind"`
 }
 

@@ -1,10 +1,13 @@
 package oracle
 
 import (
+	"math"
 	"slices"
 	"testing"
 
 	"paradigm/internal/alloc"
+	"paradigm/internal/costmodel"
+	"paradigm/internal/expr"
 	"paradigm/internal/mdg"
 	"paradigm/internal/sched"
 )
@@ -18,9 +21,13 @@ import (
 // linear extension, so the PSA — one particular linear extension under the
 // same placement rule — must land inside [Best, Worst].
 //
-// The model is the CM-5 fit with Tn = 0: the allocator's 1D net term is a
-// convex upper bound on the exact cost, and comparing against the exact
-// oracle is only apples-to-apples when that term vanishes.
+// The model is the CM-5 fit with Tn = 0, where the allocator's objective is
+// the exact Φ. With Tn > 0 it is not: the network cost L/max(p_i,p_j)·t_n
+// is no generalized posynomial, so the allocator charges its upper bound
+// L/p_i·t_n (costmodel's relaxed rows) and minimises that relaxed Φ̃ ≥ Φ.
+// TestDifferentialAllocVsBruteForceNetwork races that population at
+// Tn = 6e-7, where Solve's exact Φ may lie above the brute-force optimum,
+// and holds it to the bound the relaxation guarantees.
 
 const diffSeeds = 200
 
@@ -56,6 +63,81 @@ func TestDifferentialAllocVsBruteForce(t *testing.T) {
 		}
 	}
 	t.Logf("%d graphs, worst Solve/BruteForce Φ ratio = %.12f", diffSeeds, worst)
+}
+
+// TestDifferentialAllocVsBruteForceNetwork runs the same population on a
+// machine with a network cost (Tn = 6e-7). Solve minimises the relaxed
+// Φ̃, an upper bound on Φ, so its exact Φ can exceed the brute-force
+// optimum Φ_bf; what holds by construction is
+//
+//	Φ(P_solve) ≤ Φ̃(P_solve) ≤ Φ̃(P_bf)·(1 + certTol).
+//
+// The test asserts that and logs the worst Φ/Φ_bf: the price of the
+// relaxation.
+func TestDifferentialAllocVsBruteForceNetwork(t *testing.T) {
+	if testing.Short() {
+		t.Skip("differential population test")
+	}
+	const procs = 8
+	model := cm5Fit
+	model.Transfer.Tn = 6e-7
+	worst := 0.0
+	for seed := uint64(1); seed <= diffSeeds; seed++ {
+		g := RandomGraph(seed, GenOptions{})
+		r, err := alloc.Solve(g, model, procs, alloc.Options{})
+		if err != nil {
+			t.Fatalf("seed %d: solve: %v", seed, err)
+		}
+		bf, err := BruteForceAlloc(g, model, procs, BruteForceOptions{})
+		if err != nil {
+			t.Fatalf("seed %d: brute force: %v", seed, err)
+		}
+		if bound := relaxedPhi(g, model.Transfer, bf.P, procs); r.Phi > bound*(1+certTol) {
+			t.Errorf("seed %d: Solve Φ = %.12g exceeds the relaxed objective at the brute-force point, %.12g (n = %d)",
+				seed, r.Phi, bound, g.NumNodes())
+		}
+		if ratio := r.Phi / bf.Phi; ratio > worst {
+			worst = ratio
+		}
+	}
+	t.Logf("%d graphs at Tn = %g, worst Solve/BruteForce Φ ratio = %.12f", diffSeeds, model.Transfer.Tn, worst)
+}
+
+// relaxedPhi evaluates Φ̃ = max(A_p, C_p) at p with the node and edge
+// weights the allocator builds — costmodel's ProcessingExpr and
+// EdgeTransferExprs — at hard max.
+func relaxedPhi(g *mdg.Graph, tp costmodel.TransferParams, p []float64, procs int) float64 {
+	var eg expr.Graph
+	n := g.NumNodes()
+	weight := make([]expr.ID, n)
+	for i, nd := range g.Nodes {
+		weight[i] = costmodel.ProcessingExpr(&eg, costmodel.LoopParams{Alpha: nd.Alpha, Tau: nd.Tau}, i)
+	}
+	net := make([]expr.ID, len(g.Edges))
+	for k, e := range g.Edges {
+		var send, recv expr.ID
+		send, net[k], recv = costmodel.EdgeTransferExprs(&eg, tp, e, int(e.From), int(e.To))
+		weight[e.From] = eg.Sum(weight[e.From], send)
+		weight[e.To] = eg.Sum(weight[e.To], recv)
+	}
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = math.Log(p[i])
+	}
+	ev := expr.NewEvaluator(&eg)
+	ap := 0.0
+	for i := range weight {
+		ap += ev.Eval(weight[i], x, 0) * p[i]
+	}
+	ap /= float64(procs)
+	_, cp, err := g.CriticalPath(
+		func(i mdg.NodeID) float64 { return ev.Eval(weight[i], x, 0) },
+		func(e mdg.Edge) float64 { k, _ := g.EdgeIndex(e.From, e.To); return ev.Eval(net[k], x, 0) },
+	)
+	if err != nil {
+		panic(err)
+	}
+	return math.Max(ap, cp)
 }
 
 // TestDifferentialAllocVsBruteForcePlanted is the same race on graphs

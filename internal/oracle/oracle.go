@@ -94,7 +94,7 @@ func processing(alpha, tau, p float64) float64 {
 
 // transfer evaluates one array's (send, net, recv) costs from the
 // equations: Equation 2 for 1D, Equation 3 for 2D, and the half-integer
-// message-count analysis for the grid kinds (internal/costmodel/grid.go
+// message-count analysis for the grid kinds (internal/costmodel/rows.go
 // derivation, re-stated here independently).
 func transfer(tp costmodel.TransferParams, kind mdg.TransferKind, bytes int, pi, pj float64) (send, net, recv float64) {
 	l := float64(bytes)
