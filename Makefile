@@ -137,10 +137,11 @@ smoke-examples:
 	done
 
 # Run the pipeline CLI once per built-in machine (the trained path for
-# cm5 and paragon, the analytical backend for the rest) and once on a
-# faulted Strassen run that recovers onto survivors and renders the
-# residual schedule: a non-zero exit, or a -metrics dump without its
-# machine_info gauge, fails the gate.
+# cm5 and paragon, the analytical backend for the rest), once as the
+# SPMD baseline on an analytical backend, and on a faulted Strassen run
+# that recovers onto survivors and renders the residual schedule, on
+# both trained machines and on an analytical one: a non-zero exit, or a
+# -metrics dump without its machine_info gauge, fails the gate.
 smoke-cli:
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/" ./cmd/paradigm ./cmd/machinespec || exit 1; \
@@ -150,5 +151,9 @@ smoke-cli:
 		"$$dir/paradigm" -program cmm -size 32 -procs 8 -metrics -machine "$$m" > "$$dir/out" 2>&1 || { cat "$$dir/out"; exit 1; }; \
 		grep -q 'machine_info{' "$$dir/out" || { cat "$$dir/out"; echo "no machine_info gauge"; exit 1; }; \
 	done; \
-	echo "paradigm -program strassen -faults rand:42 -recover 2"; \
-	"$$dir/paradigm" -program strassen -size 32 -procs 8 -faults rand:42 -recover 2 > "$$dir/out" 2>&1 || { cat "$$dir/out"; exit 1; }
+	echo "paradigm -program cmm -spmd -machine cm5-hetero8"; \
+	"$$dir/paradigm" -program cmm -size 32 -procs 8 -spmd -machine cm5-hetero8 > "$$dir/out" 2>&1 || { cat "$$dir/out"; exit 1; }; \
+	for m in cm5 paragon cm5-hetero8; do \
+		echo "paradigm -program strassen -faults rand:42 -recover 2 -machine $$m"; \
+		"$$dir/paradigm" -program strassen -size 32 -procs 8 -faults rand:42 -recover 2 -machine "$$m" > "$$dir/out" 2>&1 || { cat "$$dir/out"; exit 1; }; \
+	done

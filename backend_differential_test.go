@@ -26,7 +26,7 @@ import (
 func backendPair(t *testing.T) (trained, analytical MachineBackend) {
 	t.Helper()
 	trained = NewTrainedMachine(testCal(t))
-	a, err := NewAnalyticalMachine(NewCM5(64))
+	a, err := machine.NewAnalytical(NewCM5(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestCommittedMachineSpecsLint(t *testing.T) {
 	for _, path := range paths {
 		committed[filepath.Base(path)] = path
 	}
-	for _, name := range MachineNames() {
+	for _, name := range machine.BuiltinNames() {
 		path, ok := committed[name+".json"]
 		if !ok {
 			t.Errorf("builtin %q has no committed spec in testdata/machines/", name)
@@ -220,12 +220,12 @@ func TestCommittedMachineSpecsLint(t *testing.T) {
 		}
 		delete(committed, name+".json")
 
-		spec, err := LoadMachineSpec(path)
+		spec, err := machine.LoadSpec(path)
 		if err != nil {
 			t.Errorf("%s: %v", path, err)
 			continue
 		}
-		if _, err := MachineFromSpec(spec); err != nil {
+		if _, err := machine.FromSpec(spec); err != nil {
 			t.Errorf("%s: FromSpec: %v", path, err)
 		}
 		builtin, _ := machine.Builtin(name)

@@ -247,12 +247,17 @@ func run(progName, mdgPath, srcPath, traceOut, pprofOut, machName, policy, fault
 		return nil
 	}
 
+	// A resolved backend runs the pipeline on itself; the trained path on
+	// the profile and its calibration.
+	runPipeline := func(opts ...paradigm.Option) (*paradigm.Result, error) {
+		if mb != nil {
+			return paradigm.RunOnContext(ctx, p, mb, procs, opts...)
+		}
+		return paradigm.RunContext(ctx, p, m, cal, procs, opts...)
+	}
 	opts := []paradigm.Option{
 		paradigm.WithObserver(ob),
 		paradigm.WithScheduleOptions(paradigm.ScheduleOptions{PB: pb, Policy: pol}),
-	}
-	if mb != nil {
-		opts = append(opts, paradigm.WithMachine(mb))
 	}
 	if cp != nil {
 		opts = append(opts, paradigm.WithCheckpoint(cp))
@@ -271,11 +276,7 @@ func run(progName, mdgPath, srcPath, traceOut, pprofOut, machName, policy, fault
 			// The random schedule scales fail times by a fault-free
 			// pre-run's makespan (no observer: trace and metrics should
 			// describe the faulted run only).
-			preOpts := []paradigm.Option{paradigm.WithScheduleOptions(paradigm.ScheduleOptions{PB: pb, Policy: pol})}
-			if mb != nil {
-				preOpts = append(preOpts, paradigm.WithMachine(mb))
-			}
-			clean, err := paradigm.RunContext(ctx, p, m, cal, procs, preOpts...)
+			clean, err := runPipeline(paradigm.WithScheduleOptions(paradigm.ScheduleOptions{PB: pb, Policy: pol}))
 			if err != nil {
 				return err
 			}
@@ -288,9 +289,9 @@ func run(progName, mdgPath, srcPath, traceOut, pprofOut, machName, policy, fault
 	}
 	var res *paradigm.Result
 	if spmd {
-		res, err = paradigm.RunSPMDContext(ctx, p, m, cal, procs, opts...)
+		res, err = paradigm.RunSPMDContext(ctx, p, m, model, procs, opts...)
 	} else {
-		res, err = paradigm.RunContext(ctx, p, m, cal, procs, opts...)
+		res, err = runPipeline(opts...)
 	}
 	if err != nil {
 		return err
@@ -337,7 +338,7 @@ func run(progName, mdgPath, srcPath, traceOut, pprofOut, machName, policy, fault
 		if mb != nil {
 			meta = trace.Meta{Machine: mb.Name(), MachineKind: string(mb.Kind())}
 		}
-		if err := trace.WriteUnifiedMeta(f, res.Program.G, res.Sched, res.Sim, rec.Events(), meta); err != nil {
+		if err := trace.WriteUnified(f, res.Program.G, res.Sched, res.Sim, rec.Events(), meta); err != nil {
 			return err
 		}
 		fmt.Printf("trace written to %s (%d events; open in chrome://tracing or Perfetto)\n",

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"paradigm/internal/matrix"
+	"paradigm/internal/programs"
 )
 
 // hashArrays is SHA-256 over the named arrays in name order: each name,
@@ -63,7 +64,7 @@ func goldenPrograms(cal *Calibration) []goldenProgram {
 		{"strassen16", func() (*Program, error) { return Strassen(16, cal) }, 8},
 		{"strassen128", func() (*Program, error) { return Strassen(128, cal) }, 64},
 		{"strassen-rec32-d1", func() (*Program, error) { return StrassenRecursive(32, 1, cal) }, 16},
-		{"cmm-grid48", func() (*Program, error) { return ComplexMatMulGrid(48, cal) }, 16},
+		{"cmm-grid48", func() (*Program, error) { return programs.ComplexMatMulLayout(48, cal, true) }, 16},
 		{"frontend-wave23", func() (*Program, error) { return CompileSource("wave", wave, cal) }, 8},
 	}
 }

@@ -24,14 +24,14 @@ func main() {
 	}
 	m := paradigm.NewCM5(64)
 
-	serial, err := paradigm.RunSPMDContext(ctx, p, m, cal, 1)
+	serial, err := paradigm.RunSPMDContext(ctx, p, m, cal.Model(), 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s — serial time %.4f s\n\n", p.Name, serial.Actual)
 	fmt.Printf("%6s  %12s  %12s  %14s  %14s\n", "procs", "SPMD (s)", "MPMD (s)", "SPMD speedup", "MPMD speedup")
 	for _, procs := range []int{4, 16, 32, 64} {
-		spmd, err := paradigm.RunSPMDContext(ctx, p, m, cal, procs)
+		spmd, err := paradigm.RunSPMDContext(ctx, p, m, cal.Model(), procs)
 		if err != nil {
 			log.Fatal(err)
 		}

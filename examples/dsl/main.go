@@ -59,7 +59,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	if err := trace.WriteRun(f, p.G, res.Sched, res.Sim); err != nil {
+	if err := trace.WriteUnified(f, p.G, res.Sched, res.Sim, nil, trace.Meta{}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("wrote filter-pipeline.trace.json (open in chrome://tracing)")

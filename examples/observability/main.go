@@ -67,7 +67,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	if err := trace.WriteUnified(f, p.G, res.Sched, res.Sim, rec.Events()); err != nil {
+	if err := trace.WriteUnified(f, p.G, res.Sched, res.Sim, rec.Events(), trace.Meta{}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("unified trace written to strassen_trace.json (%d events recorded)\n", rec.Len())

@@ -29,7 +29,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		spmd, err := paradigm.RunSPMDContext(ctx, p, m, cal, procs)
+		spmd, err := paradigm.RunSPMDContext(ctx, p, m, cal.Model(), procs)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -312,15 +312,6 @@ func (q *Queue) Len() int {
 	return len(q.h.items)
 }
 
-// Grow raises the capacity bound by n (recovered-backlog headroom).
-func (q *Queue) Grow(n int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if n > 0 {
-		q.cap += n
-	}
-}
-
 // Close wakes every blocked Pop once the queue drains; subsequent Push
 // calls are refused.
 func (q *Queue) Close() {

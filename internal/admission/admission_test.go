@@ -146,16 +146,12 @@ func TestQueueBoundAndClose(t *testing.T) {
 	if q.Push(Item{Payload: 3}) {
 		t.Fatal("push past capacity accepted")
 	}
-	q.Grow(1)
-	if !q.Push(Item{Payload: 3}) {
-		t.Fatal("push refused after Grow")
-	}
 	q.Close()
 	if q.Push(Item{Payload: 4}) {
 		t.Fatal("push accepted after Close")
 	}
 	// Close drains: queued items still pop, then ok=false.
-	for i := 1; i <= 3; i++ {
+	for i := 1; i <= 2; i++ {
 		it, ok := q.Pop()
 		if !ok || it.Payload.(int) != i {
 			t.Fatalf("drain pop %d: %v %v", i, it.Payload, ok)

@@ -154,22 +154,6 @@ func (g Grid) Placement() Placement {
 	return pl
 }
 
-// RowPeers returns the processors of grid row i (ascending grid column).
-func (g Grid) RowPeers(i int) []int {
-	out := make([]int, g.PC)
-	copy(out, g.Procs[i*g.PC:(i+1)*g.PC])
-	return out
-}
-
-// ColPeers returns the processors of grid column j (ascending grid row).
-func (g Grid) ColPeers(j int) []int {
-	out := make([]int, g.PR)
-	for i := 0; i < g.PR; i++ {
-		out[i] = g.Procs[i*g.PC+j]
-	}
-	return out
-}
-
 // AppendMessagesBetween appends to out the exact redistribution message
 // list between two arbitrary placements of the same matrix: one message
 // per non-empty pairwise block intersection, in source-block then

@@ -51,18 +51,6 @@ func TestNewGridBlocks(t *testing.T) {
 	}
 }
 
-func TestGridPeers(t *testing.T) {
-	g, _ := NewGrid(8, 8, []int{0, 1, 2, 3, 4, 5, 6, 7}) // 2x4
-	row := g.RowPeers(1)
-	if len(row) != 4 || row[0] != 4 || row[3] != 7 {
-		t.Fatalf("RowPeers(1) = %v", row)
-	}
-	col := g.ColPeers(2)
-	if len(col) != 2 || col[0] != 2 || col[1] != 6 {
-		t.Fatalf("ColPeers(2) = %v", col)
-	}
-}
-
 func TestGridValidation(t *testing.T) {
 	if _, err := NewGrid(0, 4, []int{0}); err == nil {
 		t.Fatal("want shape error")

@@ -211,17 +211,3 @@ func (p *Program) ReferenceRun() (map[string]*matrix.Matrix, error) {
 	}
 	return vals, nil
 }
-
-// Consumers returns the nodes consuming the named array, ascending.
-func (p *Program) Consumers(name string) []mdg.NodeID {
-	var out []mdg.NodeID
-	for id, spec := range p.Specs {
-		for _, in := range spec.Inputs {
-			if in == name {
-				out = append(out, mdg.NodeID(id))
-				break
-			}
-		}
-	}
-	return out
-}

@@ -85,13 +85,6 @@ func TestProducerAndConsumers(t *testing.T) {
 	if _, ok := p.Producer("Z"); ok {
 		t.Fatal("Producer(Z) should not exist")
 	}
-	cons := p.Consumers("A")
-	if len(cons) != 1 || cons[0] != 2 {
-		t.Fatalf("Consumers(A) = %v", cons)
-	}
-	if len(p.Consumers("C")) != 0 {
-		t.Fatal("C has no consumers")
-	}
 }
 
 func TestBuilderErrors(t *testing.T) {

@@ -565,6 +565,9 @@ func TestServiceWALRetention(t *testing.T) {
 	if view := waitForStatus(t, hs.URL, acc.ID); view.Status != "done" {
 		t.Fatalf("job = %+v", view)
 	}
+	// runJob publishes "done" before it journals the transition and
+	// collects the WAL; Completed counts the job only after both.
+	srv.waitIdle(t)
 	walPath := filepath.Join(srv.cfg.CheckpointDir, "job-"+acc.ID+".wal")
 	if _, err := os.Stat(walPath); !os.IsNotExist(err) {
 		t.Fatalf("completed job WAL not collected: %v", err)

@@ -1162,11 +1162,3 @@ func (r *Result) SalvageArray(array string) (*matrix.Matrix, bool) {
 	}
 	return out, true
 }
-
-// BusyTimes returns each processor's final clock, sorted descending — a
-// quick load-balance diagnostic.
-func (r *Result) BusyTimes() []float64 {
-	out := append([]float64(nil), r.ProcClock...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
-	return out
-}

@@ -9,14 +9,15 @@
 //   - trained (NewTrainedMachine): the paper's training-sets
 //     regression, wrapping a Calibration. Byte-identical to the
 //     Machine + Calibration form of RunContext.
-//   - analytical (NewAnalyticalMachine, ResolveMachine,
-//     MachineFromSpec): a closed-form roofline estimator derived
-//     directly from the machine constants — no calibration run. Built
-//     from a JSON machine spec (the built-in database or a user file),
-//     it serves the spec's pinned transfer surface when it has one.
+//   - analytical (ResolveMachine): a closed-form roofline estimator
+//     derived directly from the machine constants — no calibration run.
+//     Built from a JSON machine spec (the built-in database or a user
+//     file), it serves the spec's pinned transfer surface when it has
+//     one.
 //
-// WithMachine threads a backend through any pipeline entry point;
-// RunOnContext runs the whole pipeline on one:
+// RunOnContext runs the whole pipeline on a backend; the planning-only
+// entry points take the backend's Model{Transfer: b.Transfer()}, and
+// RunSPMDContext takes that model with b.SimParams():
 //
 //	b, err := paradigm.ResolveMachine("testdata/machines/cm5-hetero8.json")
 //	res, err := paradigm.RunOnContext(ctx, prog, b, 8)
@@ -25,7 +26,6 @@ package paradigm
 import (
 	"context"
 
-	"paradigm/internal/alloc"
 	"paradigm/internal/errs"
 	"paradigm/internal/machine"
 )
@@ -38,15 +38,10 @@ type (
 	// MachineKind names a backend implementation family ("trained" or
 	// "analytical").
 	MachineKind = machine.Kind
-	// MachineSpec is the JSON machine description MachineFromSpec
-	// consumes (see testdata/machines/*.json).
-	MachineSpec = machine.Spec
 	// LoopSource is the narrow processing-cost surface the program
 	// builders consume: both *Calibration and every MachineBackend
 	// satisfy it.
 	LoopSource = machine.LoopSource
-	// LoopShape is the cost-relevant geometry of one loop nest.
-	LoopShape = machine.LoopShape
 )
 
 // Backend implementation families.
@@ -55,18 +50,6 @@ const (
 	MachineTrained = machine.KindTrained
 	// MachineAnalytical is the closed-form roofline estimator.
 	MachineAnalytical = machine.KindAnalytical
-)
-
-// Allocation-backend re-exports: the typed selector for
-// AllocOptions.Backend.
-type AllocBackend = alloc.Backend
-
-const (
-	// AllocAuto selects the default strategy (the exact convex solve).
-	AllocAuto = alloc.BackendAuto
-	// AllocAnneal is the exact convex solve from the box midpoint (the
-	// name predates it; see alloc.BackendAnneal).
-	AllocAnneal = alloc.BackendAnneal
 )
 
 // Machine and backend sentinel errors.
@@ -78,9 +61,6 @@ var (
 	// (malformed JSON, non-finite constants, table-length mismatches).
 	ErrBadMachineSpec = errs.ErrBadMachineSpec
 )
-
-// MachineNames lists the built-in machine database, sorted.
-func MachineNames() []string { return machine.BuiltinNames() }
 
 // ResolveMachine turns a machine reference into an analytical backend:
 // a built-in database name first ("cm5", "paragon", "cm5-hetero8",
@@ -95,34 +75,16 @@ func ResolveMachine(ref string) (MachineBackend, error) {
 	return machine.FromSpec(spec)
 }
 
-// LoadMachineSpec reads and validates one JSON machine spec file.
-func LoadMachineSpec(path string) (*MachineSpec, error) { return machine.LoadSpec(path) }
-
-// MachineFromSpec builds the analytical backend for a validated spec.
-func MachineFromSpec(s *MachineSpec) (MachineBackend, error) { return machine.FromSpec(s) }
-
-// NewAnalyticalMachine wraps a machine profile in the closed-form
-// roofline estimator: loop and transfer parameters derived directly
-// from the constants, no calibration run.
-func NewAnalyticalMachine(m Machine) (MachineBackend, error) { return machine.NewAnalytical(m) }
-
 // NewTrainedMachine wraps a calibration in the Backend interface. The
 // resulting backend prices loops and transfers exactly as the
 // calibration does.
 func NewTrainedMachine(cal *Calibration) MachineBackend { return cal.Backend() }
 
-// WithMachine supplies the machine model for a pipeline call from a
-// backend, overriding the positional Machine/Calibration arguments:
-// the simulator runs on b.SimParams(), and allocation/scheduling use
-// b.Transfer(). RunContext then accepts a nil Calibration.
-func WithMachine(b MachineBackend) Option {
-	return func(c *config) { c.mach = b }
-}
-
 // RunOnContext executes the full pipeline — allocate, schedule,
 // generate MPMD code, simulate — for a program on a machine backend at
-// the given system size; it is RunContext with the machine model drawn
-// entirely from b.
+// the given system size: RunContext with the simulator on b.SimParams(),
+// the planning stages on b.Transfer() and recovery re-pricing loops
+// through b.
 func RunOnContext(ctx context.Context, p *Program, b MachineBackend, procs int, opts ...Option) (*Result, error) {
-	return RunContext(ctx, p, b.SimParams(), nil, procs, append(opts, WithMachine(b))...)
+	return run(ctx, p, b.SimParams(), Model{Transfer: b.Transfer()}, b, procs, opts)
 }

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"testing"
 
+	"paradigm/internal/alloc"
 	"paradigm/internal/dist"
 	"paradigm/internal/kernels"
 	"paradigm/internal/obs"
@@ -66,7 +67,7 @@ func TestSentinelErrors(t *testing.T) {
 			return err
 		}, []error{ErrInfeasible}},
 		{"spmd zero procs", func() error {
-			_, err := AllocateSPMD(g, model, 0)
+			_, err := alloc.SPMD(g, model, 0)
 			return err
 		}, []error{ErrInfeasible}},
 		{"schedule non-power-of-two PB", func() error {
@@ -146,13 +147,14 @@ func TestContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExecuteContext(ctx, p, s, m); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ExecuteContext: want context.Canceled, got %v", err)
+	c := newConfig(nil)
+	if _, err := c.execute(ctx, p, ar, s, m, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("execute: want context.Canceled, got %v", err)
 	}
 	if _, err := RunContext(ctx, p, m, cal, 8); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext: want context.Canceled, got %v", err)
 	}
-	if _, err := RunSPMDContext(ctx, p, m, cal, 8); !errors.Is(err, context.Canceled) {
+	if _, err := RunSPMDContext(ctx, p, m, model, 8); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunSPMDContext: want context.Canceled, got %v", err)
 	}
 

@@ -23,9 +23,7 @@ import (
 	"paradigm/internal/alloc"
 	"paradigm/internal/ckpt"
 	"paradigm/internal/codegen"
-	"paradigm/internal/costmodel"
 	"paradigm/internal/errs"
-	"paradigm/internal/machine"
 	"paradigm/internal/obs"
 	"paradigm/internal/sched"
 	"paradigm/internal/sim"
@@ -43,8 +41,6 @@ type (
 	// reports into (counters, gauges, histograms with a deterministic
 	// text encoding).
 	Metrics = obs.Registry
-	// MetricsSnapshot is a detached, text-encodable registry snapshot.
-	MetricsSnapshot = obs.Snapshot
 	// EventRecorder collects every event in memory (for the trace
 	// exporter and tests).
 	EventRecorder = obs.Recorder
@@ -60,8 +56,6 @@ type (
 	// processor count. Share one across calls via AllocOptions.Cache to
 	// replay repeated allocations instantly; a miss is a cold solve.
 	AllocCache = alloc.Cache
-	// AllocCacheEvent reports one allocation-cache lookup ("hit"/"miss").
-	AllocCacheEvent = obs.AllocCache
 	// AllocDoneEvent reports one completed allocation solve with its
 	// backend and wall-clock seconds.
 	AllocDoneEvent = obs.AllocDone
@@ -120,9 +114,6 @@ type config struct {
 	observer Observer
 	sched    ScheduleOptions
 	alloc    AllocOptions
-	// mach, when non-nil, supplies the machine model in place of the
-	// positional Machine/Calibration arguments (WithMachine).
-	mach machine.Backend
 	// faults is the fault schedule handed to the simulator (nil: none).
 	faults *FaultPlan
 	// recoverMax bounds failure-aware rescheduling attempts (0: off).
@@ -177,38 +168,6 @@ func newConfig(opts []Option) config {
 	return c
 }
 
-// machineParams resolves the simulator ground truth for a call: a
-// WithMachine backend wins over the positional profile.
-func (c *config) machineParams(m Machine) Machine {
-	if c.mach != nil {
-		return c.mach.SimParams()
-	}
-	return m
-}
-
-// pipelineModel resolves the analytic cost model and the loop-pricing
-// source for a call: the WithMachine backend when set, the positional
-// calibration otherwise. A nil calibration without a backend is the
-// caller's error.
-func (c *config) pipelineModel(cal *Calibration) (Model, LoopSource, error) {
-	if c.mach != nil {
-		return costmodel.Model{Transfer: c.mach.Transfer()}, c.mach, nil
-	}
-	if cal == nil {
-		return Model{}, nil, fmt.Errorf("paradigm: %w: nil Calibration and no WithMachine backend", errs.ErrBadMachineSpec)
-	}
-	return cal.Model(), cal, nil
-}
-
-// allocModel applies the WithMachine transfer surface over a
-// positionally supplied model.
-func (c *config) allocModel(model Model) Model {
-	if c.mach != nil {
-		return costmodel.Model{Transfer: c.mach.Transfer()}
-	}
-	return model
-}
-
 // CalibrateContext runs the training-sets calibration with cancellation
 // and instrumentation: the transfer sweep honours ctx, and every
 // completed fit emits a CalibFit event to the observer. With a
@@ -254,7 +213,7 @@ func CalibrateContext(ctx context.Context, m Machine, opts ...Option) (cal *Cali
 func AllocateContext(ctx context.Context, g *Graph, model Model, procs int, opts ...Option) (ar Allocation, err error) {
 	defer guardStage("allocate", &err)
 	c := newConfig(opts)
-	return c.allocStage(ctx, g, c.allocModel(model), procs)
+	return c.allocStage(ctx, g, model, procs)
 }
 
 // BuildScheduleContext runs the PSA of Section 3 on a continuous
@@ -267,112 +226,102 @@ func BuildScheduleContext(ctx context.Context, g *Graph, model Model, allocation
 		return nil, err
 	}
 	c := newConfig(opts)
-	return c.schedStage(ctx, g, c.allocModel(model), allocation, procs)
+	return c.schedStage(ctx, g, model, allocation, procs)
 }
 
-// codegenStage is the governed lowering stage shared by ExecuteContext
-// and RunContext. It has no checkpoint record: lowering is a pure
-// function of the program and the schedule, so a resumed run regenerates
-// the streams from its restored schedule.
-func (c *config) codegenStage(ctx context.Context, p *Program, s *Schedule) (*codegen.Streams, error) {
-	sctx, cancel := stageContext(ctx, c.budgets.Codegen)
-	defer cancel()
-	streams, err := codegen.GenerateCtx(sctx, p, s)
-	if err != nil {
-		return nil, budgetErr(ctx, "codegen", c.budgets.Codegen, err)
-	}
-	return streams, nil
-}
-
-// ExecuteContext lowers the program under the schedule into MPMD
-// instruction streams and simulates them, with cancellation (checked
-// per node in the emission loop and on every simulator scheduler sweep)
-// and per-message/per-processor events. The Codegen and Execute budgets
-// apply; internal panics surface as typed errors. An attached checkpoint
-// is ignored: neither stage reads or writes the log.
-func ExecuteContext(ctx context.Context, p *Program, s *Schedule, m Machine, opts ...Option) (res *SimResult, err error) {
-	defer guardStage("execute", &err)
-	c := newConfig(opts)
-	streams, err := c.codegenStage(ctx, p, s)
-	if err != nil {
-		return nil, err
-	}
-	sctx, cancel := stageContext(ctx, c.budgets.Execute)
-	defer cancel()
-	res, err = sim.RunCtx(sctx, p, streams, c.machineParams(m), sim.Options{
-		Observer: c.observer, Faults: c.faults, VirtualDeadline: c.deadline,
-	})
-	return res, budgetErr(ctx, "execute", c.budgets.Execute, err)
-}
-
-// RunContext executes the full paper pipeline — allocate, schedule,
-// generate MPMD code, simulate — with cancellation, observability, and
-// the crash-safety surface: per-stage budgets, retry/breaker governance
-// of the allocation solve, and write-ahead checkpointing. With a
-// checkpoint attached, every completed planning stage commits one
-// durable record; re-invoking with the same log resumes from the last
-// committed stage, regenerates the MPMD code from the restored schedule,
-// and (all stages being deterministic) produces a bit-identical Result.
-func RunContext(ctx context.Context, p *Program, m Machine, cal *Calibration, procs int, opts ...Option) (res *Result, err error) {
+// run is the pipeline RunContext and RunOnContext share. m is the
+// simulator's ground truth, model prices the planning stages, and src
+// re-prices the restore nodes of a recovery's residual program.
+func run(ctx context.Context, p *Program, m Machine, model Model, src LoopSource, procs int, opts []Option) (res *Result, err error) {
 	defer guardStage("run", &err)
 	c := newConfig(opts)
-	mp := c.machineParams(m)
-	model, src, err := c.pipelineModel(cal)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.ckptBindRun(p, mp.WithProcs(procs), procs); err != nil {
+	mp := m.WithProcs(procs)
+	if err := c.ckptBindRun(p, mp, procs); err != nil {
 		return nil, err
 	}
 	ar, s, err := c.planStages(ctx, p.G, model, procs)
 	if err != nil {
 		return nil, err
 	}
-	streams, err := c.codegenStage(ctx, p, s)
+	var replan func(context.Context, *sim.HaltError) (*Result, error)
+	if c.recoverMax > 0 {
+		replan = func(sctx context.Context, halt *sim.HaltError) (*Result, error) {
+			return recoverRun(sctx, p, m, model, src, procs, halt, &c)
+		}
+	}
+	res, err = c.execute(ctx, p, ar, s, mp, replan)
 	if err != nil {
 		return nil, err
 	}
-	sctx, cancel := stageContext(ctx, c.budgets.Execute)
-	defer cancel()
-	simRes, err := sim.RunCtx(sctx, p, streams, mp.WithProcs(procs), sim.Options{
-		Observer: c.observer, Faults: c.faults, VirtualDeadline: c.deadline,
-	})
-	if err != nil {
-		var halt *sim.HaltError
-		if c.recoverMax > 0 && errors.As(err, &halt) {
-			res, rerr := recoverRun(sctx, p, mp, model, src, procs, halt, &c)
-			if rerr != nil {
-				return nil, budgetErr(ctx, "execute", c.budgets.Execute, rerr)
-			}
-			if cerr := c.ckptDone(res); cerr != nil {
-				return nil, cerr
-			}
-			return res, nil
-		}
-		return nil, budgetErr(ctx, "execute", c.budgets.Execute, err)
+	if err := c.ckptDone(res); err != nil {
+		return nil, err
 	}
-	result := &Result{Alloc: ar, Sched: s, Sim: simRes, Program: p, Predicted: s.Makespan, Actual: simRes.Makespan}
-	if cerr := c.ckptDone(result); cerr != nil {
-		return nil, cerr
-	}
-	return result, nil
+	return res, nil
 }
 
-// RunSPMDContext executes the pure data-parallel baseline end to end
-// with cancellation and observability. The SPMD baseline is a single
-// closed-form stage, so checkpointing does not apply; panic containment
-// and the Execute budget do.
-func RunSPMDContext(ctx context.Context, p *Program, m Machine, cal *Calibration, procs int, opts ...Option) (res *Result, err error) {
+// execute is the back half of both pipelines: the governed codegen
+// stage, then the simulation on mp under the Execute budget with the
+// call's observer, fault plan and virtual deadline. A run the simulator
+// halts is handed, still inside that budget, to replan when it is
+// non-nil, and replan's Result takes the halted run's place. Neither
+// stage reads or writes a checkpoint: lowering is a pure function of the
+// program and the schedule, so a resumed run regenerates the streams
+// from its restored schedule.
+func (c *config) execute(ctx context.Context, p *Program, ar Allocation, s *Schedule, mp Machine, replan func(context.Context, *sim.HaltError) (*Result, error)) (res *Result, err error) {
+	defer guardStage("execute", &err)
+	cctx, cancel := stageContext(ctx, c.budgets.Codegen)
+	streams, err := codegen.GenerateCtx(cctx, p, s)
+	cancel()
+	if err != nil {
+		return nil, budgetErr(ctx, "codegen", c.budgets.Codegen, err)
+	}
+	sctx, cancel := stageContext(ctx, c.budgets.Execute)
+	defer cancel()
+	simRes, err := sim.RunCtx(sctx, p, streams, mp, sim.Options{
+		Observer: c.observer, Faults: c.faults, VirtualDeadline: c.deadline,
+	})
+	if err == nil {
+		return &Result{Alloc: ar, Sched: s, Sim: simRes, Program: p, Predicted: s.Makespan, Actual: simRes.Makespan}, nil
+	}
+	// Declared here, not above: errors.As moves halt to the heap, and
+	// only a failed run should pay for that.
+	var halt *sim.HaltError
+	if replan != nil && errors.As(err, &halt) {
+		res, err = replan(sctx, halt)
+	}
+	if err != nil {
+		return nil, budgetErr(ctx, "execute", c.budgets.Execute, err)
+	}
+	return res, nil
+}
+
+// RunContext executes the full paper pipeline — allocate, schedule,
+// generate MPMD code, simulate — on machine profile m priced through
+// calibration cal, with cancellation, observability, and the
+// crash-safety surface: per-stage budgets, retry/breaker governance of
+// the allocation solve, and write-ahead checkpointing. With a
+// checkpoint attached, every completed planning stage commits one
+// durable record; re-invoking with the same log resumes from the last
+// committed stage, regenerates the MPMD code from the restored schedule,
+// and (all stages being deterministic) produces a bit-identical Result.
+func RunContext(ctx context.Context, p *Program, m Machine, cal *Calibration, procs int, opts ...Option) (*Result, error) {
+	if cal == nil {
+		return nil, fmt.Errorf("paradigm: %w: nil Calibration", errs.ErrBadMachineSpec)
+	}
+	return run(ctx, p, m, cal.Model(), cal, procs, opts)
+}
+
+// RunSPMDContext executes the pure data-parallel baseline end to end:
+// every node on all procs processors, priced by model, then the same
+// codegen and simulation stages as RunContext with their budgets, fault
+// plan and virtual deadline. The baseline is closed-form, so there is
+// nothing to checkpoint or replan: a halted run returns its *HaltError.
+func RunSPMDContext(ctx context.Context, p *Program, m Machine, model Model, procs int, opts ...Option) (res *Result, err error) {
 	defer guardStage("run-spmd", &err)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	c := newConfig(opts)
-	mp := c.machineParams(m)
-	model, _, err := c.pipelineModel(cal)
-	if err != nil {
-		return nil, err
-	}
 	ar, err := alloc.SPMD(p.G, model, procs)
 	if err != nil {
 		return nil, err
@@ -381,15 +330,5 @@ func RunSPMDContext(ctx context.Context, p *Program, m Machine, cal *Calibration
 	if err != nil {
 		return nil, err
 	}
-	streams, err := codegen.GenerateCtx(ctx, p, s)
-	if err != nil {
-		return nil, err
-	}
-	sctx, cancel := stageContext(ctx, c.budgets.Execute)
-	defer cancel()
-	simRes, err := sim.RunCtx(sctx, p, streams, mp.WithProcs(procs), sim.Options{Observer: c.observer})
-	if err != nil {
-		return nil, budgetErr(ctx, "execute", c.budgets.Execute, err)
-	}
-	return &Result{Alloc: ar, Sched: s, Sim: simRes, Program: p, Predicted: s.Makespan, Actual: simRes.Makespan}, nil
+	return c.execute(ctx, p, ar, s, m.WithProcs(procs), nil)
 }

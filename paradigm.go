@@ -17,12 +17,14 @@
 //     (BuildScheduleContext): power-of-two rounding, the Corollary-1
 //     processor bound PB, and lowest-EST list scheduling, with the
 //     Theorem 1-3 quality bounds.
-//  5. Generate true MPMD per-processor programs and execute them
-//     (ExecuteContext) — here on a deterministic simulated CM-5 that
-//     moves real data, so results are verifiable end to end.
+//  5. Generate true MPMD per-processor programs and execute them — here
+//     on a deterministic simulated CM-5 that moves real data, so results
+//     are verifiable end to end.
 //
-// RunContext performs steps 3-5 in one call; RunSPMDContext produces the
-// pure data-parallel baseline the paper's Figure 8 compares against.
+// RunContext (or RunOnContext, on a MachineBackend) performs steps 3-5 in
+// one call; RunSPMDContext produces the pure data-parallel baseline the
+// paper's Figure 8 compares against. Both end in the same code-generation
+// and simulation stages.
 package paradigm
 
 import (
@@ -129,23 +131,6 @@ func Calibrate(m Machine) (*Calibration, error) {
 	return CalibrateContext(context.Background(), m)
 }
 
-// AllocateSPMD returns the pure data-parallel allocation (every node on
-// all processors) with its exact Φ.
-func AllocateSPMD(g *Graph, model Model, procs int) (Allocation, error) {
-	return alloc.SPMD(g, model, procs)
-}
-
-// ScheduleSPMD builds the naive all-processors baseline schedule.
-func ScheduleSPMD(g *Graph, model Model, procs int) (*Schedule, error) {
-	return sched.SPMD(g, model, procs)
-}
-
-// OptimalPB returns Corollary 1's processor bound for a system size,
-// with the Theorem 3 quality factor it guarantees.
-func OptimalPB(procs int) (pb int, factor float64, err error) {
-	return bounds.OptimalPB(procs)
-}
-
 // TheoremBounds reports the Theorem 1, 2 and 3 factors for a (p, PB)
 // pair.
 func TheoremBounds(procs, pb int) (t1, t2, t3 float64, err error) {
@@ -195,13 +180,6 @@ func Verify(p *Program, res *SimResult) (float64, error) { return sim.Verify(p, 
 // machine model — a *Calibration or a MachineBackend.
 func ComplexMatMul(n int, src LoopSource) (*Program, error) {
 	return programs.ComplexMatMul(n, src)
-}
-
-// ComplexMatMulGrid builds the complex matrix multiply with the four
-// multiplies on grid (blocked-2D) distributions — the general-
-// distribution extension.
-func ComplexMatMulGrid(n int, src LoopSource) (*Program, error) {
-	return programs.ComplexMatMulLayout(n, src, true)
 }
 
 // Strassen builds the paper's Strassen program (Figure 6 right) for n×n

@@ -5,8 +5,11 @@ import (
 	"math"
 	"testing"
 
+	"paradigm/internal/bounds"
 	"paradigm/internal/dist"
 	"paradigm/internal/kernels"
+	"paradigm/internal/programs"
+	"paradigm/internal/sched"
 )
 
 func testCal(t testing.TB) *Calibration {
@@ -29,7 +32,7 @@ func TestFacadeFullPipelineCMM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spmd, err := RunSPMDContext(context.Background(), p, m, cal, 16)
+	spmd, err := RunSPMDContext(context.Background(), p, m, cal.Model(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +85,9 @@ func TestFacadeBuilderRoundTrip(t *testing.T) {
 }
 
 func TestFacadeBounds(t *testing.T) {
-	pb, factor, err := OptimalPB(64)
+	pb, factor, err := bounds.OptimalPB(64)
 	if err != nil || pb < 1 || factor <= 1 {
-		t.Fatalf("OptimalPB: %d %v %v", pb, factor, err)
+		t.Fatalf("bounds.OptimalPB: %d %v %v", pb, factor, err)
 	}
 	t1, t2, t3, err := TheoremBounds(64, pb)
 	if err != nil {
@@ -108,7 +111,7 @@ func TestFacadeFigureOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spmd, err := ScheduleSPMD(g, Model{}, 4)
+	spmd, err := sched.SPMD(g, Model{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +135,7 @@ func TestSpeedupHelper(t *testing.T) {
 func TestFacadeNewExports(t *testing.T) {
 	cal := testCal(t)
 	// Grid variant compiles and runs.
-	pg, err := ComplexMatMulGrid(32, cal)
+	pg, err := programs.ComplexMatMulLayout(32, cal, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,8 +70,8 @@ func RandomFaultPlan(seed uint64, o FaultRandOptions) (*FaultPlan, error) {
 	return fault.Rand(seed, o)
 }
 
-// WithFaultPlan attaches a fault schedule to ExecuteContext/RunContext
-// calls. The simulator interprets it; a run it halts returns a
+// WithFaultPlan attaches a fault schedule to a pipeline run (RunContext,
+// RunOnContext, RunSPMDContext). The simulator interprets it; a run it halts returns a
 // *HaltError wrapping ErrProcessorLost, ErrMessageLost or ErrDeadlock. A
 // nil or empty plan is a no-op, leaving the fault-free pipeline
 // byte-identical.
@@ -79,7 +79,8 @@ func WithFaultPlan(p *FaultPlan) Option {
 	return func(c *config) { c.faults = p }
 }
 
-// WithRecovery enables failure-aware rescheduling on RunContext: up to
+// WithRecovery enables failure-aware rescheduling on RunContext and
+// RunOnContext (the SPMD baseline has no plan to redo): up to
 // maxAttempts times, a halted simulation is salvaged (completed arrays
 // restored from surviving blocks), replanned on the surviving
 // processors, and resumed. Each attempt emits one obs.Recovery and one

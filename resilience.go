@@ -12,11 +12,12 @@
 // (see internal/resil's classification contract).
 //
 // Panic containment: every public entry point (RunContext,
-// ExecuteContext, AllocateContext, ...) recovers internal panics — the
-// costmodel's unknown-transfer-kind and dist's grid-position guards are
-// reachable with a hand-corrupted Program — and returns them as typed
-// errors (ErrUnsupportedTransfer / ErrBadGraph) naming the stage, so no
-// malformed input can crash a long-running service.
+// AllocateContext, ...) and the execute stage both pipelines share
+// recover internal panics — the costmodel's unknown-transfer-kind and
+// dist's grid-position guards are reachable with a hand-corrupted
+// Program — and return them as typed errors (ErrUnsupportedTransfer /
+// ErrBadGraph) naming the stage, so no malformed input can crash a
+// long-running service.
 package paradigm
 
 import (

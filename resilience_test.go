@@ -71,13 +71,19 @@ func TestPanicContainedOnCorruptProgram(t *testing.T) {
 	arr.Rows /= 2
 	p.Arrays["Ar"] = arr
 
-	if _, err := ExecuteContext(context.Background(), p, s, m); !errors.Is(err, ErrBadGraph) {
-		t.Fatalf("ExecuteContext on corrupted program = %v, want ErrBadGraph", err)
+	c := newConfig(nil)
+	if _, err := c.execute(context.Background(), p, ar, s, m, nil); !errors.Is(err, ErrBadGraph) {
+		t.Fatalf("execute on corrupted program = %v, want ErrBadGraph", err)
 	} else if !strings.Contains(err.Error(), "panic in execute stage") {
 		t.Fatalf("contained panic does not name the stage: %v", err)
 	}
-	if _, err := RunContext(context.Background(), p, m, cal, 8); !errors.Is(err, ErrBadGraph) {
-		t.Fatalf("RunContext on corrupted program = %v, want ErrBadGraph", err)
+	for name, call := range map[string]func() (*Result, error){
+		"RunContext":     func() (*Result, error) { return RunContext(context.Background(), p, m, cal, 8) },
+		"RunSPMDContext": func() (*Result, error) { return RunSPMDContext(context.Background(), p, m, model, 8) },
+	} {
+		if _, err := call(); !errors.Is(err, ErrBadGraph) || !strings.Contains(err.Error(), "panic in execute stage") {
+			t.Fatalf("%s on corrupted program = %v, want ErrBadGraph from the execute stage", name, err)
+		}
 	}
 }
 
@@ -124,8 +130,9 @@ func TestPreCancelledContextFailsFast(t *testing.T) {
 	cancel()
 
 	rec := NewEventRecorder()
-	if _, err := ExecuteContext(ctx, p, s, NewCM5(8), WithObserver(rec)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ExecuteContext = %v, want context.Canceled", err)
+	c := newConfig([]Option{WithObserver(rec)})
+	if _, err := c.execute(ctx, p, ar, s, NewCM5(8), nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("execute = %v, want context.Canceled", err)
 	}
 	if runs := eventsOf[obs.NodeRun](rec); len(runs) != 0 {
 		t.Fatalf("cancelled execute still simulated %d node runs", len(runs))
@@ -193,6 +200,34 @@ func TestStageBudgetExpires(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "allocate stage exceeded its 1ns budget") {
 		t.Fatalf("budget error does not name the stage budget: %v", err)
+	}
+}
+
+// The SPMD baseline ends in the same execute stage as the MPMD
+// pipeline: the Codegen budget bounds its lowering, and a fault plan
+// that kills a processor mid-run halts it.
+func TestSPMDHonoursCodegenBudgetAndFaultPlan(t *testing.T) {
+	cal := testCal(t)
+	p, err := ComplexMatMul(32, cal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, model := NewCM5(8), cal.Model()
+	ctx := context.Background()
+	_, err = RunSPMDContext(ctx, p, m, model, 8, WithStageBudgets(StageBudgets{Codegen: time.Nanosecond}))
+	if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "codegen stage exceeded its 1ns budget") {
+		t.Fatalf("budgeted SPMD codegen = %v, want the codegen stage's budget error", err)
+	}
+
+	clean, err := RunSPMDContext(ctx, p, m, model, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &FaultPlan{ProcFails: []ProcFail{{Proc: 3, At: clean.Actual / 2}}}
+	_, err = RunSPMDContext(ctx, p, m, model, 8, WithFaultPlan(plan))
+	var halt *HaltError
+	if !errors.Is(err, ErrProcessorLost) || !errors.As(err, &halt) {
+		t.Fatalf("faulted SPMD run = %v, want a *HaltError wrapping ErrProcessorLost", err)
 	}
 }
 

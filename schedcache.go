@@ -37,9 +37,6 @@ import (
 // WithScheduleCache; all methods are safe for concurrent use.
 type ScheduleCache = schedcache.Cache[schedcache.Entry]
 
-// SchedCacheEvent reports one schedule-cache lookup ("hit"/"miss").
-type SchedCacheEvent = obs.SchedCache
-
 // BackendSchedCache is the pseudo-backend reported (via the AllocDone
 // event and Allocation.Backend) when an allocate→schedule pair replays
 // from the schedule cache without solving.
@@ -207,5 +204,5 @@ func (c *config) planSolve(ctx context.Context, g *Graph, model Model, procs int
 func AllocateAndScheduleContext(ctx context.Context, g *Graph, model Model, procs int, opts ...Option) (ar Allocation, s *Schedule, err error) {
 	defer guardStage("plan", &err)
 	c := newConfig(opts)
-	return c.planStages(ctx, g, c.allocModel(model), procs)
+	return c.planStages(ctx, g, model, procs)
 }

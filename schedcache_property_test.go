@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"paradigm/internal/mdg"
+	"paradigm/internal/obs"
 	"paradigm/internal/oracle"
 )
 
@@ -30,7 +31,7 @@ func (tr *schedCacheTrace) Observe(e Event) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	switch ev := e.(type) {
-	case SchedCacheEvent:
+	case obs.SchedCache:
 		tr.outcomes = append(tr.outcomes, ev.Outcome)
 	case AllocDoneEvent:
 		tr.backends = append(tr.backends, ev.Backend)
