@@ -140,8 +140,10 @@ smoke-examples:
 # cm5 and paragon, the analytical backend for the rest), once as the
 # SPMD baseline on an analytical backend, and on a faulted Strassen run
 # that recovers onto survivors and renders the residual schedule, on
-# both trained machines and on an analytical one: a non-zero exit, or a
-# -metrics dump without its machine_info gauge, fails the gate.
+# both trained machines and on an analytical one: a non-zero exit, a
+# -metrics dump without its machine_info gauge, or a faulted run that
+# does not print its recovery and a zero deviation from the sequential
+# reference fails the gate.
 smoke-cli:
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/" ./cmd/paradigm ./cmd/machinespec || exit 1; \
@@ -156,4 +158,6 @@ smoke-cli:
 	for m in cm5 paragon cm5-hetero8; do \
 		echo "paradigm -program strassen -faults rand:42 -recover 2 -machine $$m"; \
 		"$$dir/paradigm" -program strassen -size 32 -procs 8 -faults rand:42 -recover 2 -machine "$$m" > "$$dir/out" 2>&1 || { cat "$$dir/out"; exit 1; }; \
+		grep -q '^recovery: survived' "$$dir/out" || { cat "$$dir/out"; echo "no recovery: survived line"; exit 1; }; \
+		grep -q 'max |deviation| from sequential reference = 0$$' "$$dir/out" || { cat "$$dir/out"; echo "recovered run deviates from the sequential reference"; exit 1; }; \
 	done

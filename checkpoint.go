@@ -30,12 +30,12 @@
 package paradigm
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
-	"sort"
 
 	"paradigm/internal/ckpt"
 	"paradigm/internal/obs"
@@ -181,37 +181,6 @@ func (r *Result) Digest() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// DataDigest hashes every output array of a simulated run: float64
-// bits, row-major, arrays in sorted name order. Where Digest identifies
-// a whole run, allocation and recovery trail included, DataDigest covers
-// the data only. Recovery is bit-exact and the simulated numerics are
-// procs-invariant, so the digest is a pure function of the program: the
-// same across partition sizes, fault plans and recovery paths, which
-// makes a fault-free run's digest the oracle for a recovered one.
-func DataDigest(p *Program, res *SimResult) (string, error) {
-	names := make([]string, 0, len(p.Arrays))
-	for name := range p.Arrays {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	h := sha256.New()
-	var buf [8]byte
-	for _, name := range names {
-		mat, err := res.Gather(name)
-		if err != nil {
-			return "", err
-		}
-		h.Write([]byte(name))
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(mat.Data)))
-		h.Write(buf[:])
-		for _, v := range mat.Data {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
 // ckptActive reports whether a usable checkpoint is attached.
 func (c *config) ckptActive() bool { return c.ckpt != nil && c.ckpt.log != nil }
 
@@ -295,49 +264,21 @@ func (c *config) ckptDone(res *Result) error {
 
 // ckptSalvage commits one recovery attempt's salvage state, or — when
 // the attempt was already committed by a killed run — validates that
-// this run's recomputed salvage is bit-identical to the committed one
-// (recovery is deterministic; a divergence is a real bug, not noise).
+// this run's recomputed salvage encodes to the committed payload byte
+// for byte. The encoding sorts its keys and round-trips every float64
+// exactly, so equal bytes are equal states bit for bit (recovery is
+// deterministic; a divergence is a real bug, not noise).
 func (c *config) ckptSalvage(stage string, s ckpt.SalvageState) error {
 	if data, seq, ok := c.ckpt.log.Lookup(stage); ok {
-		prev, err := ckpt.DecodeSalvage(data)
+		payload, err := ckpt.EncodeSalvage(s)
 		if err != nil {
 			return err
 		}
-		if err := salvageEqual(prev, s); err != nil {
-			return fmt.Errorf("%w: resumed recovery diverged at %s: %v", ErrCheckpointMismatch, stage, err)
+		if !bytes.Equal(payload, data) {
+			return fmt.Errorf("%w: resumed recovery diverged from the committed %s record", ErrCheckpointMismatch, stage)
 		}
 		c.emit(obs.Resume{Stage: stage, Seq: seq})
 		return nil
 	}
 	return c.ckptCommit(stage, true, func() ([]byte, error) { return ckpt.EncodeSalvage(s) })
-}
-
-// salvageEqual compares two salvage states bit-for-bit.
-func salvageEqual(a, b ckpt.SalvageState) error {
-	if a.Attempt != b.Attempt || a.Survivors != b.Survivors || len(a.Failed) != len(b.Failed) {
-		return fmt.Errorf("attempt/survivors/failed differ")
-	}
-	for i := range a.Failed {
-		if a.Failed[i] != b.Failed[i] {
-			return fmt.Errorf("failed processor sets differ")
-		}
-	}
-	if len(a.Arrays) != len(b.Arrays) {
-		return fmt.Errorf("restored %d arrays, committed %d", len(b.Arrays), len(a.Arrays))
-	}
-	for name, am := range a.Arrays {
-		bm, ok := b.Arrays[name]
-		if !ok {
-			return fmt.Errorf("array %q missing from recomputed salvage", name)
-		}
-		if am.Rows != bm.Rows || am.Cols != bm.Cols || len(am.Data) != len(bm.Data) {
-			return fmt.Errorf("array %q shape differs", name)
-		}
-		for i := range am.Data {
-			if am.Data[i] != bm.Data[i] {
-				return fmt.Errorf("array %q differs at element %d", name, i)
-			}
-		}
-	}
-	return nil
 }

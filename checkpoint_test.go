@@ -9,16 +9,20 @@ package paradigm
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 
+	"paradigm/internal/ckpt"
 	"paradigm/internal/obs"
 	"paradigm/internal/oracle"
 )
@@ -515,4 +519,84 @@ func TestCheckpointedRecoverySalvage(t *testing.T) {
 		return
 	}
 	t.Fatal("no seed exercised the recovery path")
+}
+
+// A resume recomputes each salvage and refuses one whose encoding
+// differs from the committed record: here the log's salvage-1 has one
+// restored element's lowest bit flipped, and the resume must fail with
+// ErrCheckpointMismatch instead of resuming from either state.
+func TestResumedSalvageDivergenceRefused(t *testing.T) {
+	cal := testCal(t)
+	p := buildProgram(t, cal, "cmm32")
+	m := NewCM5(8)
+	hint := cleanMakespan(t, p, m, cal, 8)
+
+	for seed := uint64(1); seed <= 8; seed++ {
+		plan, err := RandomFaultPlan(seed, FaultRandOptions{
+			Procs: 8, MakespanHint: hint, ProcFails: 1, MsgDelays: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		path := filepath.Join(dir, "run.wal")
+		cp, err := OpenCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := []Option{WithFaultPlan(plan), WithRecovery(2)}
+		if _, err := RunContext(context.Background(), p, m, cal, 8, append(opts, WithCheckpoint(cp))...); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		log, err := ckpt.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forgedPath := filepath.Join(dir, "forged.wal")
+		forged, err := ckpt.Create(forgedPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flipped := false
+		for _, r := range log.Records() {
+			payload := r.Payload
+			if r.Stage == "salvage-1" {
+				var s ckpt.SalvageState
+				if err := json.Unmarshal(payload, &s); err != nil {
+					t.Fatal(err)
+				}
+				names := make([]string, 0, len(s.Arrays))
+				for name := range s.Arrays {
+					names = append(names, name)
+				}
+				sort.Strings(names)
+				for _, name := range names {
+					if data := s.Arrays[name].Data; len(data) > 0 {
+						data[0] = math.Float64frombits(math.Float64bits(data[0]) ^ 1)
+						flipped = true
+						break
+					}
+				}
+				if payload, err = ckpt.EncodeSalvage(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := forged.Commit(r.Stage, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !flipped {
+			continue // no recovery, or a salvage that restored nothing
+		}
+		re, err := LoadCheckpoint(forgedPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = RunContext(context.Background(), p, m, cal, 8, append(opts, WithCheckpoint(re))...)
+		if !errors.Is(err, ErrCheckpointMismatch) || !strings.Contains(err.Error(), "salvage-1") {
+			t.Fatalf("seed %d: resume over a flipped salvage-1 = %v, want ErrCheckpointMismatch naming salvage-1", seed, err)
+		}
+		return
+	}
+	t.Fatal("no seed committed a salvage with a restored array")
 }

@@ -150,9 +150,9 @@ func DecodeCalibration(data []byte, mp machine.Params) (trainsets.Snapshot, erro
 // SalvageState is the partial-sim-state snapshot one recovery attempt
 // commits: which processors died, and every array restored bit-for-bit
 // from surviving blocks via the CompletedFrontier/SalvageArray
-// machinery. On a resumed run the recomputed salvage is validated
-// against this record — a divergence means non-deterministic recovery
-// and fails loudly.
+// machinery. On a resumed run the recomputed salvage's encoding is
+// compared with this record byte for byte — a divergence means
+// non-deterministic recovery and fails loudly.
 type SalvageState struct {
 	Attempt   int                       `json:"attempt"`
 	Survivors int                       `json:"survivors"`
@@ -162,20 +162,6 @@ type SalvageState struct {
 
 // EncodeSalvage snapshots one recovery attempt's salvage.
 func EncodeSalvage(s SalvageState) ([]byte, error) { return json.Marshal(s) }
-
-// DecodeSalvage restores a salvage snapshot.
-func DecodeSalvage(data []byte) (SalvageState, error) {
-	var s SalvageState
-	if err := json.Unmarshal(data, &s); err != nil {
-		return SalvageState{}, fmt.Errorf("%w: salvage: %v", ErrCorrupt, err)
-	}
-	for name, m := range s.Arrays {
-		if m == nil || len(m.Data) != m.Rows*m.Cols {
-			return SalvageState{}, fmt.Errorf("%w: salvage array %q has inconsistent shape", ErrCorrupt, name)
-		}
-	}
-	return s, nil
-}
 
 // DoneState records the completed run's headline numbers. A resumed run
 // that finds a done record validates its own result against it instead

@@ -185,13 +185,46 @@ func (p Params) Validate() error {
 
 // WithProcs returns a copy of the profile resized to n processors. A
 // heterogeneous speed (or capacity) table is truncated or padded — with
-// speed 1 / unbounded capacity — to the new size, so a recovery replan
-// on fewer survivors keeps a valid profile.
+// speed 1 / unbounded capacity — to the new size, so running a profile
+// on a partition of another size keeps it valid.
 func (p Params) WithProcs(n int) Params {
 	p.Procs = n
 	p.Speeds = resizeTable(p.Speeds, n, 1)
 	p.MemCapacity = resizeTable(p.MemCapacity, n, 0)
 	return p
+}
+
+// Survivors returns the profile of the processors left when those in
+// failed (indices into this profile) have died. The survivors keep their
+// own speed and capacity entries and are renumbered in order: survivor k
+// is the k-th processor not in failed, the numbering fault.Plan.Residual
+// gives the pending deaths of a recovery's re-run.
+func (p Params) Survivors(failed []int) Params {
+	n := 0
+	for q := 0; q < p.Procs; q++ {
+		if !slices.Contains(failed, q) {
+			n++
+		}
+	}
+	p.Procs = n
+	p.Speeds = dropFailed(p.Speeds, failed)
+	p.MemCapacity = dropFailed(p.MemCapacity, failed)
+	return p
+}
+
+// dropFailed removes the failed processors' entries from a per-processor
+// table, leaving empty (homogeneous/unbounded) tables empty.
+func dropFailed[T any](t []T, failed []int) []T {
+	if len(t) == 0 {
+		return t
+	}
+	out := make([]T, 0, len(t))
+	for q, v := range t {
+		if !slices.Contains(failed, q) {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // resizeTable truncates or pads a per-processor table to n entries,

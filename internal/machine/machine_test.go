@@ -1,6 +1,9 @@
 package machine
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestCM5Validates(t *testing.T) {
 	for _, procs := range []int{1, 4, 16, 32, 64} {
@@ -35,6 +38,38 @@ func TestWithProcs(t *testing.T) {
 	}
 	if q.SendStartup != p.SendStartup {
 		t.Fatal("WithProcs must preserve costs")
+	}
+}
+
+// Survivors drops the failed processors' own table entries, not the
+// last ones, and renumbers the rest in order.
+func TestSurvivors(t *testing.T) {
+	p := CM5(8)
+	p.Speeds = []float64{2, 2, 1, 1, 1, 1, 0.5, 0.5}
+	p.MemCapacity = []int64{80, 81, 82, 83, 84, 85, 86, 87}
+	q := p.Survivors([]int{5, 0})
+	if q.Procs != 6 || p.Procs != 8 {
+		t.Fatalf("Survivors mutated or failed: %d / %d", q.Procs, p.Procs)
+	}
+	if !slices.Equal(q.Speeds, []float64{2, 1, 1, 1, 0.5, 0.5}) {
+		t.Fatalf("survivor speeds = %v", q.Speeds)
+	}
+	if !slices.Equal(q.MemCapacity, []int64{81, 82, 83, 84, 86, 87}) {
+		t.Fatalf("survivor capacities = %v", q.MemCapacity)
+	}
+	if err := q.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Speeds[0] != 2 || p.MemCapacity[5] != 85 {
+		t.Fatal("Survivors wrote through to the original tables")
+	}
+	// A homogeneous profile keeps its empty tables.
+	h := CM5(8).Survivors([]int{3})
+	if h.Procs != 7 || h.Speeds != nil || h.MemCapacity != nil {
+		t.Fatalf("homogeneous survivors = %d procs, %v, %v", h.Procs, h.Speeds, h.MemCapacity)
+	}
+	if !h.Equal(CM5(8).WithProcs(7)) {
+		t.Fatal("a homogeneous profile's survivors differ from its resize")
 	}
 }
 

@@ -191,7 +191,7 @@ func CalibrateContext(ctx context.Context, m Machine, opts ...Option) (cal *Cali
 	defer cancel()
 	cal, err = trainsets.CalibrateCtx(sctx, m, c.observer)
 	if err != nil {
-		return nil, budgetErr(ctx, "calibrate", c.budgets.Calibrate, err)
+		return nil, budgetErr(ctx, sctx, "calibrate", c.budgets.Calibrate, err)
 	}
 	if c.ckptActive() {
 		// The snapshot is taken now: loop fits join the calibration
@@ -243,13 +243,7 @@ func run(ctx context.Context, p *Program, m Machine, model Model, src LoopSource
 	if err != nil {
 		return nil, err
 	}
-	var replan func(context.Context, *sim.HaltError) (*Result, error)
-	if c.recoverMax > 0 {
-		replan = func(sctx context.Context, halt *sim.HaltError) (*Result, error) {
-			return recoverRun(sctx, p, m, model, src, procs, halt, &c)
-		}
-	}
-	res, err = c.execute(ctx, p, ar, s, mp, replan)
+	res, err = c.execute(ctx, p, ar, s, mp, c.replanner(p, mp, model, src, 1))
 	if err != nil {
 		return nil, err
 	}
@@ -273,7 +267,7 @@ func (c *config) execute(ctx context.Context, p *Program, ar Allocation, s *Sche
 	streams, err := codegen.GenerateCtx(cctx, p, s)
 	cancel()
 	if err != nil {
-		return nil, budgetErr(ctx, "codegen", c.budgets.Codegen, err)
+		return nil, budgetErr(ctx, cctx, "codegen", c.budgets.Codegen, err)
 	}
 	sctx, cancel := stageContext(ctx, c.budgets.Execute)
 	defer cancel()
@@ -290,7 +284,7 @@ func (c *config) execute(ctx context.Context, p *Program, ar Allocation, s *Sche
 		res, err = replan(sctx, halt)
 	}
 	if err != nil {
-		return nil, budgetErr(ctx, "execute", c.budgets.Execute, err)
+		return nil, budgetErr(ctx, sctx, "execute", c.budgets.Execute, err)
 	}
 	return res, nil
 }

@@ -7,14 +7,21 @@ package paradigm
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"math"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
+	"paradigm/internal/codegen"
 	"paradigm/internal/matrix"
 	"paradigm/internal/obs"
 	"paradigm/internal/par"
+	"paradigm/internal/sim"
 )
 
 // mustVerifyExact gathers every array and requires a zero worst-case
@@ -326,6 +333,93 @@ func TestRecoveryEventsEmitted(t *testing.T) {
 	}
 }
 
+// dataDigest hashes every output array of a simulated run: float64
+// bits, row-major, arrays in sorted name order. Where Result.Digest
+// identifies a whole run, allocation and recovery trail included,
+// dataDigest covers the data only. Recovery is bit-exact and the
+// simulated numerics are procs-invariant, so the digest is a pure
+// function of the program — the same across partition sizes, fault
+// plans and recovery paths — which makes a fault-free run's digest the
+// oracle for a recovered one.
+func dataDigest(p *Program, res *SimResult) (string, error) {
+	names := make([]string, 0, len(p.Arrays))
+	for name := range p.Arrays {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	var buf [8]byte
+	for _, name := range names {
+		mat, err := res.Gather(name)
+		if err != nil {
+			return "", err
+		}
+		h.Write([]byte(name))
+		binary.LittleEndian.PutUint64(buf[:], uint64(len(mat.Data)))
+		h.Write(buf[:])
+		for _, v := range mat.Data {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// TestRecoveryPricesSurvivorsAtTheirOwnSpeeds: on a heterogeneous
+// machine the re-run's processor k is the k-th survivor, with that
+// processor's own speed — the numbering the residual fault plan uses —
+// not the first survivors-many entries of the speed table. cm5-hetero8
+// runs at [2 2 1 1 1 1 0.5 0.5]; with P0 dead the survivors run at
+// [2 1 1 1 1 0.5 0.5], and the recovered run must be the residual
+// schedule simulated on exactly that hand-built machine.
+func TestRecoveryPricesSurvivorsAtTheirOwnSpeeds(t *testing.T) {
+	b, err := ResolveMachine("cm5-hetero8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Strassen(64, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	clean, err := RunOnContext(ctx, p, b, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &FaultPlan{ProcFails: []ProcFail{{Proc: 0, At: clean.Actual / 5}}}
+	res, err := RunOnContext(ctx, p, b, 8, WithFaultPlan(plan), WithRecovery(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Recovered || len(res.FailedProcs) != 1 || res.FailedProcs[0] != 0 {
+		t.Fatalf("recovered = %v, failed = %v; want a recovery from the loss of P0", res.Recovered, res.FailedProcs)
+	}
+	mustVerifyExact(t, p, res)
+
+	rerun := func(m Machine) *SimResult {
+		t.Helper()
+		streams, err := codegen.Generate(res.Program, res.Sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr, err := sim.Run(res.Program, streams, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sr
+	}
+	survivors := b.SimParams().WithProcs(7)
+	survivors.Speeds = []float64{2, 1, 1, 1, 1, 0.5, 0.5}
+	want := rerun(survivors)
+	if res.Actual != want.Makespan || res.Sim.Messages != want.Messages {
+		t.Fatalf("recovered run: makespan %v, %d messages; on the survivors' own speeds %v, %d",
+			res.Actual, res.Sim.Messages, want.Makespan, want.Messages)
+	}
+	if truncated := rerun(b.SimParams().WithProcs(7)); truncated.Makespan == want.Makespan {
+		t.Fatal("the speed table's first seven entries price this schedule like the survivors': the test cannot tell them apart")
+	}
+}
+
 // TestRecoveryWidthIndependent: the simulator computes a group's blocks
 // on the worker pool once a barrier is big enough (CMM-128 is; the
 // programs above are not), so the halted run, the salvage and the
@@ -343,7 +437,7 @@ func TestRecoveryWidthIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanData, err := DataDigest(p, clean.Sim)
+	cleanData, err := dataDigest(p, clean.Sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +455,7 @@ func TestRecoveryWidthIndependent(t *testing.T) {
 			if !res.Recovered {
 				t.Fatalf("%s width %s: the plan did not trigger recovery", name, width)
 			}
-			data, err := DataDigest(p, res.Sim)
+			data, err := dataDigest(p, res.Sim)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -399,7 +493,7 @@ func TestDataDigestPartitionInvariant(t *testing.T) {
 				t.Fatal(err)
 			}
 			mustVerifyExact(t, p, res)
-			d, err := DataDigest(p, res.Sim)
+			d, err := dataDigest(p, res.Sim)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -105,10 +105,13 @@ func stageContext(ctx context.Context, budget time.Duration) (context.Context, c
 	return context.WithTimeout(ctx, budget)
 }
 
-// budgetErr rewrites a stage-budget expiry (parent still live) into an
-// error naming the stage and its budget; other errors pass unchanged.
-func budgetErr(parent context.Context, stage string, budget time.Duration, err error) error {
-	if err != nil && budget > 0 && parent.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
+// budgetErr rewrites the expiry of the stage's own budget — sctx, the
+// context stageContext narrowed from parent, passed its deadline while
+// parent is still live — into an error naming the stage and its budget.
+// Other errors pass unchanged, among them a nested stage's budget error
+// (a recovery's allocate inside execute), which already names its stage.
+func budgetErr(parent, sctx context.Context, stage string, budget time.Duration, err error) error {
+	if err != nil && parent.Err() == nil && errors.Is(sctx.Err(), context.DeadlineExceeded) && errors.Is(err, context.DeadlineExceeded) {
 		return fmt.Errorf("paradigm: %s stage exceeded its %v budget: %w", stage, budget, err)
 	}
 	return err
@@ -159,7 +162,7 @@ func (c *config) allocStage(ctx context.Context, g *Graph, model Model, procs in
 			}
 			return c.allocCommit(ar, nil)
 		}
-		err = budgetErr(ctx, "allocate", c.budgets.Allocate, err)
+		err = budgetErr(ctx, sctx, "allocate", c.budgets.Allocate, err)
 		switch resil.Classify(ctx, err) {
 		case resil.Fatal:
 			return Allocation{}, err
@@ -216,7 +219,7 @@ func (c *config) schedStage(ctx context.Context, g *Graph, model Model, allocati
 	defer cancel()
 	s, err := sched.RunCtx(sctx, g, model, allocation, procs, c.sched)
 	if err != nil {
-		return nil, budgetErr(ctx, "schedule", c.budgets.Schedule, err)
+		return nil, budgetErr(ctx, sctx, "schedule", c.budgets.Schedule, err)
 	}
 	if cerr := c.schedCommit(s); cerr != nil {
 		return nil, cerr

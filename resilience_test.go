@@ -203,6 +203,44 @@ func TestStageBudgetExpires(t *testing.T) {
 	}
 }
 
+// A recovery replans through the governed stages: the Allocate budget
+// bounds its solve as it bounds the first plan's. The first plan replays
+// from a warm schedule cache, so the only solve is the recovery's, and
+// its budget error surfaces named after the allocate stage — also with
+// an Execute budget set around it, which must not claim the expiry.
+func TestRecoveryReplanIsGoverned(t *testing.T) {
+	cal := testCal(t)
+	p, err := Strassen(32, cal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewCM5(8)
+	sc := NewScheduleCache(8, 1)
+	ctx := context.Background()
+	clean, err := RunContext(ctx, p, m, cal, 8, WithScheduleCache(sc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &FaultPlan{ProcFails: []ProcFail{{Proc: 2, At: clean.Actual / 5}}}
+	for _, budgets := range []StageBudgets{
+		{Allocate: time.Nanosecond},
+		{Allocate: time.Nanosecond, Execute: time.Hour},
+	} {
+		rec := NewEventRecorder()
+		_, err := RunContext(ctx, p, m, cal, 8, WithScheduleCache(sc), WithStageBudgets(budgets),
+			WithFaultPlan(plan), WithRecovery(1), WithObserver(rec))
+		if len(eventsOf[obs.Recovery](rec)) != 1 {
+			t.Fatalf("budgets %+v: the plan did not replay from the cache and halt into one recovery (err %v)", budgets, err)
+		}
+		if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "allocate stage exceeded its 1ns budget") {
+			t.Fatalf("budgets %+v: recovery under a 1ns Allocate budget = %v, want the allocate stage's budget error", budgets, err)
+		}
+		if strings.Contains(err.Error(), "execute stage") {
+			t.Fatalf("budgets %+v: the execute stage claimed the allocate budget's expiry: %v", budgets, err)
+		}
+	}
+}
+
 // The SPMD baseline ends in the same execute stage as the MPMD
 // pipeline: the Codegen budget bounds its lowering, and a fault plan
 // that kills a processor mid-run halts it.
