@@ -1,19 +1,31 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"paradigm/internal/par"
 )
 
-// TestAllDeterministicAcrossWorkerWidths is the suite-level determinism
-// guarantee: the full experiment battery rendered with PARADIGM_WORKERS=1
-// must be byte-identical to a run at a wide pool width. Wall-clock timing
-// columns (the only legitimately nondeterministic bytes) are normalized
-// via PARADIGM_DETERMINISTIC.
-func TestAllDeterministicAcrossWorkerWidths(t *testing.T) {
+var updateGolden = flag.Bool("update", false, "rewrite testdata/report.golden from All")
+
+// reportGolden is the full experiment report as cmd/experiments prints it
+// under PARADIGM_DETERMINISTIC=1: every table and figure the paper's
+// evaluation reports, byte for byte.
+var reportGolden = filepath.Join("testdata", "report.golden")
+
+// TestAllMatchesReportGolden pins the report: All rendered with
+// PARADIGM_WORKERS=1 and again at a wide pool width must both equal the
+// committed golden. Wall-clock timing columns (the only legitimately
+// nondeterministic bytes) are normalized via PARADIGM_DETERMINISTIC. A
+// mismatch is a moved paper number; an intended one is re-recorded with
+// `go test ./internal/experiments -run TestAllMatchesReportGolden -update`
+// and named, row by row, in CHANGES.md.
+func TestAllMatchesReportGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("double full-suite run; skipped in -short mode")
 	}
@@ -22,25 +34,32 @@ func TestAllDeterministicAcrossWorkerWidths(t *testing.T) {
 	}
 	env := testEnv(t)
 	t.Setenv(EnvDeterministic, "1")
-
-	t.Setenv(par.EnvWorkers, "1")
-	serial, err := All(env)
-	if err != nil {
-		t.Fatalf("serial run: %v", err)
-	}
-	t.Setenv(par.EnvWorkers, "8")
-	wide, err := All(env)
-	if err != nil {
-		t.Fatalf("parallel run: %v", err)
-	}
-	if serial != wide {
-		t.Fatalf("serial and parallel outputs differ:\n%s", firstDiff(serial, wide))
+	for _, workers := range []string{"1", "8"} {
+		t.Setenv(par.EnvWorkers, workers)
+		got, err := All(env)
+		if err != nil {
+			t.Fatalf("PARADIGM_WORKERS=%s: %v", workers, err)
+		}
+		if *updateGolden && workers == "1" {
+			if err := os.WriteFile(reportGolden, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(reportGolden)
+		if err != nil {
+			t.Fatalf("missing golden (run with -update to create): %v", err)
+		}
+		if got != string(want) {
+			t.Fatalf("PARADIGM_WORKERS=%s: report differs from %s:\n%s",
+				workers, reportGolden, firstDiff(string(want), got))
+		}
 	}
 }
 
 // TestFullReportDeterministicAcrossWorkerWidths checks the JSON-facing
-// report path the same way on its markdown rendering (cheaper than All;
-// runs even under the race detector to exercise the concurrent drivers).
+// report path across pool widths on its markdown rendering (cheaper than
+// All; runs even under the race detector to exercise the concurrent
+// drivers).
 func TestFullReportDeterministicAcrossWorkerWidths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("double report run; skipped in -short mode")
@@ -72,7 +91,7 @@ func firstDiff(a, b string) string {
 	}
 	for i := 0; i < n; i++ {
 		if la[i] != lb[i] {
-			return fmt.Sprintf("line %d:\n  serial:   %s\n  parallel: %s", i+1, la[i], lb[i])
+			return fmt.Sprintf("line %d:\n  want: %s\n  got:  %s", i+1, la[i], lb[i])
 		}
 	}
 	return fmt.Sprintf("outputs differ in length: %d vs %d lines", len(la), len(lb))
