@@ -70,7 +70,8 @@ fuzz-smoke:
 # errors out.
 # It writes no file. Measurements come from the repo's benchmark (bench/).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkTable2TransferFit|BenchmarkAllocSolve|BenchmarkBuildStrassen128|BenchmarkRunNilObserver|BenchmarkRunWithObserver|BenchmarkRunNoFaults|BenchmarkRunWithRecovery|BenchmarkRunNoCheckpoint|BenchmarkRunWithCheckpoint|BenchmarkRunCMM256P64|BenchmarkSimRun|BenchmarkGenerate' -benchtime=1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkAllocSolve|BenchmarkBuildStrassen128|BenchmarkRunNilObserver|BenchmarkRunWithObserver|BenchmarkRunNoFaults|BenchmarkRunWithRecovery|BenchmarkRunNoCheckpoint|BenchmarkRunWithCheckpoint|BenchmarkRunCMM256P64|BenchmarkSimRun|BenchmarkGenerate' -benchtime=1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkTable2TransferFit' -benchtime=1x -benchmem ./internal/experiments/
 	$(GO) test -run '^$$' -bench 'BenchmarkMulStrip|BenchmarkSin256' -benchtime=1x -benchmem ./internal/matrix/
 	$(GO) test -run '^$$' -bench 'BenchmarkOrbitsStrassen128' -benchtime=1x -benchmem ./internal/mdg/
 	$(GO) test -run '^$$' -bench 'BenchmarkSolveSetupStrassen128' -benchtime=1x -benchmem ./internal/alloc/

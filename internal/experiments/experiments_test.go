@@ -15,7 +15,7 @@ var (
 	envErr  error
 )
 
-func testEnv(t *testing.T) *Env {
+func testEnv(t testing.TB) *Env {
 	t.Helper()
 	envOnce.Do(func() { envVal, envErr = NewEnv() })
 	if envErr != nil {
