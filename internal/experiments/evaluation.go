@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"strings"
 
+	"paradigm"
 	"paradigm/internal/alloc"
 	"paradigm/internal/bounds"
 	"paradigm/internal/mdg"
 	"paradigm/internal/par"
 	"paradigm/internal/programs"
 	"paradigm/internal/sched"
-	"paradigm/internal/sim"
 	"paradigm/internal/tables"
 )
 
@@ -34,11 +34,8 @@ func Fig7(env *Env) (*Fig7Result, error) {
 		return nil, err
 	}
 	model := env.Cal.Model()
-	ar, err := alloc.Solve(p.G, model, 4, alloc.Options{})
-	if err != nil {
-		return nil, err
-	}
-	s, err := sched.Run(p.G, model, ar.P, 4, sched.Options{PB: 4})
+	ar, s, err := paradigm.AllocateAndScheduleContext(context.Background(), p.G, model, 4,
+		paradigm.WithScheduleOptions(paradigm.ScheduleOptions{PB: 4}))
 	if err != nil {
 		return nil, err
 	}
@@ -76,17 +73,18 @@ type Fig8Row struct {
 type Fig8Result struct{ Rows []Fig8Row }
 
 // Fig8 simulates both test programs under both disciplines across the
-// paper's system sizes, with serial time from a one-processor run. The
-// per-program serial baselines and every (program, procs) cell fan out on
-// the worker pool.
+// paper's system sizes, with serial time from a one-processor run. Every
+// run, serial baselines included, is verified against the sequential
+// reference. The per-program serial baselines and every (program, procs)
+// cell fan out on the worker pool.
 func Fig8(env *Env) (*Fig8Result, error) {
 	progs, err := testPrograms(env)
 	if err != nil {
 		return nil, err
 	}
 	names := ProgramNames()
-	serials, err := par.Map(context.Background(), len(names), func(_ context.Context, i int) (float64, error) {
-		run, err := RunPipeline(env, progs[names[i]], 1, SPMD)
+	serials, err := par.Map(context.Background(), len(names), func(ctx context.Context, i int) (float64, error) {
+		run, _, err := runSPMD(ctx, env.Machine, env.Cal, progs[names[i]], 1)
 		if err != nil {
 			return 0, fmt.Errorf("%s serial: %w", names[i], err)
 		}
@@ -100,17 +98,13 @@ func Fig8(env *Env) (*Fig8Result, error) {
 		serialByName[name] = serials[i]
 	}
 	rows, err := mapCells(progs, func(c cell) (Fig8Row, error) {
-		spmd, err := RunPipeline(env, c.Prog, c.Procs, SPMD)
+		spmd, _, err := runSPMD(context.Background(), env.Machine, env.Cal, c.Prog, c.Procs)
 		if err != nil {
 			return Fig8Row{}, fmt.Errorf("%s SPMD p=%d: %w", c.Name, c.Procs, err)
 		}
-		mpmd, err := RunPipeline(env, c.Prog, c.Procs, MPMD)
+		mpmd, _, err := runMPMD(context.Background(), env.Machine, env.Cal, c.Prog, c.Procs)
 		if err != nil {
 			return Fig8Row{}, fmt.Errorf("%s MPMD p=%d: %w", c.Name, c.Procs, err)
-		}
-		// Every run must stay numerically correct.
-		if worst, err := sim.Verify(c.Prog, mpmd.Sim); err != nil || worst > 1e-6 {
-			return Fig8Row{}, fmt.Errorf("%s MPMD p=%d numerics: worst %v err %v", c.Name, c.Procs, worst, err)
 		}
 		row := Fig8Row{
 			Program:    c.Name,
@@ -171,9 +165,9 @@ func Fig9(env *Env) (*Fig9Result, error) {
 		return nil, err
 	}
 	rows, err := mapCells(progs, func(c cell) (Fig9Row, error) {
-		run, err := RunPipeline(env, c.Prog, c.Procs, MPMD)
+		run, _, err := runMPMD(context.Background(), env.Machine, env.Cal, c.Prog, c.Procs)
 		if err != nil {
-			return Fig9Row{}, err
+			return Fig9Row{}, fmt.Errorf("%s MPMD p=%d: %w", c.Name, c.Procs, err)
 		}
 		return Fig9Row{
 			Program:    c.Name,
@@ -225,11 +219,7 @@ func Table3(env *Env) (*Table3Result, error) {
 	}
 	model := env.Cal.Model()
 	rows, err := mapCells(progs, func(c cell) (Table3Row, error) {
-		ar, err := alloc.Solve(c.Prog.G, model, c.Procs, alloc.Options{})
-		if err != nil {
-			return Table3Row{}, err
-		}
-		s, err := sched.Run(c.Prog.G, model, ar.P, c.Procs, sched.Options{})
+		ar, s, err := paradigm.AllocateAndScheduleContext(context.Background(), c.Prog.G, model, c.Procs)
 		if err != nil {
 			return Table3Row{}, err
 		}

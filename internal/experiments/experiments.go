@@ -1,23 +1,26 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (plus the DESIGN.md ablations) on the simulated CM-5. Each
 // driver returns a typed result whose String() prints the same rows or
-// series the paper reports; cmd/experiments and the root benchmarks run
-// them all, and EXPERIMENTS.md records paper-vs-measured.
+// series the paper reports. Every simulated run goes through the root
+// pipeline (paradigm.RunContext, paradigm.RunSPMDContext) and every
+// planning-only one through paradigm.AllocateAndScheduleContext; only
+// the ablations that study a layer call it directly. cmd/experiments
+// prints them all, testdata/report.golden pins that output byte for
+// byte, this package's benchmarks time each artifact, and EXPERIMENTS.md
+// records paper-vs-measured.
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
-	"paradigm/internal/alloc"
-	"paradigm/internal/codegen"
+	"paradigm"
 	"paradigm/internal/costmodel"
 	"paradigm/internal/kernels"
 	"paradigm/internal/machine"
 	"paradigm/internal/prog"
 	"paradigm/internal/programs"
-	"paradigm/internal/sched"
-	"paradigm/internal/sim"
 	"paradigm/internal/tables"
 	"paradigm/internal/trainsets"
 )
@@ -55,20 +58,22 @@ type Example3Result struct {
 func Example3Node(env *Env) (*Example3Result, error) {
 	g := programs.FigureOneMDG()
 	m := costmodel.Model{} // the example has no data transfer costs
-	spmd, err := sched.SPMD(g, m, 4)
+	pb4 := paradigm.WithScheduleOptions(paradigm.ScheduleOptions{PB: 4})
+	// The naive schedule runs every node on all four processors.
+	all := make([]float64, g.NumNodes())
+	for i := range all {
+		all[i] = 4
+	}
+	naive, err := paradigm.BuildScheduleContext(context.Background(), g, m, all, 4, pb4)
 	if err != nil {
 		return nil, err
 	}
-	ar, err := alloc.Solve(g, m, 4, alloc.Options{})
-	if err != nil {
-		return nil, err
-	}
-	s, err := sched.Run(g, m, ar.P, 4, sched.Options{PB: 4})
+	ar, s, err := paradigm.AllocateAndScheduleContext(context.Background(), g, m, 4, pb4)
 	if err != nil {
 		return nil, err
 	}
 	return &Example3Result{
-		NaiveTime: spmd.Makespan,
+		NaiveTime: naive.Makespan,
 		MixedTime: s.Makespan,
 		Phi:       ar.Phi,
 		Alloc:     ar.P,
@@ -225,67 +230,40 @@ func (r *Fig6Result) String() string {
 
 // --- shared pipeline helpers -----------------------------------------------
 
-// RunKind distinguishes the two execution disciplines of Figure 8.
-type RunKind uint8
-
-const (
-	// MPMD is the paper's mixed task+data parallel execution.
-	MPMD RunKind = iota
-	// SPMD is the pure data-parallel baseline.
-	SPMD
-)
-
-// PipelineRun is one (program, procs, kind) execution: the model-predicted
-// schedule and the simulated actuality.
-type PipelineRun struct {
-	Alloc     alloc.Result
-	Sched     *sched.Schedule
-	Predicted float64 // schedule makespan (the model's T_psa)
-	Actual    float64 // simulated machine makespan
-	Sim       *sim.Result
+// runMPMD runs p through the paper's pipeline (paradigm.RunContext) on
+// procs processors of m, priced by cal, and verifies the run.
+func runMPMD(ctx context.Context, m machine.Params, cal *trainsets.Calibration, p *prog.Program, procs int) (*paradigm.Result, float64, error) {
+	res, err := paradigm.RunContext(ctx, p, m, cal, procs)
+	return verified(p, cal.Model(), res, err)
 }
 
-// RunPipeline executes the full pipeline for a program at a system size.
-func RunPipeline(env *Env, p *prog.Program, procs int, kind RunKind) (*PipelineRun, error) {
-	model := env.Cal.Model()
-	out := &PipelineRun{}
-	var s *sched.Schedule
-	var err error
-	switch kind {
-	case MPMD:
-		out.Alloc, err = alloc.Solve(p.G, model, procs, alloc.Options{})
-		if err != nil {
-			return nil, err
-		}
-		s, err = sched.Run(p.G, model, out.Alloc.P, procs, sched.Options{})
-	case SPMD:
-		out.Alloc, err = alloc.SPMD(p.G, model, procs)
-		if err != nil {
-			return nil, err
-		}
-		s, err = sched.SPMD(p.G, model, procs)
-	default:
-		return nil, fmt.Errorf("experiments: unknown run kind %d", kind)
-	}
+// runSPMD runs p as the pure data-parallel baseline
+// (paradigm.RunSPMDContext) on procs processors of m, priced by cal, and
+// verifies the run.
+func runSPMD(ctx context.Context, m machine.Params, cal *trainsets.Calibration, p *prog.Program, procs int) (*paradigm.Result, float64, error) {
+	res, err := paradigm.RunSPMDContext(ctx, p, m, cal.Model(), procs)
+	return verified(p, cal.Model(), res, err)
+}
+
+// verified holds a run that did not fail to the two checks every number
+// the report prints relies on: its schedule is valid under the model
+// that priced it, and its arrays match the sequential reference within
+// 1e-6. It returns the run and its worst deviation.
+func verified(p *prog.Program, model costmodel.Model, res *paradigm.Result, err error) (*paradigm.Result, float64, error) {
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if err := s.Validate(p.G, model); err != nil {
-		return nil, err
+	if err := res.Sched.Validate(p.G, model); err != nil {
+		return nil, 0, err
 	}
-	streams, err := codegen.Generate(p, s)
+	worst, err := paradigm.Verify(p, res.Sim)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	res, err := sim.Run(p, streams, env.Machine.WithProcs(procs))
-	if err != nil {
-		return nil, err
+	if worst > 1e-6 {
+		return nil, 0, fmt.Errorf("experiments: %s deviates from its sequential reference by %v", p.Name, worst)
 	}
-	out.Sched = s
-	out.Predicted = s.Makespan
-	out.Actual = res.Makespan
-	out.Sim = res
-	return out, nil
+	return res, worst, nil
 }
 
 // testPrograms builds the paper's two evaluation programs at their paper

@@ -1,12 +1,17 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
 	"testing"
 
 	"paradigm/internal/bounds"
+	"paradigm/internal/kernels"
+	"paradigm/internal/prog"
+	"paradigm/internal/programs"
+	"paradigm/internal/sched"
 )
 
 var (
@@ -314,15 +319,50 @@ func TestAblationSchedulerRuns(t *testing.T) {
 	}
 }
 
-func TestRunPipelineRejectsUnknownKind(t *testing.T) {
+// TestRunsAreChecked holds the run helpers to the checks the report
+// relies on: sound runs pass with zero deviation, while a schedule that
+// breaks the model or arrays that differ from the program's sequential
+// reference fail.
+func TestRunsAreChecked(t *testing.T) {
 	env := testEnv(t)
-	p, err := Fig6(env)
+	cmm, err := programs.ComplexMatMul(32, env.Cal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = p
-	if _, err := RunPipeline(env, nil, 4, RunKind(9)); err == nil {
-		t.Fatal("want unknown-kind error")
+	if _, worst, err := runSPMD(context.Background(), env.Machine, env.Cal, cmm, 8); err != nil || worst != 0 {
+		t.Fatalf("SPMD: worst %v, err %v", worst, err)
+	}
+	res, worst, err := runMPMD(context.Background(), env.Machine, env.Cal, cmm, 8)
+	if err != nil || worst != 0 {
+		t.Fatalf("MPMD: worst %v, err %v", worst, err)
+	}
+	model := env.Cal.Model()
+
+	stretched := *res.Sched
+	stretched.Entries = append([]sched.Entry(nil), res.Sched.Entries...)
+	stretched.Entries[0].Finish++
+	bad := *res
+	bad.Sched = &stretched
+	if _, _, err := verified(cmm, model, &bad, nil); err == nil {
+		t.Fatal("a schedule whose node outlasts its weight passed")
+	}
+
+	// The same graph and costs, but one input generated differently: the
+	// run's arrays no longer match this program's reference.
+	other := *cmm
+	other.Specs = append([]prog.NodeSpec(nil), cmm.Specs...)
+	for i := range other.Specs {
+		if other.Specs[i].Kernel.Op == kernels.OpInit {
+			other.Specs[i].Kernel.Init = func(_, _ int, row []float64) {
+				for k := range row {
+					row[k] = 1
+				}
+			}
+			break
+		}
+	}
+	if _, _, err := verified(&other, model, res, nil); err == nil || !strings.Contains(err.Error(), "deviates") {
+		t.Fatalf("arrays off the sequential reference: err %v", err)
 	}
 }
 

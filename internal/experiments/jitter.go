@@ -6,7 +6,6 @@ import (
 
 	"paradigm/internal/par"
 	"paradigm/internal/programs"
-	"paradigm/internal/sim"
 	"paradigm/internal/tables"
 )
 
@@ -43,19 +42,14 @@ func AblationJitter(env *Env) (*JitterResult, error) {
 		row       JitterRow
 		predicted float64
 	}
-	rps, err := par.Map(context.Background(), len(fracs), func(_ context.Context, i int) (rowPred, error) {
+	rps, err := par.Map(context.Background(), len(fracs), func(ctx context.Context, i int) (rowPred, error) {
 		frac := fracs[i]
 		noisy := env.Machine
 		noisy.JitterFrac = frac
 		noisy.JitterSeed = 0xC0FFEE
-		jEnv := &Env{Machine: noisy, Cal: env.Cal}
-		run, err := RunPipeline(jEnv, p, procs, MPMD)
+		run, numDiff, err := runMPMD(ctx, noisy, env.Cal, p, procs)
 		if err != nil {
 			return rowPred{}, fmt.Errorf("jitter %.0f%%: %w", frac*100, err)
-		}
-		numDiff, err := sim.Verify(p, run.Sim)
-		if err != nil {
-			return rowPred{}, err
 		}
 		return rowPred{
 			row: JitterRow{

@@ -9,7 +9,6 @@ import (
 	"paradigm/internal/par"
 	"paradigm/internal/prog"
 	"paradigm/internal/programs"
-	"paradigm/internal/sim"
 	"paradigm/internal/tables"
 	"paradigm/internal/trainsets"
 )
@@ -60,7 +59,6 @@ func Portability(env *Env) (*PortabilityResult, error) {
 	out.MulAlphaPct = mulFit.Params.Alpha * 100
 	out.MulTauMs = mulFit.Params.Tau * 1e3
 
-	paragonEnv := &Env{Machine: mp, Cal: cal}
 	cmm, err := programs.ComplexMatMul(64, cal)
 	if err != nil {
 		return nil, err
@@ -93,15 +91,11 @@ func Portability(env *Env) (*PortabilityResult, error) {
 		row  PortabilityRow
 		diff float64
 	}
-	rds, err := par.Map(context.Background(), len(tasks), func(_ context.Context, i int) (rowDiff, error) {
+	rds, err := par.Map(context.Background(), len(tasks), func(ctx context.Context, i int) (rowDiff, error) {
 		item := tasks[i]
-		run, err := RunPipeline(paragonEnv, item.prog, item.procs, MPMD)
+		run, worst, err := runMPMD(ctx, mp, cal, item.prog, item.procs)
 		if err != nil {
 			return rowDiff{}, fmt.Errorf("paragon %s p=%d: %w", item.name, item.procs, err)
-		}
-		worst, err := sim.Verify(item.prog, run.Sim)
-		if err != nil {
-			return rowDiff{}, err
 		}
 		return rowDiff{
 			row: PortabilityRow{

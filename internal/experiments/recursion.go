@@ -6,7 +6,6 @@ import (
 
 	"paradigm/internal/par"
 	"paradigm/internal/programs"
-	"paradigm/internal/sim"
 	"paradigm/internal/tables"
 )
 
@@ -43,7 +42,7 @@ func StrassenRecursion(env *Env) (*RecursionResult, error) {
 		row  RecursionRow
 		diff float64
 	}
-	rds, err := par.Map(context.Background(), depths, func(_ context.Context, depth int) (rowDiff, error) {
+	rds, err := par.Map(context.Background(), depths, func(ctx context.Context, depth int) (rowDiff, error) {
 		p, err := programs.StrassenRecursive(size, depth, env.Cal)
 		if err != nil {
 			return rowDiff{}, err
@@ -54,13 +53,9 @@ func StrassenRecursion(env *Env) (*RecursionResult, error) {
 				muls++
 			}
 		}
-		run, err := RunPipeline(env, p, procs, MPMD)
+		run, worst, err := runMPMD(ctx, env.Machine, env.Cal, p, procs)
 		if err != nil {
 			return rowDiff{}, fmt.Errorf("depth %d: %w", depth, err)
-		}
-		worst, err := sim.Verify(p, run.Sim)
-		if err != nil {
-			return rowDiff{}, err
 		}
 		return rowDiff{
 			row: RecursionRow{
