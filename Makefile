@@ -116,14 +116,15 @@ smoke-paradigmd-memory:
 smoke-paradigmd-tenants:
 	$(GO) test ./internal/service/ -run '^TestServiceTenantAdmission$$' -count=1 -v
 
-# The cluster gate: the pool core paradigmd's cluster mode runs on
-# (internal/cluster: router fallback, each router's placements, retired
-# processors never coming free) under -race, then the service-level
-# cluster mode (partition deaths every 3rd placement, zero acknowledged
-# jobs lost, oversized request degraded onto the shrunken pool instead
-# of refused, coalescing off).
+# The cluster gate: the pool's rules (singleton and floor exemptions
+# from fault injection, shrink-before-reject, blocking for capacity,
+# retired processors never coming free) and the service-level cluster
+# mode (partition deaths every 3rd placement, zero acknowledged jobs
+# lost, oversized request degraded onto the shrunken pool instead of
+# refused, coalescing off) under -race, then the service-level tests
+# again with -v.
 smoke-paradigmd-cluster:
-	$(GO) test -race ./internal/cluster/ -count=1
+	$(GO) test -race ./internal/service/ -run '^(TestServiceCluster|TestClusterPoolRules)' -count=1
 	$(GO) test ./internal/service/ -run '^TestServiceCluster' -count=1 -v
 
 # Build every example and run it in a temporary directory (some write

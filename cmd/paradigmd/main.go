@@ -50,7 +50,6 @@ func main() {
 	flag.StringVar(&o.svc.WALRetain, "wal-retain", "failed", "per-job WALs kept after a terminal state: all, failed (postmortem default), or none")
 	flag.StringVar(&o.policyPath, "policy", "", "admission policy config JSON (tenants, SLO classes, queue discipline; empty: unlimited FCFS)")
 	flag.IntVar(&o.svc.ClusterProcs, "cluster-procs", 0, "cluster mode: run jobs on partitions of one shared processor pool of this size (0: off)")
-	flag.StringVar(&o.svc.Router, "router", "round-robin", "cluster mode partition router: round-robin (rotate the start through the free processors), least-loaded (least busy time), or best-fit (the lowest free processors); the partition size is fixed before routing")
 	flag.IntVar(&o.svc.ClusterFaults, "cluster-faults", 0, "cluster mode: kill one partition processor on every Nth placement; the job recovers onto survivors and the processor retires from the pool (0: none)")
 	flag.BoolVar(&o.smoke, "smoke", false, "start, run one job end to end, drain, and exit (CI smoke mode)")
 	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address, on a listener separate from -addr (empty: off)")
@@ -95,8 +94,8 @@ func run(o runOpts) error {
 		return err
 	}
 	if o.svc.ClusterProcs > 0 {
-		log.Printf("cluster mode: %d-processor pool, %s router, fault every %d placements",
-			o.svc.ClusterProcs, o.svc.Router, o.svc.ClusterFaults)
+		log.Printf("cluster mode: %d-processor pool, fault every %d placements",
+			o.svc.ClusterProcs, o.svc.ClusterFaults)
 	}
 	srv.Start(o.workers)
 

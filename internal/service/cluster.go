@@ -5,26 +5,28 @@ import (
 	"sync"
 
 	"paradigm"
-	"paradigm/internal/cluster"
 )
 
 // minAlivePool is the degradation floor: fault injection stops rather
 // than retire the pool below this many live processors.
 const minAlivePool = 2
 
-// grant is one placement: the pool processors a job holds, whether the
+// grant is one placement: how many processors a job holds, whether the
 // grant was shrunk below the request, and which partition-local
 // processor (if any) is fated to die mid-run and retire.
 type grant struct {
-	procs      []int // pool processor ids, ascending
+	procs      int
 	degraded   bool
 	faultLocal int // partition-local index to kill, -1 for none
 }
 
-// clusterPool is cluster mode's shared wall-clock processor pool: a
-// cluster.Pool guarded by mu, plus the grant policy, the fault injection
-// and the gauges. A job waits on cond for a partition, runs the pipeline on
-// exactly the processors it was granted, and releases them on completion.
+// clusterPool is cluster mode's shared processor pool, kept as three
+// counts guarded by mu: total processors, alive ones (not retired), and
+// held ones (granted to running jobs). A partition is a count of the
+// service machine's processors, so the pool tracks no processor
+// identity. A job waits on cond for a partition, runs the pipeline on
+// exactly as many processors as it was granted, and releases them on
+// completion.
 //
 //   - Shrink before reject: when live capacity drops below a job's
 //     request, the job is granted min(request, alive) processors and
@@ -43,50 +45,42 @@ type clusterPool struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	pool       *cluster.Pool
-	total      int
-	faultEvery int
+	total, alive, held int
+	faultEvery         int
 
 	placements uint64
 	reg        *paradigm.Metrics
 }
 
-func newClusterPool(cfg Config, reg *paradigm.Metrics) (*clusterPool, error) {
-	pool, err := cluster.NewPool(cfg.ClusterProcs, cfg.Router)
-	if err != nil {
-		return nil, err
-	}
-	p := &clusterPool{pool: pool, total: cfg.ClusterProcs, faultEvery: cfg.ClusterFaults, reg: reg}
+func newClusterPool(cfg Config, reg *paradigm.Metrics) *clusterPool {
+	p := &clusterPool{total: cfg.ClusterProcs, alive: cfg.ClusterProcs, faultEvery: cfg.ClusterFaults, reg: reg}
 	p.cond = sync.NewCond(&p.mu)
 	p.publishLocked()
-	return p, nil
+	return p
 }
 
 // publishLocked refreshes the pool health gauges; callers hold mu.
 func (p *clusterPool) publishLocked() {
-	alive := p.pool.Alive()
-	p.reg.Gauge("paradigmd_cluster_pool_alive").Set(float64(alive))
-	p.reg.Gauge("paradigmd_cluster_pool_free").Set(float64(len(p.pool.Free())))
-	p.reg.Gauge("paradigmd_cluster_pool_dead").Set(float64(p.total - alive))
+	p.reg.Gauge("paradigmd_cluster_pool_alive").Set(float64(p.alive))
+	p.reg.Gauge("paradigmd_cluster_pool_free").Set(float64(p.alive - p.held))
+	p.reg.Gauge("paradigmd_cluster_pool_dead").Set(float64(p.total - p.alive))
 }
 
 // acquire blocks until the pool can host the job, then places it.
 // Shrink-before-reject: when live capacity is below the request the job
 // is granted every live processor instead of being refused; only a fully
-// dead pool errors. The size is fixed before routing, so the router
-// picks which processors, never how many.
-func (p *clusterPool) acquire(id string, request int) (grant, error) {
+// dead pool errors.
+func (p *clusterPool) acquire(request int) (grant, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
-		alive := p.pool.Alive()
-		if alive < 1 {
+		if p.alive < 1 {
 			return grant{}, fmt.Errorf("cluster pool exhausted: all %d processors dead", p.total)
 		}
-		want := min(request, alive)
-		if len(p.pool.Free()) >= want {
-			procs := p.pool.Place(id, want)
-			g := grant{procs: procs, degraded: want < request, faultLocal: -1}
+		want := min(request, p.alive)
+		if p.alive-p.held >= want {
+			p.held += want
+			g := grant{procs: want, degraded: want < request, faultLocal: -1}
 			p.placements++
 			p.reg.Counter("paradigmd_cluster_placements_total").Inc()
 			if g.degraded {
@@ -97,8 +91,8 @@ func (p *clusterPool) acquire(id string, request int) (grant, error) {
 			// partition (nothing to recover onto) and never below the pool
 			// floor (degrade, don't collapse).
 			if p.faultEvery > 0 && p.placements%uint64(p.faultEvery) == 0 &&
-				len(procs) >= 2 && alive > minAlivePool {
-				g.faultLocal = len(procs) - 1
+				want >= 2 && p.alive > minAlivePool {
+				g.faultLocal = want - 1
 				p.reg.Counter("paradigmd_cluster_faults_injected_total").Inc()
 			}
 			p.publishLocked()
@@ -108,17 +102,15 @@ func (p *clusterPool) acquire(id string, request int) (grant, error) {
 	}
 }
 
-// release returns a grant's processors to the pool, charging each with
-// the job's wall-clock seconds. The processor fated to die (faultLocal)
-// retires instead of coming free — the pool shrinks exactly when the
-// simulated partition did.
-func (p *clusterPool) release(g grant, seconds float64) {
+// release returns a grant's processors to the pool. The processor fated
+// to die (faultLocal) retires instead of coming free — the pool shrinks
+// exactly when the simulated partition did.
+func (p *clusterPool) release(g grant) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.pool.Charge(g.procs, seconds)
-	p.pool.Release(g.procs)
+	p.held -= g.procs
 	if g.faultLocal >= 0 {
-		p.pool.Retire(g.procs[g.faultLocal])
+		p.alive--
 		p.reg.Counter("paradigmd_cluster_retired_total").Inc()
 	}
 	p.publishLocked()

@@ -22,9 +22,9 @@ import (
 	"paradigm/internal/admission"
 )
 
-// clusterLoadServer builds an in-process cluster-mode server: a
-// 12-processor pool behind the least-loaded router, killing one
-// partition processor on every faultEvery-th placement (0: fault-free).
+// clusterLoadServer builds an in-process cluster-mode server on a pool
+// of poolProcs processors, killing one partition processor on every
+// faultEvery-th placement (0: fault-free).
 func clusterLoadServer(tb testing.TB, poolProcs, faultEvery int) (*Server, *httptest.Server) {
 	tb.Helper()
 	policy, err := admission.Decode([]byte(loadPolicy))
@@ -38,7 +38,7 @@ func clusterLoadServer(tb testing.TB, poolProcs, faultEvery int) (*Server, *http
 	mach := paradigm.NewTrainedMachine(cal)
 	srv, err := New(mach, Config{
 		QueueCap: 512, WALRetain: retainFailed, Policy: policy,
-		ClusterProcs: poolProcs, Router: "least-loaded", ClusterFaults: faultEvery,
+		ClusterProcs: poolProcs, ClusterFaults: faultEvery,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -154,6 +154,105 @@ func TestServiceClusterCoalescingDisabled(t *testing.T) {
 	}
 	if strings.Contains(scrapeMetrics(t, hs.URL), "paradigmd_jobs_coalesced_total") {
 		t.Fatal("coalescing counter moved in cluster mode")
+	}
+}
+
+// TestClusterPoolRules drives clusterPool directly, without HTTP: the
+// singleton rule, the pool floor, shrink-before-reject, blocking for
+// capacity, and retirement — checking the health gauges after every step.
+func TestClusterPoolRules(t *testing.T) {
+	reg := paradigm.NewMetrics()
+	p := newClusterPool(Config{ClusterProcs: 4, ClusterFaults: 1}, reg)
+
+	// check holds the gauges to the expected counts and to the pool's
+	// invariants: free = alive - held >= 0 and alive + dead = total.
+	check := func(step string, alive, held int) {
+		t.Helper()
+		a := reg.Gauge("paradigmd_cluster_pool_alive").Value()
+		f := reg.Gauge("paradigmd_cluster_pool_free").Value()
+		d := reg.Gauge("paradigmd_cluster_pool_dead").Value()
+		if a != float64(alive) || f != float64(alive-held) {
+			t.Fatalf("%s: alive %v free %v, want alive %d free %d", step, a, f, alive, alive-held)
+		}
+		if f < 0 || a+d != 4 {
+			t.Fatalf("%s: free %v, alive %v + dead %v: want free >= 0 and alive + dead = 4", step, f, a, d)
+		}
+	}
+	acquire := func(step string, request, procs int, degraded bool, faultLocal int) grant {
+		t.Helper()
+		g, err := p.acquire(request)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if g.procs != procs || g.degraded != degraded || g.faultLocal != faultLocal {
+			t.Fatalf("%s: granted %+v, want procs %d degraded %t faultLocal %d",
+				step, g, procs, degraded, faultLocal)
+		}
+		return g
+	}
+	check("new", 4, 0)
+
+	// Every placement is a fault placement here, but a singleton partition
+	// has no survivor to recover onto: no fault on a 1-processor grant.
+	one := acquire("singleton", 1, 1, false, -1)
+	check("singleton held", 4, 1)
+	p.release(one)
+	check("singleton released", 4, 0)
+
+	// A 3-processor grant loses its highest local index, which retires
+	// on release instead of coming free.
+	three := acquire("fault", 3, 3, false, 2)
+	check("fault held", 4, 3)
+	p.release(three)
+	check("fault released", 3, 0)
+
+	// An acquire blocked for capacity wakes when a release frees it.
+	two := acquire("hold", 2, 2, false, 1)
+	check("hold", 3, 2)
+	woke := make(chan grant)
+	go func() {
+		g, err := p.acquire(2)
+		if err != nil {
+			t.Error(err)
+		}
+		woke <- g
+	}()
+	select {
+	case g := <-woke:
+		t.Fatalf("acquire of 2 with 1 free returned %+v instead of blocking", g)
+	case <-time.After(50 * time.Millisecond):
+	}
+	p.release(two)
+	var waited grant
+	select {
+	case waited = <-woke:
+	case <-time.After(10 * time.Second):
+		t.Fatal("blocked acquire did not wake on release")
+	}
+	// 2 alive: the floor stops fault injection from retiring further.
+	if waited.procs != 2 || waited.degraded || waited.faultLocal != -1 {
+		t.Fatalf("woken acquire granted %+v, want 2 processors, no fault at the floor", waited)
+	}
+	check("woken", 2, 2)
+	p.release(waited)
+	check("woken released", 2, 0)
+
+	// Shrink before reject: a request above alive is granted exactly
+	// alive, marked degraded; still no fault at the floor.
+	big := acquire("oversized", 5, 2, true, -1)
+	check("oversized held", 2, 2)
+	p.release(big)
+	check("oversized released", 2, 0)
+
+	for name, want := range map[string]uint64{
+		"paradigmd_cluster_placements_total":      5,
+		"paradigmd_cluster_faults_injected_total": 2,
+		"paradigmd_cluster_retired_total":         2,
+		"paradigmd_cluster_degraded_total":        1,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
 

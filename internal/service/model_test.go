@@ -296,7 +296,7 @@ func TestServiceModel(t *testing.T) {
 		seeds   []int64
 	}{
 		{"plain", Config{}, []int64{1, 2, 3, 4}},
-		{"cluster", Config{ClusterProcs: 8, Router: "least-loaded", ClusterFaults: 2}, []int64{5, 6, 7}},
+		{"cluster", Config{ClusterProcs: 8, ClusterFaults: 2}, []int64{5, 6, 7}},
 	} {
 		for _, seed := range c.seeds {
 			t.Run(fmt.Sprintf("%s/seed=%d", c.name, seed), func(t *testing.T) {

@@ -118,13 +118,10 @@ type Config struct {
 	// unlimited FCFS).
 	Policy admission.Config
 	// ClusterProcs > 0 runs jobs on partitions of one shared pool of that
-	// many processors. Router names the policy that picks which free
-	// processors a job gets, its grant size fixed first: round-robin
-	// ("" too), least-loaded or best-fit; in cluster mode New refuses any
-	// other name. Every ClusterFaults-th placement loses a partition
+	// many processors; a partition is a processor count, run on the
+	// server's machine. Every ClusterFaults-th placement loses a partition
 	// processor (0: none).
 	ClusterProcs  int
-	Router        string
 	ClusterFaults int
 }
 
@@ -286,9 +283,7 @@ func New(mach paradigm.MachineBackend, cfg Config) (*Server, error) {
 		phiBySpec:  map[string]float64{},
 	}
 	if cfg.ClusterProcs > 0 {
-		if s.pool, err = newClusterPool(cfg, reg); err != nil {
-			return nil, err
-		}
+		s.pool = newClusterPool(cfg, reg)
 	}
 	// The canonical fold contributes the deterministic counters
 	// (alloc_cache_*, sched_cache_*, job_journal_*); the latency observer
@@ -489,7 +484,7 @@ func (s *Server) program(kind string, size int) (*paradigm.Program, error) {
 // typed error, never as a worker crash. In cluster mode the job first
 // acquires a partition from the shared pool (blocking until capacity
 // frees, shrinking the grant when live capacity dropped below the
-// request) and runs on exactly the processors granted.
+// request) and runs on exactly as many processors as granted.
 func (s *Server) execute(sub jobstore.Submit) (run jobRun, err error) {
 	p, err := s.program(sub.Program, sub.Size)
 	if err != nil {
@@ -497,14 +492,13 @@ func (s *Server) execute(sub jobstore.Submit) (run jobRun, err error) {
 	}
 	procs, faultLocal := sub.Procs, -1
 	if s.pool != nil {
-		g, err := s.pool.acquire(sub.ID, sub.Procs)
+		g, err := s.pool.acquire(sub.Procs)
 		if err != nil {
 			return run, err
 		}
-		procs, faultLocal = len(g.procs), g.faultLocal
+		procs, faultLocal = g.procs, g.faultLocal
 		run.granted, run.degraded = procs, g.degraded
-		start := time.Now()
-		defer func() { s.pool.release(g, time.Since(start).Seconds()) }()
+		defer s.pool.release(g)
 	}
 	// Per-job retry budget: the request field overrides the default,
 	// capped so a hostile submit cannot park a worker.
