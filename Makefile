@@ -64,18 +64,18 @@ fuzz-smoke:
 # in every tail the vector kernel has, each reporting multiply-adds per
 # second) and its vector sine over one row, a cold automorphism-orbit
 # computation on Strassen-128, the exact solve's setup alone (compile,
-# epigraph form, interior-point setup) on Strassen-128, the service's
-# submit, load and
-# cluster-load benchmarks: enough to catch one that no longer compiles or
-# errors out.
-# It writes no file. Measurements come from the repo's benchmark (bench/).
+# epigraph form, interior-point setup) on Strassen-128, and the service's
+# submit path with and without the journal: enough to catch one that no
+# longer compiles or errors out.
+# It writes no file. Measurements come from the repo's benchmark (bench/);
+# the service under load is its closed-loop svc_cold and svc_hot workloads.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAllocSolve|BenchmarkBuildStrassen128|BenchmarkRunNilObserver|BenchmarkRunWithObserver|BenchmarkRunNoFaults|BenchmarkRunWithRecovery|BenchmarkRunNoCheckpoint|BenchmarkRunWithCheckpoint|BenchmarkRunCMM256P64|BenchmarkSimRun|BenchmarkGenerate' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkTable2TransferFit' -benchtime=1x -benchmem ./internal/experiments/
 	$(GO) test -run '^$$' -bench 'BenchmarkMulStrip|BenchmarkSin256' -benchtime=1x -benchmem ./internal/matrix/
 	$(GO) test -run '^$$' -bench 'BenchmarkOrbitsStrassen128' -benchtime=1x -benchmem ./internal/mdg/
 	$(GO) test -run '^$$' -bench 'BenchmarkSolveSetupStrassen128' -benchtime=1x -benchmem ./internal/alloc/
-	$(GO) test -run '^$$' -bench 'BenchmarkSubmit|BenchmarkServiceLoad|BenchmarkClusterLoad' -benchtime=1x -benchmem ./internal/service/
+	$(GO) test -run '^$$' -bench 'BenchmarkSubmit' -benchtime=1x -benchmem ./internal/service/
 
 # The repo's benchmark (BENCHMARK.json, bench/) is a Go module of its
 # own, so the root build, vet and test never compile it: vet it and run

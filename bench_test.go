@@ -41,7 +41,7 @@ func env(b *testing.B) *benchSetup {
 	b.Helper()
 	benchOnce.Do(func() {
 		benchEnv.Machine = NewCM5(64)
-		benchEnv.Cal, benchErr = Calibrate(benchEnv.Machine)
+		benchEnv.Cal, benchErr = CalibrateContext(context.Background(), benchEnv.Machine)
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)

@@ -79,23 +79,6 @@ func run(progName, mdgPath, srcPath, traceOut, pprofOut, machName, policy, fault
 	default:
 		return fmt.Errorf("unknown policy %q (want est, fifo or hlf)", policy)
 	}
-	// Machine resolution: the two classic profiles keep the historical
-	// trained (training-sets) path; any other builtin name or spec file
-	// loads through the machine database as the analytical backend, no
-	// calibration run needed.
-	var mb paradigm.MachineBackend
-	profile := paradigm.NewCM5
-	switch machName {
-	case "cm5":
-	case "paragon":
-		profile = paradigm.NewParagon
-	default:
-		var merr error
-		if mb, merr = paradigm.ResolveMachine(machName); merr != nil {
-			return merr
-		}
-	}
-
 	if pprofOut != "" {
 		pf, err := os.Create(pprofOut)
 		if err != nil {
@@ -149,41 +132,18 @@ func run(progName, mdgPath, srcPath, traceOut, pprofOut, machName, policy, fault
 			fmt.Printf("checkpoint: resuming %s from committed stages %v\n\n", ckptPath, stages)
 		}
 	}
-	calOpts := []paradigm.Option{paradigm.WithObserver(ob)}
-	if cp != nil {
-		calOpts = append(calOpts, paradigm.WithCheckpoint(cp))
+	b, err := machineBackend(ctx, machName, ob, cp)
+	if err != nil {
+		return err
 	}
-
-	// The trained path calibrates; a resolved backend already carries its
-	// model. Either way src prices loops for the program builders and
-	// model drives allocation/scheduling.
-	var (
-		m     paradigm.Machine
-		cal   *paradigm.Calibration
-		src   paradigm.LoopSource
-		model paradigm.Model
-		err   error
-	)
-	if mb != nil {
-		m = mb.SimParams()
-		src = mb
-		model = paradigm.Model{Transfer: mb.Transfer()}
-		fmt.Printf("machine: %s (%s backend, native p=%d)\n\n", mb.Name(), mb.Kind(), m.Procs)
-	} else {
-		m = profile(procs)
-		if cal, err = paradigm.CalibrateContext(ctx, profile(64), calOpts...); err != nil {
-			return err
-		}
-		src = cal
-		model = cal.Model()
+	model := paradigm.Model{Transfer: b.Transfer()}
+	// The trained profiles' output has never carried a machine line.
+	if b.Kind() == paradigm.MachineAnalytical {
+		fmt.Printf("machine: %s (%s backend, native p=%d)\n\n", b.Name(), b.Kind(), b.SimParams().Procs)
 	}
 	if metrics {
 		// An info-style gauge names the machine in the -metrics dump.
-		name, kind := m.Name, paradigm.MachineTrained
-		if mb != nil {
-			name, kind = mb.Name(), mb.Kind()
-		}
-		reg.Gauge(fmt.Sprintf("machine_info{name=%q,kind=%q}", name, kind)).Set(1)
+		reg.Gauge(fmt.Sprintf("machine_info{name=%q,kind=%q}", b.Name(), b.Kind())).Set(1)
 	}
 
 	// Raw-MDG mode: allocate and schedule only (no kernels to simulate).
@@ -212,7 +172,7 @@ func run(progName, mdgPath, srcPath, traceOut, pprofOut, machName, policy, fault
 		if err != nil {
 			return err
 		}
-		p, err = paradigm.CompileSource(srcPath, string(text), src)
+		p, err = paradigm.CompileSource(srcPath, string(text), b)
 		if err != nil {
 			return err
 		}
@@ -224,11 +184,11 @@ func run(progName, mdgPath, srcPath, traceOut, pprofOut, machName, policy, fault
 		}
 		return fmt.Errorf("one of -program, -src or -mdg is required (see -h)")
 	case "cmm":
-		p, err = paradigm.ComplexMatMul(size, src)
+		p, err = paradigm.ComplexMatMul(size, b)
 	case "strassen":
-		p, err = paradigm.StrassenRecursive(2*size, depth, src)
+		p, err = paradigm.StrassenRecursive(2*size, depth, b)
 	case "pipeline":
-		p, err = paradigm.SyntheticPipeline(size, 4, 3, src)
+		p, err = paradigm.SyntheticPipeline(size, 4, 3, b)
 	case "example":
 		g := paradigm.FigureOneMDG()
 		if dot {
@@ -247,14 +207,6 @@ func run(progName, mdgPath, srcPath, traceOut, pprofOut, machName, policy, fault
 		return nil
 	}
 
-	// A resolved backend runs the pipeline on itself; the trained path on
-	// the profile and its calibration.
-	runPipeline := func(opts ...paradigm.Option) (*paradigm.Result, error) {
-		if mb != nil {
-			return paradigm.RunOnContext(ctx, p, mb, procs, opts...)
-		}
-		return paradigm.RunContext(ctx, p, m, cal, procs, opts...)
-	}
 	opts := []paradigm.Option{
 		paradigm.WithObserver(ob),
 		paradigm.WithScheduleOptions(paradigm.ScheduleOptions{PB: pb, Policy: pol}),
@@ -276,7 +228,7 @@ func run(progName, mdgPath, srcPath, traceOut, pprofOut, machName, policy, fault
 			// The random schedule scales fail times by a fault-free
 			// pre-run's makespan (no observer: trace and metrics should
 			// describe the faulted run only).
-			clean, err := runPipeline(paradigm.WithScheduleOptions(paradigm.ScheduleOptions{PB: pb, Policy: pol}))
+			clean, err := paradigm.RunOnContext(ctx, p, b, procs, paradigm.WithScheduleOptions(paradigm.ScheduleOptions{PB: pb, Policy: pol}))
 			if err != nil {
 				return err
 			}
@@ -289,9 +241,9 @@ func run(progName, mdgPath, srcPath, traceOut, pprofOut, machName, policy, fault
 	}
 	var res *paradigm.Result
 	if spmd {
-		res, err = paradigm.RunSPMDContext(ctx, p, m, model, procs, opts...)
+		res, err = paradigm.RunSPMDContext(ctx, p, b.SimParams(), model, procs, opts...)
 	} else {
-		res, err = runPipeline(opts...)
+		res, err = paradigm.RunOnContext(ctx, p, b, procs, opts...)
 	}
 	if err != nil {
 		return err
@@ -334,10 +286,7 @@ func run(progName, mdgPath, srcPath, traceOut, pprofOut, machName, policy, fault
 			return err
 		}
 		defer f.Close()
-		meta := trace.Meta{Machine: m.Name, MachineKind: string(paradigm.MachineTrained)}
-		if mb != nil {
-			meta = trace.Meta{Machine: mb.Name(), MachineKind: string(mb.Kind())}
-		}
+		meta := trace.Meta{Machine: b.Name(), MachineKind: string(b.Kind())}
 		if err := trace.WriteUnified(f, res.Program.G, res.Sched, res.Sim, rec.Events(), meta); err != nil {
 			return err
 		}
@@ -348,6 +297,31 @@ func run(progName, mdgPath, srcPath, traceOut, pprofOut, machName, policy, fault
 		fmt.Printf("\nmetrics:\n%s", reg.Snapshot().Text())
 	}
 	return nil
+}
+
+// machineBackend resolves -machine. The two classic profiles take the
+// training-sets backend of a calibration on their 64-processor profile,
+// committed to (or restored from) the checkpoint when one is attached;
+// any other builtin name or spec file resolves to the analytical one.
+func machineBackend(ctx context.Context, name string, ob paradigm.Observer, cp *paradigm.Checkpoint) (paradigm.MachineBackend, error) {
+	var profile func(int) paradigm.Machine
+	switch name {
+	case "cm5":
+		profile = paradigm.NewCM5
+	case "paragon":
+		profile = paradigm.NewParagon
+	default:
+		return paradigm.ResolveMachine(name)
+	}
+	opts := []paradigm.Option{paradigm.WithObserver(ob)}
+	if cp != nil {
+		opts = append(opts, paradigm.WithCheckpoint(cp))
+	}
+	cal, err := paradigm.CalibrateContext(ctx, profile(64), opts...)
+	if err != nil {
+		return nil, err
+	}
+	return paradigm.NewTrainedMachine(cal), nil
 }
 
 func mode(spmd bool) string {

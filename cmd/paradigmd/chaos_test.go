@@ -114,7 +114,7 @@ var chaosJobs = []chaosJob{
 // and returns the digest each service job must reproduce.
 func chaosReferenceDigests(t *testing.T, jobs []chaosJob) map[chaosJob]string {
 	t.Helper()
-	cal, err := paradigm.Calibrate(paradigm.NewCM5(64))
+	cal, err := paradigm.CalibrateContext(context.Background(), paradigm.NewCM5(64))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,7 +161,7 @@ func machineBackend(name string) (paradigm.MachineBackend, error) {
 	default:
 		return paradigm.ResolveMachine(name)
 	}
-	cal, err := paradigm.Calibrate(profile(64))
+	cal, err := paradigm.CalibrateContext(context.Background(), profile(64))
 	if err != nil {
 		return nil, err
 	}

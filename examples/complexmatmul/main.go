@@ -14,7 +14,7 @@ import (
 
 func main() {
 	ctx := context.Background()
-	cal, err := paradigm.Calibrate(paradigm.NewCM5(64))
+	cal, err := paradigm.CalibrateContext(ctx, paradigm.NewCM5(64))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,7 +30,7 @@ matrix residual = pathA + pathB - input
 
 func main() {
 	ctx := context.Background()
-	cal, err := paradigm.Calibrate(paradigm.NewCM5(16))
+	cal, err := paradigm.CalibrateContext(ctx, paradigm.NewCM5(16))
 	if err != nil {
 		log.Fatal(err)
 	}

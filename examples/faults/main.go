@@ -15,7 +15,8 @@ import (
 )
 
 func main() {
-	cal, err := paradigm.Calibrate(paradigm.NewCM5(64))
+	ctx := context.Background()
+	cal, err := paradigm.CalibrateContext(ctx, paradigm.NewCM5(64))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -24,7 +25,6 @@ func main() {
 		log.Fatal(err)
 	}
 	m := paradigm.NewCM5(8)
-	ctx := context.Background()
 
 	// A fault-free run gives the makespan the fail time is scaled by.
 	clean, err := paradigm.RunContext(ctx, p, m, cal, 8)

@@ -24,7 +24,7 @@ func main() {
 		{"Intel Paragon (like)", paradigm.NewParagon},
 	} {
 		m := mk.profile(64)
-		cal, err := paradigm.Calibrate(m)
+		cal, err := paradigm.CalibrateContext(ctx, m)
 		if err != nil {
 			log.Fatal(err)
 		}

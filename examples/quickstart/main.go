@@ -16,7 +16,7 @@ import (
 func main() {
 	// 1. A machine and its training-sets calibration.
 	m := paradigm.NewCM5(8)
-	cal, err := paradigm.Calibrate(m)
+	cal, err := paradigm.CalibrateContext(context.Background(), m)
 	if err != nil {
 		log.Fatal(err)
 	}

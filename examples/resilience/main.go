@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	cal, err := paradigm.Calibrate(paradigm.NewCM5(64))
+	cal, err := paradigm.CalibrateContext(context.Background(), paradigm.NewCM5(64))
 	if err != nil {
 		log.Fatal(err)
 	}

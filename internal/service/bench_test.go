@@ -3,11 +3,8 @@ package service
 import (
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"paradigm"
 )
 
 // benchSubmit measures the accept path — HTTP POST through admission,
@@ -16,19 +13,7 @@ import (
 // the job journal first, and the delta between the two benchmarks is
 // the journal's submit-path overhead (the PR 8 acceptance bound).
 func benchSubmit(b *testing.B, dir string) {
-	cal, err := paradigm.Calibrate(paradigm.NewCM5(64))
-	if err != nil {
-		b.Fatal(err)
-	}
-	mach := paradigm.NewTrainedMachine(cal)
-	srv, err := New(mach, Config{
-		CheckpointDir: dir, QueueCap: b.N + 1, WALRetain: retainFailed,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
+	_, hs := testServer(b, Config{CheckpointDir: dir, QueueCap: b.N + 1}, 0)
 	const body = `{"program":"cmm","size":16,"procs":4}`
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -20,15 +19,7 @@ import (
 // and five replayed ones it holds exactly the solved job's.
 func TestServiceHotJobWritesNoWAL(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := New(testMachine(t), Config{
-		CheckpointDir: dir, QueueCap: 8, WALRetain: retainAll,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start(1)
-	hs := httptest.NewServer(srv.Handler())
-	t.Cleanup(hs.Close)
+	srv, hs := testServer(t, Config{CheckpointDir: dir, QueueCap: 8, WALRetain: retainAll}, 1)
 
 	const spec = `{"program":"cmm","size":16,"procs":4}`
 	first := acceptJob(t, hs.URL, spec)
@@ -83,7 +74,7 @@ func TestServiceMemoryFlat(t *testing.T) {
 			specs = append(specs, fmt.Sprintf(`{"program":"cmm","size":%d,"procs":%d}`, size, procs))
 		}
 	}
-	srv, hs := testServer(t, 64, 2)
+	srv, hs := testServer(t, Config{CheckpointDir: t.TempDir(), QueueCap: 64}, 2)
 	heap := func() uint64 {
 		runtime.GC()
 		var ms runtime.MemStats

@@ -95,6 +95,13 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 			maxSize, maxProcs, sub.Size, sub.Procs), http.StatusBadRequest)
 		return
 	}
+	// A seeded plan with recovery kills one of the job's processors; on
+	// one processor there is no survivor, so the job could only fail. A
+	// cluster grant is never smaller than 2 for a request of 2 or more.
+	if sub.Procs == 1 && sub.FaultSeed != 0 && sub.Recover > 0 {
+		http.Error(w, "a fault_seed with recover > 0 kills a processor: procs must be at least 2", http.StatusBadRequest)
+		return
+	}
 	if sub.Tenant == "" {
 		sub.Tenant = defaultTenant
 	}

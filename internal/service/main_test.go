@@ -20,34 +20,42 @@ import (
 	"paradigm/internal/jobstore"
 )
 
-func testMachine(t *testing.T) paradigm.MachineBackend {
-	t.Helper()
-	cal, err := paradigm.Calibrate(paradigm.NewCM5(64))
+// cm5 is the calibrated CM-5 every test server and reference run uses,
+// calibrated once per package run: the calibration is deterministic and
+// the backend is read-only.
+var cm5 = sync.OnceValues(func() (paradigm.MachineBackend, error) {
+	cal, err := paradigm.CalibrateContext(context.Background(), paradigm.NewCM5(64))
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return paradigm.NewTrainedMachine(cal)
+	return paradigm.NewTrainedMachine(cal), nil
+})
+
+func testMachine(tb testing.TB) paradigm.MachineBackend {
+	tb.Helper()
+	mach, err := cm5()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return mach
 }
 
-// testServerDir builds a server over an explicit checkpoint directory
-// (reused across restarts by the recovery tests).
-func testServerDir(t *testing.T, dir string, queue, workers int) (*Server, *httptest.Server) {
-	t.Helper()
-	srv, err := New(testMachine(t), Config{
-		CheckpointDir: dir, QueueCap: queue, WALRetain: retainFailed,
-	})
+// testServer boots a server from cfg on the calibrated CM-5 (an empty
+// WALRetain keeps failed jobs' WALs, paradigmd's default), starts
+// workers workers and serves its handler over HTTP.
+func testServer(tb testing.TB, cfg Config, workers int) (*Server, *httptest.Server) {
+	tb.Helper()
+	if cfg.WALRetain == "" {
+		cfg.WALRetain = retainFailed
+	}
+	srv, err := New(testMachine(tb), cfg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	srv.Start(workers)
 	hs := httptest.NewServer(srv.Handler())
-	t.Cleanup(hs.Close)
+	tb.Cleanup(hs.Close)
 	return srv, hs
-}
-
-func testServer(t *testing.T, queue int, workers int) (*Server, *httptest.Server) {
-	t.Helper()
-	return testServerDir(t, t.TempDir(), queue, workers)
 }
 
 func submitJob(t *testing.T, base, body string) *http.Response {
@@ -59,60 +67,76 @@ func submitJob(t *testing.T, base, body string) *http.Response {
 	return resp
 }
 
-func TestServiceJobLifecycle(t *testing.T) {
-	srv, hs := testServer(t, 4, 1)
-	resp := submitJob(t, hs.URL, `{"program":"cmm","size":16,"procs":4}`)
+// acceptJob submits body, requires a 202 and returns the job's id.
+func acceptJob(t *testing.T, base, body string) string {
+	t.Helper()
+	resp := submitJob(t, base, body)
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit = %s", resp.Status)
+		t.Fatalf("submit %s = %s", body, resp.Status)
 	}
 	var acc struct{ ID string }
 	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	return acc.ID
+}
 
-	var view JobView
-	deadline := time.Now().Add(30 * time.Second)
+// waitForStatus polls a job until it reaches a terminal status.
+func waitForStatus(t *testing.T, base, id string) JobView {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
 	for {
-		resp, err := http.Get(hs.URL + "/jobs/" + acc.ID)
+		resp, err := http.Get(base + "/jobs/" + id)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var view JobView
 		if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if view.Status == "done" || view.Status == "failed" {
-			break
+			return view
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %q", view.Status)
+			t.Fatalf("job %s stuck in %q", id, view.Status)
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 	}
-	if view.Status != "done" || view.Actual <= 0 {
-		t.Fatalf("job = %+v", view)
-	}
+}
 
-	resp, err := http.Get(hs.URL + "/jobs/" + acc.ID + "/schedule")
+func scrapeMetrics(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("schedule = %s", resp.Status)
-	}
-
-	resp, err = http.Get(hs.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, err := io.ReadAll(resp.Body)
+	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(text), "paradigmd_jobs_completed_total 1") {
+	return string(body)
+}
+
+func TestServiceJobLifecycle(t *testing.T) {
+	srv, hs := testServer(t, Config{CheckpointDir: t.TempDir(), QueueCap: 4}, 1)
+	view := waitForStatus(t, hs.URL, acceptJob(t, hs.URL, `{"program":"cmm","size":16,"procs":4}`))
+	if view.Status != "done" || view.Actual <= 0 {
+		t.Fatalf("job = %+v", view)
+	}
+
+	resp, err := http.Get(hs.URL + "/jobs/" + view.ID + "/schedule")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("schedule = %s", resp.Status)
+	}
+
+	if text := scrapeMetrics(t, hs.URL); !strings.Contains(text, "paradigmd_jobs_completed_total 1") {
 		t.Fatalf("metrics missing completion counter:\n%s", text)
 	}
 	if srv.Completed() != 1 {
@@ -123,44 +147,20 @@ func TestServiceJobLifecycle(t *testing.T) {
 // A malformed job must come back as a failed status, not a crashed
 // worker: the library's panic containment holds the boundary.
 func TestServiceBadJobFails(t *testing.T) {
-	_, hs := testServer(t, 4, 1)
-	resp := submitJob(t, hs.URL, `{"program":"nope","size":8,"procs":4}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit = %s", resp.Status)
+	_, hs := testServer(t, Config{CheckpointDir: t.TempDir(), QueueCap: 4}, 1)
+	view := waitForStatus(t, hs.URL, acceptJob(t, hs.URL, `{"program":"nope","size":8,"procs":4}`))
+	if view.Status != "failed" {
+		t.Fatalf("bad job never failed: %+v", view)
 	}
-	var acc struct{ ID string }
-	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(hs.URL + "/jobs/" + acc.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var view JobView
-		if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if view.Status == "failed" {
-			if !strings.Contains(view.Error, "unknown program") {
-				t.Fatalf("failure reason = %q", view.Error)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("bad job never failed: %+v", view)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if !strings.Contains(view.Error, "unknown program") {
+		t.Fatalf("failure reason = %q", view.Error)
 	}
 }
 
 // Admission control: with no workers draining the queue, submissions
 // past the bound are shed with 429, and invalid payloads are 400s.
 func TestServiceLoadShedding(t *testing.T) {
-	srv, hs := testServer(t, 1, 0) // no workers: the queue only fills
+	srv, hs := testServer(t, Config{CheckpointDir: t.TempDir(), QueueCap: 1}, 0) // no workers: the queue only fills
 	if resp := submitJob(t, hs.URL, `{"program":"cmm","size":16,"procs":4}`); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first submit = %s", resp.Status)
 	}
@@ -192,30 +192,6 @@ func TestServiceLoadShedding(t *testing.T) {
 	}
 }
 
-// waitForStatus polls a job until it reaches a terminal status.
-func waitForStatus(t *testing.T, base, id string) JobView {
-	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		resp, err := http.Get(base + "/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var view JobView
-		if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if view.Status == "done" || view.Status == "failed" {
-			return view
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in %q", id, view.Status)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 func getHealth(t *testing.T, base string) (HealthView, int) {
 	t.Helper()
 	resp, err := http.Get(base + "/healthz")
@@ -233,7 +209,7 @@ func getHealth(t *testing.T, base string) (HealthView, int) {
 // An oversized submit body is refused with 413, not decoded from a
 // silent truncation.
 func TestServiceSubmitBodyTooLarge(t *testing.T) {
-	srv, hs := testServer(t, 4, 0)
+	srv, hs := testServer(t, Config{CheckpointDir: t.TempDir(), QueueCap: 4}, 0)
 	body := `{"program":"cmm","size":16,"procs":4,` +
 		`"pad":"` + strings.Repeat("x", maxSubmitBytes) + `"}`
 	resp := submitJob(t, hs.URL, body)
@@ -254,7 +230,7 @@ func TestServiceSubmitBodyTooLarge(t *testing.T) {
 // /healthz walks its three states: ok when idle, degraded while the
 // breaker is shedding the solver, draining (503) after drain starts.
 func TestServiceHealthStates(t *testing.T) {
-	srv, hs := testServer(t, 4, 0)
+	srv, hs := testServer(t, Config{CheckpointDir: t.TempDir(), QueueCap: 4}, 0)
 	if h, code := getHealth(t, hs.URL); code != http.StatusOK || h.State != "ok" || h.Breaker != "closed" {
 		t.Fatalf("idle healthz = %d %+v, want 200 ok/closed", code, h)
 	}
@@ -290,15 +266,9 @@ func TestServiceHealthStates(t *testing.T) {
 // admission refusal or its job completes — an accepted job is never
 // left queued. Run with -race.
 func TestServiceSubmitDrainRace(t *testing.T) {
-	srv, hs := testServer(t, 64, 2)
+	srv, hs := testServer(t, Config{CheckpointDir: t.TempDir(), QueueCap: 64}, 2)
 	// Warm the allocation cache so racing jobs replay instantly.
-	first := submitJob(t, hs.URL, `{"program":"cmm","size":16,"procs":4}`)
-	var acc struct{ ID string }
-	if err := json.NewDecoder(first.Body).Decode(&acc); err != nil {
-		t.Fatal(err)
-	}
-	first.Body.Close()
-	waitForStatus(t, hs.URL, acc.ID)
+	waitForStatus(t, hs.URL, acceptJob(t, hs.URL, `{"program":"cmm","size":16,"procs":4}`))
 
 	var (
 		mu       sync.Mutex
@@ -353,17 +323,8 @@ func TestServiceSubmitDrainRace(t *testing.T) {
 // degraded path: the processor loss is survived, the journaled digest
 // reflects the recovery trajectory, and the recovery counters move.
 func TestServiceFaultSeedRecovery(t *testing.T) {
-	srv, hs := testServer(t, 4, 1)
-	resp := submitJob(t, hs.URL, `{"program":"cmm","size":16,"procs":4,"recover":2,"retries":3,"fault_seed":7}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit = %s", resp.Status)
-	}
-	var acc struct{ ID string }
-	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	view := waitForStatus(t, hs.URL, acc.ID)
+	srv, hs := testServer(t, Config{CheckpointDir: t.TempDir(), QueueCap: 4}, 1)
+	view := waitForStatus(t, hs.URL, acceptJob(t, hs.URL, `{"program":"cmm","size":16,"procs":4,"recover":2,"retries":3,"fault_seed":7}`))
 	if view.Status != "done" {
 		t.Fatalf("faulted job = %+v, want done", view)
 	}
@@ -388,23 +349,14 @@ func TestServiceFaultSeedRecovery(t *testing.T) {
 // crash-free run.
 func TestServiceRestartRecovery(t *testing.T) {
 	dir := t.TempDir()
-	srv1, hs1 := testServerDir(t, dir, 4, 0) // no workers: jobs stay queued
+	srv1, hs1 := testServer(t, Config{CheckpointDir: dir, QueueCap: 4}, 0) // no workers: jobs stay queued
 	var ids []string
 	for _, body := range []string{
 		`{"program":"cmm","size":16,"procs":4}`,
 		`{"program":"strassen","size":16,"procs":4}`,
 		`{"program":"cmm","size":16,"procs":8}`,
 	} {
-		resp := submitJob(t, hs1.URL, body)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit = %s", resp.Status)
-		}
-		var acc struct{ ID string }
-		if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		ids = append(ids, acc.ID)
+		ids = append(ids, acceptJob(t, hs1.URL, body))
 	}
 	// Run exactly one job to completion, then abandon the server — the
 	// moral equivalent of a crash with two jobs still queued.
@@ -426,14 +378,7 @@ func TestServiceRestartRecovery(t *testing.T) {
 	}
 
 	// "Restart": a second server over the same directory.
-	srv2, err := New(testMachine(t), Config{
-		CheckpointDir: dir, QueueCap: 4, WALRetain: retainFailed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs2 := httptest.NewServer(srv2.Handler())
-	t.Cleanup(hs2.Close)
+	srv2, hs2 := testServer(t, Config{CheckpointDir: dir, QueueCap: 4}, 0)
 
 	// Before the workers start, the recovered backlog reports degraded.
 	if h, code := getHealth(t, hs2.URL); code != http.StatusOK || h.State != "degraded" || h.RecoveredPending != 2 {
@@ -483,26 +428,24 @@ func TestServiceRestartRecovery(t *testing.T) {
 // job of TestServiceRestartRecovery directly through the library.
 func referenceDigest(t *testing.T, i int) string {
 	t.Helper()
-	cal, err := paradigm.Calibrate(paradigm.NewCM5(64))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mach := testMachine(t)
 	var (
 		p     *paradigm.Program
 		procs int
+		err   error
 	)
 	switch i {
 	case 0:
-		p, err = paradigm.Strassen(16, cal)
+		p, err = paradigm.Strassen(16, mach)
 		procs = 4
 	default:
-		p, err = paradigm.ComplexMatMul(16, cal)
+		p, err = paradigm.ComplexMatMul(16, mach)
 		procs = 8
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := paradigm.RunContext(context.Background(), p, paradigm.NewCM5(procs), cal, procs)
+	res, err := paradigm.RunOnContext(context.Background(), p, mach, procs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,14 +456,8 @@ func referenceDigest(t *testing.T, i int) string {
 // silently dropping accepted jobs.
 func TestServiceCorruptJournalRefused(t *testing.T) {
 	dir := t.TempDir()
-	srv1, hs1 := testServerDir(t, dir, 4, 1)
-	resp := submitJob(t, hs1.URL, `{"program":"cmm","size":16,"procs":4}`)
-	var acc struct{ ID string }
-	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	waitForStatus(t, hs1.URL, acc.ID)
+	srv1, hs1 := testServer(t, Config{CheckpointDir: dir, QueueCap: 4}, 1)
+	waitForStatus(t, hs1.URL, acceptJob(t, hs1.URL, `{"program":"cmm","size":16,"procs":4}`))
 	srv1.Drain()
 
 	// Submits land on the default tenant's shard: corrupt the shard file
@@ -543,6 +480,7 @@ func TestServiceCorruptJournalRefused(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// New itself, not testServer: the boot error is the subject.
 	_, err = New(testMachine(t), Config{
 		CheckpointDir: dir, QueueCap: 4, WALRetain: retainFailed,
 	})
@@ -555,20 +493,15 @@ func TestServiceCorruptJournalRefused(t *testing.T) {
 // completion, a failed job's WAL is kept under the default policy, and
 // retain-all keeps everything.
 func TestServiceWALRetention(t *testing.T) {
-	srv, hs := testServer(t, 4, 1)
-	resp := submitJob(t, hs.URL, `{"program":"cmm","size":16,"procs":4}`)
-	var acc struct{ ID string }
-	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if view := waitForStatus(t, hs.URL, acc.ID); view.Status != "done" {
+	srv, hs := testServer(t, Config{CheckpointDir: t.TempDir(), QueueCap: 4}, 1)
+	id := acceptJob(t, hs.URL, `{"program":"cmm","size":16,"procs":4}`)
+	if view := waitForStatus(t, hs.URL, id); view.Status != "done" {
 		t.Fatalf("job = %+v", view)
 	}
 	// runJob publishes "done" before it journals the transition and
 	// collects the WAL; Completed counts the job only after both.
 	srv.waitIdle(t)
-	walPath := filepath.Join(srv.cfg.CheckpointDir, "job-"+acc.ID+".wal")
+	walPath := filepath.Join(srv.cfg.CheckpointDir, "job-"+id+".wal")
 	if _, err := os.Stat(walPath); !os.IsNotExist(err) {
 		t.Fatalf("completed job WAL not collected: %v", err)
 	}
@@ -619,7 +552,7 @@ func TestServiceWALRetention(t *testing.T) {
 // Graceful drain: accepted jobs finish, new submissions are refused
 // with 503, and health flips to draining.
 func TestServiceGracefulDrain(t *testing.T) {
-	srv, hs := testServer(t, 4, 1)
+	srv, hs := testServer(t, Config{CheckpointDir: t.TempDir(), QueueCap: 4}, 1)
 	if resp := submitJob(t, hs.URL, `{"program":"cmm","size":16,"procs":4}`); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %s", resp.Status)
 	}
@@ -642,9 +575,13 @@ func TestServiceGracefulDrain(t *testing.T) {
 
 // Submit bounds size and procs at the HTTP edge: past 1024 either one is
 // refused with 400 before a worker could build it, and a job at the
-// bounds is accepted. No worker runs, so an accepted job stays queued.
+// bounds is accepted. A seeded plan with recovery kills a processor, so
+// on one processor it is refused too: that job could only fail. Without
+// recovery the plan only delays a message, and the job is accepted. No
+// worker runs, so an accepted job stays queued.
 func TestServiceSubmitBounds(t *testing.T) {
-	srv, hs := testServer(t, 8, 0)
+	srv, hs := testServer(t, Config{CheckpointDir: t.TempDir(), QueueCap: 8}, 0)
+	accepted := 0
 	for _, c := range []struct {
 		body string
 		want int
@@ -653,17 +590,22 @@ func TestServiceSubmitBounds(t *testing.T) {
 		{`{"program":"cmm","size":1025,"procs":4}`, http.StatusBadRequest},
 		{`{"program":"cmm","size":16,"procs":1025}`, http.StatusBadRequest},
 		{`{"program":"cmm","size":1024,"procs":1024}`, http.StatusAccepted},
+		{`{"program":"cmm","size":16,"procs":1,"fault_seed":7,"recover":2}`, http.StatusBadRequest},
+		{`{"program":"cmm","size":16,"procs":1,"fault_seed":7}`, http.StatusAccepted},
 	} {
 		resp := submitJob(t, hs.URL, c.body)
 		resp.Body.Close()
 		if resp.StatusCode != c.want {
 			t.Errorf("submit %s = %s, want %d", c.body, resp.Status, c.want)
 		}
+		if c.want == http.StatusAccepted {
+			accepted++
+		}
 	}
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
-	if len(srv.jobs) != 1 {
-		t.Fatalf("registered %d jobs, want the one within bounds", len(srv.jobs))
+	if len(srv.jobs) != accepted {
+		t.Fatalf("registered %d jobs, want the %d within bounds", len(srv.jobs), accepted)
 	}
 }
 
@@ -671,7 +613,7 @@ func TestServiceSubmitBounds(t *testing.T) {
 // renumbered, with restore_ nodes — not the submitted one, and
 // /jobs/{id}/schedule renders it against that graph.
 func TestServiceRecoveredScheduleNamesResidualGraph(t *testing.T) {
-	srv, hs := testServer(t, 4, 1)
+	srv, hs := testServer(t, Config{CheckpointDir: t.TempDir(), QueueCap: 4}, 1)
 	for _, program := range []string{"strassen", "cmm"} {
 		sub := jobstore.Submit{ID: "probe-" + program, Program: program, Size: 32, Procs: 8, Recover: 2, FaultSeed: 1}
 		body := fmt.Sprintf(`{"program":%q,"size":32,"procs":8,"recover":2,"fault_seed":1}`, program)

@@ -258,10 +258,7 @@ func (h *modelHarness) run(ops int) {
 // library.
 func modelReferenceDigests(t *testing.T) map[modelSpec]string {
 	t.Helper()
-	cal, err := paradigm.Calibrate(paradigm.NewCM5(64))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mach := testMachine(t)
 	refs := map[modelSpec]string{}
 	for _, sp := range modelSpecs {
 		if sp.faultSeed != 0 {
@@ -271,11 +268,11 @@ func modelReferenceDigests(t *testing.T) map[modelSpec]string {
 		if sp.program == "strassen" {
 			build = paradigm.Strassen
 		}
-		p, err := build(sp.size, cal)
+		p, err := build(sp.size, mach)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := paradigm.RunContext(context.Background(), p, paradigm.NewCM5(sp.procs), cal, sp.procs)
+		res, err := paradigm.RunOnContext(context.Background(), p, mach, sp.procs)
 		if err != nil {
 			t.Fatal(err)
 		}

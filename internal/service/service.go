@@ -39,7 +39,8 @@
 //
 //	POST /jobs               {"program":"cmm","size":32,"procs":8}  -> 202 {"id":...}
 //	                         optional: "tenant", "recover", "retries", "fault_seed";
-//	                         size and procs at most 1024 (400 beyond)
+//	                         size and procs at most 1024 (400 beyond); procs 1
+//	                         with fault_seed and recover > 0 is 400 (it can only fail)
 //	GET  /jobs               job summaries, submission order (X-Tenant scopes)
 //	GET  /jobs/{id}          one job's status, result summary, digest
 //	GET  /jobs/{id}/schedule the finished schedule (text table)

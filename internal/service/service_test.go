@@ -2,7 +2,6 @@ package service
 
 import (
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +10,7 @@ import (
 // Each read endpoint answers GET only: any other method is refused with
 // 405 and an Allow header, never served as if it were a GET.
 func TestServiceReadEndpointsRefuseOtherMethods(t *testing.T) {
-	_, hs := testServer(t, 4, 1)
+	_, hs := testServer(t, Config{CheckpointDir: t.TempDir(), QueueCap: 4}, 1)
 	id := acceptJob(t, hs.URL, `{"program":"cmm","size":16,"procs":4}`)
 	if v := waitForStatus(t, hs.URL, id); v.Status != "done" {
 		t.Fatalf("job = %+v", v)
@@ -46,14 +45,8 @@ func TestServiceReadEndpointsRefuseOtherMethods(t *testing.T) {
 // reloads the job as failed with the same error.
 func TestServiceStageBudgetFailsJob(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{CheckpointDir: dir, QueueCap: 4, WALRetain: retainFailed, StageBudget: time.Nanosecond}
-	srv, err := New(testMachine(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start(1)
-	hs := httptest.NewServer(srv.Handler())
-	t.Cleanup(hs.Close)
+	cfg := Config{CheckpointDir: dir, QueueCap: 4, StageBudget: time.Nanosecond}
+	srv, hs := testServer(t, cfg, 1)
 	id := acceptJob(t, hs.URL, `{"program":"cmm","size":16,"procs":4}`)
 	const want = "allocate stage exceeded its 1ns budget"
 	if v := waitForStatus(t, hs.URL, id); v.Status != "failed" || !strings.Contains(v.Error, want) {
@@ -61,12 +54,7 @@ func TestServiceStageBudgetFailsJob(t *testing.T) {
 	}
 	srv.Drain()
 
-	srv2, err := New(testMachine(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs2 := httptest.NewServer(srv2.Handler())
-	t.Cleanup(hs2.Close)
+	srv2, hs2 := testServer(t, cfg, 0)
 	if v, code := getView(t, hs2.URL, id, ""); code != http.StatusOK || v.Status != "failed" || !strings.Contains(v.Error, want) {
 		t.Fatalf("reloaded job = %d %+v, want failed with %q", code, v, want)
 	}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,46 +26,19 @@ var updateTenantGolden = flag.Bool("update", false, "rewrite the golden tenant-m
 
 // tenantPolicy declares a gold tenant with unlimited admission and a
 // free tenant whose bucket starves after one job.
-const tenantPolicy = `{
-  "queue_policy": "priority-fcfs",
-  "classes": {"gold": {"priority": 10}, "free": {"priority": 0}},
-  "tenants": {
-    "acme": {"class": "gold"},
-    "hobby": {"class": "free", "rate": 0.0001, "burst": 1}
-  }
-}`
-
-// testServerPolicy builds a server under an admission policy.
-func testServerPolicy(t *testing.T, dir string, queue, workers int, policyJSON string) (*Server, *httptest.Server) {
-	t.Helper()
-	policy, err := admission.Decode([]byte(policyJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(testMachine(t), Config{
-		CheckpointDir: dir, QueueCap: queue, WALRetain: retainFailed, Policy: policy,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start(workers)
-	hs := httptest.NewServer(srv.Handler())
-	t.Cleanup(hs.Close)
-	return srv, hs
+var tenantPolicy = admission.Config{
+	QueuePolicy: "priority-fcfs",
+	Classes:     map[string]admission.Class{"gold": {Priority: 10}, "free": {Priority: 0}},
+	Tenants: map[string]admission.Tenant{
+		"acme":  {Class: "gold"},
+		"hobby": {Class: "free", Rate: 0.0001, Burst: 1},
+	},
 }
 
-func acceptJob(t *testing.T, base, body string) string {
-	t.Helper()
-	resp := submitJob(t, base, body)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit %s = %s", body, resp.Status)
-	}
-	var acc struct{ ID string }
-	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
-		t.Fatal(err)
-	}
-	return acc.ID
+// twoTenants admits tenants a and b, unlimited, in one class.
+var twoTenants = admission.Config{
+	Classes: map[string]admission.Class{"std": {Priority: 1}},
+	Tenants: map[string]admission.Tenant{"a": {Class: "std"}, "b": {Class: "std"}},
 }
 
 func getView(t *testing.T, base, id, tenant string) (JobView, int) {
@@ -97,7 +69,7 @@ func getView(t *testing.T, base, id, tenant string) (JobView, int) {
 // other tenant proceeds, one schedule-cache hit, equal digests
 // everywhere, and the fairness/admission series on /metrics.
 func TestServiceTenantAdmission(t *testing.T) {
-	srv, hs := testServerPolicy(t, t.TempDir(), 8, 0, tenantPolicy)
+	srv, hs := testServer(t, Config{CheckpointDir: t.TempDir(), QueueCap: 8, Policy: tenantPolicy}, 0)
 	const spec = `{"program":"cmm","size":16,"procs":4,"tenant":%q}`
 
 	// Two identical acme submits: the second joins the first in flight.
@@ -194,23 +166,16 @@ func TestServiceTenantAdmission(t *testing.T) {
 // crash-free reference digest, on the tenant that submitted it, and a
 // restart over the same journal must reload every one of them intact.
 func TestServiceCoalesceStress(t *testing.T) {
-	const stressPolicy = `{
-  "classes": {"std": {"priority": 1}},
-  "tenants": {"a": {"class": "std"}, "b": {"class": "std"}}
-}`
 	dir := t.TempDir()
-	srv, hs := testServerPolicy(t, dir, 256, 0, stressPolicy)
+	srv, hs := testServer(t, Config{CheckpointDir: dir, QueueCap: 256, Policy: twoTenants}, 0)
 
 	// Crash-free reference digest for the one spec everybody submits.
-	cal, err := paradigm.Calibrate(paradigm.NewCM5(64))
+	mach := testMachine(t)
+	p, err := paradigm.ComplexMatMul(16, mach)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := paradigm.ComplexMatMul(16, cal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refRes, err := paradigm.RunContext(context.Background(), p, paradigm.NewCM5(4), cal, 4)
+	refRes, err := paradigm.RunOnContext(context.Background(), p, mach, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,12 +256,7 @@ func TestServiceCoalesceStress(t *testing.T) {
 
 	// Restart over the same sharded journal: every acknowledged job
 	// reloads terminal with its digest.
-	srv2, err := New(testMachine(t), Config{
-		CheckpointDir: dir, QueueCap: 4, WALRetain: retainFailed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv2, _ := testServer(t, Config{CheckpointDir: dir, QueueCap: 4}, 0)
 	srv2.mu.Lock()
 	defer srv2.mu.Unlock()
 	if len(srv2.jobs) != len(accepted) {
@@ -325,7 +285,7 @@ func TestMetricsTenantGolden(t *testing.T) {
 	// A checkpoint directory, so that the WAL counters are live: acme's
 	// solve materializes a WAL and has it collected, hobby's job replays
 	// acme's plan and touches none, and both share one built program.
-	srv, hs := testServerPolicy(t, t.TempDir(), 8, 0, tenantPolicy)
+	srv, hs := testServer(t, Config{CheckpointDir: t.TempDir(), QueueCap: 8, Policy: tenantPolicy}, 0)
 	const spec = `{"program":"cmm","size":16,"procs":4,"tenant":%q}`
 	acceptJob(t, hs.URL, fmt.Sprintf(spec, "acme"))
 	acceptJob(t, hs.URL, fmt.Sprintf(spec, "acme")) // coalesces

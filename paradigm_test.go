@@ -14,7 +14,7 @@ import (
 
 func testCal(t testing.TB) *Calibration {
 	t.Helper()
-	cal, err := Calibrate(NewCM5(64))
+	cal, err := CalibrateContext(context.Background(), NewCM5(64))
 	if err != nil {
 		t.Fatal(err)
 	}
