@@ -145,7 +145,10 @@ smoke-examples:
 # both trained machines and on an analytical one: a non-zero exit, a
 # -metrics dump without its machine_info gauge, or a faulted run that
 # does not print its recovery and a zero deviation from the sequential
-# reference fails the gate.
+# reference fails the gate. A checkpointed run on cm5 and on
+# cm5-hetero8 is then resumed from its log, which must print the
+# resuming line; and a run on an unknown machine must exit non-zero
+# without leaving a checkpoint file.
 smoke-cli:
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/" ./cmd/paradigm ./cmd/machinespec || exit 1; \
@@ -162,4 +165,13 @@ smoke-cli:
 		"$$dir/paradigm" -program strassen -size 32 -procs 8 -faults rand:42 -recover 2 -machine "$$m" > "$$dir/out" 2>&1 || { cat "$$dir/out"; exit 1; }; \
 		grep -q '^recovery: survived' "$$dir/out" || { cat "$$dir/out"; echo "no recovery: survived line"; exit 1; }; \
 		grep -q 'max |deviation| from sequential reference = 0$$' "$$dir/out" || { cat "$$dir/out"; echo "recovered run deviates from the sequential reference"; exit 1; }; \
-	done
+	done; \
+	for m in cm5 cm5-hetero8; do \
+		echo "paradigm -checkpoint, then -resume, -machine $$m"; \
+		"$$dir/paradigm" -program cmm -size 32 -procs 8 -machine "$$m" -checkpoint "$$dir/$$m.wal" > "$$dir/out" 2>&1 || { cat "$$dir/out"; exit 1; }; \
+		"$$dir/paradigm" -program cmm -size 32 -procs 8 -machine "$$m" -checkpoint "$$dir/$$m.wal" -resume > "$$dir/out" 2>&1 || { cat "$$dir/out"; exit 1; }; \
+		grep -q '^checkpoint: resuming .* from committed stages' "$$dir/out" || { cat "$$dir/out"; echo "resumed run restored no committed stages"; exit 1; }; \
+	done; \
+	echo "paradigm -machine bogus -checkpoint"; \
+	if "$$dir/paradigm" -program cmm -machine bogus -checkpoint "$$dir/bogus.wal" > "$$dir/out" 2>&1; then cat "$$dir/out"; echo "unknown machine accepted"; exit 1; fi; \
+	[ ! -e "$$dir/bogus.wal" ] || { echo "failed run left a checkpoint file"; exit 1; }

@@ -1,15 +1,14 @@
 // Command experiments runs every paper experiment (tables, figures,
-// ablations, extensions) on the simulated CM-5.
+// ablations, extensions) on the simulated CM-5 and prints them in paper
+// format, every artifact in order:
 //
-// Output modes:
+//	experiments
 //
-//	experiments              # paper-format text, every artifact in order
-//	experiments -json        # machine-readable full report
-//	experiments -markdown    # live paper-vs-measured markdown report
+// PARADIGM_DETERMINISTIC=1 blanks the wall-clock columns, so the output
+// can be compared byte for byte (internal/experiments/testdata/report.golden).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -18,8 +17,6 @@ import (
 )
 
 func main() {
-	asJSON := flag.Bool("json", false, "emit the machine-readable report as JSON")
-	asMarkdown := flag.Bool("markdown", false, "emit the live paper-vs-measured markdown report")
 	flag.Parse()
 
 	env, err := experiments.NewEnv()
@@ -27,29 +24,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "calibration failed:", err)
 		os.Exit(1)
 	}
-	switch {
-	case *asJSON, *asMarkdown:
-		rep, err := experiments.FullReport(env)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiment failed:", err)
-			os.Exit(1)
-		}
-		if *asJSON {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rep); err != nil {
-				fmt.Fprintln(os.Stderr, "encode failed:", err)
-				os.Exit(1)
-			}
-			return
-		}
-		fmt.Print(rep.Markdown())
-	default:
-		out, err := experiments.All(env)
-		fmt.Print(out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiment failed:", err)
-			os.Exit(1)
-		}
+	out, err := experiments.All(env)
+	fmt.Print(out)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiment failed:", err)
+		os.Exit(1)
 	}
 }

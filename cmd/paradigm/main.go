@@ -109,7 +109,9 @@ func run(progName, mdgPath, srcPath, traceOut, pprofOut, machName, policy, fault
 	ob := paradigm.MultiObserver(observers...)
 
 	// Crash safety: an existing WAL resumes the killed run (committed
-	// stages — calibration included — are restored, not recomputed).
+	// stages — calibration included — are restored, not recomputed). A
+	// fresh log is created only when a stage worth logging commits, so a
+	// run that fails before one leaves no file behind.
 	if resume && ckptPath == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
@@ -122,7 +124,7 @@ func run(progName, mdgPath, srcPath, traceOut, pprofOut, machName, policy, fault
 		if resume {
 			cp, cerr = paradigm.LoadCheckpoint(ckptPath)
 		} else {
-			cp, cerr = paradigm.OpenCheckpoint(ckptPath)
+			cp, cerr = paradigm.OpenDeferredCheckpoint(ckptPath)
 		}
 		if cerr != nil {
 			return cerr

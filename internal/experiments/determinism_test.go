@@ -20,27 +20,31 @@ var reportGolden = filepath.Join("testdata", "report.golden")
 
 // TestAllMatchesReportGolden pins the report: All rendered with
 // PARADIGM_WORKERS=1 and again at a wide pool width must both equal the
-// committed golden. Wall-clock timing columns (the only legitimately
-// nondeterministic bytes) are normalized via PARADIGM_DETERMINISTIC. A
-// mismatch is a moved paper number; an intended one is re-recorded with
+// committed golden. Under the race detector it renders once, at the wide
+// width only: that pass is the package's exercise of the concurrent
+// experiment drivers under -race. Wall-clock timing columns (the only
+// legitimately nondeterministic bytes) are normalized via
+// PARADIGM_DETERMINISTIC. A mismatch is a moved paper number; an intended
+// one is re-recorded with
 // `go test ./internal/experiments -run TestAllMatchesReportGolden -update`
 // and named, row by row, in CHANGES.md.
 func TestAllMatchesReportGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("double full-suite run; skipped in -short mode")
+		t.Skip("full-suite run; skipped in -short mode")
 	}
+	widths := []string{"1", "8"}
 	if raceEnabled {
-		t.Skip("double full-suite run; too slow under the race detector")
+		widths = widths[1:]
 	}
 	env := testEnv(t)
 	t.Setenv(EnvDeterministic, "1")
-	for _, workers := range []string{"1", "8"} {
+	for _, workers := range widths {
 		t.Setenv(par.EnvWorkers, workers)
 		got, err := All(env)
 		if err != nil {
 			t.Fatalf("PARADIGM_WORKERS=%s: %v", workers, err)
 		}
-		if *updateGolden && workers == "1" {
+		if *updateGolden && workers == widths[0] {
 			if err := os.WriteFile(reportGolden, []byte(got), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -53,32 +57,6 @@ func TestAllMatchesReportGolden(t *testing.T) {
 			t.Fatalf("PARADIGM_WORKERS=%s: report differs from %s:\n%s",
 				workers, reportGolden, firstDiff(string(want), got))
 		}
-	}
-}
-
-// TestFullReportDeterministicAcrossWorkerWidths checks the JSON-facing
-// report path across pool widths on its markdown rendering (cheaper than
-// All; runs even under the race detector to exercise the concurrent
-// drivers).
-func TestFullReportDeterministicAcrossWorkerWidths(t *testing.T) {
-	if testing.Short() {
-		t.Skip("double report run; skipped in -short mode")
-	}
-	env := testEnv(t)
-	t.Setenv(EnvDeterministic, "1")
-
-	t.Setenv(par.EnvWorkers, "1")
-	r1, err := FullReport(env)
-	if err != nil {
-		t.Fatalf("serial run: %v", err)
-	}
-	t.Setenv(par.EnvWorkers, "8")
-	r2, err := FullReport(env)
-	if err != nil {
-		t.Fatalf("parallel run: %v", err)
-	}
-	if a, b := r1.Markdown(), r2.Markdown(); a != b {
-		t.Fatalf("serial and parallel reports differ:\n%s", firstDiff(a, b))
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // The experiment drivers fan their independent units — whole artifacts in
-// All/FullReport, (program, procs) cells inside each table or figure —
-// across the shared worker pool (internal/par). Results are always
+// All, (program, procs) cells inside each table or figure — across the
+// shared worker pool (internal/par). Results are always
 // assembled by task index, so the rendered tables are byte-identical at
 // any PARADIGM_WORKERS width; the determinism test in
 // determinism_test.go holds the suite to that.

@@ -3,6 +3,6 @@
 package experiments
 
 // raceEnabled reports whether the race detector is compiled in; the
-// determinism test uses it to skip its double full-suite run, which is
-// an order of magnitude slower under instrumentation.
+// golden test then renders the report once instead of twice, since a
+// pass is an order of magnitude slower under instrumentation.
 const raceEnabled = false

@@ -78,37 +78,3 @@ func TestRenderersOnSyntheticResults(t *testing.T) {
 		})
 	}
 }
-
-// TestReportMarkdownOnSynthetic builds a Report by hand and checks the
-// markdown renderer.
-func TestReportMarkdownOnSynthetic(t *testing.T) {
-	rep := &Report{
-		Example3: &Example3Result{NaiveTime: 15.6, MixedTime: 14.3},
-		Table1: &Table1Result{Fits: []trainsets.LoopFit{
-			{Name: "Matrix Addition (64x64)"},
-		}},
-		Table2:      &Table2Result{},
-		Fig6:        &Fig6Result{},
-		Fig8:        &Fig8Result{Rows: []Fig8Row{{Program: "P", Procs: 64, SPMDSpeedup: 7.7, MPMDSpeedup: 23.5}}},
-		Fig9:        &Fig9Result{Rows: []Fig9Row{{Program: "P", Procs: 16, Normalized: 1.06}}},
-		Table3:      &Table3Result{Rows: []Table3Row{{Program: "Complex Matrix Multiply (64x64)", Procs: 16, PercentChange: 2.2}}},
-		Rounding:    &AblationRoundingResult{},
-		Transfer:    &AblationTransferResult{},
-		Heuristic:   &AblationHeuristicResult{Rows: []AblationHeuristicRow{{GapPct: 36.3}}},
-		Jitter:      &JitterResult{},
-		Portability: &PortabilityResult{FittedTnNs: 6, TruthTnNs: 6},
-		GridDist:    &GridDistResult{Alpha1DPct: 4.1, AlphaGridPct: 1.1},
-	}
-	md := rep.Markdown()
-	for _, want := range []string{
-		"# Live paper-vs-measured report",
-		"| naive all-processors | 15.6 s | 15.60 s |",
-		"23.50",
-		"-2.6",   // paper Table 3 reference value
-		"36.3 %", // heuristic gap
-	} {
-		if !strings.Contains(md, want) {
-			t.Fatalf("markdown missing %q:\n%s", want, md)
-		}
-	}
-}

@@ -12,15 +12,14 @@ import (
 
 // ScalabilityRow is one synthetic-MDG size point.
 type ScalabilityRow struct {
-	Nodes, Edges  int
-	Depth, Width  int
-	AllocTime     time.Duration
-	SchedTime     time.Duration
-	HeuristicTime time.Duration
-	PhiConvex     float64
-	PhiHeuristic  float64
-	Tpsa          float64
-	SolverIters   int
+	Nodes, Edges int
+	Depth, Width int
+	AllocTime    time.Duration
+	SchedTime    time.Duration
+	PhiConvex    float64
+	PhiHeuristic float64
+	Tpsa         float64
+	SolverIters  int
 }
 
 // ScalabilityResult carries experiment E13: how the compiler-side
@@ -64,17 +63,15 @@ func Scalability(env *Env) (*ScalabilityResult, error) {
 		}
 		schedTime := time.Since(t0)
 
-		t0 = time.Now()
 		heur, err := alloc.SolveHeuristic(g, model, procs)
 		if err != nil {
 			return nil, err
 		}
-		heurTime := time.Since(t0)
 
 		out.Rows = append(out.Rows, ScalabilityRow{
 			Nodes: metrics.Nodes, Edges: metrics.Edges,
 			Depth: metrics.Depth, Width: metrics.Width,
-			AllocTime: allocTime, SchedTime: schedTime, HeuristicTime: heurTime,
+			AllocTime: allocTime, SchedTime: schedTime,
 			PhiConvex: conv.Phi, PhiHeuristic: heur.Phi, Tpsa: s.Makespan,
 			SolverIters: conv.Solver.Iters,
 		})

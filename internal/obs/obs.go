@@ -34,51 +34,10 @@ type Observer interface {
 	Observe(Event)
 }
 
-// Kind discriminates event types without reflection.
-type Kind uint8
-
-const (
-	// KindSolverStage: one interior-point iteration of a convex solve.
-	KindSolverStage Kind = iota
-	// KindPSARound: the rounding/bounding decision for one node.
-	KindPSARound
-	// KindPSAPick: one list-scheduling pick.
-	KindPSAPick
-	// KindComm: one simulated point-to-point message.
-	KindComm
-	// KindNodeRun: one simulated node execution window.
-	KindNodeRun
-	// KindProcStat: one processor's busy/idle account for a run.
-	KindProcStat
-	// KindCalibFit: one training-sets fit summary.
-	KindCalibFit
-	// KindFault: one injected fault taking effect in the simulator.
-	KindFault
-	// KindRecovery: one recovery attempt after a halted simulation.
-	KindRecovery
-	// KindReplan: one replanning (or allocator degradation) decision.
-	KindReplan
-	// KindCheckpoint: one stage snapshot committed to the WAL.
-	KindCheckpoint
-	// KindResume: one stage restored from a committed WAL record.
-	KindResume
-	// KindRetry: one budget-governed stage retry about to back off.
-	KindRetry
-	// KindBreaker: one circuit-breaker decision at a stage boundary.
-	KindBreaker
-	// KindAllocCache: one allocation-cache lookup by the allocator.
-	KindAllocCache
-	// KindAllocDone: one completed allocation solve, any backend.
-	KindAllocDone
-	// KindJournal: one record made durable in the service job journal.
-	KindJournal
-	// KindSchedCache: one pipeline-level schedule-cache lookup.
-	KindSchedCache
-)
-
-// Event is one structured pipeline event.
+// Event is one structured pipeline event: one of this package's event
+// types, which consumers tell apart with a type switch.
 type Event interface {
-	Kind() Kind
+	event()
 }
 
 // SolverStage reports one interior-point iteration of the convex
@@ -106,9 +65,6 @@ type SolverStage struct {
 	Status string
 }
 
-// Kind implements Event.
-func (SolverStage) Kind() Kind { return KindSolverStage }
-
 // PSARound reports the rounding-off + bounding decision for one node:
 // the continuous allocation, the arithmetic-nearest power of two, and
 // the value after the Corollary-1 PB clip.
@@ -121,9 +77,6 @@ type PSARound struct {
 	Rounded, Final int
 	Clipped        bool
 }
-
-// Kind implements Event.
-func (PSARound) Kind() Kind { return KindPSARound }
 
 // PSAPick reports one list-scheduling decision: the ready node picked
 // (lowest EST under the paper's policy), its earliest start time, the
@@ -138,9 +91,6 @@ type PSAPick struct {
 	Procs int
 }
 
-// Kind implements Event.
-func (PSAPick) Kind() Kind { return KindPSAPick }
-
 // Comm reports one simulated point-to-point message, recorded when the
 // receive completes (the only moment the full timeline is known).
 type Comm struct {
@@ -154,18 +104,12 @@ type Comm struct {
 	SendStart, SendEnd, NetReady, RecvStart, RecvEnd float64
 }
 
-// Kind implements Event.
-func (Comm) Kind() Kind { return KindComm }
-
 // NodeRun reports one node's actual (simulated) execution window.
 type NodeRun struct {
 	Node          int
 	Start, Finish float64
 	Procs         int
 }
-
-// Kind implements Event.
-func (NodeRun) Kind() Kind { return KindNodeRun }
 
 // ProcStat reports one processor's final accounting for a simulated run:
 // Busy is time spent advancing the clock (sends, receives, copies,
@@ -175,9 +119,6 @@ type ProcStat struct {
 	Proc       int
 	Busy, Idle float64
 }
-
-// Kind implements Event.
-func (ProcStat) Kind() Kind { return KindProcStat }
 
 // CalibFit reports one training-sets regression: the fit name (a Table 1
 // loop row or the Table 2 send/recv fit), its R², the worst absolute
@@ -192,9 +133,6 @@ type CalibFit struct {
 	Warning        bool
 }
 
-// Kind implements Event.
-func (CalibFit) Kind() Kind { return KindCalibFit }
-
 // Fault reports one injected fault taking effect in the simulator:
 // Kind is "proc-fail", "msg-drop", "msg-duplicate", "msg-delay" or
 // "straggler"; the coordinate fields that do not apply are -1/"".
@@ -206,9 +144,6 @@ type Fault struct {
 	Tag       string
 	Time      float64
 }
-
-// Kind implements Event.
-func (Fault) Kind() Kind { return KindFault }
 
 // Recovery reports one recovery attempt after a halted simulation:
 // Cause names the halt sentinel, Failed/Survivors count processors,
@@ -223,9 +158,6 @@ type Recovery struct {
 	Residual  int
 }
 
-// Kind implements Event.
-func (Recovery) Kind() Kind { return KindRecovery }
-
 // Replan reports one replanning decision: a recovery-driven reschedule
 // (Stage "recovery") or the allocator's degradation to its heuristic
 // (Stage "heuristic-fallback"). Phi is the objective of
@@ -237,9 +169,6 @@ type Replan struct {
 	Phi     float64
 }
 
-// Kind implements Event.
-func (Replan) Kind() Kind { return KindReplan }
-
 // Checkpoint reports one stage snapshot made durable in the write-ahead
 // checkpoint log: the stage name, its sequence number in commit order,
 // and the payload size.
@@ -249,18 +178,12 @@ type Checkpoint struct {
 	Bytes int
 }
 
-// Kind implements Event.
-func (Checkpoint) Kind() Kind { return KindCheckpoint }
-
 // Resume reports one stage restored from a committed checkpoint record
 // instead of recomputed — the signature of a resumed run.
 type Resume struct {
 	Stage string
 	Seq   int
 }
-
-// Kind implements Event.
-func (Resume) Kind() Kind { return KindResume }
 
 // Retry reports one budget-governed retry: attempt numbers the failure
 // (1-based), DelaySeconds is the decorrelated-jitter backoff about to be
@@ -272,9 +195,6 @@ type Retry struct {
 	Err          string
 }
 
-// Kind implements Event.
-func (Retry) Kind() Kind { return KindRetry }
-
 // Breaker reports one circuit-breaker decision: State is the breaker
 // state observed at the decision ("open" means the call was shed to the
 // heuristic fallback without touching the solver).
@@ -283,9 +203,6 @@ type Breaker struct {
 	State string
 }
 
-// Kind implements Event.
-func (Breaker) Kind() Kind { return KindBreaker }
-
 // AllocCache reports one allocation-cache lookup: Outcome is "hit" (an
 // exact entry replayed without solving) or "miss" (a cold solve follows).
 // The outcome sequence is deterministic for a given request sequence, so
@@ -293,9 +210,6 @@ func (Breaker) Kind() Kind { return KindBreaker }
 type AllocCache struct {
 	Outcome string
 }
-
-// Kind implements Event.
-func (AllocCache) Kind() Kind { return KindAllocCache }
 
 // AllocDone reports one completed allocation solve. Backend names the
 // path that produced the allocation ("anneal" for the exact solve,
@@ -309,9 +223,6 @@ type AllocDone struct {
 	Seconds float64
 }
 
-// Kind implements Event.
-func (AllocDone) Kind() Kind { return KindAllocDone }
-
 // JournalAppend reports one record committed durably to the service job
 // journal: Record is "submit" for an accepted job or the status the
 // transition landed on ("queued", "running", "done", "failed"); Bytes is
@@ -321,9 +232,6 @@ type JournalAppend struct {
 	Record string
 	Bytes  int
 }
-
-// Kind implements Event.
-func (JournalAppend) Kind() Kind { return KindJournal }
 
 // SchedCache reports one pipeline-level schedule-cache lookup: Outcome
 // is "hit" (a memoized allocate→schedule pair replayed without touching
@@ -335,8 +243,25 @@ type SchedCache struct {
 	Outcome string
 }
 
-// Kind implements Event.
-func (SchedCache) Kind() Kind { return KindSchedCache }
+// The marker method closes Event to the event types above.
+func (SolverStage) event()   {}
+func (PSARound) event()      {}
+func (PSAPick) event()       {}
+func (Comm) event()          {}
+func (NodeRun) event()       {}
+func (ProcStat) event()      {}
+func (CalibFit) event()      {}
+func (Fault) event()         {}
+func (Recovery) event()      {}
+func (Replan) event()        {}
+func (Checkpoint) event()    {}
+func (Resume) event()        {}
+func (Retry) event()         {}
+func (Breaker) event()       {}
+func (AllocCache) event()    {}
+func (AllocDone) event()     {}
+func (JournalAppend) event() {}
+func (SchedCache) event()    {}
 
 // Multi fans every event out to each non-nil observer. A result of nil
 // (no observers) preserves the nil fast path at the emit sites.

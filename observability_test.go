@@ -7,6 +7,7 @@ package paradigm
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"paradigm/internal/alloc"
@@ -177,14 +178,14 @@ func TestObserverWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[obs.Kind]int{}
+	kinds := map[string]int{}
 	for _, e := range rec.Events() {
-		kinds[e.Kind()]++
+		kinds[fmt.Sprintf("%T", e)]++
 	}
-	for _, want := range []obs.Kind{obs.KindSolverStage, obs.KindPSARound, obs.KindPSAPick,
-		obs.KindComm, obs.KindNodeRun, obs.KindProcStat} {
-		if kinds[want] == 0 {
-			t.Fatalf("no %v events recorded (got %v)", want, kinds)
+	for _, want := range []obs.Event{obs.SolverStage{}, obs.PSARound{}, obs.PSAPick{},
+		obs.Comm{}, obs.NodeRun{}, obs.ProcStat{}} {
+		if name := fmt.Sprintf("%T", want); kinds[name] == 0 {
+			t.Fatalf("no %s events recorded (got %v)", name, kinds)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"strconv"
@@ -316,13 +317,13 @@ func TestRecoveryEventsEmitted(t *testing.T) {
 	if !res.Recovered {
 		t.Skip("processor 1 finished before the fail time on this schedule")
 	}
-	kinds := map[obs.Kind]int{}
+	kinds := map[string]int{}
 	for _, e := range rec.Events() {
-		kinds[e.Kind()]++
+		kinds[fmt.Sprintf("%T", e)]++
 	}
-	for _, want := range []obs.Kind{obs.KindFault, obs.KindRecovery, obs.KindReplan} {
-		if kinds[want] == 0 {
-			t.Fatalf("no %v events recorded (got %v)", want, kinds)
+	for _, want := range []obs.Event{obs.Fault{}, obs.Recovery{}, obs.Replan{}} {
+		if name := fmt.Sprintf("%T", want); kinds[name] == 0 {
+			t.Fatalf("no %s events recorded (got %v)", name, kinds)
 		}
 	}
 	text := reg.Snapshot().Text()
