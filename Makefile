@@ -147,8 +147,9 @@ smoke-examples:
 # does not print its recovery and a zero deviation from the sequential
 # reference fails the gate. A checkpointed run on cm5 and on
 # cm5-hetero8 is then resumed from its log, which must print the
-# resuming line; and a run on an unknown machine must exit non-zero
-# without leaving a checkpoint file.
+# resuming line; and a run on an unknown machine, one with no program
+# and one naming an unknown program must each exit non-zero without
+# leaving a checkpoint file.
 smoke-cli:
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/" ./cmd/paradigm ./cmd/machinespec || exit 1; \
@@ -174,4 +175,10 @@ smoke-cli:
 	done; \
 	echo "paradigm -machine bogus -checkpoint"; \
 	if "$$dir/paradigm" -program cmm -machine bogus -checkpoint "$$dir/bogus.wal" > "$$dir/out" 2>&1; then cat "$$dir/out"; echo "unknown machine accepted"; exit 1; fi; \
-	[ ! -e "$$dir/bogus.wal" ] || { echo "failed run left a checkpoint file"; exit 1; }
+	[ ! -e "$$dir/bogus.wal" ] || { echo "failed run left a checkpoint file"; exit 1; }; \
+	echo "paradigm -checkpoint with no program"; \
+	if "$$dir/paradigm" -machine cm5 -checkpoint "$$dir/noprog.wal" > "$$dir/out" 2>&1; then cat "$$dir/out"; echo "run with no program accepted"; exit 1; fi; \
+	[ ! -e "$$dir/noprog.wal" ] || { echo "failed run left a checkpoint file"; exit 1; }; \
+	echo "paradigm -program bogus -checkpoint"; \
+	if "$$dir/paradigm" -program bogus -machine cm5 -checkpoint "$$dir/bogusprog.wal" > "$$dir/out" 2>&1; then cat "$$dir/out"; echo "unknown program accepted"; exit 1; fi; \
+	[ ! -e "$$dir/bogusprog.wal" ] || { echo "failed run left a checkpoint file"; exit 1; }

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	paradigm -program cmm      -procs 16            # full pipeline + simulation
-//	paradigm -program strassen -procs 64 -spmd      # pure data-parallel baseline
+//	paradigm -program strassen -size 128 -procs 64 -spmd  # the paper's Strassen, pure data-parallel baseline
 //	paradigm -program example  -procs 4             # the Figure 1-2 example
 //	paradigm -mdg graph.json   -procs 32 -dot       # allocate/schedule a raw MDG
 //	paradigm -program cmm -procs 8 -faults 'kill:1@0.01' -recover 2   # chaos run
@@ -31,6 +31,7 @@ import (
 	"runtime/pprof"
 
 	"paradigm"
+	"paradigm/internal/machine"
 	"paradigm/internal/mdg"
 	"paradigm/internal/obs"
 	"paradigm/internal/sched"
@@ -43,7 +44,7 @@ func main() {
 		mdgPath  = flag.String("mdg", "", "path to an MDG JSON file (alternative to -program)")
 		srcPath  = flag.String("src", "", "path to a matrix-program source file (alternative to -program)")
 		procs    = flag.Int("procs", 16, "system size p")
-		size     = flag.Int("size", 64, "matrix size for built-in programs (Strassen doubles it)")
+		size     = flag.Int("size", 64, "matrix size n of the built-in program's n×n matrices")
 		spmd     = flag.Bool("spmd", false, "use the pure data-parallel baseline instead of the convex pipeline")
 		dot      = flag.Bool("dot", false, "print the MDG in Graphviz DOT and exit")
 		pb       = flag.Int("pb", 0, "processor bound PB override (0 = Corollary 1)")
@@ -68,6 +69,9 @@ func main() {
 
 func run(progName, mdgPath, srcPath, traceOut, pprofOut, machName, policy, faults, ckptPath string,
 	procs, size, depth, recov int, spmd, dot, metrics bool, pb int, resume bool) error {
+	// Every flag is checked, and the program resolved, before the run
+	// acts: no profile is written, no machine calibrated and no log
+	// opened for a run that cannot start.
 	var pol sched.Policy
 	switch policy {
 	case "est":
@@ -79,6 +83,75 @@ func run(progName, mdgPath, srcPath, traceOut, pprofOut, machName, policy, fault
 	default:
 		return fmt.Errorf("unknown policy %q (want est, fifo or hlf)", policy)
 	}
+	if procs < 1 {
+		return fmt.Errorf("-procs %d: want at least 1", procs)
+	}
+	if resume && ckptPath == "" {
+		return fmt.Errorf("-resume requires -checkpoint")
+	}
+	if spmd && ckptPath != "" {
+		return fmt.Errorf("-checkpoint applies to the MPMD pipeline, not -spmd")
+	}
+	if spmd && faults != "" {
+		return fmt.Errorf("-faults applies to the MPMD pipeline, not -spmd")
+	}
+	var fs faultSpec
+	if faults != "" {
+		var err error
+		if fs, err = parseFaultSpec(faults); err != nil {
+			return err
+		}
+	}
+	inputs := 0
+	for _, in := range []string{progName, mdgPath, srcPath} {
+		if in != "" {
+			inputs++
+		}
+	}
+	if inputs != 1 {
+		return fmt.Errorf("exactly one of -program, -src or -mdg is required (see -h)")
+	}
+	// The input is a bare graph (-mdg, -program example), which is only
+	// allocated and scheduled, or a program built on the machine; a
+	// build against loops priced at zero runs the builder's own checks.
+	var (
+		g     *mdg.Graph
+		build func(paradigm.LoopSource) (*paradigm.Program, error)
+	)
+	switch {
+	case mdgPath != "":
+		data, err := os.ReadFile(mdgPath)
+		if err != nil {
+			return err
+		}
+		g = new(mdg.Graph)
+		if err := json.Unmarshal(data, g); err != nil {
+			return err
+		}
+		if _, _, err := g.EnsureStartStop(); err != nil {
+			return err
+		}
+	case srcPath != "":
+		text, err := os.ReadFile(srcPath)
+		if err != nil {
+			return err
+		}
+		build = func(src paradigm.LoopSource) (*paradigm.Program, error) {
+			return paradigm.CompileSource(srcPath, string(text), src)
+		}
+	case progName == "example":
+		g = paradigm.FigureOneMDG()
+	default:
+		build = func(src paradigm.LoopSource) (*paradigm.Program, error) {
+			return paradigm.BuildProgram(progName, size, depth, src)
+		}
+	}
+	if build != nil {
+		if _, err := build(zeroLoops{}); err != nil {
+			return err
+		}
+	}
+
 	if pprofOut != "" {
 		pf, err := os.Create(pprofOut)
 		if err != nil {
@@ -112,12 +185,6 @@ func run(progName, mdgPath, srcPath, traceOut, pprofOut, machName, policy, fault
 	// stages — calibration included — are restored, not recomputed). A
 	// fresh log is created only when a stage worth logging commits, so a
 	// run that fails before one leaves no file behind.
-	if resume && ckptPath == "" {
-		return fmt.Errorf("-resume requires -checkpoint")
-	}
-	if ckptPath != "" && spmd {
-		return fmt.Errorf("-checkpoint applies to the MPMD pipeline, not -spmd")
-	}
 	var cp *paradigm.Checkpoint
 	if ckptPath != "" {
 		var cerr error
@@ -148,59 +215,22 @@ func run(progName, mdgPath, srcPath, traceOut, pprofOut, machName, policy, fault
 		reg.Gauge(fmt.Sprintf("machine_info{name=%q,kind=%q}", b.Name(), b.Kind())).Set(1)
 	}
 
-	// Raw-MDG mode: allocate and schedule only (no kernels to simulate).
-	if mdgPath != "" {
-		data, err := os.ReadFile(mdgPath)
-		if err != nil {
-			return err
-		}
-		var g mdg.Graph
-		if err := json.Unmarshal(data, &g); err != nil {
-			return err
-		}
-		if _, _, err := g.EnsureStartStop(); err != nil {
-			return err
+	// Graph-only mode: allocate and schedule (no kernels to simulate).
+	// The Figure 1 example carries its own processing costs and no
+	// transfers.
+	if g != nil {
+		name := mdgPath
+		if mdgPath == "" {
+			name, model = "figure-1", paradigm.Model{}
 		}
 		if dot {
-			fmt.Print(g.DOT(mdgPath))
+			fmt.Print(g.DOT(name))
 			return nil
 		}
-		return allocateAndSchedule(ctx, &g, model, procs, pb, ob)
+		return allocateAndSchedule(ctx, g, model, procs, pb, ob)
 	}
 
-	var p *paradigm.Program
-	if srcPath != "" {
-		text, err := os.ReadFile(srcPath)
-		if err != nil {
-			return err
-		}
-		p, err = paradigm.CompileSource(srcPath, string(text), b)
-		if err != nil {
-			return err
-		}
-	}
-	switch progName {
-	case "":
-		if p != nil {
-			break // compiled from -src above
-		}
-		return fmt.Errorf("one of -program, -src or -mdg is required (see -h)")
-	case "cmm":
-		p, err = paradigm.ComplexMatMul(size, b)
-	case "strassen":
-		p, err = paradigm.StrassenRecursive(2*size, depth, b)
-	case "pipeline":
-		p, err = paradigm.SyntheticPipeline(size, 4, 3, b)
-	case "example":
-		g := paradigm.FigureOneMDG()
-		if dot {
-			fmt.Print(g.DOT("figure-1"))
-			return nil
-		}
-		return allocateAndSchedule(ctx, g, paradigm.Model{}, procs, pb, ob)
-	default:
-		return fmt.Errorf("unknown program %q", progName)
-	}
+	p, err := build(b)
 	if err != nil {
 		return err
 	}
@@ -218,13 +248,6 @@ func run(progName, mdgPath, srcPath, traceOut, pprofOut, machName, policy, fault
 	}
 	var plan *paradigm.FaultPlan
 	if faults != "" {
-		if spmd {
-			return fmt.Errorf("-faults applies to the MPMD pipeline, not -spmd")
-		}
-		fs, err := parseFaultSpec(faults)
-		if err != nil {
-			return err
-		}
 		hint := 0.0
 		if fs.random {
 			// The random schedule scales fail times by a fault-free
@@ -324,6 +347,14 @@ func machineBackend(ctx context.Context, name string, ob paradigm.Observer, cp *
 		return nil, err
 	}
 	return paradigm.NewTrainedMachine(cal), nil
+}
+
+// zeroLoops prices every loop at zero: a program built on it has passed
+// its builder's checks without a machine.
+type zeroLoops struct{}
+
+func (zeroLoops) Loop(string, machine.LoopSpec) (paradigm.LoopParams, error) {
+	return paradigm.LoopParams{}, nil
 }
 
 func mode(spmd bool) string {

@@ -123,13 +123,7 @@ func chaosReferenceDigests(t *testing.T, jobs []chaosJob) map[chaosJob]string {
 		if _, ok := refs[cj]; ok {
 			continue
 		}
-		var p *paradigm.Program
-		switch cj.Program {
-		case "cmm":
-			p, err = paradigm.ComplexMatMul(cj.Size, cal)
-		case "strassen":
-			p, err = paradigm.Strassen(cj.Size, cal)
-		}
+		p, err := paradigm.BuildProgram(cj.Program, cj.Size, 1, cal)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,7 +63,7 @@ func goldenPrograms(cal *Calibration) []goldenProgram {
 		{"cmm256", func() (*Program, error) { return ComplexMatMul(256, cal) }, 64},
 		{"strassen16", func() (*Program, error) { return Strassen(16, cal) }, 8},
 		{"strassen128", func() (*Program, error) { return Strassen(128, cal) }, 64},
-		{"strassen-rec32-d1", func() (*Program, error) { return StrassenRecursive(32, 1, cal) }, 16},
+		{"strassen-rec32-d2", func() (*Program, error) { return StrassenRecursive(32, 2, cal) }, 16},
 		{"cmm-grid48", func() (*Program, error) { return programs.ComplexMatMulLayout(48, cal, true) }, 16},
 		{"frontend-wave23", func() (*Program, error) { return CompileSource("wave", wave, cal) }, 8},
 	}
@@ -87,7 +87,7 @@ func TestProgramDataGolden(t *testing.T) {
 		"cmm256":            "86b88347a3017912048fc843fbcec2d21ec739032032320652127876e9567d72",
 		"strassen16":        "912c78de1fd7a3514b89cf5cdd3df4c17ae00a9f87ebee14c9b32d64d5dc8dbd",
 		"strassen128":       "77aff15b61d24588733f9a2c5d9f2df01710838d90b2f6a9d77fa421d98b00ea",
-		"strassen-rec32-d1": "a65528dade02269160de4b2eb544d352163823745c453b54aac1317d1d56e4ec",
+		"strassen-rec32-d2": "394faa4bd80f231f2daf8d33677af91ce598ad972db4c90cc313b6e9f0817660",
 		"cmm-grid48":        "24a94957635fddf45b97312647817e394da78be109afd31b99c8a7015afb3d2c",
 		"frontend-wave23":   "f589fcaba7fb1f09afbec8a6bbd171ec203d91d47acd300826f4bf238936f13f",
 	}

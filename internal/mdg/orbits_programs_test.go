@@ -50,6 +50,7 @@ func TestOrbitsEqualColorClassesOnCommittedPrograms(t *testing.T) {
 	wantOrbits := map[string][2]int{ // nodes, orbits
 		"cmm16": {12, 5}, "cmm256": {12, 5},
 		"strassen16": {35, 20}, "strassen128": {35, 20},
+		"strassen64-rec2": {266, 137},
 	}
 	for name, p := range committedPrograms(t) {
 		orbit, err := p.G.Orbits()

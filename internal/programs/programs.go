@@ -121,118 +121,6 @@ func ComplexMatMulLayout(n int, src machine.LoopSource, gridMuls bool) (*prog.Pr
 	return b.Finish()
 }
 
-// Strassen builds Strassen's matrix multiplication of Figure 6 (right)
-// for n×n matrices (n even): quadrant initializations, the ten pre-adds
-// S1..S5/T1..T5, the seven half-size multiplies M1..M7, and the eight
-// post-adds assembling C11, C12, C21, C22. All nodes distribute by rows
-// (1D transfers), matching the paper. The conceptual operands are
-// A = [A11 A12; A21 A22], B likewise, generated by AElem/BElem below.
-func Strassen(n int, src machine.LoopSource) (*prog.Program, error) {
-	if n < 2 || n%2 != 0 {
-		return nil, fmt.Errorf("programs: Strassen needs an even size, got %d", n)
-	}
-	h := n / 2
-	b := prog.NewBuilder(fmt.Sprintf("strassen-%dx%d", n, n))
-
-	initK := func(src func(i, j0 int, row []float64), r0, c0 int) kernels.Kernel {
-		return kernels.Kernel{Op: kernels.OpInit, M: h, N: h,
-			Init: func(i, j0 int, row []float64) { src(r0+i, c0+j0, row) }}
-	}
-	mulK := kernels.Kernel{Op: kernels.OpMul, M: h, N: h, K: h}
-	addK := kernels.Kernel{Op: kernels.OpAdd, M: h, N: h}
-	subK := kernels.Kernel{Op: kernels.OpSub, M: h, N: h}
-
-	lpInit, err := loop(src, fmt.Sprintf("Matrix Init (%dx%d)", h, h), initK(aRow, 0, 0))
-	if err != nil {
-		return nil, err
-	}
-	lpMul, err := loop(src, fmt.Sprintf("Matrix Multiply (%dx%d)", h, h), mulK)
-	if err != nil {
-		return nil, err
-	}
-	lpAdd, err := loop(src, fmt.Sprintf("Matrix Addition (%dx%d)", h, h), addK)
-	if err != nil {
-		return nil, err
-	}
-
-	add := func(name string, spec prog.NodeSpec, lp costmodel.LoopParams) {
-		spec.Axis = dist.ByRow
-		b.AddNode(name, spec, lp)
-	}
-
-	// Quadrant initializations.
-	for _, q := range []struct {
-		name   string
-		src    func(i, j0 int, row []float64)
-		r0, c0 int
-	}{
-		{"A11", aRow, 0, 0}, {"A12", aRow, 0, h}, {"A21", aRow, h, 0}, {"A22", aRow, h, h},
-		{"B11", bRow, 0, 0}, {"B12", bRow, 0, h}, {"B21", bRow, h, 0}, {"B22", bRow, h, h},
-	} {
-		add("init_"+q.name, prog.NodeSpec{Kernel: initK(q.src, q.r0, q.c0), Output: q.name}, lpInit)
-	}
-
-	// Pre-additions.
-	pre := []struct {
-		name string
-		op   kernels.Kernel
-		a, b string
-	}{
-		{"S1", addK, "A11", "A22"}, // M1 left
-		{"T1", addK, "B11", "B22"}, // M1 right
-		{"S2", addK, "A21", "A22"}, // M2 left
-		{"T3", subK, "B12", "B22"}, // M3 right
-		{"T4", subK, "B21", "B11"}, // M4 right
-		{"S5", addK, "A11", "A12"}, // M5 left
-		{"S6", subK, "A21", "A11"}, // M6 left
-		{"T6", addK, "B11", "B12"}, // M6 right
-		{"S7", subK, "A12", "A22"}, // M7 left
-		{"T7", addK, "B21", "B22"}, // M7 right
-	}
-	for _, p := range pre {
-		add(p.name, prog.NodeSpec{Kernel: p.op, Inputs: []string{p.a, p.b}, Output: p.name}, lpAdd)
-	}
-
-	// The seven products.
-	muls := []struct {
-		name string
-		a, b string
-	}{
-		{"M1", "S1", "T1"},
-		{"M2", "S2", "B11"},
-		{"M3", "A11", "T3"},
-		{"M4", "A22", "T4"},
-		{"M5", "S5", "B22"},
-		{"M6", "S6", "T6"},
-		{"M7", "S7", "T7"},
-	}
-	for _, m := range muls {
-		add(m.name, prog.NodeSpec{Kernel: mulK, Inputs: []string{m.a, m.b}, Output: m.name}, lpMul)
-	}
-
-	// Post-additions:
-	// C11 = M1 + M4 - M5 + M7; C12 = M3 + M5; C21 = M2 + M4;
-	// C22 = M1 - M2 + M3 + M6.
-	post := []struct {
-		name string
-		op   kernels.Kernel
-		a, b string
-	}{
-		{"U1", addK, "M1", "M4"},  // M1+M4
-		{"U2", subK, "U1", "M5"},  // M1+M4-M5
-		{"C11", addK, "U2", "M7"}, // +M7
-		{"C12", addK, "M3", "M5"},
-		{"C21", addK, "M2", "M4"},
-		{"U3", subK, "M1", "M2"},  // M1-M2
-		{"U4", addK, "U3", "M3"},  // +M3
-		{"C22", addK, "U4", "M6"}, // +M6
-	}
-	for _, p := range post {
-		add(p.name, prog.NodeSpec{Kernel: p.op, Inputs: []string{p.a, p.b}, Output: p.name}, lpAdd)
-	}
-	return b.Finish()
-}
-
 // cmmRow is the generator of CMM's four inputs, which differ in phase:
 // element (i, j) of the n×n matrix is sin(phase + 2π·(i·n + j)/n²). The
 // index i·n + j is counted up in a float, which is exact below 2⁵³.

@@ -228,18 +228,9 @@ func TestStrassenMatchesDirectMultiply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Assemble C from simulated quadrants.
-	h := n / 2
-	c := matrix.New(n, n)
-	for _, q := range []struct {
-		name   string
-		r0, c0 int
-	}{{"C11", 0, 0}, {"C12", 0, h}, {"C21", h, 0}, {"C22", h, h}} {
-		blk, err := res.Gather(q.name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.SetBlock(q.r0, q.c0, blk)
+	c, err := gatherC(res, n, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Direct product of the conceptual operands.
 	a := matrix.New(n, n)
@@ -340,7 +331,7 @@ func TestStrassenRecursiveDepths(t *testing.T) {
 		if err != nil {
 			t.Fatalf("depth %d sim: %v", depth, err)
 		}
-		got, err := res.Gather("C")
+		got, err := gatherC(res, n, depth)
 		if err != nil {
 			t.Fatalf("depth %d gather: %v", depth, err)
 		}
@@ -359,6 +350,27 @@ func TestStrassenRecursiveDepths(t *testing.T) {
 	if nodeCounts[2] < 150 {
 		t.Fatalf("depth-2 MDG suspiciously small: %d nodes", nodeCounts[2])
 	}
+}
+
+// gatherC gathers the product of an n×n Strassen run at depth: the
+// array C at depth 0, its quadrants C11, C12, C21 and C22 otherwise.
+func gatherC(res *sim.Result, n, depth int) (*matrix.Matrix, error) {
+	if depth == 0 {
+		return res.Gather("C")
+	}
+	h := n / 2
+	c := matrix.New(n, n)
+	for _, q := range []struct {
+		name   string
+		r0, c0 int
+	}{{"C11", 0, 0}, {"C12", 0, h}, {"C21", h, 0}, {"C22", h, h}} {
+		blk, err := res.Gather(q.name)
+		if err != nil {
+			return nil, err
+		}
+		c.SetBlock(q.r0, q.c0, blk)
+	}
+	return c, nil
 }
 
 func TestStrassenRecursiveValidation(t *testing.T) {

@@ -55,8 +55,7 @@ func TestInitRowSplitInvariant(t *testing.T) {
 		cases = append(cases, tcase{fmt.Sprintf("strassen%d", n), func() (*prog.Program, error) { return Strassen(n, cal) }, strassen(n)})
 	}
 	cases = append(cases,
-		tcase{"strassen-rec36-d1", func() (*prog.Program, error) { return StrassenRecursive(36, 1, cal) },
-			elems{"init_A": AElem, "init_B": BElem}},
+		tcase{"strassen-rec36-d2", func() (*prog.Program, error) { return StrassenRecursive(36, 2, cal) }, strassen(36)},
 		tcase{"pipeline20", func() (*prog.Program, error) { return SyntheticPipeline(20, 2, 1, cal) },
 			elems{"source": func(i, j int) float64 { return float64(i+j+1) / float64(2*20*20) }}},
 	)

@@ -152,9 +152,20 @@ func TestServiceBadJobFails(t *testing.T) {
 	if view.Status != "failed" {
 		t.Fatalf("bad job never failed: %+v", view)
 	}
-	if !strings.Contains(view.Error, "unknown program") {
+	if !strings.Contains(view.Error, "unknown program") || !strings.Contains(view.Error, "cmm, strassen, pipeline") {
 		t.Fatalf("failure reason = %q", view.Error)
 	}
+}
+
+// The service builds programs from the root package's table, so it runs
+// every name the table holds.
+func TestServiceRunsEveryTableProgram(t *testing.T) {
+	_, hs := testServer(t, Config{CheckpointDir: t.TempDir(), QueueCap: 4}, 1)
+	runWave(t, hs.URL, []string{
+		`{"program":"cmm","size":16,"procs":4}`,
+		`{"program":"strassen","size":16,"procs":4}`,
+		`{"program":"pipeline","size":16,"procs":4}`,
+	})
 }
 
 // Admission control: with no workers draining the queue, submissions

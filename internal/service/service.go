@@ -463,15 +463,7 @@ func (s *Server) program(kind string, size int) (*paradigm.Program, error) {
 	if p, ok := s.programs.Get(key); ok {
 		return p, nil
 	}
-	build := paradigm.ComplexMatMul
-	switch kind {
-	case "cmm":
-	case "strassen":
-		build = paradigm.Strassen
-	default:
-		return nil, fmt.Errorf("unknown program %q (want cmm or strassen)", kind)
-	}
-	p, err := build(size, s.mach)
+	p, err := paradigm.BuildProgram(kind, size, 1, s.mach)
 	if err != nil {
 		return nil, err
 	}

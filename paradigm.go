@@ -30,6 +30,7 @@ package paradigm
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"paradigm/internal/alloc"
 	"paradigm/internal/bounds"
@@ -183,14 +184,15 @@ func ComplexMatMul(n int, src LoopSource) (*Program, error) {
 }
 
 // Strassen builds the paper's Strassen program (Figure 6 right) for n×n
-// matrices (n even).
+// matrices (n even): StrassenRecursive at depth 1.
 func Strassen(n int, src LoopSource) (*Program, error) {
 	return programs.Strassen(n, src)
 }
 
 // StrassenRecursive builds Strassen's multiplication unfolded `depth`
-// levels at the MDG level (depth 1 matches the paper's program; depth 2
-// yields a 49-multiply MDG). n must be divisible by 2^depth.
+// levels at the MDG level. Depth 1 is Strassen, the paper's program;
+// depth 0 is one multiply; depth 2 yields a 49-multiply MDG. n must be
+// divisible by 2^depth.
 func StrassenRecursive(n, depth int, src LoopSource) (*Program, error) {
 	return programs.StrassenRecursive(n, depth, src)
 }
@@ -199,6 +201,32 @@ func StrassenRecursive(n, depth int, src LoopSource) (*Program, error) {
 // functional parallelism.
 func SyntheticPipeline(n, width, depth int, src LoopSource) (*Program, error) {
 	return programs.SyntheticPipeline(n, width, depth, src)
+}
+
+// builtinPrograms maps each built-in program name to its builder for
+// size×size matrices and a Strassen recursion depth.
+var builtinPrograms = []struct {
+	name  string
+	build func(size, depth int, src LoopSource) (*Program, error)
+}{
+	{"cmm", func(size, _ int, src LoopSource) (*Program, error) { return ComplexMatMul(size, src) }},
+	{"strassen", StrassenRecursive},
+	{"pipeline", func(size, _ int, src LoopSource) (*Program, error) { return SyntheticPipeline(size, 4, 3, src) }},
+}
+
+// BuildProgram builds a built-in program by name for size×size matrices:
+// "cmm" is ComplexMatMul, "strassen" StrassenRecursive at depth (1 is the
+// paper's program), "pipeline" a 4-wide, 3-deep SyntheticPipeline. Only
+// "strassen" reads depth.
+func BuildProgram(name string, size, depth int, src LoopSource) (*Program, error) {
+	names := make([]string, len(builtinPrograms))
+	for i, bp := range builtinPrograms {
+		if bp.name == name {
+			return bp.build(size, depth, src)
+		}
+		names[i] = bp.name
+	}
+	return nil, fmt.Errorf("unknown program %q (want one of %s)", name, strings.Join(names, ", "))
 }
 
 // FigureOneMDG returns the 3-node motivating example of Section 1.2.

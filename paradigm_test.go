@@ -3,6 +3,7 @@ package paradigm
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"paradigm/internal/bounds"
@@ -117,6 +118,42 @@ func TestFacadeFigureOne(t *testing.T) {
 	}
 	if s.Makespan >= spmd.Makespan {
 		t.Fatalf("mixed %v should beat naive %v", s.Makespan, spmd.Makespan)
+	}
+}
+
+// TestBuildProgramTable: every name of the program table builds its
+// builder's program with size as the matrix size, "strassen" at depth 1
+// is the paper's program, and an unknown name is refused with the
+// table's names.
+func TestBuildProgramTable(t *testing.T) {
+	cal := testCal(t)
+	for _, c := range []struct {
+		name  string
+		depth int
+		want  func() (*Program, error)
+	}{
+		{"cmm", 1, func() (*Program, error) { return ComplexMatMul(32, cal) }},
+		{"strassen", 1, func() (*Program, error) { return Strassen(32, cal) }},
+		{"strassen", 2, func() (*Program, error) { return StrassenRecursive(32, 2, cal) }},
+		{"pipeline", 1, func() (*Program, error) { return SyntheticPipeline(32, 4, 3, cal) }},
+	} {
+		got, err := BuildProgram(c.name, 32, c.depth, cal)
+		if err != nil {
+			t.Fatalf("%s depth %d: %v", c.name, c.depth, err)
+		}
+		want, err := c.want()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gh, _, _ := got.G.CanonicalHash()
+		wh, _, _ := want.G.CanonicalHash()
+		if got.Name != want.Name || gh != wh {
+			t.Errorf("%s depth %d built %s (%s), want %s (%s)", c.name, c.depth, got.Name, gh, want.Name, wh)
+		}
+	}
+	_, err := BuildProgram("bogus", 32, 1, cal)
+	if err == nil || !strings.Contains(err.Error(), `unknown program "bogus" (want one of cmm, strassen, pipeline)`) {
+		t.Fatalf("unknown name: %v", err)
 	}
 }
 

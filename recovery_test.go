@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -510,12 +511,14 @@ func TestDataDigestPartitionInvariant(t *testing.T) {
 // schedule indexes the residual program's graph — renumbered in
 // topological order, with restore nodes — not the submitted one. The
 // plan is the one `paradigm -program strassen -size 32 -procs 8
-// -faults rand:42 -recover 2` runs; rendering its table against the
-// submitted graph indexed past the end. Result.Program is the graph to
-// render against, and every table row names its node in that graph.
+// -faults rand:42 -recover 2` runs. Its residual graph has as many nodes
+// as the submitted one, so rendering against the submitted graph
+// mislabels rows rather than indexing past the end. Result.Program is
+// the graph to render against, and every table row names its node in
+// that graph.
 func TestRecoveredResultRendersAgainstItsProgram(t *testing.T) {
 	cal := testCal(t)
-	p, err := StrassenRecursive(64, 1, cal)
+	p, err := BuildProgram("strassen", 32, 1, cal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,8 +546,11 @@ func TestRecoveredResultRendersAgainstItsProgram(t *testing.T) {
 	}
 	mustVerifyExact(t, p, res)
 	g := res.Program.G
-	if res.Program == p || len(g.Nodes) == len(p.G.Nodes) {
-		t.Fatalf("recovered run's Program is the submitted one (%d nodes)", len(g.Nodes))
+	if res.Program == p {
+		t.Fatal("recovered run's Program is the submitted one")
+	}
+	if slices.EqualFunc(g.Nodes, p.G.Nodes, func(a, b Node) bool { return a.Name == b.Name }) {
+		t.Fatal("the residual graph names its nodes as the submitted one does")
 	}
 	table := res.Sched.Table(g)
 	_ = res.Sched.Gantt(g, 80)

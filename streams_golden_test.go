@@ -57,7 +57,7 @@ func TestStreamsListingGolden(t *testing.T) {
 		"cmm256":            "a264b38511b6a4aeea77bcb2a9ad7f7e0b4234397ce9fb6730c9914c4ea9c3e4",
 		"strassen16":        "d9ac03846a552feef900167f143df888923144bdd313113d808a4e196abed0f0",
 		"strassen128":       "dd172a3ddbba64a99f6fd10ffce97bfd93e0cf747fefd808b32991c891869186",
-		"strassen-rec32-d1": "0df036214f55f5f63c8e85376cae30d5c4a0abf44be1468c0428ecdb54201fc7",
+		"strassen-rec32-d2": "4f8252d405062a3244378cefeb3c6cbc35b05906434b1909b0009ed5cd5fbd73",
 		"cmm-grid48":        "9558ee9a55e14577398da52285167f8d683cff45923e5e6d6824eae4dbbab79f",
 		"frontend-wave23":   "a02cd6397529d9e7872231da47c9198d5e6e45cf94b2a4596f952eb94d70cce6",
 	}
