@@ -6,9 +6,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci fmt-check vet build test test-race race fuzz-smoke bench-smoke bench-module smoke-paradigmd smoke-paradigmd-chaos smoke-paradigmd-memory smoke-paradigmd-tenants smoke-paradigmd-cluster smoke-examples smoke-cli
+.PHONY: ci fmt-check vet build test test-race race fuzz-smoke bench-smoke bench-module smoke-paradigmd smoke-paradigmd-chaos smoke-paradigmd-memory smoke-paradigmd-tenants smoke-paradigmd-cluster smoke-cli
 
-ci: fmt-check vet build test-race fuzz-smoke bench-smoke bench-module smoke-paradigmd smoke-paradigmd-chaos smoke-paradigmd-memory smoke-paradigmd-tenants smoke-paradigmd-cluster smoke-examples smoke-cli
+ci: fmt-check vet build test-race fuzz-smoke bench-smoke bench-module smoke-paradigmd smoke-paradigmd-chaos smoke-paradigmd-memory smoke-paradigmd-tenants smoke-paradigmd-cluster smoke-cli
 
 # gofmt gate: fails listing the offending files, mutating nothing.
 fmt-check:
@@ -30,6 +30,9 @@ vet:
 build:
 	$(GO) build ./...
 
+# Tier-1 suite. It includes the root package's Example functions, the
+# documented uses of the public API, whose printed output go test checks
+# byte for byte against each // Output: comment.
 test:
 	$(GO) test ./...
 
@@ -126,17 +129,6 @@ smoke-paradigmd-tenants:
 smoke-paradigmd-cluster:
 	$(GO) test -race ./internal/service/ -run '^(TestServiceCluster|TestClusterPoolRules)' -count=1
 	$(GO) test ./internal/service/ -run '^TestServiceCluster' -count=1 -v
-
-# Build every example and run it in a temporary directory (some write
-# trace files into their working directory): an example that no longer
-# compiles, exits non-zero or fails one of its own checks fails the gate.
-smoke-examples:
-	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) build -o "$$dir/" ./examples/... || exit 1; \
-	cd "$$dir" && for ex in *; do \
-		echo "example $$ex"; \
-		./$$ex > "$$ex.out" 2>&1 || { cat "$$ex.out"; exit 1; }; \
-	done
 
 # Run the pipeline CLI once per built-in machine (the trained path for
 # cm5 and paragon, the analytical backend for the rest), once as the

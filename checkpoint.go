@@ -13,7 +13,7 @@
 // a resumed run regenerates it from the restored schedule, as a run
 // without a checkpoint generates it.
 //
-//	cp, err := paradigm.OpenCheckpoint("run.wal") // resumes if it exists
+//	cp, err := paradigm.OpenDeferredCheckpoint("run.wal") // resumes if it exists
 //	res, err := paradigm.RunContext(ctx, p, m, cal, 64,
 //	    paradigm.WithCheckpoint(cp))
 //
@@ -23,10 +23,10 @@
 // of resuming silently. A damaged log (truncation, bit flip) fails with
 // ErrCheckpointCorrupt at open time.
 //
-// OpenDeferredCheckpoint is the form for callers that run many jobs and
-// resume few: the file comes into being at the first stage worth
-// resuming from, with every stage completed before it, and a run whose
-// plan replayed from a cache never creates one.
+// OpenDeferredCheckpoint resumes a log or starts one whose file comes
+// into being at the first stage worth resuming from, with every stage
+// completed before it; a run whose plan replayed from a cache never
+// creates one. CreateCheckpoint starts over, LoadCheckpoint only resumes.
 package paradigm
 
 import (
@@ -62,17 +62,6 @@ type Checkpoint struct{ log *ckpt.Log }
 // one — the "start over" entry point.
 func CreateCheckpoint(path string) (*Checkpoint, error) {
 	l, err := ckpt.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	return &Checkpoint{log: l}, nil
-}
-
-// OpenCheckpoint resumes the log at path if it exists or creates a
-// fresh one — the "checkpoint this run, resuming a killed attempt"
-// entry point.
-func OpenCheckpoint(path string) (*Checkpoint, error) {
-	l, err := ckpt.Open(path)
 	if err != nil {
 		return nil, err
 	}

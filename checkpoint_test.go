@@ -126,7 +126,7 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 			for kill := 1; kill <= 3; kill++ {
 				t.Run(fmt.Sprintf("%s-p%d-kill%d", name, procs, kill), func(t *testing.T) {
 					path := filepath.Join(t.TempDir(), "run.wal")
-					cp, err := OpenCheckpoint(path)
+					cp, err := CreateCheckpoint(path)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -191,7 +191,7 @@ func TestResumeIgnoresCodegenRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "run.wal")
-	cp, err := OpenCheckpoint(path)
+	cp, err := CreateCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestCkptChildProcess(t *testing.T) {
 	path := os.Getenv("PARADIGM_CKPT_WAL")
 	cal := testCal(t)
 	p := buildProgram(t, cal, name)
-	cp, err := OpenCheckpoint(path)
+	cp, err := CreateCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestCorruptWALRefused(t *testing.T) {
 	p := buildProgram(t, cal, "cmm32")
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.wal")
-	cp, err := OpenCheckpoint(path)
+	cp, err := CreateCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,8 +361,8 @@ func TestCorruptWALRefused(t *testing.T) {
 		if _, err := LoadCheckpoint(damaged); !errors.Is(err, ErrCheckpointCorrupt) {
 			t.Fatalf("LoadCheckpoint(%s) = %v, want ErrCheckpointCorrupt", filepath.Base(damaged), err)
 		}
-		if _, err := OpenCheckpoint(damaged); !errors.Is(err, ErrCheckpointCorrupt) {
-			t.Fatalf("OpenCheckpoint(%s) = %v, want ErrCheckpointCorrupt", filepath.Base(damaged), err)
+		if _, err := OpenDeferredCheckpoint(damaged); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Fatalf("OpenDeferredCheckpoint(%s) = %v, want ErrCheckpointCorrupt", filepath.Base(damaged), err)
 		}
 	}
 }
@@ -375,7 +375,7 @@ func TestMismatchedWALRefused(t *testing.T) {
 	strassen := buildProgram(t, cal, "strassen16")
 	m := NewCM5(64)
 	path := filepath.Join(t.TempDir(), "run.wal")
-	cp, err := OpenCheckpoint(path)
+	cp, err := CreateCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestMismatchedWALRefused(t *testing.T) {
 func TestCalibrationCheckpointRoundTrip(t *testing.T) {
 	m := NewCM5(64)
 	path := filepath.Join(t.TempDir(), "run.wal")
-	cp, err := OpenCheckpoint(path)
+	cp, err := CreateCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +469,7 @@ func TestCheckpointedRecoverySalvage(t *testing.T) {
 			t.Fatal(err)
 		}
 		path := filepath.Join(t.TempDir(), fmt.Sprintf("run-%d.wal", seed))
-		cp, err := OpenCheckpoint(path)
+		cp, err := CreateCheckpoint(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -540,7 +540,7 @@ func TestResumedSalvageDivergenceRefused(t *testing.T) {
 		}
 		dir := t.TempDir()
 		path := filepath.Join(dir, "run.wal")
-		cp, err := OpenCheckpoint(path)
+		cp, err := CreateCheckpoint(path)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,7 +36,7 @@ func runBothWays(t *testing.T, p *Program, m Machine, cal *Calibration, procs in
 	t.Helper()
 	dir := t.TempDir()
 	eagerPath, lazyPath = filepath.Join(dir, "eager.wal"), filepath.Join(dir, "lazy.wal")
-	eager, err := OpenCheckpoint(eagerPath)
+	eager, err := CreateCheckpoint(eagerPath)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-// Allocation cache (DESIGN.md §12): SolveCtx memoizes solved allocations
+// Allocation cache (DESIGN.md §3): SolveCtx memoizes solved allocations
 // in a Cache keyed by the relabel-invariant canonical MDG hash, the
 // cost-model fingerprint, the solve-shaping options, and the processor
 // count. A hit replays the stored allocation byte-identically without

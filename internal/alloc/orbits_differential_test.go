@@ -16,7 +16,7 @@ import (
 	"paradigm/internal/trainsets"
 )
 
-// The differential gate of the orbit reduction (DESIGN.md §12, "Solving
+// The differential gate of the orbit reduction (DESIGN.md §3, "Solving
 // over orbits"): alloc.Solve compiles the quotient program over
 // g.Orbits(), alloc.RefSolve the full one-variable-per-node program it
 // replaced. Where a graph has no automorphism the two programs are the
@@ -106,8 +106,8 @@ func TestReducedSolveIsBitIdenticalWithoutSymmetry(t *testing.T) {
 // reduced solve's exact Φ is within 1e-9 relative of the full solve's on
 // every instance. Both solves are exact to a duality gap of 1e-9 in log
 // units, and the orbit subspace holds a global optimum, so neither can
-// undercut the other by more. Run with -v for the tables DESIGN.md and
-// EXPERIMENTS.md quote, T_psa of both solutions included.
+// undercut the other by more. Run with -v for the tables EXPERIMENTS.md
+// quotes, T_psa of both solutions included.
 func TestReducedSolveNoWorseOnSymmetricPopulations(t *testing.T) {
 	cal := trainedModel(t)
 	var planted, sweep, cold []instance

@@ -305,7 +305,7 @@ func TestRebuiltPhiIsTheAllocators(t *testing.T) {
 	}
 }
 
-// The differential gate of the exact solve (DESIGN.md §12, "Interior point
+// The differential gate of the exact solve (DESIGN.md §3, "Interior point
 // on the epigraph form"): alloc.Solve against the temperature ladder it
 // replaced, run by the reference minimizer on the rebuilt program.
 

@@ -1,6 +1,6 @@
 // The machine-model backend interface: one contract covering everything
 // the pipeline asks of a target machine, with two interchangeable
-// implementations behind it (DESIGN.md §13).
+// implementations behind it (DESIGN.md §2).
 //
 // The pipeline consumes a machine model at three points:
 //

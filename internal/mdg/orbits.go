@@ -1,5 +1,5 @@
 // Automorphism orbits: the symmetry classes of an MDG that the allocator
-// solves once (internal/alloc, DESIGN.md §12 "Solving over orbits").
+// solves once (internal/alloc, DESIGN.md §3, "Solving over orbits").
 //
 // An automorphism is a node permutation that preserves every node's α/τ
 // bits, the edge set, and each edge's transfer multiset: it maps the

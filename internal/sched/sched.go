@@ -209,7 +209,7 @@ func RunCtx(ctx context.Context, g *mdg.Graph, model costmodel.Model, cont []flo
 // digits (cmm 56 at p = 23 puts two nodes at a continuous 6.0028 or 5.989
 // depending on how exactly it is solved), and a step function evaluated
 // there turns a better optimum into a worse schedule. Set from the margin
-// histogram of the benchmark's 300 cold specs (DESIGN §12): 13 come within
+// histogram of the benchmark's 300 cold specs (DESIGN.md §4): 13 come within
 // 0.1 % of a boundary, 8 more within 0.5 %; it is not a knob.
 const roundBand = 0.005
 

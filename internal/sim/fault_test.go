@@ -150,20 +150,6 @@ func TestCancelledContextBeatsHaltDiagnosis(t *testing.T) {
 	}
 }
 
-func TestVirtualDeadline(t *testing.T) {
-	p := mulProgram(t, 16)
-	_, streams := pipeline(t, p, 8)
-	_, err := RunCtx(context.Background(), p, streams, machine.CM5(8), Options{
-		VirtualDeadline: 1e-9,
-	})
-	if err == nil {
-		t.Fatal("want virtual-deadline halt")
-	}
-	if !errors.Is(err, errs.ErrDeadlock) {
-		t.Fatalf("err = %v, want ErrDeadlock sentinel", err)
-	}
-}
-
 func TestDeadPastStreamEndIsHarmless(t *testing.T) {
 	// A fail time past a processor's last instruction never fires: the
 	// run completes and verifies.

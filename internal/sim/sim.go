@@ -127,18 +127,14 @@ type Options struct {
 	// interprets: fail-stop deaths, message loss/duplication/delay, and
 	// kernel stragglers. Each fault that fires emits one obs.Fault event.
 	Faults *fault.Plan
-	// VirtualDeadline, when > 0, halts the run with a deadlock diagnosis
-	// once any processor's virtual clock exceeds it — the watchdog bound
-	// for runs a straggler or fault has stretched beyond all plausibility.
-	VirtualDeadline float64
 }
 
 // HaltError reports a simulated run that stopped before completing: the
-// watchdog found no runnable instruction (or the virtual deadline
-// passed). It wraps one of the errs sentinels — ErrProcessorLost when a
-// fail-stop death is implicated, ErrMessageLost when a receiver waits on
-// a dropped message, ErrDeadlock otherwise — and carries the partial
-// machine state the recovery driver replans from.
+// watchdog found no runnable instruction. It wraps one of the errs
+// sentinels — ErrProcessorLost when a fail-stop death is implicated,
+// ErrMessageLost when a receiver waits on a dropped message, ErrDeadlock
+// otherwise — and carries the partial machine state the recovery driver
+// replans from.
 type HaltError struct {
 	// Sentinel is errs.ErrProcessorLost, errs.ErrMessageLost or
 	// errs.ErrDeadlock.
@@ -480,14 +476,6 @@ func RunCtx(ctx context.Context, p *prog.Program, streams *codegen.Streams, mp m
 				done = false
 			}
 		}
-		if o.VirtualDeadline > 0 {
-			for pr := 0; pr < nProcs; pr++ {
-				if res.ProcClock[pr] > o.VirtualDeadline {
-					return nil, halt(streams, pc, dead, dropped, res,
-						fmt.Sprintf(" virtual deadline %g exceeded by P%d;", o.VirtualDeadline, pr))
-				}
-			}
-		}
 		if done {
 			incomplete := false
 			for _, fp := range res.FailedProcs {
@@ -502,7 +490,7 @@ func RunCtx(ctx context.Context, p *prog.Program, streams *codegen.Streams, mp m
 			// Survivors ran out of work but a dead processor's stream never
 			// finished: the run cannot have produced every array, so a
 			// silent "success" here would hide the loss.
-			return nil, halt(streams, pc, dead, dropped, res, "")
+			return nil, halt(streams, pc, dead, dropped, res)
 		}
 		if !progress {
 			// A cancelled context is not a deadlock: re-check before
@@ -511,7 +499,7 @@ func RunCtx(ctx context.Context, p *prog.Program, streams *codegen.Streams, mp m
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			return nil, halt(streams, pc, dead, dropped, res, "")
+			return nil, halt(streams, pc, dead, dropped, res)
 		}
 	}
 
@@ -1027,7 +1015,7 @@ func intersect(a, b codegen.Rect) codegen.Rect {
 // processor waits on a dropped message, plain deadlock otherwise. The
 // partial Result rides along for the recovery driver. dropped is nil
 // when the run has no fault plan.
-func halt(streams *codegen.Streams, pc []int, dead, dropped []bool, res *Result, note string) error {
+func halt(streams *codegen.Streams, pc []int, dead, dropped []bool, res *Result) error {
 	isDropped := func(msg int32) bool { return dropped != nil && dropped[msg] }
 	for _, c := range res.ProcClock {
 		if c > res.Makespan {
@@ -1049,7 +1037,6 @@ func halt(streams *codegen.Streams, pc []int, dead, dropped []bool, res *Result,
 		}
 	}
 	var b strings.Builder
-	b.WriteString(note)
 	b.WriteString(" blocked processors:")
 	for pr, stream := range streams.PerProc {
 		if pc[pr] >= len(stream) {

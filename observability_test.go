@@ -92,12 +92,14 @@ func TestSentinelErrors(t *testing.T) {
 			return err
 		}, []error{ErrBadGraph}},
 		{"simulator watchdog halt", func() error {
-			// An impossibly tight virtual deadline trips the watchdog with
-			// no fault implicated: the halt wraps ErrDeadlock and carries
-			// the *HaltError diagnosis.
+			// A processor dead from the start leaves the others blocked on
+			// it, the watchdog finds nothing runnable, and with no recovery
+			// the halt surfaces: it wraps ErrProcessorLost and carries the
+			// *HaltError diagnosis.
 			p := tinyProgram(t, cal)
+			plan := &FaultPlan{ProcFails: []ProcFail{{Proc: 0, At: 0}}}
 			_, err := RunContext(context.Background(), p, NewCM5(8), cal, 8,
-				WithVirtualDeadline(1e-12))
+				WithFaultPlan(plan))
 			if err != nil {
 				var halt *HaltError
 				if !errors.As(err, &halt) {
@@ -105,7 +107,7 @@ func TestSentinelErrors(t *testing.T) {
 				}
 			}
 			return err
-		}, []error{ErrDeadlock}},
+		}, []error{ErrProcessorLost}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -118,8 +118,6 @@ type config struct {
 	faults *FaultPlan
 	// recoverMax bounds failure-aware rescheduling attempts (0: off).
 	recoverMax int
-	// deadline is the simulator's virtual-time watchdog bound (0: off).
-	deadline float64
 	// ckpt is the write-ahead checkpoint log (nil: no checkpointing).
 	ckpt *Checkpoint
 	// budgets are the per-stage deadlines (zero fields: unbounded).
@@ -255,9 +253,9 @@ func run(ctx context.Context, p *Program, m Machine, model Model, src LoopSource
 
 // execute is the back half of both pipelines: the governed codegen
 // stage, then the simulation on mp under the Execute budget with the
-// call's observer, fault plan and virtual deadline. A run the simulator
-// halts is handed, still inside that budget, to replan when it is
-// non-nil, and replan's Result takes the halted run's place. Neither
+// call's observer and fault plan. A run the simulator halts is handed,
+// still inside that budget, to replan when it is non-nil, and replan's
+// Result takes the halted run's place. Neither
 // stage reads or writes a checkpoint: lowering is a pure function of the
 // program and the schedule, so a resumed run regenerates the streams
 // from its restored schedule.
@@ -272,7 +270,7 @@ func (c *config) execute(ctx context.Context, p *Program, ar Allocation, s *Sche
 	sctx, cancel := stageContext(ctx, c.budgets.Execute)
 	defer cancel()
 	simRes, err := sim.RunCtx(sctx, p, streams, mp, sim.Options{
-		Observer: c.observer, Faults: c.faults, VirtualDeadline: c.deadline,
+		Observer: c.observer, Faults: c.faults,
 	})
 	if err == nil {
 		return &Result{Alloc: ar, Sched: s, Sim: simRes, Program: p, Predicted: s.Makespan, Actual: simRes.Makespan}, nil
@@ -307,9 +305,9 @@ func RunContext(ctx context.Context, p *Program, m Machine, cal *Calibration, pr
 
 // RunSPMDContext executes the pure data-parallel baseline end to end:
 // every node on all procs processors, priced by model, then the same
-// codegen and simulation stages as RunContext with their budgets, fault
-// plan and virtual deadline. The baseline is closed-form, so there is
-// nothing to checkpoint or replan: a halted run returns its *HaltError.
+// codegen and simulation stages as RunContext with their budgets and
+// fault plan. The baseline is closed-form, so there is nothing to
+// checkpoint or replan: a halted run returns its *HaltError.
 func RunSPMDContext(ctx context.Context, p *Program, m Machine, model Model, procs int, opts ...Option) (res *Result, err error) {
 	defer guardStage("run-spmd", &err)
 	if err := ctx.Err(); err != nil {

@@ -37,6 +37,7 @@ import (
 	"paradigm/internal/costmodel"
 	"paradigm/internal/dist"
 	"paradigm/internal/frontend"
+	"paradigm/internal/kernels"
 	"paradigm/internal/machine"
 	"paradigm/internal/matrix"
 	"paradigm/internal/mdg"
@@ -75,6 +76,9 @@ type (
 	ProgramBuilder = prog.Builder
 	// NodeSpec describes one program node's computation.
 	NodeSpec = prog.NodeSpec
+	// Kernel is a NodeSpec's loop nest: an Op over M×N (M×K by K×N for
+	// OpMul) matrices, with a row generator Init for OpInit.
+	Kernel = kernels.Kernel
 	// Allocation is a convex-programming allocation result.
 	Allocation = alloc.Result
 	// Schedule is a PSA schedule.
@@ -102,7 +106,8 @@ const (
 	TransferG2G = mdg.TransferG2G
 )
 
-// Distribution axes for NodeSpec.Axis.
+// The NodeSpec vocabulary: distribution axes for NodeSpec.Axis and
+// loop types for NodeSpec.Kernel.Op.
 const (
 	// ByRow distributes contiguous row blocks.
 	ByRow = dist.ByRow
@@ -111,6 +116,15 @@ const (
 	// ByGrid distributes over a near-square processor grid (the paper's
 	// general-distribution extension).
 	ByGrid = dist.ByGrid
+
+	// OpInit fills its output from the kernel's row generator Init.
+	OpInit = kernels.OpInit
+	// OpAdd computes a + b.
+	OpAdd = kernels.OpAdd
+	// OpSub computes a - b.
+	OpSub = kernels.OpSub
+	// OpMul computes a·b.
+	OpMul = kernels.OpMul
 )
 
 // NewCM5 returns the simulated Thinking Machines CM-5 profile at the

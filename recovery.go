@@ -92,14 +92,6 @@ func WithRecovery(maxAttempts int) Option {
 	return func(c *config) { c.recoverMax = maxAttempts }
 }
 
-// WithVirtualDeadline halts any simulated run whose virtual clock
-// passes d seconds, with a full blocked-processor diagnosis — the
-// watchdog bound for runs a fault has stretched beyond all
-// plausibility. d <= 0 (the default) disables the bound.
-func WithVirtualDeadline(d float64) Option {
-	return func(c *config) { c.deadline = d }
-}
-
 // replanner returns the replan hook execute hands a halted run to:
 // recovery attempt number attempt on program p, which ran on mp. It is
 // nil once the attempt would exceed WithRecovery's bound, and execute
