@@ -36,9 +36,12 @@ build:
 test:
 	$(GO) test ./...
 
-# Tier-1 suite under the race detector — the CI form of `make test`.
+# Tier-1 suite under the race detector — the CI form of `make test`. The
+# second line runs the simulator's executor at a pool width above the
+# core count, three schedules each, where its tasks interleave most.
 test-race:
 	$(GO) test -race ./...
+	PARADIGM_WORKERS=8 $(GO) test -race -count=3 -run 'TestSimDataPlane|TestProgramDataGolden|TestStreamsListingGolden|TestPanicContained' ./internal/sim/ .
 
 race: test-race
 

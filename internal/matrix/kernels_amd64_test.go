@@ -10,8 +10,8 @@ import (
 
 func init() {
 	vecKernels = []vecKernel{
-		{"avx512", axpy4AVX512, avxUsable() && avx512Usable()},
-		{"avx", axpy4AVX, avxUsable()},
+		{"avx512", axpy4AVX512, axpyAVX, avxUsable() && avx512Usable()},
+		{"avx", axpy4AVX, axpyAVX, avxUsable()},
 	}
 }
 
@@ -39,6 +39,9 @@ func TestKernelSelection(t *testing.T) {
 	if axpy4Vec == nil || got != want {
 		t.Fatalf("axpy4Vec = %#x, want axpy4AVX512 (%#x); axpy4AVX is %#x",
 			got, want, reflect.ValueOf(axpy4AVX).Pointer())
+	}
+	if axpyVec == nil || reflect.ValueOf(axpyVec).Pointer() != reflect.ValueOf(axpyAVX).Pointer() {
+		t.Fatal("axpyVec is not axpyAVX")
 	}
 }
 

@@ -123,6 +123,11 @@ func Mul(dst, a, b *Matrix) error {
 // every other path on the same machine.
 var axpy4Vec func(d, a, b *float64, w, inner, stride, rows int, first bool)
 
+// axpyVec is the vector form of axpy for one nonzero a value, at a: it
+// adds a·b[j] to d[j] for every j < w, a rounded product then a rounded
+// sum, as axpy does. It is set where axpy4Vec is, by the same init.
+var axpyVec func(d, a, b *float64, w int)
+
 // MulStrip computes dst = a[r0:r1, :] · b[:, c0:c1], reading both strips
 // in place. dst is (r1-r0)×(c1-c0) and must not alias a or b. Operand
 // shapes that do not fit each other are an error; a strip outside its
@@ -143,7 +148,9 @@ var axpy4Vec func(d, a, b *float64, w, inner, stride, rows int, first bool)
 // axpy4. Where axpy4Vec is set, a group goes to it instead, for two rows
 // of dst at once when neither row's four a values hold a zero and for one
 // row otherwise; every element still sees the same operations in the same
-// order, so which path ran cannot be told from the result.
+// order, so which path ran cannot be told from the result. The last
+// inner % 4 values of k come one at a time, through axpy or, where it is
+// set, axpyVec.
 func MulStrip(dst, a *Matrix, r0, r1 int, b *Matrix, c0, c1 int) error {
 	if a.Cols != b.Rows {
 		return fmt.Errorf("matrix: inner dimensions %d vs %d", a.Cols, b.Rows)
@@ -163,7 +170,7 @@ func MulStrip(dst, a *Matrix, r0, r1 int, b *Matrix, c0, c1 int) error {
 	if grouped == 0 {
 		clear(dst.Data) // no first group will start the rows from zero
 	}
-	vec := axpy4Vec
+	vec, tail := axpy4Vec, axpyVec
 	for i, rows := r0, 0; i < r1; i += rows {
 		// Two rows at a time where there is a vector kernel and a second
 		// row; arows and drows are those rows of a and dst, end to end.
@@ -199,8 +206,14 @@ func MulStrip(dst, a *Matrix, r0, r1 int, b *Matrix, c0, c1 int) error {
 			}
 		}
 		for k := grouped; k < inner; k++ {
+			brow := b.Data[k*stride+c0:][:w]
 			for r := 0; r < rows; r++ {
-				axpy(drows[r*w:][:w], arows[r*inner+k], b.Data[k*stride+c0:][:w])
+				drow, av := drows[r*w:][:w], arows[r*inner+k:]
+				if tail == nil {
+					axpy(drow, av[0], brow)
+				} else if av[0] != 0 {
+					tail(&drow[0], &av[0], &brow[0], w)
+				}
 			}
 		}
 	}

@@ -17,6 +17,12 @@ func axpy4AVX(d, a, b *float64, w, inner, stride, rows int, first bool)
 //go:noescape
 func axpy4AVX512(d, a, b *float64, w, inner, stride, rows int, first bool)
 
+// axpyAVX is axpyVec in 256-bit AVX (matrix_amd64.s): eight, four, then
+// one column(s) to a step, VMULPD then VADDPD.
+//
+//go:noescape
+func axpyAVX(d, a, b *float64, w int)
+
 // sinAVX and cosAVX are sinVec and cosVec in 256-bit AVX
 // (matrix_amd64.s), four arguments to an instruction.
 //
@@ -78,9 +84,10 @@ var trigK = func() (k [22][4]uint64) {
 // init picks the widest multiply kernel this CPU and operating system
 // can run: axpy4AVX512, else axpy4AVX, else none (the portable loop). The
 // 512-bit kernel's tails are AVX instructions, so it needs both tests.
+// The tail k of either goes through axpyAVX.
 func init() {
 	if avxUsable() {
-		axpy4Vec = axpy4AVX
+		axpy4Vec, axpyVec = axpy4AVX, axpyAVX
 		sinVec, cosVec = sinAVX, cosAVX
 		if avx512Usable() {
 			axpy4Vec = axpy4AVX512

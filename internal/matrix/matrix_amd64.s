@@ -511,6 +511,54 @@ zrow16first:
 	VPXORQ  Z25, Z25, Z25
 	JMP     zrow16sum
 
+// axpyAVX is axpyVec: one k of one row, the a value broadcast into Y0
+// and the sums of d in Y8 and Y9, through ROW8, ROW4 and ROW1 with d
+// loaded first, so each lane does the scalar loop's d + a·b.
+//
+// func axpyAVX(d, a, b *float64, w int)
+TEXT ·axpyAVX(SB), NOSPLIT, $0-32
+	MOVQ    d+0(FP), DI
+	MOVQ    a+8(FP), SI
+	MOVQ    b+16(FP), BX
+	MOVQ    w+24(FP), CX
+	XORQ    AX, AX
+	VBROADCASTSD (SI), Y0
+	CMPQ    CX, $8
+	JLT     one4
+one8:
+	VMOVUPD (DI)(AX*1), Y8
+	VMOVUPD 32(DI)(AX*1), Y9
+	ROW8(BX, Y0)
+	VMOVUPD Y8, (DI)(AX*1)
+	VMOVUPD Y9, 32(DI)(AX*1)
+	ADDQ    $64, AX
+	SUBQ    $8, CX
+	CMPQ    CX, $8
+	JGE     one8
+
+one4:
+	CMPQ    CX, $4
+	JLT     one1
+	VMOVUPD (DI)(AX*1), Y8
+	ROW4(BX, Y0)
+	VMOVUPD Y8, (DI)(AX*1)
+	ADDQ    $32, AX
+	SUBQ    $4, CX
+
+one1:
+	TESTQ   CX, CX
+	JEQ     onedone
+	VMOVSD  (DI)(AX*1), X8
+	ROW1(BX, X0)
+	VMOVSD  X8, (DI)(AX*1)
+	ADDQ    $8, AX
+	DECQ    CX
+	JMP     one1
+
+onedone:
+	VZEROUPPER
+	RET
+
 // func avxUsable() bool
 TEXT ·avxUsable(SB), NOSPLIT, $0-1
 	MOVB    $0, ret+0(FP)

@@ -66,11 +66,12 @@ func specials() []float64 {
 // sameBits is the equality the bit-identity tests demand.
 func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
-// vecKernel is one vector form of axpy4Vec: its name, the kernel, and
-// whether this CPU can run it.
+// vecKernel is one vector form of axpy4Vec: its name, the kernel, the
+// axpyVec that runs beside it, and whether this CPU can run them.
 type vecKernel struct {
 	name   string
 	fn     func(d, a, b *float64, w, inner, stride, rows int, first bool)
+	tail   func(d, a, b *float64, w int)
 	usable bool
 }
 
@@ -89,19 +90,19 @@ var pathsLogged sync.Map
 // logs which paths ran and which vector kernel was left out, and why.
 func eachPath(t testing.TB, f func(path string)) {
 	t.Helper()
-	vec := axpy4Vec
-	defer func() { axpy4Vec = vec }()
+	vec, tail := axpy4Vec, axpyVec
+	defer func() { axpy4Vec, axpyVec = vec, tail }()
 	var ran, skipped []string
 	for _, k := range vecKernels {
 		if !k.usable {
 			skipped = append(skipped, k.name)
 			continue
 		}
-		axpy4Vec = k.fn
+		axpy4Vec, axpyVec = k.fn, k.tail
 		f(k.name)
 		ran = append(ran, k.name)
 	}
-	axpy4Vec = nil
+	axpy4Vec, axpyVec = nil, nil
 	f("portable")
 	if _, seen := pathsLogged.LoadOrStore(t, true); !seen {
 		t.Cleanup(func() { pathsLogged.Delete(t) })

@@ -27,10 +27,12 @@
 // block is sealed when first viewed and only a block that owns no data
 // is received into, which makes the late copy equal to a snapshot taken
 // at the send. The members of one group barrier compute disjoint output
-// blocks from operands nobody writes, so above a fixed amount of work
-// they run on internal/par's workers, the blocks landing in a
-// slot-indexed slice that is installed in slot order afterwards. Every
-// output bit, virtual clock and event is the same at any pool width.
+// blocks from operands nobody writes. Above a fixed amount of work the
+// step loop installs a barrier's output blocks and moves on, and the
+// run's executor computes them, on internal/par's workers, as soon as the
+// blocks they read are computed: independent barriers overlap, and only
+// a reader of a block waits for it. Every output bit, virtual clock and
+// event is the same at any pool width.
 //
 // Fault injection: Options.Faults attaches a deterministic fault.Plan.
 // A fail-stop processor executes no instruction once its clock reaches
@@ -51,6 +53,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"paradigm/internal/codegen"
 	"paradigm/internal/dist"
@@ -75,6 +78,9 @@ type block struct {
 	// block: from then on a view may still read it, so it must never
 	// change again.
 	sealed bool
+	// task, when set, is the executor's task computing data: the data is
+	// read only after waiting for it (wait).
+	task *task
 }
 
 // recvView is a received payload rectangle (global coordinates) of a sealed block.
@@ -88,14 +94,6 @@ var (
 	errIntoOwner = errors.New("receive into a block that owns data")
 	errFromViews = errors.New("send or move from a consumer block, which holds views, not data")
 )
-
-func newBlock(r codegen.Rect) *block {
-	b := &block{rect: r}
-	if !r.Empty() {
-		b.data = matrix.New(r.R1-r.R0, r.C1-r.C0)
-	}
-	return b
-}
 
 // message is an in-flight payload: a view of the rectangle payload of
 // the sender's block src, which the receive hands on to its destination.
@@ -188,7 +186,8 @@ type Result struct {
 	stores [][]*block
 	p      *prog.Program
 	// fannedOut counts the barriers whose work reached fanOutWork: the
-	// ones computed on the pool when it is wider than one. Tests read it.
+	// ones computed off the step loop, on the run's executor, when the
+	// pool is wider than one. Tests read it.
 	fannedOut int
 }
 
@@ -201,7 +200,7 @@ func Run(p *prog.Program, streams *codegen.Streams, mp machine.Params) (*Result,
 // RunCtx is Run with cancellation and instrumentation: ctx is checked on
 // every scheduler sweep of the step loop, so a cancelled context aborts
 // the simulation promptly with ctx.Err().
-func RunCtx(ctx context.Context, p *prog.Program, streams *codegen.Streams, mp machine.Params, o Options) (*Result, error) {
+func RunCtx(ctx context.Context, p *prog.Program, streams *codegen.Streams, mp machine.Params, o Options) (out *Result, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -293,8 +292,25 @@ func RunCtx(ctx context.Context, p *prog.Program, streams *codegen.Streams, mp m
 	}
 	barriers := make([]barrier, nNodes)
 	arrived := make([]bool, nNodes*nProcs)
-	nr := nodeRunner{res: res, p: p, streams: streams, mp: mp, ob: ob, plan: plan, sc: scratchPool.Get().(*scratch)}
+	nr := nodeRunner{res: res, p: p, streams: streams, mp: mp, ob: ob, plan: plan, sc: scratchPool.Get().(*scratch), width: par.Workers()}
 	defer scratchPool.Put(nr.sc)
+	// Every exit waits for the executor, if the run started one, so that
+	// no goroutine outlives the run and a Result or a halt's Partial holds
+	// finished blocks. A task's failure comes from an earlier barrier than
+	// whatever stopped the step loop, and replaces it.
+	defer func() {
+		if nr.ex == nil {
+			return
+		}
+		r := recover()
+		if ferr := nr.ex.finish(); ferr != nil {
+			out, err = nil, ferr
+			return
+		}
+		if r != nil {
+			panic(r)
+		}
+	}()
 
 	// step attempts to advance processor pr by one instruction. Returns
 	// whether progress was made, or an error.
@@ -521,9 +537,12 @@ func RunCtx(ctx context.Context, p *prog.Program, streams *codegen.Streams, mp m
 }
 
 // fanOutWork is the least work in one group barrier, in multiply-adds,
-// at which the members' output blocks are computed on internal/par's
-// workers. Below it the slots run inline in slot order, on the caller's
-// goroutine. barrierWork prices the other kernels in the same unit.
+// at which the barrier is heavy: with a pool wider than one, the run's
+// executor computes its blocks off the step loop, the members' slots on
+// internal/par's workers, once the blocks they read are computed. Below
+// it the slots run inline in slot order, on the step loop's goroutine,
+// once those blocks are computed. It is the only threshold of the data
+// plane. barrierWork prices the other kernels in the same unit.
 //
 // Measured barrier by barrier in CMM simulations on 64 processors, two
 // cores: time inline over time on two workers, for an init barrier / a
@@ -548,8 +567,10 @@ func RunCtx(ctx context.Context, p *prog.Program, streams *codegen.Streams, mp m
 // — neither buys anything at any size, and a fan-out ties the job to
 // whichever goroutine the scheduler reaches last. So the threshold sits
 // where the gain is clear for both kernels, n = 128, and a job the size
-// of a typical service request (n ≤ 127, TestServiceSizedRunStaysInline)
-// never leaves its worker's goroutine.
+// of a typical service request (n ≤ 127, TestServiceSizedRunStaysInline,
+// TestOnlyHeavyRunsStartAnExecutor) never leaves its worker's goroutine.
+// The executor moved no break-even: it overlaps heavy barriers with each
+// other, and a light one still runs where it ran.
 const fanOutWork = 1 << 21
 
 // What one output element of a barrier costs, in multiply-adds, measured
@@ -600,41 +621,83 @@ type nodeRunner struct {
 	ob      obs.Observer
 	plan    *fault.Plan
 	sc      *scratch
+	// width is the pool width read when the run began. ex is the run's
+	// executor: nil until the first barrier at fanOutWork when width > 1,
+	// and then for the rest of the run.
+	width int
+	ex    *executor
 }
 
-// scratch is a free list of transient operand matrices, matched by
-// capacity; free[:lent] are held by the barrier in progress. None reaches
-// a Result, so a run returns its list to scratchPool on every exit.
+// scratch is the run's one set of transient operand matrices, lent to
+// the barriers computing at the same time and matched by capacity. None
+// reaches a Result, so a run returns the set to scratchPool on every exit.
 type scratch struct {
-	free []*matrix.Matrix
-	lent int
+	mu   sync.Mutex
+	bufs []scratchBuf
+}
+
+// scratchBuf is one matrix of a scratch set and the barrier it is lent
+// to, nil while it is free.
+type scratchBuf struct {
+	m  *matrix.Matrix
+	to *barrierData
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// get lends a rows×cols matrix until the next barrier begins: the free
-// one of least capacity that holds it, or a new one. A recycled one keeps
-// its old contents: the borrower must overwrite every element.
-func (s *scratch) get(rows, cols int) *matrix.Matrix {
-	n, at := rows*cols, len(s.free)
-	for i := s.lent; i < len(s.free); i++ {
-		if c := cap(s.free[i].Data); c >= n && (at == len(s.free) || c < cap(s.free[at].Data)) {
+// get lends d a rows×cols matrix until release(d): the free one of least
+// capacity that holds it, or a new one. A recycled one keeps its old
+// contents: the borrower must overwrite every element.
+func (s *scratch) get(d *barrierData, rows, cols int) *matrix.Matrix {
+	n := rows * cols
+	s.mu.Lock()
+	at := -1
+	for i, b := range s.bufs {
+		if b.to == nil && cap(b.m.Data) >= n && (at < 0 || cap(b.m.Data) < cap(s.bufs[at].m.Data)) {
 			at = i
 		}
 	}
-	if at == len(s.free) {
-		s.free = append(s.free, matrix.New(rows, cols))
+	var m *matrix.Matrix
+	if at >= 0 {
+		s.bufs[at].to = d
+		m = s.bufs[at].m
 	}
-	m := s.free[at]
+	s.mu.Unlock()
+	if m == nil {
+		m = matrix.New(rows, cols)
+		s.mu.Lock()
+		s.bufs = append(s.bufs, scratchBuf{m, d})
+		s.mu.Unlock()
+	}
 	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
-	s.free[s.lent], s.free[at] = m, s.free[s.lent]
-	s.lent++
 	return m
 }
 
+// release frees every matrix lent to d.
+func (s *scratch) release(d *barrierData) {
+	s.mu.Lock()
+	for i := range s.bufs {
+		if s.bufs[i].to == d {
+			s.bufs[i].to = nil
+		}
+	}
+	s.mu.Unlock()
+}
+
+// barrierData is the data work of one group barrier, resolved on the
+// step loop: the output block of each member and the operand blocks of
+// each input, both in slot order.
+type barrierData struct {
+	node mdg.NodeID
+	k    kernels.Kernel
+	outs []*block
+	ops  [][]*block
+}
+
 // execNode runs one kernel as a group: advances every member's clock by
-// its ground-truth cost (linear or grid layout) and computes the real
-// output blocks; a cancelled ctx stops the block computation.
+// its ground-truth cost (linear or grid layout), emits the node's events,
+// installs its output blocks and has their data computed (compute); a
+// cancelled ctx stops the block computation.
 func (nr *nodeRunner) execNode(ctx context.Context, node mdg.NodeID, start float64) error {
 	res, p, mp, ob := nr.res, nr.p, nr.mp, nr.ob
 	spec := p.Specs[node]
@@ -703,26 +766,20 @@ func (nr *nodeRunner) execNode(ctx context.Context, node mdg.NodeID, start float
 	}
 	res.NodeDone[node] = true
 
-	// Compute real data. The operands are resolved and, where a kernel
-	// reads across members, assembled serially; then every member's
-	// output block is computed by compute, each a disjoint block built
-	// from operands nobody writes, so the slots can run on any worker in
-	// any order and give the bits a serial loop gives.
-	nr.sc.lent = 0 // the previous barrier's scratch is free again
+	// Resolve every operand to its members' blocks, each checked against
+	// the operand's placement over the group; an absent block is
+	// tolerated only for an empty share.
 	rectOf := func(b dist.PlacedRect) codegen.Rect {
 		return codegen.Rect{R0: b.R0, R1: b.R1, C0: b.C0, C1: b.C1}
 	}
-	// operandBlocks returns every member's redistributed block of an
-	// operand in slot order, each checked against the operand's placement
-	// over the group; an absent entry is tolerated only for an empty share.
-	operandBlocks := func(operand int) ([]*block, error) {
+	d := &barrierData{node: node, k: k, outs: make([]*block, q), ops: make([][]*block, len(spec.Inputs))}
+	for operand := range d.ops {
 		inst := nr.streams.Operands[node][operand]
 		a := p.Arrays[spec.Inputs[operand]]
 		pl := outPlace
 		if a.Rows != arr.Rows || a.Cols != arr.Cols {
-			var err error
 			if pl, err = codegen.PlacementFor(a, spec.Axis, group); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		blocks := make([]*block, q)
@@ -731,58 +788,99 @@ func (nr *nodeRunner) execNode(ctx context.Context, node mdg.NodeID, start float
 			b := res.stores[proc][inst]
 			switch {
 			case b != nil && b.rect != want:
-				return nil, fmt.Errorf("sim: node %d slot %d operand %d block %v, want %v",
+				return fmt.Errorf("sim: node %d slot %d operand %d block %v, want %v",
 					node, slot, operand, b.rect, want)
 			case b == nil && !want.Empty():
-				return nil, fmt.Errorf("sim: node %d proc %d missing input instance %q", node, proc, nr.streams.InstanceName(inst))
+				return fmt.Errorf("sim: node %d proc %d missing input instance %q", node, proc, nr.streams.InstanceName(inst))
 			case b == nil:
 				b = &block{rect: want}
 			}
 			blocks[slot] = b
 		}
-		return blocks, nil
+		d.ops[operand] = blocks
 	}
+	// Install the output blocks, on this goroutine: later instructions
+	// may view them before their data is computed, which is safe because
+	// only a barrier reads a block's data, after waiting for it. A node's
+	// output instance has the node's id.
+	for slot, proc := range group {
+		out := &block{rect: rectOf(outPlace.Blocks[slot])}
+		if !out.rect.Empty() {
+			out.data = &matrix.Matrix{Rows: out.rect.R1 - out.rect.R0, Cols: out.rect.C1 - out.rect.C0}
+		}
+		if k.Op == kernels.OpAdd || k.Op == kernels.OpSub {
+			if a, b := d.ops[0][slot].rect, d.ops[1][slot].rect; !out.rect.Empty() && (a != out.rect || b != out.rect) {
+				return fmt.Errorf("sim: node %d proc %d operand blocks %v/%v mismatch output %v", node, proc, a, b, out.rect)
+			}
+		}
+		d.outs[slot] = out
+		res.stores[proc][node] = out
+	}
+
+	heavy := barrierWork(k, arr.Rows*arr.Cols) >= fanOutWork
+	if heavy {
+		res.fannedOut++
+	}
+	if !heavy || nr.width == 1 {
+		return nr.compute(ctx, d, 1)
+	}
+	if nr.ex == nil {
+		nr.ex = newExecutor(nr.width, len(nr.streams.Groups))
+	}
+	nr.ex.submit(d.outs, func() error { return nr.compute(ctx, d, nr.width) })
+	return nil
+}
+
+// compute fills the output blocks of d, the members' slots on at most
+// workers goroutines. The operands are first read into matrices borrowed
+// from the run's scratch set — a full operand where a kernel reads
+// across members — and then every member's block is computed from them:
+// each a disjoint block built from operands nobody writes, so the slots
+// can run on any worker in any order and give the bits a serial loop
+// gives. On a run with an executor it first waits for every block it
+// reads.
+func (nr *nodeRunner) compute(ctx context.Context, d *barrierData, workers int) error {
+	node, k, ops := d.node, d.k, d.ops
+	if nr.ex != nil {
+		if err := ready(ops); err != nil {
+			return err
+		}
+	}
+	defer nr.sc.release(d)
 	// assembleInto reassembles a full operand from the group's blocks
 	// (the data image of the gathers whose cost the ProcTime rules
 	// already charged) into dst anchored at (r0, c0). The blocks are a
 	// placement's, which partitions the operand, and readInto writes all
 	// of a block: every element of the operand's rectangle of dst is
 	// overwritten.
-	assembleInto := func(dst *matrix.Matrix, r0, c0, operand int) error {
-		blocks, err := operandBlocks(operand)
-		if err != nil {
-			return err
-		}
-		for _, b := range blocks {
+	assembleInto := func(dst *matrix.Matrix, r0, c0, operand int) {
+		for _, b := range ops[operand] {
 			b.readInto(dst, r0+b.rect.R0, c0+b.rect.C0)
 		}
-		return nil
 	}
-	assemble := func(operand int) (*matrix.Matrix, error) {
-		a := p.Arrays[spec.Inputs[operand]]
-		full := nr.sc.get(a.Rows, a.Cols)
-		return full, assembleInto(full, 0, 0, operand)
+	assemble := func(operand int) *matrix.Matrix {
+		a := nr.p.Arrays[nr.p.Specs[node].Inputs[operand]]
+		full := nr.sc.get(d, a.Rows, a.Cols)
+		assembleInto(full, 0, 0, operand)
+		return full
 	}
 	// materialize reads every member's block of an operand into scratch.
-	materialize := func(operand int) (blocks []*block, data []*matrix.Matrix, err error) {
-		if blocks, err = operandBlocks(operand); err != nil {
-			return nil, nil, err
-		}
-		data = make([]*matrix.Matrix, q)
-		for slot, b := range blocks {
+	materialize := func(operand int) []*matrix.Matrix {
+		data := make([]*matrix.Matrix, len(d.outs))
+		for slot, b := range ops[operand] {
 			if !b.rect.Empty() {
-				data[slot] = nr.sc.get(b.rect.R1-b.rect.R0, b.rect.C1-b.rect.C0)
+				data[slot] = nr.sc.get(d, b.rect.R1-b.rect.R0, b.rect.C1-b.rect.C0)
 				b.readInto(data[slot], 0, 0)
 			}
 		}
-		return blocks, data, nil
+		return data
 	}
 
-	// compute fills one member's non-empty output block.
-	var compute func(slot int, out *block) error
+	// fill computes one member's non-empty output block.
+	var fill func(slot int, out *block) error
 	switch k.Op {
 	case kernels.OpInit:
-		compute = func(_ int, out *block) error {
+		fill = func(_ int, out *block) error {
 			r0, c0, w := out.rect.R0, out.rect.C0, out.data.Cols
 			for i := range out.data.Rows {
 				k.Init(r0+i, c0, out.data.Data[i*w:][:w])
@@ -791,23 +889,12 @@ func (nr *nodeRunner) execNode(ctx context.Context, node mdg.NodeID, start float
 		}
 
 	case kernels.OpAdd, kernels.OpSub:
-		a, aData, err := materialize(0)
-		if err != nil {
-			return err
-		}
-		bb, bData, err := materialize(1)
-		if err != nil {
-			return err
-		}
+		aData, bData := materialize(0), materialize(1)
 		op := matrix.Add
 		if k.Op == kernels.OpSub {
 			op = matrix.Sub
 		}
-		compute = func(slot int, out *block) error {
-			if a[slot].rect != out.rect || bb[slot].rect != out.rect {
-				return fmt.Errorf("sim: node %d proc %d operand blocks %v/%v mismatch output %v",
-					node, group[slot], a[slot].rect, bb[slot].rect, out.rect)
-			}
+		fill = func(slot int, out *block) error {
 			if err := op(out.data, aData[slot], bData[slot]); err != nil {
 				return fmt.Errorf("sim: node %d: %w", node, err)
 			}
@@ -815,11 +902,8 @@ func (nr *nodeRunner) execNode(ctx context.Context, node mdg.NodeID, start float
 		}
 
 	case kernels.OpExtract:
-		full, err := assemble(0)
-		if err != nil {
-			return err
-		}
-		compute = func(_ int, out *block) error {
+		full := assemble(0)
+		fill = func(_ int, out *block) error {
 			out.data.CopyRect(0, 0, full,
 				k.OffR+out.rect.R0, k.OffR+out.rect.R1,
 				k.OffC+out.rect.C0, k.OffC+out.rect.C1)
@@ -827,14 +911,12 @@ func (nr *nodeRunner) execNode(ctx context.Context, node mdg.NodeID, start float
 		}
 
 	case kernels.OpAssemble4:
-		composed := nr.sc.get(k.M, k.N)
+		composed := nr.sc.get(d, k.M, k.N)
 		hr, hc := k.M/2, k.N/2
 		for idx, anchor := range [][2]int{{0, 0}, {0, hc}, {hr, 0}, {hr, hc}} {
-			if err := assembleInto(composed, anchor[0], anchor[1], idx); err != nil {
-				return err
-			}
+			assembleInto(composed, anchor[0], anchor[1], idx)
 		}
-		compute = func(_ int, out *block) error {
+		fill = func(_ int, out *block) error {
 			out.data.CopyRect(0, 0, composed, out.rect.R0, out.rect.R1, out.rect.C0, out.rect.C1)
 			return nil
 		}
@@ -843,18 +925,31 @@ func (nr *nodeRunner) execNode(ctx context.Context, node mdg.NodeID, start float
 		// Assemble both operands from the group's blocks; each member
 		// multiplies its output rectangle's row strip of A by its column
 		// strip of B, read in place. Correct for every layout; the
-		// layout-specific gather costs were charged above.
-		fullA, err := assemble(0)
-		if err != nil {
-			return err
+		// layout-specific gather costs were charged above. On the
+		// executor, where products in flight share the scratch set, A is
+		// not assembled when every member's rows of it are whole rows of
+		// the blocks its views read (rowViews): each member multiplies
+		// those rows where they lie, so that a product holds half the
+		// scratch. A barrier on the step loop keeps assembling A.
+		fullB := assemble(1)
+		var fullA *matrix.Matrix
+		if workers == 1 || !rowViews(ops[0], d.outs, fullB.Rows) {
+			fullA = assemble(0)
 		}
-		fullB, err := assemble(1)
-		if err != nil {
-			return err
-		}
-		compute = func(_ int, out *block) error {
-			if err := matrix.MulStrip(out.data, fullA, out.rect.R0, out.rect.R1, fullB, out.rect.C0, out.rect.C1); err != nil {
-				return fmt.Errorf("sim: node %d: %w", node, err)
+		fill = func(slot int, out *block) error {
+			r := out.rect
+			if fullA != nil {
+				if err := matrix.MulStrip(out.data, fullA, r.R0, r.R1, fullB, r.C0, r.C1); err != nil {
+					return fmt.Errorf("sim: node %d: %w", node, err)
+				}
+				return nil
+			}
+			for _, v := range ops[0][slot].views {
+				rows, s := v.rect.R1-v.rect.R0, v.src.rect
+				dst := matrix.Matrix{Rows: rows, Cols: out.data.Cols, Data: out.data.Data[(v.rect.R0-r.R0)*out.data.Cols:][:rows*out.data.Cols]}
+				if err := matrix.MulStrip(&dst, v.src.data, v.rect.R0-s.R0, v.rect.R1-s.R0, fullB, r.C0, r.C1); err != nil {
+					return fmt.Errorf("sim: node %d: %w", node, err)
+				}
 			}
 			return nil
 		}
@@ -863,27 +958,177 @@ func (nr *nodeRunner) execNode(ctx context.Context, node mdg.NodeID, start float
 		return fmt.Errorf("sim: node %d: unknown op %v", node, k.Op)
 	}
 
-	workers := 1
-	if barrierWork(k, arr.Rows*arr.Cols) >= fanOutWork {
-		workers = par.Workers()
-		res.fannedOut++
-	}
-	outs := make([]*block, q)
-	err = par.DoN(ctx, workers, q, func(_ context.Context, slot int) error {
-		out := newBlock(rectOf(outPlace.Blocks[slot]))
-		outs[slot] = out
+	return par.DoN(ctx, workers, len(d.outs), func(_ context.Context, slot int) error {
+		out := d.outs[slot]
 		if out.data == nil {
 			return nil
 		}
-		return compute(slot, out)
+		out.data.Data = make([]float64, out.data.Rows*out.data.Cols)
+		return fill(slot, out)
 	})
-	if err != nil {
-		return err
+}
+
+// rowViews reports whether every non-empty output block's rows of the
+// operand A, inner columns wide, are the block blocks[slot] holds and are
+// read whole from its views: the views partition the block, and each
+// takes whole rows of a source block that is itself whole rows. Then
+// the rows of each view lie end to end in its source's data, as the
+// multiply kernel reads them.
+func rowViews(blocks, outs []*block, inner int) bool {
+	for slot, b := range blocks {
+		out := outs[slot]
+		if out.data == nil {
+			continue
+		}
+		if b.rect != (codegen.Rect{R0: out.rect.R0, R1: out.rect.R1, C1: inner}) || b.data != nil || !b.partitioned() {
+			return false
+		}
+		for _, v := range b.views {
+			if v.rect.C0 != 0 || v.rect.C1 != inner || v.src.rect.C0 != 0 || v.src.rect.C1 != inner {
+				return false
+			}
+		}
 	}
-	// Install in slot order, on this goroutine. A node's output instance
-	// has the node's id.
-	for slot, proc := range group {
-		res.stores[proc][node] = outs[slot]
+	return true
+}
+
+// executor computes the data of a run's barriers at fanOutWork off the
+// step loop, on width goroutines. The step loop keeps everything that
+// decides the run — clocks, events, operand resolution, the stores — and
+// hands a task only the data work of a barrier whose output blocks it
+// has installed. Each block records its task, and whatever reads a block
+// waits for that task first (ready): a task for the blocks of the
+// operands it reads, the step loop before a light barrier does. Tasks
+// are queued in barrier order and a task waits only for earlier ones, so
+// the earliest unfinished task always proceeds.
+type executor struct {
+	tasks chan *task
+	wg    sync.WaitGroup
+	next  int // barrier order of the next task, kept by the step loop
+
+	mu    sync.Mutex
+	first *task // the failed task first in barrier order
+}
+
+// task is the data work of one barrier on an executor.
+type task struct {
+	seq  int
+	run  func() error
+	done chan struct{}
+	// Set before done is closed: failed when the task returned an error
+	// or panicked, err and panicked with what it did, unless it stopped
+	// because a block it reads failed (errProducerFailed).
+	failed   bool
+	err      error
+	panicked any
+}
+
+// errProducerFailed stops a barrier whose operands a failed task was to
+// compute. The run reports that task's failure, never this.
+var errProducerFailed = errors.New("sim: a block this barrier reads was not computed")
+
+// executorsStarted counts the executors started in this process. Tests
+// read it.
+var executorsStarted atomic.Int64
+
+// newExecutor starts width goroutines taking tasks from a queue that
+// holds capacity of them. A run passes its node count: a node's barrier
+// executes once, so submit never blocks the step loop.
+func newExecutor(width, capacity int) *executor {
+	executorsStarted.Add(1)
+	e := &executor{tasks: make(chan *task, capacity)}
+	e.wg.Add(width)
+	for range width {
+		go func() {
+			defer e.wg.Done()
+			for t := range e.tasks {
+				e.run(t)
+			}
+		}()
+	}
+	return e
+}
+
+// submit queues run as the task computing outs, which it marks as that
+// task's blocks first.
+func (e *executor) submit(outs []*block, run func() error) {
+	t := &task{seq: e.next, run: run, done: make(chan struct{})}
+	e.next++
+	for _, out := range outs {
+		out.task = t
+	}
+	e.tasks <- t
+}
+
+// run runs one task, recovering its panic as DoN does.
+func (e *executor) run(t *task) {
+	defer close(t.done)
+	defer func() {
+		if r := recover(); r != nil {
+			t.failed, t.panicked = true, r
+			e.record(t)
+		}
+	}()
+	err := t.run()
+	t.run = nil // what it captured is not needed after it ran
+	if err != nil {
+		t.failed = true
+		if !errors.Is(err, errProducerFailed) {
+			t.err = err
+			e.record(t)
+		}
+	}
+}
+
+// record keeps t if it is the failed task first in barrier order so far.
+func (e *executor) record(t *task) {
+	e.mu.Lock()
+	if e.first == nil || t.seq < e.first.seq {
+		e.first = t
+	}
+	e.mu.Unlock()
+}
+
+// finish waits for every task and reports the failure first in barrier
+// order, re-raising a task's panic here, on the run's goroutine, where a
+// barrier computed inline would have raised it.
+func (e *executor) finish() error {
+	close(e.tasks)
+	e.wg.Wait()
+	if t := e.first; t != nil {
+		if t.panicked != nil {
+			panic(t.panicked)
+		}
+		return t.err
+	}
+	return nil
+}
+
+// ready waits until every block the operands read has been computed: each
+// operand block, and the source of each of its views.
+func ready(ops [][]*block) error {
+	for _, blocks := range ops {
+		for _, b := range blocks {
+			if err := b.wait(); err != nil {
+				return err
+			}
+			for _, v := range b.views {
+				if err := v.src.wait(); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// wait waits for the task computing b, if there is one.
+func (b *block) wait() error {
+	if t := b.task; t != nil {
+		<-t.done
+		if t.failed {
+			return errProducerFailed
+		}
 	}
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"paradigm/internal/obs"
+	"paradigm/internal/par"
 	"paradigm/internal/resil"
 )
 
@@ -84,6 +85,42 @@ func TestPanicContainedOnCorruptProgram(t *testing.T) {
 		if _, err := call(); !errors.Is(err, ErrBadGraph) || !strings.Contains(err.Error(), "panic in execute stage") {
 			t.Fatalf("%s on corrupted program = %v, want ErrBadGraph from the execute stage", name, err)
 		}
+	}
+}
+
+// The twin of TestPanicContainedOnCorruptProgram on a program whose
+// corrupted barriers reach the simulator's fanOutWork: CMM-256 on 64
+// processors with Ar halved, whose products are computed on the
+// simulator's executor when the pool is wider than one. The panic is
+// raised on a task's goroutine; the public boundary must still contain
+// it as a typed error naming the stage, and the process must live.
+func TestPanicContainedOnHeavyBarrier(t *testing.T) {
+	cal := testCal(t)
+	m := NewCM5(64)
+	model := cal.Model()
+	for _, width := range []string{"2", "8"} {
+		t.Run("width"+width, func(t *testing.T) {
+			t.Setenv(par.EnvWorkers, width)
+			p, err := ComplexMatMul(256, cal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			arr := p.Arrays["Ar"]
+			arr.Rows /= 2
+			p.Arrays["Ar"] = arr
+			for name, call := range map[string]func() (*Result, error){
+				"RunContext":     func() (*Result, error) { return RunContext(context.Background(), p, m, cal, 64) },
+				"RunSPMDContext": func() (*Result, error) { return RunSPMDContext(context.Background(), p, m, model, 64) },
+			} {
+				_, err := call()
+				if !errors.Is(err, ErrBadGraph) || !strings.Contains(err.Error(), "panic in execute stage") {
+					t.Fatalf("%s on corrupted program = %v, want ErrBadGraph from the execute stage", name, err)
+				}
+				if !strings.Contains(err.Error(), "matrix: strips") {
+					t.Fatalf("%s on corrupted program = %v, want the product's panic", name, err)
+				}
+			}
+		})
 	}
 }
 
