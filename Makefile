@@ -68,17 +68,17 @@ fuzz-smoke:
 # observability, recovery and checkpoint budgets, the simulator's data
 # plane and its strip kernel (a wide shape and a narrow, odd one that ends
 # in every tail the vector kernel has, each reporting multiply-adds per
-# second) and its vector sine over one row, a cold automorphism-orbit
-# computation on Strassen-128, the exact solve's setup alone (compile,
-# epigraph form, interior-point setup) on Strassen-128, and the service's
-# submit path with and without the journal: enough to catch one that no
-# longer compiles or errors out.
+# second), its vector sine and its vector add over one row, a cold
+# automorphism-orbit computation on Strassen-128, the exact solve's setup
+# alone (compile, epigraph form, interior-point setup) on Strassen-128,
+# and the service's submit path with and without the journal: enough to
+# catch one that no longer compiles or errors out.
 # It writes no file. Measurements come from the repo's benchmark (bench/);
 # the service under load is its closed-loop svc_cold and svc_hot workloads.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAllocSolve|BenchmarkBuildStrassen128|BenchmarkRunNilObserver|BenchmarkRunWithObserver|BenchmarkRunNoFaults|BenchmarkRunWithRecovery|BenchmarkRunNoCheckpoint|BenchmarkRunWithCheckpoint|BenchmarkRunCMM256P64|BenchmarkSimRun|BenchmarkGenerate' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkTable2TransferFit' -benchtime=1x -benchmem ./internal/experiments/
-	$(GO) test -run '^$$' -bench 'BenchmarkMulStrip|BenchmarkSin256' -benchtime=1x -benchmem ./internal/matrix/
+	$(GO) test -run '^$$' -bench 'BenchmarkMulStrip|BenchmarkSin256|BenchmarkAddSlice256' -benchtime=1x -benchmem ./internal/matrix/
 	$(GO) test -run '^$$' -bench 'BenchmarkOrbitsStrassen128' -benchtime=1x -benchmem ./internal/mdg/
 	$(GO) test -run '^$$' -bench 'BenchmarkSolveSetupStrassen128' -benchtime=1x -benchmem ./internal/alloc/
 	$(GO) test -run '^$$' -bench 'BenchmarkSubmit' -benchtime=1x -benchmem ./internal/service/

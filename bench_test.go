@@ -389,6 +389,15 @@ func BenchmarkSimRunServiceMix(b *testing.B) {
 		[2]int{40, 8}, [2]int{56, 23}, [2]int{64, 16}, [2]int{80, 20}, [2]int{100, 30}, [2]int{127, 35})
 }
 
+// BenchmarkSimRunServiceHot simulates the two specs a hot paradigmd
+// alternates, CMM-16 on 4 and on 8 processors; one iteration runs both.
+// It is where a per-barrier or per-row cost of the data plane shows
+// against runs that tiny.
+func BenchmarkSimRunServiceHot(b *testing.B) {
+	benchSim(b, func(n int) (*prog.Program, error) { return programs.ComplexMatMul(n, env(b).Cal) },
+		[2]int{16, 4}, [2]int{16, 8})
+}
+
 // BenchmarkRunNoCheckpoint is BenchmarkRunCMM256P64 under the name its
 // pair below knows it by: the baseline the WAL overhead is measured
 // against (the <3% budget of DESIGN.md §11).

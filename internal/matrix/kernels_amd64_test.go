@@ -10,17 +10,17 @@ import (
 
 func init() {
 	vecKernels = []vecKernel{
-		{"avx512", axpy4AVX512, axpyAVX, avxUsable() && avx512Usable()},
-		{"avx", axpy4AVX, axpyAVX, avxUsable()},
+		{"avx512", axpy4AVX512, axpyAVX, addAVX512, subAVX512, sinAVX512, cosAVX512, avxUsable() && avx512Usable()},
+		{"avx", axpy4AVX, axpyAVX, addAVX, subAVX, sinAVX, cosAVX, avxUsable()},
 	}
 }
 
 // TestKernelSelection guards init's choice, which the bit tests cannot
 // see: they run every kernel the CPU has whatever init picked, so a
-// detection bug that fell back to axpy4AVX would keep every bit and lose
-// the whole gain. Where Linux lists avx512f among the CPU's flags — which
-// it does only when it also saves the ZMM state — axpy4Vec must be the
-// 512-bit kernel.
+// detection bug that fell back to the AVX kernels would keep every bit
+// and lose the whole gain. Where Linux lists avx512f among the CPU's
+// flags — which it does only when it also saves the ZMM state — every
+// hook but axpyVec, which has one width, must hold the 512-bit kernel.
 func TestKernelSelection(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("reads the CPU flags from /proc/cpuinfo")
@@ -35,13 +35,21 @@ func TestKernelSelection(t *testing.T) {
 	if !avx512Usable() {
 		t.Fatal("the CPU flags list avx512f, avx512Usable reports false")
 	}
-	got, want := reflect.ValueOf(axpy4Vec).Pointer(), reflect.ValueOf(axpy4AVX512).Pointer()
-	if axpy4Vec == nil || got != want {
-		t.Fatalf("axpy4Vec = %#x, want axpy4AVX512 (%#x); axpy4AVX is %#x",
-			got, want, reflect.ValueOf(axpy4AVX).Pointer())
-	}
-	if axpyVec == nil || reflect.ValueOf(axpyVec).Pointer() != reflect.ValueOf(axpyAVX).Pointer() {
-		t.Fatal("axpyVec is not axpyAVX")
+	for _, h := range []struct {
+		name      string
+		got, want any
+	}{
+		{"axpy4Vec", axpy4Vec, axpy4AVX512},
+		{"axpyVec", axpyVec, axpyAVX},
+		{"addVec", addVec, addAVX512},
+		{"subVec", subVec, subAVX512},
+		{"sinVec", sinVec, sinAVX512},
+		{"cosVec", cosVec, cosAVX512},
+	} {
+		got, want := reflect.ValueOf(h.got), reflect.ValueOf(h.want)
+		if got.IsNil() || got.Pointer() != want.Pointer() {
+			t.Errorf("%s does not hold the kernel init should pick (%#x)", h.name, want.Pointer())
+		}
 	}
 }
 

@@ -85,9 +85,7 @@ func Add(dst, a, b *Matrix) error {
 	if err := sameShape(dst, a); err != nil {
 		return err
 	}
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] + b.Data[i]
-	}
+	AddSlice(dst.Data, a.Data, b.Data)
 	return nil
 }
 
@@ -99,10 +97,45 @@ func Sub(dst, a, b *Matrix) error {
 	if err := sameShape(dst, a); err != nil {
 		return err
 	}
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] - b.Data[i]
-	}
+	SubSlice(dst.Data, a.Data, b.Data)
 	return nil
+}
+
+// addVec and subVec are the vector forms of AddSlice and SubSlice: over
+// n elements each sets d[i] to a[i] + b[i] (a[i] - b[i]), one rounded
+// operation a lane with a[i] its first operand, as the scalar loop's
+// ADDSD (SUBSD) has it — so that where both are NaN, a's payload is the
+// one kept. They are nil unless the architecture's file
+// (matrix_amd64.go) has a kernel this CPU can run, in which case its
+// init sets them, once, to the widest; tests set them to reach every
+// other path on the same machine.
+var addVec, subVec func(d, a, b *float64, n int)
+
+// AddSlice sets dst[i] = a[i] + b[i] for every i of dst; a and b are at
+// least as long. dst may be a or b, but must not overlap either
+// otherwise. It is Add without the shapes, for a caller whose operands
+// are rows of larger matrices.
+func AddSlice(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	if addVec != nil && len(dst) > 0 {
+		addVec(&dst[0], &a[0], &b[0], len(dst))
+		return
+	}
+	for i := range dst {
+		dst[i] = a[i] + b[i]
+	}
+}
+
+// SubSlice sets dst[i] = a[i] - b[i], as AddSlice adds.
+func SubSlice(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	if subVec != nil && len(dst) > 0 {
+		subVec(&dst[0], &a[0], &b[0], len(dst))
+		return
+	}
+	for i := range dst {
+		dst[i] = a[i] - b[i]
+	}
 }
 
 // Mul computes dst = a·b. dst must not alias a or b. It is MulStrip over

@@ -23,6 +23,25 @@ func axpy4AVX512(d, a, b *float64, w, inner, stride, rows int, first bool)
 //go:noescape
 func axpyAVX(d, a, b *float64, w int)
 
+// addAVX and subAVX are addVec and subVec in 256-bit AVX
+// (matrix_amd64.s): eight, four, then one element(s) to a step.
+//
+//go:noescape
+func addAVX(d, a, b *float64, n int)
+
+//go:noescape
+func subAVX(d, a, b *float64, n int)
+
+// addAVX512 and subAVX512 are addAVX and subAVX at 512 bits
+// (matrix_amd64.s): sixteen, then eight elements to a step, then the AVX
+// kernels' own four- and one-element steps.
+//
+//go:noescape
+func addAVX512(d, a, b *float64, n int)
+
+//go:noescape
+func subAVX512(d, a, b *float64, n int)
+
 // sinAVX and cosAVX are sinVec and cosVec in 256-bit AVX
 // (matrix_amd64.s), four arguments to an instruction.
 //
@@ -31,6 +50,17 @@ func sinAVX(dst, src *float64, n int) int
 
 //go:noescape
 func cosAVX(dst, src *float64, n int) int
+
+// sinAVX512 and cosAVX512 are sinAVX and cosAVX at 512 bits
+// (matrix_amd64.s): groups of eight, the same operations lane for lane,
+// and where fewer than eight are left or a group of eight holds an
+// argument out of range, sinAVX's and cosAVX's own groups of four.
+//
+//go:noescape
+func sinAVX512(dst, src *float64, n int) int
+
+//go:noescape
+func cosAVX512(dst, src *float64, n int) int
 
 // avxUsable reports whether this CPU has AVX and the operating system
 // saves the YMM registers across context switches: CPUID.1:ECX has
@@ -45,8 +75,9 @@ func avxUsable() bool
 // opmask, ZMM_Hi256 and Hi16_ZMM state bits (1, 2, 5, 6 and 7) set.
 func avx512Usable() bool
 
-// trigK holds the constants of sinAVX and cosAVX, each in the four lanes
-// of a 256-bit word, in the order of the k* offsets in matrix_amd64.s.
+// trigK holds the constants of the trig kernels, each in the four lanes
+// of a 256-bit word, in the order of the k* offsets in matrix_amd64.s;
+// the 512-bit kernels broadcast the first lane.
 // The reduction constants and the polynomial coefficients are math.Sin's
 // and math.Cos's, from the Go source of package math, which on amd64 is
 // compiled with every multiply and add rounded on its own (the compiler
@@ -81,16 +112,19 @@ var trigK = func() (k [22][4]uint64) {
 	return k
 }()
 
-// init picks the widest multiply kernel this CPU and operating system
-// can run: axpy4AVX512, else axpy4AVX, else none (the portable loop). The
-// 512-bit kernel's tails are AVX instructions, so it needs both tests.
-// The tail k of either goes through axpyAVX.
+// init picks the widest kernels this CPU and operating system can run:
+// the AVX-512 ones, else the AVX ones, else none (the portable loops).
+// The 512-bit kernels' tails are AVX instructions, so they need both
+// tests. The tail k of either multiply kernel goes through axpyAVX.
 func init() {
 	if avxUsable() {
 		axpy4Vec, axpyVec = axpy4AVX, axpyAVX
+		addVec, subVec = addAVX, subAVX
 		sinVec, cosVec = sinAVX, cosAVX
 		if avx512Usable() {
 			axpy4Vec = axpy4AVX512
+			addVec, subVec = addAVX512, subAVX512
+			sinVec, cosVec = sinAVX512, cosAVX512
 		}
 	}
 }

@@ -863,3 +863,439 @@ cosdone:
 	MOVQ    AX, ret+24(FP)
 	VZEROUPPER
 	RET
+
+// The vector kernels behind AddSlice and SubSlice (see addVec in
+// matrix.go): d[i] = a[i] + b[i] (or − b[i]) for i < n, each lane one
+// rounded VADDPD (VSUBPD) with a's value as its first source, as the
+// scalar loop's ADDSD (SUBSD) has it, so that of two NaNs a's payload is
+// the one kept. addAVX and subAVX take eight elements at a time, then
+// four, then one (VADDSD/VSUBSD); addAVX512 and subAVX512 take sixteen,
+// then eight, then the same four and one. Each step loads all it reads
+// before it stores, so d may be a or b; no load or store reaches past n.
+//
+// Register use: DI, SI, BX  d, a, b;  AX  byte offset;  CX  elements left.
+
+// One step of op over sixteen, eight, four or one element(s).
+#define ELEM16(op) \
+	VMOVUPD (SI)(AX*1), Z0; \
+	VMOVUPD 64(SI)(AX*1), Z1; \
+	op      (BX)(AX*1), Z0, Z0; \
+	op      64(BX)(AX*1), Z1, Z1; \
+	VMOVUPD Z0, (DI)(AX*1); \
+	VMOVUPD Z1, 64(DI)(AX*1)
+
+#define ELEM8Z(op) \
+	VMOVUPD (SI)(AX*1), Z0; \
+	op      (BX)(AX*1), Z0, Z0; \
+	VMOVUPD Z0, (DI)(AX*1)
+
+#define ELEM8(op) \
+	VMOVUPD (SI)(AX*1), Y0; \
+	VMOVUPD 32(SI)(AX*1), Y1; \
+	op      (BX)(AX*1), Y0, Y0; \
+	op      32(BX)(AX*1), Y1, Y1; \
+	VMOVUPD Y0, (DI)(AX*1); \
+	VMOVUPD Y1, 32(DI)(AX*1)
+
+#define ELEM4(op) \
+	VMOVUPD (SI)(AX*1), Y0; \
+	op      (BX)(AX*1), Y0, Y0; \
+	VMOVUPD Y0, (DI)(AX*1)
+
+#define ELEM1(op) \
+	VMOVSD (SI)(AX*1), X0; \
+	op     (BX)(AX*1), X0, X0; \
+	VMOVSD X0, (DI)(AX*1)
+
+// func addAVX(d, a, b *float64, n int)
+TEXT ·addAVX(SB), NOSPLIT, $0-32
+	MOVQ d+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ n+24(FP), CX
+	XORQ AX, AX
+add8:
+	CMPQ CX, $8
+	JLT  add4
+	ELEM8(VADDPD)
+	ADDQ $64, AX
+	SUBQ $8, CX
+	JMP  add8
+add4:
+	CMPQ CX, $4
+	JLT  add1
+	ELEM4(VADDPD)
+	ADDQ $32, AX
+	SUBQ $4, CX
+add1:
+	TESTQ CX, CX
+	JEQ   adddone
+	ELEM1(VADDSD)
+	ADDQ  $8, AX
+	DECQ  CX
+	JMP   add1
+adddone:
+	VZEROUPPER
+	RET
+
+// func subAVX(d, a, b *float64, n int)
+TEXT ·subAVX(SB), NOSPLIT, $0-32
+	MOVQ d+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ n+24(FP), CX
+	XORQ AX, AX
+sub8:
+	CMPQ CX, $8
+	JLT  sub4
+	ELEM8(VSUBPD)
+	ADDQ $64, AX
+	SUBQ $8, CX
+	JMP  sub8
+sub4:
+	CMPQ CX, $4
+	JLT  sub1
+	ELEM4(VSUBPD)
+	ADDQ $32, AX
+	SUBQ $4, CX
+sub1:
+	TESTQ CX, CX
+	JEQ   subdone
+	ELEM1(VSUBSD)
+	ADDQ  $8, AX
+	DECQ  CX
+	JMP   sub1
+subdone:
+	VZEROUPPER
+	RET
+
+// func addAVX512(d, a, b *float64, n int)
+TEXT ·addAVX512(SB), NOSPLIT, $0-32
+	MOVQ d+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ n+24(FP), CX
+	XORQ AX, AX
+zadd16:
+	CMPQ CX, $16
+	JLT  zadd8
+	ELEM16(VADDPD)
+	ADDQ $128, AX
+	SUBQ $16, CX
+	JMP  zadd16
+zadd8:
+	CMPQ CX, $8
+	JLT  zadd4
+	ELEM8Z(VADDPD)
+	ADDQ $64, AX
+	SUBQ $8, CX
+zadd4:
+	CMPQ CX, $4
+	JLT  zadd1
+	ELEM4(VADDPD)
+	ADDQ $32, AX
+	SUBQ $4, CX
+zadd1:
+	TESTQ CX, CX
+	JEQ   zadddone
+	ELEM1(VADDSD)
+	ADDQ  $8, AX
+	DECQ  CX
+	JMP   zadd1
+zadddone:
+	VZEROUPPER
+	RET
+
+// func subAVX512(d, a, b *float64, n int)
+TEXT ·subAVX512(SB), NOSPLIT, $0-32
+	MOVQ d+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ n+24(FP), CX
+	XORQ AX, AX
+zsub16:
+	CMPQ CX, $16
+	JLT  zsub8
+	ELEM16(VSUBPD)
+	ADDQ $128, AX
+	SUBQ $16, CX
+	JMP  zsub16
+zsub8:
+	CMPQ CX, $8
+	JLT  zsub4
+	ELEM8Z(VSUBPD)
+	ADDQ $64, AX
+	SUBQ $8, CX
+zsub4:
+	CMPQ CX, $4
+	JLT  zsub1
+	ELEM4(VSUBPD)
+	ADDQ $32, AX
+	SUBQ $4, CX
+zsub1:
+	TESTQ CX, CX
+	JEQ   zsubdone
+	ELEM1(VSUBSD)
+	ADDQ  $8, AX
+	DECQ  CX
+	JMP   zsub1
+zsubdone:
+	VZEROUPPER
+	RET
+
+// sinAVX512 and cosAVX512 are sinAVX and cosAVX at 512 bits: the same
+// operations on the same operands in the same order, lane for lane,
+// eight arguments to a group. The main loop takes two groups, their steps
+// interleaved; the second loop takes one. Where fewer than eight
+// arguments are left, or a group of eight holds one out of range, the
+// group of four it starts with goes through the AVX kernels' own steps
+// (the macros above), which stop the call at a group of four with an
+// argument out of range. So these kernels write, and return, what sinAVX
+// and cosAVX do.
+//
+// Every instruction on a ZMM or opmask register is AVX512F: the bitwise
+// operations are VPANDQ and VPXORQ (VANDPD and VXORPD on a ZMM register
+// are AVX512DQ), a rounding is VRNDSCALEPD with VROUNDPD's mode bits,
+// a blend is VBLENDMPD under an opmask, and a constant is the first lane
+// of its trigK word, broadcast from memory (.BCST).
+//
+// Register use, beyond the AVX kernels' (which the tails keep):
+//	Z0..Z5          first group:  A |x|, then z, then scratch;  B h;
+//	                Z zz;  S;  C;  T scratch
+//	Z6..Z11         second group, likewise
+//	Z12             zero
+//	K1, K2          first group: range, then o ∈ {2, 6} and o ≥ 4
+//	K3, K4          second group, likewise;  K5  both groups in range
+
+// |x| of the eight arguments at off into A.
+#define ZLOADABS(off, A) \
+	VMOVUPD     off(SI)(AX*1), A; \
+	VPANDQ.BCST kAbs(R8), A, A
+
+// From |x| in A: z in A and h in B.
+#define ZREDUCE(A, B, S, C, T) \
+	VMULPD.BCST kFourOverPi(R8), A, B; \
+	VRNDSCALEPD $3, B, B; \
+	VMULPD.BCST kHalf(R8), B, B; \
+	VRNDSCALEPD $2, B, B; \
+	VADDPD      B, B, T; \
+	VMULPD.BCST kPI4A(R8), T, S; \
+	VMULPD.BCST kPI4B(R8), T, C; \
+	VMULPD.BCST kPI4C(R8), T, T; \
+	VSUBPD      S, A, A; \
+	VSUBPD      C, A, A; \
+	VSUBPD      T, A, A
+
+// From z in A: zz in Z and S.
+#define ZSINPOLY(A, Z, S, T) \
+	VMULPD      A, A, Z; \
+	VMULPD.BCST kS0(R8), Z, S; \
+	VADDPD.BCST kS1(R8), S, S; \
+	VMULPD      Z, S, S; \
+	VADDPD.BCST kS2(R8), S, S; \
+	VMULPD      Z, S, S; \
+	VADDPD.BCST kS3(R8), S, S; \
+	VMULPD      Z, S, S; \
+	VADDPD.BCST kS4(R8), S, S; \
+	VMULPD      Z, S, S; \
+	VADDPD.BCST kS5(R8), S, S; \
+	VMULPD      Z, A, T; \
+	VMULPD      S, T, S; \
+	VADDPD      S, A, S
+
+// From zz in Z: C. Overwrites A.
+#define ZCOSPOLY(A, Z, C, T) \
+	VMULPD.BCST  kC0(R8), Z, C; \
+	VADDPD.BCST  kC1(R8), C, C; \
+	VMULPD       Z, C, C; \
+	VADDPD.BCST  kC2(R8), C, C; \
+	VMULPD       Z, C, C; \
+	VADDPD.BCST  kC3(R8), C, C; \
+	VMULPD       Z, C, C; \
+	VADDPD.BCST  kC4(R8), C, C; \
+	VMULPD       Z, C, C; \
+	VADDPD.BCST  kC5(R8), C, C; \
+	VMULPD       Z, Z, T; \
+	VMULPD       C, T, C; \
+	VMULPD.BCST  kHalf(R8), Z, T; \
+	VBROADCASTSD kOne(R8), A; \
+	VSUBPD       T, A, A; \
+	VADDPD       C, A, C
+
+// From h in B: the mask o ∈ {2, 6} in KO and the mask o ≥ 4 in KH.
+// Overwrites A and B.
+#define ZOCTANT(A, B, T, KO, KH) \
+	VMULPD.BCST kHalf(R8), B, T; \
+	VRNDSCALEPD $1, T, A; \
+	VCMPPD      $4, A, T, KO; \
+	VMULPD.BCST kQuarter(R8), B, T; \
+	VRNDSCALEPD $1, T, B; \
+	VSUBPD      B, T, T; \
+	VCMPPD.BCST $13, kHalf(R8), T, KH
+
+// The sine of the group at off from the octant masks and the
+// polynomials: C where o ∈ {2, 6}, else S, its sign flipped where o ≥ 4
+// and again where x < 0.
+#define ZSINOUT(off, S, C, T, KO, KH) \
+	VBLENDMPD   C, S, KO, S; \
+	VMOVUPD     off(SI)(AX*1), T; \
+	VPANDQ.BCST kSign(R8), T, T; \
+	VPXORQ.BCST kSign(R8), T, KH, T; \
+	VPXORQ      T, S, S; \
+	VMOVUPD     S, off(DI)(AX*1)
+
+// The cosine of the group at off: S where o ∈ {2, 6}, else C, its sign
+// flipped where exactly one of o ∈ {2, 6} and o ≥ 4 holds.
+#define ZCOSOUT(off, S, C, KO, KH) \
+	VBLENDMPD   S, C, KO, C; \
+	KXORW       KO, KH, KH; \
+	VPXORQ.BCST kSign(R8), C, KH, C; \
+	VMOVUPD     C, off(DI)(AX*1)
+
+// 0 < |x| < 2²⁹ for every lane of A, into K; NaN fails both tests.
+#define ZSINRANGE(A, K) \
+	VCMPPD.BCST $1, kLimit(R8), A, K; \
+	VCMPPD      $4, Z12, A, K, K
+
+// |x| < 2²⁹ for every lane of A, into K.
+#define ZCOSRANGE(A, K) \
+	VCMPPD.BCST $1, kLimit(R8), A, K
+
+// func sinAVX512(dst, src *float64, n int) int
+TEXT ·sinAVX512(SB), NOSPLIT, $0-32
+	MOVQ    dst+0(FP), DI
+	MOVQ    src+8(FP), SI
+	MOVQ    n+16(FP), CX
+	LEAQ    ·trigK(SB), R8
+	XORQ    AX, AX
+	VPXORQ  Z12, Z12, Z12
+zsin16:
+	CMPQ    CX, $16
+	JLT     zsin8
+	ZLOADABS(0, Z0)
+	ZLOADABS(64, Z6)
+	ZSINRANGE(Z0, K1)
+	ZSINRANGE(Z6, K3)
+	KANDW   K1, K3, K5
+	KMOVW   K5, BX
+	CMPQ    BX, $0xff
+	JNE     zsin8
+	ZREDUCE(Z0, Z1, Z3, Z4, Z5)
+	ZREDUCE(Z6, Z7, Z9, Z10, Z11)
+	ZSINPOLY(Z0, Z2, Z3, Z5)
+	ZSINPOLY(Z6, Z8, Z9, Z11)
+	ZCOSPOLY(Z0, Z2, Z4, Z5)
+	ZCOSPOLY(Z6, Z8, Z10, Z11)
+	ZOCTANT(Z0, Z1, Z5, K1, K2)
+	ZOCTANT(Z6, Z7, Z11, K3, K4)
+	ZSINOUT(0, Z3, Z4, Z5, K1, K2)
+	ZSINOUT(64, Z9, Z10, Z11, K3, K4)
+	ADDQ    $128, AX
+	SUBQ    $16, CX
+	JMP     zsin16
+zsin8:
+	CMPQ    CX, $8
+	JLT     zsin4
+	ZLOADABS(0, Z0)
+	ZSINRANGE(Z0, K1)
+	KMOVW   K1, BX
+	CMPQ    BX, $0xff
+	JNE     zsin4
+	ZREDUCE(Z0, Z1, Z3, Z4, Z5)
+	ZSINPOLY(Z0, Z2, Z3, Z5)
+	ZCOSPOLY(Z0, Z2, Z4, Z5)
+	ZOCTANT(Z0, Z1, Z5, K1, K2)
+	ZSINOUT(0, Z3, Z4, Z5, K1, K2)
+	ADDQ    $64, AX
+	SUBQ    $8, CX
+	JMP     zsin16
+zsin4:
+	CMPQ    CX, $4
+	JLT     zsindone
+	LOADABS(0, Y0)
+	SINRANGE(Y0, Y13, Y14)
+	VMOVMSKPD Y13, BX
+	CMPQ    BX, $15
+	JNE     zsindone
+	REDUCE(Y0, Y1, Y3, Y4, Y5)
+	SINPOLY(Y0, Y2, Y3, Y5)
+	COSPOLY(Y0, Y2, Y4, Y5)
+	OCTANT(Y0, Y1, Y5)
+	SINOUT(0, Y0, Y1, Y3, Y4, Y5)
+	ADDQ    $32, AX
+	SUBQ    $4, CX
+	JMP     zsin16
+zsindone:
+	SHRQ    $3, AX
+	MOVQ    AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func cosAVX512(dst, src *float64, n int) int
+TEXT ·cosAVX512(SB), NOSPLIT, $0-32
+	MOVQ    dst+0(FP), DI
+	MOVQ    src+8(FP), SI
+	MOVQ    n+16(FP), CX
+	LEAQ    ·trigK(SB), R8
+	XORQ    AX, AX
+zcos16:
+	CMPQ    CX, $16
+	JLT     zcos8
+	ZLOADABS(0, Z0)
+	ZLOADABS(64, Z6)
+	ZCOSRANGE(Z0, K1)
+	ZCOSRANGE(Z6, K3)
+	KANDW   K1, K3, K5
+	KMOVW   K5, BX
+	CMPQ    BX, $0xff
+	JNE     zcos8
+	ZREDUCE(Z0, Z1, Z3, Z4, Z5)
+	ZREDUCE(Z6, Z7, Z9, Z10, Z11)
+	ZSINPOLY(Z0, Z2, Z3, Z5)
+	ZSINPOLY(Z6, Z8, Z9, Z11)
+	ZCOSPOLY(Z0, Z2, Z4, Z5)
+	ZCOSPOLY(Z6, Z8, Z10, Z11)
+	ZOCTANT(Z0, Z1, Z5, K1, K2)
+	ZOCTANT(Z6, Z7, Z11, K3, K4)
+	ZCOSOUT(0, Z3, Z4, K1, K2)
+	ZCOSOUT(64, Z9, Z10, K3, K4)
+	ADDQ    $128, AX
+	SUBQ    $16, CX
+	JMP     zcos16
+zcos8:
+	CMPQ    CX, $8
+	JLT     zcos4
+	ZLOADABS(0, Z0)
+	ZCOSRANGE(Z0, K1)
+	KMOVW   K1, BX
+	CMPQ    BX, $0xff
+	JNE     zcos4
+	ZREDUCE(Z0, Z1, Z3, Z4, Z5)
+	ZSINPOLY(Z0, Z2, Z3, Z5)
+	ZCOSPOLY(Z0, Z2, Z4, Z5)
+	ZOCTANT(Z0, Z1, Z5, K1, K2)
+	ZCOSOUT(0, Z3, Z4, K1, K2)
+	ADDQ    $64, AX
+	SUBQ    $8, CX
+	JMP     zcos16
+zcos4:
+	CMPQ    CX, $4
+	JLT     zcosdone
+	LOADABS(0, Y0)
+	VCMPPD  $1, kLimit(R8), Y0, Y13
+	VMOVMSKPD Y13, BX
+	CMPQ    BX, $15
+	JNE     zcosdone
+	REDUCE(Y0, Y1, Y3, Y4, Y5)
+	SINPOLY(Y0, Y2, Y3, Y5)
+	COSPOLY(Y0, Y2, Y4, Y5)
+	OCTANT(Y0, Y1, Y5)
+	COSOUT(0, Y0, Y1, Y3, Y4)
+	ADDQ    $32, AX
+	SUBQ    $4, CX
+	JMP     zcos16
+zcosdone:
+	SHRQ    $3, AX
+	MOVQ    AX, ret+24(FP)
+	VZEROUPPER
+	RET

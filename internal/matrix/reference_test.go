@@ -66,13 +66,16 @@ func specials() []float64 {
 // sameBits is the equality the bit-identity tests demand.
 func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
-// vecKernel is one vector form of axpy4Vec: its name, the kernel, the
-// axpyVec that runs beside it, and whether this CPU can run them.
+// vecKernel is one width of the architecture's vector kernels: its name,
+// a kernel for every hook (axpy4Vec and the axpyVec beside it, addVec,
+// subVec, sinVec and cosVec), and whether this CPU can run them.
 type vecKernel struct {
-	name   string
-	fn     func(d, a, b *float64, w, inner, stride, rows int, first bool)
-	tail   func(d, a, b *float64, w int)
-	usable bool
+	name     string
+	fn       func(d, a, b *float64, w, inner, stride, rows int, first bool)
+	tail     func(d, a, b *float64, w int)
+	add, sub func(d, a, b *float64, n int)
+	sin, cos func(dst, src *float64, n int) int
+	usable   bool
 }
 
 // vecKernels lists the architecture's vector kernels, widest first; the
@@ -81,36 +84,42 @@ type vecKernel struct {
 var vecKernels []vecKernel
 
 // pathsLogged holds the tests that have logged their paths, so that each
-// logs them once however many strips it checks.
+// logs them once however many cases it checks.
 var pathsLogged sync.Map
 
-// eachPath runs f on every inner path MulStrip has on this machine: with
-// each vector kernel this CPU can run, widest first, and with none, which
-// is the portable loop every other machine runs. The first call under t
-// logs which paths ran and which vector kernel was left out, and why.
+// eachPath runs f on every path the package's kernels have on this
+// machine: with each width of vector kernels this CPU can run, widest
+// first, and with none, which is the portable Go every other machine
+// runs. The first call under t logs which paths ran and which vector
+// width was left out, and why.
 func eachPath(t testing.TB, f func(path string)) {
 	t.Helper()
-	vec, tail := axpy4Vec, axpyVec
-	defer func() { axpy4Vec, axpyVec = vec, tail }()
+	saved := vecKernel{fn: axpy4Vec, tail: axpyVec, add: addVec, sub: subVec, sin: sinVec, cos: cosVec}
+	defer setKernels(saved)
 	var ran, skipped []string
 	for _, k := range vecKernels {
 		if !k.usable {
 			skipped = append(skipped, k.name)
 			continue
 		}
-		axpy4Vec, axpyVec = k.fn, k.tail
+		setKernels(k)
 		f(k.name)
 		ran = append(ran, k.name)
 	}
-	axpy4Vec, axpyVec = nil, nil
+	setKernels(vecKernel{})
 	f("portable")
 	if _, seen := pathsLogged.LoadOrStore(t, true); !seen {
 		t.Cleanup(func() { pathsLogged.Delete(t) })
-		t.Logf("MulStrip paths run: %s", strings.Join(append(ran, "portable"), ", "))
+		t.Logf("kernel paths run: %s", strings.Join(append(ran, "portable"), ", "))
 		for _, name := range skipped {
-			t.Logf("MulStrip path %s skipped: this CPU or operating system cannot run it", name)
+			t.Logf("kernel path %s skipped: this CPU or operating system cannot run it", name)
 		}
 	}
+}
+
+// setKernels points every hook at k's kernels.
+func setKernels(k vecKernel) {
+	axpy4Vec, axpyVec, addVec, subVec, sinVec, cosVec = k.fn, k.tail, k.add, k.sub, k.sin, k.cos
 }
 
 // checkStripBits multiplies the strip a[r0:r1,:]·b[:,c0:c1] in place with

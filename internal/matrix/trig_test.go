@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -92,15 +93,17 @@ func TestSinCosMatchMath(t *testing.T) {
 		n = 1 << 16
 	}
 	xs := trigInputs(n, 1)
-	t.Run("vector", func(t *testing.T) {
-		if sinVec == nil {
-			t.Skip("no vector trig kernel on this machine")
+	// The path init picked runs as "vector", the portable one as
+	// "scalar", and any narrower vector kernel under its own name.
+	picked := reflect.ValueOf(sinVec).Pointer()
+	eachPath(t, func(path string) {
+		switch {
+		case path == "portable":
+			path = "scalar"
+		case reflect.ValueOf(sinVec).Pointer() == picked:
+			path = "vector"
 		}
-		requireTrigBits(t, xs)
-	})
-	t.Run("scalar", func(t *testing.T) {
-		scalarTrig(t)
-		requireTrigBits(t, xs)
+		t.Run(path, func(t *testing.T) { requireTrigBits(t, xs) })
 	})
 }
 
@@ -126,54 +129,76 @@ func FuzzSinCos(f *testing.F) {
 		}
 		lo := min(int(off), len(xs))
 		hi := min(lo+int(n), len(xs))
-		requireTrigBits(t, xs[lo:hi])
+		eachPath(t, func(string) { requireTrigBits(t, xs[lo:hi]) })
 	})
 }
 
 // TestTrigVectorCoversItsRange pins which groups the vector kernels take:
-// every whole group in range, up to the first group with an argument out
-// of range. Without it a kernel that declined everything would pass the
+// every whole group of four in range, up to the first group of four with
+// an argument out of range — on every width, so that a 512-bit kernel
+// whose group of eight holds one such argument still takes the four
+// before it. Without it a kernel that declined everything would pass the
 // bit checks on the scalar loop.
 func TestTrigVectorCoversItsRange(t *testing.T) {
-	if sinVec == nil {
+	vectors := 0
+	eachPath(t, func(path string) {
+		if sinVec == nil {
+			return
+		}
+		vectors++
+		xs := []float64{0.5, -1, 3e8, -2e-300, 7, 8, 9, 10, 1, 2, 0, 3, 4, 5}
+		dst := make([]float64, len(xs))
+		if got := sinVec(&dst[0], &xs[0], len(xs)); got != 8 {
+			t.Fatalf("%s: sin kernel wrote %d, want 8 (stop at the group with a zero)", path, got)
+		}
+		if got := cosVec(&dst[0], &xs[0], len(xs)); got != 12 {
+			t.Fatalf("%s: cos kernel wrote %d, want 12 (a zero is in range, the tail of 2 is not)", path, got)
+		}
+		// One argument out of range at every place of 24 arguments in
+		// range: two groups of eight and one more, for the 512-bit
+		// kernels' two loops and their tail.
+		for _, bad := range []float64{math.NaN(), math.Inf(-1), 1 << 29, -(1 << 30)} {
+			for at := 0; at < 24; at++ {
+				ys := make([]float64, 24)
+				for i := range ys {
+					ys[i] = 0.25 + float64(i)
+				}
+				ys[at] = bad
+				dst := make([]float64, len(ys))
+				want := at &^ 3
+				if got := sinVec(&dst[0], &ys[0], len(ys)); got != want {
+					t.Fatalf("%s: sin kernel wrote %d with %v at %d, want %d", path, got, bad, at, want)
+				}
+				if got := cosVec(&dst[0], &ys[0], len(ys)); got != want {
+					t.Fatalf("%s: cos kernel wrote %d with %v at %d, want %d", path, got, bad, at, want)
+				}
+				for i, y := range ys[:want] {
+					if math.Float64bits(dst[i]) != math.Float64bits(math.Cos(y)) {
+						t.Fatalf("%s: cos(%v) at %d = %v, math.Cos gives %v", path, y, i, dst[i], math.Cos(y))
+					}
+				}
+			}
+		}
+	})
+	if vectors == 0 {
 		t.Skip("no vector trig kernel on this machine")
-	}
-	xs := []float64{0.5, -1, 3e8, -2e-300, 7, 8, 9, 10, 1, 2, 0, 3, 4, 5}
-	dst := make([]float64, len(xs))
-	if got := sinVec(&dst[0], &xs[0], len(xs)); got != 8 {
-		t.Fatalf("sin kernel wrote %d, want 8 (stop at the group with a zero)", got)
-	}
-	if got := cosVec(&dst[0], &xs[0], len(xs)); got != 12 {
-		t.Fatalf("cos kernel wrote %d, want 12 (a zero is in range, the tail of 2 is not)", got)
-	}
-	for _, bad := range []float64{math.NaN(), math.Inf(-1), 1 << 29, -(1 << 30)} {
-		ys := []float64{1, 2, bad, 4, 5}
-		if got := sinVec(&dst[0], &ys[0], len(ys)); got != 0 {
-			t.Fatalf("sin kernel took a group holding %v", bad)
-		}
-		if got := cosVec(&dst[0], &ys[0], len(ys)); got != 0 {
-			t.Fatalf("cos kernel took a group holding %v", bad)
-		}
 	}
 }
 
-// BenchmarkSin256 times Sin over one CMM-256 row of arguments, on the
-// vector kernel and on the scalar loop.
+// BenchmarkSin256 times Sin over one CMM-256 row of arguments, on every
+// path this machine has.
 func BenchmarkSin256(b *testing.B) {
 	src := make([]float64, 256)
 	for j := range src {
 		src[j] = 0.7 + float64(j)/65536*2*math.Pi
 	}
 	dst := make([]float64, len(src))
-	run := func(b *testing.B) {
-		b.SetBytes(int64(8 * len(src)))
-		for i := 0; i < b.N; i++ {
-			Sin(dst, src)
-		}
-	}
-	b.Run("vector", run)
-	b.Run("scalar", func(b *testing.B) {
-		scalarTrig(b)
-		run(b)
+	eachPath(b, func(path string) {
+		b.Run(path, func(b *testing.B) {
+			b.SetBytes(int64(8 * len(src)))
+			for i := 0; i < b.N; i++ {
+				Sin(dst, src)
+			}
+		})
 	})
 }

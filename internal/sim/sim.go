@@ -23,16 +23,18 @@
 // done with as few host bytes as the semantics allow (DESIGN.md §7,
 // "Simulator data plane"). A message or a local move carries a view of
 // the sender's block, which the receive only records; the consumer's
-// barrier copies each view once, into the operand its kernel reads. A
-// block is sealed when first viewed and only a block that owns no data
-// is received into, which makes the late copy equal to a snapshot taken
-// at the send. The members of one group barrier compute disjoint output
-// blocks from operands nobody writes. Above a fixed amount of work the
-// step loop installs a barrier's output blocks and moves on, and the
-// run's executor computes them, on internal/par's workers, as soon as the
-// blocks they read are computed: independent barriers overlap, and only
-// a reader of a block waits for it. Every output bit, virtual clock and
-// event is the same at any pool width.
+// barrier copies each view once, into the operand its kernel reads, or,
+// for an element-wise kernel, reads it where it lies. A block is sealed
+// when first viewed and only a block that owns no data is received into,
+// which makes the late read equal to a snapshot taken at the send. The
+// members of one group barrier compute disjoint output blocks from
+// operands nobody writes. Above a fixed amount of work the step loop
+// installs a barrier's output blocks and moves on, and the run's
+// executor computes them, on internal/par's workers, as soon as the
+// blocks they read are computed; once there is an executor, an
+// element-wise barrier read in place joins it too. Independent barriers
+// overlap, and only a reader of a block waits for it. Every output bit,
+// virtual clock and event is the same at any pool width.
 //
 // Fault injection: Options.Faults attaches a deterministic fault.Plan.
 // A fail-stop processor executes no instruction once its clock reaches
@@ -570,7 +572,8 @@ func RunCtx(ctx context.Context, p *prog.Program, streams *codegen.Streams, mp m
 // of a typical service request (n ≤ 127, TestServiceSizedRunStaysInline,
 // TestOnlyHeavyRunsStartAnExecutor) never leaves its worker's goroutine.
 // The executor moved no break-even: it overlaps heavy barriers with each
-// other, and a light one still runs where it ran.
+// other and with the element-wise barriers read in place, and any other
+// light one still runs where it ran.
 const fanOutWork = 1 << 21
 
 // What one output element of a barrier costs, in multiply-adds, measured
@@ -591,10 +594,19 @@ const fanOutWork = 1 << 21
 // multiply-adds (≈ 100 at the AVX-512 kernel's 0.09–0.10 ns), and a fan-out from n = 128 still gains with the second
 // core idle and ties with it busy. The price stays where it was: between
 // 32 and 128 it moves no barrier of CMM-256 or of a service-sized job
-// (n ≤ 127) across fanOutWork, only those of CMM-128 to CMM-255. An
-// element of an element-wise or copying kernel is mostly the allocation
-// of the block it lands in (2.3–2.7 ns; no gain from a fan-out was seen
-// up to n = 256).
+// (n ≤ 127) across fanOutWork, only those of CMM-128 to CMM-255.
+//
+// An element of an element-wise kernel read in place costs 0.07 ns in
+// matrix.AddSlice's AVX-512 kernel (0.12–0.14 on AVX, 0.4–0.6 in Go),
+// but CMM-256's add and subtract barriers (64 Ki elements each, on 64
+// processors) take 120–175 µs each on a worker of two, about 2 ns an
+// element: what is left is allocating and first touching the blocks the
+// elements land in, as it is for a copying kernel. Fanning each of the
+// two out over both workers left the time from CMM-256's last product to
+// the end of the run where queuing both on the executor, one slot after
+// another, put it: medians 0.35–0.51 ms against 0.36–0.41 ms, three
+// interleaved rounds of 50 runs at width 2. They gain from overlapping
+// each other, not from a fan-out, so the price stays where it was.
 const (
 	initElemWork = 128
 	elemWork     = 16
@@ -692,6 +704,10 @@ type barrierData struct {
 	k    kernels.Kernel
 	outs []*block
 	ops  [][]*block
+	// inPlace is set for an element-wise barrier the views of every
+	// operand block of which partition it (readsInPlace): its kernel
+	// reads them where they lie and borrows no scratch.
+	inPlace bool
 }
 
 // execNode runs one kernel as a group: advances every member's clock by
@@ -817,28 +833,40 @@ func (nr *nodeRunner) execNode(ctx context.Context, node mdg.NodeID, start float
 		res.stores[proc][node] = out
 	}
 
+	if (k.Op == kernels.OpAdd || k.Op == kernels.OpSub) && readsInPlace(d.ops) {
+		d.inPlace = true
+		inPlaceBarriers.Add(1)
+	}
 	heavy := barrierWork(k, arr.Rows*arr.Cols) >= fanOutWork
 	if heavy {
 		res.fannedOut++
 	}
-	if !heavy || nr.width == 1 {
+	switch {
+	case heavy && nr.width > 1:
+		if nr.ex == nil {
+			nr.ex = newExecutor(nr.width, len(nr.streams.Groups))
+		}
+		nr.ex.submit(d.outs, func() error { return nr.compute(ctx, d, nr.width) })
+	case d.inPlace && nr.ex != nil:
+		// A light barrier that borrows no scratch joins the executor the
+		// run already has, its slots in order on one goroutine, so that
+		// it overlaps the barriers around it instead of holding up the
+		// step loop. A run without an executor starts none for it.
+		nr.ex.submit(d.outs, func() error { return nr.compute(ctx, d, 1) })
+	default:
 		return nr.compute(ctx, d, 1)
 	}
-	if nr.ex == nil {
-		nr.ex = newExecutor(nr.width, len(nr.streams.Groups))
-	}
-	nr.ex.submit(d.outs, func() error { return nr.compute(ctx, d, nr.width) })
 	return nil
 }
 
 // compute fills the output blocks of d, the members' slots on at most
-// workers goroutines. The operands are first read into matrices borrowed
-// from the run's scratch set — a full operand where a kernel reads
-// across members — and then every member's block is computed from them:
-// each a disjoint block built from operands nobody writes, so the slots
-// can run on any worker in any order and give the bits a serial loop
-// gives. On a run with an executor it first waits for every block it
-// reads.
+// workers goroutines. Where a kernel reads across members, the operands
+// are first read into matrices borrowed from the run's scratch set; an
+// element-wise kernel reads its member's operand blocks where they lie.
+// Then every member's block is computed: each a disjoint block built
+// from operands nobody writes, so the slots can run on any worker in any
+// order and give the bits a serial loop gives. On a run with an executor
+// it first waits for every block it reads.
 func (nr *nodeRunner) compute(ctx context.Context, d *barrierData, workers int) error {
 	node, k, ops := d.node, d.k, d.ops
 	if nr.ex != nil {
@@ -864,7 +892,8 @@ func (nr *nodeRunner) compute(ctx context.Context, d *barrierData, workers int) 
 		assembleInto(full, 0, 0, operand)
 		return full
 	}
-	// materialize reads every member's block of an operand into scratch.
+	// materialize reads every member's block of an operand into scratch,
+	// a hole as +0 and an overlap as its later view.
 	materialize := func(operand int) []*matrix.Matrix {
 		data := make([]*matrix.Matrix, len(d.outs))
 		for slot, b := range ops[operand] {
@@ -889,15 +918,20 @@ func (nr *nodeRunner) compute(ctx context.Context, d *barrierData, workers int) 
 		}
 
 	case kernels.OpAdd, kernels.OpSub:
-		aData, bData := materialize(0), materialize(1)
-		op := matrix.Add
+		op := matrix.AddSlice
 		if k.Op == kernels.OpSub {
-			op = matrix.Sub
+			op = matrix.SubSlice
 		}
-		fill = func(slot int, out *block) error {
-			if err := op(out.data, aData[slot], bData[slot]); err != nil {
-				return fmt.Errorf("sim: node %d: %w", node, err)
+		if d.inPlace {
+			fill = func(slot int, out *block) error {
+				elementwise(op, out, ops[0][slot].views, ops[1][slot].views)
+				return nil
 			}
+			break
+		}
+		aData, bData := materialize(0), materialize(1)
+		fill = func(slot int, out *block) error {
+			op(out.data.Data, aData[slot].Data, bData[slot].Data)
 			return nil
 		}
 
@@ -968,6 +1002,62 @@ func (nr *nodeRunner) compute(ctx context.Context, d *barrierData, workers int) 
 	})
 }
 
+// readsInPlace reports whether the views of every operand block
+// partition it: then an element-wise kernel can read each element where
+// it lies, and no block needs a hole cleared or an overlap resolved
+// first.
+func readsInPlace(ops [][]*block) bool {
+	for _, blocks := range ops {
+		for _, b := range blocks {
+			if !b.partitioned() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// elementwise fills out's data with op of two operand blocks given by
+// their views, pa and pb, each of which partitions out's rectangle: for
+// each pair of views that meet, op runs on the rows of their
+// intersection, read where they lie in the views' sources, in one call
+// when those rows lie end to end in all three matrices. Each view of a
+// is matched against b's views from the same index on and only until the
+// intersections cover it, so that two operands partitioned alike cost
+// one intersection a view.
+func elementwise(op func(dst, a, b []float64), out *block, pa, pb []recvView) {
+	for i, va := range pa {
+		left := va.rect.Bytes()
+		for j := range pb {
+			vb := pb[(i+j)%len(pb)]
+			r := intersect(va.rect, vb.rect)
+			if r.Empty() {
+				continue
+			}
+			h, w := r.R1-r.R0, r.C1-r.C0
+			d, dw := rowsAt(out.data, out.rect, r)
+			x, xw := rowsAt(va.src.data, va.src.rect, r)
+			y, yw := rowsAt(vb.src.data, vb.src.rect, r)
+			if dw == w && xw == w && yw == w {
+				op(d[:h*w], x, y)
+			} else {
+				for k := 0; k < h; k++ {
+					op(d[k*dw:][:w], x[k*xw:], y[k*yw:])
+				}
+			}
+			if left -= r.Bytes(); left == 0 {
+				break
+			}
+		}
+	}
+}
+
+// rowsAt returns m's data from the top left corner of r on, where m is
+// the data of a block over rect, and m's row length.
+func rowsAt(m *matrix.Matrix, rect, r codegen.Rect) ([]float64, int) {
+	return m.Data[(r.R0-rect.R0)*m.Cols+r.C0-rect.C0:], m.Cols
+}
+
 // rowViews reports whether every non-empty output block's rows of the
 // operand A, inner columns wide, are the block blocks[slot] holds and are
 // read whole from its views: the views partition the block, and each
@@ -992,15 +1082,17 @@ func rowViews(blocks, outs []*block, inner int) bool {
 	return true
 }
 
-// executor computes the data of a run's barriers at fanOutWork off the
-// step loop, on width goroutines. The step loop keeps everything that
-// decides the run — clocks, events, operand resolution, the stores — and
-// hands a task only the data work of a barrier whose output blocks it
-// has installed. Each block records its task, and whatever reads a block
+// executor computes the data of a run's barriers at fanOutWork, and of
+// the element-wise barriers read in place after it started, off the step
+// loop, on width goroutines. The step loop keeps everything that decides
+// the run — clocks, events, operand resolution, the stores — and hands a
+// task only the data work of a barrier whose output blocks it has
+// installed. Each block records its task, and whatever reads a block
 // waits for that task first (ready): a task for the blocks of the
-// operands it reads, the step loop before a light barrier does. Tasks
-// are queued in barrier order and a task waits only for earlier ones, so
-// the earliest unfinished task always proceeds.
+// operands it reads, the step loop before a light barrier it runs
+// inline does. Tasks are queued in barrier order and taken in that
+// order, and a task waits only for earlier ones, which have all started
+// by then: the earliest unfinished task always proceeds.
 type executor struct {
 	tasks chan *task
 	wg    sync.WaitGroup
@@ -1027,9 +1119,11 @@ type task struct {
 // compute. The run reports that task's failure, never this.
 var errProducerFailed = errors.New("sim: a block this barrier reads was not computed")
 
-// executorsStarted counts the executors started in this process. Tests
-// read it.
-var executorsStarted atomic.Int64
+// executorsStarted counts the executors started in this process,
+// tasksQueued the tasks queued on them and inPlaceBarriers the
+// element-wise barriers that read their operands where they lie. Tests
+// read them; a counter in Result would grow every run's allocation.
+var executorsStarted, tasksQueued, inPlaceBarriers atomic.Int64
 
 // newExecutor starts width goroutines taking tasks from a queue that
 // holds capacity of them. A run passes its node count: a node's barrier
@@ -1054,6 +1148,7 @@ func newExecutor(width, capacity int) *executor {
 func (e *executor) submit(outs []*block, run func() error) {
 	t := &task{seq: e.next, run: run, done: make(chan struct{})}
 	e.next++
+	tasksQueued.Add(1)
 	for _, out := range outs {
 		out.task = t
 	}
